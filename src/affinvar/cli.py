@@ -8,6 +8,7 @@ checks passed, 1 checks failed, 2 parse error, 3 internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -21,8 +22,8 @@ from .errors import (AffinvarError, NotAdmissibleError, NotInSpanError,
                      NotRepresentableError, NumericalFailureError, ParseError,
                      PreconditionFailedError)
 from .modelio import load_model, model_hash, model_to_dict, save_model
-from .polyhedral import (build_square_root, canonical_transform,
-                         check_polyhedral_admissibility, lift_drift,
+from .polyhedral import (_verify_block_identity, build_square_root,
+                         canonical_transform, check_polyhedral_admissibility,
                          psd_decompose, transform_model)
 from .quadratic import (QuadricClassification, check_cone_admissibility,
                         check_parabolic_drift, check_parabolic_psd_condition,
@@ -145,7 +146,7 @@ def _validate_polyhedral(model: ModelSpec, report: dict) -> None:
             witness=fc.witness))
 
     if adm.admissible:
-        a_bar, b_bar = lift_drift(model)
+        a_bar, b_bar = adm.lifted_drift
         report["lifted_drift"] = {"a_bar": a_bar.tolist(), "b_bar": b_bar.tolist()}
         ct = canonical_transform(model)
         report["canonical"] = {"m": ct.m, "n": ct.n}
@@ -258,7 +259,9 @@ def cmd_canonicalize(args) -> int:
         "B": ct.B.tolist(),
     }
     report["transformed_model"] = model_to_dict(transformed)
-    report["checks"].append(_check("block-identity", True))
+    report["checks"].append(_check(
+        "block-identity", True,
+        margin=_verify_block_identity(ct, transformed.diffusion)))
     report["passed"] = True
     if args.model_out:
         save_model(transformed, args.model_out)
@@ -467,9 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "tol", None):
-        set_global_tolerance(args.tol)
+    saved = dataclasses.asdict(TOL)
     try:
+        if getattr(args, "tol", None):
+            set_global_tolerance(args.tol)
         return args.func(args)
     except ParseError as exc:
         print(json.dumps({"schema": 1, "error": "parse", "detail": str(exc)}),
@@ -485,6 +489,9 @@ def main(argv=None) -> int:
         print(json.dumps({"schema": 1, "error": "internal", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        for name, value in saved.items():  # --tol applies to this call only
+            setattr(TOL, name, value)
 
 
 if __name__ == "__main__":

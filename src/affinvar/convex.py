@@ -220,18 +220,14 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     return Polyhedron(poly.gamma[keep], poly.delta[keep], minimal=True)
 
 
-def _detect_facet_multiple_unchecked(v: AffineScalar, poly: Polyhedron,
-                                     i: int) -> float | None:
-    try:
-        facet_relative_decompose(v, poly, i)
-        facet_relative_decompose(-v, poly, i)
-    except NotNonnegativeOnFacetError:
+def _coefficient_multiple(v: AffineScalar, u: AffineScalar) -> float | None:
+    """The lambda with v = lambda * u at coefficient level, or None."""
+    uc, vc = u.coefficients(), v.coefficients()
+    denom = float(uc @ uc)
+    if denom == 0.0:
         return None
-    u = poly.facet(i).coefficients()
-    vc = v.coefficients()
-    lam = float(u @ vc / (u @ u))
-    resid = float(np.abs(vc - lam * u).max())
-    if resid > TOL.feasibility * (1.0 + np.abs(vc).max()):
+    lam = float(uc @ vc) / denom
+    if float(np.abs(vc - lam * uc).max()) > TOL.feasibility * (1.0 + np.abs(vc).max()):
         return None
     return lam
 
@@ -243,10 +239,12 @@ def detect_facet_multiple(v: AffineScalar, poly: Polyhedron,
 
     Requires a nonempty interior (raises InteriorEmptyError otherwise); in the
     degenerate case where the whole set lies inside the facet the multiplier
-    would be arbitrary and no answer is meaningful.
+    would be arbitrary and no answer is meaningful.  With a nonempty interior
+    a facet of a minimal polyhedron spans its hyperplane, so vanishing on the
+    segment is exactly being a coefficient multiple of u_i: no LP is needed.
     """
     if interior_point(poly) is None:
         raise InteriorEmptyError(
             "facet-multiple detection needs a nonempty interior "
             "(degenerate facet: the set may collapse onto the facet)")
-    return _detect_facet_multiple_unchecked(v, poly, i)
+    return _coefficient_multiple(v, poly.facet(i))

@@ -29,23 +29,30 @@ from .core import (AffineMatrixField, AffineVectorField, ModelSpec, Polyhedron,
 from .errors import ParseError
 
 
+def _array(value, name: str) -> np.ndarray:
+    arr = np.array(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ParseError(f"invalid model file: {name} has non-finite entries")
+    return arr
+
+
 def model_from_dict(obj: dict) -> ModelSpec:
     try:
         p = int(obj["dimension"])
-        drift = AffineVectorField(np.array(obj["drift"]["a"], dtype=float),
-                                  np.array(obj["drift"]["b"], dtype=float))
-        diff = AffineMatrixField(np.array(obj["diffusion"]["A0"], dtype=float),
-                                 [np.array(M, dtype=float) for M in obj["diffusion"]["A"]])
+        drift = AffineVectorField(_array(obj["drift"]["a"], "drift.a"),
+                                  _array(obj["drift"]["b"], "drift.b"))
+        diff = AffineMatrixField(_array(obj["diffusion"]["A0"], "diffusion.A0"),
+                                 _array(obj["diffusion"]["A"], "diffusion.A"))
         ss = obj["state_space"]
         kind = ss["kind"]
         if kind == "polyhedral":
-            space = Polyhedron(np.array(ss["gamma"], dtype=float),
-                               np.array(ss["delta"], dtype=float),
+            space = Polyhedron(_array(ss["gamma"], "gamma"),
+                               _array(ss["delta"], "delta"),
                                minimal=bool(ss.get("minimal", False)))
         elif kind == "quadratic":
             space = QuadraticSpace(
-                QuadraticForm(np.array(ss["A"], dtype=float),
-                              np.array(ss["b"], dtype=float), float(ss["c"])),
+                QuadraticForm(_array(ss["A"], "A"), _array(ss["b"], "b"),
+                              float(_array(ss["c"], "c"))),
                 component=ss.get("component", "positive"),
                 closed=bool(ss.get("closed", True)))
         else:

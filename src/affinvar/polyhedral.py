@@ -5,7 +5,12 @@ classical square-root-diffusion model checks.
 The boundary conditions checked here are the exact invariance conditions for
 an affine SDE on a polyhedron: on every facet segment the diffusion row
 ``gamma_i theta(.)`` must vanish and the drift component ``gamma_i mu(.)`` must
-be nonnegative.  Both are certified through the LP oracles in ``convex``.
+be nonnegative.  In a minimal polyhedron with nonempty interior each facet
+spans its hyperplane, so the first condition is a coefficient projection onto
+``u_i``; the second is certified by one facet-relative Farkas LP per facet,
+solved once in ``check_polyhedral_admissibility``.  Polynomial identities
+(the canonical block form, the dimension extension) are checked on
+coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize as _minimize
 
-from .convex import (FarkasCertificate, _detect_facet_multiple_unchecked,
+from .convex import (FarkasCertificate, _coefficient_multiple,
                      chebyshev_radius, facet_relative_decompose,
                      farkas_decompose, interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
@@ -50,6 +55,9 @@ class AdmissibilityReport:
     facets: list[FacetCheck]
     interior: np.ndarray
     polyhedron: Polyhedron
+    # (a_bar, b_bar) with gamma mu(x) = a_bar u(x) + b_bar, None unless every
+    # facet has a drift certificate
+    lifted_drift: tuple[np.ndarray, np.ndarray] | None
 
     @property
     def admissible(self) -> bool:
@@ -63,20 +71,54 @@ def _require_polyhedron(model: ModelSpec) -> Polyhedron:
     return poly if poly.minimal else minimalize(poly)
 
 
+def _coefficient_scale(field: AffineMatrixField) -> float:
+    """1 + the largest coefficient magnitudes: the scale of coefficient residuals."""
+    return 1.0 + float(np.abs(field.A0).max(initial=0.0)) + \
+        float(np.abs(field.A).max(initial=0.0))
+
+
+def _coefficient_residual(f: AffineMatrixField, g: AffineMatrixField) -> float:
+    """Largest coefficient difference between two matrix fields."""
+    return max(float(np.abs(f.A0 - g.A0).max(initial=0.0)),
+               float(np.abs(f.A - g.A).max(initial=0.0)))
+
+
 def _facet_coupling_row(theta: AffineMatrixField, poly: Polyhedron,
                         i: int) -> np.ndarray | None:
     """B_i with gamma_i theta(.) = B_i u_i(.) coefficientwise, or None.
 
-    Callers have already established a nonempty interior, which is what makes
-    the componentwise facet-multiple detection conclusive.
+    Callers have already established a nonempty interior of the minimal
+    polyhedron, so facet i spans {u_i = 0} and vanishing there is exactly
+    being a coefficient multiple of u_i.
     """
     row = np.empty(theta.size)
     for j, comp in enumerate(theta.row_functionals(poly.gamma[i])):
-        lam = _detect_facet_multiple_unchecked(comp, poly, i)
+        lam = _coefficient_multiple(comp, poly.facet(i))
         if lam is None:
             return None
         row[j] = lam
     return row
+
+
+def _lift(drift: AffineVectorField, poly: Polyhedron,
+          certs: list[FarkasCertificate]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack the facet drift certificates into (a_bar, b_bar) and check
+    gamma mu(x) = a_bar u(x) + b_bar at coefficient level."""
+    q = poly.n_facets
+    a_bar = np.array([cert.lam for cert in certs]).reshape(q, q)
+    b_bar = np.array([cert.c for cert in certs])
+    lhs_lin = poly.gamma @ drift.a
+    lhs_const = poly.gamma @ drift.b
+    rhs_lin = a_bar @ poly.gamma
+    rhs_const = a_bar @ poly.delta + b_bar
+    scale = 1.0 + float(np.abs(lhs_lin).max(initial=0.0)) + \
+        float(np.abs(lhs_const).max(initial=0.0))
+    resid = max(float(np.abs(lhs_lin - rhs_lin).max(initial=0.0)),
+                float(np.abs(lhs_const - rhs_const).max(initial=0.0)))
+    if resid > TOL.feasibility * scale:
+        raise NotAdmissibleError(
+            f"lifted drift reconstruction residual {resid:.3e} out of tolerance")
+    return a_bar, b_bar
 
 
 def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
@@ -86,6 +128,9 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     (every component is a multiple of u_i, and the quadratic multiple
     c_i = B_i gamma_i^T is nonnegative); (b) gamma_i mu(.) is nonnegative on
     the facet segment, certified by a facet-relative Farkas decomposition.
+    When every facet has a drift certificate the report also carries the
+    lifted drift (a_bar, b_bar); raises NotAdmissibleError if those fail to
+    reconstruct gamma mu(.).
     """
     poly = _require_polyhedron(model)
     x0 = interior_point(poly)
@@ -116,7 +161,10 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
             msg = (msg + "; " if msg else "") + "drift points outward on facet"
         checks.append(FacetCheck(i, diffusion_ok, B_i, c_i, drift_ok, cert,
                                  witness, msg))
-    return AdmissibilityReport(checks, x0, poly)
+    lifted = None
+    if all(fc.drift_ok for fc in checks):
+        lifted = _lift(model.drift, poly, [fc.drift_certificate for fc in checks])
+    return AdmissibilityReport(checks, x0, poly, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +249,10 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     vanishes on its facet segment); raises NotAdmissibleError otherwise.  The
     construction follows the coupling rows B_i = u_i(x0)^-1 gamma_i theta(x0)
     at the Chebyshev center x0, rescales the square-root facets so that
-    B_i gamma_i^T = 1, completes the facet rows to a nonsingular matrix, and
-    fits the lower-right block Psi as an affine function of the facet values.
+    B_i gamma_i^T = 1 and completes the facet rows to a nonsingular matrix L.
+    Psi is read off the lower-right block of the coefficient-exact congruence
+    L theta L^T; raises ModelInconsistencyError when that block depends on
+    the completing coordinates, i.e. is not a function of the facet values.
     """
     poly = _require_polyhedron(model)
     theta = model.diffusion
@@ -260,64 +310,39 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     order = np.array(M + N + [i for i in range(q) if i not in M and i not in N],
                      dtype=int)
 
-    psi = _fit_psi(theta, poly, gamma_s, delta_s, order[:m + n], eta, x0)
-
-    ct = CanonicalTransform(L, ell, m, n, psi, B, order, facet_scale, poly)
-    _verify_block_identity(ct, theta)
-    return ct
-
-
-def _fit_psi(theta, poly, gamma_s, delta_s, mn_idx, eta, x0) -> AffineMatrixField:
-    """Least-squares fit of eta theta(x) eta^T as an affine function of the
-    facet values u_{M u N}(x), over affinely independent interior samples."""
-    p = theta.size
-    r = eta.shape[0]
-    k = len(mn_idx)
-    if r == 0:
-        return AffineMatrixField(np.zeros((0, 0)), np.zeros((k, 0, 0)))
-    radius = max(chebyshev_radius(poly), 10 * TOL.interior_slack)
-    rng = np.random.default_rng(0)
-    points = [x0]
-    for idx in mn_idx:
-        d = gamma_s[idx] / np.linalg.norm(gamma_s[idx])
-        points.append(x0 + 0.5 * radius * d)
-    for _ in range(2 * k + 8):
-        d = rng.standard_normal(p)
-        points.append(x0 + 0.5 * radius * d / np.linalg.norm(d))
-    pts = np.array(points)
-    uvals = pts @ gamma_s[mn_idx].T + delta_s[mn_idx] if k else np.zeros((len(pts), 0))
-    targets = np.array([eta @ symmetrize(theta(x)) @ eta.T for x in pts])
-    design = np.hstack([np.ones((len(pts), 1)), uvals])
-    coef, *_ = np.linalg.lstsq(design, targets.reshape(len(pts), -1), rcond=None)
-    pred = design @ coef
-    scale = 1.0 + float(np.abs(targets).max()) if targets.size else 1.0
-    resid = float(np.abs(pred - targets.reshape(len(pts), -1)).max()) if targets.size else 0.0
+    k = m + n
+    canon = theta.congruence(L, ell)
+    scale = _coefficient_scale(canon)
+    resid = float(np.abs(canon.A[k:, k:, k:]).max(initial=0.0))
     if resid > TOL.fit_residual * scale:
         raise ModelInconsistencyError(
             f"lower-right block is not a function of the facet values "
             f"(residual {resid:.3e}); the state space is not contained in the "
             "PSD region of the diffusion")
-    A0 = coef[0].reshape(r, r)
-    A = coef[1:].reshape(k, r, r)
-    return AffineMatrixField(0.5 * (A0 + A0.T), 0.5 * (A + np.swapaxes(A, 1, 2)))
+    psi = AffineMatrixField(canon.A0[k:, k:], canon.A[:k, k:, k:])
+
+    ct = CanonicalTransform(L, ell, m, n, psi, B, order, facet_scale, poly)
+    _verify_block_identity(ct, canon)
+    return ct
 
 
-def _verify_block_identity(ct: CanonicalTransform, theta: AffineMatrixField,
-                           n_points: int = 100) -> None:
-    canon = theta.congruence(ct.L, ct.ell)
-    rng = np.random.default_rng(1)
-    y0 = ct.to_canonical(interior_point(ct.polyhedron))
-    worst = 0.0
-    for _ in range(n_points):
-        y = y0 + rng.standard_normal(ct.dim)
-        diff = canon(y) - ct.block_matrix(y)
-        worst = max(worst, float(np.abs(diff).max()))
-    scale = 1.0 + float(np.abs(theta.A0).max()) + \
-        (float(np.abs(theta.A).max()) if theta.A.size else 0.0)
-    if worst > TOL.block_identity * scale:
+def _verify_block_identity(ct: CanonicalTransform,
+                           canon: AffineMatrixField) -> float:
+    """Coefficient residual of the transformed diffusion ``canon`` against the
+    block form [[diag(y_M, 0_N), 0], [0, Psi(y_{M u N})]]; raises
+    RankDeficiencyError when it exceeds the tolerance."""
+    p, m, k = ct.dim, ct.m, ct.m + ct.n
+    A0 = np.zeros((p, p))
+    A = np.zeros((p, p, p))
+    A[np.arange(m), np.arange(m), np.arange(m)] = 1.0
+    A0[k:, k:] = ct.psi.A0
+    A[:k, k:, k:] = ct.psi.A
+    resid = _coefficient_residual(canon, AffineMatrixField(A0, A))
+    if resid > TOL.block_identity * _coefficient_scale(canon):
         raise RankDeficiencyError(
-            f"block identity residual {worst:.3e} exceeds tolerance; "
+            f"block identity residual {resid:.3e} exceeds tolerance; "
             "internal inconsistency in the canonical construction")
+    return resid
 
 
 def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
@@ -360,34 +385,15 @@ def lift_drift(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     """Matrices (a_bar, b_bar) with gamma mu(x) = a_bar u(x) + b_bar, a_bar
     having nonnegative off-diagonal entries and b_bar nonnegative.
 
-    Assembled facet-by-facet from the facet-relative Farkas certificates of
-    the drift condition; raises NotAdmissibleError when one fails.
+    Read off the admissibility report, which assembles them facet-by-facet
+    from the facet-relative Farkas certificates of the drift condition;
+    raises NotAdmissibleError when one fails.
     """
-    poly = _require_polyhedron(model)
-    q = poly.n_facets
-    a_bar = np.zeros((q, q))
-    b_bar = np.zeros(q)
-    for i in range(q):
-        try:
-            cert = facet_relative_decompose(
-                model.drift.row_functional(poly.gamma[i]), poly, i)
-        except NotNonnegativeOnFacetError as exc:
-            raise NotAdmissibleError(
-                f"drift condition fails on facet {i}") from exc
-        a_bar[i] = cert.lam
-        b_bar[i] = cert.c
-    lhs_lin = poly.gamma @ model.drift.a
-    lhs_const = poly.gamma @ model.drift.b
-    rhs_lin = a_bar @ poly.gamma
-    rhs_const = a_bar @ poly.delta + b_bar
-    scale = 1.0 + float(np.abs(lhs_lin).max(initial=0.0)) + \
-        float(np.abs(lhs_const).max(initial=0.0))
-    resid = max(float(np.abs(lhs_lin - rhs_lin).max(initial=0.0)),
-                float(np.abs(lhs_const - rhs_const).max(initial=0.0)))
-    if resid > TOL.feasibility * scale:
-        raise NotAdmissibleError(
-            f"lifted drift reconstruction residual {resid:.3e} out of tolerance")
-    return a_bar, b_bar
+    adm = check_polyhedral_admissibility(model)
+    for fc in adm.facets:
+        if not fc.drift_ok:
+            raise NotAdmissibleError(f"drift condition fails on facet {fc.index}")
+    return adm.lifted_drift
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +450,8 @@ def check_triangle_condition(poly: Polyhedron) -> bool:
 
 def _verify_decomposition(dec: PsdFacetDecomposition, theta: AffineMatrixField,
                           poly: Polyhedron) -> None:
-    rec = dec.reconstruct(poly)
-    scale = 1.0 + float(np.abs(theta.A0).max()) + \
-        (float(np.abs(theta.A).max()) if theta.A.size else 0.0)
-    resid = float(np.abs(rec.A0 - theta.A0).max())
-    if theta.A.size:
-        resid = max(resid, float(np.abs(rec.A - theta.A).max()))
-    if resid > TOL.feasibility * scale:
+    resid = _coefficient_residual(dec.reconstruct(poly), theta)
+    if resid > TOL.feasibility * _coefficient_scale(theta):
         raise _RouteFailed(f"reconstruction residual {resid:.3e}")
     for Bmat in [dec.B0, *dec.Bi]:
         w = np.linalg.eigvalsh(Bmat)
@@ -518,8 +519,7 @@ def _route_projection(theta: AffineMatrixField, poly: Polyhedron):
     q, p = poly.gamma.shape
     vec, unvec, s = _sym_vec_ops(p)
     nvar = (q + 1) * s
-    scale = 1.0 + float(np.abs(theta.A0).max()) + \
-        (float(np.abs(theta.A).max()) if theta.A.size else 0.0)
+    scale = _coefficient_scale(theta)
 
     # linear system: B0 + sum_i delta_i Bi = A0 ; sum_i gamma_ik Bi = A_k
     C = np.zeros(((p + 1) * s, nvar))
@@ -724,20 +724,18 @@ def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> Extend
     return out
 
 
-def _verify_extension(ext: ExtendedModel, model: ModelSpec,
-                      n_points: int = 25) -> None:
-    rng = np.random.default_rng(2)
-    scale = 1.0 + float(np.abs(model.diffusion.A0).max()) + \
-        (float(np.abs(model.diffusion.A).max()) if model.diffusion.A.size else 0.0)
-    for _ in range(n_points):
-        y = np.abs(rng.standard_normal(ext.model.dimension))
-        x = ext.recovery @ y
-        lhs = ext.recovery @ ext.model.diffusion(y) @ ext.recovery.T
-        rhs = model.diffusion(x)
-        if float(np.abs(lhs - rhs).max()) > TOL.block_identity * scale * 10:
-            raise PreconditionFailedError(
-                "extension congruence residual out of tolerance; the supplied "
-                "decomposition does not match the model")
+def _verify_extension(ext: ExtendedModel, model: ModelSpec) -> None:
+    """Check R theta_ext(y) R^T = theta(R y) on coefficients, R the recovery."""
+    R = ext.recovery
+    theta, theta_ext = model.diffusion, ext.model.diffusion
+    lhs = np.einsum("ia,jab,kb->jik", R, theta_ext.A, R)
+    rhs = np.einsum("kj,kab->jab", R, theta.A)
+    resid = max(float(np.abs(R @ theta_ext.A0 @ R.T - theta.A0).max()),
+                float(np.abs(lhs - rhs).max()))
+    if resid > TOL.block_identity * _coefficient_scale(theta) * 10:
+        raise PreconditionFailedError(
+            "extension congruence residual out of tolerance; the supplied "
+            "decomposition does not match the model")
 
 
 # ---------------------------------------------------------------------------
@@ -786,16 +784,8 @@ class ClassicalReport:
 
 def _positive_multiple(f: AffineScalar, g: AffineScalar) -> float | None:
     """c > 0 with f = c g at coefficient level, or None."""
-    fc, gc = f.coefficients(), g.coefficients()
-    denom = float(gc @ gc)
-    if denom == 0.0:
-        return None
-    c = float(fc @ gc) / denom
-    if c <= 0:
-        return None
-    if float(np.abs(fc - c * gc).max()) > TOL.feasibility * (1 + np.abs(fc).max()):
-        return None
-    return c
+    c = _coefficient_multiple(f, g)
+    return c if c is not None and c > 0 else None
 
 
 def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
@@ -809,12 +799,8 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
     """
     poly = _require_polyhedron(model)
     p, q = model.dimension, poly.n_facets
-    rec = cm.reconstructed()
-    scale = 1.0 + float(np.abs(model.diffusion.A0).max()) + \
-        (float(np.abs(model.diffusion.A).max()) if model.diffusion.A.size else 0.0)
-    resid = max(float(np.abs(rec.A0 - model.diffusion.A0).max()),
-                float(np.abs(rec.A - model.diffusion.A).max()) if rec.A.size else 0.0)
-    reconstruction_ok = resid <= 1e-10 * scale
+    resid = _coefficient_residual(cm.reconstructed(), model.diffusion)
+    reconstruction_ok = resid <= 1e-10 * _coefficient_scale(model.diffusion)
     if not reconstruction_ok:
         raise ModelInconsistencyError(
             f"Sigma diag(v) Sigma^T does not reproduce theta (residual {resid:.3e})")

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import affinvar.cli
+import affinvar.convex
 from affinvar.cli import main
 from affinvar.modelio import fixture_path, load_model
+from affinvar.tolerances import TOL, Tolerances
 
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 
@@ -65,6 +68,40 @@ def test_missing_field_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("field,value", [("drift.b", float("nan")),
+                                         ("gamma", float("inf"))])
+def test_nonfinite_input_exit_code(tmp_path, capsys, field, value):
+    obj = json.loads(fixture_path("cir").read_text())
+    if field == "drift.b":
+        obj["drift"]["b"][0] = value
+    else:
+        obj["state_space"]["gamma"][0][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["validate", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "non-finite" in json.loads(err)["detail"]
+
+
+def test_lp_budget(capsys, monkeypatch):
+    """The facet diffusion checks and Psi are LP-free and the drift
+    certificates are solved once, so triangle_channel needs few LPs."""
+    real = affinvar.convex.linprog
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(affinvar.convex, "linprog", counting)
+    for command, budget in (("validate", 14), ("canonicalize", 5)):
+        calls.clear()
+        code, _ = _run(capsys, command, str(fixture_path("triangle_channel")))
+        assert code == 0
+        assert len(calls) <= budget, command
+
+
 def test_decompose_hyperbola_wedge(capsys):
     code, rep = _run(capsys, "decompose", str(fixture_path("hyperbola_wedge")))
     assert code == 0
@@ -111,6 +148,8 @@ def test_canonicalize_writes_transform_and_model(tmp_path, capsys):
     assert rep["transform"]["m"] == 0 and rep["transform"]["n"] == 2
     transformed = load_model(out_model)
     assert transformed.dimension == 4
+    block = [c for c in rep["checks"] if c["name"] == "block-identity"][0]
+    assert block["passed"] and 0.0 <= block["margin"] <= 1e-9
     # transformed facets: first two are coordinates
     g = transformed.state_space.gamma
     assert np.allclose(g[:2, :2], np.eye(2), atol=1e-12)
@@ -147,10 +186,18 @@ def test_simulate_cone_fixture(capsys):
     assert code == 0
 
 
-def test_tol_flag(capsys):
+def test_tol_flag(capsys, monkeypatch):
+    seen = []
+    validate = affinvar.cli.cmd_validate
+
+    def spy(args):
+        seen.append(TOL.feasibility)
+        return validate(args)
+
+    monkeypatch.setattr(affinvar.cli, "cmd_validate", spy)
     code, _ = _run(capsys, "validate", str(fixture_path("cir")),
                    "--tol", "1e-7")
     assert code == 0
-    from affinvar.tolerances import TOL, reset_tolerances
-    assert TOL.feasibility == pytest.approx(1e-7)
-    reset_tolerances()
+    # in effect during the call, and gone once main returns
+    assert seen == [pytest.approx(1e-7)]
+    assert TOL == Tolerances()

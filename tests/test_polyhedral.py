@@ -4,8 +4,8 @@ import pytest
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            Polyhedron)
 from affinvar.convex import facet_nonempty, interior_point
-from affinvar.errors import (NotAdmissibleError, NotRepresentableError,
-                             PreconditionFailedError)
+from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
+                             NotRepresentableError, PreconditionFailedError)
 from affinvar.modelio import load_fixture
 from affinvar.polyhedral import (ClassicalModel,
                                  build_square_root, canonical_transform,
@@ -110,6 +110,17 @@ def test_canonical_transform_rejects_wedge_model():
     wedge = Polyhedron(m.state_space.gamma[:2], m.state_space.delta[:2])
     model = ModelSpec(2, m.drift, m.diffusion, wedge)
     with pytest.raises(NotAdmissibleError):
+        canonical_transform(model)
+
+
+def test_canonical_transform_psi_not_function_of_facets():
+    """theta = diag(x1, 1 + x2) on {x1 >= 0}: the lower-right block 1 + x2
+    depends on the free coordinate, so no canonical form exists."""
+    theta = AffineMatrixField(np.diag([0.0, 1.0]),
+                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    model = ModelSpec(2, AffineVectorField(np.zeros((2, 2)), np.array([1.0, 0.0])),
+                      theta, Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)))
+    with pytest.raises(ModelInconsistencyError, match="residual 1.000e"):
         canonical_transform(model)
 
 
