@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -30,7 +31,8 @@ from .quadratic import (QuadricClassification, check_cone_admissibility,
                         classify_quadric, cone_square_root,
                         conical_theta_decompose, normalize_parabolic,
                         parabolic_square_root, parabolic_theta_decompose)
-from .simulate import Scheme, SimConfig, mean_ode, simulate_paths
+from .simulate import (Scheme, SimConfig, mean_ode, simulate_paths,
+                       simulate_summary)
 from .tolerances import TOL, set_global_tolerance
 
 EXIT_OK, EXIT_CHECKS, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -388,15 +390,22 @@ def cmd_simulate(args) -> int:
     scheme = Scheme.FULL_TRUNCATION_EULER if args.scheme == "full-truncation" \
         else Scheme.PLAIN_EULER
     cfg = SimConfig(to_canon(start), args.t, steps, args.paths, args.seed, scheme)
-    ens = simulate_paths(canon, sigma, cfg)
-    exited = ens.exit_flags >= 0
-    final = from_canon(ens.states[:, -1])
-    times_m, means_m = mean_ode(model, start, args.t)
+    if args.csv:
+        ens = simulate_paths(canon, sigma, cfg)
+        final, exit_steps, nonfinite = ens.states[:, -1], ens.exit_flags, \
+            ens.nonfinite
+    else:  # the same kernel and exit tolerance, without storing the paths
+        summ = simulate_summary(canon, sigma, cfg)
+        final, exit_steps, nonfinite = summ.final_states, \
+            summ.exit_stats.exit_steps, summ.nonfinite
+    exited = exit_steps >= 0
+    final = from_canon(final)
+    _, means_m = mean_ode(model, start, args.t, n_steps=1)  # only t is reported
     report["simulation"] = {
         "t": args.t, "steps": steps, "paths": args.paths, "seed": args.seed,
         "scheme": scheme.value, "x0": start.tolist(),
         "exit_fraction": float(np.count_nonzero(exited)) / args.paths,
-        "nonfinite_paths": int(np.count_nonzero(ens.nonfinite)),
+        "nonfinite_paths": int(np.count_nonzero(nonfinite)),
         "final_mean": final.mean(axis=0).tolist(),
         "final_std": final.std(axis=0).tolist(),
         "mean_ode_final": means_m[-1].tolist(),
@@ -472,8 +481,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     saved = dataclasses.asdict(TOL)
     try:
-        if getattr(args, "tol", None):
-            set_global_tolerance(args.tol)
+        tol = getattr(args, "tol", None)
+        if tol is not None:
+            if not (math.isfinite(tol) and tol > 0):
+                raise ParseError(f"--tol must be finite and positive, got {tol!r}")
+            set_global_tolerance(tol)
         return args.func(args)
     except ParseError as exc:
         print(json.dumps({"schema": 1, "error": "parse", "detail": str(exc)}),

@@ -25,7 +25,7 @@ from .convex import (FarkasCertificate, _coefficient_multiple,
                      farkas_decompose, interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
                    ModelSpec, Polyhedron, change_model_coordinates,
-                   psd_square_root, symmetrize)
+                   psd_factor, psd_square_root, symmetrize)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotNonnegativeError,
                      NotNonnegativeOnFacetError, NotRepresentableError,
@@ -354,13 +354,13 @@ def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
 def build_square_root(ct: CanonicalTransform):
     """Evaluator y -> sigma(y) in canonical coordinates.
 
-    Upper-left block diag(sqrt(|y_M|), 0_N), lower-right block the symmetric
-    square root |Psi(y_{M u N})|^(1/2).  Accepts a single point (p,) or a batch
-    (N, p) and returns (p, p) or (N, p, p).
+    Upper-left block diag(sqrt(|y_M|), 0_N), lower-right block a root of
+    Psi(y_{M u N}) (``psd_factor``: Cholesky, the symmetric root where a
+    pivot fails).  Accepts a single point (p,) or a batch (N, p) and returns
+    (p, p) or (N, p, p).  ``sigma.apply(y, z)`` is sigma(y) z for batches
+    (N, p), computed block by block without forming sigma(y).
     """
-    m, n = ct.m, ct.n
-    p = ct.dim
-    r = p - m - n
+    m, k, p = ct.m, ct.m + ct.n, ct.dim
     psi = ct.psi
 
     def sigma(y):
@@ -370,10 +370,19 @@ def build_square_root(ct: CanonicalTransform):
         out = np.zeros(ybatch.shape[:-1] + (p, p))
         idx = np.arange(m)
         out[..., idx, idx] = np.sqrt(np.abs(ybatch[..., :m]))
-        if r:
-            out[..., m + n:, m + n:] = psd_square_root(psi(ybatch[..., :m + n]))
+        if k < p:
+            out[..., k:, k:] = psd_factor(psi(ybatch[..., :k]))
         return out[0] if single else out
 
+    def apply(y, z):
+        out = np.zeros(z.shape)
+        out[..., :m] = np.sqrt(np.abs(y[..., :m])) * z[..., :m]
+        if k < p:
+            out[..., k:] = np.einsum("...ij,...j->...i",
+                                     psd_factor(psi(y[..., :k])), z[..., k:])
+        return out
+
+    sigma.apply = apply
     return sigma
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.stats import qmc
 
 from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                   QuadraticForm, psd_square_root)
+                   QuadraticForm, _rowdot, psd_factor)
 from .errors import (NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
@@ -434,8 +434,10 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
 
 def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
     """sigma(x) = [[xi(x), 0], [A2^T eta(x)^T, rho(x)]] with
-    xi = [[2 sqrt|x_1 - y.y|, 2 y^T], [0, Id]] and rho the symmetric root of
-    the residual block; sigma sigma^T = theta on the parabola."""
+    xi = [[2 sqrt|x_1 - y.y|, 2 y^T], [0, Id]] and rho a root of the residual
+    block (``psd_factor``); sigma sigma^T = theta on the parabola.
+    ``sigma.apply(x, z)`` is sigma(x) z for batches (N, p) without forming
+    sigma(x)."""
     if not dec.normalized:
         raise NotNormalizedError("decomposition must have c = 1 and A1 = 0")
     q, p = dec.q, dec.p
@@ -445,6 +447,11 @@ def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
         if not ok:
             raise PsdConditionFailedError(
                 "residual block is not PSD at the supplied points")
+
+    def residual_root(xb, eta):
+        resid = dec.B(xb) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta,
+                                      dec.A2)
+        return psd_factor(resid)
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
@@ -460,11 +467,21 @@ def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
         if r:
             eta = eta_matrix(xb[:, :q], q)
             out[:, q:, :q] = np.einsum("nqe,er->nrq", eta, dec.A2)
-            Bx = dec.B(xb)
-            resid = Bx - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta, dec.A2)
-            out[:, q:, q:] = psd_square_root(resid)
+            out[:, q:, q:] = residual_root(xb, eta)
         return out[0] if single else out
 
+    def apply(x, z):
+        y, zy = x[:, 1:q], z[:, 1:q]
+        out = z.copy()
+        out[:, 0] = 2.0 * (np.sqrt(np.abs(x[:, 0] - _rowdot(y, y))) * z[:, 0]
+                           + _rowdot(y, zy))
+        if r:
+            eta = eta_matrix(x[:, :q], q)
+            out[:, q:] = np.einsum("nqe,nq->ne", eta, z[:, :q]) @ dec.A2 + \
+                np.einsum("nrs,ns->nr", residual_root(x, eta), z[:, q:])
+        return out
+
+    sigma.apply = apply
     return sigma
 
 
@@ -585,27 +602,29 @@ def cone_square_root(q: int):
     """Closed-form symmetric root |zeta(x)|^(1/2) of the conical diffusion
     zeta(x) = [[x_1, y^T], [y, x_1 Id]].
 
-    zeta has eigenvalues x_1 +- |y| on (1, +-y/|y|)/sqrt(2) and x_1 on the
-    orthogonal complement of y inside the y-block, so the root is assembled
-    from rank-one projectors without a per-point eigendecomposition.
+    zeta has eigenvalues x_1 +- |y| on v+- = (1, +-y/|y|)/sqrt(2) and x_1 on
+    the orthogonal complement of y inside the y-block, so the root is
+    assembled from rank-one projectors without a per-point eigendecomposition.
+    ``sigma.apply(x, z)`` is s0 z + (s+- - s0)(v+- . z) v+- with
+    s = sqrt|eigenvalue|, for batches (N, q), without q x q arrays.
     """
+
+    def roots(xb):
+        x1 = xb[:, 0]
+        y = xb[:, 1:q]
+        r = np.sqrt(_rowdot(y, y))
+        u = y / np.where(r > 0, r, 1.0)[:, None]
+        return (np.sqrt(np.abs(x1 + r)), np.sqrt(np.abs(x1 - r)),
+                np.sqrt(np.abs(x1)), u)
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = x[None] if single else x
-        n = xb.shape[0]
-        x1 = xb[:, 0]
-        y = xb[:, 1:q]
-        r = np.linalg.norm(y, axis=1)
-        safe = np.where(r > 0, r, 1.0)
-        u = y / safe[:, None]
-        sp = np.sqrt(np.abs(x1 + r))
-        sm = np.sqrt(np.abs(x1 - r))
-        s0 = np.sqrt(np.abs(x1))
+        sp, sm, s0, u = roots(xb)
         avg = 0.5 * (sp + sm)
         dif = 0.5 * (sp - sm)
-        out = np.zeros((n, q, q))
+        out = np.zeros((xb.shape[0], q, q))
         out[:, 0, 0] = avg
         out[:, 0, 1:] = dif[:, None] * u
         out[:, 1:, 0] = out[:, 0, 1:]
@@ -613,11 +632,20 @@ def cone_square_root(q: int):
         eye = np.eye(q - 1)
         out[:, 1:, 1:] = avg[:, None, None] * uu + \
             s0[:, None, None] * (eye[None] - uu)
-        degenerate = r == 0
-        if degenerate.any():
-            out[degenerate] = s0[degenerate, None, None] * np.eye(q)[None]
         return out[0] if single else out
 
+    def apply(x, z):
+        # u = 0 where y = 0, and there s+- = s0: the result is s0 z
+        sp, sm, s0, u = roots(x)
+        w = _rowdot(u, z[:, 1:])
+        cp = 0.5 * (sp - s0) * (z[:, 0] + w)
+        cm = 0.5 * (sm - s0) * (z[:, 0] - w)
+        out = s0[:, None] * z
+        out[:, 0] += cp + cm
+        out[:, 1:] += (cp - cm)[:, None] * u
+        return out
+
+    sigma.apply = apply
     return sigma
 
 

@@ -2,10 +2,17 @@
 oracle, and Monte Carlo invariance statistics.
 
 Noise is drawn from counter-based Philox streams keyed by (seed, step) with
-one row per path, so ensembles are bit-identical across runs and adding paths
-never perturbs existing ones.  The full-truncation scheme projects the state
-onto the state space before evaluating the diffusion coefficient and stores
-the projected state, which keeps membership exact along the whole path.
+one row per path (one bit generator, re-keyed every step), so ensembles are
+bit-identical across runs and adding paths never perturbs existing ones.  The
+full-truncation scheme projects the state onto the state space before
+evaluating the diffusion coefficient and stores the projected state, which
+keeps membership exact along the whole path.
+
+The kernel applies sigma(x) z without building sigma(x) when the evaluator
+has a matrix-free ``apply(x, z)``, as the package's canonical square roots
+do; generic blocks there are Cholesky factors (``core.psd_factor``), which
+are row-local, so the prefix-stability above holds.  ``mean_ode`` is the
+exact mean from the propagator of the augmented drift, not an integrator.
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
-                   QuadraticSpace, psd_square_root)
+                   QuadraticSpace, _rowdot, psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
 from .quadratic import _canonical_cone_form, _canonical_parabolic_form
 from .tolerances import TOL
@@ -54,11 +62,36 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
-def _step_normals(seed: int, step: int, n_paths: int, p: int) -> np.ndarray:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(step)],
-                   dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    return rng.standard_normal((n_paths, p))
+def _noise_stream(seed: int):
+    """normals(step, n_paths, p): the first n_paths * p standard normals of
+    the Philox stream keyed by (seed, step), one row per path.
+
+    One bit generator is re-keyed every step; resetting its counter and
+    buffers makes each draw that of a fresh ``Philox(key=[seed, step])``.
+    """
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    rng = np.random.Generator(bitgen)
+
+    def normals(step: int, n_paths: int, p: int) -> np.ndarray:
+        key[1] = step
+        bitgen.state = {"bit_generator": "Philox",
+                        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                                  "key": key},
+                        "buffer": np.zeros(4, dtype=np.uint64),
+                        "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        return rng.standard_normal((n_paths, p))
+
+    return normals
+
+
+def _contraction(sigma):
+    """(x, z) -> sigma(x) z for batches (N, p): the evaluator's matrix-free
+    ``apply`` when it has one, else a contraction of the matrices sigma(x)."""
+    apply = getattr(sigma, "apply", None)
+    if apply is not None:
+        return apply
+    return lambda x, z: np.einsum("nij,nj->ni", np.asarray(sigma(x)), z)
 
 
 def generic_square_root(model: ModelSpec):
@@ -115,7 +148,8 @@ def make_projector(space) -> callable:
         if qpar is not None:
             def proj(x):
                 out = x.copy()
-                yy = np.sum(out[..., 1:qpar] ** 2, axis=-1)
+                y = out[..., 1:qpar]
+                yy = _rowdot(y, y)
                 out[..., 0] = np.maximum(out[..., 0], yy)
                 return out
 
@@ -124,7 +158,8 @@ def make_projector(space) -> callable:
         if qcone is not None:
             def proj(x):
                 out = x.copy()
-                r = np.linalg.norm(out[..., 1:qcone], axis=-1)
+                y = out[..., 1:qcone]
+                r = np.sqrt(_rowdot(y, y))
                 out[..., 0] = np.maximum(out[..., 0], r * (1.0 + 1e-12))
                 return out
 
@@ -150,9 +185,10 @@ class _ExitTracker:
         if states.shape[0] == 0:
             return
         if isinstance(self.space, Polyhedron):
-            vals = self.space.evaluate(states)          # (n, q)
-            self.worst = np.minimum(self.worst, vals.min(axis=0))
-            out = np.any(vals < -self.tol, axis=1)
+            # facet values as (q, n), so both reductions run along paths
+            vals = self.space.gamma @ states.T + self.space.delta[:, None]
+            self.worst = np.minimum(self.worst, vals.min(axis=1))
+            out = vals.min(axis=0) < -self.tol
         else:
             vals = self.space.signed_value(states)      # (n,)
             self.worst[0] = min(self.worst[0], float(vals.min()))
@@ -192,6 +228,13 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
     if resid > TOL.feasibility * scale:
         raise SigmaMismatchError(
             f"sigma sigma^T differs from theta at x0 by {resid:.3e}")
+    p = model.dimension
+    # row j of sigma(x0) e_j stacked is column j of sigma(x0)
+    cols = _contraction(sigma)(np.tile(cfg.x0, (p, 1)), np.eye(p))
+    gap = float(np.abs(cols.T - S).max())
+    if gap > TOL.feasibility * (1.0 + float(np.abs(S).max())):
+        raise SigmaMismatchError(
+            f"sigma.apply differs from sigma at x0 by {gap:.3e}")
 
 
 def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
@@ -200,8 +243,12 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
 
     ``on_step(step_index, states)`` is called for every stored grid index
     including 0; when keep_paths is false the full array is not materialized.
+    The noise enters through sigma(x) z (``_contraction``), so evaluators
+    with a matrix-free ``apply`` never build sigma(x) here.
     """
     _check_start(model, sigma, cfg)
+    contract = _contraction(sigma)
+    normals = _noise_stream(cfg.seed)
     p = model.dimension
     n = cfg.n_paths
     dt = cfg.horizon / cfg.steps
@@ -219,20 +266,20 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
         on_step(0, x)
 
     a, b = model.drift.a, model.drift.b
+    # sigma sees the projected state; after the first step x is projected
+    # already, and a projection maps its image to itself
+    xs = projector(x) if full_trunc else x
     for step in range(cfg.steps):
-        xs = projector(x) if full_trunc else x
-        noise = _step_normals(cfg.seed, step, n, p)
-        S = np.asarray(sigma(xs))
+        noise = normals(step, n, p)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = x + (x @ a.T + b) * dt + \
-                np.einsum("nij,nj->ni", S, noise) * sqdt
-        bad = ~np.isfinite(x_new).all(axis=1)
-        if bad.any():
+            x_new = x + (x @ a.T + b) * dt + contract(xs, noise) * sqdt
+        if not np.isfinite(x_new).all():
+            bad = ~np.isfinite(x_new).all(axis=1)
             nonfinite |= bad
             x_new[bad] = x[bad]  # freeze exploded paths at the last finite state
         if full_trunc:
             x_new = projector(x_new)
-        x = x_new
+        x = xs = x_new
         if keep_paths:
             states[:, step + 1] = x
         if on_step is not None:
@@ -295,26 +342,31 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
 
 def mean_ode(model: ModelSpec, x0, horizon: float,
              n_steps: int = 10_000) -> tuple[np.ndarray, np.ndarray]:
-    """Fourth-order fixed-step integration of the mean dynamics dm/dt = a m + b."""
+    """The mean m(t) of dm/dt = a m + b, m(0) = x0, on a uniform grid of
+    n_steps intervals, from the exact propagator.
+
+    (m, 1) evolves by the augmented generator G = [[a, b], [0, 0]], so one
+    grid step multiplies it by P = expm(h G).  The grid is filled by
+    doubling: the first k points times P^k give the next k, about
+    log2(n_steps) matrix products in all.
+    """
     a, b = model.drift.a, model.drift.b
     x0 = np.asarray(x0, dtype=float)
-    h = horizon / n_steps
-    times = np.linspace(0.0, horizon, n_steps + 1)
-    out = np.empty((n_steps + 1, x0.shape[0]))
-    out[0] = x0
-    m = x0.copy()
-
-    def f(v):
-        return a @ v + b
-
-    for k in range(n_steps):
-        k1 = f(m)
-        k2 = f(m + 0.5 * h * k1)
-        k3 = f(m + 0.5 * h * k2)
-        k4 = f(m + h * k3)
-        m = m + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out[k + 1] = m
-    return times, out
+    p = x0.shape[0]
+    G = np.zeros((p + 1, p + 1))
+    G[:p, :p] = a
+    G[:p, p] = b
+    P = scipy.linalg.expm((horizon / n_steps) * G)
+    out = np.empty((n_steps + 1, p + 1))
+    out[0, :p] = x0
+    out[0, p] = 1.0
+    done = 1
+    while done <= n_steps:
+        k = min(done, n_steps + 1 - done)
+        out[done:done + k] = out[:k] @ P.T
+        P = P @ P
+        done += k
+    return np.linspace(0.0, horizon, n_steps + 1), out[:, :p]
 
 
 def invariance_monte_carlo(ens: PathEnsemble, space, tol: float) -> ExitStats:

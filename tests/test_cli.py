@@ -170,6 +170,34 @@ def test_simulate_cir_with_csv(tmp_path, capsys):
     assert float(t0) == 0.0 and int(path0) == 0 and float(x0) == 0.3
 
 
+@pytest.mark.parametrize("fx,x0,scheme", [
+    ("triangle_channel", "0.8,0.8,0,0", "full-truncation"),
+    ("triangle_channel", "0.8,0.8,0,0", "plain"),
+    ("cir", "0.02", "plain"),          # 13% of the paths exit
+])
+def test_simulate_report_same_with_and_without_csv(tmp_path, capsys, fx, x0,
+                                                   scheme):
+    # without --csv the paths are streamed, not stored; the report must not
+    # change (final states, exit flags at 1e-8, non-finite count)
+    args = ["simulate", str(fixture_path(fx)), "--t", "1.0", "--steps", "50",
+            "--paths", "200", "--seed", "5", "--scheme", scheme, "--x0", x0]
+    main(args)
+    streamed = capsys.readouterr().out
+    main(args + ["--csv", str(tmp_path / "paths.csv")])
+    stored = capsys.readouterr().out
+    assert json.loads(streamed)["passed"]
+    assert streamed == stored
+
+
+@pytest.mark.parametrize("tol", ["0", "nan", "-1e-3", "inf"])
+def test_bad_tol_rejected(capsys, tol):
+    code = main(["validate", str(fixture_path("cir")), f"--tol={tol}"])
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert "--tol" in json.loads(captured.err)["detail"]
+    assert TOL == Tolerances()
+
+
 def test_simulate_deterministic_reports(capsys):
     args = ["simulate", str(fixture_path("cir")), "--t", "0.2", "--steps", "20",
             "--paths", "10", "--seed", "9"]

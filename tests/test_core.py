@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import affinvar.core
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, QuadraticForm,
-                           QuadraticSpace, evaluate_theta, psd_square_root,
-                           spot_check_psd, symmetrize)
+                           QuadraticSpace, evaluate_theta, psd_factor,
+                           psd_square_root, spot_check_psd, symmetrize)
 from affinvar.errors import (DimensionMismatchError, NotSymmetricError,
                              ParseError)
 from affinvar.modelio import load_fixture, model_from_dict, model_to_dict
@@ -68,6 +69,46 @@ def test_psd_square_root_general_gives_abs():
         lam, V = np.linalg.eigh(S)
         absS = (V * np.abs(lam)) @ V.T
         assert np.abs(R @ R - absS).max() <= 1e-9 * (1 + np.abs(absS).max())
+
+
+def test_psd_factor_reconstructs_psd_batches():
+    rng = np.random.default_rng(2)
+    for p in (1, 2, 3, 4):
+        G = rng.standard_normal((200, p, p))
+        S = G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(p)
+        R = psd_factor(S)
+        assert np.abs(R @ np.swapaxes(R, 1, 2) - S).max() <= 1e-12 * \
+            (1 + np.abs(S).max())
+        assert np.array_equal(R, np.tril(R))   # the Cholesky factor
+    S = np.array([[4.0, 2.0], [2.0, 5.0]])
+    assert np.allclose(psd_factor(S), [[2.0, 0.0], [1.0, 2.0]])
+
+
+def test_psd_factor_falls_back_row_locally(monkeypatch):
+    seen = []
+    real = affinvar.core.psd_square_root
+
+    def spy(S):
+        seen.append(S.shape[0])
+        return real(S)
+
+    monkeypatch.setattr(affinvar.core, "psd_square_root", spy)
+    rng = np.random.default_rng(3)
+    G = rng.standard_normal((6, 3, 3))
+    S = G @ np.swapaxes(G, 1, 2)
+    psd_factor(S)
+    assert seen == []          # no pivot failed: no eigendecomposition
+    S[1] = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])   # rank one
+    S[4] = np.diag([1.0, -2.0, 3.0])                      # indefinite
+    R = psd_factor(S)
+    assert seen == [2]         # only the two failing rows
+    for i in (1, 4):
+        assert np.array_equal(R[i], real(S[i:i + 1])[0])
+    assert np.abs(R[1] @ R[1].T - S[1]).max() <= 1e-12
+    # each factor depends on its own row only
+    for i in range(6):
+        assert np.array_equal(R[i], psd_factor(S[i]))
+        assert np.array_equal(R[i], psd_factor(S[::-1])[5 - i])
 
 
 def test_psd_square_root_rejects_nonsymmetric():

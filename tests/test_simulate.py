@@ -8,8 +8,10 @@ from affinvar.errors import PreconditionFailedError, SigmaMismatchError
 from affinvar.modelio import load_fixture
 from affinvar.polyhedral import (build_square_root, canonical_transform,
                                  transform_model)
-from affinvar.quadratic import parabolic_square_root, parabolic_theta_decompose
-from affinvar.simulate import (PathEnsemble, Scheme, SimConfig,
+from affinvar.quadratic import (ParabolicDecomposition, cone_square_root,
+                                parabolic_square_root,
+                                parabolic_theta_decompose)
+from affinvar.simulate import (PathEnsemble, Scheme, SimConfig, _noise_stream,
                                boundary_attainment, invariance_monte_carlo,
                                mean_ode, simulate_paths, simulate_summary)
 
@@ -65,16 +67,111 @@ def test_mean_ode_matches_matrix_exponential(rng):
         assert np.abs(traj[-1] - closed).max() <= 1e-8
 
 
+def _triangle_setup():
+    m = load_fixture("triangle_channel")
+    ct = canonical_transform(m)
+    return transform_model(m, ct), build_square_root(ct)
+
+
+def test_mean_ode_grid_matches_propagator(rng):
+    # 7 intervals: the doubling fills 1, 2 and then the last 4 points
+    p = 3
+    a = rng.standard_normal((p, p)) - np.eye(p)
+    b = rng.standard_normal(p)
+    x0 = rng.standard_normal(p)
+    model = ModelSpec(p, AffineVectorField(a, b),
+                      AffineMatrixField(np.eye(p), np.zeros((p, p, p))),
+                      Polyhedron(np.zeros((0, p)), np.zeros(0)))
+    times, traj = mean_ode(model, x0, 0.7, n_steps=7)
+    assert np.allclose(times, np.linspace(0.0, 0.7, 8))
+    for t, m in zip(times, traj):
+        E = scipy.linalg.expm(a * t)
+        exact = E @ x0 + np.linalg.solve(a, (E - np.eye(p)) @ b)
+        assert np.abs(m - exact).max() <= 1e-12 * (1 + np.abs(exact).max())
+
+
 def test_deterministic_and_prefix_stable():
+    # cir has a closed-form root; triangle_channel's Psi block is factored
+    # row by row, so paths still depend on their own state only
+    for (model, sigma), x0 in ((_cir_setup(), [0.5]),
+                               (_triangle_setup(), [1.0, 1.0, 0.0, 0.0])):
+        cfg = SimConfig(np.array(x0), 1.0, 100, 500, seed=99)
+        e1 = simulate_paths(model, sigma, cfg)
+        e2 = simulate_paths(model, sigma, cfg)
+        assert np.array_equal(e1.states, e2.states)
+        # adding paths leaves existing rows untouched
+        cfg_big = SimConfig(np.array(x0), 1.0, 100, 800, seed=99)
+        e3 = simulate_paths(model, sigma, cfg_big)
+        assert np.array_equal(e3.states[:500], e1.states)
+
+
+def test_noise_stream_is_keyed_philox():
+    for seed in (0, 99, -3):
+        normals = _noise_stream(seed)
+        for step in (5, 0, 5, 123456):
+            key = np.array([seed & 0xFFFFFFFFFFFFFFFF, step], dtype=np.uint64)
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(normals(step, 7, 3),
+                                  fresh.standard_normal((7, 3)))
+
+
+def _parabolic_random_sigma(rng, q, r):
+    """A normalized parabolic decomposition with residual block, as in the
+    sigma reconstruction criterion, and its square root."""
+    p = q + r
+    A2 = rng.standard_normal(((q - 1) * (q - 2) // 2, r))
+    G = rng.standard_normal((r, r))
+    B_A = np.zeros((p, r, r))
+    B_A[0] = (q - 2) * A2.T @ A2
+    dec = ParabolicDecomposition(1.0, np.zeros((q, r)), A2,
+                                 AffineMatrixField(G @ G.T, B_A), q, p)
+    return parabolic_square_root(dec)
+
+
+def _sigma_cases():
+    rng = np.random.default_rng(31)
+    cir_ct = canonical_transform(load_fixture("cir"))
+    tri_ct = canonical_transform(load_fixture("triangle_channel"))
+    tri = rng.uniform(0.0, 3.0, (60, 4))
+    tri[:, 2:] = rng.standard_normal((60, 2))
+    tri[:20, 0] = 0.0                      # on a facet
+    yield pytest.param(build_square_root(cir_ct),
+                       rng.uniform(0.0, 3.0, (60, 1)), id="cir")
+    yield pytest.param(build_square_root(tri_ct), tri_ct.to_canonical(tri),
+                       id="triangle_channel")
+    for q in (2, 3, 4):
+        x = rng.standard_normal((60, q))
+        x[:, 0] = np.abs(x[:, 0]) + np.linalg.norm(x[:, 1:], axis=1)
+        x[:10, 1:] = 0.0                   # on the axis, y = 0
+        x[10:20, 0] = np.linalg.norm(x[10:20, 1:], axis=1)  # on the cone
+        yield pytest.param(cone_square_root(q), x, id=f"cone{q}")
+    dec = parabolic_theta_decompose(load_fixture("parabola3").diffusion, 3)
+    for name, sigma, q, r in (("parabola3", parabolic_square_root(dec), 3, 0),
+                              ("parabola4+2", _parabolic_random_sigma(rng, 4, 2),
+                               4, 2)):
+        y = rng.standard_normal((60, q - 1))
+        x = np.hstack([(np.sum(y * y, axis=1) + rng.uniform(0, 2, 60))[:, None],
+                       y, rng.standard_normal((60, r))])
+        yield pytest.param(sigma, x, id=name)
+
+
+@pytest.mark.parametrize("sigma,x", _sigma_cases())
+def test_apply_matches_matrix(sigma, x):
+    z = np.random.default_rng(7).standard_normal(x.shape)
+    S = sigma(x)
+    want = np.einsum("nij,nj->ni", S, z)
+    assert np.abs(sigma.apply(x, z) - want).max() <= 1e-12 * (1 + np.abs(S).max())
+
+
+def test_apply_mismatch_rejected():
     model, sigma = _cir_setup()
-    cfg = SimConfig(np.array([0.5]), 1.0, 100, 500, seed=99)
-    e1 = simulate_paths(model, sigma, cfg)
-    e2 = simulate_paths(model, sigma, cfg)
-    assert np.array_equal(e1.states, e2.states)
-    # adding paths leaves existing rows untouched
-    cfg_big = SimConfig(np.array([0.5]), 1.0, 100, 800, seed=99)
-    e3 = simulate_paths(model, sigma, cfg_big)
-    assert np.array_equal(e3.states[:500], e1.states)
+
+    def bad(x):
+        return sigma(x)
+
+    bad.apply = lambda x, z: 2.0 * sigma.apply(x, z)
+    with pytest.raises(SigmaMismatchError):
+        simulate_paths(model, bad, SimConfig(np.array([0.5]), 1.0, 10, 5, seed=0))
 
 
 def test_full_truncation_membership_guarantee():
