@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -447,20 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run the admissibility suite")
     common(sp)
-    sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("canonicalize", help="block-diagonalize the diffusion")
     common(sp)
     sp.add_argument("--model-out", help="write the transformed model here")
-    sp.set_defaults(func=cmd_canonicalize)
 
     sp = sub.add_parser("decompose", help="PSD facet / parabolic / conical decomposition")
     common(sp)
-    sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("classify", help="canonical form of the quadric boundary")
     common(sp)
-    sp.set_defaults(func=cmd_classify)
 
     sp = sub.add_parser("simulate", help="Monte Carlo path simulation")
     common(sp)
@@ -472,13 +469,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--scheme", choices=["full-truncation", "plain"],
                     default="full-truncation")
     sp.add_argument("--csv", help="dump paths to CSV (t,path,x1,...)")
-    sp.set_defaults(func=cmd_simulate)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return build_parser()
+
+
+def _command(name: str):
+    """The handler of a subcommand, looked up when the call is made."""
+    return {"validate": cmd_validate, "canonicalize": cmd_canonicalize,
+            "decompose": cmd_decompose, "classify": cmd_classify,
+            "simulate": cmd_simulate}[name]
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     saved = dataclasses.asdict(TOL)
     try:
         tol = getattr(args, "tol", None)
@@ -486,7 +494,7 @@ def main(argv=None) -> int:
             if not (math.isfinite(tol) and tol > 0):
                 raise ParseError(f"--tol must be finite and positive, got {tol!r}")
             set_global_tolerance(tol)
-        return args.func(args)
+        return _command(args.command)(args)
     except ParseError as exc:
         print(json.dumps({"schema": 1, "error": "parse", "detail": str(exc)}),
               file=sys.stderr)

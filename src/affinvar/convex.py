@@ -5,6 +5,12 @@ polyhedron as a nonnegative combination of the facet functionals plus a
 constant.  All certificates returned here are re-verified by substitution at
 coefficient level, so the LP backend only has to find feasible points, never
 to be trusted blindly.
+
+Each polyhedral fact is computed once per call.  The Chebyshev center of a
+Polyhedron is memoized on that object, keyed by the tolerances it reads, so
+the admissibility checks, the canonical transform and the PSD decomposition
+share one solve.  `minimalize` proves most facets irredundant by substituting
+one point just outside each facet; only the rest take an LP.
 """
 
 from __future__ import annotations
@@ -158,7 +164,22 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     The slack is box-constrained so unbounded polyhedra still give a center;
     when the best slack exceeds 1 a second stage picks the minimum-norm point
     at slack 1, keeping centers of unbounded sets near the origin.
+
+    The center is solved once per Polyhedron object and memoized on it,
+    keyed by the tolerances it reads (TOL.box, TOL.interior_slack): a call
+    under other tolerances solves again.  Callers get a copy, never the
+    memoized array.
     """
+    key = (TOL.box, TOL.interior_slack)
+    memo = getattr(poly, "_interior", None)
+    if memo is None or memo[0] != key:
+        memo = (key, _chebyshev_center(poly))
+        object.__setattr__(poly, "_interior", memo)
+    x = memo[1]
+    return None if x is None else x.copy()
+
+
+def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
     q, p = poly.gamma.shape
     box = TOL.box
     norms = np.linalg.norm(poly.gamma, axis=1)
@@ -201,14 +222,51 @@ def chebyshev_radius(poly: Polyhedron) -> float:
     return float(np.min(poly.evaluate(x) / norms))
 
 
+def _witnessed_facets(poly: Polyhedron, x0: np.ndarray) -> np.ndarray:
+    """Facets proven irredundant by substitution: from the interior point x0,
+    step along -gamma_i/|gamma_i| just past the hyperplane {u_i = 0}; a point
+    y with u_i(y) < 0 clearly, every other u_j(y) >= 0 and |y|_inf < box
+    shows that deleting facet i enlarges the set."""
+    q = poly.n_facets
+    norms = np.linalg.norm(poly.gamma, axis=1)
+    proven = np.zeros(q, dtype=bool)
+    nonzero = norms > 0
+    if not np.any(nonzero):
+        return proven
+    unit = np.zeros_like(poly.gamma)
+    unit[nonzero] = poly.gamma[nonzero] / norms[nonzero, None]
+    dist = poly.evaluate(x0)[nonzero] / norms[nonzero]
+    r = float(dist.min())
+    own = np.eye(q, dtype=bool)
+    for overshoot in (r / 2, r / 1000):
+        step = np.zeros(q)
+        step[nonzero] = dist + overshoot
+        ys = x0 - step[:, None] * unit
+        vals = poly.evaluate(ys)                 # vals[i, j] = u_j(y_i)
+        proven |= (np.diag(vals) < -2.0 * TOL.feasibility) & \
+            np.all((vals >= 0) | own, axis=1) & \
+            (np.abs(ys).max(axis=1) < TOL.box)
+    return proven
+
+
 def minimalize(poly: Polyhedron) -> Polyhedron:
-    """Remove facets whose deletion leaves the set unchanged (one LP per facet)."""
+    """Remove facets whose deletion leaves the set unchanged.
+
+    A facet with a witness from the interior point (`_witnessed_facets`) is
+    irredundant against every subset of the other facets, so it is kept
+    without an LP; each remaining facet takes one LP, in order, against the
+    facets still kept.  The kept rows are those of the LP rule alone.  When
+    no facet is removed the result inherits the memoized interior point.
+    """
+    x0 = interior_point(poly)
+    proven = np.zeros(poly.n_facets, dtype=bool) if x0 is None \
+        else _witnessed_facets(poly, x0)
     keep = list(range(poly.n_facets))
     i = 0
     while i < len(keep):
         idx = keep[i]
         others = [j for j in keep if j != idx]
-        if not others:
+        if proven[idx] or not others:
             i += 1
             continue
         sub = Polyhedron(poly.gamma[others], poly.delta[others])
@@ -217,7 +275,10 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
             keep.pop(i)  # facet cannot be violated while the others hold
             continue
         i += 1
-    return Polyhedron(poly.gamma[keep], poly.delta[keep], minimal=True)
+    out = Polyhedron(poly.gamma[keep], poly.delta[keep], minimal=True)
+    if len(keep) == poly.n_facets:  # the same rows have the same center
+        object.__setattr__(out, "_interior", poly._interior)
+    return out
 
 
 def _coefficient_multiple(v: AffineScalar, u: AffineScalar) -> float | None:

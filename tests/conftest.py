@@ -144,5 +144,21 @@ def random_affine_image(rng: np.random.Generator, model: ModelSpec,
 
 
 @pytest.fixture
+def lp_calls(monkeypatch):
+    """Records one entry per LP the package solves."""
+    import affinvar.convex
+
+    real = affinvar.convex.linprog
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(affinvar.convex, "linprog", counting)
+    return calls
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240808)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import affinvar.cli
-import affinvar.convex
 from affinvar.cli import main
 from affinvar.modelio import fixture_path, load_model
 from affinvar.tolerances import TOL, Tolerances
@@ -84,22 +83,18 @@ def test_nonfinite_input_exit_code(tmp_path, capsys, field, value):
     assert "non-finite" in json.loads(err)["detail"]
 
 
-def test_lp_budget(capsys, monkeypatch):
-    """The facet diffusion checks and Psi are LP-free and the drift
-    certificates are solved once, so triangle_channel needs few LPs."""
-    real = affinvar.convex.linprog
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(affinvar.convex, "linprog", counting)
-    for command, budget in (("validate", 14), ("canonicalize", 5)):
-        calls.clear()
-        code, _ = _run(capsys, command, str(fixture_path("triangle_channel")))
-        assert code == 0
-        assert len(calls) <= budget, command
+def test_lp_budget(capsys, lp_calls):
+    """The facet diffusion checks and Psi are LP-free, the drift certificates
+    and the interior point are solved once, and minimalize proves most facets
+    irredundant without an LP: validate needs at most 2q+2 LPs."""
+    for fixture, command, budget in (("triangle_channel", "validate", 8),
+                                     ("triangle_channel", "canonicalize", 3),
+                                     ("cir", "validate", 3),
+                                     ("hyperbola_wedge", "validate", 5)):
+        lp_calls.clear()
+        code, _ = _run(capsys, command, str(fixture_path(fixture)))
+        assert code == (GOLDEN_VERDICTS[fixture] if command == "validate" else 0)
+        assert len(lp_calls) <= budget, (fixture, command)
 
 
 def test_decompose_hyperbola_wedge(capsys):

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinvar.convex import (FarkasCertificate, detect_facet_multiple,
-                             facet_nonempty, facet_relative_decompose,
-                             farkas_decompose, interior_point, minimalize)
+from affinvar.convex import (FarkasCertificate, _minimize_affine,
+                             detect_facet_multiple, facet_nonempty,
+                             facet_relative_decompose, farkas_decompose,
+                             interior_point, minimalize)
 from affinvar.core import AffineScalar, Polyhedron
 from affinvar.errors import (InteriorEmptyError, NotNonnegativeError,
                              NotNonnegativeOnFacetError)
+from affinvar.tolerances import TOL, reset_tolerances, set_global_tolerance
 from conftest import grid_min, grid_min_bruteforce, random_grid_simplex
 
 UNIT_SQUARE = Polyhedron(
@@ -122,11 +126,90 @@ def test_minimalize_examples():
     assert minimalize(dup).n_facets == 4
 
 
+def test_interior_point_memo_keyed_and_private(lp_calls):
+    # a slab of width 2e-8: its center has slack 1e-8, interior under the
+    # default interior_slack (1e-9) but not under --tol 1e-6 (1e-7)
+    slab = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1e-8, 1e-8]))
+    try:
+        x = interior_point(slab)
+        assert x is not None and abs(x[0]) < 1e-9
+        solved = len(lp_calls)
+        x[0] = 5.0                      # the caller's copy, not the memo
+        again = interior_point(slab)
+        assert len(lp_calls) == solved and abs(again[0]) < 1e-9
+        set_global_tolerance(1e-6)
+        assert interior_point(slab) is None
+        reset_tolerances()
+        x = interior_point(slab)
+        assert x is not None and abs(x[0]) < 1e-9
+    finally:
+        reset_tolerances()
+
+
+def _minimalize_by_lp(poly: Polyhedron) -> list[int]:
+    """The LP-only sequential rule: each facet in turn takes one LP against
+    the facets still kept and is dropped when it cannot be violated."""
+    keep = list(range(poly.n_facets))
+    i = 0
+    while i < len(keep):
+        idx = keep[i]
+        others = [j for j in keep if j != idx]
+        if others:
+            sub = Polyhedron(poly.gamma[others], poly.delta[others])
+            val = _minimize_affine(poly.facet(idx), sub)
+            if val is not None and poly.facet(idx)(val) >= -TOL.feasibility:
+                keep.pop(i)
+                continue
+        i += 1
+    return keep
+
+
+def _assert_same_rows(red: Polyhedron, poly: Polyhedron, keep: list[int]):
+    assert red.minimal
+    assert np.array_equal(red.gamma, poly.gamma[keep])
+    assert np.array_equal(red.delta, poly.delta[keep])
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 3), n_dup=st.integers(0, 3), n_cut=st.integers(0, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_minimalize_matches_lp_rule(p, n_dup, n_cut, seed):
+    rng = np.random.default_rng(seed)
+    simplex = random_grid_simplex(rng, p)
+    g, d = simplex.gamma, simplex.delta
+    rows, offs = [g], [d]
+    for _ in range(n_dup):  # duplicated rows and positively scaled copies
+        k = rng.integers(g.shape[0])
+        s = rng.choice([1.0, 0.5, 4.0])
+        rows.append(s * g[k:k + 1])
+        offs.append(s * d[k:k + 1])
+    for _ in range(n_cut):  # redundant: a nonnegative combination + constant
+        w = rng.integers(0, 3, size=g.shape[0]).astype(float)
+        w[rng.integers(g.shape[0])] += 1.0
+        rows.append((w @ g)[None])
+        offs.append([w @ d + rng.choice([0.0, 0.5])])
+    order = rng.permutation(sum(len(o) for o in offs))
+    poly = Polyhedron(np.vstack(rows)[order], np.concatenate(offs)[order])
+    _assert_same_rows(minimalize(poly), poly, _minimalize_by_lp(poly))
+
+
+def test_minimalize_empty_interior_takes_lp_path(lp_calls):
+    # the segment {x1 = 0, 0 <= x2 <= 1} has no interior point, so no facet
+    # gets a witness: each one takes its LP, as in the LP-only rule
+    poly = Polyhedron(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
+                                [0.0, -1.0], [0.0, 2.0]]),
+                      np.array([0.0, 0.0, 0.0, 1.0, 0.0]))
+    keep = _minimalize_by_lp(poly)
+    lp_calls.clear()
+    red = minimalize(poly)
+    _assert_same_rows(red, poly, keep)
+    assert keep == [0, 1, 3, 4]
+    assert len(lp_calls) == 1 + poly.n_facets   # interior point, then one per facet
+
+
 def test_minimal_polyhedron_every_row_essential(rng):
     # on minimalize output, deleting any row strictly enlarges the set: the
     # per-facet LP finds a point violating the deleted facet
-    from affinvar.convex import _minimize_affine
-
     for _ in range(6):
         poly = minimalize(random_grid_simplex(rng, 2))
         for i in range(poly.n_facets):
