@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .convex import interior_point, minimalize
-from .core import (ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace,
+from .core import (ModelSpec, Polyhedron, QuadraticSpace,
                    change_model_coordinates, spot_check_psd)
 from .errors import (AffinvarError, NotAdmissibleError, NotInSpanError,
                      NotRepresentableError, NumericalFailureError, ParseError,
@@ -94,23 +94,7 @@ def _canonical_quadratic_model(model: ModelSpec):
     cls = classify_quadric(space.form)
     flipped = (space.component == "positive") != (cls.sign == 1)
     component = "negative" if flipped else "positive"
-    p = model.dimension
-    if cls.kind == "parabolic":
-        A = np.zeros((p, p))
-        A[np.arange(1, cls.q), np.arange(1, cls.q)] = -1.0
-        b = np.zeros(p)
-        b[0] = 1.0
-        canon_form = QuadraticForm(A, b, 0.0)
-    elif cls.kind == "cone":
-        A = np.zeros((p, p))
-        A[0, 0] = 1.0
-        A[np.arange(1, cls.q), np.arange(1, cls.q)] = -1.0
-        canon_form = QuadraticForm(A, np.zeros(p), cls.d)
-    else:
-        A = np.zeros((p, p))
-        A[np.arange(cls.q), np.arange(cls.q)] = 1.0
-        canon_form = QuadraticForm(A, np.zeros(p), cls.d)
-    new_space = QuadraticSpace(canon_form, component, space.closed)
+    new_space = QuadraticSpace(cls.canonical_form(), component, space.closed)
     return cls, change_model_coordinates(model, cls.T, cls.t, new_space)
 
 
@@ -344,9 +328,7 @@ def _simulation_setup(model: ModelSpec, x0):
             raise PreconditionFailedError(
                 "simulation supports the inside component of the quadric only")
         Tinv = np.linalg.inv(cls.T)
-
-        def to_canon(x):
-            return np.asarray(x, dtype=float) @ cls.T.T + cls.t
+        to_canon = cls.to_canonical
 
         def from_canon(y):
             return (np.asarray(y, dtype=float) - cls.t) @ Tinv.T

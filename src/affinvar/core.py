@@ -19,7 +19,9 @@ from .tolerances import TOL
 
 
 def _asarray(a, ndim: int, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float)
+    """A read-only float copy: freezing the caller's own array would make it
+    unwritable for them, and a later write of theirs would reach the value."""
+    arr = np.array(a, dtype=float)
     if arr.ndim != ndim:
         raise DimensionMismatchError(f"{name} must have ndim={ndim}, got {arr.ndim}")
     arr.setflags(write=False)

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
                    QuadraticForm, _rowdot, psd_factor)
@@ -21,7 +20,7 @@ from .errors import (NegativeCError, NotAdmissibleError,
                      NotNormalizedError, NumericalFailureError,
                      PhiVMismatchError, PreconditionFailedError,
                      PsdConditionFailedError, ZeroQuadraticPartError)
-from .polyhedral import check_open_orthant_invariance
+from .polyhedral import _coefficient_scale, check_open_orthant_invariance
 from .tolerances import TOL
 
 
@@ -29,31 +28,42 @@ from .tolerances import TOL
 # quadratic polynomials at coefficient level
 # ---------------------------------------------------------------------------
 
-def _affine_product(c1: float, l1: np.ndarray, c2: float, l2: np.ndarray):
-    """(c1 + l1.x)(c2 + l2.x) as (const, lin, quad)."""
-    quad = 0.5 * (np.outer(l1, l2) + np.outer(l2, l1))
-    return c1 * c2, c1 * l2 + c2 * l1, quad
+def _quad_vector(form: QuadraticForm) -> np.ndarray:
+    """Monomial coefficient vector [1, x_k, x_k^2, x_k x_l (k<l)] of a form."""
+    iu, ju = np.triu_indices(form.dim, k=1)
+    return np.concatenate([[form.c], form.b, np.diagonal(form.A),
+                           2.0 * form.A[iu, ju]])
 
 
-def _quad_vector(c: float, l: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Monomial coefficient vector [1, x_k, x_k^2, x_k x_l (k<l)]."""
-    p = l.shape[0]
+def _row_field_coefficients(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
+                            F: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of r(x)^T M(x) for the affine row r(x) = c + L x
+    and the affine matrix field M(x) = F0 + sum_k x_k F_k.
+
+    c is (m,), L is (m, p), F0 is (..., m, n) and F is (..., p, m, n); the
+    result is (..., n, 1 + p + p(p+1)/2), one vector per column of M in
+    ``_quad_vector``'s order, batched over the leading axes of the field.
+    """
+    p = L.shape[1]
+    const = np.einsum("i,...ij->...j", c, F0)
+    lin = np.einsum("ik,...ij->...jk", L, F0) + np.einsum("i,...kij->...jk", c, F)
+    quad = np.einsum("ik,...lij->...jkl", L, F)  # x_k x_l, not yet symmetric
     iu, ju = np.triu_indices(p, k=1)
-    return np.concatenate([[c], l, np.diagonal(Q), 2.0 * Q[iu, ju]])
+    diag = np.arange(p)
+    return np.concatenate([const[..., None], lin, quad[..., diag, diag],
+                           quad[..., iu, ju] + quad[..., ju, iu]], axis=-1)
 
 
-def _grad_theta_component(phi: QuadraticForm, theta: AffineMatrixField, j: int):
-    """(const, lin, quad) of the j-th entry of grad(Phi)(x) theta(x)."""
-    p = phi.dim
-    c_out, l_out, Q_out = 0.0, np.zeros(p), np.zeros((p, p))
-    for i in range(p):
-        ci, li = float(phi.b[i]), 2.0 * phi.A[i]
-        cj, lj = float(theta.A0[i, j]), theta.A[:, i, j]
-        c, l, Q = _affine_product(ci, li, cj, lj)
-        c_out += c
-        l_out += l
-        Q_out += Q
-    return c_out, l_out, Q_out
+def _symmetric_field_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The unit symmetric affine fields of size p in p variables, one per
+    coefficient slot (k, i <= j) with k = 0 the constant term: stacks F0 of
+    shape (n, p, p) and F of shape (n, p, p, p)."""
+    i, j = np.triu_indices(p)
+    k, s = np.arange(p + 1)[:, None], np.arange(i.size)
+    G = np.zeros((p + 1, i.size, p + 1, p, p))
+    G[k, s, k, i, j] = G[k, s, k, j, i] = 1.0
+    G = G.reshape(-1, p + 1, p, p)
+    return G[:, 0], G[:, 1:]
 
 
 def verify_theta_zero_lemma(theta: AffineMatrixField) -> bool:
@@ -64,19 +74,8 @@ def verify_theta_zero_lemma(theta: AffineMatrixField) -> bool:
     decomposition fits unique.
     """
     p = theta.size
-    scale = 1.0 + float(np.abs(theta.A0).max(initial=0.0)) + \
-        (float(np.abs(theta.A).max()) if theta.A.size else 0.0)
-    for j in range(p):
-        # linear coefficients: A0[i, j]
-        if float(np.abs(theta.A0[:, j]).max()) > 1e-10 * scale:
-            return False
-        for i in range(p):
-            for k in range(i, p):
-                coeff = theta.A[k][i, j] + theta.A[i][k, j] if k != i \
-                    else theta.A[i][i, j]
-                if abs(coeff) > 1e-10 * scale:
-                    return False
-    return True
+    coeffs = _row_field_coefficients(np.zeros(p), np.eye(p), theta.A0, theta.A)
+    return float(np.abs(coeffs).max()) <= 1e-10 * _coefficient_scale(theta)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +103,18 @@ class QuadricClassification:
 
     def to_canonical(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.T.T + self.t
+
+    def canonical_form(self) -> QuadraticForm:
+        """The canonical polynomial of this kind, q and d as a quadratic form
+        in p = T.shape[0] variables."""
+        p = self.T.shape[0]
+        diag, b = np.zeros(p), np.zeros(p)
+        diag[:self.q] = 1.0 if self.kind == "ellipsoid" else -1.0
+        if self.kind == "parabolic":
+            diag[0], b[0] = 0.0, 1.0
+        elif self.kind == "cone":
+            diag[0] = 1.0
+        return QuadraticForm(np.diag(diag), b, self.d)
 
     def canonical_value(self, y) -> float | np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -133,8 +144,9 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     """Orthogonal diagonalization plus completion of squares.
 
     Returns the canonical kind with the affine transform y = T x + t such that
-    sign * Phi(x) equals the canonical polynomial at y, exactly at coefficient
-    level (verified at random points to 1e-8).
+    sign * Phi(x) equals the canonical polynomial at y; the substituted
+    coefficients are checked against ``canonical_form`` to
+    ``TOL.fit_residual`` times Phi's coefficient scale.
     """
     p = phi.dim
     lam, V = _sorted_eig(phi.A)
@@ -220,19 +232,32 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     return cls
 
 
-def _verify_classification(cls: QuadricClassification, phi: QuadraticForm,
-                           n_points: int = 50) -> None:
-    rng = np.random.default_rng(4)
-    Tinv = np.linalg.inv(cls.T)
+def _canonical_form(kind: str, p: int, q: int, d: float = 0.0) -> QuadraticForm:
+    """The canonical polynomial of kind, q and d in the coordinates themselves."""
+    return QuadricClassification(kind, q, d, np.eye(p), np.zeros(p), 1,
+                                 False).canonical_form()
+
+
+def _form_residual(A: np.ndarray, b: np.ndarray, c: float,
+                   form: QuadraticForm) -> float:
+    """Largest coefficient difference between x^T A x + b x + c and form."""
+    return max(float(np.abs(A - form.A).max()), float(np.abs(b - form.b).max()),
+               abs(c - form.c))
+
+
+def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> None:
+    """sign * Phi(T^-1 (y - t)) must equal the canonical form coefficient by
+    coefficient, to TOL.fit_residual times Phi's coefficient scale."""
+    M = np.linalg.inv(cls.T)
+    m0 = -M @ cls.t
+    resid = _form_residual(cls.sign * (M.T @ phi.A @ M),
+                           cls.sign * (M.T @ (2.0 * phi.A @ m0 + phi.b)),
+                           cls.sign * phi(m0), cls.canonical_form())
     scale = 1.0 + abs(phi.c) + float(np.abs(phi.b).max(initial=0.0)) + \
         float(np.abs(phi.A).max())
-    for _ in range(n_points):
-        y = rng.standard_normal(phi.dim)
-        x = Tinv @ (y - cls.t)
-        resid = abs(cls.sign * phi(x) - cls.canonical_value(y))
-        if resid > TOL.fit_residual * scale * (1.0 + float(y @ y)):
-            raise NumericalFailureError(
-                f"canonical transform residual {resid:.3e} out of tolerance")
+    if resid > TOL.fit_residual * scale:
+        raise NumericalFailureError(
+            f"canonical transform residual {resid:.3e} out of tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -688,39 +713,14 @@ class OpenInvarianceReport:
     min_value: float
 
 
-def _canonical_parabolic_form(phi: QuadraticForm, p: int) -> int | None:
-    """If phi is exactly x_1 - sum_{i=2}^q x_i^2, return q."""
-    diag = np.diagonal(phi.A)
-    off = phi.A - np.diag(diag)
-    if float(np.abs(off).max()) > TOL.feasibility or abs(phi.c) > TOL.feasibility:
-        return None
-    if abs(phi.b[0] - 1.0) > TOL.feasibility or \
-            float(np.abs(phi.b[1:]).max(initial=0.0)) > TOL.feasibility:
-        return None
-    if abs(diag[0]) > TOL.feasibility:
-        return None
-    neg = diag[1:] < -0.5
-    q = 1 + int(np.sum(neg))
-    expected = np.concatenate([[0.0], -np.ones(q - 1), np.zeros(p - q)])
-    if float(np.abs(diag - expected).max()) > TOL.feasibility:
-        return None
-    return q
-
-
-def _canonical_cone_form(phi: QuadraticForm, p: int) -> int | None:
-    """If phi is exactly x_1^2 - sum_{i=2}^q x_i^2, return q."""
-    diag = np.diagonal(phi.A)
-    off = phi.A - np.diag(diag)
-    if float(np.abs(off).max()) > TOL.feasibility or abs(phi.c) > TOL.feasibility \
-            or float(np.abs(phi.b).max(initial=0.0)) > TOL.feasibility:
-        return None
-    if abs(diag[0] - 1.0) > TOL.feasibility:
-        return None
-    q = 1 + int(np.sum(diag[1:] < -0.5))
-    expected = np.concatenate([[1.0], -np.ones(q - 1), np.zeros(p - q)])
-    if float(np.abs(diag - expected).max()) > TOL.feasibility:
-        return None
-    return q
+def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
+    """(kind, q) when phi is exactly the parabolic form x_1 - sum_{i=2}^q x_i^2
+    or the cone form x_1^2 - sum_{i=2}^q x_i^2, else None (q = 1 included)."""
+    p = phi.dim
+    kind = "cone" if phi.A[0, 0] > 0.5 else "parabolic"
+    q = 1 + int(np.sum(np.diagonal(phi.A)[1:] < -0.5))
+    resid = _form_residual(phi.A, phi.b, phi.c, _canonical_form(kind, p, q))
+    return (kind, q) if resid <= TOL.feasibility else None
 
 
 def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport:
@@ -751,34 +751,31 @@ def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport
     if not isinstance(phi, QuadraticForm):
         raise PreconditionFailedError("phi must be a QuadraticForm or 'det'")
 
-    # fit grad(Phi) theta = Phi v^T at coefficient level
-    phi_vec = _quad_vector(phi.c, phi.b, phi.A)
-    denom = float(phi_vec @ phi_vec)
-    v = np.zeros(p)
-    scale = 1.0 + float(np.abs(theta.A0).max()) + \
-        (float(np.abs(theta.A).max()) if theta.A.size else 0.0)
-    scale *= 1.0 + float(np.abs(phi.A).max()) + float(np.abs(phi.b).max(initial=0.0))
-    for j in range(p):
-        comp_vec = _quad_vector(*_grad_theta_component(phi, theta, j))
-        v[j] = float(comp_vec @ phi_vec) / denom
-        resid = float(np.abs(comp_vec - v[j] * phi_vec).max())
-        if resid > TOL.psd * scale:
-            raise PhiVMismatchError(
-                f"grad(Phi) theta is not a constant multiple of Phi in "
-                f"component {j} (residual {resid:.3e})")
+    # fit grad(Phi) theta = Phi v^T at coefficient level, all columns at once
+    phi_vec = _quad_vector(phi)
+    comp = _row_field_coefficients(phi.b, 2.0 * phi.A, theta.A0, theta.A)
+    v = comp @ phi_vec / float(phi_vec @ phi_vec)
+    resid = np.abs(comp - v[:, None] * phi_vec).max(axis=1)
+    scale = _coefficient_scale(theta) * \
+        (1.0 + float(np.abs(phi.A).max()) + float(np.abs(phi.b).max(initial=0.0)))
+    bad = np.nonzero(resid > TOL.psd * scale)[0]
+    if bad.size:
+        raise PhiVMismatchError(
+            f"grad(Phi) theta is not a constant multiple of Phi in "
+            f"component {bad[0]} (residual {resid[bad[0]]:.3e})")
 
-    qpar = _canonical_parabolic_form(phi, p)
-    if qpar is not None and qpar >= 2:
-        rep = check_parabolic_drift(model.drift, qpar)
+    kind, q = _canonical_kind(phi) or (None, 0)
+    if kind == "parabolic" and q >= 2:
+        rep = check_parabolic_drift(model.drift, q)
         return OpenInvarianceReport(v, rep.structure_ok and rep.psd_ok and
                                     rep.q2_ok and rep.open_ok, False,
                                     rep.open_margin)
-    qcone = _canonical_cone_form(phi, p)
-    if qcone is not None and qcone == p:
-        rep = check_cone_admissibility(model.drift, p, qcone)
+    if kind == "cone" and q == p:
+        rep = check_cone_admissibility(model.drift, p, q)
         return OpenInvarianceReport(v, rep.admissible, False, rep.drift_margin)
 
     # sampled fallback on a deterministic low-discrepancy grid
+    from scipy.stats import qmc  # costly to import, and needed only here
     sampler = qmc.Halton(d=p, seed=0)
     pts = 20.0 * sampler.random(10_000) - 10.0
     inside = model.state_space.contains(pts, tol=TOL.membership)
@@ -795,124 +792,54 @@ def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport
 # kernel-dimension diagnostics (the basis lemmas, checked numerically)
 # ---------------------------------------------------------------------------
 
-def _quad_dim(p: int) -> int:
-    return 1 + p + p * (p + 1) // 2
+def _nullity(M: np.ndarray) -> int:
+    return M.shape[1] - int(np.linalg.matrix_rank(M, tol=TOL.fit_residual))
 
 
-def _project_out(rows: np.ndarray, gen: np.ndarray) -> np.ndarray:
-    gen = gen / np.linalg.norm(gen)
-    return rows - np.outer(rows @ gen, gen)
+def _field_coefficient_matrix(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
+                              F: np.ndarray,
+                              modulo: QuadraticForm | None = None) -> np.ndarray:
+    """One column per field of the stack: the coefficients of r(x)^T M(x),
+    column after column of M, each projected orthogonally to ``modulo``."""
+    coeffs = _row_field_coefficients(c, L, F0, F)
+    if modulo is not None:
+        g = _quad_vector(modulo)
+        g = g / np.linalg.norm(g)
+        coeffs = coeffs - (coeffs @ g)[..., None] * g
+    return coeffs.reshape(coeffs.shape[0], -1).T
 
 
 def parabolic_kernel_dimension(p: int, q: int) -> int:
     """Numeric dimension of {a affine : (1, -2y^T) a(x) = 0 on the parabola},
     computed as the nullity of the coefficient operator modulo the parabola
     polynomial."""
-    ncols = q * (p + 1)
-    cols = []
-    for idx in range(ncols):
-        F0 = np.zeros(q)
-        F = np.zeros((q, p))
-        if idx < q:
-            F0[idx] = 1.0
-        else:
-            k, var = divmod(idx - q, p)
-            F[k, var] = 1.0
-        c_out, l_out, Q_out = 0.0, np.zeros(p), np.zeros((p, p))
-        # (1, -2y^T) a(x) = a_0(x) - 2 sum_k x_k a_k(x)
-        c_out += F0[0]
-        l_out += F[0]
-        for k in range(1, q):
-            ek = np.zeros(p)
-            ek[k] = 1.0
-            c, l, Q = _affine_product(0.0, ek, float(F0[k]), F[k])
-            c_out += -2.0 * c
-            l_out += -2.0 * l
-            Q_out += -2.0 * Q
-        cols.append(_quad_vector(c_out, l_out, Q_out))
-    M = np.stack(cols, axis=1)
-    gen = np.zeros(p)
-    gen[0] = 1.0
-    Qg = np.zeros((p, p))
-    Qg[np.arange(1, q), np.arange(1, q)] = -1.0
-    g = _quad_vector(0.0, gen, Qg)
-    Mproj = _project_out(M.T, g).T
-    rank = int(np.linalg.matrix_rank(Mproj, tol=TOL.fit_residual))
-    return ncols - rank
+    # the unit affine maps x -> F0 + F x into R^q, as q x 1 fields
+    E = np.eye(q * (p + 1)).reshape(-1, p + 1, q, 1)
+    L = np.zeros((q, p))
+    L[np.arange(1, q), np.arange(1, q)] = -2.0
+    return _nullity(_field_coefficient_matrix(
+        np.eye(q)[0], L, E[:, 0], E[:, 1:], _canonical_form("parabolic", p, q)))
 
 
 def conical_space_dimension(q: int) -> int:
     """Numeric dimension of the space of symmetric affine matrix fields whose
     columns are annihilated by (x_1, -y^T) on the cone."""
-    pairs = [(i, j) for i in range(q) for j in range(i, q)]
-    nvar = (q + 1) * len(pairs)
-    Qg = np.zeros((q, q))
-    Qg[0, 0] = 1.0
-    Qg[np.arange(1, q), np.arange(1, q)] = -1.0
-    g = _quad_vector(0.0, np.zeros(q), Qg)
-    gunit = g / np.linalg.norm(g)
-    cols = []
-    for idx in range(nvar):
-        k, pos = divmod(idx, len(pairs))
-        i, j = pairs[pos]
-        A0 = np.zeros((q, q))
-        A = np.zeros((q, q, q))
-        if k == 0:
-            A0[i, j] = A0[j, i] = 1.0
-        else:
-            A[k - 1][i, j] = A[k - 1][j, i] = 1.0
-        comp_vecs = []
-        row_lin = np.zeros((q, q))  # (x_1, -y): component r has linear coeff e_r*sign
-        row_lin[0, 0] = 1.0
-        for r in range(1, q):
-            row_lin[r, r] = -1.0
-        for col in range(q):
-            c_out, l_out, Q_out = 0.0, np.zeros(q), np.zeros((q, q))
-            for r in range(q):
-                centry = float(A0[r, col])
-                lentry = A[:, r, col]
-                c, l, Q = _affine_product(0.0, row_lin[r], centry, lentry)
-                c_out += c
-                l_out += l
-                Q_out += Q
-            vecc = _quad_vector(c_out, l_out, Q_out)
-            comp_vecs.append(vecc - (vecc @ gunit) * gunit)
-        cols.append(np.concatenate(comp_vecs))
-    M = np.stack(cols, axis=1)
-    rank = int(np.linalg.matrix_rank(M, tol=TOL.fit_residual))
-    return nvar - rank
+    L = -np.eye(q)
+    L[0, 0] = 1.0
+    return _nullity(_field_coefficient_matrix(
+        np.zeros(q), L, *_symmetric_field_basis(q), _canonical_form("cone", q, q)))
+
+
+def _cancellation_matrix(p: int) -> np.ndarray:
+    """Coefficients of x^T theta(x), one column per unit symmetric field."""
+    return _field_coefficient_matrix(np.zeros(p), np.eye(p),
+                                     *_symmetric_field_basis(p))
 
 
 def theta_cancellation_nullspace_dimension(p: int) -> int:
     """Numeric nullspace dimension of {coefficients of x^T theta(x)} = 0 over
     symmetric affine theta; the cancellation lemma says it is zero."""
-    pairs = [(i, j) for i in range(p) for j in range(i, p)]
-    nvar = (p + 1) * len(pairs)
-    cols = []
-    for idx in range(nvar):
-        k, pos = divmod(idx, len(pairs))
-        i, j = pairs[pos]
-        A0 = np.zeros((p, p))
-        A = np.zeros((p, p, p))
-        if k == 0:
-            A0[i, j] = A0[j, i] = 1.0
-        else:
-            A[k - 1][i, j] = A[k - 1][j, i] = 1.0
-        comp = []
-        for col in range(p):
-            c_out, l_out, Q_out = 0.0, np.zeros(p), np.zeros((p, p))
-            for r in range(p):
-                er = np.zeros(p)
-                er[r] = 1.0
-                c, l, Q = _affine_product(0.0, er, float(A0[r, col]), A[:, r, col])
-                c_out += c
-                l_out += l
-                Q_out += Q
-            comp.append(_quad_vector(c_out, l_out, Q_out))
-        cols.append(np.concatenate(comp))
-    M = np.stack(cols, axis=1)
-    rank = int(np.linalg.matrix_rank(M, tol=TOL.fit_residual))
-    return nvar - rank
+    return _nullity(_cancellation_matrix(p))
 
 
 def excluded_quadric_forces_zero(p: int, d: float) -> bool:
@@ -920,37 +847,6 @@ def excluded_quadric_forces_zero(p: int, d: float) -> bool:
     with x^T theta(x) = Phi(x) c^T for some constant vector c is theta = 0.
     Returns True when the numeric nullspace of the combined linear system is
     trivial."""
-    pairs = [(i, j) for i in range(p) for j in range(i, p)]
-    nv_theta = (p + 1) * len(pairs)
-    nvar = nv_theta + p
-    phi_vec = _quad_vector(float(d), np.zeros(p), np.eye(p))
-    cols = []
-    for idx in range(nvar):
-        comp = []
-        if idx < nv_theta:
-            k, pos = divmod(idx, len(pairs))
-            i, j = pairs[pos]
-            A0 = np.zeros((p, p))
-            A = np.zeros((p, p, p))
-            if k == 0:
-                A0[i, j] = A0[j, i] = 1.0
-            else:
-                A[k - 1][i, j] = A[k - 1][j, i] = 1.0
-            for col in range(p):
-                c_out, l_out, Q_out = 0.0, np.zeros(p), np.zeros((p, p))
-                for r in range(p):
-                    er = np.zeros(p)
-                    er[r] = 1.0
-                    c, l, Q = _affine_product(0.0, er, float(A0[r, col]), A[:, r, col])
-                    c_out += c
-                    l_out += l
-                    Q_out += Q
-                comp.append(_quad_vector(c_out, l_out, Q_out))
-        else:
-            j = idx - nv_theta
-            for col in range(p):
-                comp.append(-phi_vec if col == j else np.zeros_like(phi_vec))
-        cols.append(np.concatenate(comp))
-    M = np.stack(cols, axis=1)
-    rank = int(np.linalg.matrix_rank(M, tol=TOL.fit_residual))
-    return rank == nvar
+    phi_vec = _quad_vector(_canonical_form("ellipsoid", p, p, d))
+    M = np.hstack([_cancellation_matrix(p), np.kron(np.eye(p), -phi_vec[:, None])])
+    return _nullity(M) == 0

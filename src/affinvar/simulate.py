@@ -26,7 +26,7 @@ import scipy.linalg
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
                    QuadraticSpace, _rowdot, psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
-from .quadratic import _canonical_cone_form, _canonical_parabolic_form
+from .quadratic import _canonical_kind
 from .tolerances import TOL
 
 
@@ -143,22 +143,20 @@ def make_projector(space) -> callable:
 
         return proj
     if isinstance(space, QuadraticSpace):
-        p = space.dim
-        qpar = _canonical_parabolic_form(space.form, p)
-        if qpar is not None:
+        kind, q = _canonical_kind(space.form) or (None, 0)
+        if kind == "parabolic":
             def proj(x):
                 out = x.copy()
-                y = out[..., 1:qpar]
+                y = out[..., 1:q]
                 yy = _rowdot(y, y)
                 out[..., 0] = np.maximum(out[..., 0], yy)
                 return out
 
             return proj
-        qcone = _canonical_cone_form(space.form, p)
-        if qcone is not None:
+        if kind == "cone":
             def proj(x):
                 out = x.copy()
-                y = out[..., 1:qcone]
+                y = out[..., 1:q]
                 r = np.sqrt(_rowdot(y, y))
                 out[..., 0] = np.maximum(out[..., 0], r * (1.0 + 1e-12))
                 return out

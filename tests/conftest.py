@@ -127,18 +127,23 @@ def random_canonical_model(rng: np.random.Generator, p: int, m: int,
     return ModelSpec(p, AffineVectorField(a, b), diffusion, space)
 
 
+def random_affine_map(rng: np.random.Generator, p: int,
+                      max_scale: float = 2.0) -> tuple[np.ndarray, np.ndarray]:
+    """A random well-conditioned affine map x -> A x + s of R^p: A has
+    singular values in [1/max_scale, max_scale], s is in [-1, 1]^p."""
+    q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    sing = rng.uniform(1.0 / max_scale, max_scale, size=p)
+    return q1 @ np.diag(sing) @ q2, rng.uniform(-1.0, 1.0, size=p)
+
+
 def random_affine_image(rng: np.random.Generator, model: ModelSpec,
                         max_scale: float = 2.0) -> ModelSpec:
     """The model of X = A Y + s for a random well-conditioned map, where Y
     follows the given model."""
     from affinvar.core import change_model_coordinates
 
-    p = model.dimension
-    q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
-    sing = rng.uniform(1.0 / max_scale, max_scale, size=p)
-    A = q1 @ np.diag(sing) @ q2
-    s = rng.uniform(-1.0, 1.0, size=p)
+    A, s = random_affine_map(rng, model.dimension, max_scale)
     space = model.state_space.transformed(A, s)
     return change_model_coordinates(model, A, s, space)
 

@@ -199,3 +199,32 @@ def test_model_json_round_trip():
 def test_model_parse_error():
     with pytest.raises(ParseError):
         model_from_dict({"dimension": 2})
+
+
+def test_value_types_copy_instead_of_freezing_the_callers_arrays():
+    g, d = np.eye(2), np.zeros(2)
+    poly = Polyhedron(g, d)
+    b = np.array([1.0, 0.0])
+    phi = QuadraticForm(np.diag([0.0, -1.0]), b, 0.0)
+    g[0, 0] = 2.0  # the caller's arrays stay writable
+    d[1] = 3.0
+    b[0] = 5.0
+    assert poly.gamma[0, 0] == 1.0 and poly.delta[1] == 0.0 and phi.b[0] == 1.0
+    for arr in (poly.gamma, poly.delta, phi.b):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+
+
+def test_import_does_not_load_scipy_stats():
+    import os
+    import subprocess
+    import sys
+    # the package under test, wherever it was imported from
+    src = os.path.dirname(os.path.dirname(affinvar.core.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, affinvar, affinvar.cli; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

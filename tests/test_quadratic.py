@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            Polyhedron, QuadraticForm, QuadraticSpace)
 from affinvar.errors import (NotAdmissibleQuadricError, NotInSpanError,
-                             NotNormalizedError, PhiVMismatchError,
-                             PreconditionFailedError, ZeroQuadraticPartError)
+                             NotNormalizedError, NumericalFailureError,
+                             PhiVMismatchError, PreconditionFailedError,
+                             ZeroQuadraticPartError)
 from affinvar.modelio import load_fixture
-from affinvar.quadratic import (check_cone_admissibility,
+from affinvar.quadratic import (_row_field_coefficients,
+                                _verify_classification,
+                                check_cone_admissibility,
                                 check_open_invariance_general,
                                 check_parabolic_drift,
                                 check_parabolic_psd_condition, classify_quadric,
@@ -20,6 +27,7 @@ from affinvar.quadratic import (check_cone_admissibility,
                                 parabolic_square_root,
                                 parabolic_theta_decompose, verify_theta_zero_lemma,
                                 zeta_parabolic)
+from conftest import random_affine_map
 
 
 # ---------------------------------------------------------------------------
@@ -74,42 +82,116 @@ def test_classify_errors():
                                        np.zeros(4), 1.0))
 
 
+KINDS = ("parabolic", "cone", "ellipsoid")
+
+
+def _random_canonical_quadric(rng, kind: str, p: int, q: int) -> QuadraticForm:
+    """A diagonal quadric of the given kind in q squares, random weights."""
+    D = np.zeros(p)
+    b = np.zeros(p)
+    if kind == "parabolic":
+        D[1:q] = -np.exp(rng.standard_normal(q - 1))
+        b[0] = np.exp(rng.standard_normal())
+    elif kind == "cone":
+        D[0] = np.exp(rng.standard_normal())
+        D[1:q] = -np.exp(rng.standard_normal(q - 1))
+    else:
+        D[:q] = np.exp(rng.standard_normal(q))
+    return QuadraticForm(np.diag(D), b, rng.standard_normal())
+
+
+def _push_forward(phi0: QuadraticForm, M: np.ndarray, s: np.ndarray) -> QuadraticForm:
+    """x -> phi0(M x + s) as a quadratic form."""
+    A = M.T @ phi0.A @ M
+    b = M.T @ (2 * phi0.A @ s + phi0.b)
+    c = float(s @ phi0.A @ s + phi0.b @ s + phi0.c)
+    return QuadraticForm(A, b, c)
+
+
 def test_classify_round_trip_random(rng):
     kinds = {"parabolic": 0, "cone": 0, "ellipsoid": 0}
     for _ in range(60):
         p = int(rng.integers(2, 5))
-        choice = rng.integers(0, 3)
-        D = np.zeros(p)
+        kind = KINDS[rng.integers(0, 3)]
         q = int(rng.integers(2, p + 1))
-        if choice == 0:
-            D[1:q] = -np.exp(rng.standard_normal(q - 1))
-            b_can = np.zeros(p)
-            b_can[0] = np.exp(rng.standard_normal())
-            c_can = rng.standard_normal()
-            phi0 = QuadraticForm(np.diag(D), b_can, c_can)
-        elif choice == 1:
-            D[0] = np.exp(rng.standard_normal())
-            D[1:q] = -np.exp(rng.standard_normal(q - 1))
-            phi0 = QuadraticForm(np.diag(D), np.zeros(p), rng.standard_normal())
-        else:
-            D[:q] = np.exp(rng.standard_normal(q))
-            phi0 = QuadraticForm(np.diag(D), np.zeros(p), rng.standard_normal())
+        phi0 = _random_canonical_quadric(rng, kind, p, q)
         # push through a random affine map
         M = rng.standard_normal((p, p)) + 2 * np.eye(p)
         s = rng.standard_normal(p)
-        A = M.T @ phi0.A @ M
-        b = M.T @ (2 * phi0.A @ s + phi0.b)
-        c = float(s @ phi0.A @ s + phi0.b @ s + phi0.c)
-        cls = classify_quadric(QuadraticForm(A, b, c))
+        phi = _push_forward(phi0, M, s)
+        cls = classify_quadric(phi)
         kinds[cls.kind] += 1
         Tinv = np.linalg.inv(cls.T)
-        phi = QuadraticForm(A, b, c)
         for _ in range(10):
             y = rng.standard_normal(p)
             x = Tinv @ (y - cls.t)
             resid = abs(cls.sign * phi(x) - cls.canonical_value(y))
             assert resid <= 1e-7 * (1 + abs(phi(x)) + y @ y)
     assert min(kinds.values()) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), p=st.integers(2, 5), data=st.data(),
+       apex=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_classification_invariant_under_affine_images(kind, p, data, apex, seed):
+    q = data.draw(st.integers(2, p), label="q")
+    rng = np.random.default_rng(seed)
+    phi0 = _random_canonical_quadric(rng, kind, p, q)
+    if apex:  # through the origin: the admissible cone and a point ellipsoid
+        phi0 = QuadraticForm(phi0.A, phi0.b, 0.0)
+    image = _push_forward(phi0, *random_affine_map(rng, p))
+    admissible = kind == "parabolic" or (kind == "cone" and apex)
+    for phi in (phi0, image):
+        cls = classify_quadric(phi)  # raises NumericalFailureError if unverified
+        assert (cls.kind, cls.q, cls.admissible) == (kind, q, admissible)
+
+
+@pytest.mark.parametrize("phi", [
+    QuadraticForm(-np.array([[1.0, -1.0], [-1.0, 1.0]]), np.array([1.0, 1.0]), 0.0),
+    QuadraticForm(np.array([[1.0, 0.3, 0.0], [0.3, -1.0, 0.2], [0.0, 0.2, -2.0]]),
+                  np.array([0.5, -1.0, 0.0]), 0.4),
+    QuadraticForm(np.diag([2.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]), -1.0),
+], ids=["parabola", "cone", "ellipsoid"])
+def test_classification_check_rejects_a_wrong_transform(phi):
+    cls = classify_quadric(phi)
+    _verify_classification(cls, phi)
+    bad = [dataclasses.replace(cls, t=cls.t + 1e-3)]
+    for row in range(cls.q):  # the rows that carry the canonical polynomial
+        T = cls.T.copy()
+        T[row] *= 1.01
+        bad.append(dataclasses.replace(cls, T=T))
+    for wrong in bad:
+        with pytest.raises(NumericalFailureError):
+            _verify_classification(wrong, phi)
+
+
+def test_row_field_coefficients_match_pointwise_products(rng):
+    """The operator's coefficient vectors, evaluated through the monomials,
+    reproduce r(x)^T M(x) computed pointwise."""
+    for p in (1, 2, 3, 5):
+        iu, ju = np.triu_indices(p, k=1)
+        S = rng.standard_normal((p, p))
+        phi = QuadraticForm(S + S.T, rng.standard_normal(p), rng.standard_normal())
+        S0, Sk = rng.standard_normal((p, p)), rng.standard_normal((p, p, p))
+        theta = AffineMatrixField(S0 + S0.T, Sk + np.swapaxes(Sk, 1, 2))
+        coeffs = _row_field_coefficients(phi.b, 2.0 * phi.A, theta.A0, theta.A)
+        # a batch of rectangular fields against a row of another length
+        c, L = rng.standard_normal(3), rng.standard_normal((3, p))
+        F0, F = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, p, 3, 4))
+        stacked = _row_field_coefficients(c, L, F0, F)
+        assert coeffs.shape == (p, 1 + p + p * (p + 1) // 2)
+        assert stacked.shape == (2, 4) + coeffs.shape[1:]
+        for _ in range(5):
+            x = 2.0 * rng.standard_normal(p)
+            mono = np.concatenate([[1.0], x, x ** 2, x[iu] * x[ju]])
+            terms = np.abs(coeffs) @ np.abs(mono)
+            assert np.all(np.abs(coeffs @ mono - phi.gradient(x) @ theta(x))
+                          <= 1e-12 * terms)
+            for field in range(2):
+                expected = (c + L @ x) @ (F0[field] + np.tensordot(x, F[field], 1))
+                terms = np.abs(stacked[field]) @ np.abs(mono)
+                assert np.all(np.abs(stacked[field] @ mono - expected)
+                              <= 1e-12 * terms)
 
 
 # ---------------------------------------------------------------------------
