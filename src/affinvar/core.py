@@ -79,29 +79,46 @@ def _rowdot(a, b) -> np.ndarray:
     return (a * b) @ np.ones(a.shape[-1])
 
 
+def _coldot(a, b) -> np.ndarray:
+    """Column-wise dot products of two (k, ...) arrays, summed left to right
+    over the leading axis: on a (k, N) batch each term is a whole contiguous
+    path vector.  For k <= 3 the bits equal those of ``_rowdot`` on the
+    transposed rows."""
+    if a.shape[0] == 0:
+        return np.zeros(a.shape[1:])
+    out = a[0] * b[0]
+    for i in range(1, a.shape[0]):
+        out += a[i] * b[i]
+    return out
+
+
 def psd_factor(S) -> np.ndarray:
-    """A root R with R R^T = S for PSD S, batched over (..., p, p).
+    """A root R with R R^T = S for PSD S, batch-last: (p, p) or (p, p, ...).
 
     The lower Cholesky factor, unrolled over the block size so that it is
-    elementwise over the batch: each factor depends on its own matrix only.
-    Matrices with a pivot that is not positive (singular, indefinite or
-    non-finite) take the symmetric root |S|^(1/2) of ``psd_square_root``
-    instead, and only those are passed to it.
+    elementwise over the batch: each factor depends on its own matrix only,
+    and with the batch last every entry is a contiguous vector.  Matrices
+    with a pivot that is not positive (singular, indefinite or non-finite)
+    take the symmetric root |S|^(1/2) of ``psd_square_root`` instead, and
+    only those are passed to it.
     """
     S = np.asarray(S, dtype=float)
-    p = S.shape[-1]
+    p = S.shape[0]
     R = np.zeros(S.shape)
-    ok = np.ones(S.shape[:-2], dtype=bool)
+    ok = np.ones(S.shape[2:], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
         for j in range(p):
-            d = S[..., j, j] - sum(R[..., j, k] ** 2 for k in range(j))
+            # S_ij - (R_i0 R_j0 + R_i1 R_j1 + ...), summed left to right
+            d = S[j, j] - _coldot(R[j, :j], R[j, :j]) if j else S[j, j]
             ok &= d > 0
-            R[..., j, j] = np.sqrt(d)
+            R[j, j] = np.sqrt(d)
             for i in range(j + 1, p):
-                R[..., i, j] = (S[..., i, j] - sum(
-                    R[..., i, k] * R[..., j, k] for k in range(j))) / R[..., j, j]
+                off = S[i, j] - _coldot(R[i, :j], R[j, :j]) if j else S[i, j]
+                R[i, j] = off / R[j, j]
     if not ok.all():
-        R[~ok] = psd_square_root(S[~ok])
+        batch_first = np.moveaxis(R, (0, 1), (-2, -1))     # a view of R
+        batch_first[~ok] = psd_square_root(
+            np.moveaxis(S, (0, 1), (-2, -1))[~ok])
     return R
 
 

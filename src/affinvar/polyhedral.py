@@ -24,7 +24,7 @@ from .convex import (FarkasCertificate, _coefficient_multiple,
                      chebyshev_radius, facet_relative_decompose,
                      farkas_decompose, interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                   ModelSpec, Polyhedron, change_model_coordinates,
+                   ModelSpec, Polyhedron, _coldot, change_model_coordinates,
                    psd_factor, psd_square_root, symmetrize)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotNonnegativeError,
@@ -357,11 +357,18 @@ def build_square_root(ct: CanonicalTransform):
     Upper-left block diag(sqrt(|y_M|), 0_N), lower-right block a root of
     Psi(y_{M u N}) (``psd_factor``: Cholesky, the symmetric root where a
     pivot fails).  Accepts a single point (p,) or a batch (N, p) and returns
-    (p, p) or (N, p, p).  ``sigma.apply(y, z)`` is sigma(y) z for batches
-    (N, p), computed block by block without forming sigma(y).
+    (p, p) or (N, p, p).  ``sigma.apply(y, z)`` is sigma(y) z for columns:
+    y and z are (p, N), one path per column, and so is the result, computed
+    block by block without forming sigma(y).
     """
     m, k, p = ct.m, ct.m + ct.n, ct.dim
-    psi = ct.psi
+    s = p - k
+    psi_A0 = ct.psi.A0.reshape(-1, 1)
+    psi_A = ct.psi.A.reshape(k, s * s).T
+
+    def psi_root(y):
+        """Roots of Psi at the columns y (p, N), batch-last (s, s, N)."""
+        return psd_factor((psi_A0 + psi_A @ y[:k]).reshape(s, s, -1))
 
     def sigma(y):
         y = np.asarray(y, dtype=float)
@@ -370,16 +377,18 @@ def build_square_root(ct: CanonicalTransform):
         out = np.zeros(ybatch.shape[:-1] + (p, p))
         idx = np.arange(m)
         out[..., idx, idx] = np.sqrt(np.abs(ybatch[..., :m]))
-        if k < p:
-            out[..., k:, k:] = psd_factor(psi(ybatch[..., :k]))
+        if s:
+            out[..., k:, k:] = np.moveaxis(psi_root(ybatch.T), -1, 0)
         return out[0] if single else out
 
     def apply(y, z):
         out = np.zeros(z.shape)
-        out[..., :m] = np.sqrt(np.abs(y[..., :m])) * z[..., :m]
-        if k < p:
-            out[..., k:] = np.einsum("...ij,...j->...i",
-                                     psd_factor(psi(y[..., :k])), z[..., k:])
+        if m:
+            out[:m] = np.sqrt(np.abs(y[:m])) * z[:m]
+        if s:
+            R = psi_root(y)
+            for i in range(s):
+                out[k + i] = _coldot(R[i], z[k:])
         return out
 
     sigma.apply = apply

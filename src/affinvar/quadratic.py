@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                   QuadraticForm, _rowdot, psd_factor)
+                   QuadraticForm, _coldot, psd_factor)
 from .errors import (NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
@@ -461,8 +461,8 @@ def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
     """sigma(x) = [[xi(x), 0], [A2^T eta(x)^T, rho(x)]] with
     xi = [[2 sqrt|x_1 - y.y|, 2 y^T], [0, Id]] and rho a root of the residual
     block (``psd_factor``); sigma sigma^T = theta on the parabola.
-    ``sigma.apply(x, z)`` is sigma(x) z for batches (N, p) without forming
-    sigma(x)."""
+    ``sigma.apply(x, z)`` is sigma(x) z for columns: x and z are (p, N), one
+    path per column, and so is the result; sigma(x) is not formed."""
     if not dec.normalized:
         raise NotNormalizedError("decomposition must have c = 1 and A1 = 0")
     q, p = dec.q, dec.p
@@ -474,9 +474,10 @@ def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
                 "residual block is not PSD at the supplied points")
 
     def residual_root(xb, eta):
+        """Roots of the residual block at the rows xb, batch-last (r, r, N)."""
         resid = dec.B(xb) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta,
                                       dec.A2)
-        return psd_factor(resid)
+        return psd_factor(np.moveaxis(resid, 0, -1))
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
@@ -492,18 +493,18 @@ def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
         if r:
             eta = eta_matrix(xb[:, :q], q)
             out[:, q:, :q] = np.einsum("nqe,er->nrq", eta, dec.A2)
-            out[:, q:, q:] = residual_root(xb, eta)
+            out[:, q:, q:] = np.moveaxis(residual_root(xb, eta), -1, 0)
         return out[0] if single else out
 
     def apply(x, z):
-        y, zy = x[:, 1:q], z[:, 1:q]
+        y, zy = x[1:q], z[1:q]
         out = z.copy()
-        out[:, 0] = 2.0 * (np.sqrt(np.abs(x[:, 0] - _rowdot(y, y))) * z[:, 0]
-                           + _rowdot(y, zy))
+        out[0] = 2.0 * (np.sqrt(np.abs(x[0] - _coldot(y, y))) * z[0]
+                        + _coldot(y, zy))
         if r:
-            eta = eta_matrix(x[:, :q], q)
-            out[:, q:] = np.einsum("nqe,nq->ne", eta, z[:, :q]) @ dec.A2 + \
-                np.einsum("nrs,ns->nr", residual_root(x, eta), z[:, q:])
+            eta = eta_matrix(x[:q].T, q)
+            out[q:] = dec.A2.T @ np.einsum("nqe,qn->en", eta, z[:q]) + \
+                np.einsum("rsn,sn->rn", residual_root(x.T, eta), z[q:])
         return out
 
     sigma.apply = apply
@@ -631,29 +632,36 @@ def cone_square_root(q: int):
     the orthogonal complement of y inside the y-block, so the root is
     assembled from rank-one projectors without a per-point eigendecomposition.
     ``sigma.apply(x, z)`` is s0 z + (s+- - s0)(v+- . z) v+- with
-    s = sqrt|eigenvalue|, for batches (N, q), without q x q arrays.
+    s = sqrt|eigenvalue|, for columns: x and z are (q, N), one path per
+    column, and so is the result; no q x q arrays are formed.
     """
 
-    def roots(xb):
-        x1 = xb[:, 0]
-        y = xb[:, 1:q]
-        r = np.sqrt(_rowdot(y, y))
-        u = y / np.where(r > 0, r, 1.0)[:, None]
-        return (np.sqrt(np.abs(x1 + r)), np.sqrt(np.abs(x1 - r)),
-                np.sqrt(np.abs(x1)), u)
+    pm = np.array([[1.0], [-1.0]])
+
+    def roots(x):
+        """The rows s+, s-, s0 of one (3, N) array, and the unit y-direction
+        u (q-1, N), at the columns x."""
+        x1 = x[0]
+        y = x[1:q]
+        r = np.sqrt(_coldot(y, y))
+        u = y / np.where(r > 0, r, 1.0)
+        s = np.empty((3,) + x1.shape)
+        s[:2] = x1 + pm * r        # x_1 + r and x_1 - r, bit for bit
+        s[2] = x1
+        return np.sqrt(np.abs(s, out=s), out=s), u
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         xb = x[None] if single else x
-        sp, sm, s0, u = roots(xb)
+        (sp, sm, s0), u = roots(xb.T)
         avg = 0.5 * (sp + sm)
         dif = 0.5 * (sp - sm)
         out = np.zeros((xb.shape[0], q, q))
         out[:, 0, 0] = avg
-        out[:, 0, 1:] = dif[:, None] * u
+        out[:, 0, 1:] = (dif * u).T
         out[:, 1:, 0] = out[:, 0, 1:]
-        uu = np.einsum("ni,nj->nij", u, u)
+        uu = np.einsum("in,jn->nij", u, u)
         eye = np.eye(q - 1)
         out[:, 1:, 1:] = avg[:, None, None] * uu + \
             s0[:, None, None] * (eye[None] - uu)
@@ -661,13 +669,14 @@ def cone_square_root(q: int):
 
     def apply(x, z):
         # u = 0 where y = 0, and there s+- = s0: the result is s0 z
-        sp, sm, s0, u = roots(x)
-        w = _rowdot(u, z[:, 1:])
-        cp = 0.5 * (sp - s0) * (z[:, 0] + w)
-        cm = 0.5 * (sm - s0) * (z[:, 0] - w)
-        out = s0[:, None] * z
-        out[:, 0] += cp + cm
-        out[:, 1:] += (cp - cm)[:, None] * u
+        s, u = roots(x)
+        w = _coldot(u, z[1:])
+        cpm = 0.5 * (s[:2] - s[2])       # the rows cp and cm:
+        cpm *= z[0] + pm * w            # (s+- - s0) / 2 * (z_1 +- w)
+        cp, cm = cpm
+        out = s[2] * z
+        out[0] += cp + cm
+        out[1:] += (cp - cm) * u
         return out
 
     sigma.apply = apply

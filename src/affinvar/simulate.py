@@ -8,10 +8,18 @@ full-truncation scheme projects the state onto the state space before
 evaluating the diffusion coefficient and stores the projected state, which
 keeps membership exact along the whole path.
 
+The kernel holds its state column-major, as a C-contiguous (p, N) array with
+one path per column, so every per-step operation runs on whole length-N path
+vectors.  The noise keeps its (N, p) draw order, which is what fixes the
+paths, and is transposed into columns once per step.  The public layouts
+stay row-major: stored states are (n_paths, steps+1, p), final states
+(n_paths, p), and user functionals receive (N, p) rows.  Projectors, the
+exit tracker and ``sigma.apply(x, z)`` take (p, N) columns.
+
 The kernel applies sigma(x) z without building sigma(x) when the evaluator
 has a matrix-free ``apply(x, z)``, as the package's canonical square roots
 do; generic blocks there are Cholesky factors (``core.psd_factor``), which
-are row-local, so the prefix-stability above holds.  ``mean_ode`` is the
+are path-local, so the prefix-stability above holds.  ``mean_ode`` is the
 exact mean from the propagator of the augmented drift, not an integrator.
 """
 
@@ -24,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
-                   QuadraticSpace, _rowdot, psd_square_root)
+                   QuadraticSpace, _coldot, psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
 from .quadratic import _canonical_kind
 from .tolerances import TOL
@@ -86,12 +94,13 @@ def _noise_stream(seed: int):
 
 
 def _contraction(sigma):
-    """(x, z) -> sigma(x) z for batches (N, p): the evaluator's matrix-free
-    ``apply`` when it has one, else a contraction of the matrices sigma(x)."""
+    """(x, z) -> sigma(x) z for columns (p, N): the evaluator's matrix-free
+    ``apply`` when it has one, else a contraction of the matrices sigma(x),
+    which a plain callable evaluates at the rows x.T."""
     apply = getattr(sigma, "apply", None)
     if apply is not None:
         return apply
-    return lambda x, z: np.einsum("nij,nj->ni", np.asarray(sigma(x)), z)
+    return lambda x, z: np.einsum("nij,jn->in", np.asarray(sigma(x.T)), z)
 
 
 def generic_square_root(model: ModelSpec):
@@ -107,10 +116,12 @@ def generic_square_root(model: ModelSpec):
 def make_projector(space) -> callable:
     """Cheap exact projections for the canonical state-space shapes.
 
+    The projector maps columns (p, N), one point per column, to columns.
     Polyhedral spaces must be in canonical coordinates (facets u_i(x) = x_i):
     the projection clamps the facet coordinates at zero.  Parabolic spaces
-    clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially.  General
-    state spaces must be canonicalized first.
+    clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially.  A cone
+    needs q >= 2: the q = 1 form x_1^2 bounds all of R^p, where a clamp
+    would move members.  General state spaces must be canonicalized first.
     """
     if isinstance(space, Polyhedron):
         q, p = space.gamma.shape
@@ -138,7 +149,7 @@ def make_projector(space) -> callable:
         def proj(x):
             out = x.copy()
             if idx.size:
-                out[..., idx] = np.maximum(out[..., idx], 0.0)
+                out[idx] = np.maximum(out[idx], 0.0)
             return out
 
         return proj
@@ -147,18 +158,20 @@ def make_projector(space) -> callable:
         if kind == "parabolic":
             def proj(x):
                 out = x.copy()
-                y = out[..., 1:q]
-                yy = _rowdot(y, y)
-                out[..., 0] = np.maximum(out[..., 0], yy)
+                out[0] = np.maximum(out[0], _coldot(out[1:q], out[1:q]))
                 return out
 
             return proj
         if kind == "cone":
+            if q < 2:
+                raise PreconditionFailedError(
+                    "full-truncation projection needs a cone with q >= 2; "
+                    "the q = 1 form bounds all of R^p")
+
             def proj(x):
                 out = x.copy()
-                y = out[..., 1:q]
-                r = np.sqrt(_rowdot(y, y))
-                out[..., 0] = np.maximum(out[..., 0], r * (1.0 + 1e-12))
+                r = np.sqrt(_coldot(out[1:q], out[1:q]))
+                out[0] = np.maximum(out[0], r * (1.0 + 1e-12))
                 return out
 
             return proj
@@ -168,7 +181,8 @@ def make_projector(space) -> callable:
 
 
 class _ExitTracker:
-    """Running first-exit and worst-violation statistics over path blocks."""
+    """Running first-exit and worst-violation statistics over path blocks,
+    given as columns (p, N)."""
 
     def __init__(self, space, n_paths: int, tol: float):
         self.space = space
@@ -179,20 +193,24 @@ class _ExitTracker:
         else:
             self.worst = np.array([np.inf])
 
-    def update(self, step: int, states: np.ndarray) -> None:
-        if states.shape[0] == 0:
+    def update(self, step: int, x: np.ndarray) -> None:
+        if x.shape[1] == 0:
             return
-        if isinstance(self.space, Polyhedron):
-            # facet values as (q, n), so both reductions run along paths
-            vals = self.space.gamma @ states.T + self.space.delta[:, None]
+        space = self.space
+        if isinstance(space, Polyhedron):
+            vals = space.gamma @ x + space.delta[:, None]      # (q, N)
             self.worst = np.minimum(self.worst, vals.min(axis=1))
-            out = vals.min(axis=0) < -self.tol
+            low = vals.min(axis=0)
         else:
-            vals = self.space.signed_value(states)      # (n,)
-            self.worst[0] = min(self.worst[0], float(vals.min()))
-            out = vals < -self.tol
-        fresh = out & (self.exit_step < 0)
-        self.exit_step[fresh] = step
+            # Phi per column; the sign makes the state space {value >= 0}
+            form = space.form
+            low = _coldot(form.A @ x, x) + form.b @ x + form.c
+            if space.component != "positive":
+                low = -low
+            self.worst[0] = min(self.worst[0], low.min())
+        out = low < -self.tol
+        if out.any():
+            self.exit_step[out & (self.exit_step < 0)] = step
 
 
 @dataclass
@@ -227,9 +245,20 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
         raise SigmaMismatchError(
             f"sigma sigma^T differs from theta at x0 by {resid:.3e}")
     p = model.dimension
-    # row j of sigma(x0) e_j stacked is column j of sigma(x0)
-    cols = _contraction(sigma)(np.tile(cfg.x0, (p, 1)), np.eye(p))
-    gap = float(np.abs(cols.T - S).max())
+    # p + 1 columns, so that an evaluator on the (N, p) row contract cannot
+    # take the batch for a square one of its own
+    noise = np.hstack([np.eye(p), np.ones((p, 1))])
+    try:
+        got = np.asarray(_contraction(sigma)(
+            np.tile(cfg.x0[:, None], (1, p + 1)), noise))
+    except (ValueError, IndexError) as exc:
+        raise SigmaMismatchError(
+            f"sigma.apply does not take (p, N) columns: {exc}") from exc
+    if got.shape != (p, p + 1):
+        raise SigmaMismatchError(
+            f"sigma.apply returned shape {got.shape} for (p, N) columns "
+            f"of shape {(p, p + 1)}")
+    gap = float(np.abs(got - S @ noise).max())
     if gap > TOL.feasibility * (1.0 + float(np.abs(S).max())):
         raise SigmaMismatchError(
             f"sigma.apply differs from sigma at x0 by {gap:.3e}")
@@ -237,12 +266,14 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
 
 def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
          on_step=None, keep_paths: bool = True):
-    """Shared Euler stepping kernel.
+    """Shared Euler stepping kernel on columns: the state x is (p, N).
 
-    ``on_step(step_index, states)`` is called for every stored grid index
-    including 0; when keep_paths is false the full array is not materialized.
-    The noise enters through sigma(x) z (``_contraction``), so evaluators
-    with a matrix-free ``apply`` never build sigma(x) here.
+    ``on_step(step_index, x)`` is called with the (p, N) state for every
+    stored grid index including 0; when keep_paths is false the full array
+    is not materialized.  The noise enters through sigma(x) z
+    (``_contraction``), so evaluators with a matrix-free ``apply`` never
+    build sigma(x) here.  Returns the stored states (n_paths, steps+1, p) or
+    None, the final states (n_paths, p) and the nonfinite flags.
     """
     _check_start(model, sigma, cfg)
     contract = _contraction(sigma)
@@ -255,34 +286,36 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
     if full_trunc and projector is None:
         projector = make_projector(model.state_space)
 
-    x = np.tile(cfg.x0, (n, 1))
+    x = np.tile(cfg.x0[:, None], (1, n))
     states = np.empty((n, cfg.steps + 1, p)) if keep_paths else None
     if keep_paths:
-        states[:, 0] = x
+        states[:, 0] = x.T
     nonfinite = np.zeros(n, dtype=bool)
     if on_step is not None:
         on_step(0, x)
 
-    a, b = model.drift.a, model.drift.b
+    # b spread over the paths once: a broadcast add is slower in the loop
+    a, b = model.drift.a, np.repeat(model.drift.b[:, None], n, axis=1)
     # sigma sees the projected state; after the first step x is projected
     # already, and a projection maps its image to itself
     xs = projector(x) if full_trunc else x
     for step in range(cfg.steps):
-        noise = normals(step, n, p)
+        # drawn as (N, p), one row per path: the draw order fixes the paths
+        noise = np.ascontiguousarray(normals(step, n, p).T)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = x + (x @ a.T + b) * dt + contract(xs, noise) * sqdt
+            x_new = x + (a @ x + b) * dt + contract(xs, noise) * sqdt
         if not np.isfinite(x_new).all():
-            bad = ~np.isfinite(x_new).all(axis=1)
+            bad = ~np.isfinite(x_new).all(axis=0)
             nonfinite |= bad
-            x_new[bad] = x[bad]  # freeze exploded paths at the last finite state
+            x_new[:, bad] = x[:, bad]  # freeze exploded paths at the last finite state
         if full_trunc:
             x_new = projector(x_new)
         x = xs = x_new
         if keep_paths:
-            states[:, step + 1] = x
+            states[:, step + 1] = x.T
         if on_step is not None:
             on_step(step + 1, x)
-    return states, x, nonfinite
+    return states, np.ascontiguousarray(x.T), nonfinite
 
 
 def simulate_paths(model: ModelSpec, sigma, cfg: SimConfig,
@@ -320,8 +353,9 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
     """Run the same stepping kernel as simulate_paths but reduce on the fly.
 
     Produces final states, per-path minima of the given functionals over the
-    whole grid, and exit statistics, without storing the paths; results agree
-    exactly with reducing a stored ensemble (same noise keying).
+    whole grid (each is called with the (N, p) rows of the states), and exit
+    statistics, without storing the paths; results agree exactly with
+    reducing a stored ensemble (same noise keying).
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
     tracker = _ExitTracker(model.state_space, cfg.n_paths, tol)
@@ -330,7 +364,7 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
     def on_step(step, x):
         tracker.update(step, x)
         for k, fn in enumerate(functionals):
-            minima[k] = np.minimum(minima[k], fn(x))
+            minima[k] = np.minimum(minima[k], fn(x.T))
 
     _, final, nonfinite = _run(model, sigma, cfg, projector,
                                on_step=on_step, keep_paths=False)
@@ -373,7 +407,7 @@ def invariance_monte_carlo(ens: PathEnsemble, space, tol: float) -> ExitStats:
     first-exit-time histogram."""
     tracker = _ExitTracker(space, ens.n_paths, tol)
     for step in range(ens.states.shape[1]):
-        tracker.update(step, ens.states[:, step])
+        tracker.update(step, ens.states[:, step].T)
     return _stats_from_tracker(tracker, ens.times)
 
 

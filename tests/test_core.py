@@ -72,11 +72,12 @@ def test_psd_square_root_general_gives_abs():
 
 
 def test_psd_factor_reconstructs_psd_batches():
+    # the batch is the last axis: S is (p, p, N)
     rng = np.random.default_rng(2)
     for p in (1, 2, 3, 4):
         G = rng.standard_normal((200, p, p))
         S = G @ np.swapaxes(G, 1, 2) + 1e-3 * np.eye(p)
-        R = psd_factor(S)
+        R = np.moveaxis(psd_factor(np.moveaxis(S, 0, -1)), -1, 0)
         assert np.abs(R @ np.swapaxes(R, 1, 2) - S).max() <= 1e-12 * \
             (1 + np.abs(S).max())
         assert np.array_equal(R, np.tril(R))   # the Cholesky factor
@@ -96,19 +97,20 @@ def test_psd_factor_falls_back_row_locally(monkeypatch):
     rng = np.random.default_rng(3)
     G = rng.standard_normal((6, 3, 3))
     S = G @ np.swapaxes(G, 1, 2)
-    psd_factor(S)
+    psd_factor(np.moveaxis(S, 0, -1))
     assert seen == []          # no pivot failed: no eigendecomposition
     S[1] = np.outer([1.0, 2.0, -1.0], [1.0, 2.0, -1.0])   # rank one
     S[4] = np.diag([1.0, -2.0, 3.0])                      # indefinite
-    R = psd_factor(S)
-    assert seen == [2]         # only the two failing rows
+    R = np.moveaxis(psd_factor(np.moveaxis(S, 0, -1)), -1, 0)
+    assert seen == [2]         # only the two failing matrices
     for i in (1, 4):
         assert np.array_equal(R[i], real(S[i:i + 1])[0])
     assert np.abs(R[1] @ R[1].T - S[1]).max() <= 1e-12
-    # each factor depends on its own row only
+    # each factor depends on its own matrix only
+    flipped = psd_factor(np.moveaxis(S[::-1], 0, -1))
     for i in range(6):
         assert np.array_equal(R[i], psd_factor(S[i]))
-        assert np.array_equal(R[i], psd_factor(S[::-1])[5 - i])
+        assert np.array_equal(R[i], flipped[..., 5 - i])
 
 
 def test_psd_square_root_rejects_nonsymmetric():

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                           ModelSpec, Polyhedron)
+                           ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace)
 from affinvar.errors import PreconditionFailedError, SigmaMismatchError
 from affinvar.modelio import load_fixture
 from affinvar.polyhedral import (build_square_root, canonical_transform,
@@ -13,7 +13,8 @@ from affinvar.quadratic import (ParabolicDecomposition, cone_square_root,
                                 parabolic_theta_decompose)
 from affinvar.simulate import (PathEnsemble, Scheme, SimConfig, _noise_stream,
                                boundary_attainment, invariance_monte_carlo,
-                               mean_ode, simulate_paths, simulate_summary)
+                               make_projector, mean_ode, simulate_paths,
+                               simulate_summary)
 
 
 def _cir_setup(b=1.0):
@@ -157,10 +158,13 @@ def _sigma_cases():
 
 @pytest.mark.parametrize("sigma,x", _sigma_cases())
 def test_apply_matches_matrix(sigma, x):
+    # apply takes and returns columns (p, N); the matrices are row-batched
     z = np.random.default_rng(7).standard_normal(x.shape)
     S = sigma(x)
     want = np.einsum("nij,nj->ni", S, z)
-    assert np.abs(sigma.apply(x, z) - want).max() <= 1e-12 * (1 + np.abs(S).max())
+    got = sigma.apply(np.ascontiguousarray(x.T), np.ascontiguousarray(z.T))
+    assert got.shape == want.T.shape
+    assert np.abs(got - want.T).max() <= 1e-12 * (1 + np.abs(S).max())
 
 
 def test_apply_mismatch_rejected():
@@ -172,6 +176,101 @@ def test_apply_mismatch_rejected():
     bad.apply = lambda x, z: 2.0 * sigma.apply(x, z)
     with pytest.raises(SigmaMismatchError):
         simulate_paths(model, bad, SimConfig(np.array([0.5]), 1.0, 10, 5, seed=0))
+
+
+def _canonical_case(fixture):
+    """Canonical model, sigma evaluator and start point of a fixture."""
+    m = load_fixture(fixture)
+    if fixture in ("cir", "triangle_channel"):
+        ct = canonical_transform(m)
+        x0 = [0.5] if fixture == "cir" else [1.0, 1.0, 0.0, 0.0]
+        return transform_model(m, ct), build_square_root(ct), np.array(x0)
+    if fixture == "parabola3":
+        sigma = parabolic_square_root(parabolic_theta_decompose(m.diffusion, 3))
+    else:
+        sigma = cone_square_root(3)
+    return m, sigma, np.array([1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("fixture", ["cone3", "triangle_channel"])
+def test_row_contract_apply_rejected(fixture):
+    # an apply on the (N, p) row contract must not pass the start check
+    model, sigma, x0 = _canonical_case(fixture)
+
+    def bad(x):
+        return sigma(x)
+
+    bad.apply = lambda x, z: np.einsum("nij,nj->ni", sigma(x), z)
+    with pytest.raises(SigmaMismatchError):
+        simulate_paths(model, bad, SimConfig(x0, 1.0, 10, 5, seed=0))
+
+
+def test_q1_cone_projector_rejected():
+    # {x_1^2 >= 0} is all of R^2: a clamp of x_1 would move (-2, 1), a member
+    space = QuadraticSpace(QuadraticForm(np.diag([1.0, 0.0]), np.zeros(2), 0.0))
+    assert space.contains(np.array([-2.0, 1.0]))
+    with pytest.raises(PreconditionFailedError):
+        make_projector(space)
+
+
+def _reference_euler(model, sigma, cfg):
+    """Row-major Euler loop from the sigma(x) matrices, independent of the
+    kernel: final states (N, p), first exit steps and nonfinite flags."""
+    space = model.state_space
+    p = model.dimension
+
+    def clamp(x):              # full truncation on rows (N, p)
+        out = x.copy()
+        if isinstance(space, Polyhedron):
+            # the coordinate facets x_j >= 0; the drift keeps the others
+            for g, d in zip(space.gamma, space.delta):
+                if d == 0.0 and np.count_nonzero(g) == 1:
+                    j = int(np.flatnonzero(g)[0])
+                    out[:, j] = np.maximum(out[:, j], 0.0)
+        else:
+            yy = np.sum(out[:, 1:] ** 2, axis=1)
+            if space.form.b[0]:            # parabola x_1 >= y^T y
+                out[:, 0] = np.maximum(out[:, 0], yy)
+            else:                          # cone x_1 >= |y|
+                out[:, 0] = np.maximum(out[:, 0], np.sqrt(yy) * (1.0 + 1e-12))
+        return out
+
+    def exits(x):
+        if isinstance(space, Polyhedron):
+            return np.any(space.evaluate(x) < -1e-8, axis=1)
+        return space.signed_value(x) < -1e-8
+
+    full = cfg.scheme is Scheme.FULL_TRUNCATION_EULER
+    normals = _noise_stream(cfg.seed)
+    dt = cfg.horizon / cfg.steps
+    x = np.tile(cfg.x0, (cfg.n_paths, 1))
+    exit_step = np.where(exits(x), 0, -1)
+    nonfinite = np.zeros(cfg.n_paths, dtype=bool)
+    for step in range(cfg.steps):
+        xs = clamp(x) if full else x
+        noise = np.einsum("nij,nj->ni", sigma(xs), normals(step, cfg.n_paths, p))
+        x_new = x + model.drift(x) * dt + noise * np.sqrt(dt)
+        bad = ~np.isfinite(x_new).all(axis=1)
+        nonfinite |= bad
+        x_new[bad] = x[bad]
+        x = clamp(x_new) if full else x_new
+        exit_step[(exit_step < 0) & exits(x)] = step + 1
+    return x, exit_step, nonfinite
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("fixture",
+                         ["cir", "triangle_channel", "parabola3", "cone3"])
+def test_kernel_matches_row_major_reference(fixture, scheme):
+    model, sigma, x0 = _canonical_case(fixture)
+    cfg = SimConfig(x0, 1.0, 20, 50, seed=3, scheme=scheme)
+    final, exit_step, nonfinite = _reference_euler(model, sigma, cfg)
+    summ = simulate_summary(model, sigma, cfg)
+    scale = 1.0 + float(np.abs(final).max())
+    assert summ.final_states.shape == final.shape
+    assert np.abs(summ.final_states - final).max() <= 1e-12 * scale
+    assert np.array_equal(summ.exit_stats.exit_steps, exit_step)
+    assert np.array_equal(summ.nonfinite, nonfinite)
 
 
 def test_full_truncation_membership_guarantee():
