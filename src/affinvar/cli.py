@@ -8,7 +8,6 @@ checks passed, 1 checks failed, 2 parse error, 3 internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
@@ -34,7 +33,7 @@ from .quadratic import (QuadricClassification, check_cone_admissibility,
                         parabolic_square_root, parabolic_theta_decompose)
 from .simulate import (Scheme, SimConfig, mean_ode, simulate_paths,
                        simulate_summary)
-from .tolerances import TOL, set_global_tolerance
+from .tolerances import TOL, tolerances
 
 EXIT_OK, EXIT_CHECKS, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -424,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("model", help="model JSON file")
         sp.add_argument("--out", help="write the JSON report to this file")
         sp.add_argument("--tol", type=float, default=None,
-                        help="override the global check tolerance")
+                        help="rescale the check tolerances for this call")
         sp.add_argument("--seed", type=int, default=0,
                         help="random seed (used by simulate)")
 
@@ -469,14 +468,13 @@ def _command(name: str):
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    saved = dataclasses.asdict(TOL)
     try:
-        tol = getattr(args, "tol", None)
-        if tol is not None:
-            if not (math.isfinite(tol) and tol > 0):
-                raise ParseError(f"--tol must be finite and positive, got {tol!r}")
-            set_global_tolerance(tol)
-        return _command(args.command)(args)
+        if args.tol is None:
+            return _command(args.command)(args)
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ParseError(f"--tol must be finite and positive, got {args.tol!r}")
+        with tolerances(feasibility=args.tol):
+            return _command(args.command)(args)
     except ParseError as exc:
         print(json.dumps({"schema": 1, "error": "parse", "detail": str(exc)}),
               file=sys.stderr)
@@ -491,9 +489,6 @@ def main(argv=None) -> int:
         print(json.dumps({"schema": 1, "error": "internal", "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_INTERNAL
-    finally:
-        for name, value in saved.items():  # --tol applies to this call only
-            setattr(TOL, name, value)
 
 
 if __name__ == "__main__":

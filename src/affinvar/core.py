@@ -28,7 +28,7 @@ def _asarray(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-def symmetrize(S, rtol: float | None = None) -> np.ndarray:
+def symmetrize(S) -> np.ndarray:
     """Return (S + S^T)/2 after checking the asymmetry is within tolerance.
 
     Small asymmetry (I/O rounding) is absorbed; anything larger is rejected so
@@ -37,25 +37,14 @@ def symmetrize(S, rtol: float | None = None) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {S.shape}")
-    rtol = TOL.sym_rtol if rtol is None else rtol
     scale = max(1.0, float(np.abs(S).max()) if S.size else 0.0)
     asym = float(np.abs(S - S.T).max()) if S.size else 0.0
-    if asym > rtol * scale:
-        raise NotSymmetricError(f"matrix asymmetry {asym:.3e} exceeds {rtol:.1e} relative")
+    if asym > TOL.sym_rtol * scale:
+        raise NotSymmetricError(
+            f"matrix asymmetry {asym:.3e} exceeds {TOL.sym_rtol:.1e} relative")
     out = 0.5 * (S + S.T)
     out.setflags(write=False)
     return out
-
-
-def min_eigenvalue(S: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(S)[0])
-
-
-def is_psd(S: np.ndarray, tol: float | None = None) -> bool:
-    """Scale-relative PSD test: min eigenvalue >= -tol * (1 + spectral norm)."""
-    tol = TOL.psd if tol is None else tol
-    w = np.linalg.eigvalsh(S)
-    return bool(w[0] >= -tol * (1.0 + abs(float(w[-1])) + abs(float(w[0]))))
 
 
 def psd_square_root(S) -> np.ndarray:
@@ -418,21 +407,15 @@ def change_model_coordinates(model: ModelSpec, L: np.ndarray, ell: np.ndarray,
                      model.diffusion.congruence(L, ell), new_space)
 
 
-def spot_check_psd(model: ModelSpec, points: np.ndarray,
-                   tol: float | None = None) -> tuple[bool, float]:
+def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:
     """Check theta(x) is PSD at each sample point (the X in D containment).
 
     Returns (all_pass, worst relative min-eigenvalue margin).
     """
-    tol = TOL.psd if tol is None else tol
     worst = np.inf
-    ok = True
     for x in np.atleast_2d(np.asarray(points, dtype=float)):
         S = model.diffusion(x)
         w = np.linalg.eigvalsh(0.5 * (S + S.T))
         scale = 1.0 + abs(float(w[-1])) + abs(float(w[0]))
-        margin = float(w[0]) / scale
-        worst = min(worst, margin)
-        if margin < -tol:
-            ok = False
-    return ok, worst
+        worst = min(worst, float(w[0]) / scale)
+    return worst >= -TOL.psd, worst

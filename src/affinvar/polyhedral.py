@@ -71,16 +71,17 @@ def _require_polyhedron(model: ModelSpec) -> Polyhedron:
     return poly if poly.minimal else minimalize(poly)
 
 
-def _coefficient_scale(field: AffineMatrixField) -> float:
-    """1 + the largest coefficient magnitudes: the scale of coefficient residuals."""
-    return 1.0 + float(np.abs(field.A0).max(initial=0.0)) + \
-        float(np.abs(field.A).max(initial=0.0))
+def _coefficient_scale(*coeffs: np.ndarray) -> float:
+    """1 + the largest magnitude of each coefficient array, added in the
+    order given: the scale of coefficient residuals."""
+    return sum((float(np.abs(c).max(initial=0.0)) for c in coeffs), 1.0)
 
 
-def _coefficient_residual(f: AffineMatrixField, g: AffineMatrixField) -> float:
-    """Largest coefficient difference between two matrix fields."""
-    return max(float(np.abs(f.A0 - g.A0).max(initial=0.0)),
-               float(np.abs(f.A - g.A).max(initial=0.0)))
+def _coefficient_residual(f: tuple, g: tuple) -> float:
+    """Largest difference between matching coefficient arrays of f and g,
+    e.g. the (constant, linear) coefficients of two affine fields."""
+    return max(float(np.abs(a - b).max(initial=0.0))
+               for a, b in zip(f, g, strict=True))
 
 
 def _facet_coupling_row(theta: AffineMatrixField, poly: Polyhedron,
@@ -107,15 +108,10 @@ def _lift(drift: AffineVectorField, poly: Polyhedron,
     q = poly.n_facets
     a_bar = np.array([cert.lam for cert in certs]).reshape(q, q)
     b_bar = np.array([cert.c for cert in certs])
-    lhs_lin = poly.gamma @ drift.a
-    lhs_const = poly.gamma @ drift.b
-    rhs_lin = a_bar @ poly.gamma
-    rhs_const = a_bar @ poly.delta + b_bar
-    scale = 1.0 + float(np.abs(lhs_lin).max(initial=0.0)) + \
-        float(np.abs(lhs_const).max(initial=0.0))
-    resid = max(float(np.abs(lhs_lin - rhs_lin).max(initial=0.0)),
-                float(np.abs(lhs_const - rhs_const).max(initial=0.0)))
-    if resid > TOL.feasibility * scale:
+    lhs = (poly.gamma @ drift.a, poly.gamma @ drift.b)
+    rhs = (a_bar @ poly.gamma, a_bar @ poly.delta + b_bar)
+    resid = _coefficient_residual(lhs, rhs)
+    if resid > TOL.feasibility * _coefficient_scale(*lhs):
         raise NotAdmissibleError(
             f"lifted drift reconstruction residual {resid:.3e} out of tolerance")
     return a_bar, b_bar
@@ -312,7 +308,7 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
 
     k = m + n
     canon = theta.congruence(L, ell)
-    scale = _coefficient_scale(canon)
+    scale = _coefficient_scale(canon.A0, canon.A)
     resid = float(np.abs(canon.A[k:, k:, k:]).max(initial=0.0))
     if resid > TOL.fit_residual * scale:
         raise ModelInconsistencyError(
@@ -337,8 +333,8 @@ def _verify_block_identity(ct: CanonicalTransform,
     A[np.arange(m), np.arange(m), np.arange(m)] = 1.0
     A0[k:, k:] = ct.psi.A0
     A[:k, k:, k:] = ct.psi.A
-    resid = _coefficient_residual(canon, AffineMatrixField(A0, A))
-    if resid > TOL.block_identity * _coefficient_scale(canon):
+    resid = _coefficient_residual((canon.A0, canon.A), (A0, A))
+    if resid > TOL.block_identity * _coefficient_scale(canon.A0, canon.A):
         raise RankDeficiencyError(
             f"block identity residual {resid:.3e} exceeds tolerance; "
             "internal inconsistency in the canonical construction")
@@ -468,8 +464,9 @@ def check_triangle_condition(poly: Polyhedron) -> bool:
 
 def _verify_decomposition(dec: PsdFacetDecomposition, theta: AffineMatrixField,
                           poly: Polyhedron) -> None:
-    resid = _coefficient_residual(dec.reconstruct(poly), theta)
-    if resid > TOL.feasibility * _coefficient_scale(theta):
+    rec = dec.reconstruct(poly)
+    resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
+    if resid > TOL.feasibility * _coefficient_scale(theta.A0, theta.A):
         raise _RouteFailed(f"reconstruction residual {resid:.3e}")
     for Bmat in [dec.B0, *dec.Bi]:
         w = np.linalg.eigvalsh(Bmat)
@@ -537,7 +534,7 @@ def _route_projection(theta: AffineMatrixField, poly: Polyhedron):
     q, p = poly.gamma.shape
     vec, unvec, s = _sym_vec_ops(p)
     nvar = (q + 1) * s
-    scale = _coefficient_scale(theta)
+    scale = _coefficient_scale(theta.A0, theta.A)
 
     # linear system: B0 + sum_i delta_i Bi = A0 ; sum_i gamma_ik Bi = A_k
     C = np.zeros(((p + 1) * s, nvar))
@@ -748,9 +745,9 @@ def _verify_extension(ext: ExtendedModel, model: ModelSpec) -> None:
     theta, theta_ext = model.diffusion, ext.model.diffusion
     lhs = np.einsum("ia,jab,kb->jik", R, theta_ext.A, R)
     rhs = np.einsum("kj,kab->jab", R, theta.A)
-    resid = max(float(np.abs(R @ theta_ext.A0 @ R.T - theta.A0).max()),
-                float(np.abs(lhs - rhs).max()))
-    if resid > TOL.block_identity * _coefficient_scale(theta) * 10:
+    resid = _coefficient_residual((R @ theta_ext.A0 @ R.T, lhs),
+                                  (theta.A0, rhs))
+    if resid > TOL.block_identity * _coefficient_scale(theta.A0, theta.A) * 10:
         raise PreconditionFailedError(
             "extension congruence residual out of tolerance; the supplied "
             "decomposition does not match the model")
@@ -817,8 +814,9 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
     """
     poly = _require_polyhedron(model)
     p, q = model.dimension, poly.n_facets
-    resid = _coefficient_residual(cm.reconstructed(), model.diffusion)
-    reconstruction_ok = resid <= 1e-10 * _coefficient_scale(model.diffusion)
+    rec, theta = cm.reconstructed(), model.diffusion
+    resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
+    reconstruction_ok = resid <= 1e-10 * _coefficient_scale(theta.A0, theta.A)
     if not reconstruction_ok:
         raise ModelInconsistencyError(
             f"Sigma diag(v) Sigma^T does not reproduce theta (residual {resid:.3e})")

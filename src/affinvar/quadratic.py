@@ -75,7 +75,7 @@ def verify_theta_zero_lemma(theta: AffineMatrixField) -> bool:
     """
     p = theta.size
     coeffs = _row_field_coefficients(np.zeros(p), np.eye(p), theta.A0, theta.A)
-    return float(np.abs(coeffs).max()) <= 1e-10 * _coefficient_scale(theta)
+    return float(np.abs(coeffs).max()) <= 1e-10 * _coefficient_scale(theta.A0, theta.A)
 
 
 # ---------------------------------------------------------------------------
@@ -765,8 +765,7 @@ def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport
     comp = _row_field_coefficients(phi.b, 2.0 * phi.A, theta.A0, theta.A)
     v = comp @ phi_vec / float(phi_vec @ phi_vec)
     resid = np.abs(comp - v[:, None] * phi_vec).max(axis=1)
-    scale = _coefficient_scale(theta) * \
-        (1.0 + float(np.abs(phi.A).max()) + float(np.abs(phi.b).max(initial=0.0)))
+    scale = _coefficient_scale(theta.A0, theta.A) * _coefficient_scale(phi.A, phi.b)
     bad = np.nonzero(resid > TOL.psd * scale)[0]
     if bad.size:
         raise PhiVMismatchError(
@@ -787,7 +786,7 @@ def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport
     from scipy.stats import qmc  # costly to import, and needed only here
     sampler = qmc.Halton(d=p, seed=0)
     pts = 20.0 * sampler.random(10_000) - 10.0
-    inside = model.state_space.contains(pts, tol=TOL.membership)
+    inside = model.state_space.contains(pts)
     pts = pts[np.asarray(inside)]
     if pts.shape[0] == 0:
         return OpenInvarianceReport(v, False, True, float("nan"))

@@ -37,6 +37,8 @@ from .errors import PreconditionFailedError, SigmaMismatchError
 from .quadratic import _canonical_kind
 from .tolerances import TOL
 
+_EXIT_TOL = 1e-8  # how far outside the state space a state counts as exited
+
 
 class Scheme(Enum):
     FULL_TRUNCATION_EULER = "full-truncation"
@@ -236,7 +238,7 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
     if cfg.x0.shape != (model.dimension,):
         raise PreconditionFailedError(
             f"x0 has shape {cfg.x0.shape}, expected ({model.dimension},)")
-    if not bool(model.state_space.contains(cfg.x0, tol=TOL.membership)):
+    if not bool(model.state_space.contains(cfg.x0)):
         raise PreconditionFailedError("x0 is outside the state space")
     S = np.asarray(sigma(cfg.x0[None]))[0]
     resid = float(np.abs(S @ S.T - model.diffusion(cfg.x0)).max())
@@ -328,7 +330,7 @@ def simulate_paths(model: ModelSpec, sigma, cfg: SimConfig,
     the square-root guards in sigma handle excursions.
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    tracker = _ExitTracker(model.state_space, cfg.n_paths, 1e-8)
+    tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
 
     def on_step(step, x):
         tracker.update(step, x)
@@ -349,7 +351,7 @@ class SimSummary:
 
 
 def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
-                     functionals: tuple = (), tol: float = 1e-8) -> SimSummary:
+                     functionals: tuple = ()) -> SimSummary:
     """Run the same stepping kernel as simulate_paths but reduce on the fly.
 
     Produces final states, per-path minima of the given functionals over the
@@ -358,7 +360,7 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
     reducing a stored ensemble (same noise keying).
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    tracker = _ExitTracker(model.state_space, cfg.n_paths, tol)
+    tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
     minima = np.full((len(functionals), cfg.n_paths), np.inf)
 
     def on_step(step, x):

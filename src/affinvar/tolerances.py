@@ -1,14 +1,17 @@
-"""Central numeric tolerances.
+"""Numeric tolerances, scoped to the call that sets them.
 
-All comparisons in the package read from the module-level ``TOL`` instance so
-that the CLI ``--tol`` flag can rescale every check consistently.  Individual
-fields keep their relative proportions when rescaled.
+Every comparison in the package reads ``TOL``, a read-only view of the frozen
+``Tolerances`` in effect in the current context (thread or asyncio task).
+``with tolerances(feasibility=x):`` puts a rescaled copy in effect for the
+block only, so a CLI ``--tol`` call is seen by no other thread or call.
 """
 
-from dataclasses import dataclass, fields
+from contextlib import contextmanager
+from contextvars import ContextVar
+from dataclasses import dataclass, fields, replace
 
 
-@dataclass
+@dataclass(frozen=True)
 class Tolerances:
     # value-type hygiene
     sym_rtol: float = 1e-12      # relative asymmetry absorbed by symmetrization
@@ -27,24 +30,39 @@ class Tolerances:
     sampled_min: float = 1e-7    # grid-minimum slack for sampled inequality checks
 
 
-TOL = Tolerances()
-
-_DEFAULTS = Tolerances()
-_SCALABLE = (
-    "membership", "psd", "feasibility", "lam_clip", "interior_slack",
-    "zero_row", "block_identity", "fit_residual", "eig_zero", "sampled_min",
-)
+_CURRENT: ContextVar[Tolerances] = ContextVar("tolerances", default=Tolerances())
 
 
-def set_global_tolerance(feasibility: float) -> None:
-    """Rescale every check tolerance so that ``feasibility`` becomes the new
-    LP/coefficient tolerance; the other fields keep their default ratios."""
-    factor = feasibility / _DEFAULTS.feasibility
-    for f in fields(Tolerances):
-        if f.name in _SCALABLE:
-            setattr(TOL, f.name, getattr(_DEFAULTS, f.name) * factor)
+def current() -> Tolerances:
+    """The tolerances in effect in this context."""
+    return _CURRENT.get()
 
 
-def reset_tolerances() -> None:
-    for f in fields(Tolerances):
-        setattr(TOL, f.name, getattr(_DEFAULTS, f.name))
+@contextmanager
+def tolerances(feasibility: float):
+    """Put the defaults, rescaled so that ``feasibility`` is the LP/coefficient
+    tolerance, in effect for the block: every check tolerance keeps its ratio
+    to it; ``sym_rtol`` and ``box`` are not check tolerances and stay."""
+    base = Tolerances()
+    factor = feasibility / base.feasibility
+    scaled = replace(base, **{f.name: getattr(base, f.name) * factor
+                              for f in fields(base)
+                              if f.name not in ("sym_rtol", "box")})
+    token = _CURRENT.set(scaled)
+    try:
+        yield scaled
+    finally:
+        _CURRENT.reset(token)
+
+
+class _CurrentView:
+    """``TOL.psd`` reads the field of the tolerances in effect; there is no
+    setter."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        return getattr(_CURRENT.get(), name)
+
+
+TOL = _CurrentView()

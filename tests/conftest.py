@@ -8,6 +8,7 @@ import pytest
 
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron)
+from affinvar.tolerances import Tolerances, current, tolerances
 
 
 def grid_min(d: AffineScalar, poly: Polyhedron, lo: float = -10.0,
@@ -146,6 +147,16 @@ def random_affine_image(rng: np.random.Generator, model: ModelSpec,
     A, s = random_affine_map(rng, model.dimension, max_scale)
     space = model.state_space.transformed(A, s)
     return change_model_coordinates(model, A, s, space)
+
+
+@pytest.fixture(autouse=True)
+def tolerance_leak_guard():
+    """Fails the test that leaves other tolerances than the defaults in
+    effect, and puts the defaults back, so that no later test sees them."""
+    with tolerances(feasibility=Tolerances().feasibility):
+        yield
+        left = current()
+    assert left == Tolerances(), f"the test left tolerances in effect: {left}"
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import affinvar.cli
 from affinvar.cli import main
 from affinvar.modelio import fixture_path, load_model
-from affinvar.tolerances import TOL, Tolerances
+from affinvar.tolerances import TOL, Tolerances, current
 
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 
@@ -190,7 +191,7 @@ def test_bad_tol_rejected(capsys, tol):
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert "--tol" in json.loads(captured.err)["detail"]
-    assert TOL == Tolerances()
+    assert current() == Tolerances()
 
 
 def test_simulate_deterministic_reports(capsys):
@@ -223,4 +224,34 @@ def test_tol_flag(capsys, monkeypatch):
     assert code == 0
     # in effect during the call, and gone once main returns
     assert seen == [pytest.approx(1e-7)]
-    assert TOL == Tolerances()
+    assert current() == Tolerances()
+
+
+def test_tol_scoped_per_thread(capsys, monkeypatch):
+    # both threads are inside their --tol call when either reads TOL, and
+    # neither has returned before the other has read
+    barrier = threading.Barrier(2, timeout=60)
+    seen, after = {}, {}
+    validate = affinvar.cli.cmd_validate
+
+    def spy(args):
+        barrier.wait()
+        seen[args.tol] = TOL.feasibility
+        barrier.wait()
+        return validate(args)
+
+    def call(tol):
+        after[tol] = (main(["validate", str(fixture_path("cir")),
+                            "--tol", str(tol)]), current())
+
+    monkeypatch.setattr(affinvar.cli, "cmd_validate", spy)
+    threads = [threading.Thread(target=call, args=(tol,))
+               for tol in (1e-6, 1e-7)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads)
+    capsys.readouterr()
+    assert seen == {1e-6: pytest.approx(1e-6), 1e-7: pytest.approx(1e-7)}
+    assert after == {tol: (0, Tolerances()) for tol in (1e-6, 1e-7)}

@@ -10,7 +10,7 @@ from affinvar.convex import (FarkasCertificate, _minimize_affine,
 from affinvar.core import AffineScalar, Polyhedron
 from affinvar.errors import (InteriorEmptyError, NotNonnegativeError,
                              NotNonnegativeOnFacetError)
-from affinvar.tolerances import TOL, reset_tolerances, set_global_tolerance
+from affinvar.tolerances import TOL, tolerances
 from conftest import grid_min, grid_min_bruteforce, random_grid_simplex
 
 UNIT_SQUARE = Polyhedron(
@@ -130,20 +130,16 @@ def test_interior_point_memo_keyed_and_private(lp_calls):
     # a slab of width 2e-8: its center has slack 1e-8, interior under the
     # default interior_slack (1e-9) but not under --tol 1e-6 (1e-7)
     slab = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1e-8, 1e-8]))
-    try:
-        x = interior_point(slab)
-        assert x is not None and abs(x[0]) < 1e-9
-        solved = len(lp_calls)
-        x[0] = 5.0                      # the caller's copy, not the memo
-        again = interior_point(slab)
-        assert len(lp_calls) == solved and abs(again[0]) < 1e-9
-        set_global_tolerance(1e-6)
+    x = interior_point(slab)
+    assert x is not None and abs(x[0]) < 1e-9
+    solved = len(lp_calls)
+    x[0] = 5.0                      # the caller's copy, not the memo
+    again = interior_point(slab)
+    assert len(lp_calls) == solved and abs(again[0]) < 1e-9
+    with tolerances(feasibility=1e-6):
         assert interior_point(slab) is None
-        reset_tolerances()
-        x = interior_point(slab)
-        assert x is not None and abs(x[0]) < 1e-9
-    finally:
-        reset_tolerances()
+    x = interior_point(slab)
+    assert x is not None and abs(x[0]) < 1e-9
 
 
 def _minimalize_by_lp(poly: Polyhedron) -> list[int]:
