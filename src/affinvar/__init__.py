@@ -7,12 +7,11 @@ classification, and reproducible Monte Carlo simulation.
 
 __version__ = "0.1.0"
 
-from .convex import (FarkasCertificate, detect_facet_multiple, facet_nonempty,
-                     facet_relative_decompose, farkas_decompose,
-                     interior_point, minimalize)
+from .convex import (FarkasCertificate, facet_relative_decompose,
+                     farkas_decompose, interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
                    ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace,
-                   evaluate_theta, psd_square_root)
+                   psd_square_root)
 from .modelio import load_fixture, load_model, save_model
 from .polyhedral import (CanonicalTransform, ClassicalModel,
                          PsdFacetDecomposition, build_square_root,

@@ -424,8 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="write the JSON report to this file")
         sp.add_argument("--tol", type=float, default=None,
                         help="rescale the check tolerances for this call")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="random seed (used by simulate)")
 
     sp = sub.add_parser("validate", help="run the admissibility suite")
     common(sp)
@@ -446,6 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=0,
                     help="steps (default 1000 per unit time)")
     sp.add_argument("--paths", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0, help="random seed")
     sp.add_argument("--x0", help="comma-separated start point")
     sp.add_argument("--scheme", choices=["full-truncation", "plain"],
                     default="full-truncation")

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .core import AffineScalar, Polyhedron
-from .errors import (InteriorEmptyError, NotNonnegativeError,
-                     NotNonnegativeOnFacetError, ToleranceWarning)
+from .core import (AffineScalar, Polyhedron, _coefficient_residual,
+                   _coefficient_scale)
+from .errors import (NotNonnegativeError, NotNonnegativeOnFacetError,
+                     ToleranceWarning)
 from .tolerances import TOL
 
 
@@ -74,9 +75,9 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
     c = max(res.x[q], 0.0)
     if np.any(np.abs(res.x) > 0.999 * box):
         warnings.warn("certificate multiplier at the LP box bound",
-                      ToleranceWarning, stacklevel=3)
+                      ToleranceWarning, stacklevel=4)
     cert = FarkasCertificate(lam, float(c))
-    if cert.residual(d, poly) > TOL.feasibility * (1.0 + np.abs(b_eq).max()):
+    if cert.residual(d, poly) > TOL.feasibility * _coefficient_scale(b_eq):
         return None
     return cert
 
@@ -96,20 +97,31 @@ def _minimize_affine(d: AffineScalar, poly: Polyhedron,
     return res.x if res.status == 0 else None
 
 
+def _decompose(d: AffineScalar, poly: Polyhedron,
+               facet: int | None) -> FarkasCertificate:
+    """The certificate LP, and when it fails the witness LP over the
+    polyhedron, or over the given facet segment, raised with the error."""
+    cert = _certificate_lp(d, poly, free=facet)
+    if cert is not None:
+        return cert
+    witness = _minimize_affine(d, poly, facet=facet)
+    value = d(witness) if witness is not None else None
+    if facet is None:
+        raise NotNonnegativeError("no Farkas certificate: functional is negative "
+                                  "somewhere on the polyhedron",
+                                  witness=witness, value=value)
+    raise NotNonnegativeOnFacetError(
+        f"functional is negative on facet segment {facet}", facet=facet,
+        witness=witness, value=value)
+
+
 def farkas_decompose(d: AffineScalar, poly: Polyhedron) -> FarkasCertificate:
     """Certificate that d >= 0 on the polyhedron, or a witness of the contrary.
 
     Raises NotNonnegativeError carrying a point where d is negative when no
     certificate exists.
     """
-    cert = _certificate_lp(d, poly)
-    if cert is not None:
-        return cert
-    witness = _minimize_affine(d, poly)
-    value = d(witness) if witness is not None else None
-    raise NotNonnegativeError("no Farkas certificate: functional is negative "
-                              "somewhere on the polyhedron",
-                              witness=witness, value=value)
+    return _decompose(d, poly, None)
 
 
 def facet_relative_decompose(d: AffineScalar, poly: Polyhedron,
@@ -117,44 +129,9 @@ def facet_relative_decompose(d: AffineScalar, poly: Polyhedron,
     """Certificate that d >= 0 on the facet segment {u_i = 0} of the polyhedron.
 
     The i-th multiplier is unconstrained; all others and the constant must be
-    nonnegative.
+    nonnegative.  Raises NotNonnegativeOnFacetError otherwise.
     """
-    cert = _certificate_lp(d, poly, free=i)
-    if cert is not None:
-        return cert
-    witness = _minimize_affine(d, poly, facet=i)
-    value = d(witness) if witness is not None else None
-    raise NotNonnegativeOnFacetError(
-        f"functional is negative on facet segment {i}", facet=i,
-        witness=witness, value=value)
-
-
-def facet_nonempty(poly: Polyhedron, i: int) -> np.ndarray | None:
-    """A point on the facet segment {u_i = 0} within the polyhedron, or None.
-
-    The witness maximizes the minimum slack of the remaining facets, which
-    keeps it away from lower-dimensional corners when possible.
-    """
-    q, p = poly.gamma.shape
-    box = TOL.box
-    others = [j for j in range(q) if j != i]
-    # variables (x, r): maximize r with u_j(x) >= r * ||gamma_j||, u_i(x) = 0
-    cost = np.zeros(p + 1)
-    cost[p] = -1.0
-    norms = np.linalg.norm(poly.gamma[others], axis=1) if others else np.zeros(0)
-    A_ub = np.hstack([-poly.gamma[others], norms[:, None]]) if others else None
-    b_ub = poly.delta[others] if others else None
-    A_eq = np.hstack([poly.gamma[i][None, :], [[0.0]]])
-    b_eq = np.array([-poly.delta[i]])
-    bounds = [(-box, box)] * p + [(-box, box)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status != 0:
-        return None
-    x, r = res.x[:p], res.x[p]
-    if r < -TOL.feasibility:
-        return None
-    return x
+    return _decompose(d, poly, i)
 
 
 def interior_point(poly: Polyhedron) -> np.ndarray | None:
@@ -288,24 +265,8 @@ def _coefficient_multiple(v: AffineScalar, u: AffineScalar) -> float | None:
     if denom == 0.0:
         return None
     lam = float(uc @ vc) / denom
-    if float(np.abs(vc - lam * uc).max()) > TOL.feasibility * (1.0 + np.abs(vc).max()):
+    if _coefficient_residual((vc,), (lam * uc,)) > \
+            TOL.feasibility * _coefficient_scale(vc):
         return None
     return lam
 
-
-def detect_facet_multiple(v: AffineScalar, poly: Polyhedron,
-                          i: int) -> float | None:
-    """If v vanishes identically on the facet segment {u_i = 0}, return the
-    lambda with v = lambda * u_i as affine functionals; otherwise None.
-
-    Requires a nonempty interior (raises InteriorEmptyError otherwise); in the
-    degenerate case where the whole set lies inside the facet the multiplier
-    would be arbitrary and no answer is meaningful.  With a nonempty interior
-    a facet of a minimal polyhedron spans its hyperplane, so vanishing on the
-    segment is exactly being a coefficient multiple of u_i: no LP is needed.
-    """
-    if interior_point(poly) is None:
-        raise InteriorEmptyError(
-            "facet-multiple detection needs a nonempty interior "
-            "(degenerate facet: the set may collapse onto the facet)")
-    return _coefficient_multiple(v, poly.facet(i))

@@ -62,6 +62,19 @@ def psd_square_root(S) -> np.ndarray:
     return (V * root[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
+def _coefficient_scale(*coeffs) -> float:
+    """1 + the largest magnitude of each coefficient array, added in the
+    order given: the scale of coefficient residuals."""
+    return sum((float(np.abs(c).max(initial=0.0)) for c in coeffs), 1.0)
+
+
+def _coefficient_residual(f: tuple, g: tuple) -> float:
+    """Largest difference between matching coefficient arrays of f and g,
+    e.g. the (constant, linear) coefficients of two affine fields."""
+    return max(float(np.abs(a - b).max(initial=0.0))
+               for a, b in zip(f, g, strict=True))
+
+
 def _rowdot(a, b) -> np.ndarray:
     """Row-wise dot products of two (..., k) arrays, as a matrix product:
     much faster than a reduction over a short last axis."""
@@ -130,9 +143,6 @@ class AffineScalar:
         x = np.asarray(x, dtype=float)
         val = x @ self.gamma + self.delta
         return float(val) if val.ndim == 0 else val
-
-    def __neg__(self) -> "AffineScalar":
-        return AffineScalar(-self.gamma, -self.delta)
 
     def coefficients(self) -> np.ndarray:
         """Stacked (gamma, delta) vector, used for coefficient-level identities."""
@@ -220,13 +230,6 @@ class AffineMatrixField:
             np.zeros((self.size, 0))
         return [AffineScalar(lin[j], float(const[j])) for j in range(self.size)]
 
-    def quad_functional(self, gamma: np.ndarray) -> AffineScalar:
-        """The scalar x -> gamma . theta(x) . gamma^T."""
-        gamma = np.asarray(gamma, dtype=float)
-        lin = np.einsum("i,kij,j->k", gamma, self.A, gamma) if self.nvars else \
-            np.zeros(0)
-        return AffineScalar(lin, float(gamma @ self.A0 @ gamma))
-
     def congruence(self, L: np.ndarray, ell: np.ndarray) -> "AffineMatrixField":
         """Coefficient-exact congruence y -> L theta(L^-1 (y - ell)) L^T.
 
@@ -244,16 +247,6 @@ class AffineMatrixField:
         newA = np.einsum("ia,jab,kb->jik", L, newA, L)
         return AffineMatrixField(0.5 * (newA0 + newA0.T),
                                  0.5 * (newA + np.swapaxes(newA, -1, -2)))
-
-
-def evaluate_theta(theta: AffineMatrixField, x) -> np.ndarray:
-    """Evaluate A0 + sum_k A_k x_k at a point; result is symmetric."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != theta.nvars:
-        raise DimensionMismatchError(
-            f"point of dimension {x.shape} incompatible with {theta.nvars} variables")
-    out = theta(x)
-    return 0.5 * (out + out.T)
 
 
 @dataclass(frozen=True)
@@ -387,12 +380,6 @@ class ModelSpec:
         if self.state_space.dim != p:
             raise DimensionMismatchError(
                 f"state space dimension {self.state_space.dim} != {p}")
-
-    def theta(self, x) -> np.ndarray:
-        return self.diffusion(x)
-
-    def mu(self, x) -> np.ndarray:
-        return self.drift(x)
 
 
 def change_model_coordinates(model: ModelSpec, L: np.ndarray, ell: np.ndarray,

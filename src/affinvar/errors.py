@@ -42,11 +42,8 @@ class NotNonnegativeOnFacetError(NotNonnegativeError):
 
 
 class InteriorEmptyError(AffinvarError):
-    """The polyhedron has no interior point.
-
-    For facet-multiple detection this covers the degenerate branch where the
-    whole set collapses onto one facet and the multiplier would be arbitrary.
-    """
+    """The polyhedron has no interior point: the set may collapse onto a
+    facet, where coupling rows and facet multipliers would be arbitrary."""
 
 
 class NotAdmissibleError(AffinvarError):
@@ -80,10 +77,6 @@ class NotInSpanError(AffinvarError):
 
 
 class NotNormalizedError(AffinvarError):
-    pass
-
-
-class PsdConditionFailedError(AffinvarError):
     pass
 
 

@@ -13,7 +13,9 @@ A model file is a JSON object:
     }
 
 All nested arrays are row-major.  ``diffusion.A`` lists one symmetric p x p
-matrix per coordinate.
+matrix per coordinate.  A written polyhedral state space also carries
+``"minimal"``; it is not read back, since a file cannot vouch that its facets
+are irredundant: only ``minimalize`` establishes that.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ def model_from_dict(obj: dict) -> ModelSpec:
         kind = ss["kind"]
         if kind == "polyhedral":
             space = Polyhedron(_array(ss["gamma"], "gamma"),
-                               _array(ss["delta"], "delta"),
-                               minimal=bool(ss.get("minimal", False)))
+                               _array(ss["delta"], "delta"))
         elif kind == "quadratic":
             space = QuadraticSpace(
                 QuadraticForm(_array(ss["A"], "A"), _array(ss["b"], "b"),

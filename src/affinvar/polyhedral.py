@@ -24,7 +24,8 @@ from .convex import (FarkasCertificate, _coefficient_multiple,
                      chebyshev_radius, facet_relative_decompose,
                      farkas_decompose, interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                   ModelSpec, Polyhedron, _coldot, change_model_coordinates,
+                   ModelSpec, Polyhedron, _coefficient_residual,
+                   _coefficient_scale, _coldot, change_model_coordinates,
                    psd_factor, psd_square_root, symmetrize)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotNonnegativeError,
@@ -69,19 +70,6 @@ def _require_polyhedron(model: ModelSpec) -> Polyhedron:
         raise PreconditionFailedError("model state space is not polyhedral")
     poly = model.state_space
     return poly if poly.minimal else minimalize(poly)
-
-
-def _coefficient_scale(*coeffs: np.ndarray) -> float:
-    """1 + the largest magnitude of each coefficient array, added in the
-    order given: the scale of coefficient residuals."""
-    return sum((float(np.abs(c).max(initial=0.0)) for c in coeffs), 1.0)
-
-
-def _coefficient_residual(f: tuple, g: tuple) -> float:
-    """Largest difference between matching coefficient arrays of f and g,
-    e.g. the (constant, linear) coefficients of two affine fields."""
-    return max(float(np.abs(a - b).max(initial=0.0))
-               for a, b in zip(f, g, strict=True))
 
 
 def _facet_coupling_row(theta: AffineMatrixField, poly: Polyhedron,
@@ -448,8 +436,7 @@ def check_triangle_condition(poly: Polyhedron) -> bool:
         if G.size:
             x_star, *_ = np.linalg.lstsq(G, -d, rcond=None)
             resid = float(np.abs(G @ x_star + d).max())
-            scale = 1.0 + float(np.abs(d).max(initial=0.0))
-            if resid > TOL.feasibility * scale:
+            if resid > TOL.feasibility * _coefficient_scale(d):
                 continue  # no solution: vacuously satisfied
             K = _null_space_rows(G, p)
         else:
@@ -499,9 +486,9 @@ def _route_gamma_inverse(theta: AffineMatrixField, poly: Polyhedron,
     Ninv = np.linalg.inv(Gamma)
     stack = np.concatenate([symmetrize(theta(x0))[None], theta.A], axis=0)
     Lam = np.einsum("ki,kab->iab", Ninv, stack)
-    scale = 1.0 + float(np.abs(stack).max())
     tail = Lam[q:]
-    if tail.size and float(np.abs(tail).max()) > TOL.feasibility * scale:
+    if tail.size and float(np.abs(tail).max()) > \
+            TOL.feasibility * _coefficient_scale(stack):
         raise _RouteFailed("artificial facet coefficients do not vanish")
     return PsdFacetDecomposition(np.zeros((p, p)), Lam[:q])
 
@@ -650,10 +637,6 @@ class ExtendedModel:
 
     model: ModelSpec
     recovery: np.ndarray  # (p, p_ext) with R theta_ext(y) R^T = theta(R y)
-
-    @property
-    def dimension(self) -> int:
-        return self.model.dimension
 
 
 def _check_canonical_poly(poly: Polyhedron) -> None:
@@ -832,11 +815,12 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
 
     # facet i corresponds to v_i after positive rescaling
     w1 = np.zeros((q, p), dtype=bool)
+    orth_tol = 1e-10 * _coefficient_scale(cm.Sigma)
     for i in range(q):
         vi = cm.v_functional(i)
         aligned = _positive_multiple(vi, poly.facet(i)) is not None
         for j in range(p):
-            if abs(float(cm.beta[i] @ cm.Sigma[:, j])) <= 1e-10 * (1 + np.abs(cm.Sigma).max()):
+            if abs(float(cm.beta[i] @ cm.Sigma[:, j])) <= orth_tol:
                 w1[i, j] = True
             else:
                 c = _positive_multiple(cm.v_functional(j), vi)

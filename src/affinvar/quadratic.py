@@ -14,13 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                   QuadraticForm, _coldot, psd_factor)
+                   QuadraticForm, _coefficient_residual, _coefficient_scale,
+                   _coldot, psd_factor)
 from .errors import (NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
                      PhiVMismatchError, PreconditionFailedError,
-                     PsdConditionFailedError, ZeroQuadraticPartError)
-from .polyhedral import _coefficient_scale, check_open_orthant_invariance
+                     ZeroQuadraticPartError)
+from .polyhedral import check_open_orthant_invariance
 from .tolerances import TOL
 
 
@@ -151,7 +152,7 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     p = phi.dim
     lam, V = _sorted_eig(phi.A)
     scale_eig = float(np.abs(lam).max())
-    if scale_eig <= 1e-14 * (1.0 + float(np.abs(phi.b).max(initial=0.0))):
+    if scale_eig <= 1e-14 * _coefficient_scale(phi.b):
         raise ZeroQuadraticPartError("quadratic part vanishes")
     nonzero = np.abs(lam) > TOL.eig_zero * scale_eig
     idx_nz = np.nonzero(nonzero)[0]
@@ -161,7 +162,7 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     # complete squares along the nonzero directions
     chat = phi.c - float(np.sum(btil[idx_nz] ** 2 / (4.0 * lam[idx_nz])))
     beta = V[:, idx_z] @ btil[idx_z] if idx_z.size else np.zeros(p)
-    lin_scale = 1.0 + float(np.abs(phi.b).max(initial=0.0)) + scale_eig
+    lin_scale = _coefficient_scale(phi.b, scale_eig)
     has_linear = float(np.linalg.norm(beta)) > TOL.eig_zero * lin_scale
 
     def _square_rows(indices, sign):
@@ -238,24 +239,17 @@ def _canonical_form(kind: str, p: int, q: int, d: float = 0.0) -> QuadraticForm:
                                  False).canonical_form()
 
 
-def _form_residual(A: np.ndarray, b: np.ndarray, c: float,
-                   form: QuadraticForm) -> float:
-    """Largest coefficient difference between x^T A x + b x + c and form."""
-    return max(float(np.abs(A - form.A).max()), float(np.abs(b - form.b).max()),
-               abs(c - form.c))
-
-
 def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> None:
     """sign * Phi(T^-1 (y - t)) must equal the canonical form coefficient by
     coefficient, to TOL.fit_residual times Phi's coefficient scale."""
     M = np.linalg.inv(cls.T)
     m0 = -M @ cls.t
-    resid = _form_residual(cls.sign * (M.T @ phi.A @ M),
-                           cls.sign * (M.T @ (2.0 * phi.A @ m0 + phi.b)),
-                           cls.sign * phi(m0), cls.canonical_form())
-    scale = 1.0 + abs(phi.c) + float(np.abs(phi.b).max(initial=0.0)) + \
-        float(np.abs(phi.A).max())
-    if resid > TOL.fit_residual * scale:
+    form = cls.canonical_form()
+    resid = _coefficient_residual(
+        (cls.sign * (M.T @ phi.A @ M),
+         cls.sign * (M.T @ (2.0 * phi.A @ m0 + phi.b)), cls.sign * phi(m0)),
+        (form.A, form.b, form.c))
+    if resid > TOL.fit_residual * _coefficient_scale(phi.c, phi.b, phi.A):
         raise NumericalFailureError(
             f"canonical transform residual {resid:.3e} out of tolerance")
 
@@ -363,7 +357,7 @@ def parabolic_theta_decompose(theta: AffineMatrixField,
         raise PreconditionFailedError("theta must be a full diffusion field")
     if not 2 <= q <= p:
         raise PreconditionFailedError(f"need 2 <= q <= p, got q={q}, p={p}")
-    scale = 1.0 + float(np.abs(theta.A0).max()) + float(np.abs(theta.A).max())
+    scale = _coefficient_scale(theta.A0, theta.A)
 
     zeta = zeta_parabolic(p, q)
     ul_vec = np.concatenate([theta.A0[:q, :q].reshape(-1),
@@ -440,8 +434,7 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
         return True, True
     AtA = dec.A2.T @ dec.A2
     target = (q - 2) * AtA
-    scale = 1.0 + float(np.abs(target).max()) + float(np.abs(dec.B.A0).max()) \
-        + (float(np.abs(dec.B.A).max()) if dec.B.A.size else 0.0)
+    scale = _coefficient_scale(target, dec.B.A0, dec.B.A)
     structural = float(np.abs(dec.B.A0).max()) <= TOL.feasibility * scale and \
         float(np.abs(dec.B.A[0] - target).max()) <= TOL.feasibility * scale and \
         (dec.B.A[1:].size == 0
@@ -457,7 +450,7 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
     return True, False
 
 
-def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
+def parabolic_square_root(dec: ParabolicDecomposition):
     """sigma(x) = [[xi(x), 0], [A2^T eta(x)^T, rho(x)]] with
     xi = [[2 sqrt|x_1 - y.y|, 2 y^T], [0, Id]] and rho a root of the residual
     block (``psd_factor``); sigma sigma^T = theta on the parabola.
@@ -467,11 +460,6 @@ def parabolic_square_root(dec: ParabolicDecomposition, check_points=None):
         raise NotNormalizedError("decomposition must have c = 1 and A1 = 0")
     q, p = dec.q, dec.p
     r = p - q
-    if check_points is not None:
-        ok, _ = check_parabolic_psd_condition(dec, check_points)
-        if not ok:
-            raise PsdConditionFailedError(
-                "residual block is not PSD at the supplied points")
 
     def residual_root(xb, eta):
         """Roots of the residual block at the rows xb, batch-last (r, r, N)."""
@@ -538,7 +526,7 @@ def check_parabolic_drift(drift: AffineVectorField, q: int) -> ParabolicDriftRep
     strengthening)."""
     a, b = drift.a, drift.b
     p = drift.dim
-    scale = 1.0 + float(np.abs(a).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
+    scale = _coefficient_scale(a, b)
     tol = TOL.feasibility * scale
     structure_ok = True
     if p > q:
@@ -617,8 +605,7 @@ def conical_theta_decompose(theta: AffineMatrixField, q: int) -> ConicalDecompos
     target = np.concatenate([theta.A0.reshape(-1), theta.A.reshape(-1)])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = float(np.abs(design @ coef - target).max())
-    scale = 1.0 + float(np.abs(target).max())
-    if resid > TOL.fit_residual * scale:
+    if resid > TOL.fit_residual * _coefficient_scale(target):
         raise NotInSpanError(
             f"theta is not in the span of the conical basis (residual {resid:.3e})")
     return ConicalDecomposition(float(coef[0]), coef[1:])
@@ -700,7 +687,7 @@ def check_cone_admissibility(drift: AffineVectorField, p: int,
     """Conditions for a strong solution on the open cone with theta = zeta:
     a_1Q = a_Q1^T, a_11 Id - a_QQ PSD, and b_1 - p/2 - |b_Q| >= 0."""
     a, b = drift.a, drift.b
-    scale = 1.0 + float(np.abs(a).max(initial=0.0)) + float(np.abs(b).max(initial=0.0))
+    scale = _coefficient_scale(a, b)
     tol = TOL.feasibility * scale
     sym_ok = bool(np.abs(a[0, 1:q] - a[1:q, 0]).max(initial=0.0) <= tol)
     M = a[0, 0] * np.eye(q - 1) - a[1:q, 1:q]
@@ -728,7 +715,8 @@ def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
     p = phi.dim
     kind = "cone" if phi.A[0, 0] > 0.5 else "parabolic"
     q = 1 + int(np.sum(np.diagonal(phi.A)[1:] < -0.5))
-    resid = _form_residual(phi.A, phi.b, phi.c, _canonical_form(kind, p, q))
+    form = _canonical_form(kind, p, q)
+    resid = _coefficient_residual((phi.A, phi.b, phi.c), (form.A, form.b, form.c))
     return (kind, q) if resid <= TOL.feasibility else None
 
 

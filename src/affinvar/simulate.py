@@ -32,7 +32,8 @@ import numpy as np
 import scipy.linalg
 
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
-                   QuadraticSpace, _coldot, psd_square_root)
+                   QuadraticSpace, _coefficient_scale, _coldot,
+                   psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
 from .quadratic import _canonical_kind
 from .tolerances import TOL
@@ -220,18 +221,13 @@ class ExitStats:
     exit_fraction: float
     worst_violation: np.ndarray   # per facet (polyhedral) or the Phi value
     exit_steps: np.ndarray        # (n_paths,), -1 for none
-    histogram: tuple[np.ndarray, np.ndarray]  # counts, bin edges (time units)
 
 
-def _stats_from_tracker(tracker: _ExitTracker, times: np.ndarray) -> ExitStats:
+def _stats_from_tracker(tracker: _ExitTracker) -> ExitStats:
     n = tracker.exit_step.shape[0]
-    exited = tracker.exit_step >= 0
-    frac = float(np.count_nonzero(exited)) / n if n else 0.0
-    exit_times = times[tracker.exit_step[exited]] if exited.any() else np.zeros(0)
-    hist = np.histogram(exit_times, bins=20,
-                        range=(0.0, float(times[-1])) if len(times) else (0.0, 1.0))
+    frac = float(np.count_nonzero(tracker.exit_step >= 0)) / n if n else 0.0
     worst = np.where(np.isfinite(tracker.worst), tracker.worst, 0.0)
-    return ExitStats(frac, worst, tracker.exit_step.copy(), hist)
+    return ExitStats(frac, worst, tracker.exit_step.copy())
 
 
 def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
@@ -241,9 +237,9 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
     if not bool(model.state_space.contains(cfg.x0)):
         raise PreconditionFailedError("x0 is outside the state space")
     S = np.asarray(sigma(cfg.x0[None]))[0]
-    resid = float(np.abs(S @ S.T - model.diffusion(cfg.x0)).max())
-    scale = 1.0 + float(np.abs(model.diffusion(cfg.x0)).max())
-    if resid > TOL.feasibility * scale:
+    theta0 = model.diffusion(cfg.x0)
+    resid = float(np.abs(S @ S.T - theta0).max())
+    if resid > TOL.feasibility * _coefficient_scale(theta0):
         raise SigmaMismatchError(
             f"sigma sigma^T differs from theta at x0 by {resid:.3e}")
     p = model.dimension
@@ -261,21 +257,19 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
             f"sigma.apply returned shape {got.shape} for (p, N) columns "
             f"of shape {(p, p + 1)}")
     gap = float(np.abs(got - S @ noise).max())
-    if gap > TOL.feasibility * (1.0 + float(np.abs(S).max())):
+    if gap > TOL.feasibility * _coefficient_scale(S):
         raise SigmaMismatchError(
             f"sigma.apply differs from sigma at x0 by {gap:.3e}")
 
 
-def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
-         on_step=None, keep_paths: bool = True):
+def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
     """Shared Euler stepping kernel on columns: the state x is (p, N).
 
     ``on_step(step_index, x)`` is called with the (p, N) state for every
-    stored grid index including 0; when keep_paths is false the full array
-    is not materialized.  The noise enters through sigma(x) z
-    (``_contraction``), so evaluators with a matrix-free ``apply`` never
-    build sigma(x) here.  Returns the stored states (n_paths, steps+1, p) or
-    None, the final states (n_paths, p) and the nonfinite flags.
+    grid index including 0; the kernel itself stores no path.  The noise
+    enters through sigma(x) z (``_contraction``), so evaluators with a
+    matrix-free ``apply`` never build sigma(x) here.  Returns the final
+    states (n_paths, p) and the nonfinite flags.
     """
     _check_start(model, sigma, cfg)
     contract = _contraction(sigma)
@@ -289,12 +283,8 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
         projector = make_projector(model.state_space)
 
     x = np.tile(cfg.x0[:, None], (1, n))
-    states = np.empty((n, cfg.steps + 1, p)) if keep_paths else None
-    if keep_paths:
-        states[:, 0] = x.T
     nonfinite = np.zeros(n, dtype=bool)
-    if on_step is not None:
-        on_step(0, x)
+    on_step(0, x)
 
     # b spread over the paths once: a broadcast add is slower in the loop
     a, b = model.drift.a, np.repeat(model.drift.b[:, None], n, axis=1)
@@ -313,11 +303,8 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector,
         if full_trunc:
             x_new = projector(x_new)
         x = xs = x_new
-        if keep_paths:
-            states[:, step + 1] = x.T
-        if on_step is not None:
-            on_step(step + 1, x)
-    return states, np.ascontiguousarray(x.T), nonfinite
+        on_step(step + 1, x)
+    return np.ascontiguousarray(x.T), nonfinite
 
 
 def simulate_paths(model: ModelSpec, sigma, cfg: SimConfig,
@@ -331,11 +318,13 @@ def simulate_paths(model: ModelSpec, sigma, cfg: SimConfig,
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
     tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
+    states = np.empty((cfg.n_paths, cfg.steps + 1, model.dimension))
 
     def on_step(step, x):
+        states[:, step] = x.T
         tracker.update(step, x)
 
-    states, _, nonfinite = _run(model, sigma, cfg, projector, on_step=on_step)
+    _, nonfinite = _run(model, sigma, cfg, projector, on_step)
     return PathEnsemble(times, states, tracker.exit_step, nonfinite)
 
 
@@ -368,9 +357,8 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
         for k, fn in enumerate(functionals):
             minima[k] = np.minimum(minima[k], fn(x.T))
 
-    _, final, nonfinite = _run(model, sigma, cfg, projector,
-                               on_step=on_step, keep_paths=False)
-    return SimSummary(times, final, _stats_from_tracker(tracker, times),
+    final, nonfinite = _run(model, sigma, cfg, projector, on_step)
+    return SimSummary(times, final, _stats_from_tracker(tracker),
                       minima, nonfinite)
 
 
@@ -405,12 +393,12 @@ def mean_ode(model: ModelSpec, x0, horizon: float,
 
 def invariance_monte_carlo(ens: PathEnsemble, space, tol: float) -> ExitStats:
     """Empirical invariance statistics of a stored ensemble: fraction of paths
-    leaving the state space by more than tol, worst violations, and the
-    first-exit-time histogram."""
+    leaving the state space by more than tol, worst violations, and each
+    path's first exit step."""
     tracker = _ExitTracker(space, ens.n_paths, tol)
     for step in range(ens.states.shape[1]):
         tracker.update(step, ens.states[:, step].T)
-    return _stats_from_tracker(tracker, ens.times)
+    return _stats_from_tracker(tracker)
 
 
 def boundary_attainment(ens: PathEnsemble, functional, eps: float) -> float:

@@ -84,6 +84,33 @@ def test_nonfinite_input_exit_code(tmp_path, capsys, field, value):
     assert "non-finite" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("command", ["validate", "canonicalize"])
+def test_minimal_flag_in_file_not_trusted(tmp_path, capsys, command):
+    # cir with the redundant facet x + 1 >= 0, claimed minimal: the redundant
+    # facet carries no diffusion multiple, so it must be removed, not trusted
+    obj = json.loads(fixture_path("cir").read_text())
+    space = obj["state_space"]
+    space["gamma"].append([1.0])
+    space["delta"].append(1.0)
+    space["minimal"] = True
+    path = tmp_path / "cir_redundant.json"
+    path.write_text(json.dumps(obj))
+    code, rep = _run(capsys, command, str(path))
+    assert code == 0 and rep["passed"]
+    if command == "validate":
+        assert [c["name"] for c in rep["checks"] if "facet" in c["name"]] == \
+            ["facet-0-diffusion", "facet-0-drift"]
+    else:
+        assert rep["transformed_model"]["state_space"]["minimal"] is True
+
+
+def test_seed_only_on_simulate(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", str(fixture_path("cir")), "--seed", "1"])
+    capsys.readouterr()
+    assert exc.value.code == 2
+
+
 def test_lp_budget(capsys, lp_calls):
     """The facet diffusion checks and Psi are LP-free, the drift certificates
     and the interior point are solved once, and minimalize proves most facets

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinvar.convex import (FarkasCertificate, _minimize_affine,
-                             detect_facet_multiple, facet_nonempty,
                              facet_relative_decompose, farkas_decompose,
                              interior_point, minimalize)
-from affinvar.core import AffineScalar, Polyhedron
+from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
+                           ModelSpec, Polyhedron)
 from affinvar.errors import (InteriorEmptyError, NotNonnegativeError,
                              NotNonnegativeOnFacetError)
+from affinvar.polyhedral import check_polyhedral_admissibility
 from affinvar.tolerances import TOL, tolerances
 from conftest import grid_min, grid_min_bruteforce, random_grid_simplex
 
@@ -78,30 +79,6 @@ def test_facet_relative_failure_witness():
         facet_relative_decompose(d, HALFLINE, 0)
     assert exc.value.facet == 0
     assert exc.value.value < 0
-
-
-def test_facet_nonempty_unit_square():
-    x = facet_nonempty(UNIT_SQUARE, 0)
-    assert x is not None
-    assert abs(x[0]) <= 1e-8
-    assert -1e-8 <= x[1] <= 1 + 1e-8
-
-
-def test_facet_nonempty_redundant_facet_empty():
-    # {x >= 0} cap {x >= 1}: the facet x = 0 is unattainable
-    poly = Polyhedron(np.array([[1.0], [1.0]]), np.array([0.0, -1.0]))
-    assert facet_nonempty(poly, 0) is None
-
-
-def test_facet_nonempty_on_minimal_polyhedra(rng):
-    for p in (1, 2, 3):
-        for _ in range(5):
-            poly = minimalize(random_grid_simplex(rng, p))
-            for i in range(poly.n_facets):
-                x = facet_nonempty(poly, i)
-                assert x is not None
-                assert abs(poly.facet(i)(x)) <= 1e-8
-                assert np.all(poly.evaluate(x) >= -1e-8)
 
 
 def test_interior_point_examples():
@@ -226,26 +203,38 @@ def test_minimalize_preserves_membership(rng):
                               np.asarray(red.contains(pts)))
 
 
+def _model(space: Polyhedron, A: np.ndarray) -> ModelSpec:
+    """Zero drift and the diffusion sum_k A_k x_k on the given space."""
+    p = space.dim
+    return ModelSpec(p, AffineVectorField(np.zeros((p, p)), np.zeros(p)),
+                     AffineMatrixField(np.zeros((p, p)), A), space)
+
+
 def test_detect_facet_multiple_examples():
-    u0 = UNIT_SQUARE.facet(0)
-    v = AffineScalar(3 * u0.gamma, 3 * u0.delta)
-    assert detect_facet_multiple(v, UNIT_SQUARE, 0) == pytest.approx(3.0)
-    # independent facet functional is not a multiple
-    assert detect_facet_multiple(UNIT_SQUARE.facet(1), UNIT_SQUARE, 0) is None
+    # A_1 = 3 e_1 e_1^T: gamma_0 theta(x) = (3 x_1, 0) = (3, 0) u_0(x)
+    A = np.zeros((2, 2, 2))
+    A[0, 0, 0] = 3.0
+    facets = check_polyhedral_admissibility(_model(UNIT_SQUARE, A)).facets
+    assert facets[0].coupling_row == pytest.approx([3.0, 0.0])
+    # the row -3 x_1 of facet 2 is not a multiple of u_2 = 1 - x_1
+    assert facets[2].coupling_row is None and not facets[2].diffusion_ok
 
 
 def test_detect_facet_multiple_scaled_coordinate():
-    # v(x) = c x_1 on the orthant, facet u_1 = x_1
+    # theta(x) = c x_1 e_1 e_1^T on the orthant, facet u_0 = x_1
     orthant = Polyhedron(np.eye(2), np.zeros(2), minimal=True)
     for c in (0.5, 2.0, 7.25):
-        v = AffineScalar(np.array([c, 0.0]), 0.0)
-        assert detect_facet_multiple(v, orthant, 0) == pytest.approx(c)
+        A = np.zeros((2, 2, 2))
+        A[0, 0, 0] = c
+        facets = check_polyhedral_admissibility(_model(orthant, A)).facets
+        assert facets[0].coupling_row == pytest.approx([c, 0.0])
 
 
 def test_detect_facet_multiple_interior_empty():
+    # the slab {x = 0} has no interior, so no coupling row is meaningful
     slab = Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, 0.0]))
     with pytest.raises(InteriorEmptyError):
-        detect_facet_multiple(AffineScalar(np.array([1.0]), 0.0), slab, 0)
+        check_polyhedral_admissibility(_model(slab, np.ones((1, 1, 1))))
 
 
 def test_grid_min_matches_bruteforce(rng):

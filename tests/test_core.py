@@ -4,7 +4,7 @@ import pytest
 import affinvar.core
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, QuadraticForm,
-                           QuadraticSpace, evaluate_theta, psd_factor,
+                           QuadraticSpace, psd_factor,
                            psd_square_root, spot_check_psd, symmetrize)
 from affinvar.errors import (DimensionMismatchError, NotSymmetricError,
                              ParseError)
@@ -15,22 +15,21 @@ def test_evaluate_theta_paper_example():
     theta = AffineMatrixField(
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]])])
-    out = evaluate_theta(theta, np.array([1.0, 1.0]))
+    out = theta(np.array([1.0, 1.0]))
     assert np.allclose(out, np.ones((2, 2)))
 
 
 def test_evaluate_theta_zero_and_constant():
     zero = AffineMatrixField(np.zeros((3, 3)), np.zeros((3, 3, 3)))
-    assert np.array_equal(evaluate_theta(zero, np.array([2.0, -1.0, 5.0])),
-                          np.zeros((3, 3)))
+    assert np.array_equal(zero(np.array([2.0, -1.0, 5.0])), np.zeros((3, 3)))
     const = AffineMatrixField(np.eye(2), np.zeros((2, 2, 2)))
-    assert np.array_equal(evaluate_theta(const, np.array([3.0, 4.0])), np.eye(2))
+    assert np.array_equal(const(np.array([3.0, 4.0])), np.eye(2))
 
 
 def test_evaluate_theta_dimension_mismatch():
     theta = AffineMatrixField(np.eye(2), np.zeros((2, 2, 2)))
     with pytest.raises(DimensionMismatchError):
-        evaluate_theta(theta, np.array([1.0, 2.0, 3.0]))
+        theta(np.array([1.0, 2.0, 3.0]))
 
 
 def test_evaluate_theta_affine_combination():

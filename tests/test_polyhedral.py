@@ -3,7 +3,7 @@ import pytest
 
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            Polyhedron)
-from affinvar.convex import facet_nonempty, interior_point
+from affinvar.convex import interior_point
 from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
                              NotRepresentableError, PreconditionFailedError)
 from affinvar.modelio import load_fixture
@@ -95,10 +95,11 @@ def test_canonical_transform_block_identity_and_facet_images():
         y = y0 + rng.standard_normal(4)
         worst = max(worst, np.abs(canon.diffusion(y) - ct.block_matrix(y)).max())
     assert worst <= 1e-9
-    # facet witnesses map onto the coordinate hyperplanes
+    # facet hyperplanes map onto the coordinate hyperplanes: the point
+    # -delta_i gamma_i / |gamma_i|^2 has u_i = 0
     for pos in range(ct.m + ct.n):
-        orig = ct.facet_order[pos]
-        x = facet_nonempty(ct.polyhedron, orig)
+        facet = ct.polyhedron.facet(ct.facet_order[pos])
+        x = -facet.delta * facet.gamma / (facet.gamma @ facet.gamma)
         assert abs(ct.to_canonical(x)[pos]) <= 1e-7
 
 
