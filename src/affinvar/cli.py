@@ -16,16 +16,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .convex import interior_point, minimalize
+from .convex import interior_point
 from .core import (ModelSpec, Polyhedron, QuadraticSpace,
                    change_model_coordinates, spot_check_psd)
 from .errors import (AffinvarError, NotAdmissibleError, NotInSpanError,
                      NotRepresentableError, NumericalFailureError, ParseError,
                      PreconditionFailedError)
 from .modelio import load_model, model_hash, model_to_dict, save_model
-from .polyhedral import (_verify_block_identity, build_square_root,
-                         canonical_transform, check_polyhedral_admissibility,
-                         psd_decompose, transform_model)
+from .polyhedral import (_require_polyhedron, _verify_block_identity,
+                         build_square_root, canonical_transform,
+                         check_polyhedral_admissibility, psd_decompose,
+                         transform_model)
 from .quadratic import (QuadricClassification, check_cone_admissibility,
                         check_parabolic_drift, check_parabolic_psd_condition,
                         classify_quadric, cone_square_root,
@@ -103,8 +104,7 @@ def _canonical_quadratic_model(model: ModelSpec):
 
 def _validate_polyhedral(model: ModelSpec, report: dict) -> None:
     checks = report["checks"]
-    poly = minimalize(model.state_space) if not model.state_space.minimal \
-        else model.state_space
+    poly = _require_polyhedron(model)
     model = ModelSpec(model.dimension, model.drift, model.diffusion, poly)
     x0 = interior_point(poly)
     checks.append(_check("interior-nonempty", x0 is not None,

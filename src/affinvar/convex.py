@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .core import (AffineScalar, Polyhedron, _coefficient_residual,
-                   _coefficient_scale)
+                   _coefficient_scale, _minimal)
 from .errors import (NotNonnegativeError, NotNonnegativeOnFacetError,
                      ToleranceWarning)
 from .tolerances import TOL
@@ -252,7 +252,7 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
             keep.pop(i)  # facet cannot be violated while the others hold
             continue
         i += 1
-    out = Polyhedron(poly.gamma[keep], poly.delta[keep], minimal=True)
+    out = _minimal(Polyhedron(poly.gamma[keep], poly.delta[keep]))
     if len(keep) == poly.n_facets:  # the same rows have the same center
         object.__setattr__(out, "_interior", poly._interior)
     return out

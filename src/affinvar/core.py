@@ -9,7 +9,7 @@ quadric-bounded sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
@@ -251,11 +251,16 @@ class AffineMatrixField:
 
 @dataclass(frozen=True)
 class Polyhedron:
-    """Intersection of half-spaces {x : gamma x + delta >= 0} (componentwise)."""
+    """Intersection of half-spaces {x : gamma x + delta >= 0} (componentwise).
+
+    ``minimal`` (no redundant facet) is not a constructor argument: only
+    ``convex.minimalize`` proves it, and ``_minimal`` marks the polyhedra
+    that inherit it.
+    """
 
     gamma: np.ndarray  # (q, p)
     delta: np.ndarray  # (q,)
-    minimal: bool = False
+    minimal: bool = field(default=False, init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _asarray(self.gamma, 2, "gamma"))
@@ -290,7 +295,16 @@ class Polyhedron:
         Minv = np.linalg.inv(np.asarray(L, dtype=float))
         g = self.gamma @ Minv
         d = self.delta - g @ np.asarray(ell, dtype=float)
-        return Polyhedron(g, d, minimal=self.minimal)
+        out = Polyhedron(g, d)
+        return _minimal(out) if self.minimal else out
+
+
+def _minimal(poly: Polyhedron) -> Polyhedron:
+    """Mark ``poly`` as having no redundant facet and return it.  Only for a
+    polyhedron proven minimal, or one whose facets are those of a minimal
+    polyhedron in new coordinates, order or positive scale."""
+    object.__setattr__(poly, "minimal", True)
+    return poly
 
 
 @dataclass(frozen=True)

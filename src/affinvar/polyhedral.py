@@ -11,6 +11,12 @@ spans its hyperplane, so the first condition is a coefficient projection onto
 solved once in ``check_polyhedral_admissibility``.  Polynomial identities
 (the canonical block form, the dimension extension) are checked on
 coefficients.
+
+The PSD facet decomposition theta = B0 + sum_i B_i u_i is one linear system
+with the (p+1) x (q+1) matrix K = [[1, delta^T], [0, gamma^T]] acting on the
+stacked coefficients, solved by one SVD of K.  It is unique when gamma has
+full row rank; otherwise a cone-distance search over K's null space picks a
+PSD solution or proves that none exists.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from .convex import (FarkasCertificate, _coefficient_multiple,
                      farkas_decompose, interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
                    ModelSpec, Polyhedron, _coefficient_residual,
-                   _coefficient_scale, _coldot, change_model_coordinates,
-                   psd_factor, psd_square_root, symmetrize)
+                   _coefficient_scale, _coldot, _minimal,
+                   change_model_coordinates, psd_factor, psd_square_root,
+                   symmetrize)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotNonnegativeError,
                      NotNonnegativeOnFacetError, NotRepresentableError,
@@ -70,6 +77,16 @@ def _require_polyhedron(model: ModelSpec) -> Polyhedron:
         raise PreconditionFailedError("model state space is not polyhedral")
     poly = model.state_space
     return poly if poly.minimal else minimalize(poly)
+
+
+def _interior_polyhedron(model: ModelSpec) -> tuple[Polyhedron, np.ndarray]:
+    """The model's minimal polyhedron and its interior point; raises
+    InteriorEmptyError when the interior is empty."""
+    poly = _require_polyhedron(model)
+    x0 = interior_point(poly)
+    if x0 is None:
+        raise InteriorEmptyError("polyhedron has empty interior")
+    return poly, x0
 
 
 def _facet_coupling_row(theta: AffineMatrixField, poly: Polyhedron,
@@ -116,10 +133,7 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     lifted drift (a_bar, b_bar); raises NotAdmissibleError if those fail to
     reconstruct gamma mu(.).
     """
-    poly = _require_polyhedron(model)
-    x0 = interior_point(poly)
-    if x0 is None:
-        raise InteriorEmptyError("polyhedron has empty interior")
+    poly, x0 = _interior_polyhedron(model)
     checks = []
     for i in range(poly.n_facets):
         B_i = _facet_coupling_row(model.diffusion, poly, i)
@@ -200,8 +214,9 @@ class CanonicalTransform:
         poly = self.polyhedron
         g = poly.gamma * self.facet_scale[:, None]
         d = poly.delta * self.facet_scale
-        reordered = Polyhedron(g[self.facet_order], d[self.facet_order],
-                               minimal=poly.minimal)
+        reordered = Polyhedron(g[self.facet_order], d[self.facet_order])
+        if poly.minimal:
+            _minimal(reordered)
         return reordered.transformed(self.L, self.ell)
 
 
@@ -238,12 +253,9 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     L theta L^T; raises ModelInconsistencyError when that block depends on
     the completing coordinates, i.e. is not a function of the facet values.
     """
-    poly = _require_polyhedron(model)
+    poly, x0 = _interior_polyhedron(model)
     theta = model.diffusion
     p, q = model.dimension, poly.n_facets
-    x0 = interior_point(poly)
-    if x0 is None:
-        raise InteriorEmptyError("polyhedron has empty interior")
 
     for i in range(q):
         if _facet_coupling_row(theta, poly, i) is None:
@@ -420,10 +432,6 @@ class PsdFacetDecomposition:
         return min(vals)
 
 
-class _RouteFailed(Exception):
-    pass
-
-
 def check_triangle_condition(poly: Polyhedron) -> bool:
     """For each facet i: on the solution set of {u_j = 0, j != i} the value
     u_i must be constant and nonnegative.  An inconsistent system (empty
@@ -449,138 +457,79 @@ def check_triangle_condition(poly: Polyhedron) -> bool:
     return True
 
 
-def _verify_decomposition(dec: PsdFacetDecomposition, theta: AffineMatrixField,
-                          poly: Polyhedron) -> None:
-    rec = dec.reconstruct(poly)
-    resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
-    if resid > TOL.feasibility * _coefficient_scale(theta.A0, theta.A):
-        raise _RouteFailed(f"reconstruction residual {resid:.3e}")
-    for Bmat in [dec.B0, *dec.Bi]:
-        w = np.linalg.eigvalsh(Bmat)
-        if w[0] < -TOL.psd * (1.0 + abs(float(w[-1]))):
-            raise _RouteFailed(f"coefficient matrix has eigenvalue {w[0]:.3e}")
+def _negative_part(Bs: np.ndarray) -> np.ndarray:
+    """Blockwise B - P(B), P the projection onto the PSD cone."""
+    lam, V = np.linalg.eigh(Bs)
+    return (V * np.minimum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
 
 
-def _route_full_row_rank(theta: AffineMatrixField,
-                         poly: Polyhedron) -> PsdFacetDecomposition:
-    """gamma full row-rank: read the coefficients off in canonical coordinates
-    via the pseudo-inverse of gamma."""
-    pinv = poly.gamma.T @ np.linalg.inv(poly.gamma @ poly.gamma.T)
-    x_corner = -pinv @ poly.delta
-    B0 = symmetrize(theta(x_corner))
-    Bi = np.einsum("ki,kab->iab", pinv, theta.A)
-    return PsdFacetDecomposition(np.asarray(B0), 0.5 * (Bi + np.swapaxes(Bi, 1, 2)))
+def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
+    """Decompose theta as B0 + sum_i Bi u_i with PSD coefficient matrices.
 
-
-def _route_gamma_inverse(theta: AffineMatrixField, poly: Polyhedron,
-                         x0: np.ndarray) -> PsdFacetDecomposition:
-    """(delta gamma) full row-rank plus the triangle condition: invert the
-    extended coefficient matrix after translating to make all offsets positive."""
-    q, p = poly.gamma.shape
-    d_shift = poly.evaluate(x0)  # positive offsets in the translated frame
-    Dg = np.hstack([d_shift[:, None], poly.gamma])
-    completion = _null_space_rows(Dg, p + 1)
-    Gamma = np.vstack([Dg, completion])
-    if Gamma.shape != (p + 1, p + 1) or abs(np.linalg.det(Gamma)) < 1e-12:
-        raise _RouteFailed("extended coefficient matrix is singular")
-    Ninv = np.linalg.inv(Gamma)
-    stack = np.concatenate([symmetrize(theta(x0))[None], theta.A], axis=0)
-    Lam = np.einsum("ki,kab->iab", Ninv, stack)
-    tail = Lam[q:]
-    if tail.size and float(np.abs(tail).max()) > \
-            TOL.feasibility * _coefficient_scale(stack):
-        raise _RouteFailed("artificial facet coefficients do not vanish")
-    return PsdFacetDecomposition(np.zeros((p, p)), Lam[:q])
-
-
-def _sym_vec_ops(p: int):
-    """Orthonormal vectorization of symmetric p x p matrices (Frobenius-exact)."""
-    idx_i, idx_j = np.triu_indices(p)
-    w = np.where(idx_i == idx_j, 1.0, np.sqrt(2.0))
-
-    def vec(S):
-        return S[..., idx_i, idx_j] * w
-
-    def unvec(v):
-        S = np.zeros(v.shape[:-1] + (p, p))
-        S[..., idx_i, idx_j] = v / w
-        S[..., idx_j, idx_i] = v / w
-        return S
-
-    return vec, unvec, len(w)
-
-
-def _route_projection(theta: AffineMatrixField, poly: Polyhedron):
-    """Cone-distance minimization over the affine coefficient subspace.
-
-    Minimizes the squared Frobenius distance from the PSD product cone over
-    all coefficient tuples that reconstruct theta exactly.  A zero minimum is
-    a decomposition; a positive minimum yields a verified separating
-    functional, i.e. a proof that no decomposition exists.
+    The identity is K X = R with K = [[1, delta^T], [0, gamma^T]], X the
+    stacked (B0, B_1, ..., B_q) and R the stacked (A0, A_1, ..., A_p), one
+    column per matrix entry.  One SVD of K gives the minimum-norm solution X
+    and the null space N; an inconsistent system raises NotRepresentableError.
+    When gamma has full row rank N is empty and X is the only candidate.
+    Otherwise L-BFGS minimizes the distance of X + N Z from the PSD product
+    cone, starting at the B0 = 0 solution when the triangle condition holds
+    (no search when that start is already a decomposition), else at X.  A
+    candidate that is not a decomposition raises NotRepresentableError with
+    a verified separating functional, or NumericalFailureError.
     """
+    poly, _ = _interior_polyhedron(model)
+    theta = model.diffusion
     q, p = poly.gamma.shape
-    vec, unvec, s = _sym_vec_ops(p)
-    nvar = (q + 1) * s
+    K = np.block([[np.ones((1, 1)), poly.delta[None]],
+                  [np.zeros((p, 1)), poly.gamma.T]])
+    R = np.concatenate([theta.A0[None], theta.A]).reshape(p + 1, p * p)
     scale = _coefficient_scale(theta.A0, theta.A)
 
-    # linear system: B0 + sum_i delta_i Bi = A0 ; sum_i gamma_ik Bi = A_k
-    C = np.zeros(((p + 1) * s, nvar))
-    rhs = np.zeros((p + 1) * s)
-    C[:s, :s] = np.eye(s)
-    for i in range(q):
-        C[:s, (i + 1) * s:(i + 2) * s] = poly.delta[i] * np.eye(s)
-    rhs[:s] = vec(theta.A0)
-    for k in range(p):
-        blk = slice((k + 1) * s, (k + 2) * s)
-        for i in range(q):
-            C[blk, (i + 1) * s:(i + 2) * s] = poly.gamma[i, k] * np.eye(s)
-        rhs[blk] = vec(theta.A[k])
-
-    part, _, _, _ = np.linalg.lstsq(C, rhs, rcond=None)
-    if float(np.abs(C @ part - rhs).max()) > TOL.feasibility * scale:
+    U, sv, Vt = np.linalg.svd(K)
+    rank = int(np.sum(sv > max(K.shape) * np.finfo(float).eps * sv[0]))
+    X = Vt[:rank].T @ ((U[:, :rank].T @ R) / sv[:rank, None])
+    if float(np.abs(K @ X - R).max()) > TOL.feasibility * scale:
         raise NotRepresentableError(
             "coefficient system has no solution: theta is not an affine "
             "combination of the facet functionals",
             diagnostic={"kind": "inconsistent-system"})
-    _, sv_full, Vt = np.linalg.svd(C)
-    ncons = int(np.sum(sv_full > max(C.shape) * np.finfo(float).eps * sv_full[0]))
-    Z = Vt[ncons:].T  # (nvar, nfree)
-    nfree = Z.shape[1]
+    N = Vt[rank:].T  # (q + 1, nfree), orthonormal
 
-    def blocks(v):
-        return unvec(v.reshape(q + 1, s))
+    def accepted(Bs) -> bool:
+        """Bs reconstructs theta and every block is PSD."""
+        rec = PsdFacetDecomposition(Bs[0], Bs[1:]).reconstruct(poly)
+        resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
+        lam = np.linalg.eigvalsh(Bs)
+        return bool(resid <= TOL.feasibility * scale and np.all(
+            lam[:, 0] >= -TOL.psd * (1.0 + np.abs(lam[:, -1]))))
 
-    def project_psd(Bs):
-        lam, V = np.linalg.eigh(Bs)
-        lam_pos = np.clip(lam, 0.0, None)
-        return (V * lam_pos[..., None, :]) @ np.swapaxes(V, -1, -2)
+    def blocks(z):
+        return (X + N @ z.reshape(N.shape[1], p * p)).reshape(q + 1, p, p)
 
     def objective(z):
-        v = part + Z @ z
-        Bs = blocks(v)
-        gap = Bs - project_psd(Bs)
-        f = float(np.sum(gap * gap))
-        g = Z.T @ (2.0 * vec(gap).reshape(-1))
-        return f, g
+        gap = _negative_part(blocks(z))
+        # the gradient 2 gap, summed so as to be exactly symmetric: the
+        # iterates Z, hence the blocks, then stay exactly symmetric
+        grad = N.T @ (gap + np.swapaxes(gap, 1, 2)).reshape(q + 1, -1)
+        return float(np.sum(gap * gap)), grad.ravel()
 
-    if nfree:
-        res = _minimize(objective, np.zeros(nfree), jac=True, method="L-BFGS-B",
+    Bs = X.reshape(q + 1, p, p)
+    if N.size and check_triangle_condition(poly):  # start at B0 = 0
+        Y = np.linalg.lstsq(K[:, 1:], R, rcond=None)[0]
+        Bs = np.concatenate([np.zeros((1, p * p)), Y]).reshape(q + 1, p, p)
+    if N.size and not accepted(Bs):
+        z0 = N.T @ (Bs.reshape(q + 1, -1) - X)
+        res = _minimize(objective, z0.ravel(), jac=True, method="L-BFGS-B",
                         options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-14})
-        v_star = part + Z @ res.x
-    else:
-        v_star = part
-    Bs = blocks(v_star)
-    gap = Bs - project_psd(Bs)
-    gap_norm = float(np.sqrt(np.sum(gap * gap)))
-
-    if gap_norm <= TOL.psd * scale:
-        dec = PsdFacetDecomposition(Bs[0], Bs[1:])
-        _verify_decomposition(dec, theta, poly)
-        return dec
+        Bs = blocks(res.x)
+    if accepted(Bs):
+        return PsdFacetDecomposition(Bs[0], Bs[1:])
 
     # candidate separating functional: v = a* - P_K(a*) is blockwise NSD,
     # orthogonal to the free directions, with <v, a> = |v|^2 > 0 on the subspace
-    grad_norm = float(np.linalg.norm(Z.T @ vec(gap).reshape(-1))) if Z.size else 0.0
+    gap = _negative_part(Bs)
+    gap_norm = float(np.sqrt(np.sum(gap * gap)))
+    grad_norm = float(np.linalg.norm(N.T @ gap.reshape(q + 1, -1)))
     stationary = grad_norm <= 1e-6 * max(gap_norm, 1e-30)
     if stationary and gap_norm > TOL.sampled_min * scale:
         raise NotRepresentableError(
@@ -591,39 +540,6 @@ def _route_projection(theta: AffineMatrixField, poly: Polyhedron):
     raise NumericalFailureError(
         f"decomposition search inconclusive (gap {gap_norm:.3e}, "
         f"stationarity {grad_norm:.3e}); not a proof of nonexistence")
-
-
-def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
-    """Decompose theta as B0 + sum_i Bi u_i with PSD coefficient matrices.
-
-    Constructive routes: full row-rank gamma, or full row-rank (delta gamma)
-    plus the triangle condition.  Otherwise a cone-distance search settles the
-    question, returning a decomposition, a certified NotRepresentableError, or
-    NumericalFailureError if inconclusive.
-    """
-    poly = _require_polyhedron(model)
-    x0 = interior_point(poly)
-    if x0 is None:
-        raise InteriorEmptyError("polyhedron has empty interior")
-    theta = model.diffusion
-    q = poly.n_facets
-
-    if _rank(poly.gamma) == q:
-        try:
-            dec = _route_full_row_rank(theta, poly)
-            _verify_decomposition(dec, theta, poly)
-            return dec
-        except _RouteFailed:
-            pass
-    elif (_rank(np.hstack([poly.delta[:, None], poly.gamma])) == q
-          and check_triangle_condition(poly)):
-        try:
-            dec = _route_gamma_inverse(theta, poly, x0)
-            _verify_decomposition(dec, theta, poly)
-            return dec
-        except _RouteFailed:
-            pass
-    return _route_projection(theta, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +630,7 @@ def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> Extend
 
     gamma_ext = np.zeros((q, ext))
     gamma_ext[:, :q] = np.eye(q)
-    space_ext = Polyhedron(gamma_ext, np.zeros(q), minimal=True)
+    space_ext = _minimal(Polyhedron(gamma_ext, np.zeros(q)))
     ext_model = ModelSpec(ext, drift_ext, diffusion_ext, space_ext)
 
     out = ExtendedModel(ext_model, recovery)

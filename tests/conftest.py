@@ -124,7 +124,7 @@ def random_canonical_model(rng: np.random.Generator, p: int, m: int,
                         rng.standard_normal(r)])
     gamma = np.zeros((q, p))
     gamma[:, :q] = np.eye(q)
-    space = Polyhedron(gamma, np.zeros(q), minimal=True)
+    space = Polyhedron(gamma, np.zeros(q))
     return ModelSpec(p, AffineVectorField(a, b), diffusion, space)
 
 

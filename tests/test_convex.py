@@ -222,7 +222,7 @@ def test_detect_facet_multiple_examples():
 
 def test_detect_facet_multiple_scaled_coordinate():
     # theta(x) = c x_1 e_1 e_1^T on the orthant, facet u_0 = x_1
-    orthant = Polyhedron(np.eye(2), np.zeros(2), minimal=True)
+    orthant = Polyhedron(np.eye(2), np.zeros(2))
     for c in (0.5, 2.0, 7.25):
         A = np.zeros((2, 2, 2))
         A[0, 0, 0] = c

@@ -1,12 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import affinvar.polyhedral
+from affinvar.cli import main
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            Polyhedron)
 from affinvar.convex import interior_point
 from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
-                             NotRepresentableError, PreconditionFailedError)
-from affinvar.modelio import load_fixture
+                             NotRepresentableError, NumericalFailureError,
+                             PreconditionFailedError)
+from affinvar.modelio import load_fixture, save_model
 from affinvar.polyhedral import (ClassicalModel,
                                  build_square_root, canonical_transform,
                                  check_classical, check_open_orthant_invariance,
@@ -45,6 +52,18 @@ def test_cir_outward_drift_inadmissible():
     fc = rep.facets[0]
     assert fc.diffusion_ok and not fc.drift_ok
     assert abs(fc.witness[0]) <= 1e-6  # witness x = 0 with gamma mu(0) = -1
+
+
+def test_minimal_is_not_a_constructor_argument():
+    # cir over {x >= 0, x + 1 >= 0}: the redundant second facet carries no
+    # diffusion multiple, so it must be removed, never trusted away
+    m = load_fixture("cir")
+    gamma, delta = [[1.0], [1.0]], [0.0, 1.0]
+    rep = check_polyhedral_admissibility(
+        ModelSpec(1, m.drift, m.diffusion, Polyhedron(gamma, delta)))
+    assert rep.admissible and rep.polyhedron.n_facets == 1
+    with pytest.raises(TypeError):
+        Polyhedron(gamma, delta, minimal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -273,24 +292,31 @@ def test_psd_decompose_full_row_rank_never_fails(rng):
         assert dec.min_eigenvalue() >= -1e-8 * scale
 
 
+def _model_from_coefficients(poly: Polyhedron, B0, Bi) -> ModelSpec:
+    """Zero-drift model with theta = B0 + sum_i Bi u_i."""
+    p = poly.dim
+    theta = AffineMatrixField(B0 + np.tensordot(poly.delta, Bi, axes=(0, 0)),
+                              np.einsum("ik,iab->kab", poly.gamma, Bi))
+    return ModelSpec(p, AffineVectorField(np.zeros((p, p)), np.zeros(p)),
+                     theta, poly)
+
+
+def _triangle_model(rng) -> ModelSpec:
+    tri = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                     np.array([0.0, 0.0, 1.0]))
+    G = rng.standard_normal((3, 2, 2))
+    return _model_from_coefficients(tri, np.zeros((2, 2)),
+                                    G @ np.swapaxes(G, 1, 2))
+
+
 def test_psd_decompose_triangle_condition_route(rng):
     # the 2-D triangle has rank-deficient gamma but full-row-rank (delta gamma)
     # and satisfies the triangle condition: theta built from PSD facet
-    # coefficients is recovered through the extended-matrix inverse
-    tri = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
-                     np.array([0.0, 0.0, 1.0]), minimal=True)
-    assert check_triangle_condition(tri)
+    # coefficients is the B0 = 0 start of the search, accepted as it is
     for _ in range(5):
-        Bs = []
-        for _ in range(3):
-            G = rng.standard_normal((2, 2))
-            Bs.append(G @ G.T)
-        A0 = sum(B * d for B, d in zip(Bs, tri.delta))
-        A = np.stack([sum(B * g for B, g in zip(Bs, tri.gamma[:, k]))
-                      for k in range(2)])
-        theta = AffineMatrixField(A0, A)
-        model = ModelSpec(2, AffineVectorField(np.zeros((2, 2)), np.zeros(2)),
-                          theta, tri)
+        model = _triangle_model(rng)
+        tri, A0, A = model.state_space, model.diffusion.A0, model.diffusion.A
+        assert check_triangle_condition(tri)
         dec = psd_decompose(model)
         rec = dec.reconstruct(tri)
         scale = 1 + np.abs(A0).max()
@@ -299,12 +325,80 @@ def test_psd_decompose_triangle_condition_route(rng):
         assert dec.min_eigenvalue() >= -1e-8 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_psd_decompose_full_row_rank_recovers_coefficients(p, data, seed):
+    # K = [[1, delta^T], [0, gamma^T]] has full column rank exactly when gamma
+    # has full row rank: the decomposition is unique, so it must return the
+    # PSD coefficients theta was built from (a transposed or misordered K
+    # would not)
+    q = data.draw(st.integers(1, p))
+    rng = np.random.default_rng(seed)
+    gamma = rng.standard_normal((q, p))
+    assume(np.linalg.cond(gamma) < 100)
+    G = rng.standard_normal((q + 1, p, p)) * (rng.random((q + 1, 1, p)) < 0.7)
+    Bs = G @ np.swapaxes(G, 1, 2)  # PSD, some singular
+    model = _model_from_coefficients(
+        Polyhedron(gamma, rng.standard_normal(q)), Bs[0], Bs[1:])
+    dec = psd_decompose(model)
+    scale = 1 + np.abs(Bs).max()
+    assert np.abs(dec.B0 - Bs[0]).max() <= 1e-9 * scale
+    assert np.abs(dec.Bi - Bs[1:]).max() <= 1e-9 * scale
+
+
+def test_psd_decompose_searches_only_without_a_constructive_solution(
+        monkeypatch, rng):
+    # the L-BFGS search runs only where the solution is not unique and the
+    # B0 = 0 start is not a decomposition: once on triangle_channel and on
+    # hyperbola_wedge (three facets in the plane), never on cir, on affine
+    # images of canonical models or on the triangle-condition simplex
+    calls = []
+    real = affinvar.polyhedral._minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(affinvar.polyhedral, "_minimize", counting)
+    models = [load_fixture("cir"), _triangle_model(rng)]
+    for p, m_cnt, n_cnt in ((2, 1, 0), (2, 1, 1), (3, 2, 0), (4, 1, 2),
+                            (5, 3, 1)):
+        models.append(random_affine_image(
+            rng, random_canonical_model(rng, p, m_cnt, n_cnt)))
+    for model in models:
+        psd_decompose(model)
+    assert calls == []
+    psd_decompose(load_fixture("hyperbola_wedge"))
+    assert len(calls) == 1
+    with pytest.raises(NotRepresentableError):
+        psd_decompose(load_fixture("triangle_channel"))
+    assert len(calls) == 2
+
+
+def test_psd_decompose_unique_non_psd_solution_is_inconclusive(tmp_path,
+                                                                capsys):
+    # theta = -5e-7 + 1000 x on {x >= 0}: the unique solution has
+    # B0 = -5e-7, below the PSD floor of its block but too small against
+    # theta's scale to prove that no decomposition exists
+    poly = Polyhedron(np.array([[1.0]]), np.zeros(1))
+    model = ModelSpec(1, AffineVectorField(np.array([[-1.0]]), np.ones(1)),
+                      AffineMatrixField([[-5e-7]], [[[1000.0]]]), poly)
+    with pytest.raises(NumericalFailureError):
+        psd_decompose(model)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    code = main(["validate", str(path)])
+    out = capsys.readouterr().out
+    assert code != 3
+    assert json.loads(out)["decompose"]["status"] == "inconclusive"
+
+
 def test_psd_decompose_inconsistent_coefficient_system():
     # theta varies along a direction the facets cannot see: no affine
     # combination of the facet functionals reconstructs it
     tri3 = Polyhedron(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                                 [-1.0, -1.0, 0.0]]),
-                      np.array([0.0, 0.0, 1.0]), minimal=True)
+                      np.array([0.0, 0.0, 1.0]))
     A = np.zeros((3, 3, 3))
     A[2][2, 2] = 1.0  # depends on x_3, which is invisible to the facets
     theta = AffineMatrixField(np.eye(3), A)
@@ -324,9 +418,7 @@ def test_psd_decompose_affine_image_of_diagonal_model(rng):
         base = random_canonical_model(rng, p, m_cnt, 0)
         pushed = random_affine_image(rng, base)
         dec = psd_decompose(pushed)
-        rec = dec.reconstruct(
-            pushed.state_space if pushed.state_space.minimal
-            else pushed.state_space)
+        rec = dec.reconstruct(pushed.state_space)
         scale = 1 + np.abs(pushed.diffusion.A0).max()
         assert np.abs(rec.A0 - pushed.diffusion.A0).max() <= 1e-7 * scale
         assert dec.min_eigenvalue() >= -1e-7 * scale
@@ -376,7 +468,7 @@ def _canonical_model_from(theta_A0, theta_A, q, p, b=None):
     drift = AffineVectorField(np.zeros((p, p)),
                               b if b is not None else np.ones(p))
     return ModelSpec(p, drift, AffineMatrixField(theta_A0, theta_A),
-                     Polyhedron(gamma, np.zeros(q), minimal=True))
+                     Polyhedron(gamma, np.zeros(q)))
 
 
 def test_diagonalize_extended_zero_lambdas():

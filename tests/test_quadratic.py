@@ -540,7 +540,7 @@ def test_open_invariance_canonical_determinant():
     theta = AffineMatrixField(np.zeros((2, 2)),
                               [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     model = ModelSpec(2, AffineVectorField(-np.eye(2), np.array([1.0, 1.0])),
-                      theta, Polyhedron(np.eye(2), np.zeros(2), minimal=True))
+                      theta, Polyhedron(np.eye(2), np.zeros(2)))
     rep = check_open_invariance_general("det", model)
     assert np.allclose(rep.v, 1.0)
     assert rep.phiv2_ok and not rep.sampled_only
