@@ -261,12 +261,14 @@ def cmd_decompose(args) -> int:
     if isinstance(model.state_space, Polyhedron):
         try:
             dec = psd_decompose(model)
-        except NotRepresentableError as exc:
-            report["decomposition"] = {"status": "not-representable",
-                                       "detail": str(exc)}
+        except (NotRepresentableError, NumericalFailureError) as exc:
+            proven = isinstance(exc, NotRepresentableError)
+            report["decomposition"] = {
+                "status": "not-representable" if proven else "inconclusive",
+                "detail": str(exc)}
             report["passed"] = False
             _emit(report, args.out)
-            return EXIT_CHECKS
+            return EXIT_CHECKS if proven else EXIT_INTERNAL
         report["decomposition"] = {
             "status": "ok", "B0": dec.B0.tolist(),
             "Bi": [M.tolist() for M in dec.Bi],

@@ -1,10 +1,21 @@
-"""LP-backed convex-analysis oracles for polyhedra.
+"""Convex-analysis oracles for polyhedra, backed by linear algebra and LPs.
 
 Farkas-type certificates express an affine functional that is nonnegative on a
 polyhedron as a nonnegative combination of the facet functionals plus a
 constant.  All certificates returned here are re-verified by substitution at
 coefficient level, so the LP backend only has to find feasible points, never
 to be trusted blindly.
+
+An LP runs only where linear algebra does not settle the question.  When the
+facet rows gamma are linearly independent (full row rank, as for the orthant
+R^m_+ x R^n and every simplicial cone), the certificate equations have at
+most one solution.  It is read off a pseudo-inverse memoized on the
+Polyhedron and returned when it clearly passes the sign, box and residual
+tests the LP result would face.  Otherwise (rank-deficient gamma, or a
+solution that fails a test) the certificate LP runs, so every failure is the
+LP's verdict.  The Chebyshev center skips its first LP when least squares
+finds a point with every normalized slack above 1, which it does whenever
+gamma has full row rank; the second LP still runs.
 
 Each polyhedral fact is computed once per call.  The Chebyshev center of a
 Polyhedron is memoized on that object, keyed by the tolerances it reads, so
@@ -53,17 +64,45 @@ def _clamp(lam: np.ndarray, free: int | None) -> np.ndarray:
     return out
 
 
+def _certificate_system(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray | None]:
+    """The matrix of the certificate equations gamma^T lam = d.gamma,
+    delta . lam + c = d.delta in the unknowns (lam, c), and its pseudo-inverse
+    when it has full column rank (gamma of full row rank), else None.  Both
+    depend on the rows alone and are memoized on the polyhedron."""
+    memo = getattr(poly, "_certificate_system", None)
+    if memo is None:
+        q, p = poly.gamma.shape
+        A_eq = np.zeros((p + 1, q + 1))
+        A_eq[:p, :q] = poly.gamma.T
+        A_eq[p, :q] = poly.delta
+        A_eq[p, q] = 1.0
+        unique = np.linalg.matrix_rank(A_eq) == q + 1
+        memo = (A_eq, np.linalg.pinv(A_eq) if unique else None)
+        object.__setattr__(poly, "_certificate_system", memo)
+    return memo
+
+
 def _certificate_lp(d: AffineScalar, poly: Polyhedron,
                     free: int | None = None) -> FarkasCertificate | None:
-    """Feasibility LP for d = lam.u + c with lam >= 0 (lam_free unconstrained), c >= 0."""
-    q, p = poly.gamma.shape
+    """Certificate d = lam.u + c with lam >= 0 (lam_free unconstrained), c >= 0.
+
+    When gamma has full row rank the equations have at most one solution,
+    taken from the memoized pseudo-inverse; it is returned if, after
+    `_clamp`, its bounded entries are >= 0, it lies well inside the LP box
+    and it passes the residual test.  Otherwise the feasibility LP runs."""
+    q = poly.n_facets
     box = TOL.box
-    # unknowns: lam (q), c (1); equations: p gamma rows + 1 offset row
-    A_eq = np.zeros((p + 1, q + 1))
-    A_eq[:p, :q] = poly.gamma.T
-    A_eq[p, :q] = poly.delta
-    A_eq[p, q] = 1.0
+    A_eq, pinv = _certificate_system(poly)
     b_eq = np.concatenate([d.gamma, [d.delta]])
+    tol = TOL.feasibility * _coefficient_scale(b_eq)
+    if pinv is not None:
+        z = pinv @ b_eq
+        zc = _clamp(z, free)
+        signs = np.delete(zc, free) if free is not None else zc
+        if np.all(signs >= 0) and np.abs(z).max() < 0.999 * box:
+            cert = FarkasCertificate(zc[:q], float(zc[q]))
+            if cert.residual(d, poly) <= tol:
+                return cert
     bounds = [(0.0, box)] * q + [(0.0, box)]
     if free is not None:
         bounds[free] = (-box, box)
@@ -77,7 +116,7 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
         warnings.warn("certificate multiplier at the LP box bound",
                       ToleranceWarning, stacklevel=4)
     cert = FarkasCertificate(lam, float(c))
-    if cert.residual(d, poly) > TOL.feasibility * _coefficient_scale(b_eq):
+    if cert.residual(d, poly) > tol:
         return None
     return cert
 
@@ -142,6 +181,13 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     when the best slack exceeds 1 a second stage picks the minimum-norm point
     at slack 1, keeping centers of unbounded sets near the origin.
 
+    The first stage (an LP for the best slack) is skipped when
+    `_unit_slack_witness` finds a point of the box with every normalized
+    slack clearly above 1, which it does whenever gamma has full row rank:
+    the first stage would then hand over to the second anyway.  Only the
+    second stage's LP runs, and the first is the fallback if it fails, so
+    the center is the same either way.
+
     The center is solved once per Polyhedron object and memoized on it,
     keyed by the tolerances it reads (TOL.box, TOL.interior_slack): a call
     under other tolerances solves again.  Callers get a copy, never the
@@ -156,38 +202,64 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     return None if x is None else x.copy()
 
 
+def _unit_slack_witness(g: np.ndarray, delta: np.ndarray,
+                        norms: np.ndarray) -> bool:
+    """Whether a point of the box has every normalized slack (g x + delta) /
+    norms above 1 + TOL.interior_slack.  Tries the least-squares solution of
+    g x = 2 norms - delta (exact when g has full row rank), then that point
+    moved along the sum of the unit normals when that direction increases
+    every slack, far enough to bring each slack to 2."""
+    target = 2.0 * norms - delta
+    x = np.linalg.lstsq(g, target, rcond=None)[0]
+    v = (g / norms[:, None]).sum(axis=0)
+    gv = g @ v
+    candidates = [x]
+    if np.all(gv > 0):
+        candidates.append(x + max(0.0, float(np.max((target - g @ x) / gv))) * v)
+    return any(np.abs(y).max(initial=0.0) <= TOL.box and
+               np.min((g @ y + delta) / norms, initial=np.inf) >
+               1.0 + TOL.interior_slack for y in candidates)
+
+
 def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
-    q, p = poly.gamma.shape
+    p = poly.dim
     box = TOL.box
     norms = np.linalg.norm(poly.gamma, axis=1)
     if np.any((norms == 0) & (poly.delta < 0)):
         return None
     keep = norms > 0
+    g, delta, norms = poly.gamma[keep], poly.delta[keep], norms[keep]
+
+    def unit_slack_center():
+        # variables (x, t) with |x_i| <= t_i: minimize sum t at slack 1
+        A2 = np.block([[-g, np.zeros((g.shape[0], p))],
+                       [np.eye(p), -np.eye(p)],
+                       [-np.eye(p), -np.eye(p)]])
+        b2 = np.concatenate([delta - norms, np.zeros(2 * p)])
+        cost2 = np.concatenate([np.zeros(p), np.ones(p)])
+        res2 = linprog(cost2, A_ub=A2, b_ub=b2,
+                       bounds=[(-box, box)] * p + [(0, box)] * p, method="highs")
+        return res2.x[:p] if res2.status == 0 else None
+
+    witnessed = _unit_slack_witness(g, delta, norms)
+    if witnessed:
+        x2 = unit_slack_center()
+        if x2 is not None:
+            return x2
     cost = np.zeros(p + 1)
     cost[p] = -1.0
-    A_ub = np.hstack([-poly.gamma[keep], norms[keep, None]])
-    b_ub = poly.delta[keep]
+    A_ub = np.hstack([-g, norms[:, None]])
     bounds = [(-box, box)] * p + [(-box, box)]
-    res = linprog(cost, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    res = linprog(cost, A_ub=A_ub, b_ub=delta, bounds=bounds, method="highs")
     if res.status != 0:
         return None
     x, r = res.x[:p], res.x[p]
     if r <= TOL.interior_slack:
         return None
-    if r <= 1.0:
+    if r <= 1.0 or witnessed:
         return x
-    # variables (x, t) with |x_i| <= t_i: minimize sum t at slack 1
-    g = poly.gamma[keep]
-    A2 = np.block([[-g, np.zeros((g.shape[0], p))],
-                   [np.eye(p), -np.eye(p)],
-                   [-np.eye(p), -np.eye(p)]])
-    b2 = np.concatenate([poly.delta[keep] - norms[keep], np.zeros(2 * p)])
-    cost2 = np.concatenate([np.zeros(p), np.ones(p)])
-    res2 = linprog(cost2, A_ub=A2, b_ub=b2,
-                   bounds=[(-box, box)] * p + [(0, box)] * p, method="highs")
-    if res2.status == 0:
-        return res2.x[:p]
-    return x
+    x2 = unit_slack_center()
+    return x if x2 is None else x2
 
 
 def chebyshev_radius(poly: Polyhedron) -> float:

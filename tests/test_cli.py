@@ -6,8 +6,9 @@ import pytest
 
 import affinvar.cli
 from affinvar.cli import main
-from affinvar.modelio import fixture_path, load_model
+from affinvar.modelio import fixture_path, load_model, save_model
 from affinvar.tolerances import TOL, Tolerances, current
+from conftest import random_affine_image, random_canonical_model
 
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 
@@ -111,18 +112,43 @@ def test_seed_only_on_simulate(capsys):
     assert exc.value.code == 2
 
 
-def test_lp_budget(capsys, lp_calls):
+def test_lp_budget(capsys, lp_calls, tmp_path, rng):
     """The facet diffusion checks and Psi are LP-free, the drift certificates
     and the interior point are solved once, and minimalize proves most facets
-    irredundant without an LP: validate needs at most 2q+2 LPs."""
-    for fixture, command, budget in (("triangle_channel", "validate", 8),
-                                     ("triangle_channel", "canonicalize", 3),
-                                     ("cir", "validate", 3),
-                                     ("hyperbola_wedge", "validate", 5)):
+    irredundant without an LP.  When gamma has full row rank (cir, simplicial
+    cones) the drift certificates are solved by linear algebra and the
+    Chebyshev center takes one LP, so validate needs one LP in all."""
+    cone = tmp_path / "simplicial_cone.json"
+    save_model(random_affine_image(rng, random_canonical_model(rng, 3, 1, 1)),
+               cone)
+    for model, command, budget, expected in (
+            (fixture_path("triangle_channel"), "validate", 5, 0),
+            (fixture_path("triangle_channel"), "canonicalize", 2, 0),
+            (fixture_path("cir"), "validate", 1, 0),
+            (fixture_path("cir"), "canonicalize", 1, 0),
+            (fixture_path("hyperbola_wedge"), "validate", 4, 1),
+            (cone, "validate", 1, 0)):
         lp_calls.clear()
-        code, _ = _run(capsys, command, str(fixture_path(fixture)))
-        assert code == (GOLDEN_VERDICTS[fixture] if command == "validate" else 0)
-        assert len(lp_calls) <= budget, (fixture, command)
+        code, _ = _run(capsys, command, str(model))
+        assert code == expected, (model, command)
+        assert len(lp_calls) <= budget, (model, command)
+
+
+def test_decompose_inconclusive_reports(tmp_path, capsys):
+    # theta = -5e-7 + 1000 x on {x >= 0}: the decomposition search is
+    # inconclusive, which decompose reports (exit 3) rather than only an
+    # error on stderr
+    path = tmp_path / "half_line.json"
+    path.write_text(json.dumps({
+        "dimension": 1, "drift": {"a": [[0.0]], "b": [0.0]},
+        "diffusion": {"A0": [[-5e-7]], "A": [[[1000.0]]]},
+        "state_space": {"kind": "polyhedral", "gamma": [[1.0]],
+                        "delta": [0.0]}}))
+    code, rep = _run(capsys, "decompose", str(path))
+    assert code == 3
+    assert rep["passed"] is False
+    assert rep["decomposition"]["status"] == "inconclusive"
+    assert rep["decomposition"]["detail"]
 
 
 def test_decompose_hyperbola_wedge(capsys):

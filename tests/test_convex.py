@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from affinvar.convex import (FarkasCertificate, _minimize_affine,
-                             facet_relative_decompose, farkas_decompose,
-                             interior_point, minimalize)
+import affinvar.convex
+from affinvar.convex import (FarkasCertificate, _certificate_lp,
+                             _minimize_affine, facet_relative_decompose,
+                             farkas_decompose, interior_point, minimalize)
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                           ModelSpec, Polyhedron)
+                           ModelSpec, Polyhedron, _coefficient_scale)
+from affinvar.modelio import load_fixture
 from affinvar.errors import (InteriorEmptyError, NotNonnegativeError,
                              NotNonnegativeOnFacetError)
 from affinvar.polyhedral import check_polyhedral_admissibility
@@ -117,6 +119,132 @@ def test_interior_point_memo_keyed_and_private(lp_calls):
         assert interior_point(slab) is None
     x = interior_point(slab)
     assert x is not None and abs(x[0]) < 1e-9
+
+
+def _lp_costs(mp: pytest.MonkeyPatch) -> list[np.ndarray]:
+    """Records, through mp, the cost vector of each LP the package solves:
+    the Chebyshev center's first stage has cost (0, ..., 0, -1), its second
+    (0, ..., 0, 1, ..., 1)."""
+    real = affinvar.convex.linprog
+    costs = []
+
+    def spy(c, *args, **kwargs):
+        costs.append(np.array(c))
+        return real(c, *args, **kwargs)
+
+    mp.setattr(affinvar.convex, "linprog", spy)
+    return costs
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_linear_algebra_matches_lp(p, data, seed):
+    # with gamma of full row rank the certificate equations have at most one
+    # solution: linear algebra and the LP must reach the same verdict and the
+    # same certificate, and a certificate found by linear algebra takes no LP
+    q = data.draw(st.integers(1, p))
+    free = data.draw(st.one_of(st.none(), st.integers(0, q - 1)))
+    rng = np.random.default_rng(seed)
+    gamma = rng.standard_normal((q, p))
+    assume(np.linalg.cond(gamma) < 100)
+    delta = rng.standard_normal(q)
+    # multipliers and constant each zero, positive or negative; when q < p a
+    # random offset puts d.gamma off the row space (no solution at all)
+    z = rng.choice([0.0, 1.0, -1.0], size=q + 1, p=[0.3, 0.5, 0.2]) * \
+        rng.uniform(0.1, 3.0, size=q + 1)
+    off = data.draw(st.sampled_from([0.0, 1.0])) * rng.standard_normal(p)
+    d = AffineScalar(gamma.T @ z[:q] + off, float(delta @ z[:q] + z[q]))
+    with pytest.MonkeyPatch.context() as mp:
+        costs = _lp_costs(mp)
+        cert = _certificate_lp(d, Polyhedron(gamma, delta), free)
+        assert cert is None or costs == []
+        system = affinvar.convex._certificate_system
+        mp.setattr(affinvar.convex, "_certificate_system",
+                   lambda poly: (system(poly)[0], None))
+        lp_cert = _certificate_lp(d, Polyhedron(gamma, delta), free)
+    assert (cert is None) == (lp_cert is None)
+    if cert is not None:
+        scale = _coefficient_scale(d.coefficients())
+        assert np.abs(cert.lam - lp_cert.lam).max() <= 1e-9 * scale
+        assert abs(cert.c - lp_cert.c) <= 1e-9 * scale
+        _assert_valid(cert, d, Polyhedron(gamma, delta), free)
+
+
+def test_certificate_rank_deficient_gamma_takes_lp(lp_calls):
+    # x >= 0, y >= 0, x + y >= 0: gamma has rank 2 < 3 facets, so the
+    # certificate of 2x + 2y is not unique.  The minimum-norm solution
+    # lam = (2/3, 2/3, 4/3) would pass every test, but only the LP decides.
+    poly = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                      np.zeros(3))
+    d = AffineScalar(np.array([2.0, 2.0]), 0.0)
+    _assert_valid(farkas_decompose(d, poly), d, poly)
+    assert len(lp_calls) == 1
+    _assert_valid(facet_relative_decompose(d, poly, 2), d, poly, free=2)
+    assert len(lp_calls) == 2
+
+
+def _two_stage_center(poly: Polyhedron) -> np.ndarray | None:
+    """interior_point of a copy of poly with no witness: the first stage
+    always runs."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(affinvar.convex, "_unit_slack_witness", lambda *a: False)
+        return interior_point(Polyhedron(poly.gamma, poly.delta))
+
+
+def _stages(poly: Polyhedron) -> tuple[np.ndarray | None, list[int]]:
+    """interior_point of a copy of poly, and the stage (1 or 2) of each LP it
+    solved."""
+    with pytest.MonkeyPatch.context() as mp:
+        costs = _lp_costs(mp)
+        x = interior_point(Polyhedron(poly.gamma, poly.delta))
+    return x, [1 if c[-1] < 0 else 2 for c in costs]
+
+
+def _assert_bitwise(x, y):
+    assert (x is None) == (y is None)
+    assert x is None or np.array_equal(x, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_interior_point_witness_matches_two_stage(p, data, seed):
+    # full row rank gamma: least squares finds a witness, so only the second
+    # stage runs.  Scaled simplices have centers with slack below and above
+    # 1.  Either way the center is bitwise the two-stage LP result.
+    rng = np.random.default_rng(seed)
+    if data.draw(st.booleans()):
+        q = data.draw(st.integers(1, p))
+        gamma = rng.standard_normal((q, p))
+        assume(np.linalg.cond(gamma) < 100)
+        poly = Polyhedron(gamma, 3.0 * rng.standard_normal(q))
+        x, stages = _stages(poly)
+        assert stages == [2]
+    else:
+        simplex = random_grid_simplex(rng, p)
+        scale = data.draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+        poly = Polyhedron(simplex.gamma, scale * simplex.delta)
+        x, stages = _stages(poly)
+        assert stages in ([1], [1, 2], [2])
+    _assert_bitwise(x, _two_stage_center(poly))
+
+
+def test_interior_point_stage_one_decides_slack_at_most_one():
+    # the unit square's center has slack 1/2 and the interval [-1.5, 0.5]'s
+    # slack exactly 1 (its least-squares point -0.5 has slack 1.0): the
+    # first stage must run and return its own point
+    interval = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.5, 0.5]))
+    for poly in (UNIT_SQUARE, interval):
+        x, stages = _stages(poly)
+        assert stages == [1]
+        _assert_bitwise(x, _two_stage_center(poly))
+    # a box with slack 5, and the unbounded three-facet wedges of
+    # hyperbola_wedge and triangle_channel, found along a recession ray
+    box = Polyhedron(UNIT_SQUARE.gamma, np.array([5.0, 5.0, 5.0, 5.0]))
+    for poly in (box, load_fixture("hyperbola_wedge").state_space,
+                 load_fixture("triangle_channel").state_space):
+        x, stages = _stages(poly)
+        assert stages == [2]
+        _assert_bitwise(x, _two_stage_center(poly))
 
 
 def _minimalize_by_lp(poly: Polyhedron) -> list[int]:
