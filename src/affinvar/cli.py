@@ -199,8 +199,7 @@ def _validate_quadratic(model: ModelSpec, report: dict) -> None:
         checks.append(_check("conical-structure", True,
                              certificate={"zeta": cdec.coeff_zeta,
                                           "rho": cdec.coeff_rho.tolist()}))
-        if abs(cdec.coeff_zeta - 1.0) > TOL.feasibility or \
-                float(np.abs(cdec.coeff_rho).max(initial=0.0)) > TOL.feasibility:
+        if not cdec.normalized:
             checks.append(_check("cone-zeta-form", False,
                                  info="strong-solution route needs theta = zeta"))
             return
@@ -322,7 +321,7 @@ def _simulation_setup(model: ModelSpec, x0):
         canon = transform_model(model, ct)
         sigma = build_square_root(ct)
         to_canon, from_canon = ct.to_canonical, ct.from_canonical
-        default_x0 = interior_point(ct.polyhedron)  # Chebyshev center
+        default_x0 = interior_point(ct.polyhedron)  # least-distance point
     else:
         cls, canon = _canonical_quadratic_model(model)
         if canon.state_space.component != "positive":
@@ -350,8 +349,7 @@ def _simulation_setup(model: ModelSpec, x0):
 
         elif cls.kind == "cone":
             cdec = conical_theta_decompose(canon.diffusion, cls.q)
-            if abs(cdec.coeff_zeta - 1.0) > TOL.feasibility or \
-                    float(np.abs(cdec.coeff_rho).max(initial=0.0)) > TOL.feasibility:
+            if not cdec.normalized:
                 raise PreconditionFailedError(
                     "simulation on cones needs theta = zeta")
             sigma = cone_square_root(cls.q)

@@ -13,14 +13,15 @@ most one solution.  It is read off a pseudo-inverse memoized on the
 Polyhedron and returned when it clearly passes the sign, box and residual
 tests the LP result would face.  Otherwise (rank-deficient gamma, or a
 solution that fails a test) the certificate LP runs, so every failure is the
-LP's verdict.  The Chebyshev center skips its first LP when least squares
-finds a point with every normalized slack above 1, which it does whenever
-gamma has full row rank; the second LP still runs.
+LP's verdict.  The interior point is the least-distance point at unit
+normalized slack, one NNLS; the Chebyshev-center LP runs only when that
+point does not exist or leaves the box.
 
-Each polyhedral fact is computed once per call.  The Chebyshev center of a
+Each polyhedral fact is computed once per call.  The interior point of a
 Polyhedron is memoized on that object, keyed by the tolerances it reads, so
 the admissibility checks, the canonical transform and the PSD decomposition
-share one solve.  `minimalize` proves most facets irredundant by substituting
+share one solve.  `minimalize` keeps every facet of a full-row-rank gamma
+without an LP, and otherwise proves most facets irredundant by substituting
 one point just outside each facet; only the rest take an LP.
 """
 
@@ -30,7 +31,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, nnls
 
 from .core import (AffineScalar, Polyhedron, _coefficient_residual,
                    _coefficient_scale, _minimal)
@@ -174,21 +175,21 @@ def facet_relative_decompose(d: AffineScalar, poly: Polyhedron,
 
 
 def interior_point(poly: Polyhedron) -> np.ndarray | None:
-    """Chebyshev center: the point maximizing the minimum normalized slack.
+    """Least-distance point at unit slack: the minimum-Euclidean-norm point
+    with every normalized slack (gamma_i x + delta_i) / |gamma_i| >= 1.
 
-    Returns None when the interior is empty (best slack below tolerance).
-    The slack is box-constrained so unbounded polyhedra still give a center;
-    when the best slack exceeds 1 a second stage picks the minimum-norm point
-    at slack 1, keeping centers of unbounded sets near the origin.
+    Lawson & Hanson's least-distance program (Solving Least Squares
+    Problems, 1974, ch. 23) gives it from one NNLS on the (p+1) x q matrix
+    E = [gamma^T; (|gamma| - delta)^T] against f = e_{p+1}: with the residual
+    r = E u - f, the point is -r[:p] / r[p], and a zero residual means no
+    point has unit slack.  It is accepted when it lies in the |x|_inf <= box
+    box with every normalized slack at least 1 - TOL.interior_slack.
+    Otherwise (no point at unit slack, or that point outside the box) one
+    LP solves for the Chebyshev center, the point of the box maximizing the
+    minimum normalized slack.  Returns None when the interior is empty (best
+    slack below TOL.interior_slack).
 
-    The first stage (an LP for the best slack) is skipped when
-    `_unit_slack_witness` finds a point of the box with every normalized
-    slack clearly above 1, which it does whenever gamma has full row rank:
-    the first stage would then hand over to the second anyway.  Only the
-    second stage's LP runs, and the first is the fallback if it fails, so
-    the center is the same either way.
-
-    The center is solved once per Polyhedron object and memoized on it,
+    The point is solved once per Polyhedron object and memoized on it,
     keyed by the tolerances it reads (TOL.box, TOL.interior_slack): a call
     under other tolerances solves again.  Callers get a copy, never the
     memoized array.
@@ -202,25 +203,6 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     return None if x is None else x.copy()
 
 
-def _unit_slack_witness(g: np.ndarray, delta: np.ndarray,
-                        norms: np.ndarray) -> bool:
-    """Whether a point of the box has every normalized slack (g x + delta) /
-    norms above 1 + TOL.interior_slack.  Tries the least-squares solution of
-    g x = 2 norms - delta (exact when g has full row rank), then that point
-    moved along the sum of the unit normals when that direction increases
-    every slack, far enough to bring each slack to 2."""
-    target = 2.0 * norms - delta
-    x = np.linalg.lstsq(g, target, rcond=None)[0]
-    v = (g / norms[:, None]).sum(axis=0)
-    gv = g @ v
-    candidates = [x]
-    if np.all(gv > 0):
-        candidates.append(x + max(0.0, float(np.max((target - g @ x) / gv))) * v)
-    return any(np.abs(y).max(initial=0.0) <= TOL.box and
-               np.min((g @ y + delta) / norms, initial=np.inf) >
-               1.0 + TOL.interior_slack for y in candidates)
-
-
 def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
     p = poly.dim
     box = TOL.box
@@ -229,40 +211,31 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
         return None
     keep = norms > 0
     g, delta, norms = poly.gamma[keep], poly.delta[keep], norms[keep]
-
-    def unit_slack_center():
-        # variables (x, t) with |x_i| <= t_i: minimize sum t at slack 1
-        A2 = np.block([[-g, np.zeros((g.shape[0], p))],
-                       [np.eye(p), -np.eye(p)],
-                       [-np.eye(p), -np.eye(p)]])
-        b2 = np.concatenate([delta - norms, np.zeros(2 * p)])
-        cost2 = np.concatenate([np.zeros(p), np.ones(p)])
-        res2 = linprog(cost2, A_ub=A2, b_ub=b2,
-                       bounds=[(-box, box)] * p + [(0, box)] * p, method="highs")
-        return res2.x[:p] if res2.status == 0 else None
-
-    witnessed = _unit_slack_witness(g, delta, norms)
-    if witnessed:
-        x2 = unit_slack_center()
-        if x2 is not None:
-            return x2
+    f = np.zeros(p + 1)
+    f[p] = 1.0
+    E = np.vstack([g.T, norms - delta])
+    # nnls aborts the interpreter on a matrix with no columns
+    r = E @ (nnls(E, f)[0] if g.size else np.zeros(0)) - f
+    if r[p] < 0:
+        x = -r[:p] / r[p]
+        if np.abs(x).max(initial=0.0) <= box and \
+                np.min((g @ x + delta) / norms, initial=np.inf) >= \
+                1.0 - TOL.interior_slack:
+            return x
     cost = np.zeros(p + 1)
     cost[p] = -1.0
     A_ub = np.hstack([-g, norms[:, None]])
     bounds = [(-box, box)] * p + [(-box, box)]
     res = linprog(cost, A_ub=A_ub, b_ub=delta, bounds=bounds, method="highs")
-    if res.status != 0:
+    if res.status != 0 or res.x[p] <= TOL.interior_slack:
         return None
-    x, r = res.x[:p], res.x[p]
-    if r <= TOL.interior_slack:
-        return None
-    if r <= 1.0 or witnessed:
-        return x
-    x2 = unit_slack_center()
-    return x if x2 is None else x2
+    return res.x[:p]
 
 
 def chebyshev_radius(poly: Polyhedron) -> float:
+    """The minimum normalized slack at `interior_point`: at least 1 at the
+    least-distance point, the Chebyshev radius at the LP fallback, and 0
+    when the interior is empty."""
     x = interior_point(poly)
     if x is None:
         return 0.0
@@ -301,15 +274,22 @@ def _witnessed_facets(poly: Polyhedron, x0: np.ndarray) -> np.ndarray:
 def minimalize(poly: Polyhedron) -> Polyhedron:
     """Remove facets whose deletion leaves the set unchanged.
 
-    A facet with a witness from the interior point (`_witnessed_facets`) is
-    irredundant against every subset of the other facets, so it is kept
-    without an LP; each remaining facet takes one LP, in order, against the
-    facets still kept.  The kept rows are those of the LP rule alone.  When
-    no facet is removed the result inherits the memoized interior point.
+    When gamma has full row rank and the interior is nonempty, every facet
+    is irredundant: y = x0 - (u_i(x0) + eps) pinv(gamma) e_i crosses facet i
+    and no other.  Otherwise a facet with a witness from the interior point
+    (`_witnessed_facets`) is irredundant against every subset of the other
+    facets, so it is kept without an LP; each remaining facet takes one LP,
+    in order, against the facets still kept.  The kept rows are those of the
+    LP rule alone.  When no facet is removed the result inherits the
+    memoized interior point.
     """
     x0 = interior_point(poly)
-    proven = np.zeros(poly.n_facets, dtype=bool) if x0 is None \
-        else _witnessed_facets(poly, x0)
+    if x0 is None:
+        proven = np.zeros(poly.n_facets, dtype=bool)
+    elif np.linalg.matrix_rank(poly.gamma) == poly.n_facets:
+        proven = np.ones(poly.n_facets, dtype=bool)
+    else:
+        proven = _witnessed_facets(poly, x0)
     keep = list(range(poly.n_facets))
     i = 0
     while i < len(keep):

@@ -247,8 +247,9 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     Requires the facet diffusion condition (every row gamma_i theta(.)
     vanishes on its facet segment); raises NotAdmissibleError otherwise.  The
     construction follows the coupling rows B_i = u_i(x0)^-1 gamma_i theta(x0)
-    at the Chebyshev center x0, rescales the square-root facets so that
-    B_i gamma_i^T = 1 and completes the facet rows to a nonsingular matrix L.
+    at the interior point x0 (`interior_point`), rescales the square-root
+    facets so that B_i gamma_i^T = 1 and completes the facet rows to a
+    nonsingular matrix L.
     Psi is read off the lower-right block of the coefficient-exact congruence
     L theta L^T; raises ModelInconsistencyError when that block depends on
     the completing coordinates, i.e. is not a function of the facet values.

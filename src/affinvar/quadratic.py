@@ -586,6 +586,12 @@ class ConicalDecomposition:
     coeff_zeta: float
     coeff_rho: np.ndarray  # (q-1,)
 
+    @property
+    def normalized(self) -> bool:
+        """theta = zeta, the form the strong-solution route needs."""
+        return abs(self.coeff_zeta - 1.0) <= TOL.feasibility and \
+            float(np.abs(self.coeff_rho).max(initial=0.0)) <= TOL.feasibility
+
 
 def conical_theta_decompose(theta: AffineMatrixField, q: int) -> ConicalDecomposition:
     """Least-squares fit of theta in the conical basis; the fit must be exact

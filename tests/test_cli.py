@@ -115,23 +115,46 @@ def test_seed_only_on_simulate(capsys):
 def test_lp_budget(capsys, lp_calls, tmp_path, rng):
     """The facet diffusion checks and Psi are LP-free, the drift certificates
     and the interior point are solved once, and minimalize proves most facets
-    irredundant without an LP.  When gamma has full row rank (cir, simplicial
-    cones) the drift certificates are solved by linear algebra and the
-    Chebyshev center takes one LP, so validate needs one LP in all."""
+    irredundant without an LP.  The interior point is one NNLS.  When gamma
+    has full row rank (cir, simplicial cones) the drift certificates are
+    solved by linear algebra and minimalize keeps every facet, so validate
+    takes no LP.  triangle_channel's gamma is rank-deficient: its least-
+    distance point proves fewer facets than the Chebyshev center's second
+    stage did, so one more facet takes a minimalize LP and its budget
+    stays."""
     cone = tmp_path / "simplicial_cone.json"
     save_model(random_affine_image(rng, random_canonical_model(rng, 3, 1, 1)),
                cone)
     for model, command, budget, expected in (
             (fixture_path("triangle_channel"), "validate", 5, 0),
             (fixture_path("triangle_channel"), "canonicalize", 2, 0),
-            (fixture_path("cir"), "validate", 1, 0),
-            (fixture_path("cir"), "canonicalize", 1, 0),
-            (fixture_path("hyperbola_wedge"), "validate", 4, 1),
-            (cone, "validate", 1, 0)):
+            (fixture_path("cir"), "validate", 0, 0),
+            (fixture_path("cir"), "canonicalize", 0, 0),
+            (fixture_path("hyperbola_wedge"), "validate", 3, 1),
+            (cone, "validate", 0, 0)):
         lp_calls.clear()
         code, _ = _run(capsys, command, str(model))
         assert code == expected, (model, command)
         assert len(lp_calls) <= budget, (model, command)
+
+
+@pytest.mark.parametrize("command", ["validate", "canonicalize", "decompose"])
+def test_constant_facet_model_exits_zero(tmp_path, capsys, command):
+    # the only facet is 0 x + 1 >= 0, so the state space is R^2: a
+    # well-formed model with no facet row, whose interior point is the origin
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "drift": {"a": [[-1.0, 0.0], [0.0, -1.0]],
+                                  "b": [0.0, 0.0]},
+        "diffusion": {"A0": [[1.0, 0.0], [0.0, 1.0]],
+                      "A": np.zeros((2, 2, 2)).tolist()},
+        "state_space": {"kind": "polyhedral", "gamma": [[0.0, 0.0]],
+                        "delta": [1.0]}}))
+    code, rep = _run(capsys, command, str(path))
+    assert code == 0 and rep["passed"]
+    if command == "validate":
+        assert rep["checks"][0] == {"name": "interior-nonempty",
+                                    "passed": True, "witness": [0.0, 0.0]}
 
 
 def test_decompose_inconclusive_reports(tmp_path, capsys):

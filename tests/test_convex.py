@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -122,9 +123,7 @@ def test_interior_point_memo_keyed_and_private(lp_calls):
 
 
 def _lp_costs(mp: pytest.MonkeyPatch) -> list[np.ndarray]:
-    """Records, through mp, the cost vector of each LP the package solves:
-    the Chebyshev center's first stage has cost (0, ..., 0, -1), its second
-    (0, ..., 0, 1, ..., 1)."""
+    """Records, through mp, the cost vector of each LP the package solves."""
     real = affinvar.convex.linprog
     costs = []
 
@@ -183,68 +182,103 @@ def test_certificate_rank_deficient_gamma_takes_lp(lp_calls):
     assert len(lp_calls) == 2
 
 
-def _two_stage_center(poly: Polyhedron) -> np.ndarray | None:
-    """interior_point of a copy of poly with no witness: the first stage
-    always runs."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(affinvar.convex, "_unit_slack_witness", lambda *a: False)
-        return interior_point(Polyhedron(poly.gamma, poly.delta))
+def _max_slack(poly: Polyhedron) -> float:
+    """The Chebyshev radius: the largest minimum normalized slack, by LP."""
+    p = poly.dim
+    norms = np.linalg.norm(poly.gamma, axis=1)
+    res = scipy.optimize.linprog(
+        np.r_[np.zeros(p), -1.0], A_ub=np.hstack([-poly.gamma, norms[:, None]]),
+        b_ub=poly.delta, bounds=[(None, None)] * p + [(None, 10.0)],
+        method="highs")
+    assert res.status == 0
+    return float(res.x[p])
 
 
-def _stages(poly: Polyhedron) -> tuple[np.ndarray | None, list[int]]:
-    """interior_point of a copy of poly, and the stage (1 or 2) of each LP it
-    solved."""
-    with pytest.MonkeyPatch.context() as mp:
-        costs = _lp_costs(mp)
-        x = interior_point(Polyhedron(poly.gamma, poly.delta))
-    return x, [1 if c[-1] < 0 else 2 for c in costs]
-
-
-def _assert_bitwise(x, y):
-    assert (x is None) == (y is None)
-    assert x is None or np.array_equal(x, y)
-
-
-@settings(max_examples=40, deadline=None)
-@given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
-def test_interior_point_witness_matches_two_stage(p, data, seed):
-    # full row rank gamma: least squares finds a witness, so only the second
-    # stage runs.  Scaled simplices have centers with slack below and above
-    # 1.  Either way the center is bitwise the two-stage LP result.
-    rng = np.random.default_rng(seed)
-    if data.draw(st.booleans()):
+def _random_polyhedron(rng, p: int, data) -> Polyhedron:
+    """Full-row-rank gamma, rank-deficient gamma around a point with random
+    facet distances, or a random grid simplex scaled so that its Chebyshev
+    radius falls below or above 1."""
+    kind = data.draw(st.sampled_from(["full", "deficient", "simplex"]))
+    if kind == "full":
         q = data.draw(st.integers(1, p))
         gamma = rng.standard_normal((q, p))
         assume(np.linalg.cond(gamma) < 100)
-        poly = Polyhedron(gamma, 3.0 * rng.standard_normal(q))
-        x, stages = _stages(poly)
-        assert stages == [2]
-    else:
-        simplex = random_grid_simplex(rng, p)
-        scale = data.draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
-        poly = Polyhedron(simplex.gamma, scale * simplex.delta)
-        x, stages = _stages(poly)
-        assert stages in ([1], [1, 2], [2])
-    _assert_bitwise(x, _two_stage_center(poly))
+        return Polyhedron(gamma, 3.0 * rng.standard_normal(q))
+    if kind == "deficient":
+        q = data.draw(st.integers(2, p + 2))
+        k = data.draw(st.integers(1, min(q - 1, p)))
+        gamma = rng.standard_normal((q, k)) @ rng.standard_normal((k, p))
+        centre = 3.0 * rng.standard_normal(p)
+        dist = rng.uniform(0.1, 3.0, size=q)
+        return Polyhedron(gamma, np.linalg.norm(gamma, axis=1) * dist -
+                          gamma @ centre)
+    simplex = random_grid_simplex(rng, p)
+    scale = data.draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    return Polyhedron(simplex.gamma, scale * simplex.delta)
 
 
-def test_interior_point_stage_one_decides_slack_at_most_one():
-    # the unit square's center has slack 1/2 and the interval [-1.5, 0.5]'s
-    # slack exactly 1 (its least-squares point -0.5 has slack 1.0): the
-    # first stage must run and return its own point
-    interval = Polyhedron(np.array([[1.0], [-1.0]]), np.array([1.5, 0.5]))
-    for poly in (UNIT_SQUARE, interval):
-        x, stages = _stages(poly)
-        assert stages == [1]
-        _assert_bitwise(x, _two_stage_center(poly))
-    # a box with slack 5, and the unbounded three-facet wedges of
-    # hyperbola_wedge and triangle_channel, found along a recession ray
-    box = Polyhedron(UNIT_SQUARE.gamma, np.array([5.0, 5.0, 5.0, 5.0]))
-    for poly in (box, load_fixture("hyperbola_wedge").state_space,
-                 load_fixture("triangle_channel").state_space):
-        x, stages = _stages(poly)
-        assert stages == [2]
-        _assert_bitwise(x, _two_stage_center(poly))
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_interior_point_least_distance_kkt(p, data, seed):
+    # when some point has every normalized slack >= 1, interior_point is the
+    # least-distance one, found without an LP: its slacks are >= 1 and
+    # (KKT) it is a nonnegative combination of the unit normals of the
+    # facets at slack 1.  Otherwise it is the Chebyshev center.
+    poly = _random_polyhedron(np.random.default_rng(seed), p, data)
+    radius = _max_slack(poly)
+    assume(abs(radius - 1.0) > 1e-6)
+    with pytest.MonkeyPatch.context() as mp:
+        costs = _lp_costs(mp)
+        x = interior_point(poly)
+    unit = poly.gamma / np.linalg.norm(poly.gamma, axis=1)[:, None]
+    slack = unit @ x + poly.delta / np.linalg.norm(poly.gamma, axis=1)
+    if radius < 1.0:
+        assert len(costs) == 1
+        assert slack.min() == pytest.approx(radius, rel=1e-7, abs=1e-9)
+        return
+    scale = max(1.0, float(np.abs(x).max()))
+    assert costs == []
+    assert slack.min() >= 1.0 - 1e-9
+    active = slack <= 1.0 + 1e-8 * scale
+    # nnls aborts the interpreter on a matrix with no columns
+    residual = scipy.optimize.nnls(unit[active].T, x)[1] if active.any() \
+        else np.linalg.norm(x)
+    assert residual <= 1e-9 * scale
+
+
+def test_interior_point_chebyshev_fallback(lp_calls):
+    # the unit square's Chebyshev radius is 1/2: no point has unit slack,
+    # and the one LP gives the center (a copy: UNIT_SQUARE's is memoized)
+    square = Polyhedron(UNIT_SQUARE.gamma, UNIT_SQUARE.delta)
+    assert np.allclose(interior_point(square), [0.5, 0.5])
+    assert len(lp_calls) == 1
+
+
+def test_interior_point_no_facet_rows():
+    # no facet, or only the facet 0 x + 1 >= 0: the state space is R^2 and
+    # the least-distance point is the origin; 0 x - 1 >= 0 is empty
+    for poly in (Polyhedron(np.zeros((0, 2)), np.zeros(0)),
+                 Polyhedron(np.zeros((1, 2)), np.array([1.0]))):
+        x = interior_point(poly)
+        assert x is not None and np.array_equal(x, [0.0, 0.0])
+    assert interior_point(Polyhedron(np.zeros((1, 2)), np.array([-1.0]))) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_minimalize_full_row_rank_takes_no_lp(p, data, seed):
+    # with gamma of full row rank every facet is irredundant, acute angles
+    # between the normals included: minimalize keeps all rows without an LP
+    rng = np.random.default_rng(seed)
+    q = data.draw(st.integers(1, p))
+    gamma = rng.standard_normal((q, p))
+    assume(np.linalg.cond(gamma) < 100)
+    poly = Polyhedron(gamma, 3.0 * rng.standard_normal(q))
+    with pytest.MonkeyPatch.context() as mp:
+        costs = _lp_costs(mp)
+        red = minimalize(poly)
+    assert costs == []
+    _assert_same_rows(red, poly, list(range(q)))
 
 
 def _minimalize_by_lp(poly: Polyhedron) -> list[int]:
