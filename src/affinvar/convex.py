@@ -280,8 +280,9 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     (`_witnessed_facets`) is irredundant against every subset of the other
     facets, so it is kept without an LP; each remaining facet takes one LP,
     in order, against the facets still kept.  The kept rows are those of the
-    LP rule alone.  When no facet is removed the result inherits the
-    memoized interior point.
+    LP rule alone, except that a zero row with delta >= 0 (its half-space is
+    R^p) is dropped without an LP even when it is the only facet.  When no
+    facet is removed the result inherits the memoized interior point.
     """
     x0 = interior_point(poly)
     if x0 is None:
@@ -294,6 +295,9 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     i = 0
     while i < len(keep):
         idx = keep[i]
+        if not poly.gamma[idx].any() and poly.delta[idx] >= -TOL.feasibility:
+            keep.pop(i)  # its half-space is all of R^p
+            continue
         others = [j for j in keep if j != idx]
         if proven[idx] or not others:
             i += 1

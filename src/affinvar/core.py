@@ -222,14 +222,6 @@ class AffineMatrixField:
         flat = x @ self.A.reshape(self.nvars, self.A0.size)
         return self.A0 + flat.reshape(x.shape[:-1] + self.A0.shape)
 
-    def row_functionals(self, gamma: np.ndarray) -> list[AffineScalar]:
-        """Components of the row x -> gamma . theta(x), each an affine scalar."""
-        gamma = np.asarray(gamma, dtype=float)
-        const = gamma @ self.A0
-        lin = np.einsum("i,kij->jk", gamma, self.A) if self.nvars else \
-            np.zeros((self.size, 0))
-        return [AffineScalar(lin[j], float(const[j])) for j in range(self.size)]
-
     def congruence(self, L: np.ndarray, ell: np.ndarray) -> "AffineMatrixField":
         """Coefficient-exact congruence y -> L theta(L^-1 (y - ell)) L^T.
 

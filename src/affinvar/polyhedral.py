@@ -7,10 +7,13 @@ an affine SDE on a polyhedron: on every facet segment the diffusion row
 ``gamma_i theta(.)`` must vanish and the drift component ``gamma_i mu(.)`` must
 be nonnegative.  In a minimal polyhedron with nonempty interior each facet
 spans its hyperplane, so the first condition is a coefficient projection onto
-``u_i``; the second is certified by one facet-relative Farkas LP per facet,
-solved once in ``check_polyhedral_admissibility``.  Polynomial identities
-(the canonical block form, the dimension extension) are checked on
-coefficients.
+``u_i``: `_coupling_rows` reads every coupling row B_i, with
+gamma_i theta(.) = B_i u_i(.), off the coefficients of theta at once, for the
+admissibility check and the canonical transform alike, so the transform
+depends on the model alone, not on an interior point.  The second condition
+is certified by one facet-relative Farkas LP per facet, solved once in
+``check_polyhedral_admissibility``.  Polynomial identities (the canonical
+block form, the dimension extension) are checked on coefficients.
 
 The PSD facet decomposition theta = B0 + sum_i B_i u_i is one linear system
 with the (p+1) x (q+1) matrix K = [[1, delta^T], [0, gamma^T]] acting on the
@@ -32,8 +35,7 @@ from .convex import (FarkasCertificate, _coefficient_multiple,
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
                    ModelSpec, Polyhedron, _coefficient_residual,
                    _coefficient_scale, _coldot, _minimal,
-                   change_model_coordinates, psd_factor, psd_square_root,
-                   symmetrize)
+                   change_model_coordinates, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotNonnegativeError,
                      NotNonnegativeOnFacetError, NotRepresentableError,
@@ -61,7 +63,6 @@ class FacetCheck:
 @dataclass(frozen=True)
 class AdmissibilityReport:
     facets: list[FacetCheck]
-    interior: np.ndarray
     polyhedron: Polyhedron
     # (a_bar, b_bar) with gamma mu(x) = a_bar u(x) + b_bar, None unless every
     # facet has a drift certificate
@@ -79,31 +80,39 @@ def _require_polyhedron(model: ModelSpec) -> Polyhedron:
     return poly if poly.minimal else minimalize(poly)
 
 
-def _interior_polyhedron(model: ModelSpec) -> tuple[Polyhedron, np.ndarray]:
-    """The model's minimal polyhedron and its interior point; raises
-    InteriorEmptyError when the interior is empty."""
+def _interior_polyhedron(model: ModelSpec) -> Polyhedron:
+    """The model's minimal polyhedron; raises InteriorEmptyError when its
+    interior is empty."""
     poly = _require_polyhedron(model)
-    x0 = interior_point(poly)
-    if x0 is None:
+    if interior_point(poly) is None:
         raise InteriorEmptyError("polyhedron has empty interior")
-    return poly, x0
+    return poly
 
 
-def _facet_coupling_row(theta: AffineMatrixField, poly: Polyhedron,
-                        i: int) -> np.ndarray | None:
-    """B_i with gamma_i theta(.) = B_i u_i(.) coefficientwise, or None.
+def _coupling_rows(theta: AffineMatrixField, poly: Polyhedron
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coupling rows B (q, p) with gamma_i theta(.) = B_i u_i(.)
+    coefficientwise, the diffusion multiples c_i = B_i gamma_i^T, and the
+    mask of facets where that identity holds.
 
     Callers have already established a nonempty interior of the minimal
     polyhedron, so facet i spans {u_i = 0} and vanishing there is exactly
-    being a coefficient multiple of u_i.
+    being a coefficient multiple of u_i.  Each component's (linear, constant)
+    coefficients are projected onto U_i = (gamma_i, delta_i) and accepted
+    under the residual test of `_coefficient_multiple`.
     """
-    row = np.empty(theta.size)
-    for j, comp in enumerate(theta.row_functionals(poly.gamma[i])):
-        lam = _coefficient_multiple(comp, poly.facet(i))
-        if lam is None:
-            return None
-        row[j] = lam
-    return row
+    g = poly.gamma
+    # V[i, j] = coefficients of component j of x -> gamma_i theta(x)
+    V = np.concatenate([np.einsum("ia,kaj->ijk", g, theta.A),
+                        (g @ theta.A0)[:, :, None]], axis=2)
+    U = np.concatenate([g, poly.delta[:, None]], axis=1)
+    denom = np.einsum("ik,ik->i", U, U)
+    nonzero = denom > 0
+    B = np.einsum("ijk,ik->ij", V, U) / np.where(nonzero, denom, 1.0)[:, None]
+    resid = np.abs(V - B[:, :, None] * U[:, None, :]).max(axis=2, initial=0.0)
+    scale = 1.0 + np.abs(V).max(axis=2, initial=0.0)
+    ok = nonzero & np.all(resid <= TOL.feasibility * scale, axis=1)
+    return B, np.einsum("ij,ij->i", B, g), ok
 
 
 def _lift(drift: AffineVectorField, poly: Polyhedron,
@@ -133,15 +142,15 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     lifted drift (a_bar, b_bar); raises NotAdmissibleError if those fail to
     reconstruct gamma mu(.).
     """
-    poly, x0 = _interior_polyhedron(model)
+    poly = _interior_polyhedron(model)
+    B, c, ok = _coupling_rows(model.diffusion, poly)
     checks = []
     for i in range(poly.n_facets):
-        B_i = _facet_coupling_row(model.diffusion, poly, i)
-        c_i = None
-        diffusion_ok = B_i is not None
+        B_i = c_i = None
+        diffusion_ok = bool(ok[i])
         msg = ""
         if diffusion_ok:
-            c_i = float(B_i @ poly.gamma[i])
+            B_i, c_i = B[i], float(c[i])
             if c_i < -TOL.psd * (1.0 + abs(c_i)):
                 diffusion_ok = False
                 msg = "negative diffusion multiple on facet"
@@ -162,7 +171,7 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     lifted = None
     if all(fc.drift_ok for fc in checks):
         lifted = _lift(model.drift, poly, [fc.drift_certificate for fc in checks])
-    return AdmissibilityReport(checks, x0, poly, lifted)
+    return AdmissibilityReport(checks, poly, lifted)
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +198,7 @@ class CanonicalTransform:
     facet_order: np.ndarray       # permutation of original facet indices
     facet_scale: np.ndarray       # positive scale per original facet
     polyhedron: Polyhedron        # minimalized source polyhedron
+    block_residual: float         # coefficient residual of the block form
 
     @property
     def dim(self) -> int:
@@ -214,9 +224,7 @@ class CanonicalTransform:
         poly = self.polyhedron
         g = poly.gamma * self.facet_scale[:, None]
         d = poly.delta * self.facet_scale
-        reordered = Polyhedron(g[self.facet_order], d[self.facet_order])
-        if poly.minimal:
-            _minimal(reordered)
+        reordered = _minimal(Polyhedron(g[self.facet_order], d[self.facet_order]))
         return reordered.transformed(self.L, self.ell)
 
 
@@ -246,51 +254,52 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
 
     Requires the facet diffusion condition (every row gamma_i theta(.)
     vanishes on its facet segment); raises NotAdmissibleError otherwise.  The
-    construction follows the coupling rows B_i = u_i(x0)^-1 gamma_i theta(x0)
-    at the interior point x0 (`interior_point`), rescales the square-root
+    construction follows the coupling rows B_i with gamma_i theta(.) =
+    B_i u_i(.), read off the coefficients of theta (`_coupling_rows`), so the
+    transform depends on the model alone.  It rescales the square-root
     facets so that B_i gamma_i^T = 1 and completes the facet rows to a
     nonsingular matrix L.
     Psi is read off the lower-right block of the coefficient-exact congruence
     L theta L^T; raises ModelInconsistencyError when that block depends on
     the completing coordinates, i.e. is not a function of the facet values.
+    The congruence is then checked against the block form on coefficients
+    (residual kept as ``block_residual``); RankDeficiencyError when it fails.
     """
-    poly, x0 = _interior_polyhedron(model)
+    poly = _interior_polyhedron(model)
     theta = model.diffusion
     p, q = model.dimension, poly.n_facets
 
-    for i in range(q):
-        if _facet_coupling_row(theta, poly, i) is None:
-            raise NotAdmissibleError(
-                f"diffusion condition fails on facet {i}: gamma_i theta(.) "
-                "does not vanish on the facet segment")
+    B, c, ok = _coupling_rows(theta, poly)
+    if not ok.all():
+        raise NotAdmissibleError(
+            f"diffusion condition fails on facet {np.argmin(ok)}: "
+            "gamma_i theta(.) does not vanish on the facet segment")
 
-    theta0 = symmetrize(theta(x0))
-    u0 = poly.evaluate(x0)
-    B = (poly.gamma @ theta0) / u0[:, None]
-    scale = 1.0 + float(np.linalg.norm(theta0))
+    scale = _coefficient_scale(theta.A0, theta.A)
     M = [i for i in range(q) if np.linalg.norm(B[i]) > TOL.zero_row * scale]
 
     facet_scale = np.ones(q)
     for i in M:
-        c_i = float(B[i] @ poly.gamma[i])
-        if c_i <= 0:
+        if c[i] <= 0:
             raise NotAdmissibleError(
-                f"facet {i} has nonpositive diffusion multiple {c_i:.3e}")
-        facet_scale[i] = 1.0 / c_i
+                f"facet {i} has nonpositive diffusion multiple {c[i]:.3e}")
+        facet_scale[i] = 1.0 / c[i]
     gamma_s = poly.gamma * facet_scale[:, None]
     delta_s = poly.delta * facet_scale
 
     target = _rank(gamma_s)
     N: list[int] = []
     current = gamma_s[M]
+    rank = _rank(current)
     for i in range(q):
         if i in M:
             continue
         trial = np.vstack([current, gamma_s[i]]) if current.size else gamma_s[i][None]
-        if _rank(trial) > _rank(current):
+        trial_rank = _rank(trial)
+        if trial_rank > rank:
             N.append(i)
-            current = trial
-        if _rank(current) == target:
+            current, rank = trial, trial_rank
+        if rank == target:
             break
     m, n = len(M), len(N)
 
@@ -318,28 +327,19 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
             "PSD region of the diffusion")
     psi = AffineMatrixField(canon.A0[k:, k:], canon.A[:k, k:, k:])
 
-    ct = CanonicalTransform(L, ell, m, n, psi, B, order, facet_scale, poly)
-    _verify_block_identity(ct, canon)
-    return ct
-
-
-def _verify_block_identity(ct: CanonicalTransform,
-                           canon: AffineMatrixField) -> float:
-    """Coefficient residual of the transformed diffusion ``canon`` against the
-    block form [[diag(y_M, 0_N), 0], [0, Psi(y_{M u N})]]; raises
-    RankDeficiencyError when it exceeds the tolerance."""
-    p, m, k = ct.dim, ct.m, ct.m + ct.n
+    # the block form [[diag(y_M, 0_N), 0], [0, Psi(y_{M u N})]]
     A0 = np.zeros((p, p))
     A = np.zeros((p, p, p))
     A[np.arange(m), np.arange(m), np.arange(m)] = 1.0
-    A0[k:, k:] = ct.psi.A0
-    A[:k, k:, k:] = ct.psi.A
-    resid = _coefficient_residual((canon.A0, canon.A), (A0, A))
-    if resid > TOL.block_identity * _coefficient_scale(canon.A0, canon.A):
+    A0[k:, k:] = psi.A0
+    A[:k, k:, k:] = psi.A
+    block_residual = _coefficient_residual((canon.A0, canon.A), (A0, A))
+    if block_residual > TOL.block_identity * scale:
         raise RankDeficiencyError(
-            f"block identity residual {resid:.3e} exceeds tolerance; "
+            f"block identity residual {block_residual:.3e} exceeds tolerance; "
             "internal inconsistency in the canonical construction")
-    return resid
+    return CanonicalTransform(L, ell, m, n, psi, B, order, facet_scale, poly,
+                              block_residual)
 
 
 def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
@@ -478,7 +478,7 @@ def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
     candidate that is not a decomposition raises NotRepresentableError with
     a verified separating functional, or NumericalFailureError.
     """
-    poly, _ = _interior_polyhedron(model)
+    poly = _interior_polyhedron(model)
     theta = model.diffusion
     q, p = poly.gamma.shape
     K = np.block([[np.ones((1, 1)), poly.delta[None]],

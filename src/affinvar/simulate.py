@@ -203,7 +203,7 @@ class _ExitTracker:
         if isinstance(space, Polyhedron):
             vals = space.gamma @ x + space.delta[:, None]      # (q, N)
             self.worst = np.minimum(self.worst, vals.min(axis=1))
-            low = vals.min(axis=0)
+            low = vals.min(axis=0, initial=np.inf)
         else:
             # Phi per column; the sign makes the state space {value >= 0}
             form = space.form

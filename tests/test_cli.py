@@ -138,10 +138,9 @@ def test_lp_budget(capsys, lp_calls, tmp_path, rng):
         assert len(lp_calls) <= budget, (model, command)
 
 
-@pytest.mark.parametrize("command", ["validate", "canonicalize", "decompose"])
-def test_constant_facet_model_exits_zero(tmp_path, capsys, command):
-    # the only facet is 0 x + 1 >= 0, so the state space is R^2: a
-    # well-formed model with no facet row, whose interior point is the origin
+def _plane_model(tmp_path):
+    """The only facet is 0 x + 1 >= 0, so the state space is R^2: a
+    well-formed model with no facet row, whose interior point is the origin."""
     path = tmp_path / "plane.json"
     path.write_text(json.dumps({
         "dimension": 2, "drift": {"a": [[-1.0, 0.0], [0.0, -1.0]],
@@ -150,11 +149,32 @@ def test_constant_facet_model_exits_zero(tmp_path, capsys, command):
                       "A": np.zeros((2, 2, 2)).tolist()},
         "state_space": {"kind": "polyhedral", "gamma": [[0.0, 0.0]],
                         "delta": [1.0]}}))
-    code, rep = _run(capsys, command, str(path))
+    return path
+
+
+@pytest.mark.parametrize("command", ["validate", "canonicalize", "decompose"])
+def test_constant_facet_model_exits_zero(tmp_path, capsys, command):
+    code, rep = _run(capsys, command, str(_plane_model(tmp_path)))
     assert code == 0 and rep["passed"]
     if command == "validate":
         assert rep["checks"][0] == {"name": "interior-nonempty",
                                     "passed": True, "witness": [0.0, 0.0]}
+    if command == "canonicalize":  # the row bounds nothing and is dropped
+        assert (rep["transform"]["m"], rep["transform"]["n"]) == (0, 0)
+        assert rep["transformed_model"]["state_space"]["gamma"] == []
+
+
+@pytest.mark.parametrize("csv", [False, True])
+@pytest.mark.parametrize("scheme", ["full-truncation", "plain"])
+def test_constant_facet_model_simulates(tmp_path, capsys, scheme, csv):
+    # with no facet left there is nothing to project onto or exit through
+    args = ["simulate", str(_plane_model(tmp_path)), "--t", "0.5", "--steps",
+            "10", "--paths", "20", "--seed", "2", "--scheme", scheme]
+    if csv:
+        args += ["--csv", str(tmp_path / "paths.csv")]
+    code, rep = _run(capsys, *args)
+    assert code == 0 and rep["passed"]
+    assert rep["simulation"]["exit_fraction"] == 0.0
 
 
 def test_decompose_inconclusive_reports(tmp_path, capsys):

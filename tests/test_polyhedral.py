@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 import affinvar.polyhedral
 from affinvar.cli import main
-from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                           Polyhedron)
-from affinvar.convex import interior_point
+from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
+                           ModelSpec, Polyhedron)
+from affinvar.convex import _coefficient_multiple, interior_point
 from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
                              NotRepresentableError, NumericalFailureError,
                              PreconditionFailedError)
 from affinvar.modelio import load_fixture, save_model
-from affinvar.polyhedral import (ClassicalModel,
+from affinvar.polyhedral import (ClassicalModel, _coupling_rows,
                                  build_square_root, canonical_transform,
                                  check_classical, check_open_orthant_invariance,
                                  check_polyhedral_admissibility,
@@ -173,6 +173,68 @@ def test_canonical_transform_round_trip_on_canonical_model(rng):
         y = y0 + rng.standard_normal(3)
         worst = max(worst, np.abs(canon(y) - ct.block_matrix(y)).max())
     assert worst <= 1e-12 * (1 + np.abs(model.diffusion.A0).max() * 10)
+
+
+def test_canonical_transform_does_not_depend_on_the_interior_point(
+        monkeypatch, rng):
+    # the coupling rows are read off the coefficients, so moving the interior
+    # point the transform is handed changes no bit of it
+    models = [load_fixture("cir"), load_fixture("triangle_channel"),
+              random_affine_image(rng, random_canonical_model(rng, 4, 2, 1))]
+    before = [canonical_transform(model) for model in models]
+    real = affinvar.polyhedral.interior_point
+
+    def moved(poly):
+        x = real(poly) + 0.01 * np.linalg.pinv(poly.gamma) @ np.ones(poly.n_facets)
+        assert np.all(poly.evaluate(x) > 0)
+        return x
+
+    monkeypatch.setattr(affinvar.polyhedral, "interior_point", moved)
+    for model, ct in zip(models, before):
+        other = canonical_transform(model)
+        for name in ("L", "ell", "B", "facet_scale"):
+            assert np.array_equal(getattr(other, name), getattr(ct, name)), name
+        assert np.array_equal(other.psi.A0, ct.psi.A0)
+        assert np.array_equal(other.psi.A, ct.psi.A)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+       perturb=st.booleans())
+def test_coupling_rows_match_the_per_component_oracle(p, data, seed, perturb):
+    q = data.draw(st.integers(1, p))
+    m_cnt = data.draw(st.integers(0, q))
+    rng = np.random.default_rng(seed)
+    model = random_affine_image(
+        rng, random_canonical_model(rng, p, m_cnt, q - m_cnt))
+    poly, theta = model.state_space, model.diffusion
+    bad = data.draw(st.integers(0, q - 1)) if perturb else None
+    if perturb:
+        # add to facet bad's row gamma_bad theta the field h (w.x + w0), with
+        # (w, w0) orthogonal to (gamma_bad, delta_bad) and |w, w0|_inf = 1e-2,
+        # so that it is no multiple of u_bad by a margin far above the tolerance
+        g, U = poly.gamma[bad], poly.facet(bad).coefficients()
+        w = rng.standard_normal(p + 1)
+        w -= (w @ U) / (U @ U) * U
+        w *= 1e-2 / np.abs(w).max()
+        h = rng.standard_normal(p)
+        # symmetric D with g^T D = h^T
+        gg = g @ g
+        D = (np.outer(g, h) + np.outer(h, g)) / gg - (g @ h) * np.outer(g, g) / gg ** 2
+        theta = AffineMatrixField(theta.A0 + w[p] * D,
+                                  theta.A + w[:p, None, None] * D)
+    B, c, ok = _coupling_rows(theta, poly)
+    for i in range(q):
+        g = poly.gamma[i]
+        oracle = [_coefficient_multiple(
+            AffineScalar(theta.A[:, :, j] @ g, float(g @ theta.A0[:, j])),
+            poly.facet(i)) for j in range(p)]
+        assert ok[i] == (None not in oracle), i
+        if ok[i]:
+            assert np.abs(B[i] - oracle).max() <= 1e-12 * (1 + np.abs(oracle).max())
+            assert c[i] == pytest.approx(B[i] @ g, rel=1e-12, abs=1e-12)
+    if perturb:
+        assert not ok[bad]
 
 
 # ---------------------------------------------------------------------------
