@@ -361,10 +361,27 @@ def _simulation_setup(model: ModelSpec, x0):
     return canon, sigma, to_canon, from_canon, start
 
 
+def _start_point(text: str | None, dimension: int) -> np.ndarray | None:
+    """The --x0 point: `dimension` comma-separated finite numbers."""
+    if not text:
+        return None
+    try:
+        x0 = np.array([float(v) for v in text.split(",")])
+    except ValueError as exc:
+        raise ParseError(f"--x0 must be comma-separated numbers: {exc}") from exc
+    if not np.all(np.isfinite(x0)):
+        raise ParseError(f"--x0 must be finite, got {text!r}")
+    if x0.shape != (dimension,):
+        raise ParseError(f"--x0 must have {dimension} coordinates, got {text!r}")
+    return x0
+
+
 def cmd_simulate(args) -> int:
+    if not math.isfinite(args.t):
+        raise ParseError(f"--t must be finite, got {args.t!r}")
     model = load_model(args.model)
+    x0 = _start_point(args.x0, model.dimension)
     report = _report_base("simulate", model)
-    x0 = np.array([float(v) for v in args.x0.split(",")]) if args.x0 else None
     canon, sigma, to_canon, from_canon, start = _simulation_setup(model, x0)
     steps = args.steps if args.steps else max(1, int(round(1000 * args.t)))
     scheme = Scheme.FULL_TRUNCATION_EULER if args.scheme == "full-truncation" \

@@ -9,20 +9,21 @@ to be trusted blindly.
 An LP runs only where linear algebra does not settle the question.  When the
 facet rows gamma are linearly independent (full row rank, as for the orthant
 R^m_+ x R^n and every simplicial cone), the certificate equations have at
-most one solution.  It is read off a pseudo-inverse memoized on the
-Polyhedron and returned when it clearly passes the sign, box and residual
-tests the LP result would face.  Otherwise (rank-deficient gamma, or a
-solution that fails a test) the certificate LP runs, so every failure is the
-LP's verdict.  The interior point is the least-distance point at unit
-normalized slack, one NNLS; the Chebyshev-center LP runs only when that
-point does not exist or leaves the box.
+most one solution, read off a pseudo-inverse memoized on the Polyhedron.
+Otherwise one NNLS solves them over the sign constraints.  Either solution
+is returned when it clearly passes the sign, box and residual tests the LP
+result would face; when it does not, the certificate LP runs, so every
+failure is the LP's verdict.  The interior point is the least-distance point
+at unit normalized slack, one NNLS; the Chebyshev-center LP runs only when
+that point does not exist or leaves the box.
 
 Each polyhedral fact is computed once per call.  The interior point of a
 Polyhedron is memoized on that object, keyed by the tolerances it reads, so
 the admissibility checks, the canonical transform and the PSD decomposition
 share one solve.  `minimalize` keeps every facet of a full-row-rank gamma
 without an LP, and otherwise proves most facets irredundant by substituting
-one point just outside each facet; only the rest take an LP.
+one point just outside each facet, found by the same least-distance NNLS;
+only the rest take an LP.
 """
 
 from __future__ import annotations
@@ -88,16 +89,20 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
     """Certificate d = lam.u + c with lam >= 0 (lam_free unconstrained), c >= 0.
 
     When gamma has full row rank the equations have at most one solution,
-    taken from the memoized pseudo-inverse; it is returned if, after
-    `_clamp`, its bounded entries are >= 0, it lies well inside the LP box
-    and it passes the residual test.  Otherwise the feasibility LP runs."""
+    taken from the memoized pseudo-inverse.  Otherwise one NNLS solves them
+    over (lam, c) >= 0, the free multiplier split into two nonnegative
+    columns.  Either solution is returned if, after `_clamp`, its bounded
+    entries are >= 0, it lies well inside the LP box and it passes the
+    residual test.  Otherwise the feasibility LP runs, so a missing
+    certificate is always the LP's verdict."""
     q = poly.n_facets
     box = TOL.box
     A_eq, pinv = _certificate_system(poly)
     b_eq = np.concatenate([d.gamma, [d.delta]])
     tol = TOL.feasibility * _coefficient_scale(b_eq)
-    if pinv is not None:
-        z = pinv @ b_eq
+    z = pinv @ b_eq if pinv is not None else _nonnegative_solution(A_eq, b_eq,
+                                                                   free)
+    if z is not None:
         zc = _clamp(z, free)
         signs = np.delete(zc, free) if free is not None else zc
         if np.all(signs >= 0) and np.abs(z).max() < 0.999 * box:
@@ -120,6 +125,22 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
     if cert.residual(d, poly) > tol:
         return None
     return cert
+
+
+def _nonnegative_solution(A: np.ndarray, b: np.ndarray,
+                          free: int | None) -> np.ndarray | None:
+    """The NNLS solution z >= 0 of A z = b, column `free` unconstrained (as
+    the difference of two nonnegative columns), or None when NNLS stops at
+    its iteration limit.  Its residual is the caller's to test."""
+    cols = A if free is None else np.hstack([A, -A[:, free:free + 1]])
+    try:
+        z = nnls(cols, b)[0]
+    except RuntimeError:
+        return None
+    if free is not None:
+        z[free] -= z[-1]
+        z = z[:-1]
+    return z
 
 
 def _minimize_affine(d: AffineScalar, poly: Polyhedron,
@@ -178,16 +199,12 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     """Least-distance point at unit slack: the minimum-Euclidean-norm point
     with every normalized slack (gamma_i x + delta_i) / |gamma_i| >= 1.
 
-    Lawson & Hanson's least-distance program (Solving Least Squares
-    Problems, 1974, ch. 23) gives it from one NNLS on the (p+1) x q matrix
-    E = [gamma^T; (|gamma| - delta)^T] against f = e_{p+1}: with the residual
-    r = E u - f, the point is -r[:p] / r[p], and a zero residual means no
-    point has unit slack.  It is accepted when it lies in the |x|_inf <= box
-    box with every normalized slack at least 1 - TOL.interior_slack.
-    Otherwise (no point at unit slack, or that point outside the box) one
-    LP solves for the Chebyshev center, the point of the box maximizing the
-    minimum normalized slack.  Returns None when the interior is empty (best
-    slack below TOL.interior_slack).
+    It is one least-distance NNLS (`_least_distance`), accepted when it
+    lies in the |x|_inf <= box box with every normalized slack at least
+    1 - TOL.interior_slack.  Otherwise (no point at unit slack, or that
+    point outside the box) one LP solves for the Chebyshev center, the point
+    of the box maximizing the minimum normalized slack.  Returns None when
+    the interior is empty (best slack below TOL.interior_slack).
 
     The point is solved once per Polyhedron object and memoized on it,
     keyed by the tolerances it reads (TOL.box, TOL.interior_slack): a call
@@ -203,6 +220,29 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     return None if x is None else x.copy()
 
 
+def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
+    """The minimum-Euclidean-norm x with G x >= h, or None when there is
+    none (or NNLS stops at its iteration limit).
+
+    Lawson & Hanson's least-distance program (Solving Least Squares
+    Problems, 1974, ch. 23): one NNLS on the (p+1) x q matrix
+    E = [G^T; h^T] against f = e_{p+1}.  With the residual r = E u - f the
+    point is -r[:p] / r[p], and r[p] = 0 means the system is infeasible.
+    The result is a floating-point solve; callers verify it by substitution.
+    """
+    p = G.shape[1]
+    if not G.size:  # nnls aborts the interpreter on a matrix with no columns
+        return np.zeros(p)
+    E = np.vstack([G.T, h])
+    f = np.zeros(p + 1)
+    f[p] = 1.0
+    try:
+        r = E @ nnls(E, f)[0] - f
+    except RuntimeError:
+        return None
+    return -r[:p] / r[p] if r[p] < 0 else None
+
+
 def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
     p = poly.dim
     box = TOL.box
@@ -211,17 +251,11 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
         return None
     keep = norms > 0
     g, delta, norms = poly.gamma[keep], poly.delta[keep], norms[keep]
-    f = np.zeros(p + 1)
-    f[p] = 1.0
-    E = np.vstack([g.T, norms - delta])
-    # nnls aborts the interpreter on a matrix with no columns
-    r = E @ (nnls(E, f)[0] if g.size else np.zeros(0)) - f
-    if r[p] < 0:
-        x = -r[:p] / r[p]
-        if np.abs(x).max(initial=0.0) <= box and \
-                np.min((g @ x + delta) / norms, initial=np.inf) >= \
-                1.0 - TOL.interior_slack:
-            return x
+    x = _least_distance(g, norms - delta)
+    if x is not None and np.abs(x).max(initial=0.0) <= box and \
+            np.min((g @ x + delta) / norms, initial=np.inf) >= \
+            1.0 - TOL.interior_slack:
+        return x
     cost = np.zeros(p + 1)
     cost[p] = -1.0
     A_ub = np.hstack([-g, norms[:, None]])
@@ -244,53 +278,61 @@ def chebyshev_radius(poly: Polyhedron) -> float:
     return float(np.min(poly.evaluate(x) / norms))
 
 
-def _witnessed_facets(poly: Polyhedron, x0: np.ndarray) -> np.ndarray:
-    """Facets proven irredundant by substitution: from the interior point x0,
-    step along -gamma_i/|gamma_i| just past the hyperplane {u_i = 0}; a point
-    y with u_i(y) < 0 clearly, every other u_j(y) >= 0 and |y|_inf < box
-    shows that deleting facet i enlarges the set."""
-    q = poly.n_facets
-    norms = np.linalg.norm(poly.gamma, axis=1)
-    proven = np.zeros(q, dtype=bool)
-    nonzero = norms > 0
-    if not np.any(nonzero):
-        return proven
-    unit = np.zeros_like(poly.gamma)
-    unit[nonzero] = poly.gamma[nonzero] / norms[nonzero, None]
-    dist = poly.evaluate(x0)[nonzero] / norms[nonzero]
-    r = float(dist.min())
-    own = np.eye(q, dtype=bool)
-    for overshoot in (r / 2, r / 1000):
-        step = np.zeros(q)
-        step[nonzero] = dist + overshoot
-        ys = x0 - step[:, None] * unit
-        vals = poly.evaluate(ys)                 # vals[i, j] = u_j(y_i)
-        proven |= (np.diag(vals) < -2.0 * TOL.feasibility) & \
-            np.all((vals >= 0) | own, axis=1) & \
-            (np.abs(ys).max(axis=1) < TOL.box)
-    return proven
+def _facet_witness(poly: Polyhedron, i: int, others: list[int],
+                   x0: np.ndarray, margin: float) -> bool:
+    """Whether substitution proves facet i irredundant against `others`.
+
+    One `_least_distance` solve, in units of its largest requirement, gives
+    the point y nearest x0 with normalized slack <= -margin on facet i (and
+    u_i(y) <= -4 TOL.feasibility, to clear the test below) and
+    >= margin / 1000 on every other facet with a nonzero row: a facet
+    parallel to facet i and close beyond it leaves only a sliver of room
+    for y, which a full margin of its own would close.  A y with
+    u_i(y) < -2 TOL.feasibility, every other u_j(y) > 0 and |y|_inf < box
+    shows that deleting facet i enlarges the set cut out by any subset of
+    `others`."""
+    rows = [i] + [j for j in others if poly.gamma[j].any()]
+    norms = np.linalg.norm(poly.gamma[rows], axis=1)
+    sign = np.ones(len(rows))
+    sign[0] = -1.0
+    slack = poly.evaluate(x0)[rows] / norms
+    floor = np.full(len(rows), margin / 1000.0)
+    floor[0] = max(margin, 4.0 * TOL.feasibility / norms[0])
+    h = floor - sign * slack
+    scale = np.abs(h).max()  # y - x0 in units of the largest requirement
+    z = _least_distance(sign[:, None] * poly.gamma[rows] / norms[:, None],
+                        h / scale)
+    if z is None:
+        return False
+    y = x0 + scale * z
+    u = poly.gamma[rows] @ y + poly.delta[rows]
+    return bool(u[0] < -2.0 * TOL.feasibility and np.all(u[1:] > 0) and
+                np.abs(y).max() < TOL.box)
 
 
 def minimalize(poly: Polyhedron) -> Polyhedron:
     """Remove facets whose deletion leaves the set unchanged.
 
-    When gamma has full row rank and the interior is nonempty, every facet
-    is irredundant: y = x0 - (u_i(x0) + eps) pinv(gamma) e_i crosses facet i
-    and no other.  Otherwise a facet with a witness from the interior point
-    (`_witnessed_facets`) is irredundant against every subset of the other
-    facets, so it is kept without an LP; each remaining facet takes one LP,
-    in order, against the facets still kept.  The kept rows are those of the
-    LP rule alone, except that a zero row with delta >= 0 (its half-space is
-    R^p) is dropped without an LP even when it is the only facet.  When no
-    facet is removed the result inherits the memoized interior point.
+    Facets are taken in order, each against the facets still kept.  When
+    gamma has full row rank and the interior is nonempty, every facet is
+    irredundant: y = x0 - (u_i(x0) + eps) pinv(gamma) e_i crosses facet i
+    and no other.  Otherwise a facet is kept without an LP when
+    `_facet_witness` proves it irredundant, with the margin r / 1000 for r
+    the minimum normalized slack at the interior point x0; only a facet
+    with no witness (or every facet, when the interior is empty) takes one
+    LP.  The kept rows are those of the LP rule alone, except that a zero
+    row with delta >= 0 (its half-space is R^p) is dropped without an LP
+    even when it is the only facet.  When no facet is removed the result
+    inherits the memoized interior point.
     """
     x0 = interior_point(poly)
-    if x0 is None:
-        proven = np.zeros(poly.n_facets, dtype=bool)
-    elif np.linalg.matrix_rank(poly.gamma) == poly.n_facets:
-        proven = np.ones(poly.n_facets, dtype=bool)
-    else:
-        proven = _witnessed_facets(poly, x0)
+    full_rank = x0 is not None and \
+        np.linalg.matrix_rank(poly.gamma) == poly.n_facets
+    if x0 is not None:  # r / 1000, over the facets with a nonzero row
+        rows = poly.gamma.any(axis=1)
+        margin = np.min(poly.evaluate(x0)[rows] /
+                        np.linalg.norm(poly.gamma[rows], axis=1),
+                        initial=np.inf) / 1000.0
     keep = list(range(poly.n_facets))
     i = 0
     while i < len(keep):
@@ -299,7 +341,8 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
             keep.pop(i)  # its half-space is all of R^p
             continue
         others = [j for j in keep if j != idx]
-        if proven[idx] or not others:
+        if full_rank or not others or (x0 is not None and _facet_witness(
+                poly, idx, others, x0, margin)):
             i += 1
             continue
         sub = Polyhedron(poly.gamma[others], poly.delta[others])

@@ -48,8 +48,10 @@ def model_from_dict(obj: dict) -> ModelSpec:
         ss = obj["state_space"]
         kind = ss["kind"]
         if kind == "polyhedral":
-            space = Polyhedron(_array(ss["gamma"], "gamma"),
-                               _array(ss["delta"], "delta"))
+            gamma = _array(ss["gamma"], "gamma")
+            if gamma.shape == (0,):  # "gamma": [] is R^p, with no facet row
+                gamma = gamma.reshape(0, p)
+            space = Polyhedron(gamma, _array(ss["delta"], "delta"))
         elif kind == "quadratic":
             space = QuadraticSpace(
                 QuadraticForm(_array(ss["A"], "A"), _array(ss["b"], "b"),

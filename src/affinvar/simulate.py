@@ -57,8 +57,9 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        if self.horizon <= 0 or self.steps <= 0 or self.n_paths <= 0:
-            raise PreconditionFailedError("horizon, steps and n_paths must be positive")
+        if not 0 < self.horizon < np.inf or self.steps <= 0 or self.n_paths <= 0:
+            raise PreconditionFailedError(
+                "horizon must be finite and positive, steps and n_paths positive")
 
 
 @dataclass

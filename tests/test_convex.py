@@ -169,17 +169,28 @@ def test_certificate_linear_algebra_matches_lp(p, data, seed):
         _assert_valid(cert, d, Polyhedron(gamma, delta), free)
 
 
-def test_certificate_rank_deficient_gamma_takes_lp(lp_calls):
+def test_certificate_rank_deficient_gamma_by_nnls(lp_calls):
     # x >= 0, y >= 0, x + y >= 0: gamma has rank 2 < 3 facets, so the
-    # certificate of 2x + 2y is not unique.  The minimum-norm solution
-    # lam = (2/3, 2/3, 4/3) would pass every test, but only the LP decides.
+    # certificate of 2x + 2y is not unique.  One NNLS finds a valid one, with
+    # the free multiplier of facet-relative certificates split in two.
     poly = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                       np.zeros(3))
     d = AffineScalar(np.array([2.0, 2.0]), 0.0)
     _assert_valid(farkas_decompose(d, poly), d, poly)
-    assert len(lp_calls) == 1
     _assert_valid(facet_relative_decompose(d, poly, 2), d, poly, free=2)
+    # -u_2 = -x - y is nonnegative on facet 2 only with a negative multiplier
+    minus = AffineScalar(-poly.gamma[2], 0.0)
+    cert = facet_relative_decompose(minus, poly, 2)
+    _assert_valid(cert, minus, poly, free=2)
+    assert lp_calls == []
+    # x - 1 < 0 at the origin: no NNLS solution passes, and only the LP
+    # says there is no certificate; a second LP finds the witness
+    bad = AffineScalar(np.array([1.0, 0.0]), -1.0)
+    with pytest.raises(NotNonnegativeError) as exc:
+        farkas_decompose(bad, poly)
     assert len(lp_calls) == 2
+    assert exc.value.value == pytest.approx(bad(exc.value.witness))
+    assert exc.value.value < 0 and poly.contains(exc.value.witness)
 
 
 def _max_slack(poly: Polyhedron) -> float:
@@ -326,6 +337,126 @@ def test_minimalize_matches_lp_rule(p, n_dup, n_cut, seed):
     order = rng.permutation(sum(len(o) for o in offs))
     poly = Polyhedron(np.vstack(rows)[order], np.concatenate(offs)[order])
     _assert_same_rows(minimalize(poly), poly, _minimalize_by_lp(poly))
+
+
+def _rank_deficient_polyhedron(rng, kind: str, p: int,
+                               scale: float) -> Polyhedron:
+    """A polyhedron with a nonempty interior and rank-deficient gamma, in
+    permuted row order, its rows rescaled by factors in [1/2, 2] and the set
+    by `scale`:
+      - "tangent": planes tangent to the unit sphere or to the sphere of
+        radius 3/2 around one center, so that some are redundant;
+      - "low-rank": rows spanning a subspace of dimension k < q, at random
+        distances from one center;
+      - "orthant": x >= 0 plus cuts w.x + c >= 0 with w >= 0, which are
+        redundant for c >= 0 (exact duplicates of a facet included) and may
+        make an orthant facet redundant for c < 0."""
+    if kind == "tangent":
+        q = int(rng.integers(p + 2, 3 * p + 4))
+        normals = rng.standard_normal((q, p))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        centre = rng.standard_normal(p)
+        gamma = -normals
+        delta = normals @ centre + rng.choice([1.0, 1.5], size=q)
+    elif kind == "low-rank":
+        q = int(rng.integers(2, p + 4))
+        k = int(rng.integers(1, min(q - 1, p) + 1))
+        gamma = rng.standard_normal((q, k)) @ rng.standard_normal((k, p))
+        centre = rng.standard_normal(p)
+        delta = np.linalg.norm(gamma, axis=1) * rng.uniform(0.1, 3.0, size=q) \
+            - gamma @ centre
+    else:
+        n_cut = int(rng.integers(1, p + 2))
+        w = rng.integers(0, 3, size=(n_cut, p)).astype(float)
+        w[np.arange(n_cut), rng.integers(p, size=n_cut)] += 1.0
+        gamma = np.vstack([np.eye(p), w])
+        delta = np.concatenate([np.zeros(p), rng.choice(
+            [-1.0, 0.0, 0.5], size=n_cut) * rng.uniform(0.5, 2.0, n_cut)])
+    rows = rng.uniform(0.5, 2.0, size=len(delta))
+    order = rng.permutation(len(delta))
+    return Polyhedron((rows[:, None] * gamma)[order],
+                      (rows * scale * delta)[order])
+
+
+def _step_witnessed(poly: Polyhedron) -> np.ndarray:
+    """The facets an earlier rule proved irredundant by substitution: from
+    the interior point x0, step along -gamma_i/|gamma_i| past facet i by r/2
+    or r/1000 (r the minimum normalized slack at x0), and accept the point
+    when u_i < -2 TOL.feasibility there, every other u_j >= 0 and it lies
+    in the box."""
+    x0 = interior_point(poly)
+    norms = np.linalg.norm(poly.gamma, axis=1)
+    unit = poly.gamma / norms[:, None]
+    dist = poly.evaluate(x0) / norms
+    proven = np.zeros(poly.n_facets, dtype=bool)
+    own = np.eye(poly.n_facets, dtype=bool)
+    for overshoot in (dist.min() / 2, dist.min() / 1000):
+        ys = x0 - (dist + overshoot)[:, None] * unit
+        vals = poly.evaluate(ys)                 # vals[i, j] = u_j(y_i)
+        proven |= (np.diag(vals) < -2.0 * TOL.feasibility) & \
+            np.all((vals >= 0) | own, axis=1) & \
+            (np.abs(ys).max(axis=1) < TOL.box)
+    return proven
+
+
+def _certificate_by_lp(d: AffineScalar, poly: Polyhedron,
+                       free: int | None) -> bool:
+    """Whether the certificate equations have a solution with lam >= 0
+    (lam_free unconstrained) and c >= 0 in the box, by LP alone."""
+    q, p = poly.gamma.shape
+    A_eq = np.zeros((p + 1, q + 1))
+    A_eq[:p, :q] = poly.gamma.T
+    A_eq[p, :q] = poly.delta
+    A_eq[p, q] = 1.0
+    bounds = [(0.0, TOL.box)] * (q + 1)
+    if free is not None:
+        bounds[free] = (-TOL.box, TOL.box)
+    res = scipy.optimize.linprog(np.zeros(q + 1), A_eq=A_eq,
+                                 b_eq=np.r_[d.gamma, d.delta], bounds=bounds,
+                                 method="highs")
+    return res.status == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["tangent", "low-rank", "orthant"]),
+       p=st.integers(1, 4),
+       scale=st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]),
+       data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_minimalize_rank_deficient_matches_lp_oracle(kind, p, scale, data,
+                                                     seed):
+    # rank-deficient gamma: minimalize keeps the rows of the LP-only rule,
+    # and every facet the step witness proved takes no LP.  The drift
+    # certificates on the same polyhedron, found by NNLS, agree with an
+    # LP-only verdict.
+    rng = np.random.default_rng(seed)
+    poly = _rank_deficient_polyhedron(rng, kind, p, scale)
+    assert np.linalg.matrix_rank(poly.gamma) < poly.n_facets
+    step = _step_witnessed(poly)
+    took_lp = []
+    with pytest.MonkeyPatch.context() as mp:
+        def spy(d, sub, facet=None):
+            took_lp.append((tuple(d.gamma), d.delta))
+            return _minimize_affine(d, sub, facet)
+
+        mp.setattr(affinvar.convex, "_minimize_affine", spy)
+        red = minimalize(poly)
+    _assert_same_rows(red, poly, _minimalize_by_lp(poly))
+    for i in np.flatnonzero(step):
+        assert (tuple(poly.gamma[i]), poly.delta[i]) not in took_lp, i
+    # a certificate that exists (a nonnegative combination of the facets
+    # plus a constant), or a random functional that may have none
+    q = poly.n_facets
+    free = data.draw(st.one_of(st.none(), st.integers(0, q - 1)))
+    if data.draw(st.booleans()):
+        lam = rng.uniform(0.0, 2.0, size=q) * (rng.random(q) < 0.6)
+        d = AffineScalar(lam @ poly.gamma,
+                         float(lam @ poly.delta + scale * rng.uniform(0, 1)))
+    else:
+        d = AffineScalar(rng.standard_normal(p), scale * rng.standard_normal())
+    cert = _certificate_lp(d, poly, free)
+    assert (cert is not None) == _certificate_by_lp(d, poly, free)
+    if cert is not None:
+        _assert_valid(cert, d, poly, free)
 
 
 def test_minimalize_empty_interior_takes_lp_path(lp_calls):

@@ -25,6 +25,12 @@ def _cir_setup(b=1.0):
     return model, build_square_root(ct)
 
 
+@pytest.mark.parametrize("horizon", [float("nan"), float("inf"), 0.0, -1.0])
+def test_simconfig_rejects_bad_horizon(horizon):
+    with pytest.raises(PreconditionFailedError):
+        SimConfig(np.array([0.7]), horizon, 5, 10, seed=1)
+
+
 def test_constant_paths_without_noise_or_drift():
     theta = AffineMatrixField(np.zeros((1, 1)), np.zeros((1, 1, 1)))
     model = ModelSpec(1, AffineVectorField(np.zeros((1, 1)), np.zeros(1)),
