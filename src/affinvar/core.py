@@ -9,6 +9,7 @@ quadric-bounded sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -28,6 +29,27 @@ def _asarray(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _symmetrized(S: np.ndarray) -> np.ndarray:
+    """(S + S^T)/2 of a float stack of square matrices (..., k, k), read-only,
+    after checking each matrix's asymmetry against ``TOL.sym_rtol`` times its
+    own scale max(1, max|S_ij|); the first matrix out of tolerance is the one
+    reported."""
+    swapped = np.swapaxes(S, -1, -2)
+    asym = np.abs(S - swapped).max(axis=(-2, -1), initial=0.0)
+    rtol = TOL.sym_rtol
+    # a scale is at least 1, so only an asymmetry above rtol can fail
+    if (asym > rtol).any():
+        scale = np.maximum(np.abs(S).max(axis=(-2, -1), initial=0.0), 1.0)
+        bad = asym > rtol * scale
+        if bad.any():
+            raise NotSymmetricError(
+                f"matrix asymmetry {asym[bad].flat[0]:.3e} exceeds "
+                f"{rtol:.1e} relative")
+    out = 0.5 * (S + swapped)
+    out.setflags(write=False)
+    return out
+
+
 def symmetrize(S) -> np.ndarray:
     """Return (S + S^T)/2 after checking the asymmetry is within tolerance.
 
@@ -37,14 +59,7 @@ def symmetrize(S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {S.shape}")
-    scale = max(1.0, float(np.abs(S).max()) if S.size else 0.0)
-    asym = float(np.abs(S - S.T).max()) if S.size else 0.0
-    if asym > TOL.sym_rtol * scale:
-        raise NotSymmetricError(
-            f"matrix asymmetry {asym:.3e} exceeds {TOL.sym_rtol:.1e} relative")
-    out = 0.5 * (S + S.T)
-    out.setflags(write=False)
-    return out
+    return _symmetrized(S)
 
 
 def psd_square_root(S) -> np.ndarray:
@@ -92,6 +107,14 @@ def _coldot(a, b) -> np.ndarray:
     for i in range(1, a.shape[0]):
         out += a[i] * b[i]
     return out
+
+
+def _contract_first(v: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """sum_k v_k A_k for a vector v and a stack A (k, ...): the product
+    ``np.tensordot(v, A, axes=(0, 0))`` forms, one (1, k) x (k, n) ``dot``,
+    without its Python set-up."""
+    k, tail = A.shape[0], A.shape[1:]
+    return np.dot(v.reshape(1, k), A.reshape(k, math.prod(tail))).reshape(tail)
 
 
 def psd_factor(S) -> np.ndarray:
@@ -192,15 +215,19 @@ class AffineMatrixField:
 
     def __post_init__(self):
         A0 = symmetrize(self.A0)
-        mats = [np.asarray(M, dtype=float) for M in self.A]
-        if mats:
-            A = np.stack([symmetrize(M) for M in mats])
+        A = np.array(self.A, dtype=float)
+        if A.ndim and not A.shape[0]:
+            A = np.zeros((0,) + A0.shape)
+            A.setflags(write=False)
+        else:
+            # the whole stack at once; each matrix is checked at its own scale
+            if A.ndim != 3 or A.shape[1] != A.shape[2]:
+                raise DimensionMismatchError(
+                    f"expected a square matrix, got shape {A.shape[1:]}")
+            A = _symmetrized(A)
             if A.shape[1:] != A0.shape:
                 raise DimensionMismatchError(
                     f"coefficient shapes disagree: A0 {A0.shape}, A {A.shape}")
-        else:
-            A = np.zeros((0,) + A0.shape)
-        A.setflags(write=False)
         object.__setattr__(self, "A0", A0)
         object.__setattr__(self, "A", A)
 
@@ -218,7 +245,7 @@ class AffineMatrixField:
             if x.shape[0] != self.nvars:
                 raise DimensionMismatchError(
                     f"point has dimension {x.shape[0]}, field has {self.nvars} variables")
-            return self.A0 + np.tensordot(x, self.A, axes=(0, 0))
+            return self.A0 + _contract_first(x, self.A)
         flat = x @ self.A.reshape(self.nvars, self.A0.size)
         return self.A0 + flat.reshape(x.shape[:-1] + self.A0.shape)
 
@@ -233,7 +260,7 @@ class AffineMatrixField:
         ell = np.asarray(ell, dtype=float)
         Minv = np.linalg.inv(L)
         m0 = -Minv @ ell
-        base = self.A0 + np.tensordot(m0, self.A, axes=(0, 0))
+        base = self.A0 + _contract_first(m0, self.A)
         newA0 = L @ base @ L.T
         newA = np.einsum("kj,kab->jab", Minv, self.A)
         newA = np.einsum("ia,jab,kb->jik", L, newA, L)
@@ -403,12 +430,16 @@ def change_model_coordinates(model: ModelSpec, L: np.ndarray, ell: np.ndarray,
 def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:
     """Check theta(x) is PSD at each sample point (the X in D containment).
 
-    Returns (all_pass, worst relative min-eigenvalue margin).
+    Returns (all_pass, worst relative min-eigenvalue margin).  theta is
+    evaluated point by point (a batched evaluation sums in another order);
+    the eigenvalues of all samples come from one stacked ``eigvalsh``.
     """
-    worst = np.inf
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        S = model.diffusion(x)
-        w = np.linalg.eigvalsh(0.5 * (S + S.T))
-        scale = 1.0 + abs(float(w[-1])) + abs(float(w[0]))
-        worst = min(worst, float(w[0]) / scale)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if not pts.shape[0]:
+        return True, np.inf
+    S = np.stack([model.diffusion(x) for x in pts])
+    w = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))
+    scale = 1.0 + np.abs(w[:, -1]) + np.abs(w[:, 0])
+    # a running Python min from inf: NaN margins are skipped, ties keep the first
+    worst = min([np.inf] + (w[:, 0] / scale).tolist())
     return worst >= -TOL.psd, worst

@@ -149,6 +149,17 @@ def make_projector(space) -> callable:
                 "full-truncation projection needs canonical facets u_i(x) = x_i; "
                 "canonicalize the model first")
         idx = np.array(sorted(set(coord)), dtype=int)
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            # a contiguous block, as canonical coordinates put the facets
+            # first: clamped in place through a slice, with no gather
+            block = slice(int(idx[0]), int(idx[-1]) + 1)
+
+            def proj(x):
+                out = x.copy()
+                np.maximum(out[block], 0.0, out=out[block])
+                return out
+
+            return proj
 
         def proj(x):
             out = x.copy()
@@ -185,36 +196,56 @@ def make_projector(space) -> callable:
 
 
 class _ExitTracker:
-    """Running first-exit and worst-violation statistics over path blocks,
-    given as columns (p, N)."""
+    """Running first-exit and worst-violation statistics over all paths,
+    given as columns (p, N) one step at a time.
+
+    While no path is out, a step costs one reduction: the least facet (or
+    Phi) value of the step gates the per-path exit bookkeeping.  The worst
+    value of each facet is an elementwise running minimum over the steps,
+    reduced over the paths only when ``worst`` is read; the worst Phi value
+    is the running minimum of the gate values.
+    """
 
     def __init__(self, space, n_paths: int, tol: float):
         self.space = space
         self.tol = tol
         self.exit_step = np.full(n_paths, -1, dtype=int)
         if isinstance(space, Polyhedron):
-            self.worst = np.full(space.n_facets, np.inf)
+            self._delta = space.delta[:, None]
+            self._low = np.full((space.n_facets, n_paths), np.inf)
         else:
-            self.worst = np.array([np.inf])
+            self._worst = np.inf
+
+    @property
+    def worst(self) -> np.ndarray:
+        """Worst value per facet (polyhedral) or of Phi; inf before any
+        state was seen."""
+        if isinstance(self.space, Polyhedron):
+            return self._low.min(axis=1, initial=np.inf)
+        return np.array([self._worst])
 
     def update(self, step: int, x: np.ndarray) -> None:
         if x.shape[1] == 0:
             return
         space = self.space
         if isinstance(space, Polyhedron):
-            vals = space.gamma @ x + space.delta[:, None]      # (q, N)
-            self.worst = np.minimum(self.worst, vals.min(axis=1))
-            low = vals.min(axis=0, initial=np.inf)
+            vals = space.gamma @ x
+            vals += self._delta                                # (q, N)
+            np.minimum(self._low, vals, out=self._low)
+            least = vals.min(initial=np.inf)
         else:
             # Phi per column; the sign makes the state space {value >= 0}
             form = space.form
-            low = _coldot(form.A @ x, x) + form.b @ x + form.c
+            vals = _coldot(form.A @ x, x) + form.b @ x + form.c
             if space.component != "positive":
-                low = -low
-            self.worst[0] = min(self.worst[0], low.min())
-        out = low < -self.tol
-        if out.any():
-            self.exit_step[out & (self.exit_step < 0)] = step
+                vals = -vals
+            least = vals.min()
+            self._worst = min(self._worst, least)
+        # written so that a NaN value (which min propagates) still lets an
+        # exit of another path through
+        if not least >= -self.tol:
+            low = vals.min(axis=0) if vals.ndim == 2 else vals
+            self.exit_step[(low < -self.tol) & (self.exit_step < 0)] = step
 
 
 @dataclass
@@ -289,6 +320,7 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
 
     # b spread over the paths once: a broadcast add is slower in the loop
     a, b = model.drift.a, np.repeat(model.drift.b[:, None], n, axis=1)
+    drift, kick = np.empty((p, n)), np.empty((p, n))
     # sigma sees the projected state; after the first step x is projected
     # already, and a projection maps its image to itself
     xs = projector(x) if full_trunc else x
@@ -296,8 +328,16 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
         # drawn as (N, p), one row per path: the draw order fixes the paths
         noise = np.ascontiguousarray(normals(step, n, p).T)
         with np.errstate(over="ignore", invalid="ignore"):
-            x_new = x + (a @ x + b) * dt + contract(xs, noise) * sqdt
-        if not np.isfinite(x_new).all():
+            # x + (a x + b) dt + sigma(xs) z sqrt(dt), in that order
+            np.matmul(a, x, out=drift)
+            drift += b
+            drift *= dt
+            x_new = x + drift
+            x_new += np.multiply(contract(xs, noise), sqdt, out=kick)
+            # the sum is finite when every entry is (it may overflow
+            # without one being infinite; the mask below then finds none)
+            finite = np.isfinite(x_new.sum())
+        if not finite:
             bad = ~np.isfinite(x_new).all(axis=0)
             nonfinite |= bad
             x_new[:, bad] = x[:, bad]  # freeze exploded paths at the last finite state

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import affinvar.core
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, QuadraticForm,
-                           QuadraticSpace, psd_factor,
+                           QuadraticSpace, _contract_first, psd_factor,
                            psd_square_root, spot_check_psd, symmetrize)
 from affinvar.errors import (DimensionMismatchError, NotSymmetricError,
                              ParseError)
@@ -121,6 +123,106 @@ def test_symmetrize_absorbs_small_asymmetry():
     S = np.array([[1.0, 1.0 + 1e-14], [1.0, 1.0]])
     out = symmetrize(S)
     assert np.array_equal(out, out.T)
+
+
+def _symmetrize_one_by_one(M):
+    """The per-matrix symmetrization the stacked one must reproduce: the
+    asymmetry test at the matrix's own scale max(1, max|M|), then
+    (M + M^T)/2; None for a matrix it rejects."""
+    scale = max(1.0, float(np.abs(M).max()) if M.size else 0.0)
+    asym = float(np.abs(M - M.T).max()) if M.size else 0.0
+    return None if asym > 1e-12 * scale else 0.5 * (M + M.T)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(0, 5), size=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-3.0, 6.0),
+       log_asym=st.sampled_from([None, -16.0, -12.5, -12.0, -11.5, -9.0]))
+def test_matrix_field_stack_matches_per_matrix_symmetrize(k, size, seed,
+                                                         log_scale, log_asym):
+    rng = np.random.default_rng(seed)
+    # each matrix at a scale of its own, up to 10^log_scale
+    scales = 10.0 ** rng.uniform(min(log_scale, 0.0), log_scale, k + 1)
+    S = rng.standard_normal((k + 1, size, size)) * scales[:, None, None]
+    S = S + np.swapaxes(S, 1, 2)
+    if log_asym is not None and size > 1:
+        # an asymmetry on each matrix at some ratio to its scale, on both
+        # sides of the tolerance
+        S[:, 0, 1] += rng.uniform(0.5, 2.0, k + 1) * 10.0 ** log_asym * \
+            np.maximum(1.0, np.abs(S).max(axis=(1, 2)))
+    mats = [_symmetrize_one_by_one(M) for M in S]
+    if any(M is None for M in mats):
+        with pytest.raises(NotSymmetricError):
+            AffineMatrixField(S[0], S[1:])
+        return
+    field = AffineMatrixField(S[0], S[1:])
+    want = np.stack(mats[1:]) if k else np.zeros((0, size, size))
+    assert field.A.shape == want.shape and field.A0.shape == (size, size)
+    assert field.A0.tobytes() == mats[0].tobytes()
+    assert field.A.tobytes() == want.tobytes()
+    assert not field.A.flags.writeable and not field.A0.flags.writeable
+    if not size:  # a list of empty matrices has lost their shape
+        return
+    # a list of matrices builds the same field as the stacked array
+    listed = AffineMatrixField(S[0].tolist(), [M.tolist() for M in S[1:]])
+    assert listed.A.tobytes() == field.A.tobytes()
+
+
+def test_matrix_field_rejects_one_asymmetric_matrix_in_a_stack():
+    A = np.stack([np.eye(3)] * 4)
+    A[2, 0, 1] += 1e-6
+    with pytest.raises(NotSymmetricError, match="1.000e-06"):
+        AffineMatrixField(np.eye(3), A)
+    A[2, 0, 1] -= 1e-6
+    AffineMatrixField(np.eye(3), A)
+
+
+@pytest.mark.parametrize("A0,A", [
+    (np.eye(2), np.zeros((2, 3, 3))),       # stack and A0 disagree
+    (np.eye(2), np.zeros((2, 2, 3))),       # matrices not square
+    (np.eye(2), np.eye(2)),                 # a matrix, not a stack
+    (np.eye(2), np.zeros((2, 2, 2, 2))),    # one axis too many
+    (np.zeros((2, 3)), np.zeros((2, 2, 2))),  # A0 not square
+])
+def test_matrix_field_shape_mismatch(A0, A):
+    with pytest.raises(DimensionMismatchError):
+        AffineMatrixField(A0, A)
+
+
+def test_matrix_field_empty_stacks_build():
+    none = AffineMatrixField(np.eye(2), [])
+    assert none.A.shape == (0, 2, 2) and none.nvars == 0
+    assert np.array_equal(none(np.zeros(0)), np.eye(2))
+    empty = AffineMatrixField(np.zeros((0, 0)), np.zeros((3, 0, 0)))
+    assert empty.A.shape == (3, 0, 0) and (empty.nvars, empty.size) == (3, 0)
+    assert empty(np.ones(3)).shape == (0, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(0, 6), size=st.integers(0, 5),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_contract_first_is_tensordot_bit_for_bit(k, size, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(k) * 10.0 ** rng.uniform(-3, 3, k)
+    A = rng.standard_normal((k, size, size))
+    assert _contract_first(v, A).tobytes() == \
+        np.tensordot(v, A, axes=(0, 0)).tobytes()
+
+
+def test_spot_check_psd_matches_per_sample_eigvalsh():
+    rng = np.random.default_rng(8)
+    for name in ("cir", "triangle_channel", "hyperbola_wedge", "cone3"):
+        m = load_fixture(name)
+        pts = rng.standard_normal((33, m.dimension))
+        worst = np.inf
+        for x in pts:
+            w = np.linalg.eigvalsh(m.diffusion(x))
+            worst = min(worst, float(w[0]) /
+                        (1.0 + abs(float(w[-1])) + abs(float(w[0]))))
+        ok, got = spot_check_psd(m, pts)
+        assert got == worst and ok == (worst >= -1e-9)
+    assert spot_check_psd(m, np.zeros((0, m.dimension))) == (True, np.inf)
 
 
 def test_membership_affine_invariance():

@@ -3,7 +3,8 @@ import pytest
 import scipy.linalg
 
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                           ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace)
+                           ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace,
+                           _coldot)
 from affinvar.errors import PreconditionFailedError, SigmaMismatchError
 from affinvar.modelio import load_fixture
 from affinvar.polyhedral import (build_square_root, canonical_transform,
@@ -362,6 +363,73 @@ def test_streaming_matches_ensemble_reductions():
     assert f_ens == f_str
 
 
+def _direct_exit_stats(states, space, tol):
+    """First exit steps and worst values of a stored (n, T, p) ensemble,
+    reduced over all steps at once; each step's values are formed as the
+    exit tracker forms them, on (p, n) columns."""
+    cols = np.moveaxis(states, 0, -1)                       # (T, p, n)
+    if isinstance(space, Polyhedron):
+        vals = np.stack([space.gamma @ x + space.delta[:, None] for x in cols])
+        worst, low = vals.min(axis=(0, 2)), vals.min(axis=1)
+    else:
+        form = space.form
+        low = np.stack([_coldot(form.A @ x, x) + form.b @ x + form.c
+                        for x in cols])
+        if space.component != "positive":
+            low = -low
+        worst = low.min(keepdims=True).ravel()
+    out = low < -tol                                        # (T, n)
+    first = np.where(out.any(axis=0), out.argmax(axis=0), -1)
+    return first, np.where(np.isfinite(worst), worst, 0.0)
+
+
+def _free_orthant_case():
+    """Brownian motion from (0.5, 1) in R^2_+, which it leaves through
+    either facet."""
+    space = Polyhedron(np.eye(2), np.zeros(2))
+    model = ModelSpec(2, AffineVectorField(np.zeros((2, 2)), np.zeros(2)),
+                      AffineMatrixField(np.eye(2), np.zeros((2, 2, 2))), space)
+    sigma = lambda x: np.broadcast_to(np.eye(2), x.shape[:-1] + (2, 2))  # noqa: E731
+    return model, sigma, np.array([0.5, 1.0])
+
+
+@pytest.mark.parametrize("fixture",
+                         ["cir", "parabola3", "cone3", "free-orthant"])
+def test_exit_tracker_matches_direct_reduction(fixture):
+    model, sigma, x0 = _free_orthant_case() if fixture == "free-orthant" \
+        else _canonical_case(fixture)
+    cfg = SimConfig(x0, 5.0, 20, 257, seed=7919, scheme=Scheme.PLAIN_EULER)
+    ens = simulate_paths(model, sigma, cfg)
+    first, worst = _direct_exit_stats(ens.states, model.state_space, 1e-8)
+    assert 0 < np.count_nonzero(first >= 0) < cfg.n_paths  # paths do leave
+    assert np.array_equal(ens.exit_flags, first)
+    summ = simulate_summary(model, sigma, cfg)
+    stats = invariance_monte_carlo(ens, model.state_space, 1e-8)
+    for got in (summ.exit_stats, stats):
+        assert np.array_equal(got.exit_steps, first)
+        assert got.worst_violation.tobytes() == worst.tobytes()
+        assert got.exit_fraction == np.count_nonzero(first >= 0) / cfg.n_paths
+
+
+@pytest.mark.parametrize("space", [
+    Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, 2.0])),
+    QuadraticSpace(QuadraticForm(np.array([[1.0]]), np.zeros(1), -1.0)),
+], ids=["polyhedral", "quadric"])
+def test_exit_found_beside_a_nan_path(space):
+    # min over a step with a NaN path is NaN: the per-step gate must still
+    # let the other path's exit through, at its first step out
+    states = np.empty((3, 6, 1))
+    states[0] = np.nan
+    states[1, :, 0] = [1.5, 1.5, 1.5, -0.5, 1.5, -0.5]
+    states[2] = 1.5
+    stats = invariance_monte_carlo(PathEnsemble(np.arange(6.0), states,
+                                                np.full(3, -1),
+                                                np.zeros(3, dtype=bool)),
+                                   space, 1e-8)
+    assert stats.exit_steps.tolist() == [-1, 3, -1]
+    assert stats.exit_fraction == 1 / 3
+
+
 def test_mean_consistency_with_ode_oracle():
     # E[u(X_t)] = u(E[X_t]) for affine u: Monte Carlo vs the moment ODE
     m = load_fixture("triangle_channel")
@@ -391,6 +459,21 @@ def test_nonfinite_paths_flagged_and_frozen():
     ens = simulate_paths(model, zero_sigma, cfg)
     assert ens.nonfinite.all()
     assert np.isfinite(ens.states).all()
+
+
+def test_nonfinite_guard_sees_one_exploding_coordinate():
+    # x_1 overflows to +inf while x_2 stays at 0.5: the guard must not
+    # judge the step by a reduction that an inf entry leaves finite
+    theta = AffineMatrixField(np.zeros((2, 2)), np.zeros((2, 2, 2)))
+    model = ModelSpec(2, AffineVectorField(np.diag([1e8, 0.0]), np.zeros(2)),
+                      theta, Polyhedron(np.eye(2), np.zeros(2)))
+    zero_sigma = lambda x: np.zeros(x.shape[:-1] + (2, 2))  # noqa: E731
+    cfg = SimConfig(np.array([1.0, 0.5]), 1.0, 100, 4, seed=0,
+                    scheme=Scheme.PLAIN_EULER)
+    summ = simulate_summary(model, zero_sigma, cfg)
+    assert summ.nonfinite.all()
+    assert np.isfinite(summ.final_states).all()
+    assert np.all(summ.final_states[:, 1] == 0.5)
 
 
 def test_x0_outside_state_space_rejected():
