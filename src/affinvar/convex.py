@@ -199,7 +199,8 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     """Least-distance point at unit slack: the minimum-Euclidean-norm point
     with every normalized slack (gamma_i x + delta_i) / |gamma_i| >= 1.
 
-    It is one least-distance NNLS (`_least_distance`), accepted when it
+    It is one least-distance NNLS (`_least_distance`), solved in units of
+    its largest requirement |norm_i - delta_i|, and accepted when it
     lies in the |x|_inf <= box box with every normalized slack at least
     1 - TOL.interior_slack.  Otherwise (no point at unit slack, or that
     point outside the box) one LP solves for the Chebyshev center, the point
@@ -251,7 +252,13 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
         return None
     keep = norms > 0
     g, delta, norms = poly.gamma[keep], poly.delta[keep], norms[keep]
-    x = _least_distance(g, norms - delta)
+    # solved in units of the largest requirement: an offset far above the
+    # unit slack would otherwise cost the point its last digits
+    h = norms - delta
+    scale = np.abs(h).max(initial=0.0) or 1.0
+    x = _least_distance(g, h / scale)
+    if x is not None:
+        x = scale * x
     if x is not None and np.abs(x).max(initial=0.0) <= box and \
             np.min((g @ x + delta) / norms, initial=np.inf) >= \
             1.0 - TOL.interior_slack:

@@ -265,6 +265,22 @@ def test_interior_point_chebyshev_fallback(lp_calls):
     assert len(lp_calls) == 1
 
 
+def test_interior_point_large_offset(lp_calls):
+    # the half-line x >= 1065.40 with its offset carried by one facet of
+    # three: the least-distance point is just beyond 1066.4, at unit slack,
+    # and needs no LP (solved unscaled, its slack fell short of 1 - 1e-9
+    # and the LP returned the box corner x = 1e6)
+    poly = Polyhedron(np.array([[1.6276815797399324], [1.8548223627423241],
+                                [0.5211777295847361]]),
+                      np.array([-1734.129456580131, 0.0, 0.0]))
+    x = interior_point(poly)
+    slack = (poly.gamma @ x + poly.delta) / np.linalg.norm(poly.gamma, axis=1)
+    assert x[0] == pytest.approx(1734.129456580131 / 1.6276815797399324 +
+                                 1.0, rel=1e-12)
+    assert slack.min() >= 1.0 - 1e-12
+    assert lp_calls == []
+
+
 def test_interior_point_no_facet_rows():
     # no facet, or only the facet 0 x + 1 >= 0: the state space is R^2 and
     # the least-distance point is the origin; 0 x - 1 >= 0 is empty
