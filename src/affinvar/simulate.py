@@ -149,22 +149,14 @@ def make_projector(space) -> callable:
                 "full-truncation projection needs canonical facets u_i(x) = x_i; "
                 "canonicalize the model first")
         idx = np.array(sorted(set(coord)), dtype=int)
-        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-            # a contiguous block, as canonical coordinates put the facets
-            # first: clamped in place through a slice, with no gather
-            block = slice(int(idx[0]), int(idx[-1]) + 1)
-
-            def proj(x):
-                out = x.copy()
-                np.maximum(out[block], 0.0, out=out[block])
-                return out
-
-            return proj
+        # canonical coordinates put the facets first: a contiguous block is
+        # clamped through a slice, with no gather and scatter
+        sel = slice(int(idx[0]), int(idx[-1]) + 1) \
+            if idx.size and idx[-1] - idx[0] + 1 == idx.size else idx
 
         def proj(x):
             out = x.copy()
-            if idx.size:
-                out[idx] = np.maximum(out[idx], 0.0)
+            out[sel] = np.maximum(out[sel], 0.0)
             return out
 
         return proj
@@ -211,7 +203,6 @@ class _ExitTracker:
         self.tol = tol
         self.exit_step = np.full(n_paths, -1, dtype=int)
         if isinstance(space, Polyhedron):
-            self._delta = space.delta[:, None]
             self._low = np.full((space.n_facets, n_paths), np.inf)
         else:
             self._worst = np.inf
@@ -229,8 +220,7 @@ class _ExitTracker:
             return
         space = self.space
         if isinstance(space, Polyhedron):
-            vals = space.gamma @ x
-            vals += self._delta                                # (q, N)
+            vals = space.gamma @ x + space.delta[:, None]      # (q, N)
             np.minimum(self._low, vals, out=self._low)
             least = vals.min(initial=np.inf)
         else:

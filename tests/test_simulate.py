@@ -212,6 +212,20 @@ def test_row_contract_apply_rejected(fixture):
         simulate_paths(model, bad, SimConfig(x0, 1.0, 10, 5, seed=0))
 
 
+@pytest.mark.parametrize("coords", [(0, 1), (1, 2), (0, 2), (2,), ()])
+def test_polyhedral_projector_clamps_facet_coordinates(coords):
+    # contiguous facet coordinates take a slice, others a gather; both clamp
+    # exactly those coordinates at zero and leave the input as it was
+    space = Polyhedron(np.eye(3)[list(coords)], np.zeros(len(coords)))
+    x = np.random.default_rng(4).standard_normal((3, 50))
+    before = x.copy()
+    want = x.copy()
+    for j in coords:
+        want[j] = np.maximum(want[j], 0.0)
+    assert np.array_equal(make_projector(space)(x), want)
+    assert np.array_equal(x, before)
+
+
 def test_q1_cone_projector_rejected():
     # {x_1^2 >= 0} is all of R^2: a clamp of x_1 would move (-2, 1), a member
     space = QuadraticSpace(QuadraticForm(np.diag([1.0, 0.0]), np.zeros(2), 0.0))
