@@ -324,8 +324,8 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
             drift *= dt
             x_new = x + drift
             x_new += np.multiply(contract(xs, noise), sqdt, out=kick)
-            # the sum is finite when every entry is (it may overflow
-            # without one being infinite; the mask below then finds none)
+            # a non-finite entry makes the sum non-finite; a sum that
+            # overflows from finite entries only costs the mask below
             finite = np.isfinite(x_new.sum())
         if not finite:
             bad = ~np.isfinite(x_new).all(axis=0)
