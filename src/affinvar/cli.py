@@ -26,11 +26,12 @@ from .modelio import load_model, model_hash, model_to_dict, save_model
 from .polyhedral import (_require_polyhedron, build_square_root,
                          canonical_transform, check_polyhedral_admissibility,
                          psd_decompose, transform_model)
-from .quadratic import (QuadricClassification, check_cone_admissibility,
-                        check_parabolic_drift, check_parabolic_psd_condition,
-                        classify_quadric, cone_square_root,
-                        conical_theta_decompose, normalize_parabolic,
-                        parabolic_square_root, parabolic_theta_decompose)
+from .quadratic import (QuadricClassification, canonical_quadric_model,
+                        check_cone_admissibility, check_parabolic_drift,
+                        check_parabolic_psd_condition, classify_quadric,
+                        cone_square_root, conical_theta_decompose,
+                        normalize_parabolic, parabolic_square_root,
+                        parabolic_theta_decompose)
 from .simulate import (Scheme, SimConfig, mean_ode, simulate_paths,
                        simulate_summary)
 from .tolerances import TOL, tolerances
@@ -87,14 +88,16 @@ def _classification_dict(cls: QuadricClassification) -> dict:
             "t": cls.t.tolist()}
 
 
-def _canonical_quadratic_model(model: ModelSpec):
-    """Classify the quadric and move the model to canonical coordinates."""
-    space = model.state_space
-    cls = classify_quadric(space.form)
-    flipped = (space.component == "positive") != (cls.sign == 1)
-    component = "negative" if flipped else "positive"
-    new_space = QuadraticSpace(cls.canonical_form(), component, space.closed)
-    return cls, change_model_coordinates(model, cls.T, cls.t, new_space)
+def _decomposition(model: ModelSpec):
+    """``psd_decompose``'s outcome: the decomposition (None when there is
+    none) and a report entry whose status is "ok", "not-representable" (no
+    PSD decomposition exists) or "inconclusive" (the search failed)."""
+    try:
+        return psd_decompose(model), {"status": "ok"}
+    except NotRepresentableError as exc:
+        return None, {"status": "not-representable", "detail": str(exc)}
+    except NumericalFailureError as exc:
+        return None, {"status": "inconclusive", "detail": str(exc)}
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +138,14 @@ def _validate_polyhedral(model: ModelSpec, report: dict) -> None:
         report["lifted_drift"] = {"a_bar": a_bar.tolist(), "b_bar": b_bar.tolist()}
         ct = canonical_transform(model)
         report["canonical"] = {"m": ct.m, "n": ct.n}
-        try:
-            dec = psd_decompose(model)
-            report["decompose"] = {"status": "ok",
-                                   "min_eigenvalue": dec.min_eigenvalue()}
-        except NotRepresentableError as exc:
-            report["decompose"] = {"status": "not-representable",
-                                   "detail": str(exc)}
-        except NumericalFailureError as exc:
-            report["decompose"] = {"status": "inconclusive", "detail": str(exc)}
+        dec, report["decompose"] = _decomposition(model)
+        if dec is not None:
+            report["decompose"]["min_eigenvalue"] = dec.min_eigenvalue()
 
 
 def _validate_quadratic(model: ModelSpec, report: dict) -> None:
     checks = report["checks"]
-    cls, canon = _canonical_quadratic_model(model)
+    cls, canon = canonical_quadric_model(model)
     report["classification"] = _classification_dict(cls)
     checks.append(_check("quadric-admissible-kind", cls.admissible,
                          info=f"{cls.kind}(q={cls.q}, d={cls.d})"))
@@ -256,23 +253,17 @@ def cmd_decompose(args) -> int:
     model = load_model(args.model)
     report = _report_base("decompose", model)
     if isinstance(model.state_space, Polyhedron):
-        try:
-            dec = psd_decompose(model)
-        except (NotRepresentableError, NumericalFailureError) as exc:
-            proven = isinstance(exc, NotRepresentableError)
-            report["decomposition"] = {
-                "status": "not-representable" if proven else "inconclusive",
-                "detail": str(exc)}
+        dec, report["decomposition"] = _decomposition(model)
+        if dec is None:
             report["passed"] = False
             _emit(report, args.out)
-            return EXIT_CHECKS if proven else EXIT_INTERNAL
-        report["decomposition"] = {
-            "status": "ok", "B0": dec.B0.tolist(),
-            "Bi": [M.tolist() for M in dec.Bi],
-            "min_eigenvalue": dec.min_eigenvalue(),
-        }
+            return EXIT_CHECKS if report["decomposition"]["status"] == \
+                "not-representable" else EXIT_INTERNAL
+        report["decomposition"].update(
+            B0=dec.B0.tolist(), Bi=[M.tolist() for M in dec.Bi],
+            min_eigenvalue=dec.min_eigenvalue())
     else:
-        cls, canon = _canonical_quadratic_model(model)
+        cls, canon = canonical_quadric_model(model)
         report["classification"] = _classification_dict(cls)
         if cls.kind == "parabolic":
             dec = parabolic_theta_decompose(canon.diffusion, cls.q)
@@ -313,38 +304,30 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _simulation_setup(model: ModelSpec, x0):
-    """Canonical model, sigma evaluator and coordinate maps for simulation."""
+    """Canonical model, sigma evaluator and coordinate maps for simulation.
+
+    The canonical coordinates are y = L x + ell, one affine map: the
+    canonical transform of a polyhedron, the classification of a quadric,
+    followed for a parabola by its normalization S.
+    """
     if isinstance(model.state_space, Polyhedron):
         ct = canonical_transform(model)
         canon = transform_model(model, ct)
         sigma = build_square_root(ct)
-        to_canon, from_canon = ct.to_canonical, ct.from_canonical
+        L, ell = ct.L, ct.ell
         default_x0 = interior_point(ct.polyhedron)  # least-distance point
     else:
-        cls, canon = _canonical_quadratic_model(model)
+        cls, canon = canonical_quadric_model(model)
         if canon.state_space.component != "positive":
             raise PreconditionFailedError(
                 "simulation supports the inside component of the quadric only")
-        Tinv = np.linalg.inv(cls.T)
-        to_canon = cls.to_canonical
-
-        def from_canon(y):
-            return (np.asarray(y, dtype=float) - cls.t) @ Tinv.T
-
+        L, ell = cls.T, cls.t
         if cls.kind == "parabolic":
             S, _, dec_n = normalize_parabolic(canon.diffusion, cls.q)
             canon = change_model_coordinates(canon, S, np.zeros(model.dimension),
                                              canon.state_space)
             sigma = parabolic_square_root(dec_n)
-            base_to, base_from = to_canon, from_canon
-            Sinv = np.linalg.inv(S)
-
-            def to_canon(x):
-                return base_to(x) @ S.T
-
-            def from_canon(y):
-                return base_from(np.asarray(y, dtype=float) @ Sinv.T)
-
+            L, ell = S @ L, S @ ell
         elif cls.kind == "cone":
             cdec = conical_theta_decompose(canon.diffusion, cls.q)
             if not cdec.normalized:
@@ -353,9 +336,17 @@ def _simulation_setup(model: ModelSpec, x0):
             sigma = cone_square_root(cls.q)
         else:
             raise PreconditionFailedError("ellipsoid-type quadrics are not simulable")
-        canon_start = np.zeros(model.dimension)
-        canon_start[0] = 1.0
-        default_x0 = from_canon(canon_start)
+        default_x0 = None
+    Linv = np.linalg.inv(L)
+
+    def to_canon(x):
+        return np.asarray(x, dtype=float) @ L.T + ell
+
+    def from_canon(y):
+        return (np.asarray(y, dtype=float) - ell) @ Linv.T
+
+    if default_x0 is None:  # the quadric's canonical point e_1
+        default_x0 = from_canon(np.eye(model.dimension)[0])
     start = np.asarray(x0, dtype=float) if x0 is not None \
         else np.asarray(default_x0, dtype=float)
     return canon, sigma, to_canon, from_canon, start

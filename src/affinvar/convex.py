@@ -273,18 +273,6 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
     return res.x[:p]
 
 
-def chebyshev_radius(poly: Polyhedron) -> float:
-    """The minimum normalized slack at `interior_point`: at least 1 at the
-    least-distance point, the Chebyshev radius at the LP fallback, and 0
-    when the interior is empty."""
-    x = interior_point(poly)
-    if x is None:
-        return 0.0
-    norms = np.linalg.norm(poly.gamma, axis=1)
-    norms[norms == 0] = 1.0
-    return float(np.min(poly.evaluate(x) / norms))
-
-
 def _facet_witness(poly: Polyhedron, i: int, others: list[int],
                    x0: np.ndarray, margin: float) -> bool:
     """Whether substitution proves facet i irredundant against `others`.

@@ -30,8 +30,8 @@ import numpy as np
 from scipy.optimize import minimize as _minimize
 
 from .convex import (FarkasCertificate, _coefficient_multiple,
-                     chebyshev_radius, facet_relative_decompose,
-                     farkas_decompose, interior_point, minimalize)
+                     facet_relative_decompose, farkas_decompose,
+                     interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
                    ModelSpec, Polyhedron, _coefficient_residual,
                    _coefficient_scale, _coldot, _minimal,
@@ -206,9 +206,6 @@ class CanonicalTransform:
 
     def to_canonical(self, x) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.L.T + self.ell
-
-    def from_canonical(self, y) -> np.ndarray:
-        return (np.asarray(y, dtype=float) - self.ell) @ np.linalg.inv(self.L).T
 
     def block_matrix(self, y) -> np.ndarray:
         """The claimed block form [[diag(y_M, 0_N), 0], [0, Psi(y_{M u N})]]."""
@@ -709,8 +706,10 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
     Checks, facet by facet: the orthogonality-or-alignment condition between
     the rows of v and the columns of Sigma; the drift condition on each facet
     segment; and the strengthened (Feller-type) drift condition implying open
-    invariance.  Raises ModelInconsistencyError when cm does not reproduce the
-    model's diffusion matrix.
+    invariance.  ``theta_pos_nonempty`` is decided exactly: Sigma has full
+    rank and {v > 0} meets the interior of the state space.  Raises
+    ModelInconsistencyError when cm does not reproduce the model's diffusion
+    matrix.
     """
     poly = _require_polyhedron(model)
     p, q = model.dimension, poly.n_facets
@@ -762,19 +761,15 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
         except NotNonnegativeOnFacetError as exc:
             witnesses[f"feller{i}"] = exc.witness
 
-    x0 = interior_point(poly)
-    theta_pos = False
-    if x0 is not None:
-        rng = np.random.default_rng(3)
-        radius = max(chebyshev_radius(poly), 10 * TOL.interior_slack)
-        for _ in range(32):
-            d = rng.standard_normal(p)
-            x = x0 + 0.4 * radius * d / np.linalg.norm(d)
-            if np.linalg.eigvalsh(model.diffusion(x))[0] > 0:
-                theta_pos = True
-                break
-        if not theta_pos and np.linalg.eigvalsh(model.diffusion(x0))[0] > 0:
-            theta_pos = True
+    # theta(x) > 0 exactly where Sigma is nonsingular and v(x) > 0.
+    # interior_point skips a zero row, so a constant v_j = alpha_j is
+    # checked here
+    zero = ~cm.beta.any(axis=1)
+    theta_pos = bool(np.linalg.matrix_rank(cm.Sigma) == p
+                     and np.all(cm.alpha[zero] > 0)
+                     and interior_point(Polyhedron(
+                         np.vstack([poly.gamma, cm.beta]),
+                         np.concatenate([poly.delta, cm.alpha]))) is not None)
 
     return ClassicalReport(reconstruction_ok, containment_ok, w1, w2_ok,
                            feller_ok, theta_pos, witnesses)

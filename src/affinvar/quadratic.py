@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                   QuadraticForm, _coefficient_residual, _coefficient_scale,
-                   _coldot, psd_factor)
+                   QuadraticForm, QuadraticSpace, _coefficient_residual,
+                   _coefficient_scale, _coldot, change_model_coordinates,
+                   psd_factor)
 from .errors import (NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
@@ -101,9 +102,6 @@ class QuadricClassification:
     t: np.ndarray
     sign: int
     admissible: bool
-
-    def to_canonical(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.T.T + self.t
 
     def canonical_form(self) -> QuadraticForm:
         """The canonical polynomial of this kind, q and d as a quadratic form
@@ -231,6 +229,21 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
 
     _verify_classification(cls, phi)
     return cls
+
+
+def canonical_quadric_model(
+        model: ModelSpec) -> tuple[QuadricClassification, ModelSpec]:
+    """Classify the model's quadric and move the model to the canonical
+    coordinates y = T x + t.  The state space keeps its side of the quadric:
+    "positive" when it is {canonical polynomial >= 0} (or > 0), "negative"
+    when it is the outside."""
+    space = model.state_space
+    cls = classify_quadric(space.form)
+    flipped = (space.component == "positive") != (cls.sign == 1)
+    new_space = QuadraticSpace(cls.canonical_form(),
+                               "negative" if flipped else "positive",
+                               space.closed)
+    return cls, change_model_coordinates(model, cls.T, cls.t, new_space)
 
 
 def _canonical_form(kind: str, p: int, q: int, d: float = 0.0) -> QuadraticForm:
@@ -392,29 +405,29 @@ def parabolic_theta_decompose(theta: AffineMatrixField,
 def normalize_parabolic(theta: AffineMatrixField, q: int):
     """Rescale and shear coordinates so the decomposition has c = 1, A1 = 0.
 
-    Returns (transform L, transformed theta, transformed decomposition); the
+    Returns (transform S, transformed theta, transformed decomposition); the
     state-space parabola {x_1 >= y^T y} is preserved by the transform.
+
+    S is read off one fit.  With D = diag(1/c, Id / sqrt(c)) the scaling
+    y_Q = D x_Q takes c zeta to zeta and A1 to D^-1 A1 / c, and the shear
+    y_R = x_R - (D^-1 A1 / c)^T y_Q = x_R - A1^T x_Q / c then removes it:
+    S = [[D, 0], [-A1^T / c, Id]].  One congruence applies S, and one more
+    fit verifies c = 1 and A1 = 0.
     """
     dec = parabolic_theta_decompose(theta, q)
-    r = theta.size - q
-    if dec.c <= TOL.lam_clip:
+    c = dec.c
+    if c <= TOL.lam_clip:
         raise PreconditionFailedError(
             "c = 0: the parabola does not carry the square-root block")
-    c = dec.c
     S = np.eye(theta.size)
     S[0, 0] = 1.0 / c
-    for k in range(1, q):
-        S[k, k] = 1.0 / np.sqrt(c)
-    theta1 = theta.congruence(S, np.zeros(theta.size))
-    dec1 = parabolic_theta_decompose(theta1, q)
-    S2 = np.eye(theta.size)
-    if r:
-        S2[q:, :q] = -dec1.A1.T
-    theta2 = theta1.congruence(S2, np.zeros(theta.size))
-    dec2 = parabolic_theta_decompose(theta2, q)
-    if not dec2.normalized:
+    S[np.arange(1, q), np.arange(1, q)] = 1.0 / np.sqrt(c)
+    S[q:, :q] = -dec.A1.T / c
+    theta_n = theta.congruence(S, np.zeros(theta.size))
+    dec_n = parabolic_theta_decompose(theta_n, q)
+    if not dec_n.normalized:
         raise NumericalFailureError("normalization did not reach c=1, A1=0")
-    return S2 @ S, theta2, dec2
+    return S, theta_n, dec_n
 
 
 def check_parabolic_psd_condition(dec: ParabolicDecomposition,

@@ -195,7 +195,8 @@ class _ExitTracker:
     Phi) value of the step gates the per-path exit bookkeeping.  The worst
     value of each facet is an elementwise running minimum over the steps,
     reduced over the paths only when ``worst`` is read; the worst Phi value
-    is the running minimum of the gate values.
+    is the running minimum of the gate values.  Both minima skip NaN values,
+    so a path that is NaN hides no other path's violation.
     """
 
     def __init__(self, space, n_paths: int, tol: float):
@@ -221,7 +222,8 @@ class _ExitTracker:
         space = self.space
         if isinstance(space, Polyhedron):
             vals = space.gamma @ x + space.delta[:, None]      # (q, N)
-            np.minimum(self._low, vals, out=self._low)
+            # fmin keeps the new value on ties, as minimum(low, vals) does
+            np.fmin(vals, self._low, out=self._low)
             least = vals.min(initial=np.inf)
         else:
             # Phi per column; the sign makes the state space {value >= 0}
@@ -230,7 +232,9 @@ class _ExitTracker:
             if space.component != "positive":
                 vals = -vals
             least = vals.min()
-            self._worst = min(self._worst, least)
+            # the least is NaN when some path is: the worst skips that path
+            self._worst = min(self._worst,
+                              np.fmin.reduce(vals) if least != least else least)
         # written so that a NaN value (which min propagates) still lets an
         # exit of another path through
         if not least >= -self.tol:

@@ -176,5 +176,36 @@ def lp_calls(monkeypatch):
 
 
 @pytest.fixture
+def frame_calls(monkeypatch):
+    """Counts the parabolic decomposition fits and the matrix-field
+    congruences the package makes, as {"fits": n, "congruences": n}."""
+    import sys
+
+    import affinvar.core
+    import affinvar.quadratic
+
+    counts = {"fits": 0, "congruences": 0}
+    fit = affinvar.quadratic.parabolic_theta_decompose
+    congruence = affinvar.core.AffineMatrixField.congruence
+
+    def counting_fit(*args, **kwargs):
+        counts["fits"] += 1
+        return fit(*args, **kwargs)
+
+    def counting_congruence(self, *args, **kwargs):
+        counts["congruences"] += 1
+        return congruence(self, *args, **kwargs)
+
+    # every package module that bound the fit by name calls it through that name
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "affinvar" and \
+                vars(module).get("parabolic_theta_decompose") is fit:
+            monkeypatch.setattr(module, "parabolic_theta_decompose", counting_fit)
+    monkeypatch.setattr(affinvar.core.AffineMatrixField, "congruence",
+                        counting_congruence)
+    return counts
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(20240808)

@@ -6,6 +6,9 @@ import pytest
 
 import affinvar.cli
 from affinvar.cli import main
+from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
+                           QuadraticForm, QuadraticSpace,
+                           change_model_coordinates)
 from affinvar.modelio import fixture_path, load_model, save_model
 from affinvar.tolerances import TOL, Tolerances, current
 from conftest import random_affine_image, random_canonical_model
@@ -331,6 +334,91 @@ def test_simulate_cone_fixture(capsys):
                      "--t", "0.2", "--steps", "100", "--paths", "50",
                      "--seed", "3", "--scheme", "plain")
     assert code == 0
+
+
+def _quadric_variant(fixture, diffusion=None, **space):
+    """The fixture's model file as a dict, with the given diffusion and
+    state-space entries replaced."""
+    obj = json.loads(fixture_path(fixture).read_text())
+    obj["diffusion"].update(diffusion or {})
+    obj["state_space"].update(space)
+    return obj
+
+
+_ZERO3 = [np.zeros((3, 3)).tolist()] * 3
+_CONE3_A = np.array(json.loads(fixture_path("cone3").read_text())
+                    ["diffusion"]["A"])
+
+
+# models that fail validate's quadric route at the named check, its last one
+_QUADRIC_FAILURES = {
+    "state-space-side": _quadric_variant("parabola3", component="negative"),
+    "square-root-block-present": _quadric_variant(
+        "parabola3", {"A0": np.diag([0.0, 0.0, 1.0]).tolist(), "A": _ZERO3},
+        A=np.diag([0.0, -1.0, 0.0]).tolist()),
+    "cone-full-dimension": _quadric_variant(
+        "cone3", A=np.diag([1.0, -1.0, 0.0]).tolist()),
+    "conical-structure": _quadric_variant(
+        "cone3", {"A0": np.eye(3).tolist(), "A": _ZERO3}),
+    "cone-zeta-form": _quadric_variant(
+        "cone3", {"A": (2.0 * _CONE3_A).tolist()}),
+}
+
+
+@pytest.mark.parametrize("check", list(_QUADRIC_FAILURES))
+def test_validate_quadric_failure_checks(tmp_path, capsys, check):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_QUADRIC_FAILURES[check]))
+    code, rep = _run(capsys, "validate", str(path))
+    assert code == 1 and not rep["passed"]
+    assert rep["checks"][-1]["name"] == check
+    assert not rep["checks"][-1]["passed"]
+    assert all(c["passed"] for c in rep["checks"][:-1])
+
+
+def test_simulate_parabola_off_the_normal_frame(tmp_path, capsys):
+    # the normalized model [[zeta, 0], [0, 1]] on {z_1 >= z_2^2} seen through
+    # the inverse of the normalization S for c = 2 and A1 = (0.3, -0.5)^T
+    c, A1 = 2.0, np.array([[0.3], [-0.5]])
+    A = np.zeros((3, 3, 3))
+    A[0][0, 0], A[1][0, 1], A[1][1, 0] = 4.0, 2.0, 2.0
+    space = QuadraticSpace(QuadraticForm(np.diag([0.0, -1.0, 0.0]),
+                                         np.eye(3)[0], 0.0))
+    normal = ModelSpec(3, AffineVectorField(
+        np.array([[-0.5, 0.0, 0.0], [0.0, -0.5, 0.0], [0.2, 0.0, -1.0]]),
+        np.array([2.0, 0.0, 0.5])),
+        AffineMatrixField(np.diag([0.0, 1.0, 1.0]), A), space)
+    S = np.diag([1.0 / c, 1.0 / np.sqrt(c), 1.0])
+    S[2, :2] = -A1[:, 0] / c
+    model = change_model_coordinates(normal, np.linalg.inv(S), np.zeros(3),
+                                     space)
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    code, rep = _run(capsys, "decompose", str(path))
+    assert code == 0
+    assert rep["decomposition"]["c"] == pytest.approx(c)
+    assert np.allclose(rep["decomposition"]["A1"], A1)
+    assert _run(capsys, "validate", str(path))[0] == 0
+    paths = 4000
+    code, rep = _run(capsys, "simulate", str(path), "--t", "0.5", "--steps",
+                     "200", "--paths", str(paths), "--seed", "5")
+    assert code == 0
+    sim = rep["simulation"]
+    assert model.state_space.contains(np.array(sim["x0"]))
+    gap = np.abs(np.subtract(sim["final_mean"], sim["mean_ode_final"]))
+    assert np.all(gap <= 4 * np.array(sim["final_std"]) / np.sqrt(paths))
+
+
+@pytest.mark.parametrize("command,fits,congruences", [
+    ("validate", 3, 3), ("simulate", 2, 3), ("decompose", 1, 1)])
+def test_parabolic_frame_built_once(capsys, frame_calls, command, fits,
+                                    congruences):
+    # validate fits once for the structure check and twice to normalize;
+    # every command moves the model to the canonical frame by one congruence
+    extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
+    assert main([command, str(fixture_path("parabola3")), *extra]) == 0
+    capsys.readouterr()
+    assert frame_calls == {"fits": fits, "congruences": congruences}
 
 
 def test_tol_flag(capsys, monkeypatch):

@@ -610,6 +610,27 @@ def test_check_classical_cir_feller_fails():
     assert rep.admissible and not rep.open_invariant
 
 
+@pytest.mark.parametrize("Sigma,beta,alpha,expected", [
+    (np.eye(1), np.eye(1), np.array([-2.0]), True),
+    (np.eye(2), np.zeros((2, 2)), np.array([1.0, 2.0]), True),
+    (np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2), False),
+    (np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2), np.zeros(2), False),
+    (np.eye(2), np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]),
+     False),
+], ids=["far-from-interior-point", "constant-v", "zero-v-row",
+        "singular-sigma", "v-positive-nowhere"])
+def test_check_classical_theta_positive_exact(Sigma, beta, alpha, expected):
+    # theta(x) > 0 somewhere inside the orthant iff Sigma is nonsingular and
+    # {v > 0} meets the interior.  theta(x) = x - 2 on {x >= 0} is positive
+    # only beyond any sphere of Chebyshev radius around the interior point
+    # x = 1; {x_1 > 0} and {-x_1 - 1 > 0} do not meet
+    p = Sigma.shape[0]
+    cm = ClassicalModel(Sigma, beta, alpha)
+    model = ModelSpec(p, AffineVectorField(-np.eye(p), np.ones(p)),
+                      cm.reconstructed(), Polyhedron(np.eye(p), np.zeros(p)))
+    assert check_classical(model, cm).theta_pos_nonempty is expected
+
+
 def test_check_classical_two_dimensional_reduces_to_signs():
     theta = AffineMatrixField(np.zeros((2, 2)),
                               [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])

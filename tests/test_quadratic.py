@@ -410,6 +410,54 @@ def test_normalize_parabolic():
     assert abs(np.linalg.det(S)) > 0
 
 
+def _parabolic_theta(rng, p, q, c):
+    """theta = [[c zeta, c zeta A1 + eta A2], [., B]] for random A1, A2 and a
+    constant positive definite B."""
+    r = p - q
+    z = zeta_parabolic(p, q)
+    E = np.stack([eta_matrix(np.eye(q)[k], q) for k in range(q)])
+    A1 = rng.standard_normal((q, r))
+    A2 = rng.standard_normal((E.shape[-1], r))
+    A0, A = np.zeros((p, p)), np.zeros((p, p, p))
+    A0[:q, :q], A[:, :q, :q] = c * z.A0, c * z.A
+    A0[:q, q:] = c * z.A0 @ A1
+    A[:, :q, q:] = c * z.A @ A1
+    A[:q, :q, q:] += E @ A2
+    A0[q:, :q], A[:, q:, :q] = A0[:q, q:].T, np.swapaxes(A[:, :q, q:], 1, 2)
+    G = rng.standard_normal((r, r))
+    A0[q:, q:] = G @ G.T + np.eye(r)
+    return AffineMatrixField(A0, A)
+
+
+def _three_fit_normalization(theta, q):
+    """The normalization by three fits: rescale by the first fit's c, fit
+    again, shear off that fit's A1 (the reference for the closed form)."""
+    p = theta.size
+    c = parabolic_theta_decompose(theta, q).c
+    S = np.eye(p)
+    S[0, 0] = 1.0 / c
+    for k in range(1, q):
+        S[k, k] = 1.0 / np.sqrt(c)
+    S2 = np.eye(p)
+    S2[q:, :q] = -parabolic_theta_decompose(
+        theta.congruence(S, np.zeros(p)), q).A1.T
+    return S2 @ S
+
+
+@settings(max_examples=40, deadline=None)
+@given(pq=st.sampled_from([(3, 2), (5, 3), (6, 4), (4, 4), (4, 2)]),
+       c=st.floats(0.05, 20.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_normalize_parabolic_matches_three_fit_reference(pq, c, seed):
+    p, q = pq
+    theta = _parabolic_theta(np.random.default_rng(seed), p, q, c)
+    S, theta_n, dec_n = normalize_parabolic(theta, q)
+    ref = _three_fit_normalization(theta, q)
+    assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert dec_n.normalized
+    n = theta.congruence(S, np.zeros(p))
+    assert np.array_equal(theta_n.A0, n.A0) and np.array_equal(theta_n.A, n.A)
+
+
 # ---------------------------------------------------------------------------
 # parabolic drift admissibility
 # ---------------------------------------------------------------------------

@@ -425,13 +425,15 @@ def test_exit_tracker_matches_direct_reduction(fixture):
         assert got.exit_fraction == np.count_nonzero(first >= 0) / cfg.n_paths
 
 
-@pytest.mark.parametrize("space", [
-    Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, 2.0])),
-    QuadraticSpace(QuadraticForm(np.array([[1.0]]), np.zeros(1), -1.0)),
+@pytest.mark.parametrize("space,worst", [
+    (Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, 2.0])), [-0.5, 0.5]),
+    (QuadraticSpace(QuadraticForm(np.array([[1.0]]), np.zeros(1), -1.0)),
+     [-0.75]),
 ], ids=["polyhedral", "quadric"])
-def test_exit_found_beside_a_nan_path(space):
+def test_exit_found_beside_a_nan_path(space, worst):
     # min over a step with a NaN path is NaN: the per-step gate must still
-    # let the other path's exit through, at its first step out
+    # let the other path's exit through, at its first step out, and the
+    # worst values skip the NaN path (x = -0.5: facet -0.5, x^2 - 1 = -0.75)
     states = np.empty((3, 6, 1))
     states[0] = np.nan
     states[1, :, 0] = [1.5, 1.5, 1.5, -0.5, 1.5, -0.5]
@@ -442,6 +444,7 @@ def test_exit_found_beside_a_nan_path(space):
                                    space, 1e-8)
     assert stats.exit_steps.tolist() == [-1, 3, -1]
     assert stats.exit_fraction == 1 / 3
+    assert stats.worst_violation.tolist() == worst
 
 
 def test_mean_consistency_with_ode_oracle():
