@@ -16,7 +16,7 @@ from .modelio import load_fixture, load_model, save_model
 from .polyhedral import (CanonicalTransform, ClassicalModel,
                          PsdFacetDecomposition, build_square_root,
                          canonical_transform, check_classical,
-                         check_open_orthant_invariance,
+                         check_open_facet_invariance,
                          check_polyhedral_admissibility,
                          check_triangle_condition, diagonalize_extended,
                          lift_drift, psd_decompose, transform_model)

@@ -72,16 +72,16 @@ class NumericalFailureError(AffinvarError):
     """Search was inconclusive; not a proof of nonexistence."""
 
 
-class NotInSpanError(AffinvarError):
-    pass
+class NotInSpanError(NotAdmissibleError):
+    """The diffusion is not in the span of the conical basis."""
 
 
 class NotNormalizedError(AffinvarError):
     pass
 
 
-class NegativeCError(AffinvarError):
-    pass
+class NegativeCError(NotAdmissibleError):
+    """The parabolic upper-left block is a negative multiple of zeta."""
 
 
 class PhiVMismatchError(AffinvarError):
@@ -92,11 +92,11 @@ class PreconditionFailedError(AffinvarError):
     pass
 
 
-class ZeroQuadraticPartError(AffinvarError):
-    pass
+class ZeroQuadraticPartError(PreconditionFailedError):
+    """The quadric has no quadratic part: a hyperplane, not a quadric."""
 
 
-class NotAdmissibleQuadricError(AffinvarError):
+class NotAdmissibleQuadricError(NotAdmissibleError):
     """Quadric is not affinely equivalent to one of the three canonical forms."""
 
 

@@ -174,6 +174,43 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     return AdmissibilityReport(checks, poly, lifted)
 
 
+@dataclass(frozen=True)
+class OpenFacetCheck:
+    index: int
+    passed: bool
+    certificate: FarkasCertificate | None  # its constant c is the margin
+    witness: np.ndarray | None
+
+
+def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
+    """Facet-by-facet invariance of the open interior (boundary
+    non-attainment): gamma_i mu(.) - c_i/2 >= 0 on the facet segment.
+
+    This is the Feller-type condition grad(u_i) (mu - 1/2 sum_k A_k e_k) >= 0:
+    the coupling row gives gamma_i A_k = gamma_ik B_i, so the correction is
+    c_i/2 with c_i = B_i gamma_i^T (`_coupling_rows`); on theta = diag(x) it
+    reads a_ij >= 0 (j != i) and b_i >= 1/2.  A facet passes with the
+    facet-relative certificate, or fails with a witness point on the facet;
+    one that fails the diffusion condition fails with neither.  A pass with
+    c_i = 0 is a proof too: gamma_i sigma = 0 there, and the certificate
+    gives u_i(t) >= u_i(0) exp(lam_i t) > 0.
+    """
+    poly = _interior_polyhedron(model)
+    _, c, ok = _coupling_rows(model.diffusion, poly)
+    checks = []
+    for i in range(poly.n_facets):
+        cert = witness = None
+        if ok[i] and c[i] >= -TOL.psd * (1.0 + abs(c[i])):
+            d = model.drift.row_functional(poly.gamma[i])
+            try:
+                cert = facet_relative_decompose(
+                    AffineScalar(d.gamma, d.delta - 0.5 * c[i]), poly, i)
+            except NotNonnegativeOnFacetError as exc:
+                witness = exc.witness
+        checks.append(OpenFacetCheck(i, cert is not None, cert, witness))
+    return checks
+
+
 # ---------------------------------------------------------------------------
 # canonical transform
 # ---------------------------------------------------------------------------
@@ -425,9 +462,8 @@ class PsdFacetDecomposition:
         return AffineMatrixField(0.5 * (A0 + A0.T), 0.5 * (A + np.swapaxes(A, 1, 2)))
 
     def min_eigenvalue(self) -> float:
-        vals = [float(np.linalg.eigvalsh(self.B0)[0])]
-        vals += [float(np.linalg.eigvalsh(Bi)[0]) for Bi in self.Bi]
-        return min(vals)
+        Bs = np.concatenate([self.B0[None], self.Bi])
+        return float(np.linalg.eigvalsh(Bs)[:, 0].min())
 
 
 def check_triangle_condition(poly: Polyhedron) -> bool:
@@ -705,8 +741,9 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
 
     Checks, facet by facet: the orthogonality-or-alignment condition between
     the rows of v and the columns of Sigma; the drift condition on each facet
-    segment; and the strengthened (Feller-type) drift condition implying open
-    invariance.  ``theta_pos_nonempty`` is decided exactly: Sigma has full
+    segment; and the Feller-type condition of open invariance,
+    ``check_open_facet_invariance`` (b_i >= alpha_ii/2 in canonical
+    coordinates).  ``theta_pos_nonempty`` is decided exactly: Sigma has full
     rank and {v > 0} meets the interior of the state space.  Raises
     ModelInconsistencyError when cm does not reproduce the model's diffusion
     matrix.
@@ -743,23 +780,17 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
                 w1[i, j] = aligned and c is not None
 
     w2_ok = np.zeros(q, dtype=bool)
-    feller_ok = np.zeros(q, dtype=bool)
-    SST = cm.Sigma @ cm.Sigma.T
     for i in range(q):
-        drift_fn = AffineScalar(cm.beta[i] @ model.drift.a,
-                                float(cm.beta[i] @ model.drift.b))
         try:
-            facet_relative_decompose(drift_fn, poly, i)
+            facet_relative_decompose(
+                model.drift.row_functional(cm.beta[i]), poly, i)
             w2_ok[i] = True
         except NotNonnegativeOnFacetError as exc:
             witnesses[f"drift{i}"] = exc.witness
-        half_term = 0.5 * float(cm.beta[i] @ SST @ cm.beta[i])
-        strengthened = AffineScalar(drift_fn.gamma, drift_fn.delta - half_term)
-        try:
-            facet_relative_decompose(strengthened, poly, i)
-            feller_ok[i] = True
-        except NotNonnegativeOnFacetError as exc:
-            witnesses[f"feller{i}"] = exc.witness
+    open_facets = check_open_facet_invariance(model)
+    feller_ok = np.array([fc.passed for fc in open_facets])
+    witnesses.update((f"feller{fc.index}", fc.witness) for fc in open_facets
+                     if fc.witness is not None)
 
     # theta(x) > 0 exactly where Sigma is nonsingular and v(x) > 0.
     # interior_point skips a zero row, so a constant v_j = alpha_j is
@@ -773,16 +804,3 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
 
     return ClassicalReport(reconstruction_ok, containment_ok, w1, w2_ok,
                            feller_ok, theta_pos, witnesses)
-
-
-def check_open_orthant_invariance(drift: AffineVectorField) -> np.ndarray:
-    """Per-coordinate open-orthant invariance for the canonical model
-    theta = diag(x): coordinate i passes iff a_ij >= 0 for all j != i and
-    b_i >= 1/2.  The diagonal of a is irrelevant."""
-    p = drift.dim
-    out = np.zeros(p, dtype=bool)
-    for i in range(p):
-        off = np.delete(drift.a[i], i)
-        out[i] = bool(np.all(off >= -TOL.lam_clip)
-                      and drift.b[i] >= 0.5 - TOL.lam_clip)
-    return out

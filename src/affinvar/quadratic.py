@@ -22,7 +22,6 @@ from .errors import (NegativeCError, NotAdmissibleError,
                      NotNormalizedError, NumericalFailureError,
                      PhiVMismatchError, PreconditionFailedError,
                      ZeroQuadraticPartError)
-from .polyhedral import check_open_orthant_invariance
 from .tolerances import TOL
 
 
@@ -722,9 +721,8 @@ def check_cone_admissibility(drift: AffineVectorField, p: int,
 
 @dataclass(frozen=True)
 class OpenInvarianceReport:
-    v: np.ndarray | None
+    v: np.ndarray
     phiv2_ok: bool
-    sampled_only: bool
     min_value: float
 
 
@@ -739,33 +737,22 @@ def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
     return (kind, q) if resid <= TOL.feasibility else None
 
 
-def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport:
-    """Sufficient conditions for invariance of the open component of {Phi > 0}.
+def check_open_invariance_general(phi: QuadraticForm,
+                                  model: ModelSpec) -> OpenInvarianceReport:
+    """Invariance of the open component of {Phi > 0} for a quadric model in
+    its canonical frame.
 
     First verifies at coefficient level that grad(Phi) theta = Phi v^T for a
-    constant vector v (raising PhiVMismatchError otherwise); then checks
-    grad(Phi) (mu - half column-sum correction) >= 0 on the state space, by
-    the closed-form parabolic/conical reductions when the model is in those
-    canonical forms, by the orthant condition for the determinant functional
-    of the canonical diagonal model, and by a seeded low-discrepancy grid
-    otherwise (flagged sampled-only)."""
-    theta = model.diffusion
-    p = model.dimension
-    correction = 0.5 * np.array([theta.A[i][:, i] for i in range(p)]).sum(axis=0)
-
-    if isinstance(phi, str) and phi == "det":
-        # canonical diagonal model: Phi = x_1 ... x_p, grad(Phi) theta = Phi 1^T
-        expected = np.stack([np.outer(np.eye(p)[i], np.eye(p)[i]) for i in range(p)])
-        if float(np.abs(theta.A0).max()) > TOL.feasibility or \
-                float(np.abs(theta.A - expected).max()) > TOL.feasibility:
-            raise PreconditionFailedError(
-                "determinant functional needs the canonical diagonal model")
-        flags = check_open_orthant_invariance(model.drift)
-        return OpenInvarianceReport(np.ones(p), bool(flags.all()), False,
-                                    float(model.drift.b.min() - 0.5))
-
+    constant vector v (raising PhiVMismatchError otherwise); then decides
+    grad(Phi) (mu - half column-sum correction) >= 0 on the state space by
+    the closed-form parabolic or conical reduction.  A quadric that is not
+    one of those canonical forms raises PreconditionFailedError: move the
+    model to its canonical frame first (``canonical_quadric_model``).  The
+    polyhedral counterpart is ``polyhedral.check_open_facet_invariance``.
+    """
     if not isinstance(phi, QuadraticForm):
-        raise PreconditionFailedError("phi must be a QuadraticForm or 'det'")
+        raise PreconditionFailedError("phi must be a QuadraticForm")
+    theta = model.diffusion
 
     # fit grad(Phi) theta = Phi v^T at coefficient level, all columns at once
     phi_vec = _quad_vector(phi)
@@ -783,24 +770,13 @@ def check_open_invariance_general(phi, model: ModelSpec) -> OpenInvarianceReport
     if kind == "parabolic" and q >= 2:
         rep = check_parabolic_drift(model.drift, q)
         return OpenInvarianceReport(v, rep.structure_ok and rep.psd_ok and
-                                    rep.q2_ok and rep.open_ok, False,
-                                    rep.open_margin)
-    if kind == "cone" and q == p:
-        rep = check_cone_admissibility(model.drift, p, q)
-        return OpenInvarianceReport(v, rep.admissible, False, rep.drift_margin)
-
-    # sampled fallback on a deterministic low-discrepancy grid
-    from scipy.stats import qmc  # costly to import, and needed only here
-    sampler = qmc.Halton(d=p, seed=0)
-    pts = 20.0 * sampler.random(10_000) - 10.0
-    inside = model.state_space.contains(pts)
-    pts = pts[np.asarray(inside)]
-    if pts.shape[0] == 0:
-        return OpenInvarianceReport(v, False, True, float("nan"))
-    grad = phi.gradient(pts)
-    w = np.einsum("ni,ni->n", grad, model.drift(pts) - correction)
-    mn = float(w.min())
-    return OpenInvarianceReport(v, mn >= -TOL.sampled_min, True, mn)
+                                    rep.q2_ok and rep.open_ok, rep.open_margin)
+    if kind == "cone" and q == model.dimension:
+        rep = check_cone_admissibility(model.drift, q, q)
+        return OpenInvarianceReport(v, rep.admissible, rep.drift_margin)
+    raise PreconditionFailedError(
+        "quadric is not in a canonical parabolic or full-dimensional conical "
+        "form: move to the canonical frame first")
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
 from affinvar.errors import NotNonnegativeError, NotRepresentableError
 from affinvar.modelio import fixture_path, load_fixture
 from affinvar.polyhedral import (PsdFacetDecomposition, canonical_transform,
-                                 psd_decompose, transform_model,
-                                 build_square_root)
+                                 check_open_facet_invariance, psd_decompose,
+                                 transform_model, build_square_root)
 from affinvar.quadratic import (ParabolicDecomposition, cone_square_root,
                                 conical_space_dimension, eta_matrix,
                                 parabolic_kernel_dimension,
@@ -179,22 +179,33 @@ def test_acceptance_07_feller_dichotomy():
     ct = canonical_transform(m)
     sigma = build_square_root(ct)
 
-    def hit_freq(b):
-        model = ModelSpec(1, AffineVectorField(np.array([[-1.0]]),
-                                               np.array([b])),
-                          m.diffusion, m.state_space)
+    def model_with(b):
+        return ModelSpec(1, AffineVectorField(np.array([[-1.0]]),
+                                              np.array([b])),
+                         m.diffusion, m.state_space)
+
+    def hit_freq(model):
         cfg = SimConfig(np.array([0.1]), 1.0, 4000, 10_000, seed=123)
         summ = simulate_summary(model, sigma, cfg,
                                 functionals=(m.state_space.facet(0),))
         return float(np.count_nonzero(summ.functional_minima[0] < 1e-4)) / 10_000
 
-    f_low = hit_freq(0.25)
-    f_high = hit_freq(0.75)
+    low, high = model_with(0.25), model_with(0.75)
+    f_low = hit_freq(low)
+    f_high = hit_freq(high)
     ratio = f_low / max(f_high, 1e-12)
+    # the facet verdict agrees: b = 0.25 < 1/2 fails at the boundary point 0,
+    # b = 0.75 passes with margin b - 1/2
+    (v_low,), (v_high,) = (check_open_facet_invariance(low),
+                           check_open_facet_invariance(high))
+    verdict_ok = (not v_low.passed and v_low.witness.tolist() == [0.0]
+                  and v_high.passed
+                  and abs(v_high.certificate.c - 0.25) <= 1e-12)
     elapsed = time.time() - t0
-    _report(7, ratio >= 5.0,
+    _report(7, ratio >= 5.0 and verdict_ok,
             f"hit freq b=0.25: {f_low:.4f}, b=0.75: {f_high:.4f}, "
-            f"ratio {ratio:.1f}", elapsed, 120.0)
+            f"ratio {ratio:.1f}; facet verdicts {v_low.passed}, "
+            f"{v_high.passed}", elapsed, 120.0)
 
 
 def test_acceptance_08_cone_invariance():

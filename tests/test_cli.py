@@ -376,6 +376,42 @@ def test_validate_quadric_failure_checks(tmp_path, capsys, check):
     assert all(c["passed"] for c in rep["checks"][:-1])
 
 
+_PARABOLA3 = json.loads(fixture_path("parabola3").read_text())["diffusion"]
+
+# well-typed models that no affine diffusion admits, with the error each
+# raises and the commands that reach it; validate reports the conical-structure
+# model's failed check instead (test_validate_quadric_failure_checks)
+_INADMISSIBLE = {
+    "not-in-span": (_QUADRIC_FAILURES["conical-structure"], "NotInSpanError",
+                    ("decompose", "simulate")),
+    "negative-c": (_quadric_variant(
+        "parabola3", {"A0": (-np.array(_PARABOLA3["A0"])).tolist(),
+                      "A": (-np.array(_PARABOLA3["A"])).tolist()}),
+        "NegativeCError", ("validate", "decompose", "simulate")),
+    "mixed-signature": (_quadric_variant(
+        "parabola3", A=np.diag([1.0, -1.0, 0.0]).tolist(), b=[0.0, 0.0, 1.0],
+        c=0.0), "NotAdmissibleQuadricError",
+        ("validate", "classify", "decompose", "simulate")),
+    "zero-quadratic-part": (_quadric_variant(
+        "parabola3", A=np.zeros((3, 3)).tolist()), "ZeroQuadraticPartError",
+        ("validate", "classify", "decompose", "simulate")),
+}
+
+
+@pytest.mark.parametrize("model,command", [
+    (model, command) for model, (_, _, commands) in _INADMISSIBLE.items()
+    for command in commands])
+def test_inadmissible_quadric_models_exit_1(tmp_path, capsys, model, command):
+    obj, error, _ = _INADMISSIBLE[model]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code = main([command, str(path), "--paths", "10", "--steps", "10"]
+                if command == "simulate" else [command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert json.loads(captured.err)["error"] == error
+
+
 def test_simulate_parabola_off_the_normal_frame(tmp_path, capsys):
     # the normalized model [[zeta, 0], [0, 1]] on {z_1 >= z_2^2} seen through
     # the inverse of the normalization S for c = 2 and A1 = (0.3, -0.5)^T

@@ -1,13 +1,17 @@
-"""Every name that a package module imports is used in that module.  No
-linter runs on this tree, and a deletion can leave a dead import behind;
-the check reads the source with the stdlib ``ast`` module only."""
+"""Every name that a package module imports is used in that module, and
+every name that README's library examples use still exists.  No linter runs
+on this tree, and a deletion can leave a dead import or a stale example
+behind; the import check reads the source with the stdlib ``ast`` module
+only."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "affinvar"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "affinvar"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -33,3 +37,14 @@ def test_unused_imports_detects_dead_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_readme_library_runs():
+    # the python blocks in order, in one namespace, as a reader would run them
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme,
+                        re.DOTALL | re.MULTILINE)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(blocks) >= 2

@@ -16,7 +16,7 @@ from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
 from affinvar.modelio import load_fixture, save_model
 from affinvar.polyhedral import (ClassicalModel, _coupling_rows,
                                  build_square_root, canonical_transform,
-                                 check_classical, check_open_orthant_invariance,
+                                 check_classical, check_open_facet_invariance,
                                  check_polyhedral_admissibility,
                                  check_triangle_condition, diagonalize_extended,
                                  lift_drift, psd_decompose, transform_model)
@@ -641,18 +641,101 @@ def test_check_classical_two_dimensional_reduces_to_signs():
     rep = check_classical(model, cm)
     assert rep.admissible
     assert rep.feller_ok.all()           # b = (1, 1) >= 1/2 with a_ij >= 0
-    flags = check_open_orthant_invariance(drift)
-    assert flags.all()
 
 
-def test_check_open_orthant_invariance_examples():
-    f1 = check_open_orthant_invariance(
-        AffineVectorField(-np.eye(2), np.array([1.0, 1.0])))
-    assert f1.tolist() == [True, True]
-    f2 = check_open_orthant_invariance(
-        AffineVectorField(-np.eye(2), np.array([0.5, 0.4])))
-    assert f2.tolist() == [True, False]
-    f3 = check_open_orthant_invariance(
-        AffineVectorField(np.array([[-1.0, -0.1], [0.0, -1.0]]),
-                          np.array([1.0, 1.0])))
-    assert f3.tolist() == [False, True]
+@pytest.mark.parametrize("b1,feller", [(1.2, False), (1.6, True)])
+def test_check_classical_feller_with_unequal_coupled_v(b1, feller):
+    # v_2 = 2 v_1: theta = x_1 [[3, 2], [2, 2]], so boundary non-attainment
+    # needs b_1 >= theta_11 / 2 = 3/2, not b_1 >= |beta_1 Sigma|^2 / 2 = 1,
+    # which holds only when every coupled v_j equals v_i
+    cm = ClassicalModel(np.array([[1.0, 1.0], [0.0, 1.0]]),
+                        np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
+    model = ModelSpec(2, AffineVectorField(-np.eye(2), np.array([b1, 0.0])),
+                      cm.reconstructed(),
+                      Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)))
+    rep = check_classical(model, cm)
+    assert rep.admissible and rep.w1.all()
+    assert rep.feller_ok.tolist() == [feller]
+    assert rep.open_invariant is feller
+    assert ("feller0" in rep.witnesses) is not feller
+
+
+# ---------------------------------------------------------------------------
+# open-interior invariance
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a,b,flags", [
+    (-np.eye(2), [1.0, 1.0], [True, True]),
+    (-np.eye(2), [0.5, 0.4], [True, False]),
+    ([[-1.0, -0.1], [0.0, -1.0]], [1.0, 1.0], [False, True]),
+], ids=["both-pass", "b2-below-half", "a12-negative"])
+def test_open_facet_invariance_orthant_examples(a, b, flags):
+    # theta = diag(x) on the orthant: facet i is open-invariant iff
+    # a_ij >= 0 for j != i and b_i >= 1/2
+    theta = AffineMatrixField(np.zeros((2, 2)),
+                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    model = ModelSpec(2, AffineVectorField(np.array(a, dtype=float),
+                                           np.array(b)),
+                      theta, Polyhedron(np.eye(2), np.zeros(2)))
+    checks = check_open_facet_invariance(model)
+    assert [fc.passed for fc in checks] == flags
+    for fc in checks:
+        assert (fc.certificate is not None) is fc.passed
+        assert (fc.witness is not None) is not fc.passed
+        if fc.passed:   # the certificate's constant is b_i - 1/2
+            assert fc.certificate.c == pytest.approx(b[fc.index] - 0.5)
+        else:           # and the witness a facet point where it is negative
+            x = fc.witness
+            assert x[fc.index] == 0.0
+            assert model.drift(x)[fc.index] - 0.5 < 0.0
+
+
+def test_open_facet_invariance_cir_margin():
+    (fc,) = check_open_facet_invariance(load_fixture("cir"))
+    assert fc.passed and fc.certificate.c == pytest.approx(0.5)  # b - 1/2
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_open_facet_invariance_is_the_canonical_rule_in_every_frame(p, data,
+                                                                    seed):
+    # in canonical coordinates facet i is open-invariant iff a_ij >= 0 for
+    # the other facet coordinates j and b_i >= c_i/2, with c_i = 1 on the
+    # square-root facets and 0 on the others; an affine image keeps every
+    # verdict.  Quarter-integer facet drifts put some b_i exactly on the bound
+    q = data.draw(st.integers(1, p))
+    m_cnt = data.draw(st.integers(0, q))
+    rng = np.random.default_rng(seed)
+    base = random_canonical_model(rng, p, m_cnt, q - m_cnt)
+    a, b = base.drift.a.copy(), base.drift.b.copy()
+    a[:q, :q] = rng.integers(-1, 3, (q, q)) / 4.0
+    b[:q] = rng.integers(0, 5, q) / 4.0
+    model = ModelSpec(p, AffineVectorField(a, b), base.diffusion,
+                      base.state_space)
+    expected = [bool(np.all(np.delete(a[i, :q], i) >= 0)
+                     and b[i] >= (0.5 if i < m_cnt else 0.0))
+                for i in range(q)]
+    for frame in (model, random_affine_image(rng, model)):
+        checks = check_open_facet_invariance(frame)
+        assert [fc.passed for fc in checks] == expected
+        for fc in checks:
+            if fc.witness is not None:  # a facet point where the drift is low
+                x, g = fc.witness, frame.state_space.gamma[fc.index]
+                assert frame.state_space.facet(fc.index)(x) == pytest.approx(
+                    0.0, abs=1e-9 * (1 + np.abs(x).max()))
+                c = 1.0 if fc.index < m_cnt else 0.0
+                assert g @ frame.drift(x) - c / 2 < 0
+
+
+@pytest.mark.parametrize("fixture,sign", [("hyperbola_wedge", 1.0),
+                                          ("cir", -1.0)])
+def test_open_facet_invariance_needs_the_diffusion_condition(fixture, sign):
+    # no facet of hyperbola_wedge has a vanishing diffusion row, and -theta
+    # on cir has the negative multiple c = -1, where b - c/2 would pass
+    m = load_fixture(fixture)
+    m = ModelSpec(m.dimension, m.drift, AffineMatrixField(
+        sign * m.diffusion.A0, sign * m.diffusion.A), m.state_space)
+    assert not any(fc.diffusion_ok
+                   for fc in check_polyhedral_admissibility(m).facets)
+    for fc in check_open_facet_invariance(m):
+        assert not fc.passed and fc.certificate is None and fc.witness is None

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                           Polyhedron, QuadraticForm, QuadraticSpace)
+                           Polyhedron, QuadraticForm, QuadraticSpace,
+                           change_model_coordinates)
 from affinvar.errors import (NotAdmissibleQuadricError, NotInSpanError,
                              NotNormalizedError, NumericalFailureError,
                              PhiVMismatchError, PreconditionFailedError,
@@ -14,6 +15,7 @@ from affinvar.errors import (NotAdmissibleQuadricError, NotInSpanError,
 from affinvar.modelio import load_fixture
 from affinvar.quadratic import (_row_field_coefficients,
                                 _verify_classification,
+                                canonical_quadric_model,
                                 check_cone_admissibility,
                                 check_open_invariance_general,
                                 check_parabolic_drift,
@@ -584,21 +586,11 @@ def test_conical_rejects_extra_coordinates():
 # open-set invariance
 # ---------------------------------------------------------------------------
 
-def test_open_invariance_canonical_determinant():
-    theta = AffineMatrixField(np.zeros((2, 2)),
-                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    model = ModelSpec(2, AffineVectorField(-np.eye(2), np.array([1.0, 1.0])),
-                      theta, Polyhedron(np.eye(2), np.zeros(2)))
-    rep = check_open_invariance_general("det", model)
-    assert np.allclose(rep.v, 1.0)
-    assert rep.phiv2_ok and not rep.sampled_only
-
-
 def test_open_invariance_cone():
     m = load_fixture("cone3")
     rep = check_open_invariance_general(m.state_space.form, m)
     assert np.allclose(rep.v, [2.0, 0.0, 0.0], atol=1e-9)
-    assert rep.phiv2_ok and not rep.sampled_only
+    assert rep.phiv2_ok
     assert rep.min_value == pytest.approx(0.5)
 
 
@@ -606,7 +598,22 @@ def test_open_invariance_parabolic():
     m = load_fixture("parabola3")
     rep = check_open_invariance_general(m.state_space.form, m)
     # b_1 = 2.5 < q + 1 = 4: closed-admissible but the open bound fails
-    assert not rep.phiv2_ok and not rep.sampled_only
+    assert not rep.phiv2_ok
+
+
+def test_open_invariance_needs_the_canonical_frame():
+    # the dilation x -> 2x keeps grad(Phi) theta = Phi v^T but leaves the
+    # cone's canonical form; the canonical frame decides it again
+    m = load_fixture("cone3")
+    space, phi = m.state_space, m.state_space.form
+    dilated = QuadraticSpace(QuadraticForm(phi.A / 4.0, phi.b / 2.0, phi.c),
+                             space.component, space.closed)
+    img = change_model_coordinates(m, 2.0 * np.eye(3), np.zeros(3), dilated)
+    with pytest.raises(PreconditionFailedError, match="canonical frame"):
+        check_open_invariance_general(img.state_space.form, img)
+    _, canon = canonical_quadric_model(img)
+    rep = check_open_invariance_general(canon.state_space.form, canon)
+    assert rep.phiv2_ok and rep.min_value == pytest.approx(0.5)
 
 
 def test_open_invariance_phi_v_mismatch():
