@@ -24,21 +24,39 @@ share one solve.  `minimalize` keeps every facet of a full-row-rank gamma
 without an LP, and otherwise proves most facets irredundant by substituting
 one point just outside each facet, found by the same least-distance NNLS;
 only the rest take an LP.
+
+The NNLS is the package's own (`_nnls`), on numpy and Python floats.  scipy
+is imported only when an LP runs: `linprog` is loaded on first use.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from .core import (AffineScalar, Polyhedron, _coefficient_residual,
                    _coefficient_scale, _minimal)
 from .errors import (NotNonnegativeError, NotNonnegativeOnFacetError,
                      ToleranceWarning)
 from .tolerances import TOL
+
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """`linprog`, imported from scipy on first use and then kept in the
+    module globals.  A round that needs no LP loads no scipy; the LP call
+    sites read it as `_this.linprog`, so a patched binding sees every LP."""
+    if name == "linprog":
+        from scipy.optimize import linprog
+        globals()["linprog"] = linprog
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +130,8 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
     bounds = [(0.0, box)] * q + [(0.0, box)]
     if free is not None:
         bounds[free] = (-box, box)
-    res = linprog(np.zeros(q + 1), A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
+    res = _this.linprog(np.zeros(q + 1), A_eq=A_eq, b_eq=b_eq,
+                        bounds=bounds, method="highs")
     if res.status != 0:
         return None
     lam = _clamp(res.x[:q], free)
@@ -127,15 +145,91 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
     return cert
 
 
+def _nnls(A: np.ndarray, b: np.ndarray,
+          maxiter: int | None = None) -> np.ndarray | None:
+    """argmin |A x - b| over x >= 0, or None when the active-set iteration
+    needs more than maxiter (default 3n) passive-set solves or meets a
+    passive set whose normal equations are not positive definite.
+
+    Lawson & Hanson's active-set method (Solving Least Squares Problems,
+    1974, ch. 23) in the Gram-matrix form of Bro & De Jong (J. Chemometrics
+    11, 1997): each step solves the normal equations of the passive columns,
+    read off A^T A and A^T b.  The passive set never outgrows the rank of
+    A, at most p + 1 here, so the steps run on Python floats, where a
+    numpy call would cost more than its arithmetic.  The columns are scaled to unit norm
+    first, so that the Gram matrix squares only the conditioning that the
+    column directions bring.  A column enters only when its dual
+    w_t = A_t^T (b - A x) exceeds the rounding level of w, so a zero column,
+    or a copy of a passive one, never enters.  A matrix with no columns
+    gives the empty x.
+    """
+    n = A.shape[1]
+    norms = np.sqrt(np.einsum("ij,ij->j", A, A))
+    unit = np.divide(1.0, norms, out=np.ones(n), where=norms > 0.0)
+    A = A * unit  # unit columns: A^T A is conditioned no worse than needed
+    G, g = (A.T @ A).tolist(), (A.T @ b).tolist()
+    eps = 10.0 * max(A.shape) * sys.float_info.epsilon
+    g_max = max(map(abs, g), default=0.0)
+    steps = 3 * n if maxiter is None else maxiter
+    x, passive = [0.0] * n, []
+    while True:
+        w = {j: g[j] - sum(map(operator.mul, G[j], x))
+             for j in range(n) if j not in passive}
+        t = max(w, key=w.get, default=None)
+        if t is None or w[t] <= eps * (g_max + sum(x)):
+            return unit * x
+        passive.append(t)
+        while True:  # solve on the passive set, stepping back while s <= 0
+            steps -= 1
+            s = None if steps < 0 else _cholesky_solve(
+                [[G[i][j] for j in passive] for i in passive],
+                [g[i] for i in passive])
+            if s is None:  # the iteration limit, or a singular system
+                return None
+            if min(s) > 0.0:
+                for i, v in zip(passive, s):
+                    x[i] = v
+                break
+            alpha, k = min((x[i] / (x[i] - v), i)
+                           for i, v in zip(passive, s) if v <= 0.0)
+            for i, v in zip(passive, s):
+                x[i] += alpha * (v - x[i])
+            x[k] = 0.0
+            passive = [i for i in passive if x[i] > 0.0]
+            x = [v if i in passive else 0.0 for i, v in enumerate(x)]
+
+
+def _cholesky_solve(M: list, v: list) -> list | None:
+    """The y with M y = v for M symmetric positive definite (nested lists),
+    by Cholesky, M = L L^T, or None when a pivot is not positive."""
+    L = []
+    for i, row in enumerate(M):
+        Li = []
+        for j in range(i):
+            Li.append((row[j] - sum(map(operator.mul, Li, L[j]))) / L[j][j])
+        pivot = row[i] - sum(map(operator.mul, Li, Li))
+        if pivot <= 0.0:
+            return None
+        Li.append(math.sqrt(pivot))
+        L.append(Li)
+    y = []
+    for Li, vi in zip(L, v):  # L z = v
+        y.append((vi - sum(map(operator.mul, Li, y))) / Li[-1])
+    for i in reversed(range(len(y))):  # L^T y = z, by rows of L
+        y[i] /= L[i][i]
+        for j in range(i):
+            y[j] -= L[i][j] * y[i]
+    return y
+
+
 def _nonnegative_solution(A: np.ndarray, b: np.ndarray,
                           free: int | None) -> np.ndarray | None:
     """The NNLS solution z >= 0 of A z = b, column `free` unconstrained (as
-    the difference of two nonnegative columns), or None when NNLS stops at
-    its iteration limit.  Its residual is the caller's to test."""
+    the difference of two nonnegative columns), or None when `_nnls` gives
+    up.  Its residual is the caller's to test."""
     cols = A if free is None else np.hstack([A, -A[:, free:free + 1]])
-    try:
-        z = nnls(cols, b)[0]
-    except RuntimeError:
+    z = _nnls(cols, b)
+    if z is None:
         return None
     if free is not None:
         z[free] -= z[-1]
@@ -153,19 +247,49 @@ def _minimize_affine(d: AffineScalar, poly: Polyhedron,
     if facet is not None:
         A_eq = poly.gamma[facet][None, :]
         b_eq = np.array([-poly.delta[facet]])
-    res = linprog(d.gamma, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=[(-box, box)] * poly.dim, method="highs")
+    res = _this.linprog(d.gamma, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                        bounds=[(-box, box)] * poly.dim, method="highs")
     return res.x if res.status == 0 else None
+
+
+def _facet_point(poly: Polyhedron, i: int) -> np.ndarray | None:
+    """The least-distance point of facet segment i, {u_i = 0, u_j >= 0}:
+    one `_least_distance` solve, u_i = 0 written as two inequalities and
+    the requirements in units of the largest one.  None when the solve
+    fails or substitution puts the point off the segment or outside the
+    |x|_inf < box box."""
+    rest = np.arange(poly.n_facets) != i
+    G = np.vstack([poly.gamma[i], -poly.gamma[i], poly.gamma[rest]])
+    h = np.concatenate([[-poly.delta[i], poly.delta[i]], -poly.delta[rest]])
+    scale = max(float(np.abs(h).max()), 1.0)
+    x = _least_distance(G, h / scale)
+    if x is None:
+        return None
+    x *= scale
+    u = poly.evaluate(x)
+    tol = TOL.feasibility * scale
+    ok = abs(u[i]) <= tol and np.all(u >= -tol) and np.abs(x).max() < TOL.box
+    return x if ok else None
 
 
 def _decompose(d: AffineScalar, poly: Polyhedron,
                facet: int | None) -> FarkasCertificate:
-    """The certificate LP, and when it fails the witness LP over the
-    polyhedron, or over the given facet segment, raised with the error."""
+    """The certificate LP, and when it fails a witness raised with the
+    error: the minimum of d over the polyhedron, or over the given facet
+    segment, by LP.  When d.gamma is a multiple of the facet row, d is
+    constant on the segment, and the witness is the segment's
+    least-distance point (`_facet_point`), found without an LP; the LP's
+    minimum would be any point of the segment, a box corner included."""
     cert = _certificate_lp(d, poly, free=facet)
     if cert is not None:
         return cert
-    witness = _minimize_affine(d, poly, facet=facet)
+    witness = None
+    if facet is not None and _coefficient_multiple(
+            AffineScalar(d.gamma, 0.0),
+            AffineScalar(poly.gamma[facet], 0.0)) is not None:
+        witness = _facet_point(poly, facet)
+    if witness is None:
+        witness = _minimize_affine(d, poly, facet=facet)
     value = d(witness) if witness is not None else None
     if facet is None:
         raise NotNonnegativeError("no Farkas certificate: functional is negative "
@@ -223,7 +347,7 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
 
 def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """The minimum-Euclidean-norm x with G x >= h, or None when there is
-    none (or NNLS stops at its iteration limit).
+    none (or `_nnls` gives up).
 
     Lawson & Hanson's least-distance program (Solving Least Squares
     Problems, 1974, ch. 23): one NNLS on the (p+1) x q matrix
@@ -232,15 +356,13 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     The result is a floating-point solve; callers verify it by substitution.
     """
     p = G.shape[1]
-    if not G.size:  # nnls aborts the interpreter on a matrix with no columns
-        return np.zeros(p)
     E = np.vstack([G.T, h])
     f = np.zeros(p + 1)
     f[p] = 1.0
-    try:
-        r = E @ nnls(E, f)[0] - f
-    except RuntimeError:
+    u = _nnls(E, f)
+    if u is None:
         return None
+    r = E @ u - f
     return -r[:p] / r[p] if r[p] < 0 else None
 
 
@@ -267,7 +389,8 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
     cost[p] = -1.0
     A_ub = np.hstack([-g, norms[:, None]])
     bounds = [(-box, box)] * p + [(-box, box)]
-    res = linprog(cost, A_ub=A_ub, b_ub=delta, bounds=bounds, method="highs")
+    res = _this.linprog(cost, A_ub=A_ub, b_ub=delta, bounds=bounds,
+                        method="highs")
     if res.status != 0 or res.x[p] <= TOL.interior_slack:
         return None
     return res.x[:p]

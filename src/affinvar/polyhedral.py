@@ -24,10 +24,10 @@ PSD solution or proves that none exists.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize as _minimize
 
 from .convex import (FarkasCertificate, _coefficient_multiple,
                      facet_relative_decompose, farkas_decompose,
@@ -42,6 +42,20 @@ from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NumericalFailureError, PreconditionFailedError,
                      RankDeficiencyError)
 from .tolerances import TOL
+
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """`_minimize` (scipy's `minimize`), imported on first use and then kept
+    in the module globals: only the PSD search of a decomposition with free
+    directions runs it.  Its call site reads `_this._minimize`, so a patched
+    binding sees every call."""
+    if name == "_minimize":
+        from scipy.optimize import minimize as _minimize
+        globals()["_minimize"] = _minimize
+        return _minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +567,10 @@ def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
         Bs = np.concatenate([np.zeros((1, p * p)), Y]).reshape(q + 1, p, p)
     if N.size and not accepted(Bs):
         z0 = N.T @ (Bs.reshape(q + 1, -1) - X)
-        res = _minimize(objective, z0.ravel(), jac=True, method="L-BFGS-B",
-                        options={"maxiter": 5000, "ftol": 1e-18, "gtol": 1e-14})
+        res = _this._minimize(objective, z0.ravel(), jac=True,
+                              method="L-BFGS-B",
+                              options={"maxiter": 5000, "ftol": 1e-18,
+                                       "gtol": 1e-14})
         Bs = blocks(res.x)
     if accepted(Bs):
         return PsdFacetDecomposition(Bs[0], Bs[1:])

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
                    QuadraticSpace, _coefficient_scale, _coldot,
@@ -413,7 +412,8 @@ def mean_ode(model: ModelSpec, x0, horizon: float,
     G = np.zeros((p + 1, p + 1))
     G[:p, :p] = a
     G[:p, p] = b
-    P = scipy.linalg.expm((horizon / n_steps) * G)
+    from scipy.linalg import expm
+    P = expm((horizon / n_steps) * G)
     out = np.empty((n_steps + 1, p + 1))
     out[0, :p] = x0
     out[0, p] = 1.0

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import affinvar.convex
 from affinvar.convex import (FarkasCertificate, _certificate_lp,
-                             _minimize_affine, facet_relative_decompose,
+                             _least_distance, _minimize_affine, _nnls,
+                             _nonnegative_solution, facet_relative_decompose,
                              farkas_decompose, interior_point, minimalize)
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, _coefficient_scale)
@@ -191,6 +192,58 @@ def test_certificate_rank_deficient_gamma_by_nnls(lp_calls):
     assert len(lp_calls) == 2
     assert exc.value.value == pytest.approx(bad(exc.value.witness))
     assert exc.value.value < 0 and poly.contains(exc.value.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 8), n=st.integers(0, 12), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_nnls_matches_scipy_and_kkt(m, n, data, seed):
+    # random problems with duplicated and zero columns, right-hand sides in
+    # the cone of the columns or off it; the residual norm is scipy's, and
+    # x satisfies the KKT conditions of min |A x - b| over x >= 0
+    rng = np.random.default_rng(seed)
+    zero = data.draw(st.integers(0, min(n, 2)))
+    dup = data.draw(st.integers(0, min(n - zero - 1, 3))) if n > zero else 0
+    base = rng.standard_normal((m, n - zero - dup))
+    cols = np.hstack([base, np.zeros((m, zero)),
+                      base[:, rng.integers(n - zero - dup, size=dup)]])
+    A = cols[:, rng.permutation(n)]
+    b = A @ rng.uniform(0.0, 2.0, n) + \
+        data.draw(st.sampled_from([0.0, 1.0])) * rng.standard_normal(m)
+    x = _nnls(A, b)
+    assert x is not None and x.shape == (n,)
+    norm_b = float(np.linalg.norm(b))
+    # scipy's nnls aborts the interpreter on a matrix with no columns
+    ref = scipy.optimize.nnls(A, b)[1] if n else norm_b
+    assert abs(np.linalg.norm(A @ x - b) - ref) <= 1e-10 * max(norm_b, 1e-300)
+    w = A.T @ (b - A @ x)
+    tol = 1e-9 * (1.0 + np.abs(A).max(initial=0.0) *
+                  (norm_b + np.abs(A).max(initial=0.0) * x.sum()))
+    assert np.all(x >= 0.0)
+    assert np.all(w[x == 0.0] <= tol) and np.all(np.abs(w[x > 0.0]) <= tol)
+
+
+def test_nnls_iteration_limit_gives_none_and_the_lp_runs(monkeypatch,
+                                                         lp_calls):
+    # x >= 1 needs one passive-set solve: none allowed gives None, from
+    # _nnls and from both of its callers, and the LP answers instead
+    G, h = np.array([[1.0]]), np.array([1.0])
+    E = np.vstack([G.T, h])
+    f = np.array([0.0, 1.0])
+    assert _nnls(E, f, maxiter=0) is None
+    assert _nnls(E, f) is not None
+    real = affinvar.convex._nnls
+    monkeypatch.setattr(affinvar.convex, "_nnls",
+                        lambda A, b: real(A, b, maxiter=0))
+    assert _least_distance(G, h) is None
+    assert _nonnegative_solution(E, f, None) is None
+    assert _nonnegative_solution(E, f, 0) is None
+    poly = Polyhedron(np.array([[1.0], [1.0]]), np.array([-1.0, 0.0]))
+    x = interior_point(poly)  # the Chebyshev-center LP
+    assert len(lp_calls) == 1 and poly.contains(x)
+    d = AffineScalar(np.array([2.0]), 0.0)
+    _assert_valid(farkas_decompose(d, poly), d, poly)  # the certificate LP
+    assert len(lp_calls) == 2
 
 
 def _max_slack(poly: Polyhedron) -> float:

@@ -316,18 +316,3 @@ def test_value_types_copy_instead_of_freezing_the_callers_arrays():
     for arr in (poly.gamma, poly.delta, phi.b):
         with pytest.raises(ValueError):
             arr[0] = 7.0
-
-
-def test_import_does_not_load_scipy_stats():
-    import os
-    import subprocess
-    import sys
-    # the package under test, wherever it was imported from
-    src = os.path.dirname(os.path.dirname(affinvar.core.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    code = ("import sys, affinvar, affinvar.cli; "
-            "print('scipy.stats' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"

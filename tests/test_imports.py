@@ -1,14 +1,25 @@
 """Every name that a package module imports is used in that module, and
 every name that README's library examples use still exists.  No linter runs
 on this tree, and a deletion can leave a dead import or a stale example
-behind; the import check reads the source with the stdlib ``ast`` module
-only."""
+behind; the import checks read the source with the stdlib ``ast`` module
+only.
+
+The package loads scipy only where a call needs it: the LP fallback, the
+L-BFGS PSD search and ``mean_ode``'s ``expm``.  A fresh interpreter checks
+that importing the package and running the certify path loads no scipy
+module; the ``ast`` check names the statement that would."""
 
 import ast
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import affinvar
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "affinvar"
@@ -48,3 +59,82 @@ def test_readme_library_runs():
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
     assert len(blocks) >= 2
+
+
+def module_level_scipy_imports(source: str) -> list[str]:
+    """The statements outside every function body that import scipy, as
+    "line: statement"; they run when the module is imported."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module]
+            else:
+                names = []
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{child.lineno}: {ast.unparse(child)}")
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_scipy_imports_detects_them():
+    source = ("import os\nimport scipy.linalg\n"
+              "from scipy.optimize import nnls\n"
+              "def f():\n    from scipy import linalg\n"
+              "class C:\n    import scipy as sp\n")
+    assert module_level_scipy_imports(source) == [
+        "2: import scipy.linalg", "3: from scipy.optimize import nnls",
+        "7: import scipy as sp"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    assert module_level_scipy_imports(path.read_text()) == []
+
+
+# Runs CLI calls in process after the package import, and prints, after the
+# import and after each call, the exit code and the scipy modules loaded.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import affinvar, affinvar.cli
+from affinvar.modelio import fixture_path
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+steps = [["import", 0, scipy_modules()]]
+for op, fixture in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = affinvar.cli.main([op, str(fixture_path(fixture))])
+    steps.append([op + " " + fixture, code, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+def test_certify_path_loads_no_scipy():
+    # the import, and certify calls that need no LP fallback and no L-BFGS
+    # search, run on numpy alone; the PSD search of triangle_channel's
+    # decomposition loads scipy.optimize, and only then
+    calls = [("validate", "cir"), ("canonicalize", "cir"), ("decompose", "cir"),
+             ("classify", "cone3"), ("validate", "parabola3"),
+             ("validate", "triangle_channel")]
+    # the package under test, wherever it was imported from
+    src = os.path.dirname(os.path.dirname(affinvar.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                          json.dumps(calls)], capture_output=True, text=True,
+                         check=True, env=env, timeout=300)
+    *numpy_only, (last, code, loaded) = json.loads(out.stdout)
+    assert numpy_only == [[name, 0, []] for name, _, _ in numpy_only]
+    assert last == "validate triangle_channel" and code == 0
+    assert "scipy.optimize" in loaded

@@ -20,6 +20,7 @@ from affinvar.polyhedral import (ClassicalModel, _coupling_rows,
                                  check_polyhedral_admissibility,
                                  check_triangle_condition, diagonalize_extended,
                                  lift_drift, psd_decompose, transform_model)
+from affinvar.tolerances import TOL
 from conftest import random_affine_image, random_canonical_model
 
 
@@ -643,16 +644,23 @@ def test_check_classical_two_dimensional_reduces_to_signs():
     assert rep.feller_ok.all()           # b = (1, 1) >= 1/2 with a_ij >= 0
 
 
-@pytest.mark.parametrize("b1,feller", [(1.2, False), (1.6, True)])
-def test_check_classical_feller_with_unequal_coupled_v(b1, feller):
-    # v_2 = 2 v_1: theta = x_1 [[3, 2], [2, 2]], so boundary non-attainment
-    # needs b_1 >= theta_11 / 2 = 3/2, not b_1 >= |beta_1 Sigma|^2 / 2 = 1,
-    # which holds only when every coupled v_j equals v_i
+def _coupled_v_model(b1: float) -> tuple[ModelSpec, ClassicalModel]:
+    """theta = x_1 [[3, 2], [2, 2]] (v_2 = 2 v_1) on {x_1 >= 0} in R^2, with
+    drift mu(x) = (b1 - x_1, -x_2)."""
     cm = ClassicalModel(np.array([[1.0, 1.0], [0.0, 1.0]]),
                         np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
     model = ModelSpec(2, AffineVectorField(-np.eye(2), np.array([b1, 0.0])),
                       cm.reconstructed(),
                       Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)))
+    return model, cm
+
+
+@pytest.mark.parametrize("b1,feller", [(1.2, False), (1.6, True)])
+def test_check_classical_feller_with_unequal_coupled_v(b1, feller):
+    # v_2 = 2 v_1: theta = x_1 [[3, 2], [2, 2]], so boundary non-attainment
+    # needs b_1 >= theta_11 / 2 = 3/2, not b_1 >= |beta_1 Sigma|^2 / 2 = 1,
+    # which holds only when every coupled v_j equals v_i
+    model, cm = _coupled_v_model(b1)
     rep = check_classical(model, cm)
     assert rep.admissible and rep.w1.all()
     assert rep.feller_ok.tolist() == [feller]
@@ -688,6 +696,21 @@ def test_open_facet_invariance_orthant_examples(a, b, flags):
             x = fc.witness
             assert x[fc.index] == 0.0
             assert model.drift(x)[fc.index] - 0.5 < 0.0
+
+
+def test_open_facet_witness_on_the_facet_when_the_drift_is_constant_there(
+        lp_calls):
+    # gamma_0 mu - c_0 / 2 = 1.2 - x_1 - 3/2 is -0.3 all along the facet
+    # {x_1 = 0}: the witness is the facet's least-distance point (0, 0),
+    # with no witness LP, not the LP's box corner (0, -1e6); the one LP
+    # left is the certificate LP that says no certificate exists
+    model, _ = _coupled_v_model(1.2)
+    (fc,) = check_open_facet_invariance(model)
+    assert not fc.passed and fc.witness is not None
+    x = fc.witness
+    assert abs(x[0]) <= 1e-12 and np.abs(x).max() <= 1e-6 * TOL.box
+    assert model.drift(x)[0] - 1.5 == pytest.approx(-0.3, abs=1e-12)
+    assert len(lp_calls) == 1
 
 
 def test_open_facet_invariance_cir_margin():
