@@ -180,7 +180,7 @@ def _validate_quadratic(model: ModelSpec, report: dict) -> None:
         checks.append(_check("parabolic-drift-degenerate-match", drift_rep.q2_ok))
         checks.append(_check("parabolic-drift-lower-bound", drift_rep.closed_ok,
                              margin=drift_rep.closed_margin))
-        report["open_invariance"] = {"passed": drift_rep.open_ok,
+        report["open_invariance"] = {"passed": drift_rep.open_invariant,
                                      "margin": drift_rep.open_margin}
     else:  # cone
         if q != p:

@@ -254,35 +254,33 @@ def _minimize_affine(d: AffineScalar, poly: Polyhedron,
 
 def _facet_point(poly: Polyhedron, i: int) -> np.ndarray | None:
     """The least-distance point of facet segment i, {u_i = 0, u_j >= 0}:
-    one `_least_distance` solve, u_i = 0 written as two inequalities and
-    the requirements in units of the largest one.  None when the solve
-    fails or substitution puts the point off the segment or outside the
-    |x|_inf < box box."""
+    one `_least_distance` solve, u_i = 0 written as two inequalities.  None
+    when the solve fails or substitution puts the point off the segment or
+    outside the |x|_inf < box box."""
     rest = np.arange(poly.n_facets) != i
     G = np.vstack([poly.gamma[i], -poly.gamma[i], poly.gamma[rest]])
     h = np.concatenate([[-poly.delta[i], poly.delta[i]], -poly.delta[rest]])
-    scale = max(float(np.abs(h).max()), 1.0)
-    x = _least_distance(G, h / scale)
+    x = _least_distance(G, h)
     if x is None:
         return None
-    x *= scale
     u = poly.evaluate(x)
-    tol = TOL.feasibility * scale
+    tol = TOL.feasibility * max(float(np.abs(h).max()), 1.0)
     ok = abs(u[i]) <= tol and np.all(u >= -tol) and np.abs(x).max() < TOL.box
     return x if ok else None
 
 
-def _decompose(d: AffineScalar, poly: Polyhedron,
-               facet: int | None) -> FarkasCertificate:
-    """The certificate LP, and when it fails a witness raised with the
-    error: the minimum of d over the polyhedron, or over the given facet
-    segment, by LP.  When d.gamma is a multiple of the facet row, d is
-    constant on the segment, and the witness is the segment's
-    least-distance point (`_facet_point`), found without an LP; the LP's
-    minimum would be any point of the segment, a box corner included."""
+def _decompose(d: AffineScalar, poly: Polyhedron, facet: int | None
+               ) -> tuple[FarkasCertificate | None, np.ndarray | None]:
+    """(certificate, None) from the certificate LP, or (None, witness) when
+    it fails: the minimum of d over the polyhedron, or over the given facet
+    segment, by LP (None when that LP fails too).  When d.gamma is a
+    multiple of the facet row, d is constant on the segment, and the witness
+    is the segment's least-distance point (`_facet_point`), found without an
+    LP; the LP's minimum would be any point of the segment, a box corner
+    included."""
     cert = _certificate_lp(d, poly, free=facet)
     if cert is not None:
-        return cert
+        return cert, None
     witness = None
     if facet is not None and _coefficient_multiple(
             AffineScalar(d.gamma, 0.0),
@@ -290,14 +288,7 @@ def _decompose(d: AffineScalar, poly: Polyhedron,
         witness = _facet_point(poly, facet)
     if witness is None:
         witness = _minimize_affine(d, poly, facet=facet)
-    value = d(witness) if witness is not None else None
-    if facet is None:
-        raise NotNonnegativeError("no Farkas certificate: functional is negative "
-                                  "somewhere on the polyhedron",
-                                  witness=witness, value=value)
-    raise NotNonnegativeOnFacetError(
-        f"functional is negative on facet segment {facet}", facet=facet,
-        witness=witness, value=value)
+    return None, witness
 
 
 def farkas_decompose(d: AffineScalar, poly: Polyhedron) -> FarkasCertificate:
@@ -306,7 +297,13 @@ def farkas_decompose(d: AffineScalar, poly: Polyhedron) -> FarkasCertificate:
     Raises NotNonnegativeError carrying a point where d is negative when no
     certificate exists.
     """
-    return _decompose(d, poly, None)
+    cert, witness = _decompose(d, poly, None)
+    if cert is None:
+        raise NotNonnegativeError(
+            "no Farkas certificate: functional is negative somewhere on the "
+            "polyhedron", witness=witness,
+            value=None if witness is None else d(witness))
+    return cert
 
 
 def facet_relative_decompose(d: AffineScalar, poly: Polyhedron,
@@ -316,7 +313,12 @@ def facet_relative_decompose(d: AffineScalar, poly: Polyhedron,
     The i-th multiplier is unconstrained; all others and the constant must be
     nonnegative.  Raises NotNonnegativeOnFacetError otherwise.
     """
-    return _decompose(d, poly, i)
+    cert, witness = _decompose(d, poly, i)
+    if cert is None:
+        raise NotNonnegativeOnFacetError(
+            f"functional is negative on facet segment {i}", facet=i,
+            witness=witness, value=None if witness is None else d(witness))
+    return cert
 
 
 def interior_point(poly: Polyhedron) -> np.ndarray | None:
@@ -351,19 +353,23 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
 
     Lawson & Hanson's least-distance program (Solving Least Squares
     Problems, 1974, ch. 23): one NNLS on the (p+1) x q matrix
-    E = [G^T; h^T] against f = e_{p+1}.  With the residual r = E u - f the
-    point is -r[:p] / r[p], and r[p] = 0 means the system is infeasible.
-    The result is a floating-point solve; callers verify it by substitution.
+    E = [G^T; h^T / s] against f = e_{p+1}, in units of the largest
+    requirement s = max|h| (1 when h = 0): an offset far above the others
+    would otherwise cost the point its last digits.  With the residual
+    r = E u - f the point is -s r[:p] / r[p], and r[p] = 0 means the system
+    is infeasible.  The result is a floating-point solve; callers verify it
+    by substitution.
     """
     p = G.shape[1]
-    E = np.vstack([G.T, h])
+    scale = float(np.abs(h).max(initial=0.0)) or 1.0
+    E = np.vstack([G.T, h / scale])
     f = np.zeros(p + 1)
     f[p] = 1.0
     u = _nnls(E, f)
     if u is None:
         return None
     r = E @ u - f
-    return -r[:p] / r[p] if r[p] < 0 else None
+    return scale * (-r[:p] / r[p]) if r[p] < 0 else None
 
 
 def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
@@ -374,13 +380,7 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
         return None
     keep = norms > 0
     g, delta, norms = poly.gamma[keep], poly.delta[keep], norms[keep]
-    # solved in units of the largest requirement: an offset far above the
-    # unit slack would otherwise cost the point its last digits
-    h = norms - delta
-    scale = np.abs(h).max(initial=0.0) or 1.0
-    x = _least_distance(g, h / scale)
-    if x is not None:
-        x = scale * x
+    x = _least_distance(g, norms - delta)
     if x is not None and np.abs(x).max(initial=0.0) <= box and \
             np.min((g @ x + delta) / norms, initial=np.inf) >= \
             1.0 - TOL.interior_slack:
@@ -400,15 +400,14 @@ def _facet_witness(poly: Polyhedron, i: int, others: list[int],
                    x0: np.ndarray, margin: float) -> bool:
     """Whether substitution proves facet i irredundant against `others`.
 
-    One `_least_distance` solve, in units of its largest requirement, gives
-    the point y nearest x0 with normalized slack <= -margin on facet i (and
-    u_i(y) <= -4 TOL.feasibility, to clear the test below) and
-    >= margin / 1000 on every other facet with a nonzero row: a facet
-    parallel to facet i and close beyond it leaves only a sliver of room
-    for y, which a full margin of its own would close.  A y with
-    u_i(y) < -2 TOL.feasibility, every other u_j(y) > 0 and |y|_inf < box
-    shows that deleting facet i enlarges the set cut out by any subset of
-    `others`."""
+    One `_least_distance` solve gives the point y nearest x0 with normalized
+    slack <= -margin on facet i (and u_i(y) <= -4 TOL.feasibility, to clear
+    the test below) and >= margin / 1000 on every other facet with a nonzero
+    row: a facet parallel to facet i and close beyond it leaves only a
+    sliver of room for y, which a full margin of its own would close.  A y
+    with u_i(y) < -2 TOL.feasibility, every other u_j(y) > 0 and
+    |y|_inf < box shows that deleting facet i enlarges the set cut out by
+    any subset of `others`."""
     rows = [i] + [j for j in others if poly.gamma[j].any()]
     norms = np.linalg.norm(poly.gamma[rows], axis=1)
     sign = np.ones(len(rows))
@@ -416,13 +415,11 @@ def _facet_witness(poly: Polyhedron, i: int, others: list[int],
     slack = poly.evaluate(x0)[rows] / norms
     floor = np.full(len(rows), margin / 1000.0)
     floor[0] = max(margin, 4.0 * TOL.feasibility / norms[0])
-    h = floor - sign * slack
-    scale = np.abs(h).max()  # y - x0 in units of the largest requirement
     z = _least_distance(sign[:, None] * poly.gamma[rows] / norms[:, None],
-                        h / scale)
+                        floor - sign * slack)
     if z is None:
         return False
-    y = x0 + scale * z
+    y = x0 + z
     u = poly.gamma[rows] @ y + poly.delta[rows]
     return bool(u[0] < -2.0 * TOL.feasibility and np.all(u[1:] > 0) and
                 np.abs(y).max() < TOL.box)

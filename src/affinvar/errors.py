@@ -47,16 +47,14 @@ class InteriorEmptyError(AffinvarError):
 
 
 class NotAdmissibleError(AffinvarError):
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
+    pass
 
 
 class RankDeficiencyError(AffinvarError):
     pass
 
 
-class ModelInconsistencyError(AffinvarError):
+class ModelInconsistencyError(NotAdmissibleError):
     """The state space is not contained in the PSD region of the diffusion."""
 
 

@@ -29,16 +29,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convex import (FarkasCertificate, _coefficient_multiple,
-                     facet_relative_decompose, farkas_decompose,
+from .convex import (FarkasCertificate, _coefficient_multiple, _decompose,
                      interior_point, minimalize)
 from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
                    ModelSpec, Polyhedron, _coefficient_residual,
                    _coefficient_scale, _coldot, _minimal,
                    change_model_coordinates, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
-                     NotAdmissibleError, NotNonnegativeError,
-                     NotNonnegativeOnFacetError, NotRepresentableError,
+                     NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, PreconditionFailedError,
                      RankDeficiencyError)
 from .tolerances import TOL
@@ -129,6 +127,19 @@ def _coupling_rows(theta: AffineMatrixField, poly: Polyhedron
     return B, np.einsum("ij,ij->i", B, g), ok
 
 
+def _diffusion_condition(theta: AffineMatrixField, poly: Polyhedron
+                         ) -> tuple[np.ndarray, ...]:
+    """`_coupling_rows`' B and c, the mask ok of facets that meet the
+    diffusion condition, and the mask root of square-root facets: those with
+    gamma_i theta(.) = B_i u_i(.) and |B_i| > TOL.zero_row times theta's
+    scale.  The condition is that identity and, on a square-root facet,
+    c_i > 0; with c_i <= 0 theta is not PSD on the interior."""
+    B, c, vanishes = _coupling_rows(theta, poly)
+    root = vanishes & (np.linalg.norm(B, axis=1) >
+                       TOL.zero_row * _coefficient_scale(theta.A0, theta.A))
+    return B, c, vanishes & (~root | (c > 0)), root
+
+
 def _lift(drift: AffineVectorField, poly: Polyhedron,
           certs: list[FarkasCertificate]) -> tuple[np.ndarray, np.ndarray]:
     """Stack the facet drift certificates into (a_bar, b_bar) and check
@@ -149,39 +160,32 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     """Facet-by-facet invariance conditions for a polyhedral state space.
 
     For each facet: (a) the row gamma_i theta(.) vanishes on the facet segment
-    (every component is a multiple of u_i, and the quadratic multiple
-    c_i = B_i gamma_i^T is nonnegative); (b) gamma_i mu(.) is nonnegative on
+    (every component is a multiple of u_i, and on a square-root facet the
+    quadratic multiple c_i = B_i gamma_i^T is positive,
+    `_diffusion_condition`); (b) gamma_i mu(.) is nonnegative on
     the facet segment, certified by a facet-relative Farkas decomposition.
     When every facet has a drift certificate the report also carries the
     lifted drift (a_bar, b_bar); raises NotAdmissibleError if those fail to
     reconstruct gamma mu(.).
     """
     poly = _interior_polyhedron(model)
-    B, c, ok = _coupling_rows(model.diffusion, poly)
+    B, c, ok, root = _diffusion_condition(model.diffusion, poly)
     checks = []
     for i in range(poly.n_facets):
         B_i = c_i = None
-        diffusion_ok = bool(ok[i])
         msg = ""
-        if diffusion_ok:
+        if ok[i] or root[i]:  # gamma_i theta(.) = B_i u_i(.)
             B_i, c_i = B[i], float(c[i])
-            if c_i < -TOL.psd * (1.0 + abs(c_i)):
-                diffusion_ok = False
-                msg = "negative diffusion multiple on facet"
+            if not ok[i]:
+                msg = "nonpositive diffusion multiple on square-root facet"
         else:
             msg = "diffusion row does not vanish on facet segment"
-        cert = None
-        witness = None
-        drift_ok = True
-        try:
-            cert = facet_relative_decompose(
-                model.drift.row_functional(poly.gamma[i]), poly, i)
-        except NotNonnegativeOnFacetError as exc:
-            drift_ok = False
-            witness = exc.witness
+        cert, witness = _decompose(
+            model.drift.row_functional(poly.gamma[i]), poly, i)
+        if cert is None:
             msg = (msg + "; " if msg else "") + "drift points outward on facet"
-        checks.append(FacetCheck(i, diffusion_ok, B_i, c_i, drift_ok, cert,
-                                 witness, msg))
+        checks.append(FacetCheck(i, bool(ok[i]), B_i, c_i, cert is not None,
+                                 cert, witness, msg))
     lifted = None
     if all(fc.drift_ok for fc in checks):
         lifted = _lift(model.drift, poly, [fc.drift_certificate for fc in checks])
@@ -210,17 +214,14 @@ def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
     gives u_i(t) >= u_i(0) exp(lam_i t) > 0.
     """
     poly = _interior_polyhedron(model)
-    _, c, ok = _coupling_rows(model.diffusion, poly)
+    _, c, ok, _ = _diffusion_condition(model.diffusion, poly)
     checks = []
     for i in range(poly.n_facets):
         cert = witness = None
-        if ok[i] and c[i] >= -TOL.psd * (1.0 + abs(c[i])):
+        if ok[i]:
             d = model.drift.row_functional(poly.gamma[i])
-            try:
-                cert = facet_relative_decompose(
-                    AffineScalar(d.gamma, d.delta - 0.5 * c[i]), poly, i)
-            except NotNonnegativeOnFacetError as exc:
-                witness = exc.witness
+            cert, witness = _decompose(
+                AffineScalar(d.gamma, d.delta - 0.5 * c[i]), poly, i)
         checks.append(OpenFacetCheck(i, cert is not None, cert, witness))
     return checks
 
@@ -317,21 +318,19 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     theta = model.diffusion
     p, q = model.dimension, poly.n_facets
 
-    B, c, ok = _coupling_rows(theta, poly)
-    if not ok.all():
+    B, c, ok, root = _diffusion_condition(theta, poly)
+    if not (ok | root).all():
         raise NotAdmissibleError(
-            f"diffusion condition fails on facet {np.argmin(ok)}: "
+            f"diffusion condition fails on facet {np.argmin(ok | root)}: "
             "gamma_i theta(.) does not vanish on the facet segment")
+    if not ok.all():
+        i = np.argmin(ok)
+        raise NotAdmissibleError(
+            f"facet {i} has nonpositive diffusion multiple {c[i]:.3e}")
 
-    scale = _coefficient_scale(theta.A0, theta.A)
-    M = [i for i in range(q) if np.linalg.norm(B[i]) > TOL.zero_row * scale]
-
+    M = np.flatnonzero(root).tolist()
     facet_scale = np.ones(q)
-    for i in M:
-        if c[i] <= 0:
-            raise NotAdmissibleError(
-                f"facet {i} has nonpositive diffusion multiple {c[i]:.3e}")
-        facet_scale[i] = 1.0 / c[i]
+    facet_scale[M] = 1.0 / c[M]
     gamma_s = poly.gamma * facet_scale[:, None]
     delta_s = poly.delta * facet_scale
 
@@ -776,11 +775,10 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
     containment_ok = True
     witnesses: dict = {}
     for i in range(p):
-        try:
-            farkas_decompose(cm.v_functional(i), poly)
-        except NotNonnegativeError as exc:
+        cert, witness = _decompose(cm.v_functional(i), poly, None)
+        if cert is None:
             containment_ok = False
-            witnesses[f"v{i}"] = exc.witness
+            witnesses[f"v{i}"] = witness
 
     # facet i corresponds to v_i after positive rescaling
     w1 = np.zeros((q, p), dtype=bool)
@@ -797,12 +795,11 @@ def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
 
     w2_ok = np.zeros(q, dtype=bool)
     for i in range(q):
-        try:
-            facet_relative_decompose(
-                model.drift.row_functional(cm.beta[i]), poly, i)
-            w2_ok[i] = True
-        except NotNonnegativeOnFacetError as exc:
-            witnesses[f"drift{i}"] = exc.witness
+        cert, witness = _decompose(
+            model.drift.row_functional(cm.beta[i]), poly, i)
+        w2_ok[i] = cert is not None
+        if cert is None:
+            witnesses[f"drift{i}"] = witness
     open_facets = check_open_facet_invariance(model)
     feller_ok = np.array([fc.passed for fc in open_facets])
     witnesses.update((f"feller{fc.index}", fc.witness) for fc in open_facets

@@ -527,6 +527,10 @@ class ParabolicDriftReport:
         return bool(self.structure_ok and self.psd_ok and self.q2_ok
                     and self.closed_ok)
 
+    @property
+    def open_invariant(self) -> bool:
+        return bool(self.admissible and self.open_ok)
+
 
 def check_parabolic_drift(drift: AffineVectorField, q: int) -> ParabolicDriftReport:
     """Drift admissibility on the parabola in canonical coordinates (c = 1).
@@ -769,8 +773,7 @@ def check_open_invariance_general(phi: QuadraticForm,
     kind, q = _canonical_kind(phi) or (None, 0)
     if kind == "parabolic" and q >= 2:
         rep = check_parabolic_drift(model.drift, q)
-        return OpenInvarianceReport(v, rep.structure_ok and rep.psd_ok and
-                                    rep.q2_ok and rep.open_ok, rep.open_margin)
+        return OpenInvarianceReport(v, rep.open_invariant, rep.open_margin)
     if kind == "cone" and q == model.dimension:
         rep = check_cone_admissibility(model.drift, q, q)
         return OpenInvarianceReport(v, rep.admissible, rep.drift_margin)

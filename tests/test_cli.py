@@ -10,6 +10,7 @@ from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            QuadraticForm, QuadraticSpace,
                            change_model_coordinates)
 from affinvar.modelio import fixture_path, load_model, save_model
+from affinvar.quadratic import check_open_invariance_general
 from affinvar.tolerances import TOL, Tolerances, current
 from conftest import random_affine_image, random_canonical_model
 
@@ -352,6 +353,8 @@ _CONE3_A = np.array(json.loads(fixture_path("cone3").read_text())
 
 # models that fail validate's quadric route at the named check, its last one
 _QUADRIC_FAILURES = {
+    "quadric-admissible-kind": _quadric_variant(  # outside the unit ball
+        "parabola3", A=np.eye(3).tolist(), b=[0.0, 0.0, 0.0], c=-1.0),
     "state-space-side": _quadric_variant("parabola3", component="negative"),
     "square-root-block-present": _quadric_variant(
         "parabola3", {"A0": np.diag([0.0, 0.0, 1.0]).tolist(), "A": _ZERO3},
@@ -378,9 +381,21 @@ def test_validate_quadric_failure_checks(tmp_path, capsys, check):
 
 _PARABOLA3 = json.loads(fixture_path("parabola3").read_text())["diffusion"]
 
+
+def _polyhedral_dict(b, A0, A, gamma, delta) -> dict:
+    """A polyhedral model file with zero drift matrix."""
+    return {"dimension": len(b), "drift": {"a": np.zeros((len(b),) * 2).tolist(),
+                                           "b": b},
+            "diffusion": {"A0": A0, "A": A},
+            "state_space": {"kind": "polyhedral", "gamma": gamma,
+                            "delta": delta}}
+
+
 # well-typed models that no affine diffusion admits, with the error each
 # raises and the commands that reach it; validate reports the conical-structure
-# model's failed check instead (test_validate_quadric_failure_checks)
+# model's failed check instead (test_validate_quadric_failure_checks).  The
+# last one is polyhedral: theta = diag(x_1, 1 + x_2) on {x_1 >= 0} is not
+# PSD where x_2 < -1, so its canonical block is inconsistent
 _INADMISSIBLE = {
     "not-in-span": (_QUADRIC_FAILURES["conical-structure"], "NotInSpanError",
                     ("decompose", "simulate")),
@@ -395,6 +410,11 @@ _INADMISSIBLE = {
     "zero-quadratic-part": (_quadric_variant(
         "parabola3", A=np.zeros((3, 3)).tolist()), "ZeroQuadraticPartError",
         ("validate", "classify", "decompose", "simulate")),
+    "theta-leaves-psd-cone": (_polyhedral_dict(
+        [1.0, 0.0], np.diag([0.0, 1.0]).tolist(),
+        [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()],
+        [[1.0, 0.0]], [0.0]), "ModelInconsistencyError",
+        ("validate", "canonicalize", "simulate")),
 }
 
 
@@ -410,6 +430,90 @@ def test_inadmissible_quadric_models_exit_1(tmp_path, capsys, model, command):
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert json.loads(captured.err)["error"] == error
+
+
+@pytest.mark.parametrize("command,obj,detail", [
+    ("canonicalize", json.loads(fixture_path("parabola3").read_text()),
+     "applies to polyhedral"),
+    ("classify", json.loads(fixture_path("cir").read_text()),
+     "applies to quadratic"),
+    ("decompose", _QUADRIC_FAILURES["quadric-admissible-kind"],
+     "ellipsoid-type quadrics carry no affine diffusion"),
+    ("simulate", _QUADRIC_FAILURES["quadric-admissible-kind"],
+     "ellipsoid-type quadrics are not simulable"),
+    ("simulate", _QUADRIC_FAILURES["state-space-side"],
+     "inside component of the quadric only"),
+    ("simulate", _QUADRIC_FAILURES["cone-zeta-form"], "needs theta = zeta"),
+], ids=["canonicalize-quadric", "classify-polyhedron", "decompose-ellipsoid",
+        "simulate-ellipsoid", "simulate-outside", "simulate-unnormalized-cone"])
+def test_commands_outside_their_domain_exit_1(tmp_path, capsys, command, obj,
+                                              detail):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code = main([command, str(path), "--paths", "10", "--steps", "10"]
+                if command == "simulate" else [command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert detail in json.loads(captured.err)["detail"]
+
+
+def test_validate_empty_polyhedron(tmp_path, capsys):
+    # {x >= 1} and {x <= 0}: nothing else is checked
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_polyhedral_dict(
+        [0.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [-1.0, 0.0])))
+    code, rep = _run(capsys, "validate", str(path))
+    assert code == 1 and not rep["passed"]
+    assert rep["checks"] == [{"name": "interior-nonempty", "passed": False}]
+
+
+def test_validate_reports_a_square_root_facet_with_zero_multiple(tmp_path,
+                                                                 capsys):
+    # gamma_1 theta(x) = x_1 (0, 1): a square-root facet whose multiple
+    # c_1 = B_1 . gamma_1 is 0.  Admissibility and the canonical transform
+    # read one rule, so the facet fails in the report, and no transform
+    # raises after it
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_polyhedral_dict(
+        [1.0, 0.0], np.diag([0.0, 1.0]).tolist(),
+        [[[0.0, 1.0], [1.0, 0.0]], np.zeros((2, 2)).tolist()], [[1.0, 0.0]],
+        [0.0])))
+    code, rep = _run(capsys, "validate", str(path))
+    assert code == 1 and not rep["passed"]
+    (check,) = [c for c in rep["checks"] if c["name"] == "facet-0-diffusion"]
+    assert not check["passed"] and check["margin"] == 0.0
+    assert "canonical" not in rep
+
+
+def test_parabolic_open_invariance_needs_the_closed_conditions(tmp_path,
+                                                               capsys):
+    # b_1 = 5 clears the open bound, but a_Q1 = 0.7 breaks the drift
+    # structure: validate and the library give the same open verdict
+    obj = json.loads(fixture_path("parabola3").read_text())
+    obj["drift"]["a"][1][0] = 0.7
+    obj["drift"]["b"][0] = 5.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code, rep = _run(capsys, "validate", str(path))
+    assert code == 1
+    (check,) = [c for c in rep["checks"]
+                if c["name"] == "parabolic-drift-structure"]
+    assert not check["passed"]
+    assert rep["open_invariance"] == {"passed": False,
+                                      "margin": pytest.approx(1.0)}
+    model = load_model(path)
+    assert not check_open_invariance_general(model.state_space.form,
+                                             model).phiv2_ok
+
+
+def test_out_writes_the_stdout_bytes(tmp_path, capsys):
+    model = str(fixture_path("cir"))
+    assert main(["validate", model]) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["validate", model, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout
 
 
 def test_simulate_parabola_off_the_normal_frame(tmp_path, capsys):

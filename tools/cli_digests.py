@@ -1,0 +1,156 @@
+"""Byte-identity digests of a fixed list of `affinvar` CLI calls.
+
+Prints one line per call: the sha256 of the call's (exit code, stdout,
+stderr), then the call.  Run it on two checkouts and diff the outputs; a
+line that differs names a call whose output moved:
+
+    PYTHONPATH=src python tools/cli_digests.py > after.txt
+    PYTHONPATH=../parent/src python tools/cli_digests.py > before.txt
+    diff before.txt after.txt
+
+The package is imported from the Python path, so the same list runs against
+any checkout.  The calls run in process through `affinvar.cli.main`, in a
+fixed order, so a warning printed once per process is printed at the same
+call on both sides.  They are:
+
+- every shipped fixture x validate / canonicalize / decompose / classify;
+- validate / canonicalize / decompose on the generated models of
+  `perfbench/bench_models.py` (read, not changed) for the seeds in SEEDS;
+- simulate on SIM_FIXTURES x both schemes, with and without --csv;
+- every command on each model of `_edge_models`;
+
+each of the first two groups with and without --tol 1e-6.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import affinvar.cli
+from affinvar.modelio import fixture_path
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
+SIM_FIXTURES = ("cir", "triangle_channel", "parabola3", "cone3")
+SCHEMES = ("full-truncation", "plain")
+CERTIFY = ("validate", "canonicalize", "decompose", "classify")
+SEEDS = (1, 2, 3, 5, 7919)
+TOL = ("--tol", "1e-6")
+SIM_ARGS = ("--t", "0.25", "--steps", "25", "--paths", "40", "--seed", "11")
+
+
+def _fixture(name: str) -> dict:
+    return json.loads(fixture_path(name).read_text())
+
+
+def _polyhedral(a, b, A0, A, gamma, delta) -> dict:
+    return {"dimension": len(b), "drift": {"a": a, "b": b},
+            "diffusion": {"A0": A0, "A": A},
+            "state_space": {"kind": "polyhedral", "gamma": gamma,
+                            "delta": delta}}
+
+
+def _edge_models() -> dict[str, dict]:
+    """Models that reach the branches the fixtures do not."""
+    zero2 = np.zeros((2, 2)).tolist()
+    parabola = _fixture("parabola3")
+    parabola["drift"]["a"][1][0] = 0.7  # fails the drift structure
+    parabola["drift"]["b"][0] = 5.0     # clears the open-interior bound
+    outside = _fixture("parabola3")
+    outside["state_space"]["component"] = "negative"
+    cone = _fixture("cone3")
+    cone["diffusion"]["A"] = (2.0 * np.array(cone["diffusion"]["A"])).tolist()
+    ellipsoid = _polyhedral(zero2, [0.0, 0.0], zero2, [zero2, zero2], [], [])
+    ellipsoid["state_space"] = {  # |x|^2 >= 1, the positive side
+        "kind": "quadratic", "A": np.eye(2).tolist(), "b": [0.0, 0.0],
+        "c": -1.0, "component": "positive", "closed": True}
+    return {
+        # gamma_1 theta = x_1 (0, 1): a square-root facet with c_1 = 0
+        "sqrt-facet-zero-multiple": _polyhedral(
+            zero2, [1.0, 0.0], np.diag([0.0, 1.0]).tolist(),
+            [[[0.0, 1.0], [1.0, 0.0]], zero2], [[1.0, 0.0]], [0.0]),
+        "parabola-open-only": parabola,
+        # theta = diag(x_1, 1 + x_2) leaves the PSD cone on {x_1 >= 0}
+        "theta-leaves-psd-cone": _polyhedral(
+            zero2, [1.0, 0.0], np.diag([0.0, 1.0]).tolist(),
+            [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()],
+            [[1.0, 0.0]], [0.0]),
+        "empty-polyhedron": _polyhedral(
+            [[0.0]], [0.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [-1.0, 0.0]),
+        "ellipsoid": ellipsoid,
+        "parabola-outside": outside,
+        "cone-unnormalized": cone,
+    }
+
+
+def _bench_models():
+    spec = importlib.util.spec_from_file_location(
+        "bench_models", ROOT / "perfbench" / "bench_models.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def calls(workdir: Path) -> list[tuple[str, list[str]]]:
+    """(label, argv) of every call, with the model files written to workdir."""
+    def write(name: str, obj: dict) -> str:
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    out = []
+    generated = _bench_models().generated_models
+    for tol in ((), TOL):
+        suffix = " ".join(("",) + tol)
+        for fx in FIXTURES:
+            for cmd in CERTIFY:
+                out.append((f"{cmd} {fx}{suffix}",
+                            [cmd, str(fixture_path(fx)), *tol]))
+        for seed in SEEDS:
+            for name, model, _ in generated(seed):
+                path = write(f"seed{seed}_{name}", model)
+                for cmd in CERTIFY[:3]:
+                    out.append((f"{cmd} seed{seed}/{name}{suffix}",
+                                [cmd, path, *tol]))
+    for fx in SIM_FIXTURES:
+        for scheme in SCHEMES:
+            argv = ["simulate", str(fixture_path(fx)), "--scheme", scheme,
+                    *SIM_ARGS]
+            out.append((f"simulate {fx} {scheme}", argv))
+            out.append((f"simulate {fx} {scheme} csv",
+                        argv + ["--csv", str(workdir / "paths.csv")]))
+    for name, model in _edge_models().items():
+        path = write(name, model)
+        for cmd in CERTIFY:
+            out.append((f"{cmd} {name}", [cmd, path]))
+        out.append((f"simulate {name}", ["simulate", path, *SIM_ARGS]))
+    return out
+
+
+def digest(argv: list[str]) -> str:
+    """sha256 of the (exit code, stdout, stderr) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = affinvar.cli.main(argv)
+    text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, argv in calls(Path(tmp)):
+            print(f"{digest(argv)}  {label}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
