@@ -41,11 +41,6 @@ class NotNonnegativeOnFacetError(NotNonnegativeError):
         self.facet = facet
 
 
-class InteriorEmptyError(AffinvarError):
-    """The polyhedron has no interior point: the set may collapse onto a
-    facet, where coupling rows and facet multipliers would be arbitrary."""
-
-
 class NotAdmissibleError(AffinvarError):
     pass
 
@@ -88,6 +83,11 @@ class PhiVMismatchError(AffinvarError):
 
 class PreconditionFailedError(AffinvarError):
     pass
+
+
+class InteriorEmptyError(PreconditionFailedError):
+    """The polyhedron has no interior point: the set may collapse onto a
+    facet, where coupling rows and facet multipliers would be arbitrary."""
 
 
 class ZeroQuadraticPartError(PreconditionFailedError):

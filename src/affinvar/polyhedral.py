@@ -18,13 +18,13 @@ block form, the dimension extension) are checked on coefficients.
 The PSD facet decomposition theta = B0 + sum_i B_i u_i is one linear system
 with the (p+1) x (q+1) matrix K = [[1, delta^T], [0, gamma^T]] acting on the
 stacked coefficients, solved by one SVD of K.  It is unique when gamma has
-full row rank; otherwise a cone-distance search over K's null space picks a
-PSD solution or proves that none exists.
+full row rank; otherwise a cone-distance search over K's null space, the
+module's own L-BFGS (`_minimize`), picks a PSD solution or proves that none
+exists.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,21 +40,6 @@ from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NumericalFailureError, PreconditionFailedError,
                      RankDeficiencyError)
 from .tolerances import TOL
-
-_this = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    """`_minimize` (scipy's `minimize`), imported on first use and then kept
-    in the module globals: only the PSD search of a decomposition with free
-    directions runs it.  Its call site reads `_this._minimize`, so a patched
-    binding sees every call."""
-    if name == "_minimize":
-        from scipy.optimize import minimize as _minimize
-        globals()["_minimize"] = _minimize
-        return _minimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 # ---------------------------------------------------------------------------
 # admissibility
@@ -504,10 +489,62 @@ def check_triangle_condition(poly: Polyhedron) -> bool:
     return True
 
 
-def _negative_part(Bs: np.ndarray) -> np.ndarray:
-    """Blockwise B - P(B), P the projection onto the PSD cone."""
+def _negative_part(Bs: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Blockwise B - P(B), P the projection onto the PSD cone, and whether
+    every block is PSD to the relative floor TOL.psd."""
     lam, V = np.linalg.eigh(Bs)
-    return (V * np.minimum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    gap = (V * np.minimum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
+    return gap, _psd_floor(lam)
+
+
+def _psd_floor(lam: np.ndarray) -> bool:
+    """Each block's ascending eigenvalues lam[k] clear -TOL.psd (1 + |max|)."""
+    return bool(np.all(lam[:, 0] >= -TOL.psd * (1.0 + np.abs(lam[:, -1]))))
+
+
+def _minimize(fun, x0: np.ndarray) -> np.ndarray:
+    """L-BFGS (Liu & Nocedal, Math. Programming 45, 1989) on fun(x) ->
+    (value, gradient, done) from x0: the two-loop recursion over the last 10
+    pairs (s, y), a pair kept only when s.y > 0, and Armijo backtracking from
+    the unit step, the first one scaled by 1/|g|_1.  It stops when `done`,
+    when max|g| <= 1e-14, when the value falls by at most 1e-15 of itself
+    (a scale-free test: the value may be far below 1), when the line search
+    finds no decrease, or after 5000 iterations, and returns the last
+    iterate."""
+    x = np.array(x0, dtype=float)
+    f, g, done = fun(x)
+    pairs = []  # (s, y, 1 / s.y), the oldest first
+    for _ in range(5000):
+        if done or np.abs(g).max() <= 1e-14:
+            break
+        d = -g
+        alpha = []
+        for s, y, rho in reversed(pairs):
+            alpha.append(rho * (s @ d))
+            d -= alpha[-1] * y
+        if pairs:  # H0 = (s.y / y.y) I from the newest pair
+            s, y, rho = pairs[-1]
+            d /= rho * (y @ y)
+        else:
+            d /= np.abs(g).sum()
+        for (s, y, rho), a in zip(pairs, reversed(alpha)):
+            d += (a - rho * (y @ d)) * s
+        slope, t = float(g @ d), 1.0
+        while True:
+            f_new, g_new, done = fun(x + t * d)
+            if f_new <= f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+            if t < 1e-20:  # no decrease along d: x is as good as it gets
+                return x
+        s, y = t * d, g_new - g
+        if s @ y > 0:
+            pairs = pairs[-9:] + [(s, y, 1.0 / float(s @ y))]
+        stalled = f - f_new <= 1e-15 * max(f, f_new)
+        x, f, g = x + s, f_new, g_new
+        if stalled:
+            break
+    return x
 
 
 def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
@@ -518,9 +555,12 @@ def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
     column per matrix entry.  One SVD of K gives the minimum-norm solution X
     and the null space N; an inconsistent system raises NotRepresentableError.
     When gamma has full row rank N is empty and X is the only candidate.
-    Otherwise L-BFGS minimizes the distance of X + N Z from the PSD product
-    cone, starting at the B0 = 0 solution when the triangle condition holds
-    (no search when that start is already a decomposition), else at X.  A
+    Otherwise `_minimize` (L-BFGS) minimizes the squared distance of
+    X + N Z from the PSD product cone, starting at the B0 = 0 solution when
+    the triangle condition holds (no search when that start is already a
+    decomposition), else at X.  It stops as soon as every block clears the
+    PSD floor of `accepted`, which the objective's eigh reads off at no
+    cost, or when the distance stops falling relative to itself.  A
     candidate that is not a decomposition raises NotRepresentableError with
     a verified separating functional, or NumericalFailureError.
     """
@@ -546,19 +586,18 @@ def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
         """Bs reconstructs theta and every block is PSD."""
         rec = PsdFacetDecomposition(Bs[0], Bs[1:]).reconstruct(poly)
         resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
-        lam = np.linalg.eigvalsh(Bs)
-        return bool(resid <= TOL.feasibility * scale and np.all(
-            lam[:, 0] >= -TOL.psd * (1.0 + np.abs(lam[:, -1]))))
+        return bool(resid <= TOL.feasibility * scale
+                    and _psd_floor(np.linalg.eigvalsh(Bs)))
 
     def blocks(z):
         return (X + N @ z.reshape(N.shape[1], p * p)).reshape(q + 1, p, p)
 
     def objective(z):
-        gap = _negative_part(blocks(z))
+        gap, psd = _negative_part(blocks(z))
         # the gradient 2 gap, summed so as to be exactly symmetric: the
         # iterates Z, hence the blocks, then stay exactly symmetric
         grad = N.T @ (gap + np.swapaxes(gap, 1, 2)).reshape(q + 1, -1)
-        return float(np.sum(gap * gap)), grad.ravel()
+        return float(np.sum(gap * gap)), grad.ravel(), psd
 
     Bs = X.reshape(q + 1, p, p)
     if N.size and check_triangle_condition(poly):  # start at B0 = 0
@@ -566,17 +605,13 @@ def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
         Bs = np.concatenate([np.zeros((1, p * p)), Y]).reshape(q + 1, p, p)
     if N.size and not accepted(Bs):
         z0 = N.T @ (Bs.reshape(q + 1, -1) - X)
-        res = _this._minimize(objective, z0.ravel(), jac=True,
-                              method="L-BFGS-B",
-                              options={"maxiter": 5000, "ftol": 1e-18,
-                                       "gtol": 1e-14})
-        Bs = blocks(res.x)
+        Bs = blocks(_minimize(objective, z0.ravel()))
     if accepted(Bs):
         return PsdFacetDecomposition(Bs[0], Bs[1:])
 
     # candidate separating functional: v = a* - P_K(a*) is blockwise NSD,
     # orthogonal to the free directions, with <v, a> = |v|^2 > 0 on the subspace
-    gap = _negative_part(Bs)
+    gap, _ = _negative_part(Bs)
     gap_norm = float(np.sqrt(np.sum(gap * gap)))
     grad_norm = float(np.linalg.norm(N.T @ gap.reshape(q + 1, -1)))
     stationary = grad_norm <= 1e-6 * max(gap_norm, 1e-30)

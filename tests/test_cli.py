@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import affinvar.cli
+from affinvar import errors
 from affinvar.cli import main
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            QuadraticForm, QuadraticSpace,
@@ -415,6 +416,10 @@ _INADMISSIBLE = {
         [np.diag([1.0, 0.0]).tolist(), np.diag([0.0, 1.0]).tolist()],
         [[1.0, 0.0]], [0.0]), "ModelInconsistencyError",
         ("validate", "canonicalize", "simulate")),
+    # {x >= 1, x <= 0}: validate reports its failed interior-nonempty check
+    "empty-polyhedron": (_polyhedral_dict(
+        [0.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [-1.0, 0.0]),
+        "InteriorEmptyError", ("canonicalize", "decompose", "simulate")),
 }
 
 
@@ -455,6 +460,40 @@ def test_commands_outside_their_domain_exit_1(tmp_path, capsys, command, obj,
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert detail in json.loads(captured.err)["detail"]
+
+
+# the exit code of cli.main for every AffinvarError class in errors.py:
+# 1 for a model that fails a check or lies outside a command's domain,
+# 2 for unreadable input, 3 for an internal failure
+_EXIT_CODES = {
+    "AffinvarError": 3, "DimensionMismatchError": 3, "NotSymmetricError": 3,
+    "ParseError": 2, "NotNonnegativeError": 3, "NotNonnegativeOnFacetError": 3,
+    "NotAdmissibleError": 1, "RankDeficiencyError": 3,
+    "ModelInconsistencyError": 1, "NotRepresentableError": 1,
+    "NumericalFailureError": 3, "NotInSpanError": 1, "NotNormalizedError": 3,
+    "NegativeCError": 1, "PhiVMismatchError": 3, "PreconditionFailedError": 1,
+    "InteriorEmptyError": 1, "ZeroQuadraticPartError": 1,
+    "NotAdmissibleQuadricError": 1, "SigmaMismatchError": 3,
+}
+
+
+def test_every_error_class_has_a_pinned_exit_code(monkeypatch, capsys):
+    # a new error class fails here until it is given its code on purpose
+    classes = {name: cls for name, cls in vars(errors).items()
+               if isinstance(cls, type) and issubclass(cls, errors.AffinvarError)}
+    assert set(classes) == set(_EXIT_CODES)
+    for name, cls in classes.items():
+        exc = cls("raised by the handler", facet=0) if issubclass(
+            cls, errors.NotNonnegativeOnFacetError) else cls("raised by the handler")
+
+        def handler(args, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(affinvar.cli, "_command", lambda name: handler)
+        code = main(["validate", str(fixture_path("cir"))])
+        err = json.loads(capsys.readouterr().err)
+        assert code == _EXIT_CODES[name], name
+        assert err["error"] == ("parse" if code == 2 else name)
 
 
 def test_validate_empty_polyhedron(tmp_path, capsys):

