@@ -17,11 +17,9 @@ import numpy as np
 
 from . import __version__
 from .convex import interior_point
-from .core import (ModelSpec, Polyhedron, QuadraticSpace,
-                   change_model_coordinates, spot_check_psd)
-from .errors import (AffinvarError, NotAdmissibleError, NotInSpanError,
-                     NotRepresentableError, NumericalFailureError, ParseError,
-                     PreconditionFailedError)
+from .core import ModelSpec, Polyhedron, QuadraticSpace, spot_check_psd
+from .errors import (AffinvarError, NotAdmissibleError, NotRepresentableError,
+                     NumericalFailureError, ParseError, PreconditionFailedError)
 from .modelio import load_model, model_hash, model_to_dict, save_model
 from .polyhedral import (_require_polyhedron, build_square_root,
                          canonical_transform, check_polyhedral_admissibility,
@@ -29,12 +27,10 @@ from .polyhedral import (_require_polyhedron, build_square_root,
 from .quadratic import (QuadricClassification, canonical_quadric_model,
                         check_cone_admissibility, check_parabolic_drift,
                         check_parabolic_psd_condition, classify_quadric,
-                        cone_square_root, conical_theta_decompose,
-                        normalize_parabolic, parabolic_square_root,
-                        parabolic_theta_decompose)
+                        cone_square_root, parabolic_square_root)
 from .simulate import (Scheme, SimConfig, mean_ode, simulate_paths,
                        simulate_summary)
-from .tolerances import TOL, tolerances
+from .tolerances import tolerances
 
 EXIT_OK, EXIT_CHECKS, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
 
@@ -145,36 +141,38 @@ def _validate_polyhedral(model: ModelSpec, report: dict) -> None:
 
 def _validate_quadratic(model: ModelSpec, report: dict) -> None:
     checks = report["checks"]
-    cls, canon = canonical_quadric_model(model)
+    frame = canonical_quadric_model(model)
+    cls, dec, exc = frame.classification, frame.structure, frame.refutation
     report["classification"] = _classification_dict(cls)
     checks.append(_check("quadric-admissible-kind", cls.admissible,
                          info=f"{cls.kind}(q={cls.q}, d={cls.d})"))
     if not cls.admissible:
         return
-    if canon.state_space.component != "positive":
+    if frame.model.state_space.component != "positive":
         checks.append(_check("state-space-side", False,
                              info="state space is the outside of the quadric"))
         return
     p, q = model.dimension, cls.q
     if cls.kind == "parabolic":
-        dec = parabolic_theta_decompose(canon.diffusion, q)
+        if dec is None:
+            checks.append(_check("parabolic-structure", False,
+                                 margin=exc.margin, info=str(exc)))
+            return
         checks.append(_check("parabolic-structure", True, margin=dec.c))
-        if dec.c <= TOL.lam_clip:
+        if not dec.carries_root:
             checks.append(_check("square-root-block-present", False,
                                  info="c = 0; diffusion degenerate on the parabola"))
             return
-        S, theta_n, dec_n = normalize_parabolic(canon.diffusion, q)
-        model_n = change_model_coordinates(
-            canon, S, np.zeros(p), canon.state_space)
+        normal = frame.normalized()
         rng = np.random.default_rng(6)
         ys = rng.standard_normal((64, q - 1))
         samples = np.hstack([(np.sum(ys ** 2, axis=1) +
                               np.abs(rng.standard_normal(64)))[:, None], ys,
                              rng.standard_normal((64, p - q))])
-        psd_ok, structural = check_parabolic_psd_condition(dec_n, samples)
+        psd_ok, structural = check_parabolic_psd_condition(normal.structure, samples)
         checks.append(_check("parabolic-psd-condition", psd_ok,
                              info="structural" if structural else "sampled"))
-        drift_rep = check_parabolic_drift(model_n.drift, q)
+        drift_rep = check_parabolic_drift(normal.model.drift, q)
         checks.append(_check("parabolic-drift-structure", drift_rep.structure_ok))
         checks.append(_check("parabolic-drift-psd", drift_rep.psd_ok))
         checks.append(_check("parabolic-drift-degenerate-match", drift_rep.q2_ok))
@@ -187,19 +185,17 @@ def _validate_quadratic(model: ModelSpec, report: dict) -> None:
             checks.append(_check("cone-full-dimension", False,
                                  info="only p = q conical models are supported"))
             return
-        try:
-            cdec = conical_theta_decompose(canon.diffusion, q)
-        except NotInSpanError as exc:
+        if dec is None:
             checks.append(_check("conical-structure", False, info=str(exc)))
             return
         checks.append(_check("conical-structure", True,
-                             certificate={"zeta": cdec.coeff_zeta,
-                                          "rho": cdec.coeff_rho.tolist()}))
-        if not cdec.normalized:
+                             certificate={"zeta": dec.coeff_zeta,
+                                          "rho": dec.coeff_rho.tolist()}))
+        if not dec.normalized:
             checks.append(_check("cone-zeta-form", False,
                                  info="strong-solution route needs theta = zeta"))
             return
-        rep = check_cone_admissibility(canon.drift, p, q)
+        rep = check_cone_admissibility(frame.model.drift, p, q)
         checks.append(_check("cone-drift-symmetry", rep.symmetry_ok))
         checks.append(_check("cone-drift-psd", rep.psd_ok))
         checks.append(_check("cone-drift-lower-bound", rep.drift_ok,
@@ -263,25 +259,22 @@ def cmd_decompose(args) -> int:
             B0=dec.B0.tolist(), Bi=[M.tolist() for M in dec.Bi],
             min_eigenvalue=dec.min_eigenvalue())
     else:
-        cls, canon = canonical_quadric_model(model)
-        report["classification"] = _classification_dict(cls)
-        if cls.kind == "parabolic":
-            dec = parabolic_theta_decompose(canon.diffusion, cls.q)
+        frame = canonical_quadric_model(model)
+        report["classification"] = _classification_dict(frame.classification)
+        dec = frame.fitted()
+        if frame.classification.kind == "parabolic":
             report["decomposition"] = {
                 "status": "ok", "kind": "parabolic", "c": dec.c,
                 "A1": dec.A1.tolist(), "A2": dec.A2.tolist(),
                 "B": {"A0": dec.B.A0.tolist(),
                       "A": [M.tolist() for M in dec.B.A]},
             }
-        elif cls.kind == "cone":
-            cdec = conical_theta_decompose(canon.diffusion, cls.q)
+        else:
             report["decomposition"] = {
                 "status": "ok", "kind": "conical",
-                "coeff_zeta": cdec.coeff_zeta,
-                "coeff_rho": cdec.coeff_rho.tolist(),
+                "coeff_zeta": dec.coeff_zeta,
+                "coeff_rho": dec.coeff_rho.tolist(),
             }
-        else:
-            raise NotAdmissibleError("ellipsoid-type quadrics carry no affine diffusion")
     report["passed"] = True
     _emit(report, args.out)
     return EXIT_OK
@@ -307,8 +300,7 @@ def _simulation_setup(model: ModelSpec, x0):
     """Canonical model, sigma evaluator and coordinate maps for simulation.
 
     The canonical coordinates are y = L x + ell, one affine map: the
-    canonical transform of a polyhedron, the classification of a quadric,
-    followed for a parabola by its normalization S.
+    canonical transform of a polyhedron, the normalized quadric frame.
     """
     if isinstance(model.state_space, Polyhedron):
         ct = canonical_transform(model)
@@ -317,25 +309,19 @@ def _simulation_setup(model: ModelSpec, x0):
         L, ell = ct.L, ct.ell
         default_x0 = interior_point(ct.polyhedron)  # least-distance point
     else:
-        cls, canon = canonical_quadric_model(model)
-        if canon.state_space.component != "positive":
+        frame = canonical_quadric_model(model)
+        cls = frame.classification
+        if frame.model.state_space.component != "positive":
             raise PreconditionFailedError(
                 "simulation supports the inside component of the quadric only")
-        L, ell = cls.T, cls.t
-        if cls.kind == "parabolic":
-            S, _, dec_n = normalize_parabolic(canon.diffusion, cls.q)
-            canon = change_model_coordinates(canon, S, np.zeros(model.dimension),
-                                             canon.state_space)
-            sigma = parabolic_square_root(dec_n)
-            L, ell = S @ L, S @ ell
-        elif cls.kind == "cone":
-            cdec = conical_theta_decompose(canon.diffusion, cls.q)
-            if not cdec.normalized:
-                raise PreconditionFailedError(
-                    "simulation on cones needs theta = zeta")
-            sigma = cone_square_root(cls.q)
-        else:
+        if cls.kind == "ellipsoid":
             raise PreconditionFailedError("ellipsoid-type quadrics are not simulable")
+        if cls.kind == "cone" and not frame.fitted().normalized:
+            raise PreconditionFailedError("simulation on cones needs theta = zeta")
+        frame = frame.normalized()
+        canon, L, ell = frame.model, frame.L, frame.ell
+        sigma = parabolic_square_root(frame.structure) \
+            if cls.kind == "parabolic" else cone_square_root(cls.q)
         default_x0 = None
     Linv = np.linalg.inv(L)
 
@@ -347,8 +333,7 @@ def _simulation_setup(model: ModelSpec, x0):
 
     if default_x0 is None:  # the quadric's canonical point e_1
         default_x0 = from_canon(np.eye(model.dimension)[0])
-    start = np.asarray(x0, dtype=float) if x0 is not None \
-        else np.asarray(default_x0, dtype=float)
+    start = np.asarray(default_x0 if x0 is None else x0, dtype=float)
     return canon, sigma, to_canon, from_canon, start
 
 

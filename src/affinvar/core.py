@@ -377,6 +377,14 @@ class QuadraticSpace:
     def dim(self) -> int:
         return self.form.dim
 
+    def transformed(self, L: np.ndarray, ell: np.ndarray) -> "QuadraticSpace":
+        """The image L X + ell: Phi(M y + m0) with M = L^-1, m0 = -M ell."""
+        M = np.linalg.inv(np.asarray(L, dtype=float))
+        m0, A = -M @ np.asarray(ell, dtype=float), self.form.A
+        form = QuadraticForm(M.T @ A @ M, M.T @ (2.0 * A @ m0 + self.form.b),
+                             self.form(m0))
+        return QuadraticSpace(form, self.component, self.closed)
+
     def signed_value(self, x) -> float | np.ndarray:
         """Phi with sign flipped so that the state space is {value >= 0}."""
         val = self.form(x)

@@ -42,7 +42,9 @@ class NotNonnegativeOnFacetError(NotNonnegativeError):
 
 
 class NotAdmissibleError(AffinvarError):
-    pass
+    """A necessary condition fails; ``margin``, if set, is the refuting number."""
+
+    margin: float | None = None
 
 
 class RankDeficiencyError(AffinvarError):

@@ -17,7 +17,7 @@ from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
                    QuadraticForm, QuadraticSpace, _coefficient_residual,
                    _coefficient_scale, _coldot, change_model_coordinates,
                    psd_factor)
-from .errors import (NegativeCError, NotAdmissibleError,
+from .errors import (AffinvarError, NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
                      PhiVMismatchError, PreconditionFailedError,
@@ -103,27 +103,8 @@ class QuadricClassification:
     admissible: bool
 
     def canonical_form(self) -> QuadraticForm:
-        """The canonical polynomial of this kind, q and d as a quadratic form
-        in p = T.shape[0] variables."""
-        p = self.T.shape[0]
-        diag, b = np.zeros(p), np.zeros(p)
-        diag[:self.q] = 1.0 if self.kind == "ellipsoid" else -1.0
-        if self.kind == "parabolic":
-            diag[0], b[0] = 0.0, 1.0
-        elif self.kind == "cone":
-            diag[0] = 1.0
-        return QuadraticForm(np.diag(diag), b, self.d)
-
-    def canonical_value(self, y) -> float | np.ndarray:
-        y = np.asarray(y, dtype=float)
-        q = self.q
-        if self.kind == "parabolic":
-            val = y[..., 0] - np.sum(y[..., 1:q] ** 2, axis=-1)
-        elif self.kind == "cone":
-            val = y[..., 0] ** 2 - np.sum(y[..., 1:q] ** 2, axis=-1) + self.d
-        else:
-            val = np.sum(y[..., :q] ** 2, axis=-1) + self.d
-        return float(val) if val.ndim == 0 else val
+        """The canonical polynomial in p = T.shape[0] variables."""
+        return _canonical_form(self.kind, self.T.shape[0], self.q, self.d)
 
 
 def _sorted_eig(A: np.ndarray):
@@ -162,13 +143,9 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     lin_scale = _coefficient_scale(phi.b, scale_eig)
     has_linear = float(np.linalg.norm(beta)) > TOL.eig_zero * lin_scale
 
-    def _square_rows(indices, sign):
-        rows, offs = [], []
-        for j in indices:
-            s = np.sqrt(np.abs(lam[j]))
-            rows.append(s * V[:, j])
-            offs.append(s * btil[j] / (2.0 * lam[j]))
-        return rows, offs
+    def _square_rows(indices):
+        s = np.sqrt(np.abs(lam[indices]))
+        return s[:, None] * V[:, indices].T, s * btil[indices] / (2.0 * lam[indices])
 
     if has_linear:
         signs = np.sign(lam[idx_nz])
@@ -181,17 +158,13 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
                 "mixed quadratic signature with a linear remainder is not one "
                 "of the canonical forms")
         q = 1 + idx_nz.size
-        rows, offs = _square_rows(idx_nz, sign)
-        # remaining flat directions orthogonal to the linear functional
-        if idx_z.size:
-            Z = V[:, idx_z]
-            bnorm = Z.T @ beta
-            _, _, Vt = np.linalg.svd(bnorm[None, :])
-            W = Z @ Vt[1:].T  # basis of the zero space orthogonal to beta
-        else:
-            W = np.zeros((p, 0))
-        T = np.vstack([sign * beta, np.array(rows),
-                       W.T]) if rows else np.vstack([sign * beta, W.T])
+        rows, offs = _square_rows(idx_nz)
+        # remaining flat directions orthogonal to the linear functional, which
+        # lies in the zero space: beta is nonzero only when that space is
+        Z = V[:, idx_z]
+        _, _, Vt = np.linalg.svd((Z.T @ beta)[None, :])
+        W = Z @ Vt[1:].T
+        T = np.vstack([sign * beta, rows, W.T])
         t = np.concatenate([[sign * chat], offs, np.zeros(W.shape[1])])
         cls = QuadricClassification("parabolic", q, 0.0, T, t, sign, q >= 2)
     else:
@@ -209,19 +182,12 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
             raise NotAdmissibleQuadricError(
                 "quadratic signature (>=2, >=2) is not one of the canonical forms")
         q = idx_nz.size
-        if kind == "cone":
-            pos = [j for j in idx_nz if sign * lam[j] > 0]
-            neg = [j for j in idx_nz if sign * lam[j] < 0]
-            order = pos + neg
-        else:
-            order = list(idx_nz)
-        rows, offs = _square_rows(order, sign)
-        Z = V[:, idx_z]
-        T = np.vstack([np.array(rows), Z.T]) if rows else Z.T
+        pos = sign * lam[idx_nz] > 0  # every direction of an ellipsoid
+        rows, offs = _square_rows(np.concatenate([idx_nz[pos], idx_nz[~pos]]))
+        T = np.vstack([rows, V[:, idx_z].T])
         t = np.concatenate([offs, np.zeros(idx_z.size)])
         d = sign * chat
-        admissible = kind == "cone" and abs(d) <= TOL.eig_zero * (1 + abs(chat)) \
-            and q >= 2
+        admissible = kind == "cone" and abs(d) <= TOL.eig_zero * (1 + abs(chat))
         if admissible:
             d = 0.0
         cls = QuadricClassification(kind, q, float(d), T, t, sign, admissible)
@@ -230,40 +196,107 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     return cls
 
 
-def canonical_quadric_model(
-        model: ModelSpec) -> tuple[QuadricClassification, ModelSpec]:
-    """Classify the model's quadric and move the model to the canonical
-    coordinates y = T x + t.  The state space keeps its side of the quadric:
-    "positive" when it is {canonical polynomial >= 0} (or > 0), "negative"
-    when it is the outside."""
+def _canonical_form(kind: str, p: int, q: int, d: float = 0.0) -> QuadraticForm:
+    """The canonical polynomial of kind, q and d as a quadratic form in p
+    variables."""
+    diag, b = np.zeros(p), np.zeros(p)
+    diag[:q] = 1.0 if kind == "ellipsoid" else -1.0
+    if kind == "parabolic":
+        diag[0], b[0] = 0.0, 1.0
+    elif kind == "cone":
+        diag[0] = 1.0
+    return QuadraticForm(np.diag(diag), b, d)
+
+
+def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
+    """(kind, q) when phi is exactly the parabolic form x_1 - sum_{i=2}^q x_i^2
+    or the cone form x_1^2 - sum_{i=2}^q x_i^2, else None (q = 1 included)."""
+    kind = "cone" if phi.A[0, 0] > 0.5 else "parabolic"
+    q = 1 + int(np.sum(np.diagonal(phi.A)[1:] < -0.5))
+    form = _canonical_form(kind, phi.dim, q)
+    resid = _coefficient_residual((phi.A, phi.b, phi.c), (form.A, form.b, form.c))
+    return (kind, q) if resid <= TOL.feasibility else None
+
+
+def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> None:
+    """sign * Phi(T^-1 (y - t)) must equal the canonical form coefficient by
+    coefficient, to TOL.fit_residual times Phi's coefficient scale."""
+    image = QuadraticSpace(phi).transformed(cls.T, cls.t).form
+    form = cls.canonical_form()
+    resid = _coefficient_residual(
+        (cls.sign * image.A, cls.sign * image.b, cls.sign * image.c),
+        (form.A, form.b, form.c))
+    if resid > TOL.fit_residual * _coefficient_scale(phi.c, phi.b, phi.A):
+        raise NumericalFailureError(
+            f"canonical transform residual {resid:.3e} out of tolerance")
+
+
+@dataclass(frozen=True)
+class QuadricFrame:
+    """A quadric model in the coordinates y = L x + ell of its canonical
+    quadric, with the verdict of its one structure fit: the decomposition of
+    theta, or None and the ``refutation`` with its ``margin``, if any."""
+
+    classification: QuadricClassification
+    model: ModelSpec
+    structure: ParabolicDecomposition | ConicalDecomposition | None
+    refutation: AffinvarError | None
+    L: np.ndarray
+    ell: np.ndarray
+
+    def fitted(self) -> ParabolicDecomposition | ConicalDecomposition:
+        """The structure, or raise the error that refutes it."""
+        if self.refutation is not None:
+            raise self.refutation
+        return self.structure
+
+    def normalized(self) -> QuadricFrame:
+        """The frame of the paper's closed forms on the inside of the quadric:
+        x_1 >= |y|^2 with theta's upper block zeta, one congruence and one
+        verifying fit away, or the cone iff theta = zeta already."""
+        dec, cls = self.fitted(), self.classification
+        if not cls.admissible:
+            raise NotAdmissibleQuadricError(
+                f"a {cls.kind} quadric with d = {cls.d} bounds no diffusion")
+        if self.model.state_space.component != "positive":
+            raise PreconditionFailedError(
+                "the state space is the outside of the quadric")
+        if cls.kind == "cone":
+            if not dec.normalized:
+                raise PreconditionFailedError(
+                    "the conical closed forms need theta = zeta")
+            return self
+        S = _normalizing_map(dec)
+        model = change_model_coordinates(self.model, S, np.zeros(dec.p),
+                                         self.model.state_space)
+        return QuadricFrame(cls, model, _normal_fit(model.diffusion, dec.q),
+                            None, S @ self.L, S @ self.ell)
+
+
+def canonical_quadric_model(model: ModelSpec) -> QuadricFrame:
+    """The one decider of the quadric frame: the model in the canonical
+    coordinates y = T x + t, on its side of the quadric ("negative" for the
+    outside), and theta's structure fitted once; only here does a failed fit
+    become a value, the frame's ``refutation``."""
     space = model.state_space
     cls = classify_quadric(space.form)
     flipped = (space.component == "positive") != (cls.sign == 1)
     new_space = QuadraticSpace(cls.canonical_form(),
                                "negative" if flipped else "positive",
                                space.closed)
-    return cls, change_model_coordinates(model, cls.T, cls.t, new_space)
-
-
-def _canonical_form(kind: str, p: int, q: int, d: float = 0.0) -> QuadraticForm:
-    """The canonical polynomial of kind, q and d in the coordinates themselves."""
-    return QuadricClassification(kind, q, d, np.eye(p), np.zeros(p), 1,
-                                 False).canonical_form()
-
-
-def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> None:
-    """sign * Phi(T^-1 (y - t)) must equal the canonical form coefficient by
-    coefficient, to TOL.fit_residual times Phi's coefficient scale."""
-    M = np.linalg.inv(cls.T)
-    m0 = -M @ cls.t
-    form = cls.canonical_form()
-    resid = _coefficient_residual(
-        (cls.sign * (M.T @ phi.A @ M),
-         cls.sign * (M.T @ (2.0 * phi.A @ m0 + phi.b)), cls.sign * phi(m0)),
-        (form.A, form.b, form.c))
-    if resid > TOL.fit_residual * _coefficient_scale(phi.c, phi.b, phi.A):
-        raise NumericalFailureError(
-            f"canonical transform residual {resid:.3e} out of tolerance")
+    canon = change_model_coordinates(model, cls.T, cls.t, new_space)
+    structure, refutation = None, None
+    try:
+        if cls.kind == "parabolic":
+            structure = parabolic_theta_decompose(canon.diffusion, cls.q)
+        elif cls.kind == "cone":
+            structure = conical_theta_decompose(canon.diffusion, cls.q)
+        else:
+            refutation = NotAdmissibleError(
+                "ellipsoid-type quadrics carry no affine diffusion")
+    except (NotAdmissibleError, PreconditionFailedError) as exc:
+        refutation = exc
+    return QuadricFrame(cls, canon, structure, refutation, cls.T, cls.t)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +322,8 @@ def zeta_parabolic(p: int, q: int) -> AffineMatrixField:
     A0 = np.zeros((q, q))
     A0[1:, 1:] = np.eye(q - 1)
     A = np.zeros((p, q, q))
-    A[0][0, 0] = 4.0
-    for k in range(1, q):
-        A[k][0, k] = A[k][k, 0] = 2.0
+    A[0, 0, 0] = 4.0
+    A[range(1, q), 0, range(1, q)] = A[range(1, q), range(1, q), 0] = 2.0
     return AffineMatrixField(A0, A)
 
 
@@ -317,24 +349,15 @@ def parabolic_basis(p: int, q: int) -> list[AffineColumn]:
     rotation columns of eta."""
     if not 2 <= q <= p:
         raise PreconditionFailedError(f"need 2 <= q <= p, got q={q}, p={p}")
-    cols = []
-    F = np.zeros((q, p))
-    F[0, 0] = 4.0
-    for k in range(1, q):
-        F[k, k] = 2.0
-    cols.append(AffineColumn(np.zeros(q), F))
-    for j in range(1, q):
-        F = np.zeros((q, p))
-        F[0, j] = 2.0
-        F0 = np.zeros(q)
-        F0[j] = 1.0
-        cols.append(AffineColumn(F0, F))
-    for (i, j) in eta_pairs(q):
-        F = np.zeros((q, p))
-        F[i, j] = 1.0
-        F[j, i] = -1.0
-        cols.append(AffineColumn(np.zeros(q), F))
-    return cols
+    pairs, idx = eta_pairs(q), np.arange(1, q)
+    F0 = np.zeros((q + len(pairs), q))
+    F = np.zeros((q + len(pairs), q, p))
+    F[0, 0, 0] = 4.0
+    F[0, idx, idx] = F[idx, 0, idx] = 2.0
+    F0[idx, idx] = 1.0
+    for col, (i, j) in enumerate(pairs, q):
+        F[col, i, j], F[col, j, i] = 1.0, -1.0
+    return [AffineColumn(*col) for col in zip(F0, F)]
 
 
 @dataclass(frozen=True)
@@ -352,6 +375,11 @@ class ParabolicDecomposition:
     def normalized(self) -> bool:
         return abs(self.c - 1.0) <= TOL.feasibility and \
             (self.A1.size == 0 or float(np.abs(self.A1).max()) <= TOL.feasibility)
+
+    @property
+    def carries_root(self) -> bool:
+        """c > 0: theta has the square-root block that normalization needs."""
+        return self.c > TOL.lam_clip
 
 
 def parabolic_theta_decompose(theta: AffineMatrixField,
@@ -378,7 +406,9 @@ def parabolic_theta_decompose(theta: AffineMatrixField,
     c = float(ul_vec @ z_vec / (z_vec @ z_vec))
     resid = float(np.abs(ul_vec - c * z_vec).max())
     if c < -TOL.lam_clip:
-        raise NegativeCError(f"upper-left multiple c = {c:.3e} is negative")
+        exc = NegativeCError(f"upper-left multiple c = {c:.3e} is negative")
+        exc.margin = c
+        raise exc
     c = max(c, 0.0)
 
     r = p - q
@@ -394,9 +424,10 @@ def parabolic_theta_decompose(theta: AffineMatrixField,
         A1[:, l] = coef[:q]
         A2[:, l] = coef[q:]
     if resid > TOL.fit_residual * scale:
-        raise NotAdmissibleError(
-            f"theta violates the necessary parabolic structure "
-            f"(residual {resid:.3e})")
+        exc = NotAdmissibleError(f"theta violates the necessary parabolic "
+                                 f"structure (residual {resid:.3e})")
+        exc.margin = resid
+        raise exc
     B = AffineMatrixField(theta.A0[q:, q:], theta.A[:, q:, q:])
     return ParabolicDecomposition(c, A1, A2, B, q, p)
 
@@ -405,28 +436,36 @@ def normalize_parabolic(theta: AffineMatrixField, q: int):
     """Rescale and shear coordinates so the decomposition has c = 1, A1 = 0.
 
     Returns (transform S, transformed theta, transformed decomposition); the
-    state-space parabola {x_1 >= y^T y} is preserved by the transform.
+    state-space parabola {x_1 >= y^T y} is preserved by the transform.  One
+    congruence applies S (``_normalizing_map``), one more fit verifies it.
+    """
+    S = _normalizing_map(parabolic_theta_decompose(theta, q))
+    theta_n = theta.congruence(S, np.zeros(theta.size))
+    return S, theta_n, _normal_fit(theta_n, q)
 
-    S is read off one fit.  With D = diag(1/c, Id / sqrt(c)) the scaling
+
+def _normalizing_map(dec: ParabolicDecomposition) -> np.ndarray:
+    """S, read off one fit.  With D = diag(1/c, Id / sqrt(c)) the scaling
     y_Q = D x_Q takes c zeta to zeta and A1 to D^-1 A1 / c, and the shear
     y_R = x_R - (D^-1 A1 / c)^T y_Q = x_R - A1^T x_Q / c then removes it:
-    S = [[D, 0], [-A1^T / c, Id]].  One congruence applies S, and one more
-    fit verifies c = 1 and A1 = 0.
-    """
-    dec = parabolic_theta_decompose(theta, q)
-    c = dec.c
-    if c <= TOL.lam_clip:
+    S = [[D, 0], [-A1^T / c, Id]]."""
+    if not dec.carries_root:
         raise PreconditionFailedError(
             "c = 0: the parabola does not carry the square-root block")
-    S = np.eye(theta.size)
+    c, q = dec.c, dec.q
+    S = np.eye(dec.p)
     S[0, 0] = 1.0 / c
     S[np.arange(1, q), np.arange(1, q)] = 1.0 / np.sqrt(c)
     S[q:, :q] = -dec.A1.T / c
-    theta_n = theta.congruence(S, np.zeros(theta.size))
+    return S
+
+
+def _normal_fit(theta_n: AffineMatrixField, q: int) -> ParabolicDecomposition:
+    """The fit of a normalized theta, verified to have c = 1 and A1 = 0."""
     dec_n = parabolic_theta_decompose(theta_n, q)
     if not dec_n.normalized:
         raise NumericalFailureError("normalization did not reach c=1, A1=0")
-    return S, theta_n, dec_n
+    return dec_n
 
 
 def check_parabolic_psd_condition(dec: ParabolicDecomposition,
@@ -453,13 +492,11 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
          or float(np.abs(dec.B.A[1:]).max()) <= TOL.feasibility * scale)
     if structural:
         return True, True
-    for x in np.atleast_2d(np.asarray(samples, dtype=float)):
-        eta = eta_matrix(x[:q], q)
-        R = dec.B(x) - dec.A2.T @ eta.T @ eta @ dec.A2
-        w = np.linalg.eigvalsh(0.5 * (R + R.T))
-        if w[0] < -TOL.psd * (1.0 + abs(float(w[-1]))):
-            return False, False
-    return True, False
+    x = np.atleast_2d(np.asarray(samples, dtype=float))
+    eta = eta_matrix(x[:, :q], q)
+    R = dec.B(x) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta, dec.A2)
+    w = np.linalg.eigvalsh(0.5 * (R + np.swapaxes(R, -1, -2)))
+    return bool(np.all(w[:, 0] >= -TOL.psd * (1.0 + np.abs(w[:, -1])))), False
 
 
 def parabolic_square_root(dec: ParabolicDecomposition):
@@ -576,25 +613,16 @@ def conical_basis(q: int) -> list[AffineMatrixField]:
     {x_1^2 = y^T y}."""
     if q < 2:
         raise PreconditionFailedError(f"need q >= 2, got {q}")
-    out = []
-    A = np.zeros((q, q, q))
-    A[0] = np.eye(q)
-    for k in range(1, q):
-        A[k][0, k] = A[k][k, 0] = 1.0
-    out.append(AffineMatrixField(np.zeros((q, q)), A))
+    idx = np.arange(1, q)
+    fields = np.zeros((q, q, q, q))  # the coefficient stack A of each field
+    fields[0, 0] = np.eye(q)
+    fields[0, idx, 0, idx] = fields[0, idx, idx, 0] = 1.0
     for i in range(1, q):
-        A = np.zeros((q, q, q))
-        A[0][i, 0] = A[0][0, i] = 1.0
-        A[i][0, 0] = 1.0
-        A[i][i, i] = 1.0
-        for j in range(1, q):
-            if j != i:
-                A[i][j, j] = -1.0
-        for k in range(1, q):
-            if k != i:
-                A[k][i, k] = A[k][k, i] = 1.0
-        out.append(AffineMatrixField(np.zeros((q, q)), A))
-    return out
+        A = fields[i]
+        A[i, idx, idx] = -1.0
+        A[idx, i, idx] = A[idx, idx, i] = 1.0   # A[i][i, i] = 1 among them
+        A[0, i, 0] = A[0, 0, i] = A[i, 0, 0] = 1.0
+    return [AffineMatrixField(np.zeros((q, q)), A) for A in fields]
 
 
 @dataclass(frozen=True)
@@ -730,33 +758,19 @@ class OpenInvarianceReport:
     min_value: float
 
 
-def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
-    """(kind, q) when phi is exactly the parabolic form x_1 - sum_{i=2}^q x_i^2
-    or the cone form x_1^2 - sum_{i=2}^q x_i^2, else None (q = 1 included)."""
-    p = phi.dim
-    kind = "cone" if phi.A[0, 0] > 0.5 else "parabolic"
-    q = 1 + int(np.sum(np.diagonal(phi.A)[1:] < -0.5))
-    form = _canonical_form(kind, p, q)
-    resid = _coefficient_residual((phi.A, phi.b, phi.c), (form.A, form.b, form.c))
-    return (kind, q) if resid <= TOL.feasibility else None
-
-
-def check_open_invariance_general(phi: QuadraticForm,
-                                  model: ModelSpec) -> OpenInvarianceReport:
-    """Invariance of the open component of {Phi > 0} for a quadric model in
-    its canonical frame.
+def check_open_invariance_general(model: ModelSpec) -> OpenInvarianceReport:
+    """Invariance of the open inside of a quadric model's state space.
 
     First verifies at coefficient level that grad(Phi) theta = Phi v^T for a
     constant vector v (raising PhiVMismatchError otherwise); then decides
-    grad(Phi) (mu - half column-sum correction) >= 0 on the state space by
-    the closed-form parabolic or conical reduction.  A quadric that is not
-    one of those canonical forms raises PreconditionFailedError: move the
-    model to its canonical frame first (``canonical_quadric_model``).  The
+    grad(Phi) (mu - half column-sum correction) >= 0 by the closed-form
+    parabolic or conical reduction in the model's normalized frame
+    (``QuadricFrame.normalized``, which raises when there is none).  The
     polyhedral counterpart is ``polyhedral.check_open_facet_invariance``.
     """
-    if not isinstance(phi, QuadraticForm):
-        raise PreconditionFailedError("phi must be a QuadraticForm")
-    theta = model.diffusion
+    if not isinstance(model.state_space, QuadraticSpace):
+        raise PreconditionFailedError("the state space must be a quadric")
+    phi, theta = model.state_space.form, model.diffusion
 
     # fit grad(Phi) theta = Phi v^T at coefficient level, all columns at once
     phi_vec = _quad_vector(phi)
@@ -770,16 +784,13 @@ def check_open_invariance_general(phi: QuadraticForm,
             f"grad(Phi) theta is not a constant multiple of Phi in "
             f"component {bad[0]} (residual {resid[bad[0]]:.3e})")
 
-    kind, q = _canonical_kind(phi) or (None, 0)
-    if kind == "parabolic" and q >= 2:
-        rep = check_parabolic_drift(model.drift, q)
+    frame = canonical_quadric_model(model).normalized()
+    q, drift = frame.classification.q, frame.model.drift
+    if frame.classification.kind == "parabolic":
+        rep = check_parabolic_drift(drift, q)
         return OpenInvarianceReport(v, rep.open_invariant, rep.open_margin)
-    if kind == "cone" and q == model.dimension:
-        rep = check_cone_admissibility(model.drift, q, q)
-        return OpenInvarianceReport(v, rep.admissible, rep.drift_margin)
-    raise PreconditionFailedError(
-        "quadric is not in a canonical parabolic or full-dimensional conical "
-        "form: move to the canonical frame first")
+    rep = check_cone_admissibility(drift, q, q)
+    return OpenInvarianceReport(v, rep.admissible, rep.drift_margin)
 
 
 # ---------------------------------------------------------------------------

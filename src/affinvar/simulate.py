@@ -127,27 +127,19 @@ def make_projector(space) -> callable:
     would move members.  General state spaces must be canonicalized first.
     """
     if isinstance(space, Polyhedron):
-        q, p = space.gamma.shape
         # coordinate facets u_i(x) = x_j are clamped at zero; any remaining
         # facets are the extra cuts of the canonical polyhedron C, which the
         # (admissible) drift keeps nonnegative without projection
-        coord = []
-        noncoord = 0
-        for i in range(q):
-            row = space.gamma[i]
-            j = int(np.argmax(np.abs(row)))
-            unit = np.zeros(p)
-            unit[j] = 1.0
-            if abs(space.delta[i]) <= TOL.feasibility and \
-                    float(np.abs(row - unit).max()) <= TOL.feasibility:
-                coord.append(j)
-            else:
-                noncoord += 1
-        if not coord and noncoord:
+        gamma = space.gamma
+        j = np.argmax(np.abs(gamma), axis=1)
+        unit = np.eye(gamma.shape[1])[j]
+        coord = (np.abs(space.delta) <= TOL.feasibility) & \
+            (np.abs(gamma - unit).max(axis=1, initial=0.0) <= TOL.feasibility)
+        if coord.size and not coord.any():
             raise PreconditionFailedError(
                 "full-truncation projection needs canonical facets u_i(x) = x_i; "
                 "canonicalize the model first")
-        idx = np.array(sorted(set(coord)), dtype=int)
+        idx = np.unique(j[coord])
         # canonical coordinates put the facets first: a contiguous block is
         # clamped through a slice, with no gather and scatter
         sel = slice(int(idx[0]), int(idx[-1]) + 1) \
@@ -412,7 +404,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
     until its 1-norm is at most theta_13, and the approximant squared s
     times."""
     norm = float(np.abs(A).sum(axis=0).max())
-    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm else 0
+    s = int(np.ceil(np.log2(norm / _THETA13))) if norm > _THETA13 else 0
     A = A / 2.0 ** s
     b = _PADE13
     ident = np.eye(A.shape[0])

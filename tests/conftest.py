@@ -141,7 +141,8 @@ def random_affine_map(rng: np.random.Generator, p: int,
 def random_affine_image(rng: np.random.Generator, model: ModelSpec,
                         max_scale: float = 2.0) -> ModelSpec:
     """The model of X = A Y + s for a random well-conditioned map, where Y
-    follows the given model."""
+    follows the given model; its polyhedron or quadric is pushed forward by
+    the state space's ``transformed``."""
     from affinvar.core import change_model_coordinates
 
     A, s = random_affine_map(rng, model.dimension, max_scale)

@@ -393,8 +393,9 @@ def _polyhedral_dict(b, A0, A, gamma, delta) -> dict:
 
 
 # well-typed models that no affine diffusion admits, with the error each
-# raises and the commands that reach it; validate reports the conical-structure
-# model's failed check instead (test_validate_quadric_failure_checks).  The
+# raises and the commands that reach it; validate reports the failed check
+# of the structure models instead (test_validate_quadric_failure_checks,
+# test_validate_reports_a_refuted_parabolic_structure).  The
 # last one is polyhedral: theta = diag(x_1, 1 + x_2) on {x_1 >= 0} is not
 # PSD where x_2 < -1, so its canonical block is inconsistent
 _INADMISSIBLE = {
@@ -403,7 +404,11 @@ _INADMISSIBLE = {
     "negative-c": (_quadric_variant(
         "parabola3", {"A0": (-np.array(_PARABOLA3["A0"])).tolist(),
                       "A": (-np.array(_PARABOLA3["A"])).tolist()}),
-        "NegativeCError", ("validate", "decompose", "simulate")),
+        "NegativeCError", ("decompose", "simulate")),
+    # theta_11 = 1 + 4 x_1 is no multiple of zeta: the fit residual is 1
+    "broken-structure": (_quadric_variant(
+        "parabola3", {"A0": np.diag([1.0, 1.0, 1.0]).tolist()}),
+        "NotAdmissibleError", ("decompose", "simulate")),
     "mixed-signature": (_quadric_variant(
         "parabola3", A=np.diag([1.0, -1.0, 0.0]).tolist(), b=[0.0, 0.0, 1.0],
         c=0.0), "NotAdmissibleQuadricError",
@@ -437,6 +442,20 @@ def test_inadmissible_quadric_models_exit_1(tmp_path, capsys, model, command):
     assert json.loads(captured.err)["error"] == error
 
 
+@pytest.mark.parametrize("model,margin", [("broken-structure", 1.0),
+                                          ("negative-c", -1.0)])
+def test_validate_reports_a_refuted_parabolic_structure(tmp_path, capsys,
+                                                        model, margin):
+    # the fit's residual, or its negative c, is the failed check's margin
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_INADMISSIBLE[model][0]))
+    code, rep = _run(capsys, "validate", str(path))
+    assert code == 1 and not rep["passed"]
+    assert [(c["name"], c["passed"]) for c in rep["checks"]] == [
+        ("quadric-admissible-kind", True), ("parabolic-structure", False)]
+    assert rep["checks"][-1]["margin"] == pytest.approx(margin)
+
+
 @pytest.mark.parametrize("command,obj,detail", [
     ("canonicalize", json.loads(fixture_path("parabola3").read_text()),
      "applies to polyhedral"),
@@ -460,6 +479,19 @@ def test_commands_outside_their_domain_exit_1(tmp_path, capsys, command, obj,
     captured = capsys.readouterr()
     assert code == 1 and not captured.out
     assert detail in json.loads(captured.err)["detail"]
+
+
+@pytest.mark.parametrize("scheme", ["full-truncation", "plain"])
+def test_simulate_refuses_a_hyperboloid(tmp_path, capsys, scheme):
+    # {x_1^2 - |y|^2 + 1 >= 0} with theta = zeta: the cone's root is no
+    # root on a hyperboloid, which has no normalized frame
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_quadric_variant("cone3", c=1.0)))
+    code = main(["simulate", str(path), "--paths", "10", "--steps", "10",
+                 "--scheme", scheme])
+    captured = capsys.readouterr()
+    assert code == 1 and not captured.out
+    assert json.loads(captured.err)["error"] == "NotAdmissibleQuadricError"
 
 
 # the exit code of cli.main for every AffinvarError class in errors.py:
@@ -540,9 +572,7 @@ def test_parabolic_open_invariance_needs_the_closed_conditions(tmp_path,
     assert not check["passed"]
     assert rep["open_invariance"] == {"passed": False,
                                       "margin": pytest.approx(1.0)}
-    model = load_model(path)
-    assert not check_open_invariance_general(model.state_space.form,
-                                             model).phiv2_ok
+    assert not check_open_invariance_general(load_model(path)).phiv2_ok
 
 
 def test_out_writes_the_stdout_bytes(tmp_path, capsys):
@@ -589,15 +619,26 @@ def test_simulate_parabola_off_the_normal_frame(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,fits,congruences", [
-    ("validate", 3, 3), ("simulate", 2, 3), ("decompose", 1, 1)])
+    ("validate", 2, 2), ("simulate", 2, 2), ("decompose", 1, 1),
+    ("classify", 0, 0)])
 def test_parabolic_frame_built_once(capsys, frame_calls, command, fits,
                                     congruences):
-    # validate fits once for the structure check and twice to normalize;
-    # every command moves the model to the canonical frame by one congruence
+    # one congruence and one fit give the canonical frame and its structure;
+    # validate and simulate add one of each for the normalized frame
     extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
     assert main([command, str(fixture_path("parabola3")), *extra]) == 0
     capsys.readouterr()
     assert frame_calls == {"fits": fits, "congruences": congruences}
+
+
+@pytest.mark.parametrize("command,congruences", [
+    ("validate", 1), ("simulate", 1), ("decompose", 1), ("classify", 0)])
+def test_conical_frame_built_once(capsys, frame_calls, command, congruences):
+    # theta = zeta already: the canonical frame is the normalized one
+    extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
+    assert main([command, str(fixture_path("cone3")), *extra]) == 0
+    capsys.readouterr()
+    assert frame_calls == {"fits": 0, "congruences": congruences}
 
 
 def test_tol_flag(capsys, monkeypatch):

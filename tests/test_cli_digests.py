@@ -16,7 +16,8 @@ FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 COMMANDS = ("validate", "canonicalize", "decompose", "classify")
 EDGE_MODELS = ("sqrt-facet-zero-multiple", "parabola-open-only",
                "theta-leaves-psd-cone", "empty-polyhedron", "ellipsoid",
-               "parabola-outside", "cone-unnormalized")
+               "parabola-outside", "cone-unnormalized",
+               "parabola-broken-structure", "parabola-c-zero", "parabola-c-two")
 
 
 def _module(path: Path):
@@ -42,16 +43,20 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
                 path = tmp_path / f"seed{seed}_{name}.json"
                 assert json.loads(path.read_text()) == model
                 expected |= {(cmd, str(path), *tol) for cmd in COMMANDS[:3]}
-    # the search path: the first 20 seed-11 affine images of the two
-    # fixtures whose decomposition runs the L-BFGS search, drawn by the map
-    # of the tests from one generator per fixture
-    for fx in ("hyperbola_wedge", "triangle_channel"):
+    # the first 20 seed-11 affine images, drawn by the map of the tests from
+    # one generator per fixture, of the two fixtures whose decomposition runs
+    # the L-BFGS search and of the two quadrics, whose frame is decided off
+    # the canonical coordinates; the first 3 parabola images also simulate
+    image_sims = set()
+    for fx in ("hyperbola_wedge", "triangle_channel", "parabola3", "cone3"):
         rng = np.random.default_rng(11)
         for i in range(20):
             path = tmp_path / f"{fx}-image{i}.json"
             image = random_affine_image(rng, load_fixture(fx))
             assert json.loads(path.read_text()) == model_to_dict(image)
             expected |= {(cmd, str(path)) for cmd in ("validate", "decompose")}
+            if fx == "parabola3" and i < 3:
+                image_sims.add(str(path))
     for name in EDGE_MODELS:
         path = str(tmp_path / f"{name}.json")
         expected |= {(cmd, path) for cmd in COMMANDS}
@@ -68,4 +73,8 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
                                      "cone3")
                           for scheme in ("full-truncation", "plain")
                           for csv in (False, True))
-    assert len(calls) == len(expected) + len(EDGE_MODELS) + len(simulate)
+    edge_paths = {str(tmp_path / f"{name}.json") for name in EDGE_MODELS}
+    assert {argv[1] for argv in argvs if argv[0] == "simulate"} - \
+        set(fixtures) - edge_paths == image_sims
+    assert len(calls) == len(expected) + len(EDGE_MODELS) + len(simulate) + \
+        len(image_sims)

@@ -237,6 +237,19 @@ def test_membership_affine_invariance():
         assert bool(poly.contains(x)) == bool(image.contains(L @ x + ell))
 
 
+def test_quadric_image_carries_the_form_and_side():
+    rng = np.random.default_rng(4)
+    space = QuadraticSpace(QuadraticForm(np.diag([1.0, -1.0, -2.0]),
+                                         np.array([0.5, 0.0, 1.0]), -0.3),
+                           "negative", closed=False)
+    L = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    ell = rng.standard_normal(3)
+    image = space.transformed(L, ell)
+    assert (image.component, image.closed) == ("negative", False)
+    x = rng.standard_normal((50, 3))
+    assert np.allclose(image.form(x @ L.T + ell), space.form(x), atol=1e-12)
+
+
 def test_congruence_is_coefficient_exact():
     rng = np.random.default_rng(3)
     p = 3

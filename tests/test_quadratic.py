@@ -15,7 +15,6 @@ from affinvar.errors import (NotAdmissibleQuadricError, NotInSpanError,
 from affinvar.modelio import load_fixture
 from affinvar.quadratic import (_row_field_coefficients,
                                 _verify_classification,
-                                canonical_quadric_model,
                                 check_cone_admissibility,
                                 check_open_invariance_general,
                                 check_parabolic_drift,
@@ -29,7 +28,7 @@ from affinvar.quadratic import (_row_field_coefficients,
                                 parabolic_square_root,
                                 parabolic_theta_decompose, verify_theta_zero_lemma,
                                 zeta_parabolic)
-from conftest import random_affine_map
+from conftest import random_affine_image, random_affine_map
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +59,7 @@ def test_classify_rotated_parabolic():
     for _ in range(50):
         y = rng.standard_normal(2)
         x = Tinv @ (y - cls.t)
-        assert abs(cls.sign * phi(x) - cls.canonical_value(y)) <= 1e-8 * (1 + y @ y)
+        assert abs(cls.sign * phi(x) - cls.canonical_form()(y)) <= 1e-8 * (1 + y @ y)
 
 
 def test_classify_ellipsoid_and_excluded_kinds():
@@ -127,7 +126,7 @@ def test_classify_round_trip_random(rng):
         for _ in range(10):
             y = rng.standard_normal(p)
             x = Tinv @ (y - cls.t)
-            resid = abs(cls.sign * phi(x) - cls.canonical_value(y))
+            resid = abs(cls.sign * phi(x) - cls.canonical_form()(y))
             assert resid <= 1e-7 * (1 + abs(phi(x)) + y @ y)
     assert min(kinds.values()) > 0
 
@@ -588,7 +587,7 @@ def test_conical_rejects_extra_coordinates():
 
 def test_open_invariance_cone():
     m = load_fixture("cone3")
-    rep = check_open_invariance_general(m.state_space.form, m)
+    rep = check_open_invariance_general(m)
     assert np.allclose(rep.v, [2.0, 0.0, 0.0], atol=1e-9)
     assert rep.phiv2_ok
     assert rep.min_value == pytest.approx(0.5)
@@ -596,24 +595,74 @@ def test_open_invariance_cone():
 
 def test_open_invariance_parabolic():
     m = load_fixture("parabola3")
-    rep = check_open_invariance_general(m.state_space.form, m)
+    rep = check_open_invariance_general(m)
     # b_1 = 2.5 < q + 1 = 4: closed-admissible but the open bound fails
     assert not rep.phiv2_ok
 
 
+def _scaled(name: str, theta_scale: float, b1: float | None = None) -> ModelSpec:
+    """The fixture with theta scaled and, if given, b_1 replaced."""
+    m = load_fixture(name)
+    b = m.drift.b.copy()
+    if b1 is not None:
+        b[0] = b1
+    theta = AffineMatrixField(theta_scale * m.diffusion.A0,
+                              theta_scale * m.diffusion.A)
+    return ModelSpec(m.dimension, AffineVectorField(m.drift.a, b), theta,
+                     m.state_space)
+
+
+@pytest.mark.parametrize("theta_scale,b1,passed,margin", [
+    (2.0, 5.0, False, -1.5),   # b_1 / c = 2.5 < q + 1
+    (0.5, 2.5, True, 1.0),     # b_1 / c = 5 >= q + 1
+])
+def test_open_invariance_parabola_in_the_normalized_frame(theta_scale, b1,
+                                                         passed, margin):
+    # the closed forms hold where theta's upper block is exactly zeta: the
+    # verdict is validate's, read after the normalization c = 1
+    rep = check_open_invariance_general(_scaled("parabola3", theta_scale, b1))
+    assert rep.phiv2_ok is passed
+    assert rep.min_value == pytest.approx(margin)
+
+
+def test_open_invariance_refuses_a_cone_off_zeta():
+    # theta = 2 zeta: validate refuses it as cone-zeta-form
+    with pytest.raises(PreconditionFailedError, match="theta = zeta"):
+        check_open_invariance_general(_scaled("cone3", 2.0))
+
+
 def test_open_invariance_needs_the_canonical_frame():
-    # the dilation x -> 2x keeps grad(Phi) theta = Phi v^T but leaves the
-    # cone's canonical form; the canonical frame decides it again
+    # the dilation x -> 2x keeps grad(Phi) theta = Phi v^T and moves the
+    # cone off its canonical form; the check moves it back to its frame
     m = load_fixture("cone3")
-    space, phi = m.state_space, m.state_space.form
-    dilated = QuadraticSpace(QuadraticForm(phi.A / 4.0, phi.b / 2.0, phi.c),
-                             space.component, space.closed)
-    img = change_model_coordinates(m, 2.0 * np.eye(3), np.zeros(3), dilated)
-    with pytest.raises(PreconditionFailedError, match="canonical frame"):
-        check_open_invariance_general(img.state_space.form, img)
-    _, canon = canonical_quadric_model(img)
-    rep = check_open_invariance_general(canon.state_space.form, canon)
+    img = change_model_coordinates(m, 2.0 * np.eye(3), np.zeros(3),
+                                   m.state_space.transformed(2.0 * np.eye(3),
+                                                             np.zeros(3)))
+    rep = check_open_invariance_general(img)
     assert rep.phiv2_ok and rep.min_value == pytest.approx(0.5)
+
+
+def _open_invariance_images():
+    """The 20 seed-11 affine images of parabola3 at b_1 = 2.5 and at 5, and
+    three dilations of cone3, each with the base model's open margin."""
+    for b1, margin in ((2.5, -1.5), (5.0, 1.0)):
+        rng, base = np.random.default_rng(11), _scaled("parabola3", 1.0, b1)
+        for i in range(20):
+            yield pytest.param(random_affine_image(rng, base), margin,
+                               id=f"parabola3-b{b1}-image{i}")
+    cone, origin = load_fixture("cone3"), np.zeros(3)
+    for lam in (0.5, 2.0, 3.0):
+        L = lam * np.eye(3)
+        image = change_model_coordinates(
+            cone, L, origin, cone.state_space.transformed(L, origin))
+        yield pytest.param(image, 0.5, id=f"cone3-dilation{lam}")
+
+
+@pytest.mark.parametrize("model,margin", _open_invariance_images())
+def test_open_invariance_is_affine_invariant(model, margin):
+    rep = check_open_invariance_general(model)
+    assert rep.phiv2_ok is (margin > 0)
+    assert rep.min_value == pytest.approx(margin, abs=1e-8)
 
 
 def test_open_invariance_phi_v_mismatch():
@@ -622,4 +671,4 @@ def test_open_invariance_phi_v_mismatch():
                       theta,
                       QuadraticSpace(QuadraticForm(np.eye(2), np.zeros(2), -1.0)))
     with pytest.raises(PhiVMismatchError):
-        check_open_invariance_general(model.state_space.form, model)
+        check_open_invariance_general(model)

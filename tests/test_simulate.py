@@ -113,6 +113,11 @@ def test_expm_matches_scipy_on_random_generators(p, norm, seed):
     assert np.abs(_expm(G) - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_expm_of_a_subnormal_generator():
+    # a 1-norm below theta_13 * 2^-1074 once overflowed the scaling exponent
+    assert _expm(np.array([[5e-324]])) == pytest.approx(np.eye(1))
+
+
 def _triangle_setup():
     m = load_fixture("triangle_channel")
     ct = canonical_transform(m)

@@ -20,7 +20,10 @@ call on both sides.  They are:
 - every command on each model of `_edge_models`;
 - validate / decompose on the first IMAGES affine images of each of
   IMAGE_FIXTURES drawn at IMAGE_SEED (`_affine_images`), where
-  `psd_decompose` runs its search in many frames;
+  `psd_decompose` runs its search in many frames and the quadric frame is
+  decided off the canonical coordinates;
+- simulate on the first SIM_IMAGES of those images of parabola3, whose
+  normalization S is not the identity;
 
 each of the first two groups with and without --tol 1e-6.
 """
@@ -50,8 +53,8 @@ CERTIFY = ("validate", "canonicalize", "decompose", "classify")
 SEEDS = (1, 2, 3, 5, 7919)
 TOL = ("--tol", "1e-6")
 SIM_ARGS = ("--t", "0.25", "--steps", "25", "--paths", "40", "--seed", "11")
-IMAGE_FIXTURES = ("hyperbola_wedge", "triangle_channel")
-IMAGE_SEED, IMAGES = 11, 20
+IMAGE_FIXTURES = ("hyperbola_wedge", "triangle_channel", "parabola3", "cone3")
+IMAGE_SEED, IMAGES, SIM_IMAGES = 11, 20, 3
 
 
 def _fixture(name: str) -> dict:
@@ -75,6 +78,16 @@ def _edge_models() -> dict[str, dict]:
     outside["state_space"]["component"] = "negative"
     cone = _fixture("cone3")
     cone["diffusion"]["A"] = (2.0 * np.array(cone["diffusion"]["A"])).tolist()
+    broken = _fixture("parabola3")
+    broken["diffusion"]["A0"][0][0] = 1.0  # no multiple of zeta: residual 1
+    c_zero = _fixture("parabola3")    # theta = e_3 e_3^T on {x_1 >= x_2^2}
+    c_zero["diffusion"] = {"A0": np.diag([0.0, 0.0, 1.0]).tolist(),
+                           "A": np.zeros((3, 3, 3)).tolist()}
+    c_zero["state_space"]["A"] = np.diag([0.0, -1.0, 0.0]).tolist()
+    c_two = _fixture("parabola3")     # b_1 / c = 2.5: open bound fails
+    for key in ("A0", "A"):
+        c_two["diffusion"][key] = (2.0 * np.array(c_two["diffusion"][key])).tolist()
+    c_two["drift"]["b"][0] = 5.0
     ellipsoid = _polyhedral(zero2, [0.0, 0.0], zero2, [zero2, zero2], [], [])
     ellipsoid["state_space"] = {  # |x|^2 >= 1, the positive side
         "kind": "quadratic", "A": np.eye(2).tolist(), "b": [0.0, 0.0],
@@ -95,6 +108,9 @@ def _edge_models() -> dict[str, dict]:
         "ellipsoid": ellipsoid,
         "parabola-outside": outside,
         "cone-unnormalized": cone,
+        "parabola-broken-structure": broken,
+        "parabola-c-zero": c_zero,
+        "parabola-c-two": c_two,
     }
 
 
@@ -102,7 +118,8 @@ def _affine_images(name: str) -> list[dict]:
     """The first IMAGES models of X = A Y + s, Y the fixture, for maps drawn
     one after another from one generator seeded IMAGE_SEED: A has singular
     values in [1/2, 2] and s lies in [-1, 1]^p, the map of
-    `tests/conftest.random_affine_map`."""
+    `tests/conftest.random_affine_map`; the state space, a polyhedron or a
+    quadric, is pushed forward by its `transformed`."""
     rng = np.random.default_rng(IMAGE_SEED)
     model = load_fixture(name)
     p = model.dimension
@@ -163,6 +180,9 @@ def calls(workdir: Path) -> list[tuple[str, list[str]]]:
             path = write(f"{fx}-image{i}", image)
             for cmd in ("validate", "decompose"):
                 out.append((f"{cmd} {fx} image {i}", [cmd, path]))
+            if fx == "parabola3" and i < SIM_IMAGES:
+                out.append((f"simulate {fx} image {i}",
+                            ["simulate", path, *SIM_ARGS]))
     return out
 
 
