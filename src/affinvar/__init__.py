@@ -9,13 +9,12 @@ __version__ = "0.1.0"
 
 from .convex import (FarkasCertificate, facet_relative_decompose,
                      farkas_decompose, interior_point, minimalize)
-from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                   ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace,
-                   psd_square_root)
+from .core import (AffineMap, AffineMatrixField, AffineScalar,
+                   AffineVectorField, ModelSpec, Polyhedron, QuadraticForm,
+                   QuadraticSpace, psd_square_root)
 from .modelio import load_fixture, load_model, save_model
-from .polyhedral import (CanonicalTransform, ClassicalModel,
-                         PsdFacetDecomposition, build_square_root,
-                         canonical_transform, check_classical,
+from .polyhedral import (CanonicalTransform, PsdFacetDecomposition,
+                         build_square_root, canonical_transform,
                          check_open_facet_invariance,
                          check_polyhedral_admissibility,
                          check_triangle_condition, diagonalize_extended,
@@ -27,7 +26,7 @@ from .quadratic import (ConicalDecomposition, ParabolicDecomposition,
                         cone_square_root, conical_basis,
                         conical_theta_decompose, normalize_parabolic,
                         parabolic_basis, parabolic_square_root,
-                        parabolic_theta_decompose, verify_theta_zero_lemma)
+                        parabolic_theta_decompose)
 from .simulate import (PathEnsemble, Scheme, SimConfig, boundary_attainment,
                        invariance_monte_carlo, mean_ode, simulate_paths,
-                       simulate_summary)
+                       simulate_summary, simulation_frame)

@@ -21,15 +21,14 @@ from .core import ModelSpec, Polyhedron, QuadraticSpace, spot_check_psd
 from .errors import (AffinvarError, NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, ParseError, PreconditionFailedError)
 from .modelio import load_model, model_hash, model_to_dict, save_model
-from .polyhedral import (_require_polyhedron, build_square_root,
-                         canonical_transform, check_polyhedral_admissibility,
-                         psd_decompose, transform_model)
+from .polyhedral import (_require_polyhedron, canonical_transform,
+                         check_polyhedral_admissibility, psd_decompose,
+                         transform_model)
 from .quadratic import (QuadricClassification, canonical_quadric_model,
                         check_cone_admissibility, check_parabolic_drift,
-                        check_parabolic_psd_condition, classify_quadric,
-                        cone_square_root, parabolic_square_root)
+                        check_parabolic_psd_condition, classify_quadric)
 from .simulate import (Scheme, SimConfig, mean_ode, simulate_paths,
-                       simulate_summary)
+                       simulate_summary, simulation_frame)
 from .tolerances import tolerances
 
 EXIT_OK, EXIT_CHECKS, EXIT_PARSE, EXIT_INTERNAL = 0, 1, 2, 3
@@ -80,8 +79,8 @@ def _emit(report: dict, out: str | None) -> None:
 
 def _classification_dict(cls: QuadricClassification) -> dict:
     return {"kind": cls.kind, "q": cls.q, "d": cls.d, "sign": cls.sign,
-            "admissible": cls.admissible, "T": cls.T.tolist(),
-            "t": cls.t.tolist()}
+            "admissible": cls.admissible, "T": cls.map.L.tolist(),
+            "t": cls.map.ell.tolist()}
 
 
 def _decomposition(model: ModelSpec):
@@ -227,7 +226,8 @@ def cmd_canonicalize(args) -> int:
     ct = canonical_transform(model)
     transformed = transform_model(model, ct)
     report["transform"] = {
-        "L": ct.L.tolist(), "ell": ct.ell.tolist(), "m": ct.m, "n": ct.n,
+        "L": ct.map.L.tolist(), "ell": ct.map.ell.tolist(), "m": ct.m,
+        "n": ct.n,
         "M": ct.facet_order[:ct.m].tolist(),
         "N": ct.facet_order[ct.m:ct.m + ct.n].tolist(),
         "facet_order": ct.facet_order.tolist(),
@@ -296,47 +296,6 @@ def cmd_classify(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _simulation_setup(model: ModelSpec, x0):
-    """Canonical model, sigma evaluator and coordinate maps for simulation.
-
-    The canonical coordinates are y = L x + ell, one affine map: the
-    canonical transform of a polyhedron, the normalized quadric frame.
-    """
-    if isinstance(model.state_space, Polyhedron):
-        ct = canonical_transform(model)
-        canon = transform_model(model, ct)
-        sigma = build_square_root(ct)
-        L, ell = ct.L, ct.ell
-        default_x0 = interior_point(ct.polyhedron)  # least-distance point
-    else:
-        frame = canonical_quadric_model(model)
-        cls = frame.classification
-        if frame.model.state_space.component != "positive":
-            raise PreconditionFailedError(
-                "simulation supports the inside component of the quadric only")
-        if cls.kind == "ellipsoid":
-            raise PreconditionFailedError("ellipsoid-type quadrics are not simulable")
-        if cls.kind == "cone" and not frame.fitted().normalized:
-            raise PreconditionFailedError("simulation on cones needs theta = zeta")
-        frame = frame.normalized()
-        canon, L, ell = frame.model, frame.L, frame.ell
-        sigma = parabolic_square_root(frame.structure) \
-            if cls.kind == "parabolic" else cone_square_root(cls.q)
-        default_x0 = None
-    Linv = np.linalg.inv(L)
-
-    def to_canon(x):
-        return np.asarray(x, dtype=float) @ L.T + ell
-
-    def from_canon(y):
-        return (np.asarray(y, dtype=float) - ell) @ Linv.T
-
-    if default_x0 is None:  # the quadric's canonical point e_1
-        default_x0 = from_canon(np.eye(model.dimension)[0])
-    start = np.asarray(default_x0 if x0 is None else x0, dtype=float)
-    return canon, sigma, to_canon, from_canon, start
-
-
 def _start_point(text: str | None, dimension: int) -> np.ndarray | None:
     """The --x0 point: `dimension` comma-separated finite numbers."""
     if not text:
@@ -358,11 +317,12 @@ def cmd_simulate(args) -> int:
     model = load_model(args.model)
     x0 = _start_point(args.x0, model.dimension)
     report = _report_base("simulate", model)
-    canon, sigma, to_canon, from_canon, start = _simulation_setup(model, x0)
+    canon, sigma, f, default_x0 = simulation_frame(model)
+    start = default_x0 if x0 is None else x0
     steps = args.steps if args.steps else max(1, int(round(1000 * args.t)))
     scheme = Scheme.FULL_TRUNCATION_EULER if args.scheme == "full-truncation" \
         else Scheme.PLAIN_EULER
-    cfg = SimConfig(to_canon(start), args.t, steps, args.paths, args.seed, scheme)
+    cfg = SimConfig(f.apply(start), args.t, steps, args.paths, args.seed, scheme)
     if args.csv:
         ens = simulate_paths(canon, sigma, cfg)
         final, exit_steps, nonfinite = ens.states[:, -1], ens.exit_flags, \
@@ -372,7 +332,7 @@ def cmd_simulate(args) -> int:
         final, exit_steps, nonfinite = summ.final_states, \
             summ.exit_stats.exit_steps, summ.nonfinite
     exited = exit_steps >= 0
-    final = from_canon(final)
+    final = f.preimage(final)
     _, means_m = mean_ode(model, start, args.t, n_steps=1)  # only t is reported
     report["simulation"] = {
         "t": args.t, "steps": steps, "paths": args.paths, "seed": args.seed,
@@ -384,7 +344,7 @@ def cmd_simulate(args) -> int:
         "mean_ode_final": means_m[-1].tolist(),
     }
     if args.csv:
-        original = from_canon(ens.states.reshape(-1, model.dimension)) \
+        original = f.preimage(ens.states.reshape(-1, model.dimension)) \
             .reshape(ens.states.shape)
         with open(args.csv, "w") as fh:
             fh.write("t,path," + ",".join(f"x{i+1}" for i in range(model.dimension))

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotSymmetricError
+from .errors import (DimensionMismatchError, NotSymmetricError,
+                     PreconditionFailedError)
 from .tolerances import TOL
 
 
@@ -148,6 +150,49 @@ def psd_factor(S) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class AffineMap:
+    """The change of coordinates y = f(x) = L x + ell, L square.
+
+    ``Linv`` is L^-1, computed the first time a pullback needs it and kept,
+    so every coefficient transform and ``preimage`` of one map reads one
+    inverse; an exactly singular L raises PreconditionFailedError there.
+    """
+
+    L: np.ndarray
+    ell: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "L", _asarray(self.L, 2, "L"))
+        object.__setattr__(self, "ell", _asarray(self.ell, 1, "ell"))
+        if self.L.shape != (self.ell.shape[0],) * 2:
+            raise DimensionMismatchError(
+                f"map shapes disagree: L {self.L.shape}, ell {self.ell.shape}")
+
+    @cached_property
+    def Linv(self) -> np.ndarray:
+        try:
+            return np.linalg.inv(self.L)
+        except np.linalg.LinAlgError as exc:
+            raise PreconditionFailedError(
+                f"the change of coordinates is singular: {exc}") from exc
+
+    def apply(self, x) -> np.ndarray:
+        """f(x), batched over the leading axes of x."""
+        return np.asarray(x, dtype=float) @ self.L.T + self.ell
+
+    def preimage(self, y) -> np.ndarray:
+        """f^-1(y), batched over the leading axes of y."""
+        return (np.asarray(y, dtype=float) - self.ell) @ self.Linv.T
+
+    def compose(self, inner: AffineMap) -> AffineMap:
+        """The map x -> self(inner(x)); a zero offset of self is not added,
+        so the composite keeps the signs of the zeros of L inner.ell."""
+        ell = self.L @ inner.ell
+        return AffineMap(self.L @ inner.L, ell + self.ell if self.ell.any()
+                         else ell)
+
+
+@dataclass(frozen=True)
 class AffineScalar:
     """Scalar affine functional x -> gamma.x + delta."""
 
@@ -249,17 +294,16 @@ class AffineMatrixField:
         flat = x @ self.A.reshape(self.nvars, self.A0.size)
         return self.A0 + flat.reshape(x.shape[:-1] + self.A0.shape)
 
-    def congruence(self, L: np.ndarray, ell: np.ndarray) -> "AffineMatrixField":
-        """Coefficient-exact congruence y -> L theta(L^-1 (y - ell)) L^T.
+    def congruence(self, f: AffineMap) -> "AffineMatrixField":
+        """Coefficient-exact congruence y -> L theta(L^-1 (y - ell)) L^T
+        under the map f: y = L x + ell.
 
         Requires nvars == size (a genuine diffusion matrix field).
         """
         if self.nvars != self.size:
             raise DimensionMismatchError("congruence needs nvars == size")
-        L = np.asarray(L, dtype=float)
-        ell = np.asarray(ell, dtype=float)
-        Minv = np.linalg.inv(L)
-        m0 = -Minv @ ell
+        L, Minv = f.L, f.Linv
+        m0 = -Minv @ f.ell
         base = self.A0 + _contract_first(m0, self.A)
         newA0 = L @ base @ L.T
         newA = np.einsum("kj,kab->jab", Minv, self.A)
@@ -309,11 +353,11 @@ class Polyhedron:
     def facet(self, i: int) -> AffineScalar:
         return AffineScalar(self.gamma[i], float(self.delta[i]))
 
-    def transformed(self, L: np.ndarray, ell: np.ndarray) -> "Polyhedron":
-        """The image L X + ell, with rows gamma L^-1 and offsets delta - gamma L^-1 ell."""
-        Minv = np.linalg.inv(np.asarray(L, dtype=float))
-        g = self.gamma @ Minv
-        d = self.delta - g @ np.asarray(ell, dtype=float)
+    def transformed(self, f: AffineMap) -> "Polyhedron":
+        """The image f(X) = L X + ell, with rows gamma L^-1 and offsets
+        delta - gamma L^-1 ell."""
+        g = self.gamma @ f.Linv
+        d = self.delta - g @ f.ell
         out = Polyhedron(g, d)
         return _minimal(out) if self.minimal else out
 
@@ -377,10 +421,11 @@ class QuadraticSpace:
     def dim(self) -> int:
         return self.form.dim
 
-    def transformed(self, L: np.ndarray, ell: np.ndarray) -> "QuadraticSpace":
-        """The image L X + ell: Phi(M y + m0) with M = L^-1, m0 = -M ell."""
-        M = np.linalg.inv(np.asarray(L, dtype=float))
-        m0, A = -M @ np.asarray(ell, dtype=float), self.form.A
+    def transformed(self, f: AffineMap) -> "QuadraticSpace":
+        """The image f(X) = L X + ell: Phi(M y + m0) with M = L^-1,
+        m0 = -M ell."""
+        M = f.Linv
+        m0, A = -M @ f.ell, self.form.A
         form = QuadraticForm(M.T @ A @ M, M.T @ (2.0 * A @ m0 + self.form.b),
                              self.form(m0))
         return QuadraticSpace(form, self.component, self.closed)
@@ -422,17 +467,20 @@ class ModelSpec:
             raise DimensionMismatchError(
                 f"state space dimension {self.state_space.dim} != {p}")
 
+    def pushed(self, f: AffineMap, space: StateSpace) -> ModelSpec:
+        """The model of y = f(x) = L x + ell on the image state space
+        ``space``: drift L a L^-1 y + (L b - L a L^-1 ell), diffusion by
+        congruence."""
+        a = f.L @ self.drift.a @ f.Linv
+        b = f.L @ self.drift.b - a @ f.ell
+        return ModelSpec(self.dimension, AffineVectorField(a, b),
+                         self.diffusion.congruence(f), space)
+
 
 def change_model_coordinates(model: ModelSpec, L: np.ndarray, ell: np.ndarray,
                              new_space: StateSpace) -> ModelSpec:
-    """The model seen through y = L x + ell: drift L a L^-1 y + (L b - L a L^-1 ell),
-    diffusion by congruence, and the supplied image state space."""
-    L = np.asarray(L, dtype=float)
-    ell = np.asarray(ell, dtype=float)
-    a = L @ model.drift.a @ np.linalg.inv(L)
-    b = L @ model.drift.b - a @ ell
-    return ModelSpec(model.dimension, AffineVectorField(a, b),
-                     model.diffusion.congruence(L, ell), new_space)
+    """``model.pushed`` through the map y = L x + ell."""
+    return model.pushed(AffineMap(L, ell), new_space)
 
 
 def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:

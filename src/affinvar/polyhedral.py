@@ -1,6 +1,5 @@
 """Polyhedral state spaces: admissibility, canonical transform, square roots,
-PSD facet decompositions, diagonalization by dimension extension, and the
-classical square-root-diffusion model checks.
+PSD facet decompositions and diagonalization by dimension extension.
 
 The boundary conditions checked here are the exact invariance conditions for
 an affine SDE on a polyhedron: on every facet segment the diffusion row
@@ -25,16 +24,15 @@ exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (FarkasCertificate, _coefficient_multiple, _decompose,
-                     interior_point, minimalize)
-from .core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                   ModelSpec, Polyhedron, _coefficient_residual,
-                   _coefficient_scale, _coldot, _minimal,
-                   change_model_coordinates, psd_factor, psd_square_root)
+from .convex import FarkasCertificate, _decompose, interior_point, minimalize
+from .core import (AffineMap, AffineMatrixField, AffineScalar,
+                   AffineVectorField, ModelSpec, Polyhedron,
+                   _coefficient_residual, _coefficient_scale, _coldot,
+                   _minimal, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, PreconditionFailedError,
@@ -217,7 +215,8 @@ def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
 
 @dataclass(frozen=True)
 class CanonicalTransform:
-    """Affine change of coordinates y = L x + ell block-diagonalizing theta.
+    """Affine change of coordinates ``map``, y = L x + ell, block-diagonalizing
+    theta.
 
     In the new coordinates theta becomes
     ``[[diag(y_1..y_m, 0_n), 0], [0, Psi(y_1..y_{m+n})]]`` and the state space
@@ -226,8 +225,7 @@ class CanonicalTransform:
     holds the positive rescaling applied to each facet functional.
     """
 
-    L: np.ndarray
-    ell: np.ndarray
+    map: AffineMap
     m: int
     n: int
     psi: AffineMatrixField        # field of size p-m-n in m+n variables
@@ -239,10 +237,10 @@ class CanonicalTransform:
 
     @property
     def dim(self) -> int:
-        return self.L.shape[0]
+        return self.map.L.shape[0]
 
     def to_canonical(self, x) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.L.T + self.ell
+        return self.map.apply(x)
 
     def block_matrix(self, y) -> np.ndarray:
         """The claimed block form [[diag(y_M, 0_N), 0], [0, Psi(y_{M u N})]]."""
@@ -259,7 +257,7 @@ class CanonicalTransform:
         g = poly.gamma * self.facet_scale[:, None]
         d = poly.delta * self.facet_scale
         reordered = _minimal(Polyhedron(g[self.facet_order], d[self.facet_order]))
-        return reordered.transformed(self.L, self.ell)
+        return reordered.transformed(self.map)
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -343,13 +341,14 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     L = np.vstack([gamma_s[M], gamma_s[N], eta]) if (m + n) else eta
     if abs(np.linalg.det(L)) <= 1e-12 * max(1.0, np.linalg.norm(L) ** p):
         raise RankDeficiencyError("assembled transform is singular")
-    ell = np.concatenate([delta_s[M], delta_s[N], np.zeros(p - m - n)])
+    f = AffineMap(L, np.concatenate([delta_s[M], delta_s[N],
+                                     np.zeros(p - m - n)]))
 
     order = np.array(M + N + [i for i in range(q) if i not in M and i not in N],
                      dtype=int)
 
     k = m + n
-    canon = theta.congruence(L, ell)
+    canon = theta.congruence(f)
     scale = _coefficient_scale(canon.A0, canon.A)
     resid = float(np.abs(canon.A[k:, k:, k:]).max(initial=0.0))
     if resid > TOL.fit_residual * scale:
@@ -370,14 +369,13 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
         raise RankDeficiencyError(
             f"block identity residual {block_residual:.3e} exceeds tolerance; "
             "internal inconsistency in the canonical construction")
-    return CanonicalTransform(L, ell, m, n, psi, B, order, facet_scale, poly,
+    return CanonicalTransform(f, m, n, psi, B, order, facet_scale, poly,
                               block_residual)
 
 
 def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
     """The model in canonical coordinates y = L x + ell."""
-    return change_model_coordinates(model, ct.L, ct.ell,
-                                    ct.transformed_polyhedron())
+    return model.pushed(ct.map, ct.transformed_polyhedron())
 
 
 def build_square_root(ct: CanonicalTransform):
@@ -735,120 +733,3 @@ def _verify_extension(ext: ExtendedModel, model: ModelSpec) -> None:
             "extension congruence residual out of tolerance; the supplied "
             "decomposition does not match the model")
 
-
-# ---------------------------------------------------------------------------
-# classical square-root-diffusion models
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ClassicalModel:
-    """theta = Sigma diag(v) Sigma^T with v(x) = beta x + alpha."""
-
-    Sigma: np.ndarray
-    beta: np.ndarray
-    alpha: np.ndarray
-
-    def v_functional(self, i: int) -> AffineScalar:
-        return AffineScalar(self.beta[i], float(self.alpha[i]))
-
-    def reconstructed(self) -> AffineMatrixField:
-        p = self.Sigma.shape[0]
-        A0 = self.Sigma @ np.diag(self.alpha) @ self.Sigma.T
-        A = np.stack([self.Sigma @ np.diag(self.beta[:, k]) @ self.Sigma.T
-                      for k in range(p)])
-        return AffineMatrixField(0.5 * (A0 + A0.T), 0.5 * (A + np.swapaxes(A, 1, 2)))
-
-
-@dataclass(frozen=True)
-class ClassicalReport:
-    reconstruction_ok: bool
-    containment_ok: bool
-    w1: np.ndarray            # (q, p) bool: beta_i Sigma^j = 0 or v_j = c v_i, c > 0
-    w2_ok: np.ndarray         # (q,) drift condition per facet
-    feller_ok: np.ndarray     # (q,) strengthened drift condition per facet
-    theta_pos_nonempty: bool
-    witnesses: dict = field(default_factory=dict)
-
-    @property
-    def admissible(self) -> bool:
-        return bool(self.reconstruction_ok and self.containment_ok
-                    and self.w1.all() and self.w2_ok.all())
-
-    @property
-    def open_invariant(self) -> bool:
-        return bool(self.admissible and self.feller_ok.all()
-                    and self.theta_pos_nonempty)
-
-
-def _positive_multiple(f: AffineScalar, g: AffineScalar) -> float | None:
-    """c > 0 with f = c g at coefficient level, or None."""
-    c = _coefficient_multiple(f, g)
-    return c if c is not None and c > 0 else None
-
-
-def check_classical(model: ModelSpec, cm: ClassicalModel) -> ClassicalReport:
-    """Admissibility of the classical model theta = Sigma diag(v) Sigma^T.
-
-    Checks, facet by facet: the orthogonality-or-alignment condition between
-    the rows of v and the columns of Sigma; the drift condition on each facet
-    segment; and the Feller-type condition of open invariance,
-    ``check_open_facet_invariance`` (b_i >= alpha_ii/2 in canonical
-    coordinates).  ``theta_pos_nonempty`` is decided exactly: Sigma has full
-    rank and {v > 0} meets the interior of the state space.  Raises
-    ModelInconsistencyError when cm does not reproduce the model's diffusion
-    matrix.
-    """
-    poly = _require_polyhedron(model)
-    p, q = model.dimension, poly.n_facets
-    rec, theta = cm.reconstructed(), model.diffusion
-    resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
-    reconstruction_ok = resid <= 1e-10 * _coefficient_scale(theta.A0, theta.A)
-    if not reconstruction_ok:
-        raise ModelInconsistencyError(
-            f"Sigma diag(v) Sigma^T does not reproduce theta (residual {resid:.3e})")
-
-    containment_ok = True
-    witnesses: dict = {}
-    for i in range(p):
-        cert, witness = _decompose(cm.v_functional(i), poly, None)
-        if cert is None:
-            containment_ok = False
-            witnesses[f"v{i}"] = witness
-
-    # facet i corresponds to v_i after positive rescaling
-    w1 = np.zeros((q, p), dtype=bool)
-    orth_tol = 1e-10 * _coefficient_scale(cm.Sigma)
-    for i in range(q):
-        vi = cm.v_functional(i)
-        aligned = _positive_multiple(vi, poly.facet(i)) is not None
-        for j in range(p):
-            if abs(float(cm.beta[i] @ cm.Sigma[:, j])) <= orth_tol:
-                w1[i, j] = True
-            else:
-                c = _positive_multiple(cm.v_functional(j), vi)
-                w1[i, j] = aligned and c is not None
-
-    w2_ok = np.zeros(q, dtype=bool)
-    for i in range(q):
-        cert, witness = _decompose(
-            model.drift.row_functional(cm.beta[i]), poly, i)
-        w2_ok[i] = cert is not None
-        if cert is None:
-            witnesses[f"drift{i}"] = witness
-    open_facets = check_open_facet_invariance(model)
-    feller_ok = np.array([fc.passed for fc in open_facets])
-    witnesses.update((f"feller{fc.index}", fc.witness) for fc in open_facets
-                     if fc.witness is not None)
-
-    # theta(x) > 0 exactly where Sigma is nonsingular and v(x) > 0.
-    # interior_point skips a zero row, so a constant v_j = alpha_j is
-    # checked here
-    zero = ~cm.beta.any(axis=1)
-    theta_pos = bool(np.linalg.matrix_rank(cm.Sigma) == p
-                     and np.all(cm.alpha[zero] > 0)
-                     and interior_point(Polyhedron(
-                         np.vstack([poly.gamma, cm.beta]),
-                         np.concatenate([poly.delta, cm.alpha]))) is not None)
-
-    return ClassicalReport(reconstruction_ok, containment_ok, w1, w2_ok,
-                           feller_ok, theta_pos, witnesses)

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                   QuadraticForm, QuadraticSpace, _coefficient_residual,
-                   _coefficient_scale, _coldot, change_model_coordinates,
+from .core import (AffineMap, AffineMatrixField, AffineVectorField,
+                   ModelSpec, QuadraticForm, QuadraticSpace,
+                   _coefficient_residual, _coefficient_scale, _coldot,
                    psd_factor)
 from .errors import (AffinvarError, NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
@@ -67,18 +67,6 @@ def _symmetric_field_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
     return G[:, 0], G[:, 1:]
 
 
-def verify_theta_zero_lemma(theta: AffineMatrixField) -> bool:
-    """True iff all polynomial coefficients of x^T theta(x) vanish.
-
-    By the cancellation lemma for symmetric affine matrix fields this happens
-    only when theta is identically zero, which is what makes coefficient-level
-    decomposition fits unique.
-    """
-    p = theta.size
-    coeffs = _row_field_coefficients(np.zeros(p), np.eye(p), theta.A0, theta.A)
-    return float(np.abs(coeffs).max()) <= 1e-10 * _coefficient_scale(theta.A0, theta.A)
-
-
 # ---------------------------------------------------------------------------
 # quadric classification
 # ---------------------------------------------------------------------------
@@ -89,7 +77,8 @@ class QuadricClassification:
 
     ``kind`` is "parabolic" (y_1 - sum_{i=2}^q y_i^2), "cone"
     (y_1^2 - sum_{i=2}^q y_i^2 + d) or "ellipsoid" (sum_{i=1}^q y_i^2 + d);
-    ``sign`` * Phi(x) equals the canonical polynomial at y = T x + t.
+    ``sign`` * Phi(x) equals the canonical polynomial at y = T x + t, the
+    ``map``.
     ``admissible`` records whether the §-classification allows the quadric to
     bound an affine-diffusion state space (parabolic, or cone with d = 0).
     """
@@ -97,10 +86,17 @@ class QuadricClassification:
     kind: str
     q: int
     d: float
-    T: np.ndarray
-    t: np.ndarray
+    map: AffineMap
     sign: int
     admissible: bool
+
+    @property
+    def T(self) -> np.ndarray:  # the map is y = T x + t
+        return self.map.L
+
+    @property
+    def t(self) -> np.ndarray:
+        return self.map.ell
 
     def canonical_form(self) -> QuadraticForm:
         """The canonical polynomial in p = T.shape[0] variables."""
@@ -166,7 +162,8 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
         W = Z @ Vt[1:].T
         T = np.vstack([sign * beta, rows, W.T])
         t = np.concatenate([[sign * chat], offs, np.zeros(W.shape[1])])
-        cls = QuadricClassification("parabolic", q, 0.0, T, t, sign, q >= 2)
+        cls = QuadricClassification("parabolic", q, 0.0, AffineMap(T, t), sign,
+                                    q >= 2)
     else:
         n_plus = int(np.sum(lam[idx_nz] > 0))
         n_minus = idx_nz.size - n_plus
@@ -190,7 +187,8 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
         admissible = kind == "cone" and abs(d) <= TOL.eig_zero * (1 + abs(chat))
         if admissible:
             d = 0.0
-        cls = QuadricClassification(kind, q, float(d), T, t, sign, admissible)
+        cls = QuadricClassification(kind, q, float(d), AffineMap(T, t), sign,
+                                    admissible)
 
     _verify_classification(cls, phi)
     return cls
@@ -221,7 +219,7 @@ def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
 def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> None:
     """sign * Phi(T^-1 (y - t)) must equal the canonical form coefficient by
     coefficient, to TOL.fit_residual times Phi's coefficient scale."""
-    image = QuadraticSpace(phi).transformed(cls.T, cls.t).form
+    image = QuadraticSpace(phi).transformed(cls.map).form
     form = cls.canonical_form()
     resid = _coefficient_residual(
         (cls.sign * image.A, cls.sign * image.b, cls.sign * image.c),
@@ -234,43 +232,45 @@ def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> No
 @dataclass(frozen=True)
 class QuadricFrame:
     """A quadric model in the coordinates y = L x + ell of its canonical
-    quadric, with the verdict of its one structure fit: the decomposition of
-    theta, or None and the ``refutation`` with its ``margin``, if any."""
+    quadric, the ``map``, with the verdict of its one structure fit: the
+    decomposition of theta, or None and the ``refutation`` with its
+    ``margin``, if any."""
 
     classification: QuadricClassification
     model: ModelSpec
     structure: ParabolicDecomposition | ConicalDecomposition | None
     refutation: AffinvarError | None
-    L: np.ndarray
-    ell: np.ndarray
+    map: AffineMap
 
     def fitted(self) -> ParabolicDecomposition | ConicalDecomposition:
-        """The structure, or raise the error that refutes it."""
+        """The structure, or raise the error that refutes it; a quadric that
+        bounds no diffusion raises NotAdmissibleQuadricError."""
         if self.refutation is not None:
             raise self.refutation
+        cls = self.classification
+        if not cls.admissible:
+            raise NotAdmissibleQuadricError(
+                f"a {cls.kind} quadric with d = {cls.d} bounds no diffusion")
         return self.structure
 
     def normalized(self) -> QuadricFrame:
         """The frame of the paper's closed forms on the inside of the quadric:
         x_1 >= |y|^2 with theta's upper block zeta, one congruence and one
         verifying fit away, or the cone iff theta = zeta already."""
-        dec, cls = self.fitted(), self.classification
-        if not cls.admissible:
-            raise NotAdmissibleQuadricError(
-                f"a {cls.kind} quadric with d = {cls.d} bounds no diffusion")
+        dec = self.fitted()
         if self.model.state_space.component != "positive":
             raise PreconditionFailedError(
                 "the state space is the outside of the quadric")
-        if cls.kind == "cone":
+        if self.classification.kind == "cone":
             if not dec.normalized:
                 raise PreconditionFailedError(
                     "the conical closed forms need theta = zeta")
             return self
-        S = _normalizing_map(dec)
-        model = change_model_coordinates(self.model, S, np.zeros(dec.p),
-                                         self.model.state_space)
-        return QuadricFrame(cls, model, _normal_fit(model.diffusion, dec.q),
-                            None, S @ self.L, S @ self.ell)
+        S = AffineMap(_normalizing_map(dec), np.zeros(dec.p))
+        model = self.model.pushed(S, self.model.state_space)
+        return QuadricFrame(self.classification, model,
+                            _normal_fit(model.diffusion, dec.q), None,
+                            S.compose(self.map))
 
 
 def canonical_quadric_model(model: ModelSpec) -> QuadricFrame:
@@ -284,7 +284,7 @@ def canonical_quadric_model(model: ModelSpec) -> QuadricFrame:
     new_space = QuadraticSpace(cls.canonical_form(),
                                "negative" if flipped else "positive",
                                space.closed)
-    canon = change_model_coordinates(model, cls.T, cls.t, new_space)
+    canon = model.pushed(cls.map, new_space)
     structure, refutation = None, None
     try:
         if cls.kind == "parabolic":
@@ -296,7 +296,7 @@ def canonical_quadric_model(model: ModelSpec) -> QuadricFrame:
                 "ellipsoid-type quadrics carry no affine diffusion")
     except (NotAdmissibleError, PreconditionFailedError) as exc:
         refutation = exc
-    return QuadricFrame(cls, canon, structure, refutation, cls.T, cls.t)
+    return QuadricFrame(cls, canon, structure, refutation, cls.map)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +440,7 @@ def normalize_parabolic(theta: AffineMatrixField, q: int):
     congruence applies S (``_normalizing_map``), one more fit verifies it.
     """
     S = _normalizing_map(parabolic_theta_decompose(theta, q))
-    theta_n = theta.congruence(S, np.zeros(theta.size))
+    theta_n = theta.congruence(AffineMap(S, np.zeros(theta.size)))
     return S, theta_n, _normal_fit(theta_n, q)
 
 

@@ -30,11 +30,14 @@ from enum import Enum
 
 import numpy as np
 
+from .convex import interior_point
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
                    QuadraticSpace, _coefficient_scale, _coldot,
                    psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
-from .quadratic import _canonical_kind
+from .polyhedral import build_square_root, canonical_transform, transform_model
+from .quadratic import (_canonical_kind, canonical_quadric_model,
+                        cone_square_root, parabolic_square_root)
 from .tolerances import TOL
 
 _EXIT_TOL = 1e-8  # how far outside the state space a state counts as exited
@@ -104,6 +107,36 @@ def _contraction(sigma):
     if apply is not None:
         return apply
     return lambda x, z: np.einsum("nij,jn->in", np.asarray(sigma(x.T)), z)
+
+
+def simulation_frame(model: ModelSpec):
+    """(canonical model, sigma, f, x0): the frame a simulation runs in.
+
+    f is the map y = L x + ell to the canonical coordinates, the canonical
+    transform of a polyhedron or the normalized frame of a quadric, and x0
+    the default start in the model's own coordinates: the least-distance
+    interior point of a polyhedron, the preimage of e_1 for a quadric.
+    Only the inside of an admissible parabola, or of a cone with
+    theta = zeta, is simulable; other quadrics raise.
+    """
+    if isinstance(model.state_space, Polyhedron):
+        ct = canonical_transform(model)
+        return (transform_model(model, ct), build_square_root(ct), ct.map,
+                interior_point(ct.polyhedron))
+    frame = canonical_quadric_model(model)
+    cls = frame.classification
+    if frame.model.state_space.component != "positive":
+        raise PreconditionFailedError(
+            "simulation supports the inside component of the quadric only")
+    if cls.kind == "ellipsoid":
+        raise PreconditionFailedError("ellipsoid-type quadrics are not simulable")
+    if cls.kind == "cone" and not frame.fitted().normalized:
+        raise PreconditionFailedError("simulation on cones needs theta = zeta")
+    frame = frame.normalized()
+    sigma = parabolic_square_root(frame.structure) \
+        if cls.kind == "parabolic" else cone_square_root(cls.q)
+    return (frame.model, sigma, frame.map,
+            frame.map.preimage(np.eye(model.dimension)[0]))
 
 
 def generic_square_root(model: ModelSpec):

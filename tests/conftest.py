@@ -6,8 +6,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                           ModelSpec, Polyhedron)
+from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
+                           AffineVectorField, ModelSpec, Polyhedron)
 from affinvar.tolerances import Tolerances, current, tolerances
 
 
@@ -143,11 +143,8 @@ def random_affine_image(rng: np.random.Generator, model: ModelSpec,
     """The model of X = A Y + s for a random well-conditioned map, where Y
     follows the given model; its polyhedron or quadric is pushed forward by
     the state space's ``transformed``."""
-    from affinvar.core import change_model_coordinates
-
-    A, s = random_affine_map(rng, model.dimension, max_scale)
-    space = model.state_space.transformed(A, s)
-    return change_model_coordinates(model, A, s, space)
+    f = AffineMap(*random_affine_map(rng, model.dimension, max_scale))
+    return model.pushed(f, model.state_space.transformed(f))
 
 
 @pytest.fixture(autouse=True)
@@ -178,16 +175,18 @@ def lp_calls(monkeypatch):
 
 @pytest.fixture
 def frame_calls(monkeypatch):
-    """Counts the parabolic decomposition fits and the matrix-field
-    congruences the package makes, as {"fits": n, "congruences": n}."""
+    """Counts the parabolic decomposition fits, the matrix-field congruences
+    and the matrix inversions the package makes, as
+    {"fits": n, "congruences": n, "inversions": n}."""
     import sys
 
     import affinvar.core
     import affinvar.quadratic
 
-    counts = {"fits": 0, "congruences": 0}
+    counts = {"fits": 0, "congruences": 0, "inversions": 0}
     fit = affinvar.quadratic.parabolic_theta_decompose
     congruence = affinvar.core.AffineMatrixField.congruence
+    inv = np.linalg.inv
 
     def counting_fit(*args, **kwargs):
         counts["fits"] += 1
@@ -197,6 +196,10 @@ def frame_calls(monkeypatch):
         counts["congruences"] += 1
         return congruence(self, *args, **kwargs)
 
+    def counting_inv(*args, **kwargs):
+        counts["inversions"] += 1
+        return inv(*args, **kwargs)
+
     # every package module that bound the fit by name calls it through that name
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "affinvar" and \
@@ -204,6 +207,7 @@ def frame_calls(monkeypatch):
             monkeypatch.setattr(module, "parabolic_theta_decompose", counting_fit)
     monkeypatch.setattr(affinvar.core.AffineMatrixField, "congruence",
                         counting_congruence)
+    monkeypatch.setattr(np.linalg, "inv", counting_inv)
     return counts
 
 

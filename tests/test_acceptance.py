@@ -127,7 +127,7 @@ def test_acceptance_04_canonical_transform_soundness():
         pushed = random_affine_image(rng, base)
         ct = canonical_transform(pushed)
         assert (ct.m, ct.n) == (m_cnt, n_cnt), "recovered (m, n) differs"
-        canon = pushed.diffusion.congruence(ct.L, ct.ell)
+        canon = pushed.diffusion.congruence(ct.map)
         from affinvar.convex import interior_point
         y0 = ct.to_canonical(interior_point(ct.polyhedron))
         for _ in range(100):

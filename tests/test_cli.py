@@ -618,6 +618,16 @@ def test_simulate_parabola_off_the_normal_frame(tmp_path, capsys):
     assert np.all(gap <= 4 * np.array(sim["final_std"]) / np.sqrt(paths))
 
 
+# np.linalg.inv calls per command: one per map, the normalized parabola's
+# composite S T inverted only by simulate, which maps the paths back
+INVERSIONS = {"parabola3": {"validate": 2, "simulate": 3, "decompose": 1,
+                            "classify": 1},
+              "cone3": {"validate": 1, "simulate": 1, "decompose": 1,
+                        "classify": 1},
+              "triangle_channel": {"validate": 1, "simulate": 1,
+                                   "canonicalize": 1, "decompose": 0}}
+
+
 @pytest.mark.parametrize("command,fits,congruences", [
     ("validate", 2, 2), ("simulate", 2, 2), ("decompose", 1, 1),
     ("classify", 0, 0)])
@@ -628,7 +638,8 @@ def test_parabolic_frame_built_once(capsys, frame_calls, command, fits,
     extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
     assert main([command, str(fixture_path("parabola3")), *extra]) == 0
     capsys.readouterr()
-    assert frame_calls == {"fits": fits, "congruences": congruences}
+    assert frame_calls == {"fits": fits, "congruences": congruences,
+                           "inversions": INVERSIONS["parabola3"][command]}
 
 
 @pytest.mark.parametrize("command,congruences", [
@@ -638,7 +649,35 @@ def test_conical_frame_built_once(capsys, frame_calls, command, congruences):
     extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
     assert main([command, str(fixture_path("cone3")), *extra]) == 0
     capsys.readouterr()
-    assert frame_calls == {"fits": 0, "congruences": congruences}
+    assert frame_calls == {"fits": 0, "congruences": congruences,
+                           "inversions": INVERSIONS["cone3"][command]}
+
+
+@pytest.mark.parametrize("command,congruences", [
+    ("validate", 1), ("canonicalize", 2), ("simulate", 2), ("decompose", 0)])
+def test_polyhedral_map_inverted_once(capsys, frame_calls, command,
+                                      congruences):
+    # the canonical transform's one map serves the congruences of theta, the
+    # drift, the image polyhedron and the paths mapped back
+    extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
+    assert main([command, str(fixture_path("triangle_channel")), *extra]) in \
+        (0, 1)
+    capsys.readouterr()
+    assert frame_calls == {"fits": 0, "congruences": congruences,
+                           "inversions": INVERSIONS["triangle_channel"][command]}
+
+
+def test_decompose_refuses_a_hyperboloid(tmp_path, capsys):
+    # theta = zeta still fits the conical basis on {x_1^2 - |y|^2 + 1 >= 0},
+    # but a hyperboloid bounds no diffusion: decompose fails it as validate
+    # and simulate do
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_quadric_variant("cone3", c=1.0)))
+    assert _run(capsys, "validate", str(path))[0] == 1
+    assert main(["decompose", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert json.loads(captured.err)["error"] == "NotAdmissibleQuadricError"
 
 
 def test_tol_flag(capsys, monkeypatch):

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import affinvar.core
-from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                           ModelSpec, Polyhedron, QuadraticForm,
-                           QuadraticSpace, _contract_first, psd_factor,
+from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
+                           AffineVectorField, ModelSpec, Polyhedron,
+                           QuadraticForm, QuadraticSpace, _contract_first,
+                           change_model_coordinates, psd_factor,
                            psd_square_root, spot_check_psd, symmetrize)
 from affinvar.errors import (DimensionMismatchError, NotSymmetricError,
-                             ParseError)
+                             ParseError, PreconditionFailedError)
 from affinvar.modelio import load_fixture, model_from_dict, model_to_dict
 
 
@@ -231,7 +232,7 @@ def test_membership_affine_invariance():
                       np.array([0.0, 0.0, 2.0]))
     L = np.array([[1.0, 2.0], [-1.0, 1.0]])
     ell = np.array([0.3, -0.7])
-    image = poly.transformed(L, ell)
+    image = poly.transformed(AffineMap(L, ell))
     for _ in range(200):
         x = rng.uniform(-2, 2, size=2)
         assert bool(poly.contains(x)) == bool(image.contains(L @ x + ell))
@@ -244,7 +245,7 @@ def test_quadric_image_carries_the_form_and_side():
                            "negative", closed=False)
     L = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
     ell = rng.standard_normal(3)
-    image = space.transformed(L, ell)
+    image = space.transformed(AffineMap(L, ell))
     assert (image.component, image.closed) == ("negative", False)
     x = rng.standard_normal((50, 3))
     assert np.allclose(image.form(x @ L.T + ell), space.form(x), atol=1e-12)
@@ -259,12 +260,54 @@ def test_congruence_is_coefficient_exact():
     theta = AffineMatrixField(0.5 * (A0 + A0.T), A)
     L = rng.standard_normal((p, p)) + 3 * np.eye(p)
     ell = rng.standard_normal(p)
-    new = theta.congruence(L, ell)
+    new = theta.congruence(AffineMap(L, ell))
     for _ in range(25):
         y = rng.standard_normal(p)
         x = np.linalg.solve(L, y - ell)
         assert np.abs(new(y) - L @ theta(x) @ L.T).max() <= 1e-10 * \
             (1 + np.abs(theta(x)).max())
+
+
+def test_affine_map_apply_and_preimage_bits():
+    # the expressions y = x L^T + ell and x = (y - ell) L^-T, bit for bit
+    rng = np.random.default_rng(7)
+    L = rng.standard_normal((3, 3)) + 2.0 * np.eye(3)
+    ell = rng.standard_normal(3)
+    f = AffineMap(L, ell)
+    x = rng.standard_normal((20, 3))
+    assert np.array_equal(f.apply(x), x @ L.T + ell)
+    assert np.array_equal(f.preimage(x), (x - ell) @ np.linalg.inv(L).T)
+    assert np.array_equal(f.apply(x[0]), x[0] @ L.T + ell)
+    assert np.allclose(f.preimage(f.apply(x)), x, atol=1e-12)
+
+
+def test_affine_map_compose_is_sequential_application():
+    rng = np.random.default_rng(8)
+    outer, inner = (AffineMap(rng.standard_normal((3, 3)) + 2.0 * np.eye(3),
+                              rng.standard_normal(3)) for _ in range(2))
+    both = outer.compose(inner)
+    x = rng.standard_normal((20, 3))
+    assert np.allclose(both.apply(x), outer.apply(inner.apply(x)),
+                       atol=1e-12)
+    assert np.allclose(both.preimage(x), inner.preimage(outer.preimage(x)),
+                       atol=1e-12)
+    # a zero outer offset is not added, so that a -0.0 of S ell stays
+    S = AffineMap(np.diag([2.0, 3.0]), np.zeros(2))
+    shift = np.array([-0.0, -1.0])
+    got = S.compose(AffineMap(np.eye(2), shift)).ell
+    assert got.tobytes() == (S.L @ shift).tobytes()
+
+
+@pytest.mark.parametrize("L", [np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]]],
+                         ids=["zero", "rank-one"])
+def test_affine_map_singular_is_a_failed_precondition(L):
+    f = AffineMap(L, np.zeros(2))
+    assert np.array_equal(f.apply(np.ones(2)), np.asarray(L) @ np.ones(2))
+    with pytest.raises(PreconditionFailedError):
+        f.preimage(np.ones(2))
+    model = load_fixture("hyperbola_wedge")
+    with pytest.raises(PreconditionFailedError):
+        change_model_coordinates(model, L, np.zeros(2), model.state_space)
 
 
 def test_affine_scalar_and_vector_field():

@@ -14,9 +14,9 @@ from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
                              NotRepresentableError, NumericalFailureError,
                              PreconditionFailedError)
 from affinvar.modelio import load_fixture, save_model
-from affinvar.polyhedral import (ClassicalModel, _coupling_rows,
-                                 build_square_root, canonical_transform,
-                                 check_classical, check_open_facet_invariance,
+from affinvar.polyhedral import (_coupling_rows, build_square_root,
+                                 canonical_transform,
+                                 check_open_facet_invariance,
                                  check_polyhedral_admissibility,
                                  check_triangle_condition, diagonalize_extended,
                                  lift_drift, psd_decompose, transform_model)
@@ -79,15 +79,15 @@ def test_canonical_transform_already_canonical():
                       theta, Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)))
     ct = canonical_transform(model)
     assert (ct.m, ct.n) == (1, 0)
-    assert np.allclose(ct.L, np.eye(2))
-    assert np.allclose(ct.ell, 0)
+    assert np.allclose(ct.map.L, np.eye(2))
+    assert np.allclose(ct.map.ell, 0)
     assert ct.psi.size == 1 and np.abs(ct.psi.A0).max() <= 1e-12
 
 
 def test_canonical_transform_cir_round_trip():
     ct = canonical_transform(load_fixture("cir"))
     assert (ct.m, ct.n) == (1, 0)
-    assert np.allclose(ct.L, [[1.0]]) and np.allclose(ct.ell, [0.0])
+    assert np.allclose(ct.map.L, [[1.0]]) and np.allclose(ct.map.ell, [0.0])
 
 
 def test_canonical_transform_triangle_channel():
@@ -164,10 +164,10 @@ def test_canonical_transform_round_trip_on_canonical_model(rng):
     model = random_canonical_model(rng, 3, 1, 1)
     ct = canonical_transform(model)
     assert (ct.m, ct.n) == (1, 1)
-    perm_scale = np.abs(ct.L)
+    perm_scale = np.abs(ct.map.L)
     assert np.count_nonzero(perm_scale > 1e-9) == 3  # one entry per row
-    assert np.abs(ct.ell).max() <= 1e-12
-    canon = model.diffusion.congruence(ct.L, ct.ell)
+    assert np.abs(ct.map.ell).max() <= 1e-12
+    canon = model.diffusion.congruence(ct.map)
     y0 = np.array([1.0, 1.0, 0.0])
     worst = 0.0
     for _ in range(50):
@@ -193,7 +193,9 @@ def test_canonical_transform_does_not_depend_on_the_interior_point(
     monkeypatch.setattr(affinvar.polyhedral, "interior_point", moved)
     for model, ct in zip(models, before):
         other = canonical_transform(model)
-        for name in ("L", "ell", "B", "facet_scale"):
+        assert np.array_equal(other.map.L, ct.map.L)
+        assert np.array_equal(other.map.ell, ct.map.ell)
+        for name in ("B", "facet_scale"):
             assert np.array_equal(getattr(other, name), getattr(ct, name)), name
         assert np.array_equal(other.psi.A0, ct.psi.A0)
         assert np.array_equal(other.psi.A, ct.psi.A)
@@ -699,120 +701,69 @@ def test_diagonalize_extended_requires_canonical_coordinates():
 
 
 # ---------------------------------------------------------------------------
-# classical model
-# ---------------------------------------------------------------------------
-
-def _cir_classical(b1: float):
-    m = load_fixture("cir")
-    model = ModelSpec(1, AffineVectorField(np.array([[-1.0]]), np.array([b1])),
-                      m.diffusion, m.state_space)
-    cm = ClassicalModel(np.array([[1.0]]), np.array([[1.0]]), np.array([0.0]))
-    return model, cm
-
-
-def test_check_classical_cir():
-    model, cm = _cir_classical(1.0)
-    rep = check_classical(model, cm)
-    assert rep.reconstruction_ok and rep.containment_ok
-    assert rep.w1.all() and rep.w2_ok.all()
-    assert rep.feller_ok.all()           # 1 >= 1/2
-    assert rep.theta_pos_nonempty
-    assert rep.admissible and rep.open_invariant
-
-
-def test_check_classical_cir_feller_fails():
-    model, cm = _cir_classical(0.25)
-    rep = check_classical(model, cm)
-    assert rep.w2_ok.all()               # 0.25 >= 0 on the facet
-    assert not rep.feller_ok.all()       # 0.25 < 1/2
-    assert rep.admissible and not rep.open_invariant
-
-
-@pytest.mark.parametrize("Sigma,beta,alpha,expected", [
-    (np.eye(1), np.eye(1), np.array([-2.0]), True),
-    (np.eye(2), np.zeros((2, 2)), np.array([1.0, 2.0]), True),
-    (np.eye(2), np.array([[1.0, 0.0], [0.0, 0.0]]), np.zeros(2), False),
-    (np.array([[1.0, 1.0], [1.0, 1.0]]), np.eye(2), np.zeros(2), False),
-    (np.eye(2), np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.0, -1.0]),
-     False),
-], ids=["far-from-interior-point", "constant-v", "zero-v-row",
-        "singular-sigma", "v-positive-nowhere"])
-def test_check_classical_theta_positive_exact(Sigma, beta, alpha, expected):
-    # theta(x) > 0 somewhere inside the orthant iff Sigma is nonsingular and
-    # {v > 0} meets the interior.  theta(x) = x - 2 on {x >= 0} is positive
-    # only beyond any sphere of Chebyshev radius around the interior point
-    # x = 1; {x_1 > 0} and {-x_1 - 1 > 0} do not meet
-    p = Sigma.shape[0]
-    cm = ClassicalModel(Sigma, beta, alpha)
-    model = ModelSpec(p, AffineVectorField(-np.eye(p), np.ones(p)),
-                      cm.reconstructed(), Polyhedron(np.eye(p), np.zeros(p)))
-    assert check_classical(model, cm).theta_pos_nonempty is expected
-
-
-def test_check_classical_two_dimensional_reduces_to_signs():
-    theta = AffineMatrixField(np.zeros((2, 2)),
-                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
-    drift = AffineVectorField(np.array([[-1.0, 0.5], [0.2, -1.0]]),
-                              np.array([1.0, 1.0]))
-    model = ModelSpec(2, drift, theta, Polyhedron(np.eye(2), np.zeros(2)))
-    cm = ClassicalModel(np.eye(2), np.eye(2), np.zeros(2))
-    rep = check_classical(model, cm)
-    assert rep.admissible
-    assert rep.feller_ok.all()           # b = (1, 1) >= 1/2 with a_ij >= 0
-
-
-def _coupled_v_model(b1: float) -> tuple[ModelSpec, ClassicalModel]:
-    """theta = x_1 [[3, 2], [2, 2]] (v_2 = 2 v_1) on {x_1 >= 0} in R^2, with
-    drift mu(x) = (b1 - x_1, -x_2)."""
-    cm = ClassicalModel(np.array([[1.0, 1.0], [0.0, 1.0]]),
-                        np.array([[1.0, 0.0], [2.0, 0.0]]), np.zeros(2))
-    model = ModelSpec(2, AffineVectorField(-np.eye(2), np.array([b1, 0.0])),
-                      cm.reconstructed(),
-                      Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)))
-    return model, cm
-
-
-@pytest.mark.parametrize("b1,feller", [(1.2, False), (1.6, True)])
-def test_check_classical_feller_with_unequal_coupled_v(b1, feller):
-    # v_2 = 2 v_1: theta = x_1 [[3, 2], [2, 2]], so boundary non-attainment
-    # needs b_1 >= theta_11 / 2 = 3/2, not b_1 >= |beta_1 Sigma|^2 / 2 = 1,
-    # which holds only when every coupled v_j equals v_i
-    model, cm = _coupled_v_model(b1)
-    rep = check_classical(model, cm)
-    assert rep.admissible and rep.w1.all()
-    assert rep.feller_ok.tolist() == [feller]
-    assert rep.open_invariant is feller
-    assert ("feller0" in rep.witnesses) is not feller
-
-
-# ---------------------------------------------------------------------------
 # open-interior invariance
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("a,b,flags", [
-    (-np.eye(2), [1.0, 1.0], [True, True]),
-    (-np.eye(2), [0.5, 0.4], [True, False]),
-    ([[-1.0, -0.1], [0.0, -1.0]], [1.0, 1.0], [False, True]),
-], ids=["both-pass", "b2-below-half", "a12-negative"])
-def test_open_facet_invariance_orthant_examples(a, b, flags):
+DIAG_X = AffineMatrixField(np.zeros((2, 2)),
+                           [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+# x_1 [[3, 2], [2, 2]] = Sigma diag(v) Sigma^T with Sigma = [[1, 1], [0, 1]]
+# and v = (x_1, 2 x_1): the facet multiple c_1 is 3, theta_11's coefficient
+# of x_1, not |Sigma_1|^2 = 2
+COUPLED_V = AffineMatrixField(np.zeros((2, 2)),
+                              [[[3.0, 2.0], [2.0, 2.0]], np.zeros((2, 2))])
+
+
+def _coupled_v_model(b1: float) -> ModelSpec:
+    """theta = COUPLED_V on {x_1 >= 0} in R^2, with drift
+    mu(x) = (b1 - x_1, -x_2)."""
+    return ModelSpec(2, AffineVectorField(-np.eye(2), np.array([b1, 0.0])),
+                     COUPLED_V, Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)))
+
+
+@pytest.mark.parametrize("theta,facets,a,b,flags", [
+    (DIAG_X, 2, -np.eye(2), [1.0, 1.0], [True, True]),
+    (DIAG_X, 2, -np.eye(2), [0.5, 0.4], [True, False]),
+    (DIAG_X, 2, [[-1.0, -0.1], [0.0, -1.0]], [1.0, 1.0], [False, True]),
+    (DIAG_X, 2, [[-1.0, 0.5], [0.2, -1.0]], [1.0, 1.0], [True, True]),
+    (COUPLED_V, 1, -np.eye(2), [1.2, 0.0], [False]),
+    (COUPLED_V, 1, -np.eye(2), [1.6, 0.0], [True]),
+], ids=["both-pass", "b2-below-half", "a12-negative", "a-offdiag-positive",
+        "coupled-v-b1.2", "coupled-v-b1.6"])
+def test_open_facet_invariance_orthant_examples(theta, facets, a, b, flags):
     # theta = diag(x) on the orthant: facet i is open-invariant iff
-    # a_ij >= 0 for j != i and b_i >= 1/2
-    theta = AffineMatrixField(np.zeros((2, 2)),
-                              [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    # a_ij >= 0 for j != i and b_i >= 1/2; on {x_1 >= 0} with
+    # theta = x_1 [[3, 2], [2, 2]] (two coupled v_j) the bound is b_1 >= 3/2
     model = ModelSpec(2, AffineVectorField(np.array(a, dtype=float),
                                            np.array(b)),
-                      theta, Polyhedron(np.eye(2), np.zeros(2)))
+                      theta, Polyhedron(np.eye(2)[:facets], np.zeros(facets)))
     checks = check_open_facet_invariance(model)
     assert [fc.passed for fc in checks] == flags
     for fc in checks:
+        half = 0.5 * theta.A[fc.index][fc.index, fc.index]   # c_i / 2
         assert (fc.certificate is not None) is fc.passed
         assert (fc.witness is not None) is not fc.passed
-        if fc.passed:   # the certificate's constant is b_i - 1/2
-            assert fc.certificate.c == pytest.approx(b[fc.index] - 0.5)
+        if fc.passed:   # the certificate's constant is b_i - c_i/2
+            assert fc.certificate.c == pytest.approx(b[fc.index] - half)
         else:           # and the witness a facet point where it is negative
             x = fc.witness
             assert x[fc.index] == 0.0
-            assert model.drift(x)[fc.index] - 0.5 < 0.0
+            assert model.drift(x)[fc.index] - half < 0.0
+
+
+def test_brownian_half_line_is_not_admissible(tmp_path, capsys):
+    # theta = 1 on {x >= 0}: Brownian noise at x = 0 leaves the half-line,
+    # whatever the drift, so the diffusion condition fails on the facet
+    model = ModelSpec(1, AffineVectorField([[-1.0]], [1.5]),
+                      AffineMatrixField([[1.0]], [[[0.0]]]),
+                      Polyhedron([[1.0]], [0.0]))
+    (fc,) = check_polyhedral_admissibility(model).facets
+    assert not fc.diffusion_ok and fc.drift_ok
+    path = tmp_path / "brownian.json"
+    save_model(model, path)
+    assert main(["validate", str(path)]) == 1
+    checks = {c["name"]: c["passed"]
+              for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["facet-0-diffusion"] is False
 
 
 def test_open_facet_witness_on_the_facet_when_the_drift_is_constant_there(
@@ -821,7 +772,7 @@ def test_open_facet_witness_on_the_facet_when_the_drift_is_constant_there(
     # {x_1 = 0}: the witness is the facet's least-distance point (0, 0),
     # with no witness LP, not the LP's box corner (0, -1e6); the one LP
     # left is the certificate LP that says no certificate exists
-    model, _ = _coupled_v_model(1.2)
+    model = _coupled_v_model(1.2)
     (fc,) = check_open_facet_invariance(model)
     assert not fc.passed and fc.witness is not None
     x = fc.witness

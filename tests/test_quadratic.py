@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                           Polyhedron, QuadraticForm, QuadraticSpace,
-                           change_model_coordinates)
+from affinvar.core import (AffineMap, AffineMatrixField, AffineVectorField,
+                           ModelSpec, Polyhedron, QuadraticForm,
+                           QuadraticSpace)
 from affinvar.errors import (NotAdmissibleQuadricError, NotInSpanError,
                              NotNormalizedError, NumericalFailureError,
                              PhiVMismatchError, PreconditionFailedError,
@@ -26,8 +26,7 @@ from affinvar.quadratic import (_row_field_coefficients,
                                 normalize_parabolic, parabolic_basis,
                                 parabolic_kernel_dimension,
                                 parabolic_square_root,
-                                parabolic_theta_decompose, verify_theta_zero_lemma,
-                                zeta_parabolic)
+                                parabolic_theta_decompose, zeta_parabolic)
 from conftest import random_affine_image, random_affine_map
 
 
@@ -156,11 +155,11 @@ def test_classification_invariant_under_affine_images(kind, p, data, apex, seed)
 def test_classification_check_rejects_a_wrong_transform(phi):
     cls = classify_quadric(phi)
     _verify_classification(cls, phi)
-    bad = [dataclasses.replace(cls, t=cls.t + 1e-3)]
+    bad = [dataclasses.replace(cls, map=AffineMap(cls.T, cls.t + 1e-3))]
     for row in range(cls.q):  # the rows that carry the canonical polynomial
         T = cls.T.copy()
         T[row] *= 1.01
-        bad.append(dataclasses.replace(cls, T=T))
+        bad.append(dataclasses.replace(cls, map=AffineMap(T, cls.t)))
     for wrong in bad:
         with pytest.raises(NumericalFailureError):
             _verify_classification(wrong, phi)
@@ -198,14 +197,6 @@ def test_row_field_coefficients_match_pointwise_products(rng):
 # ---------------------------------------------------------------------------
 # cancellation lemma
 # ---------------------------------------------------------------------------
-
-def test_theta_zero_lemma_examples():
-    assert verify_theta_zero_lemma(
-        AffineMatrixField(np.zeros((3, 3)), np.zeros((3, 3, 3))))
-    A = np.zeros((2, 2, 2))
-    A[0][0, 0] = 1.0
-    assert not verify_theta_zero_lemma(AffineMatrixField(np.zeros((2, 2)), A))
-
 
 def test_theta_zero_lemma_nullspace_dimension():
     for p in range(2, 6):
@@ -441,7 +432,7 @@ def _three_fit_normalization(theta, q):
         S[k, k] = 1.0 / np.sqrt(c)
     S2 = np.eye(p)
     S2[q:, :q] = -parabolic_theta_decompose(
-        theta.congruence(S, np.zeros(p)), q).A1.T
+        theta.congruence(AffineMap(S, np.zeros(p))), q).A1.T
     return S2 @ S
 
 
@@ -455,7 +446,7 @@ def test_normalize_parabolic_matches_three_fit_reference(pq, c, seed):
     ref = _three_fit_normalization(theta, q)
     assert np.abs(S - ref).max() <= 1e-12 * np.abs(ref).max()
     assert dec_n.normalized
-    n = theta.congruence(S, np.zeros(p))
+    n = theta.congruence(AffineMap(S, np.zeros(p)))
     assert np.array_equal(theta_n.A0, n.A0) and np.array_equal(theta_n.A, n.A)
 
 
@@ -634,10 +625,8 @@ def test_open_invariance_refuses_a_cone_off_zeta():
 def test_open_invariance_needs_the_canonical_frame():
     # the dilation x -> 2x keeps grad(Phi) theta = Phi v^T and moves the
     # cone off its canonical form; the check moves it back to its frame
-    m = load_fixture("cone3")
-    img = change_model_coordinates(m, 2.0 * np.eye(3), np.zeros(3),
-                                   m.state_space.transformed(2.0 * np.eye(3),
-                                                             np.zeros(3)))
+    m, f = load_fixture("cone3"), AffineMap(2.0 * np.eye(3), np.zeros(3))
+    img = m.pushed(f, m.state_space.transformed(f))
     rep = check_open_invariance_general(img)
     assert rep.phiv2_ok and rep.min_value == pytest.approx(0.5)
 
@@ -650,11 +639,10 @@ def _open_invariance_images():
         for i in range(20):
             yield pytest.param(random_affine_image(rng, base), margin,
                                id=f"parabola3-b{b1}-image{i}")
-    cone, origin = load_fixture("cone3"), np.zeros(3)
+    cone = load_fixture("cone3")
     for lam in (0.5, 2.0, 3.0):
-        L = lam * np.eye(3)
-        image = change_model_coordinates(
-            cone, L, origin, cone.state_space.transformed(L, origin))
+        f = AffineMap(lam * np.eye(3), np.zeros(3))
+        image = cone.pushed(f, cone.state_space.transformed(f))
         yield pytest.param(image, 0.5, id=f"cone3-dilation{lam}")
 
 

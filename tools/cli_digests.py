@@ -42,7 +42,7 @@ from pathlib import Path
 import numpy as np
 
 import affinvar.cli
-from affinvar.core import change_model_coordinates
+from affinvar.core import AffineMap
 from affinvar.modelio import fixture_path, load_fixture, model_to_dict
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -78,6 +78,8 @@ def _edge_models() -> dict[str, dict]:
     outside["state_space"]["component"] = "negative"
     cone = _fixture("cone3")
     cone["diffusion"]["A"] = (2.0 * np.array(cone["diffusion"]["A"])).tolist()
+    hyperboloid = _fixture("cone3")
+    hyperboloid["state_space"]["c"] = 1.0  # a cone with d != 0
     broken = _fixture("parabola3")
     broken["diffusion"]["A0"][0][0] = 1.0  # no multiple of zeta: residual 1
     c_zero = _fixture("parabola3")    # theta = e_3 e_3^T on {x_1 >= x_2^2}
@@ -111,6 +113,7 @@ def _edge_models() -> dict[str, dict]:
         "parabola-broken-structure": broken,
         "parabola-c-zero": c_zero,
         "parabola-c-two": c_two,
+        "cone-hyperboloid": hyperboloid,
     }
 
 
@@ -127,10 +130,10 @@ def _affine_images(name: str) -> list[dict]:
     for _ in range(IMAGES):
         q1, _ = np.linalg.qr(rng.standard_normal((p, p)))
         q2, _ = np.linalg.qr(rng.standard_normal((p, p)))
-        A = q1 @ np.diag(rng.uniform(0.5, 2.0, size=p)) @ q2
-        s = rng.uniform(-1.0, 1.0, size=p)
-        out.append(model_to_dict(change_model_coordinates(
-            model, A, s, model.state_space.transformed(A, s))))
+        f = AffineMap(q1 @ np.diag(rng.uniform(0.5, 2.0, size=p)) @ q2,
+                      rng.uniform(-1.0, 1.0, size=p))
+        out.append(model_to_dict(model.pushed(
+            f, model.state_space.transformed(f))))
     return out
 
 
