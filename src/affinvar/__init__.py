@@ -7,8 +7,8 @@ classification, and reproducible Monte Carlo simulation.
 
 __version__ = "0.1.0"
 
-from .convex import (FarkasCertificate, facet_relative_decompose,
-                     farkas_decompose, interior_point, minimalize)
+from .convex import (FarkasCertificate, farkas_decompose, interior_point,
+                     minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
                    AffineVectorField, ModelSpec, Polyhedron, QuadraticForm,
                    QuadraticSpace, psd_square_root)

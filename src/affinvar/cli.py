@@ -22,8 +22,7 @@ from .errors import (AffinvarError, NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, ParseError, PreconditionFailedError)
 from .modelio import load_model, model_hash, model_to_dict, save_model
 from .polyhedral import (_require_polyhedron, canonical_transform,
-                         check_polyhedral_admissibility, psd_decompose,
-                         transform_model)
+                         check_polyhedral_admissibility, psd_decompose)
 from .quadratic import (QuadricClassification, canonical_quadric_model,
                         check_cone_admissibility, check_parabolic_drift,
                         check_parabolic_psd_condition, classify_quadric)
@@ -224,7 +223,6 @@ def cmd_canonicalize(args) -> int:
         raise PreconditionFailedError("canonicalize applies to polyhedral models")
     report = _report_base("canonicalize", model)
     ct = canonical_transform(model)
-    transformed = transform_model(model, ct)
     report["transform"] = {
         "L": ct.map.L.tolist(), "ell": ct.map.ell.tolist(), "m": ct.m,
         "n": ct.n,
@@ -235,12 +233,12 @@ def cmd_canonicalize(args) -> int:
         "psi": {"A0": ct.psi.A0.tolist(), "A": [M.tolist() for M in ct.psi.A]},
         "B": ct.B.tolist(),
     }
-    report["transformed_model"] = model_to_dict(transformed)
+    report["transformed_model"] = model_to_dict(ct.model)
     report["checks"].append(_check("block-identity", True,
                                    margin=ct.block_residual))
     report["passed"] = True
     if args.model_out:
-        save_model(transformed, args.model_out)
+        save_model(ct.model, args.model_out)
     _emit(report, args.out)
     return EXIT_OK
 

@@ -41,8 +41,7 @@ import numpy as np
 
 from .core import (AffineScalar, Polyhedron, _coefficient_residual,
                    _coefficient_scale, _minimal)
-from .errors import (NotNonnegativeError, NotNonnegativeOnFacetError,
-                     ToleranceWarning)
+from .errors import ToleranceWarning
 from .tolerances import TOL
 
 _this = sys.modules[__name__]
@@ -138,7 +137,7 @@ def _certificate_lp(d: AffineScalar, poly: Polyhedron,
     c = max(res.x[q], 0.0)
     if np.any(np.abs(res.x) > 0.999 * box):
         warnings.warn("certificate multiplier at the LP box bound",
-                      ToleranceWarning, stacklevel=4)
+                      ToleranceWarning, stacklevel=3)
     cert = FarkasCertificate(lam, float(c))
     if cert.residual(d, poly) > tol:
         return None
@@ -269,15 +268,16 @@ def _facet_point(poly: Polyhedron, i: int) -> np.ndarray | None:
     return x if ok else None
 
 
-def _decompose(d: AffineScalar, poly: Polyhedron, facet: int | None
-               ) -> tuple[FarkasCertificate | None, np.ndarray | None]:
-    """(certificate, None) from the certificate LP, or (None, witness) when
-    it fails: the minimum of d over the polyhedron, or over the given facet
-    segment, by LP (None when that LP fails too).  When d.gamma is a
-    multiple of the facet row, d is constant on the segment, and the witness
-    is the segment's least-distance point (`_facet_point`), found without an
-    LP; the LP's minimum would be any point of the segment, a box corner
-    included."""
+def farkas_decompose(d: AffineScalar, poly: Polyhedron,
+                     facet: int | None = None
+                     ) -> tuple[FarkasCertificate | None, np.ndarray | None]:
+    """(certificate, None) when d >= 0 on the polyhedron, or on the given
+    facet segment (`_certificate_lp`, its multiplier free), else
+    (None, witness): the minimum of d there, by LP (None when that LP fails
+    too).  When d.gamma is a multiple of the facet row, d is constant on the
+    segment, and the witness is the segment's least-distance point
+    (`_facet_point`), found without an LP; the LP's minimum would be any
+    point of the segment, a box corner included."""
     cert = _certificate_lp(d, poly, free=facet)
     if cert is not None:
         return cert, None
@@ -289,36 +289,6 @@ def _decompose(d: AffineScalar, poly: Polyhedron, facet: int | None
     if witness is None:
         witness = _minimize_affine(d, poly, facet=facet)
     return None, witness
-
-
-def farkas_decompose(d: AffineScalar, poly: Polyhedron) -> FarkasCertificate:
-    """Certificate that d >= 0 on the polyhedron, or a witness of the contrary.
-
-    Raises NotNonnegativeError carrying a point where d is negative when no
-    certificate exists.
-    """
-    cert, witness = _decompose(d, poly, None)
-    if cert is None:
-        raise NotNonnegativeError(
-            "no Farkas certificate: functional is negative somewhere on the "
-            "polyhedron", witness=witness,
-            value=None if witness is None else d(witness))
-    return cert
-
-
-def facet_relative_decompose(d: AffineScalar, poly: Polyhedron,
-                             i: int) -> FarkasCertificate:
-    """Certificate that d >= 0 on the facet segment {u_i = 0} of the polyhedron.
-
-    The i-th multiplier is unconstrained; all others and the constant must be
-    nonnegative.  Raises NotNonnegativeOnFacetError otherwise.
-    """
-    cert, witness = _decompose(d, poly, i)
-    if cert is None:
-        raise NotNonnegativeOnFacetError(
-            f"functional is negative on facet segment {i}", facet=i,
-            witness=witness, value=None if witness is None else d(witness))
-    return cert
 
 
 def interior_point(poly: Polyhedron) -> np.ndarray | None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class AffinvarError(Exception):
     """Base class for all package errors."""
@@ -19,26 +17,6 @@ class NotSymmetricError(AffinvarError):
 
 class ParseError(AffinvarError):
     """Model file could not be parsed against the JSON schema."""
-
-
-class NotNonnegativeError(AffinvarError):
-    """A functional takes negative values on the polyhedron.
-
-    Carries a witness point where the functional is negative.
-    """
-
-    def __init__(self, message: str, witness: np.ndarray | None = None,
-                 value: float | None = None):
-        super().__init__(message)
-        self.witness = witness
-        self.value = value
-
-
-class NotNonnegativeOnFacetError(NotNonnegativeError):
-    def __init__(self, message: str, facet: int,
-                 witness: np.ndarray | None = None, value: float | None = None):
-        super().__init__(message, witness=witness, value=value)
-        self.facet = facet
 
 
 class NotAdmissibleError(AffinvarError):

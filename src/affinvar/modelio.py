@@ -13,7 +13,8 @@ A model file is a JSON object:
     }
 
 All nested arrays are row-major.  ``diffusion.A`` lists one symmetric p x p
-matrix per coordinate.  A written polyhedral state space also carries
+matrix per coordinate.  ``dimension`` is an integer and ``closed`` (true when
+absent) a boolean, or the file is a ParseError.  A written polyhedral state space also carries
 ``"minimal"``; it is not read back, since a file cannot vouch that its facets
 are irredundant: only ``minimalize`` establishes that.
 """
@@ -38,9 +39,17 @@ def _array(value, name: str) -> np.ndarray:
     return arr
 
 
+def _typed(value, kind: type, name: str):
+    """value when its type is kind, int or bool: true is no int here."""
+    if type(value) is not kind:
+        raise ParseError(f"invalid model file: {name} must be a JSON "
+                         f"{kind.__name__}, not {value!r}")
+    return value
+
+
 def model_from_dict(obj: dict) -> ModelSpec:
     try:
-        p = int(obj["dimension"])
+        p = _typed(obj["dimension"], int, "dimension")
         drift = AffineVectorField(_array(obj["drift"]["a"], "drift.a"),
                                   _array(obj["drift"]["b"], "drift.b"))
         diff = AffineMatrixField(_array(obj["diffusion"]["A0"], "diffusion.A0"),
@@ -57,7 +66,7 @@ def model_from_dict(obj: dict) -> ModelSpec:
                 QuadraticForm(_array(ss["A"], "A"), _array(ss["b"], "b"),
                               float(_array(ss["c"], "c"))),
                 component=ss.get("component", "positive"),
-                closed=bool(ss.get("closed", True)))
+                closed=_typed(ss.get("closed", True), bool, "closed"))
         else:
             raise ParseError(f"unknown state_space kind {kind!r}")
         return ModelSpec(p, drift, diff, space)

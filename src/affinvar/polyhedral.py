@@ -10,9 +10,10 @@ spans its hyperplane, so the first condition is a coefficient projection onto
 gamma_i theta(.) = B_i u_i(.), off the coefficients of theta at once, for the
 admissibility check and the canonical transform alike, so the transform
 depends on the model alone, not on an interior point.  The second condition
-is certified by one facet-relative Farkas LP per facet, solved once in
-``check_polyhedral_admissibility``.  Polynomial identities (the canonical
-block form, the dimension extension) are checked on coefficients.
+is certified per facet by `convex.farkas_decompose` (a linear solve, an LP
+only when it fails), once in ``check_polyhedral_admissibility``.  Polynomial
+identities (the canonical block form, the dimension extension) are checked
+on coefficients.
 
 The PSD facet decomposition theta = B0 + sum_i B_i u_i is one linear system
 with the (p+1) x (q+1) matrix K = [[1, delta^T], [0, gamma^T]] acting on the
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import FarkasCertificate, _decompose, interior_point, minimalize
+from .convex import (FarkasCertificate, farkas_decompose, interior_point,
+                     minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
                    AffineVectorField, ModelSpec, Polyhedron,
                    _coefficient_residual, _coefficient_scale, _coldot,
@@ -163,7 +165,7 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
                 msg = "nonpositive diffusion multiple on square-root facet"
         else:
             msg = "diffusion row does not vanish on facet segment"
-        cert, witness = _decompose(
+        cert, witness = farkas_decompose(
             model.drift.row_functional(poly.gamma[i]), poly, i)
         if cert is None:
             msg = (msg + "; " if msg else "") + "drift points outward on facet"
@@ -203,7 +205,7 @@ def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
         cert = witness = None
         if ok[i]:
             d = model.drift.row_functional(poly.gamma[i])
-            cert, witness = _decompose(
+            cert, witness = farkas_decompose(
                 AffineScalar(d.gamma, d.delta - 0.5 * c[i]), poly, i)
         checks.append(OpenFacetCheck(i, cert is not None, cert, witness))
     return checks
@@ -216,7 +218,7 @@ def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
 @dataclass(frozen=True)
 class CanonicalTransform:
     """Affine change of coordinates ``map``, y = L x + ell, block-diagonalizing
-    theta.
+    theta, and the ``model`` in y.
 
     In the new coordinates theta becomes
     ``[[diag(y_1..y_m, 0_n), 0], [0, Psi(y_1..y_{m+n})]]`` and the state space
@@ -226,6 +228,7 @@ class CanonicalTransform:
     """
 
     map: AffineMap
+    model: ModelSpec
     m: int
     n: int
     psi: AffineMatrixField        # field of size p-m-n in m+n variables
@@ -251,13 +254,6 @@ class CanonicalTransform:
         if p > m + n:
             out[m + n:, m + n:] = self.psi(y[:m + n])
         return out
-
-    def transformed_polyhedron(self) -> Polyhedron:
-        poly = self.polyhedron
-        g = poly.gamma * self.facet_scale[:, None]
-        d = poly.delta * self.facet_scale
-        reordered = _minimal(Polyhedron(g[self.facet_order], d[self.facet_order]))
-        return reordered.transformed(self.map)
 
 
 def _rank(mat: np.ndarray) -> int:
@@ -290,18 +286,18 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     B_i u_i(.), read off the coefficients of theta (`_coupling_rows`), so the
     transform depends on the model alone.  It rescales the square-root
     facets so that B_i gamma_i^T = 1 and completes the facet rows to a
-    nonsingular matrix L.
-    Psi is read off the lower-right block of the coefficient-exact congruence
-    L theta L^T; raises ModelInconsistencyError when that block depends on
-    the completing coordinates, i.e. is not a function of the facet values.
+    nonsingular matrix L.  The model is pushed to y once, as ``model``.
+    Psi is read off the lower-right block of its diffusion, the
+    coefficient-exact congruence L theta L^T; raises ModelInconsistencyError
+    when that block depends on the completing coordinates, i.e. is not a
+    function of the facet values.
     The congruence is then checked against the block form on coefficients
     (residual kept as ``block_residual``); RankDeficiencyError when it fails.
     """
     poly = _interior_polyhedron(model)
-    theta = model.diffusion
     p, q = model.dimension, poly.n_facets
 
-    B, c, ok, root = _diffusion_condition(theta, poly)
+    B, c, ok, root = _diffusion_condition(model.diffusion, poly)
     if not (ok | root).all():
         raise NotAdmissibleError(
             f"diffusion condition fails on facet {np.argmin(ok | root)}: "
@@ -346,9 +342,11 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
 
     order = np.array(M + N + [i for i in range(q) if i not in M and i not in N],
                      dtype=int)
+    image = _minimal(Polyhedron(gamma_s[order], delta_s[order])).transformed(f)
+    model_y = model.pushed(f, image)
 
     k = m + n
-    canon = theta.congruence(f)
+    canon = model_y.diffusion
     scale = _coefficient_scale(canon.A0, canon.A)
     resid = float(np.abs(canon.A[k:, k:, k:]).max(initial=0.0))
     if resid > TOL.fit_residual * scale:
@@ -369,13 +367,13 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
         raise RankDeficiencyError(
             f"block identity residual {block_residual:.3e} exceeds tolerance; "
             "internal inconsistency in the canonical construction")
-    return CanonicalTransform(f, m, n, psi, B, order, facet_scale, poly,
-                              block_residual)
+    return CanonicalTransform(f, model_y, m, n, psi, B, order, facet_scale,
+                              poly, block_residual)
 
 
 def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
-    """The model in canonical coordinates y = L x + ell."""
-    return model.pushed(ct.map, ct.transformed_polyhedron())
+    """``ct.model``, the model in canonical coordinates y = L x + ell."""
+    return ct.model
 
 
 def build_square_root(ct: CanonicalTransform):
@@ -721,15 +719,19 @@ def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> Extend
 
 
 def _verify_extension(ext: ExtendedModel, model: ModelSpec) -> None:
-    """Check R theta_ext(y) R^T = theta(R y) on coefficients, R the recovery."""
-    R = ext.recovery
-    theta, theta_ext = model.diffusion, ext.model.diffusion
+    """Check R theta_ext(y) R^T = theta(R y) and R mu_ext(y) = mu(R y)
+    (R a_ext = a R, R b_ext = b) on coefficients, R the recovery."""
+    R, theta, mu = ext.recovery, model.diffusion, model.drift
+    theta_ext, mu_ext = ext.model.diffusion, ext.model.drift
     lhs = np.einsum("ia,jab,kb->jik", R, theta_ext.A, R)
     rhs = np.einsum("kj,kab->jab", R, theta.A)
-    resid = _coefficient_residual((R @ theta_ext.A0 @ R.T, lhs),
-                                  (theta.A0, rhs))
-    if resid > TOL.block_identity * _coefficient_scale(theta.A0, theta.A) * 10:
-        raise PreconditionFailedError(
-            "extension congruence residual out of tolerance; the supplied "
-            "decomposition does not match the model")
+    for name, f, g, scale in (
+            ("congruence", (R @ theta_ext.A0 @ R.T, lhs), (theta.A0, rhs),
+             _coefficient_scale(theta.A0, theta.A)),
+            ("drift", (R @ mu_ext.a, R @ mu_ext.b), (mu.a @ R, mu.b),
+             _coefficient_scale(mu.a, mu.b))):
+        if _coefficient_residual(f, g) > TOL.block_identity * scale * 10:
+            raise PreconditionFailedError(
+                f"extension {name} residual out of tolerance; the supplied "
+                "decomposition does not match the model")
 

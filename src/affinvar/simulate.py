@@ -35,7 +35,7 @@ from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
                    QuadraticSpace, _coefficient_scale, _coldot,
                    psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
-from .polyhedral import build_square_root, canonical_transform, transform_model
+from .polyhedral import build_square_root, canonical_transform
 from .quadratic import (_canonical_kind, canonical_quadric_model,
                         cone_square_root, parabolic_square_root)
 from .tolerances import TOL
@@ -116,23 +116,15 @@ def simulation_frame(model: ModelSpec):
     transform of a polyhedron or the normalized frame of a quadric, and x0
     the default start in the model's own coordinates: the least-distance
     interior point of a polyhedron, the preimage of e_1 for a quadric.
-    Only the inside of an admissible parabola, or of a cone with
-    theta = zeta, is simulable; other quadrics raise.
+    A quadric without a normalized frame raises (`QuadricFrame.normalized`):
+    only the inside of a parabola, or of a cone with theta = zeta, has one.
     """
     if isinstance(model.state_space, Polyhedron):
         ct = canonical_transform(model)
-        return (transform_model(model, ct), build_square_root(ct), ct.map,
+        return (ct.model, build_square_root(ct), ct.map,
                 interior_point(ct.polyhedron))
-    frame = canonical_quadric_model(model)
+    frame = canonical_quadric_model(model).normalized()
     cls = frame.classification
-    if frame.model.state_space.component != "positive":
-        raise PreconditionFailedError(
-            "simulation supports the inside component of the quadric only")
-    if cls.kind == "ellipsoid":
-        raise PreconditionFailedError("ellipsoid-type quadrics are not simulable")
-    if cls.kind == "cone" and not frame.fitted().normalized:
-        raise PreconditionFailedError("simulation on cones needs theta = zeta")
-    frame = frame.normalized()
     sigma = parabolic_square_root(frame.structure) \
         if cls.kind == "parabolic" else cone_square_root(cls.q)
     return (frame.model, sigma, frame.map,

@@ -90,6 +90,23 @@ def test_nonfinite_input_exit_code(tmp_path, capsys, field, value):
     assert "non-finite" in json.loads(err)["detail"]
 
 
+@pytest.mark.parametrize("fixture,field,value", [
+    ("parabola3", "closed", "false"), ("parabola3", "closed", None),
+    ("cir", "dimension", 1.7), ("cir", "dimension", "1"),
+    ("cir", "dimension", True)])
+def test_ill_typed_field_exit_code(tmp_path, capsys, fixture, field, value):
+    # closed must be a JSON boolean and dimension a JSON integer: bool("false")
+    # would be closed, null open, and int() would read 1.7, "1" and true as 1
+    obj = json.loads(fixture_path(fixture).read_text())
+    (obj["state_space"] if field == "closed" else obj)[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code = main(["validate", str(bad)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{field} must be a JSON" in json.loads(err)["detail"]
+
+
 @pytest.mark.parametrize("command", ["validate", "canonicalize"])
 def test_minimal_flag_in_file_not_trusted(tmp_path, capsys, command):
     # cir with the redundant facet x + 1 >= 0, claimed minimal: the redundant
@@ -464,10 +481,11 @@ def test_validate_reports_a_refuted_parabolic_structure(tmp_path, capsys,
     ("decompose", _QUADRIC_FAILURES["quadric-admissible-kind"],
      "ellipsoid-type quadrics carry no affine diffusion"),
     ("simulate", _QUADRIC_FAILURES["quadric-admissible-kind"],
-     "ellipsoid-type quadrics are not simulable"),
+     "ellipsoid-type quadrics carry no affine diffusion"),
     ("simulate", _QUADRIC_FAILURES["state-space-side"],
-     "inside component of the quadric only"),
-    ("simulate", _QUADRIC_FAILURES["cone-zeta-form"], "needs theta = zeta"),
+     "the state space is the outside of the quadric"),
+    ("simulate", _QUADRIC_FAILURES["cone-zeta-form"],
+     "the conical closed forms need theta = zeta"),
 ], ids=["canonicalize-quadric", "classify-polyhedron", "decompose-ellipsoid",
         "simulate-ellipsoid", "simulate-outside", "simulate-unnormalized-cone"])
 def test_commands_outside_their_domain_exit_1(tmp_path, capsys, command, obj,
@@ -499,8 +517,7 @@ def test_simulate_refuses_a_hyperboloid(tmp_path, capsys, scheme):
 # 2 for unreadable input, 3 for an internal failure
 _EXIT_CODES = {
     "AffinvarError": 3, "DimensionMismatchError": 3, "NotSymmetricError": 3,
-    "ParseError": 2, "NotNonnegativeError": 3, "NotNonnegativeOnFacetError": 3,
-    "NotAdmissibleError": 1, "RankDeficiencyError": 3,
+    "ParseError": 2, "NotAdmissibleError": 1, "RankDeficiencyError": 3,
     "ModelInconsistencyError": 1, "NotRepresentableError": 1,
     "NumericalFailureError": 3, "NotInSpanError": 1, "NotNormalizedError": 3,
     "NegativeCError": 1, "PhiVMismatchError": 3, "PreconditionFailedError": 1,
@@ -515,8 +532,7 @@ def test_every_error_class_has_a_pinned_exit_code(monkeypatch, capsys):
                if isinstance(cls, type) and issubclass(cls, errors.AffinvarError)}
     assert set(classes) == set(_EXIT_CODES)
     for name, cls in classes.items():
-        exc = cls("raised by the handler", facet=0) if issubclass(
-            cls, errors.NotNonnegativeOnFacetError) else cls("raised by the handler")
+        exc = cls("raised by the handler")
 
         def handler(args, exc=exc):
             raise exc
@@ -654,11 +670,12 @@ def test_conical_frame_built_once(capsys, frame_calls, command, congruences):
 
 
 @pytest.mark.parametrize("command,congruences", [
-    ("validate", 1), ("canonicalize", 2), ("simulate", 2), ("decompose", 0)])
+    ("validate", 1), ("canonicalize", 1), ("simulate", 1), ("decompose", 0)])
 def test_polyhedral_map_inverted_once(capsys, frame_calls, command,
                                       congruences):
-    # the canonical transform's one map serves the congruences of theta, the
-    # drift, the image polyhedron and the paths mapped back
+    # the canonical transform's one map serves the congruence of theta, the
+    # drift, the image polyhedron and the paths mapped back; the congruence
+    # is computed once, in the canonical model that Psi is read off
     extra = ["--paths", "10", "--steps", "5"] if command == "simulate" else []
     assert main([command, str(fixture_path("triangle_channel")), *extra]) in \
         (0, 1)

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 import affinvar.convex
 from affinvar.convex import (FarkasCertificate, _certificate_lp,
                              _least_distance, _minimize_affine, _nnls,
-                             _nonnegative_solution, facet_relative_decompose,
-                             farkas_decompose, interior_point, minimalize)
+                             _nonnegative_solution, farkas_decompose,
+                             interior_point, minimalize)
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, _coefficient_scale)
 from affinvar.modelio import load_fixture
-from affinvar.errors import (InteriorEmptyError, NotNonnegativeError,
-                             NotNonnegativeOnFacetError)
+from affinvar.errors import InteriorEmptyError, ToleranceWarning
 from affinvar.polyhedral import check_polyhedral_admissibility
 from affinvar.tolerances import TOL, tolerances
 from conftest import grid_min, grid_min_bruteforce, random_grid_simplex
@@ -28,6 +27,7 @@ HALFLINE = Polyhedron(np.array([[1.0]]), np.array([0.0]))  # x >= 0
 
 
 def _assert_valid(cert: FarkasCertificate, d, poly, free=None):
+    assert cert is not None
     assert cert.residual(d, poly) <= 1e-8 * (1 + np.abs(d.coefficients()).max())
     lam = cert.lam.copy()
     if free is not None:
@@ -38,13 +38,14 @@ def _assert_valid(cert: FarkasCertificate, d, poly, free=None):
 
 def test_farkas_identity_case():
     d = UNIT_SQUARE.facet(0)
-    cert = farkas_decompose(d, UNIT_SQUARE)
+    cert, witness = farkas_decompose(d, UNIT_SQUARE)
     _assert_valid(cert, d, UNIT_SQUARE)
+    assert witness is None
 
 
 def test_farkas_segment_case():
     d = AffineScalar(np.array([-1.0]), 2.0)  # d(x) = 2 - x on [0, 1]
-    cert = farkas_decompose(d, SEGMENT)
+    cert, _ = farkas_decompose(d, SEGMENT)
     _assert_valid(cert, d, SEGMENT)
     # coefficient identity forces lam_2 in [1, 2] and c = 2 - lam_2
     assert 1.0 - 1e-8 <= cert.lam[1] <= 2.0 + 1e-8
@@ -52,37 +53,47 @@ def test_farkas_segment_case():
 
 def test_farkas_negative_with_witness():
     d = AffineScalar(np.array([1.0]), -1.0)  # d(x) = x - 1 on x >= 0
-    with pytest.raises(NotNonnegativeError) as exc:
-        farkas_decompose(d, HALFLINE)
-    assert abs(exc.value.witness[0]) <= 1e-6
-    assert exc.value.value == pytest.approx(-1.0, abs=1e-6)
+    cert, witness = farkas_decompose(d, HALFLINE)
+    assert cert is None
+    assert abs(witness[0]) <= 1e-6
+    assert d(witness) == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_facet_relative_identity():
     d = AffineScalar(-UNIT_SQUARE.gamma[0], -UNIT_SQUARE.delta[0])  # -u_1
-    cert = facet_relative_decompose(d, UNIT_SQUARE, 0)
+    cert, _ = farkas_decompose(d, UNIT_SQUARE, 0)
     _assert_valid(cert, d, UNIT_SQUARE, free=0)
 
 
 def test_facet_relative_unique_coefficients():
     d = AffineScalar(np.array([-1.0]), 1.0)  # 1 - x on x >= 0, facet {x = 0}
-    cert = facet_relative_decompose(d, HALFLINE, 0)
+    cert, _ = farkas_decompose(d, HALFLINE, 0)
     assert cert.lam[0] == pytest.approx(-1.0, abs=1e-8)
     assert cert.c == pytest.approx(1.0, abs=1e-8)
 
 
 def test_facet_relative_cir_drift():
     d = AffineScalar(np.array([-1.0]), 1.0)  # mu(x) = 1 - x
-    cert = facet_relative_decompose(d, HALFLINE, 0)
+    cert, _ = farkas_decompose(d, HALFLINE, 0)
     _assert_valid(cert, d, HALFLINE, free=0)
 
 
 def test_facet_relative_failure_witness():
     d = AffineScalar(np.array([0.0]), -1.0)  # identically -1
-    with pytest.raises(NotNonnegativeOnFacetError) as exc:
-        facet_relative_decompose(d, HALFLINE, 0)
-    assert exc.value.facet == 0
-    assert exc.value.value < 0
+    cert, witness = farkas_decompose(d, HALFLINE, 0)
+    assert cert is None
+    assert HALFLINE.facet(0)(witness) == pytest.approx(0.0, abs=1e-9)
+    assert d(witness) < 0
+
+
+def test_box_bound_warning_names_the_caller():
+    # d = box * u needs its multiplier at the LP box bound: the linear solve
+    # is refused, the LP warns, and the warning points at this caller
+    d = AffineScalar(np.array([TOL.box]), 0.0)
+    with pytest.warns(ToleranceWarning) as record:
+        cert, _ = farkas_decompose(d, HALFLINE)
+    _assert_valid(cert, d, HALFLINE)
+    assert record[0].filename == __file__
 
 
 def test_interior_point_examples():
@@ -177,21 +188,19 @@ def test_certificate_rank_deficient_gamma_by_nnls(lp_calls):
     poly = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                       np.zeros(3))
     d = AffineScalar(np.array([2.0, 2.0]), 0.0)
-    _assert_valid(farkas_decompose(d, poly), d, poly)
-    _assert_valid(facet_relative_decompose(d, poly, 2), d, poly, free=2)
+    _assert_valid(farkas_decompose(d, poly)[0], d, poly)
+    _assert_valid(farkas_decompose(d, poly, 2)[0], d, poly, free=2)
     # -u_2 = -x - y is nonnegative on facet 2 only with a negative multiplier
     minus = AffineScalar(-poly.gamma[2], 0.0)
-    cert = facet_relative_decompose(minus, poly, 2)
+    cert, _ = farkas_decompose(minus, poly, 2)
     _assert_valid(cert, minus, poly, free=2)
     assert lp_calls == []
     # x - 1 < 0 at the origin: no NNLS solution passes, and only the LP
     # says there is no certificate; a second LP finds the witness
     bad = AffineScalar(np.array([1.0, 0.0]), -1.0)
-    with pytest.raises(NotNonnegativeError) as exc:
-        farkas_decompose(bad, poly)
-    assert len(lp_calls) == 2
-    assert exc.value.value == pytest.approx(bad(exc.value.witness))
-    assert exc.value.value < 0 and poly.contains(exc.value.witness)
+    cert, witness = farkas_decompose(bad, poly)
+    assert cert is None and len(lp_calls) == 2
+    assert bad(witness) < 0 and poly.contains(witness)
 
 
 @settings(max_examples=300, deadline=None)
@@ -242,7 +251,7 @@ def test_nnls_iteration_limit_gives_none_and_the_lp_runs(monkeypatch,
     x = interior_point(poly)  # the Chebyshev-center LP
     assert len(lp_calls) == 1 and poly.contains(x)
     d = AffineScalar(np.array([2.0]), 0.0)
-    _assert_valid(farkas_decompose(d, poly), d, poly)  # the certificate LP
+    _assert_valid(farkas_decompose(d, poly)[0], d, poly)  # the certificate LP
     assert len(lp_calls) == 2
 
 
@@ -624,11 +633,7 @@ def test_oracle_equivalence_small(rng):
         else:
             d = AffineScalar(rng.standard_normal(p), rng.standard_normal())
         gm = grid_min(d, poly)
-        try:
-            farkas_decompose(d, poly)
-            verdict = True
-        except NotNonnegativeError:
-            verdict = False
+        verdict = farkas_decompose(d, poly)[0] is not None
         assert gm is not None
         if verdict == (gm >= -1e-6):
             agree += 1

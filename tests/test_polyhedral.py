@@ -14,7 +14,8 @@ from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
                              NotRepresentableError, NumericalFailureError,
                              PreconditionFailedError)
 from affinvar.modelio import load_fixture, save_model
-from affinvar.polyhedral import (_coupling_rows, build_square_root,
+from affinvar.polyhedral import (ExtendedModel, _coupling_rows,
+                                 _verify_extension, build_square_root,
                                  canonical_transform,
                                  check_open_facet_invariance,
                                  check_polyhedral_admissibility,
@@ -99,9 +100,17 @@ def test_canonical_transform_triangle_channel():
     assert np.allclose(ct.psi.A[0], [[1.0, 0.0], [0.0, 0.0]], atol=1e-9)
     assert np.allclose(ct.psi.A[1], [[0.0, 0.0], [0.0, 1.0]], atol=1e-9)
     # transformed state space: first two facets are coordinates, third the cut
-    tp = ct.transformed_polyhedron()
+    tp = ct.model.state_space
     assert np.allclose(tp.gamma[:2], np.eye(4)[:2], atol=1e-12)
     assert np.allclose(tp.delta[:2], 0, atol=1e-12)
+
+
+def test_transform_model_is_the_canonical_model():
+    # the model in y is built once, by canonical_transform
+    m = load_fixture("triangle_channel")
+    ct = canonical_transform(m)
+    assert transform_model(m, ct) is ct.model
+    assert ct.model.state_space.minimal
 
 
 def test_canonical_transform_block_identity_and_facet_images():
@@ -691,6 +700,21 @@ def test_diagonalize_extended_random_congruence(rng):
         lhs = R @ ext.model.diffusion(y) @ R.T
         rhs = model.diffusion(R @ y)
         assert np.abs(lhs - rhs).max() <= 1e-9 * (1 + np.abs(rhs).max())
+
+
+def test_extension_with_a_wrong_drift_is_a_failed_precondition(rng):
+    # R a_ext = a R and R b_ext = b on coefficients, not only the congruence
+    model = random_canonical_model(rng, 4, 1, 1)
+    ext = diagonalize_extended(model, psd_decompose(model))
+    drift = ext.model.drift
+    a_ext = drift.a.copy()
+    a_ext[0, 0] += 1e-3
+    wrong = ExtendedModel(ModelSpec(ext.model.dimension,
+                                    AffineVectorField(a_ext, drift.b),
+                                    ext.model.diffusion, ext.model.state_space),
+                          ext.recovery)
+    with pytest.raises(PreconditionFailedError, match="drift"):
+        _verify_extension(wrong, model)
 
 
 def test_diagonalize_extended_requires_canonical_coordinates():

@@ -90,6 +90,10 @@ def _edge_models() -> dict[str, dict]:
     for key in ("A0", "A"):
         c_two["diffusion"][key] = (2.0 * np.array(c_two["diffusion"][key])).tolist()
     c_two["drift"]["b"][0] = 5.0
+    closed_string = _fixture("parabola3")
+    closed_string["state_space"]["closed"] = "false"  # no JSON boolean
+    dimension_float = _fixture("cir")
+    dimension_float["dimension"] = 1.7  # no JSON integer
     ellipsoid = _polyhedral(zero2, [0.0, 0.0], zero2, [zero2, zero2], [], [])
     ellipsoid["state_space"] = {  # |x|^2 >= 1, the positive side
         "kind": "quadratic", "A": np.eye(2).tolist(), "b": [0.0, 0.0],
@@ -114,6 +118,8 @@ def _edge_models() -> dict[str, dict]:
         "parabola-c-zero": c_zero,
         "parabola-c-two": c_two,
         "cone-hyperboloid": hyperboloid,
+        "closed-string": closed_string,
+        "dimension-float": dimension_float,
     }
 
 
