@@ -99,14 +99,14 @@ def _rowdot(a, b) -> np.ndarray:
 
 
 def _coldot(a, b) -> np.ndarray:
-    """Column-wise dot products of two (k, ...) arrays, summed left to right
-    over the leading axis: on a (k, N) batch each term is a whole contiguous
-    path vector.  For k <= 3 the bits equal those of ``_rowdot`` on the
-    transposed rows."""
-    if a.shape[0] == 0:
+    """Column-wise dot products of two (k, ...) arrays, or two lists of k
+    vectors (k >= 1), summed left to right over the leading axis: on a
+    (k, N) batch each term is a whole contiguous path vector.  For k <= 3
+    the bits equal those of ``_rowdot`` on the transposed rows."""
+    if len(a) == 0:
         return np.zeros(a.shape[1:])
     out = a[0] * b[0]
-    for i in range(1, a.shape[0]):
+    for i in range(1, len(a)):
         out += a[i] * b[i]
     return out
 
@@ -117,6 +117,40 @@ def _contract_first(v: np.ndarray, A: np.ndarray) -> np.ndarray:
     without its Python set-up."""
     k, tail = A.shape[0], A.shape[1:]
     return np.dot(v.reshape(1, k), A.reshape(k, math.prod(tail))).reshape(tail)
+
+
+def _cholesky_rows(S: np.ndarray, stop: bool) -> list | None:
+    """The rows of the unrolled lower Cholesky factor of S (p, p, ...): row
+    i lists the vectors R_i0 .. R_ii, and the zeros above the diagonal are
+    not formed.  With ``stop`` the result is None as soon as a pivot is not
+    positive, before its square root is taken; a pivot passes when its
+    least entry is positive, which a NaN entry, propagated by the minimum,
+    makes false.  Without a failing pivot no mask is built, and on finite S
+    no floating-point error but overflow is raised."""
+    p = S.shape[0]
+    rows = [[] for _ in range(p)]
+    for j in range(p):
+        rj = rows[j]
+        # S_ij - (R_i0 R_j0 + R_i1 R_j1 + ...), summed left to right
+        d = S[j, j] - _coldot(rj, rj) if j else S[j, j]
+        if stop and not np.minimum.reduce(d, axis=None, initial=np.inf) > 0:
+            return None
+        pivot = np.sqrt(d)
+        rj.append(pivot)
+        for i in range(j + 1, p):
+            ri = rows[i]
+            off = S[i, j] - _coldot(ri, rj[:j]) if j else S[i, j]
+            ri.append(off / pivot)
+    return rows
+
+
+def _lower(rows: list, shape: tuple) -> np.ndarray:
+    """The lower-triangular array of the given shape with rows ``rows``."""
+    R = np.zeros(shape)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            R[i, j] = v
+    return R
 
 
 def psd_factor(S) -> np.ndarray:
@@ -130,18 +164,10 @@ def psd_factor(S) -> np.ndarray:
     only those are passed to it.
     """
     S = np.asarray(S, dtype=float)
-    p = S.shape[0]
-    R = np.zeros(S.shape)
-    ok = np.ones(S.shape[2:], dtype=bool)
     with np.errstate(invalid="ignore", divide="ignore"):
-        for j in range(p):
-            # S_ij - (R_i0 R_j0 + R_i1 R_j1 + ...), summed left to right
-            d = S[j, j] - _coldot(R[j, :j], R[j, :j]) if j else S[j, j]
-            ok &= d > 0
-            R[j, j] = np.sqrt(d)
-            for i in range(j + 1, p):
-                off = S[i, j] - _coldot(R[i, :j], R[j, :j]) if j else S[i, j]
-                R[i, j] = off / R[j, j]
+        R = _lower(_cholesky_rows(S, stop=False), S.shape)
+    # a pivot d is positive exactly where sqrt(d) is
+    ok = np.logical_and.reduce([R[j, j] > 0 for j in range(S.shape[0])])
     if not ok.all():
         batch_first = np.moveaxis(R, (0, 1), (-2, -1))     # a view of R
         batch_first[~ok] = psd_square_root(

@@ -33,7 +33,7 @@ from .convex import (FarkasCertificate, farkas_decompose, interior_point,
                      minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
                    AffineVectorField, ModelSpec, Polyhedron,
-                   _coefficient_residual, _coefficient_scale, _coldot,
+                   _cholesky_rows, _coefficient_residual, _coefficient_scale,
                    _minimal, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotRepresentableError,
@@ -118,11 +118,25 @@ def _diffusion_condition(theta: AffineMatrixField, poly: Polyhedron
     diffusion condition, and the mask root of square-root facets: those with
     gamma_i theta(.) = B_i u_i(.) and |B_i| > TOL.zero_row times theta's
     scale.  The condition is that identity and, on a square-root facet,
-    c_i > 0; with c_i <= 0 theta is not PSD on the interior."""
+    c_i > 0; with c_i <= 0 theta is not PSD on the interior.
+
+    The result is decided once per (theta, poly) pair of objects and
+    memoized on poly, as `convex.interior_point` is, keyed by theta and the
+    tolerances it reads: the admissibility check and the canonical transform
+    of one model share it.  Its arrays are read-only.
+    """
+    key = (theta, TOL.feasibility, TOL.zero_row)
+    memo = getattr(poly, "_condition", None)
+    if memo is not None and memo[0][0] is theta and memo[0][1:] == key[1:]:
+        return memo[1]
     B, c, vanishes = _coupling_rows(theta, poly)
     root = vanishes & (np.linalg.norm(B, axis=1) >
                        TOL.zero_row * _coefficient_scale(theta.A0, theta.A))
-    return B, c, vanishes & (~root | (c > 0)), root
+    result = (B, c, vanishes & (~root | (c > 0)), root)
+    for arr in result:
+        arr.setflags(write=False)
+    object.__setattr__(poly, "_condition", (key, result))
+    return result
 
 
 def _lift(drift: AffineVectorField, poly: Polyhedron,
@@ -384,16 +398,18 @@ def build_square_root(ct: CanonicalTransform):
     pivot fails).  Accepts a single point (p,) or a batch (N, p) and returns
     (p, p) or (N, p, p).  ``sigma.apply(y, z)`` is sigma(y) z for columns:
     y and z are (p, N), one path per column, and so is the result, computed
-    block by block without forming sigma(y).
+    block by block without forming sigma(y); it reads the factor of Psi row
+    by row (``core._cholesky_rows``), with no (s, s, N) array and no
+    error-state scope unless a pivot fails.
     """
     m, k, p = ct.m, ct.m + ct.n, ct.dim
     s = p - k
     psi_A0 = ct.psi.A0.reshape(-1, 1)
     psi_A = ct.psi.A.reshape(k, s * s).T
 
-    def psi_root(y):
-        """Roots of Psi at the columns y (p, N), batch-last (s, s, N)."""
-        return psd_factor((psi_A0 + psi_A @ y[:k]).reshape(s, s, -1))
+    def psi(y):
+        """Psi at the columns y (p, N), batch-last (s, s, N)."""
+        return (psi_A0 + psi_A @ y[:k]).reshape(s, s, -1)
 
     def sigma(y):
         y = np.asarray(y, dtype=float)
@@ -403,17 +419,30 @@ def build_square_root(ct: CanonicalTransform):
         idx = np.arange(m)
         out[..., idx, idx] = np.sqrt(np.abs(ybatch[..., :m]))
         if s:
-            out[..., k:, k:] = np.moveaxis(psi_root(ybatch.T), -1, 0)
+            out[..., k:, k:] = np.moveaxis(psd_factor(psi(ybatch.T)), -1, 0)
         return out[0] if single else out
 
     def apply(y, z):
         out = np.zeros(z.shape)
         if m:
-            out[:m] = np.sqrt(np.abs(y[:m])) * z[:m]
+            root = np.sqrt(np.abs(y[:m], out=out[:m]), out=out[:m])
+            root *= z[:m]
         if s:
-            R = psi_root(y)
-            for i in range(s):
-                out[k + i] = _coldot(R[i], z[k:])
+            S = psi(y)
+            # the rows of the Cholesky factor; a failing pivot takes the
+            # whole factor, with symmetric roots where pivots fail
+            R = _cholesky_rows(S, stop=True)
+            if R is None:
+                R = psd_factor(S)
+            zs = z[k:]
+            for i, row in enumerate(R):
+                # R_i0 z_0 + ... + R_i,s-1 z_s-1 left to right, the zeros
+                # above the diagonal included, as a product with the whole
+                # factor sums
+                acc = out[k + i]
+                np.multiply(row[0], zs[0], out=acc)
+                for j in range(1, s):
+                    acc += (row[j] if j < len(row) else 0.0) * zs[j]
         return out
 
     sigma.apply = apply

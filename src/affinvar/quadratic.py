@@ -536,8 +536,12 @@ def parabolic_square_root(dec: ParabolicDecomposition):
     def apply(x, z):
         y, zy = x[1:q], z[1:q]
         out = z.copy()
-        out[0] = 2.0 * (np.sqrt(np.abs(x[0] - _coldot(y, y))) * z[0]
-                        + _coldot(y, zy))
+        # 2 (sqrt|x_1 - y.y| z_1 + y.z_y), one temporary
+        t = _coldot(y, y)
+        t = np.sqrt(np.abs(np.subtract(x[0], t, out=t), out=t), out=t)
+        t *= z[0]
+        t += _coldot(y, zy)
+        np.multiply(t, 2.0, out=out[0])
         if r:
             eta = eta_matrix(x[:q].T, q)
             out[q:] = dec.A2.T @ np.einsum("nqe,qn->en", eta, z[:q]) + \
@@ -673,19 +677,17 @@ def cone_square_root(q: int):
     column, and so is the result; no q x q arrays are formed.
     """
 
-    pm = np.array([[1.0], [-1.0]])
+    def sqrt_abs(v):
+        return np.sqrt(np.abs(v, out=v), out=v)
 
     def roots(x):
-        """The rows s+, s-, s0 of one (3, N) array, and the unit y-direction
-        u (q-1, N), at the columns x."""
+        """The roots s+, s-, s0 (N,) and the unit y-direction u (q-1, N) at
+        the columns x."""
         x1 = x[0]
         y = x[1:q]
         r = np.sqrt(_coldot(y, y))
         u = y / np.where(r > 0, r, 1.0)
-        s = np.empty((3,) + x1.shape)
-        s[:2] = x1 + pm * r        # x_1 + r and x_1 - r, bit for bit
-        s[2] = x1
-        return np.sqrt(np.abs(s, out=s), out=s), u
+        return (sqrt_abs(x1 + r), sqrt_abs(x1 - r), np.sqrt(np.abs(x1))), u
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
@@ -706,12 +708,16 @@ def cone_square_root(q: int):
 
     def apply(x, z):
         # u = 0 where y = 0, and there s+- = s0: the result is s0 z
-        s, u = roots(x)
+        (sp, sm, s0), u = roots(x)
         w = _coldot(u, z[1:])
-        cpm = 0.5 * (s[:2] - s[2])       # the rows cp and cm:
-        cpm *= z[0] + pm * w            # (s+- - s0) / 2 * (z_1 +- w)
-        cp, cm = cpm
-        out = s[2] * z
+        # cp, cm = (s+- - s0) / 2 * (z_1 +- w)
+        cp = np.subtract(sp, s0, out=sp)
+        cp *= 0.5
+        cp *= z[0] + w
+        cm = np.subtract(sm, s0, out=sm)
+        cm *= 0.5
+        cm *= z[0] - w
+        out = s0 * z
         out[0] += cp + cm
         out[1:] += (cp - cm) * u
         return out

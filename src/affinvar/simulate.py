@@ -25,6 +25,7 @@ exact mean from the propagator of the augmented drift, not an integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,6 +63,11 @@ class SimConfig:
         if not 0 < self.horizon < np.inf or self.steps <= 0 or self.n_paths <= 0:
             raise PreconditionFailedError(
                 "horizon must be finite and positive, steps and n_paths positive")
+        # the noise keys Philox with the seed as one 64-bit word: outside
+        # [0, 2^64) two seeds would share a stream
+        if not 0 <= self.seed < 2 ** 64:
+            raise PreconditionFailedError(
+                f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass
@@ -144,7 +150,8 @@ def generic_square_root(model: ModelSpec):
 def make_projector(space) -> callable:
     """Cheap exact projections for the canonical state-space shapes.
 
-    The projector maps columns (p, N), one point per column, to columns.
+    The projector maps columns (p, N), one point per column, to new columns;
+    its ``clamp(x)`` projects columns x in place, with the same operations.
     Polyhedral spaces must be in canonical coordinates (facets u_i(x) = x_i):
     the projection clamps the facet coordinates at zero.  Parabolic spaces
     clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially.  A cone
@@ -165,47 +172,49 @@ def make_projector(space) -> callable:
                 "full-truncation projection needs canonical facets u_i(x) = x_i; "
                 "canonicalize the model first")
         idx = np.unique(j[coord])
-        # canonical coordinates put the facets first: a contiguous block is
-        # clamped through a slice, with no gather and scatter
-        sel = slice(int(idx[0]), int(idx[-1]) + 1) \
-            if idx.size and idx[-1] - idx[0] + 1 == idx.size else idx
+        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+            # canonical coordinates put the facets first: a contiguous block
+            # is clamped through a slice, with no gather and scatter
+            sel = slice(int(idx[0]), int(idx[-1]) + 1)
 
-        def proj(x):
-            out = x.copy()
-            out[sel] = np.maximum(out[sel], 0.0)
-            return out
-
-        return proj
-    if isinstance(space, QuadraticSpace):
+            def clamp(x):
+                np.maximum(x[sel], 0.0, out=x[sel])
+        else:
+            def clamp(x):
+                x[idx] = np.maximum(x[idx], 0.0)
+    elif isinstance(space, QuadraticSpace):
         kind, q = _canonical_kind(space.form) or (None, 0)
         if kind == "parabolic":
-            def proj(x):
-                out = x.copy()
-                out[0] = np.maximum(out[0], _coldot(out[1:q], out[1:q]))
-                return out
-
-            return proj
-        if kind == "cone":
+            def clamp(x):
+                np.maximum(x[0], _coldot(x[1:q], x[1:q]), out=x[0])
+        elif kind == "cone":
             if q < 2:
                 raise PreconditionFailedError(
                     "full-truncation projection needs a cone with q >= 2; "
                     "the q = 1 form bounds all of R^p")
 
-            def proj(x):
-                out = x.copy()
-                r = np.sqrt(_coldot(out[1:q], out[1:q]))
-                out[0] = np.maximum(out[0], r * (1.0 + 1e-12))
-                return out
+            def clamp(x):
+                r = np.sqrt(_coldot(x[1:q], x[1:q]))
+                r *= 1.0 + 1e-12
+                np.maximum(x[0], r, out=x[0])
+        else:
+            raise PreconditionFailedError(
+                "full-truncation projection needs a canonical quadric")
+    else:
+        raise PreconditionFailedError(f"unsupported state space {type(space)!r}")
 
-            return proj
-        raise PreconditionFailedError(
-            "full-truncation projection needs a canonical quadric")
-    raise PreconditionFailedError(f"unsupported state space {type(space)!r}")
+    def proj(x):
+        out = x.copy()
+        clamp(out)
+        return out
+
+    proj.clamp = clamp
+    return proj
 
 
 class _ExitTracker:
     """Running first-exit and worst-violation statistics over all paths,
-    given as columns (p, N) one step at a time.
+    given as columns (p, N) one step at a time (``update(step, x)``).
 
     While no path is out, a step costs one reduction: the least facet (or
     Phi) value of the step gates the per-path exit bookkeeping.  The worst
@@ -213,49 +222,89 @@ class _ExitTracker:
     reduced over the paths only when ``worst`` is read; the worst Phi value
     is the running minimum of the gate values.  Both minima skip NaN values,
     so a path that is NaN hides no other path's violation.
+    ``_exit_tracker`` picks the subclass of the state space's kind.
     """
 
     def __init__(self, space, n_paths: int, tol: float):
         self.space = space
         self.tol = tol
         self.exit_step = np.full(n_paths, -1, dtype=int)
-        if isinstance(space, Polyhedron):
-            self._low = np.full((space.n_facets, n_paths), np.inf)
-        else:
-            self._worst = np.inf
+
+    def _mark(self, step: int, low: np.ndarray) -> None:
+        """Record step as the first exit of the paths whose least value is
+        below -tol."""
+        self.exit_step[(low < -self.tol) & (self.exit_step < 0)] = step
+
+
+class _FacetExits(_ExitTracker):
+    """Exits of a polyhedron; the facet values of a step are written into
+    one (q, N) buffer that every step reuses."""
+
+    def __init__(self, space, n_paths: int, tol: float):
+        super().__init__(space, n_paths, tol)
+        self._low = np.full((space.n_facets, n_paths), np.inf)
+        self._vals = np.empty((space.n_facets, n_paths))
+        # delta spread over the paths once: a broadcast add is slower
+        self._delta = np.repeat(space.delta[:, None], n_paths, axis=1)
 
     @property
     def worst(self) -> np.ndarray:
-        """Worst value per facet (polyhedral) or of Phi; inf before any
-        state was seen."""
-        if isinstance(self.space, Polyhedron):
-            return self._low.min(axis=1, initial=np.inf)
+        """Worst value per facet; inf before any state was seen."""
+        return self._low.min(axis=1, initial=np.inf)
+
+    def update(self, step: int, x: np.ndarray) -> None:
+        vals = np.matmul(self.space.gamma, x, out=self._vals)     # (q, N)
+        vals += self._delta
+        # fmin keeps the new value on ties, as minimum(low, vals) does
+        np.fmin(vals, self._low, out=self._low)
+        least = np.minimum.reduce(vals, axis=None, initial=np.inf)
+        # written so that a NaN value (which the minimum propagates) still
+        # lets an exit of another path through
+        if not least >= -self.tol:
+            self._mark(step, vals.min(axis=0))
+
+
+class _PhiExits(_ExitTracker):
+    """Exits of a quadric, by the sign of its form Phi; Phi is evaluated in
+    a (p, N) and an (N,) buffer that every step reuses."""
+
+    def __init__(self, space, n_paths: int, tol: float):
+        super().__init__(space, n_paths, tol)
+        self._worst = np.inf
+        self._ax = np.empty((space.form.A.shape[0], n_paths))
+        self._bx = np.empty(n_paths)
+
+    @property
+    def worst(self) -> np.ndarray:
+        """The worst value of Phi; inf before any state was seen."""
         return np.array([self._worst])
 
     def update(self, step: int, x: np.ndarray) -> None:
-        if x.shape[1] == 0:
-            return
-        space = self.space
-        if isinstance(space, Polyhedron):
-            vals = space.gamma @ x + space.delta[:, None]      # (q, N)
-            # fmin keeps the new value on ties, as minimum(low, vals) does
-            np.fmin(vals, self._low, out=self._low)
-            least = vals.min(initial=np.inf)
-        else:
-            # Phi per column; the sign makes the state space {value >= 0}
-            form = space.form
-            vals = _coldot(form.A @ x, x) + form.b @ x + form.c
-            if space.component != "positive":
-                vals = -vals
-            least = vals.min()
-            # the least is NaN when some path is: the worst skips that path
-            self._worst = min(self._worst,
-                              np.fmin.reduce(vals) if least != least else least)
-        # written so that a NaN value (which min propagates) still lets an
-        # exit of another path through
+        # Phi = (A x).x + b.x + c per column, the dot summed left to right
+        # over the rows as _coldot sums it
+        form = self.space.form
+        prod = np.multiply(np.matmul(form.A, x, out=self._ax), x,
+                           out=self._ax)
+        vals = prod[0]
+        for row in prod[1:]:
+            vals += row
+        vals += np.matmul(form.b, x, out=self._bx)
+        vals += form.c
+        # the sign makes the state space {value >= 0}
+        if self.space.component != "positive":
+            np.negative(vals, out=vals)
+        least = np.minimum.reduce(vals, initial=np.inf)
+        # the least is NaN when some path is: the worst skips that path
+        self._worst = min(self._worst,
+                          np.fmin.reduce(vals) if least != least else least)
         if not least >= -self.tol:
-            low = vals.min(axis=0) if vals.ndim == 2 else vals
-            self.exit_step[(low < -self.tol) & (self.exit_step < 0)] = step
+            self._mark(step, vals)
+
+
+def _exit_tracker(space, n_paths: int, tol: float) -> _ExitTracker:
+    """The exit tracker of a polyhedron or a quadric state space."""
+    cls = _FacetExits if isinstance(space, Polyhedron) else _PhiExits
+    return cls(space, n_paths, tol)
 
 
 @dataclass
@@ -310,8 +359,11 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
     ``on_step(step_index, x)`` is called with the (p, N) state for every
     grid index including 0; the kernel itself stores no path.  The noise
     enters through sigma(x) z (``_contraction``), so evaluators with a
-    matrix-free ``apply`` never build sigma(x) here.  Returns the final
-    states (n_paths, p) and the nonfinite flags.
+    matrix-free ``apply`` never build sigma(x) here.  A projector with a
+    ``clamp`` (``make_projector``'s) projects each step's fresh state in
+    place; any other projector is called.  The step loop, on_step included,
+    runs in one error-state scope that ignores overflow, invalid and divide
+    errors.  Returns the final states (n_paths, p) and the nonfinite flags.
     """
     _check_start(model, sigma, cfg)
     contract = _contraction(sigma)
@@ -323,6 +375,7 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
     full_trunc = cfg.scheme is Scheme.FULL_TRUNCATION_EULER
     if full_trunc and projector is None:
         projector = make_projector(model.state_space)
+    clamp = getattr(projector, "clamp", None) if full_trunc else None
 
     x = np.tile(cfg.x0[:, None], (1, n))
     nonfinite = np.zeros(n, dtype=bool)
@@ -334,10 +387,10 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
     # sigma sees the projected state; after the first step x is projected
     # already, and a projection maps its image to itself
     xs = projector(x) if full_trunc else x
-    for step in range(cfg.steps):
-        # drawn as (N, p), one row per path: the draw order fixes the paths
-        noise = np.ascontiguousarray(normals(step, n, p).T)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(cfg.steps):
+            # drawn as (N, p), one row per path: the draw order fixes the paths
+            noise = np.ascontiguousarray(normals(step, n, p).T)
             # x + (a x + b) dt + sigma(xs) z sqrt(dt), in that order
             np.matmul(a, x, out=drift)
             drift += b
@@ -346,15 +399,17 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
             x_new += np.multiply(contract(xs, noise), sqdt, out=kick)
             # a non-finite entry makes the sum non-finite; a sum that
             # overflows from finite entries only costs the mask below
-            finite = np.isfinite(x_new.sum())
-        if not finite:
-            bad = ~np.isfinite(x_new).all(axis=0)
-            nonfinite |= bad
-            x_new[:, bad] = x[:, bad]  # freeze exploded paths at the last finite state
-        if full_trunc:
-            x_new = projector(x_new)
-        x = xs = x_new
-        on_step(step + 1, x)
+            if not math.isfinite(np.add.reduce(x_new, axis=None)):
+                bad = ~np.isfinite(x_new).all(axis=0)
+                nonfinite |= bad
+                # freeze exploded paths at the last finite state
+                x_new[:, bad] = x[:, bad]
+            if clamp is not None:
+                clamp(x_new)        # x_new is the kernel's own
+            elif full_trunc:
+                x_new = projector(x_new)
+            x = xs = x_new
+            on_step(step + 1, x)
     return np.ascontiguousarray(x.T), nonfinite
 
 
@@ -368,7 +423,7 @@ def simulate_paths(model: ModelSpec, sigma, cfg: SimConfig,
     the square-root guards in sigma handle excursions.
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
+    tracker = _exit_tracker(model.state_space, cfg.n_paths, _EXIT_TOL)
     states = np.empty((cfg.n_paths, cfg.steps + 1, model.dimension))
 
     def on_step(step, x):
@@ -400,7 +455,7 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
     reducing a stored ensemble (same noise keying).
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
+    tracker = _exit_tracker(model.state_space, cfg.n_paths, _EXIT_TOL)
     minima = np.full((len(functionals), cfg.n_paths), np.inf)
 
     def on_step(step, x):
@@ -479,7 +534,7 @@ def invariance_monte_carlo(ens: PathEnsemble, space, tol: float) -> ExitStats:
     """Empirical invariance statistics of a stored ensemble: fraction of paths
     leaving the state space by more than tol, worst violations, and each
     path's first exit step."""
-    tracker = _ExitTracker(space, ens.n_paths, tol)
+    tracker = _exit_tracker(space, ens.n_paths, tol)
     for step in range(ens.states.shape[1]):
         tracker.update(step, ens.states[:, step].T)
     return _stats_from_tracker(tracker)

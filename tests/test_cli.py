@@ -158,6 +158,26 @@ def test_lp_budget(capsys, lp_calls, tmp_path, rng):
         assert lp_calls == [], (model, command)
 
 
+def test_coupling_rows_solved_once_per_command(capsys, monkeypatch):
+    """validate reads the coupling rows once: its admissibility check and
+    its canonical transform share them (memoized on the polyhedron)."""
+    import affinvar.polyhedral as polyhedral
+    calls = []
+    real = polyhedral._coupling_rows
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polyhedral, "_coupling_rows", spy)
+    # decompose exits 1: triangle_channel's theta has no PSD decomposition
+    for command, code, expected in (("validate", 0, 1), ("canonicalize", 0, 1),
+                                    ("decompose", 1, 0)):
+        calls.clear()
+        got, _ = _run(capsys, command, str(fixture_path("triangle_channel")))
+        assert (got, len(calls)) == (code, expected), command
+
+
 def _plane_model(tmp_path):
     """The only facet is 0 x + 1 >= 0, so the state space is R^2: a
     well-formed model with no facet row, whose interior point is the origin."""
@@ -325,12 +345,13 @@ def test_bad_tol_rejected(capsys, tol):
     (("--t=nan",), 2), (("--t=inf",), 2), (("--t=-inf",), 2),
     (("--t=nan", "--steps=5"), 2), (("--x0=nan",), 2), (("--x0=inf",), 2),
     (("--x0=one",), 2), (("--x0=1,2",), 2), (("--t=0",), 1),
-    (("--t=-1", "--steps=5"), 1)],
+    (("--t=-1", "--steps=5"), 1), (("--seed=-1",), 1),
+    (("--seed=18446744073709551616",), 1)],
     ids=lambda v: " ".join(v) if isinstance(v, tuple) else str(v))
 def test_simulate_rejects_malformed_input(capsys, args, expected):
     # a non-finite horizon or a malformed start point is a parse error (exit
-    # 2, before any work); a finite non-positive horizon fails its
-    # precondition (exit 1)
+    # 2, before any work); a finite non-positive horizon, or a seed outside
+    # the 64-bit Philox key word, fails its precondition (exit 1)
     code = main(["simulate", str(fixture_path("cir")), "--paths", "10",
                  *args])
     captured = capsys.readouterr()

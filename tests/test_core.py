@@ -115,6 +115,46 @@ def test_psd_factor_falls_back_row_locally(monkeypatch):
         assert np.array_equal(R[i], flipped[..., 5 - i])
 
 
+def test_psd_factor_nonfinite_columns(monkeypatch):
+    # 2 x 2 blocks: a PD, a rank-one, a NaN, an indefinite, an inf and a
+    # second PD matrix, batch-last.  The inf and NaN matrices come back
+    # NaN, only the four failing ones reach psd_square_root, and the PD
+    # factors are the Cholesky factors to the bit.
+    seen = []
+    real = affinvar.core.psd_square_root
+
+    def spy(S):
+        seen.append(S.shape[0])
+        return real(S)
+
+    monkeypatch.setattr(affinvar.core, "psd_square_root", spy)
+    nan, inf = np.nan, np.inf
+    pd1 = [[4.0, 2.0], [2.0, 5.0]]
+    pd2 = [[2.0, -1.0], [-1.0, 3.0]]
+    mats = np.array([pd1, [[1.0, 2.0], [2.0, 4.0]], [[1.0, nan], [nan, 2.0]],
+                     [[1.0, 0.0], [0.0, -2.0]], [[1.0, inf], [inf, 2.0]], pd2])
+    r00 = np.sqrt(2.0)
+    r10 = -1.0 / r00
+    chol2 = np.array([[r00, 0.0], [r10, np.sqrt(3.0 - r10 * r10)]])
+    R = np.moveaxis(psd_factor(np.moveaxis(mats, 0, -1)), -1, 0)
+    assert seen == [4]
+    assert np.isnan(R[2]).all() and np.isnan(R[4]).all()
+    assert R[0].tobytes() == np.array([[2.0, 0.0], [1.0, 2.0]]).tobytes()
+    assert R[5].tobytes() == chol2.tobytes()
+
+    # the row form stops at a failing pivot: a NaN or an inf matrix alone
+    # among PD ones still fails (a NaN propagated by the minimum); with
+    # every pivot positive it gives the rows of the same factor
+    for bad in (mats[2], mats[4]):
+        S = np.moveaxis(np.array([pd1, pd2, bad, pd1]), 0, -1)
+        assert affinvar.core._cholesky_rows(S, stop=True) is None
+    S = np.moveaxis(np.array([pd1, pd2]), 0, -1)
+    rows = affinvar.core._cholesky_rows(S, stop=True)
+    assert [len(r) for r in rows] == [1, 2]
+    assert affinvar.core._lower(rows, S.shape).tobytes() == \
+        psd_factor(S).tobytes()
+
+
 def test_psd_square_root_rejects_nonsymmetric():
     with pytest.raises(NotSymmetricError):
         psd_square_root(np.array([[1.0, 2.0], [0.0, 1.0]]))

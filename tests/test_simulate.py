@@ -35,6 +35,15 @@ def test_simconfig_rejects_bad_horizon(horizon):
         SimConfig(np.array([0.7]), horizon, 5, 10, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_simconfig_rejects_seed_outside_64_bits(seed):
+    # -1 and 2^64 would key the same Philox streams as 2^64 - 1 and 0
+    with pytest.raises(PreconditionFailedError):
+        SimConfig(np.array([0.7]), 1.0, 5, 10, seed=seed)
+    for ok in (0, 2 ** 64 - 1):
+        assert SimConfig(np.array([0.7]), 1.0, 5, 10, seed=ok).seed == ok
+
+
 def test_constant_paths_without_noise_or_drift():
     theta = AffineMatrixField(np.zeros((1, 1)), np.zeros((1, 1, 1)))
     model = ModelSpec(1, AffineVectorField(np.zeros((1, 1)), np.zeros(1)),
@@ -335,6 +344,47 @@ def test_kernel_matches_row_major_reference(fixture, scheme):
     assert np.abs(summ.final_states - final).max() <= 1e-12 * scale
     assert np.array_equal(summ.exit_stats.exit_steps, exit_step)
     assert np.array_equal(summ.nonfinite, nonfinite)
+
+
+def _bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("fixture",
+                         ["cir", "triangle_channel", "parabola3", "cone3"])
+def test_kernel_in_place_clamp_matches_called_projector(fixture, scheme):
+    # the package projector's in-place clamp and the projector called as a
+    # plain function (which hides the clamp) give the same paths, bit for
+    # bit; parabola3 under the plain scheme leaves the state space
+    model, sigma, x0 = _canonical_case(fixture)
+    proj = make_projector(model.state_space)
+    cfg = SimConfig(x0, 1.0, 50, 200, seed=7919, scheme=scheme)
+    own, called = (simulate_summary(model, sigma, cfg, projector=pr,
+                                    functionals=(lambda r: r[:, 0],))
+                   for pr in (proj, lambda x: proj(x)))
+    if fixture == "parabola3" and scheme is Scheme.PLAIN_EULER:
+        assert own.exit_stats.exit_fraction > 0
+    assert np.array_equal(_bits(own.final_states), _bits(called.final_states))
+    assert np.array_equal(own.exit_stats.exit_steps,
+                          called.exit_stats.exit_steps)
+    assert np.array_equal(_bits(own.exit_stats.worst_violation),
+                          _bits(called.exit_stats.worst_violation))
+    assert np.array_equal(_bits(own.functional_minima),
+                          _bits(called.functional_minima))
+    assert np.array_equal(own.nonfinite, called.nonfinite)
+
+
+def test_public_projector_returns_a_copy():
+    for fixture in ("cir", "parabola3", "cone3"):
+        model, _, _ = _canonical_case(fixture)
+        proj = make_projector(model.state_space)
+        x = np.full((model.dimension, 4), -1.0)
+        before = x.copy()
+        out = proj(x)
+        assert np.array_equal(x, before) and not np.array_equal(out, x)
+        proj.clamp(x)
+        assert np.array_equal(x, out)
 
 
 def test_full_truncation_membership_guarantee():

@@ -94,6 +94,8 @@ def _edge_models() -> dict[str, dict]:
     closed_string["state_space"]["closed"] = "false"  # no JSON boolean
     dimension_float = _fixture("cir")
     dimension_float["dimension"] = 1.7  # no JSON integer
+    overflow = _fixture("cir")
+    overflow["drift"]["a"] = [[1e20]]  # every path overflows within SIM_ARGS
     ellipsoid = _polyhedral(zero2, [0.0, 0.0], zero2, [zero2, zero2], [], [])
     ellipsoid["state_space"] = {  # |x|^2 >= 1, the positive side
         "kind": "quadratic", "A": np.eye(2).tolist(), "b": [0.0, 0.0],
@@ -120,6 +122,11 @@ def _edge_models() -> dict[str, dict]:
         "cone-hyperboloid": hyperboloid,
         "closed-string": closed_string,
         "dimension-float": dimension_float,
+        # [0, 1] without diffusion: y = x is clamped, the cut 1 - y >= 0 is
+        # not, and the drift leaves through it under both schemes
+        "interval-outward-drift": _polyhedral(
+            [[0.0]], [4.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [0.0, 1.0]),
+        "cir-overflow": overflow,
     }
 
 
