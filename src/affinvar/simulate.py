@@ -3,7 +3,11 @@ oracle, and Monte Carlo invariance statistics.
 
 Noise is drawn from counter-based Philox streams keyed by (seed, step) with
 one row per path (one bit generator, re-keyed every step), so ensembles are
-bit-identical across runs and adding paths never perturbs existing ones.  The
+bit-identical across runs and adding paths never perturbs existing ones.
+Since any step's draw can be made anywhere, a helper process forked on the
+first run draws the steps ahead of the kernel into shared memory, on another
+CPU; the kernel draws in process when the helper cannot serve a run, with
+the same paths either way (``_Noise``).  The
 full-truncation scheme projects the state onto the state space before
 evaluating the diffusion coefficient and stores the projected state, which
 keeps membership exact along the whole path.
@@ -25,7 +29,14 @@ exact mean from the propagator of the augmented drift, not an integrator.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
+import gc
 import math
+import numbers
+import os
+import struct
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,6 +71,12 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        # a bool is an Integral too; numpy integers are valid
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Integral)
+               for v in (self.steps, self.n_paths, self.seed)):
+            raise PreconditionFailedError(
+                "steps, n_paths and seed must be integers, got "
+                f"{self.steps!r}, {self.n_paths!r} and {self.seed!r}")
         if not 0 < self.horizon < np.inf or self.steps <= 0 or self.n_paths <= 0:
             raise PreconditionFailedError(
                 "horizon must be finite and positive, steps and n_paths positive")
@@ -93,16 +110,269 @@ def _noise_stream(seed: int):
     bitgen = np.random.Philox(key=key)
     rng = np.random.Generator(bitgen)
 
-    def normals(step: int, n_paths: int, p: int) -> np.ndarray:
+    def normals(step: int, n_paths: int, p: int, out=None) -> np.ndarray:
         key[1] = step
         bitgen.state = {"bit_generator": "Philox",
                         "state": {"counter": np.zeros(4, dtype=np.uint64),
                                   "key": key},
                         "buffer": np.zeros(4, dtype=np.uint64),
                         "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        return rng.standard_normal((n_paths, p))
+        return rng.standard_normal((n_paths, p), out=out)
 
     return normals
+
+
+# The noise helper: a process forked on the first kernel run that draws the
+# steps' normals into a ring of slots in shared memory while the kernel
+# steps.  Philox is counter-based, so a step drawn there is the step drawn
+# here, and the kernel can switch to drawing in process at any step.
+_RING_BYTES = 1 << 20
+# at most this many one-byte tokens are ever in a pipe: fewer than a pipe
+# holds, so no token write blocks
+_MAX_SLOTS = 1024
+_JOB = struct.Struct("<4Q")     # seed, steps, n_paths, p
+_helper = None                  # this process's helper, once forked
+_helper_lock = threading.Lock()  # held by the run the helper serves
+
+
+def _ring_slots(values: int) -> int:
+    """Slots of `values` normals in the ring."""
+    return min(_RING_BYTES // (8 * values), _MAX_SLOTS)
+
+
+def _helper_usable(values: int) -> bool:
+    """Whether the helper can serve a run whose steps draw `values` normals:
+    this platform forks, this process may run on a second CPU, and a step's
+    draw fills at most half the ring."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus > 1 and 0 < 16 * values <= _RING_BYTES
+
+
+def _current_cpu():
+    """The CPU this process last ran on, from Linux's /proc; None elsewhere."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _serve(ring, job_r: int, full_w: int, free_r: int, cpu) -> None:
+    """The helper's life, in the forked child; leaves by ``os._exit`` only,
+    so none of the parent's exit handlers run and none of its copied stdio
+    buffers is flushed.
+
+    For each job (seed, steps, N, p) read from job_r, step s is drawn into
+    slot s mod k of the ring and announced by a token on full_w; from step k
+    on, each draw first takes a token from free_r, which the kernel sends
+    once it has copied out the slot that the draw reuses.  The child leaves
+    when a pipe of the kernel's closes.
+    """
+    try:
+        import signal
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # a full collection would write to every object inherited from the
+        # parent, and so copy the pages the two processes still share
+        gc.disable()
+        # draw beside the kernel, off the CPU it ran on at the fork: a child
+        # starts on its parent's CPU, and a scheduler need not move it
+        others = os.sched_getaffinity(0) - {cpu} if cpu is not None else ()
+        if others:
+            os.sched_setaffinity(0, others)
+        # keep no other file of the parent's open: a pipe end held here
+        # would hide the EOF of that pipe from its reader
+        low = 3
+        for fd in sorted((job_r, full_w, free_r)):
+            os.closerange(low, fd)
+            low = fd + 1
+        os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+        # a job is written at once, and a pipe keeps a write that short whole
+        while header := os.read(job_r, _JOB.size):
+            seed, steps, n, p = _JOB.unpack(header)
+            k = _ring_slots(n * p)
+            slots = np.frombuffer(ring, count=k * n * p).reshape(k, n, p)
+            normals = _noise_stream(seed)
+            free = k
+            for step in range(steps):
+                if not free:
+                    free = len(os.read(free_r, _MAX_SLOTS))
+                    if not free:
+                        return
+                free -= 1
+                normals(step, n, p, out=slots[step % k])
+                os.write(full_w, b"\0")
+    finally:
+        os._exit(0)
+
+
+class _NoiseHelper:
+    """The parent's side of a helper process: the ring, the parent's ends of
+    the job, "slot full" and "slot free" pipes, and the child's pid."""
+
+    def __init__(self):
+        import mmap
+        self.ring = mmap.mmap(-1, _RING_BYTES)   # shared and anonymous
+        cpu = _current_cpu()
+        fds = []
+        try:
+            for _ in range(3):
+                fds += os.pipe()
+            self.pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        job_r, self.job_w, self.full_r, full_w, free_r, self.free_w = fds
+        if self.pid == 0:
+            _serve(self.ring, job_r, full_w, free_r, cpu)
+        for fd in (job_r, full_w, free_r):
+            os.close(fd)
+
+    def start(self, seed: int, steps: int, n: int, p: int) -> None:
+        """Send the job; the helper starts drawing its first k steps."""
+        self.steps, self.k = steps, _ring_slots(n * p)
+        self.slots = np.frombuffer(self.ring, count=self.k * n * p) \
+            .reshape(self.k, n, p)
+        # slots announced and not yet read; slots read and not yet given
+        # back, which go back half a ring at a time, or before a wait
+        self.ready = self.owed = 0
+        os.write(self.job_w, _JOB.pack(seed, steps, n, p))
+
+    def take(self, step: int, out: np.ndarray) -> bool:
+        """Copy step's draw, transposed, into out; False once the helper has
+        died, and the caller draws the step itself."""
+        try:
+            if not self.ready:
+                self.give_back()
+                self.ready = len(os.read(self.full_r, _MAX_SLOTS))
+                if not self.ready:
+                    return False
+            self.ready -= 1
+            np.copyto(out, self.slots[step % self.k].T)
+            # a slot is given back only if a later step of the job reuses it
+            if step + self.k < self.steps:
+                self.owed += 1
+                if 2 * self.owed >= self.k:
+                    self.give_back()
+        except OSError:
+            return False
+        return True
+
+    def give_back(self) -> None:
+        if self.owed:
+            os.write(self.free_w, b"\0" * self.owed)
+            self.owed = 0
+
+    def alive(self) -> bool:
+        """False once the helper has exited; this reaps it."""
+        try:
+            return os.waitpid(self.pid, os.WNOHANG) == (0, 0)
+        except ChildProcessError:     # reaped by someone else
+            return False
+
+    def close_pipes(self) -> None:
+        for fd in (self.job_w, self.full_r, self.free_w):
+            os.close(fd)
+
+    def end(self, kill: bool) -> None:
+        """Kill the helper, or let it leave by closing its pipes; reap it."""
+        if kill:
+            import signal
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+        self.close_pipes()
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(self.pid, 0)
+
+
+def _discard_helper(kill: bool) -> None:
+    global _helper
+    helper, _helper = _helper, None
+    if helper is not None:
+        helper.end(kill)
+
+
+def _end_helper_at_exit() -> None:
+    # a helper that a run of another thread still holds is killed
+    if _helper is not None:
+        _discard_helper(kill=_helper_lock.locked())
+
+
+def _forget_helper() -> None:
+    """In a child forked from this process: the helper and the run holding
+    its lock are the parent's.  Close this copy of the pipes; the child's
+    first run forks a helper of its own."""
+    global _helper, _helper_lock
+    _helper_lock = threading.Lock()
+    if _helper is not None:
+        _helper.close_pipes()
+        _helper = None
+
+
+atexit.register(_end_helper_at_exit)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+class _Noise:
+    """The noise of a run's steps as (p, N) columns, in one buffer that
+    every step reuses: ``noise(step)``.  Within ``with``, the helper draws it
+    when it can serve the run (``_helper_usable``) and no other run holds
+    it; otherwise, and from the step at which the helper is found dead, the
+    draw is made in process.  A run that ends by an exception kills and
+    reaps the helper, so that no job is left behind; the next run forks a
+    new one.
+    """
+
+    def __init__(self, cfg: SimConfig, p: int):
+        self.cfg, self.p = cfg, p
+        self.cols = np.empty((p, cfg.n_paths))
+        self.normals = _noise_stream(cfg.seed)
+        self.helper = None
+        self.lock = None      # the helper's lock, while this run holds it
+
+    def __enter__(self):
+        global _helper
+        cfg = self.cfg
+        if _helper_usable(cfg.n_paths * self.p) and \
+                _helper_lock.acquire(blocking=False):
+            self.lock = _helper_lock
+            try:
+                if _helper is not None and not _helper.alive():
+                    _helper.close_pipes()
+                    _helper = None
+                if _helper is None:
+                    _helper = _NoiseHelper()
+                _helper.start(cfg.seed, cfg.steps, cfg.n_paths, self.p)
+                self.helper = _helper
+            except OSError:
+                _discard_helper(kill=True)
+            except BaseException:       # no __exit__ follows
+                _discard_helper(kill=True)
+                self.lock.release()
+                raise
+        return self
+
+    def __call__(self, step: int) -> np.ndarray:
+        if self.helper is not None:
+            if self.helper.take(step, self.cols):
+                return self.cols
+            self.helper = None
+            _discard_helper(kill=True)
+        # drawn as (N, p), one row per path: the draw order fixes the paths
+        np.copyto(self.cols, self.normals(step, self.cfg.n_paths, self.p).T)
+        return self.cols
+
+    def __exit__(self, exc_type, exc, tb):
+        if self.lock is not None:
+            if exc_type is not None and self.helper is not None:
+                _discard_helper(kill=True)
+            self.lock.release()
 
 
 def _contraction(sigma):
@@ -361,13 +631,14 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
     enters through sigma(x) z (``_contraction``), so evaluators with a
     matrix-free ``apply`` never build sigma(x) here.  A projector with a
     ``clamp`` (``make_projector``'s) projects each step's fresh state in
-    place; any other projector is called.  The step loop, on_step included,
-    runs in one error-state scope that ignores overflow, invalid and divide
-    errors.  Returns the final states (n_paths, p) and the nonfinite flags.
+    place; any other projector is called.  The step loop, every on_step
+    included, runs in one error-state scope that ignores overflow, invalid
+    and divide errors.  Each step's noise comes from ``_Noise``: drawn by
+    the helper process while the kernel steps, or in process.  Returns the
+    final states (n_paths, p) and the nonfinite flags.
     """
     _check_start(model, sigma, cfg)
     contract = _contraction(sigma)
-    normals = _noise_stream(cfg.seed)
     p = model.dimension
     n = cfg.n_paths
     dt = cfg.horizon / cfg.steps
@@ -379,18 +650,17 @@ def _run(model: ModelSpec, sigma, cfg: SimConfig, projector, on_step):
 
     x = np.tile(cfg.x0[:, None], (1, n))
     nonfinite = np.zeros(n, dtype=bool)
-    on_step(0, x)
-
     # b spread over the paths once: a broadcast add is slower in the loop
     a, b = model.drift.a, np.repeat(model.drift.b[:, None], n, axis=1)
     drift, kick = np.empty((p, n)), np.empty((p, n))
     # sigma sees the projected state; after the first step x is projected
     # already, and a projection maps its image to itself
     xs = projector(x) if full_trunc else x
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with _Noise(cfg, p) as noise_of, \
+            np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        on_step(0, x)
         for step in range(cfg.steps):
-            # drawn as (N, p), one row per path: the draw order fixes the paths
-            noise = np.ascontiguousarray(normals(step, n, p).T)
+            noise = noise_of(step)
             # x + (a x + b) dt + sigma(xs) z sqrt(dt), in that order
             np.matmul(a, x, out=drift)
             drift += b
@@ -496,8 +766,11 @@ def _expm(A: np.ndarray) -> np.ndarray:
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident)
     E = np.linalg.solve(V - U, V + U)
-    for _ in range(s):
-        E = E @ E
+    # an exponential out of range overflows to inf and NaN here, which the
+    # caller reads as a non-finite mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            E = E @ E
     return E
 
 

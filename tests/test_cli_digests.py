@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from affinvar.modelio import fixture_path, load_fixture, model_to_dict
+from affinvar.simulate import _RING_BYTES
 from conftest import random_affine_image
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,8 +67,14 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     assert expected <= set(argvs)
 
     fixtures = {str(fixture_path(fx)): fx for fx in FIXTURES}
-    simulate = [argv for argv in argvs
-                if argv[0] == "simulate" and argv[1] in fixtures]
+    # one call draws each step's noise in process: more than half the ring
+    # of the noise helper, which draws it for the other calls
+    large = ("simulate", str(fixture_path("cir")), "--steps", "2",
+             "--paths", "200000", "--seed", "11")
+    assert argvs.count(large) == 1
+    assert 2 * 8 * 200000 > _RING_BYTES
+    simulate = [argv for argv in argvs if argv[0] == "simulate" and
+                argv[1] in fixtures and argv != large]
     runs = sorted((fixtures[argv[1]], argv[argv.index("--scheme") + 1],
                    "--csv" in argv) for argv in simulate)
     assert runs == sorted((fx, scheme, csv)
@@ -79,4 +86,4 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     assert {argv[1] for argv in argvs if argv[0] == "simulate"} - \
         set(fixtures) - edge_paths == image_sims
     assert len(calls) == len(expected) + len(EDGE_MODELS) + len(simulate) + \
-        len(image_sims) == 594
+        len(image_sims) + 1 == 595

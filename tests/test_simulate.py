@@ -1,3 +1,10 @@
+import os
+import signal
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,6 +14,7 @@ from hypothesis import strategies as st
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, QuadraticForm, QuadraticSpace,
                            _coldot)
+from affinvar import simulate
 from affinvar.errors import PreconditionFailedError, SigmaMismatchError
 from affinvar.modelio import load_fixture
 from affinvar.polyhedral import (build_square_root, canonical_transform,
@@ -35,13 +43,26 @@ def test_simconfig_rejects_bad_horizon(horizon):
         SimConfig(np.array([0.7]), horizon, 5, 10, seed=1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, 2.0, True])
 def test_simconfig_rejects_seed_outside_64_bits(seed):
-    # -1 and 2^64 would key the same Philox streams as 2^64 - 1 and 0
+    # -1 and 2^64 would key the same Philox streams as 2^64 - 1 and 0; a
+    # seed is an integer, not a float or a bool
     with pytest.raises(PreconditionFailedError):
         SimConfig(np.array([0.7]), 1.0, 5, 10, seed=seed)
-    for ok in (0, 2 ** 64 - 1):
+    for ok in (0, 2 ** 64 - 1, np.uint64(2 ** 64 - 1), np.int32(3)):
         assert SimConfig(np.array([0.7]), 1.0, 5, 10, seed=ok).seed == ok
+
+
+@pytest.mark.parametrize("field", ["steps", "n_paths"])
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True])
+def test_simconfig_rejects_non_integral_sizes(field, value):
+    # a float would fail deep in the kernel; a bool is no size
+    sizes = {"steps": 5, "n_paths": 10, field: value}
+    with pytest.raises(PreconditionFailedError):
+        SimConfig(np.array([0.7]), 1.0, seed=1, **sizes)
+    sizes[field] = np.int64(3)
+    assert getattr(SimConfig(np.array([0.7]), 1.0, seed=1, **sizes),
+                   field) == 3
 
 
 def test_constant_paths_without_noise_or_drift():
@@ -131,6 +152,19 @@ def _triangle_setup():
     m = load_fixture("triangle_channel")
     ct = canonical_transform(m)
     return transform_model(m, ct), build_square_root(ct)
+
+
+def test_expm_out_of_range_is_nan_without_warnings():
+    # the generator of the cir-overflow model of tools/cli_digests.py, and a
+    # smaller one whose squarings overflow: NaN, and no RuntimeWarning
+    m = load_fixture("cir")
+    model = ModelSpec(1, AffineVectorField(np.array([[1e20]]), m.drift.b),
+                      m.diffusion, m.state_space)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(_expm(np.array([[1e16, 1.0], [0.0, 0.0]]))).all()
+        _, mean = mean_ode(model, np.array([1.0]), 0.25, n_steps=1)
+    assert np.isnan(mean[-1]).all()
 
 
 def test_mean_ode_grid_matches_propagator(rng):
@@ -599,3 +633,201 @@ def test_sigma_mismatch_rejected():
     with pytest.raises(SigmaMismatchError):
         simulate_paths(model, bad,
                        SimConfig(np.array([0.5]), 1.0, 10, 5, seed=0))
+
+
+# -- the noise helper ---------------------------------------------------------
+
+
+def _in_process(monkeypatch):
+    """Draw the noise of every run in process."""
+    monkeypatch.setattr(simulate, "_helper_usable", lambda values: False)
+
+
+def _helper_runs(monkeypatch):
+    """Let the helper serve runs of any size; returns the list of what
+    ``take`` returned, one entry per step the helper was asked for."""
+    served = []
+    take = simulate._NoiseHelper.take
+
+    def counted(helper, step, out):
+        ok = take(helper, step, out)
+        served.append(ok)
+        return ok
+
+    monkeypatch.setattr(simulate, "_helper_usable", lambda values: True)
+    monkeypatch.setattr(simulate._NoiseHelper, "take", counted)
+    return served
+
+
+def _same_summary(a, b) -> bool:
+    return (np.array_equal(_bits(a.final_states), _bits(b.final_states)) and
+            np.array_equal(a.exit_stats.exit_steps, b.exit_stats.exit_steps) and
+            np.array_equal(_bits(a.exit_stats.worst_violation),
+                           _bits(b.exit_stats.worst_violation)) and
+            np.array_equal(a.nonfinite, b.nonfinite))
+
+
+def _gone(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def test_helper_serves_forking_processes_on_two_cpus(monkeypatch):
+    # a step may draw half the ring, 65536 normals, and no more
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert simulate._helper_usable(1)
+    assert simulate._helper_usable(65536)
+    assert not simulate._helper_usable(65537)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert not simulate._helper_usable(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert not simulate._helper_usable(1)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("fixture",
+                         ["cir", "triangle_channel", "parabola3", "cone3"])
+def test_helper_and_in_process_noise_give_the_same_paths(monkeypatch, fixture,
+                                                         scheme):
+    model, sigma, x0 = _canonical_case(fixture)
+    cfg = SimConfig(x0, 1.0, 60, 300, seed=7919, scheme=scheme)
+    _in_process(monkeypatch)
+    paths, summary = (simulate_paths(model, sigma, cfg),
+                      simulate_summary(model, sigma, cfg))
+    served = _helper_runs(monkeypatch)
+    h_paths, h_summary = (simulate_paths(model, sigma, cfg),
+                          simulate_summary(model, sigma, cfg))
+    assert served == [True] * 2 * cfg.steps
+    assert np.array_equal(_bits(h_paths.states), _bits(paths.states))
+    assert np.array_equal(h_paths.exit_flags, paths.exit_flags)
+    assert np.array_equal(h_paths.nonfinite, paths.nonfinite)
+    assert _same_summary(h_summary, summary)
+
+
+def test_run_ending_by_an_exception_kills_the_helper(monkeypatch):
+    model, sigma, x0 = _canonical_case("parabola3")
+    cfg = SimConfig(x0, 1.0, 80, 400, seed=5)
+    _in_process(monkeypatch)
+    expected = simulate_summary(model, sigma, cfg)
+    served = _helper_runs(monkeypatch)
+    pids = []
+
+    def failing(rows):
+        pids.append(simulate._helper.pid)
+        if len(pids) == 10:
+            raise RuntimeError("a functional failed")
+        return rows[:, 0]
+
+    with pytest.raises(RuntimeError, match="functional failed"):
+        simulate_summary(model, sigma, cfg, functionals=(failing,))
+    # killed and reaped, with its job half drawn; the next run forks anew
+    assert simulate._helper is None and _gone(pids[0])
+    served.clear()
+    assert _same_summary(simulate_summary(model, sigma, cfg), expected)
+    assert served == [True] * cfg.steps
+    assert simulate._helper.pid != pids[0]
+
+
+def test_helper_killed_mid_job_changes_no_path(monkeypatch):
+    # 50000 paths fill 2 slots of the ring, so the helper is at most two
+    # steps ahead when it is killed at step 5 of 40
+    model, sigma = _cir_setup()
+    cfg = SimConfig(np.array([0.5]), 1.0, 40, 50_000, seed=3)
+    assert simulate._ring_slots(cfg.n_paths) == 2
+    _in_process(monkeypatch)
+    expected = simulate_summary(model, sigma, cfg)
+    served = _helper_runs(monkeypatch)
+    calls, killed = [], []
+
+    def killer(rows):
+        calls.append(step := len(calls))
+        if step == 5:
+            killed.append(simulate._helper.pid)
+            os.kill(killed[0], signal.SIGKILL)
+        return rows[:, 0]
+
+    got = simulate_summary(model, sigma, cfg, functionals=(killer,))
+    assert _same_summary(got, expected)
+    # the steps drawn before the kill are read, then the rest in process
+    assert 5 <= served.count(True) < cfg.steps and served.count(False) == 1
+    assert simulate._helper is None and _gone(killed[0])
+
+
+def test_threads_take_turns_at_the_helper(monkeypatch):
+    # a run that finds the helper held draws in process; every path is the
+    # same whichever run the helper serves
+    model, sigma, x0 = _canonical_case("triangle_channel")
+    cfgs = [SimConfig(x0, 1.0, 30, 100 + 10 * i, seed=i) for i in range(6)]
+    _in_process(monkeypatch)
+    expected = [simulate_summary(model, sigma, cfg) for cfg in cfgs]
+    served = _helper_runs(monkeypatch)
+    same = []
+
+    def work(i):
+        for _ in range(3):
+            same.append(_same_summary(
+                simulate_summary(model, sigma, cfgs[i]), expected[i]))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert same == [True] * 18 and True in served
+
+
+def test_forked_child_leaves_the_parents_helper_alone(monkeypatch):
+    model, sigma, x0 = _canonical_case("cone3")
+    cfg = SimConfig(x0, 1.0, 50, 200, seed=11)
+    _in_process(monkeypatch)
+    expected = simulate_summary(model, sigma, cfg)
+    _helper_runs(monkeypatch)
+    simulate_summary(model, sigma, cfg)
+    parent_helper = simulate._helper.pid
+    child = os.fork()
+    if child == 0:
+        code = 1
+        try:
+            dropped = simulate._helper is None
+            got = simulate_summary(model, sigma, cfg)
+            own = simulate._helper.pid not in (None, parent_helper)
+            simulate._end_helper_at_exit()
+            code = 0 if dropped and own and _same_summary(got, expected) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(child, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert simulate._helper.pid == parent_helper
+    assert _same_summary(simulate_summary(model, sigma, cfg), expected)
+    assert simulate._helper.pid == parent_helper
+
+
+def test_helper_is_reaped_at_exit():
+    code = ("import numpy as np\n"
+            "from affinvar import simulate\n"
+            "from affinvar.modelio import load_fixture\n"
+            "from affinvar.polyhedral import build_square_root, "
+            "canonical_transform, transform_model\n"
+            "simulate._helper_usable = lambda values: True\n"
+            "m = load_fixture('cir')\n"
+            "ct = canonical_transform(m)\n"
+            "simulate.simulate_summary(transform_model(m, ct), "
+            "build_square_root(ct), "
+            "simulate.SimConfig(np.array([0.5]), 1.0, 20, 100, seed=1))\n"
+            "print(simulate._helper.pid)\n")
+    src = os.path.dirname(os.path.dirname(simulate.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env, timeout=120)
+    assert _gone(int(out.stdout.split()[-1]))

@@ -17,6 +17,9 @@ call on both sides.  They are:
 - validate / canonicalize / decompose on the generated models of
   `perfbench/bench_models.py` (read, not changed) for the seeds in SEEDS;
 - simulate on SIM_FIXTURES x both schemes, with and without --csv;
+- simulate on cir with LARGE_SIM_ARGS, whose step draws more normals than
+  the noise helper of `affinvar.simulate` takes (half its ring), so that
+  the kernel draws them in process, while the calls above use the helper;
 - every command on each model of `_edge_models`;
 - validate / decompose on the first IMAGES affine images of each of
   IMAGE_FIXTURES drawn at IMAGE_SEED (`_affine_images`), where
@@ -53,6 +56,7 @@ CERTIFY = ("validate", "canonicalize", "decompose", "classify")
 SEEDS = (1, 2, 3, 5, 7919)
 TOL = ("--tol", "1e-6")
 SIM_ARGS = ("--t", "0.25", "--steps", "25", "--paths", "40", "--seed", "11")
+LARGE_SIM_ARGS = ("--steps", "2", "--paths", "200000", "--seed", "11")
 IMAGE_FIXTURES = ("hyperbola_wedge", "triangle_channel", "parabola3", "cone3")
 IMAGE_SEED, IMAGES, SIM_IMAGES = 11, 20, 3
 
@@ -186,6 +190,8 @@ def calls(workdir: Path) -> list[tuple[str, list[str]]]:
             out.append((f"simulate {fx} {scheme}", argv))
             out.append((f"simulate {fx} {scheme} csv",
                         argv + ["--csv", str(workdir / "paths.csv")]))
+    out.append(("simulate cir large",
+                ["simulate", str(fixture_path("cir")), *LARGE_SIM_ARGS]))
     for name, model in _edge_models().items():
         path = write(name, model)
         for cmd in CERTIFY:
