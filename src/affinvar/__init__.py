@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .convex import (FarkasCertificate, farkas_decompose, interior_point,
                      minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
-                   AffineVectorField, ModelSpec, Polyhedron, QuadraticForm,
-                   QuadraticSpace, psd_square_root)
+                   AffineVectorField, Check, ModelSpec, Polyhedron,
+                   QuadraticForm, QuadraticSpace, psd_square_root)
 from .modelio import load_fixture, load_model, save_model
 from .polyhedral import (CanonicalTransform, PsdFacetDecomposition,
                          build_square_root, canonical_transform,
@@ -27,6 +27,7 @@ from .quadratic import (ConicalDecomposition, ParabolicDecomposition,
                         conical_theta_decompose, normalize_parabolic,
                         parabolic_basis, parabolic_square_root,
                         parabolic_theta_decompose)
+from .report import Report, validate
 from .simulate import (PathEnsemble, Scheme, SimConfig, boundary_attainment,
                        invariance_monte_carlo, mean_ode, simulate_paths,
                        simulate_summary, simulation_frame)

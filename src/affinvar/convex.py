@@ -73,6 +73,9 @@ class FarkasCertificate:
         rec = self.reconstruct(poly)
         return float(np.abs(rec.coefficients() - d.coefficients()).max())
 
+    def to_dict(self) -> dict:
+        return {"lambda": self.lam.tolist(), "c": self.c}
+
 
 def _clamp(lam: np.ndarray, free: int | None) -> np.ndarray:
     out = lam.copy()

@@ -525,3 +525,35 @@ def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:
     # a running Python min from inf: NaN margins are skipped, ties keep the first
     worst = min([np.inf] + (w[:, 0] / scale).tolist())
     return worst >= -TOL.psd, worst
+
+
+def jsonable(x):
+    """x as a JSON value: a value with ``to_dict`` as its dict, numpy arrays
+    and scalars as lists and numbers, anything else as it is."""
+    if hasattr(x, "to_dict"):
+        return x.to_dict()
+    return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else x
+
+
+@dataclass(frozen=True)
+class Check:
+    """The verdict of one named check and what its decider found, each part
+    optional: a ``margin``, a ``certificate`` of a pass, a ``witness`` point
+    of a failure and an ``info`` string."""
+
+    name: str
+    passed: bool
+    margin: float | None = None
+    certificate: object = None
+    witness: np.ndarray | None = None
+    info: str | None = None
+
+    def to_dict(self) -> dict:
+        """The report entry (schema 1): the name, the verdict and the parts
+        that are set, as JSON values."""
+        entry = {"name": self.name, "passed": bool(self.passed)}
+        for key in ("margin", "certificate", "witness", "info"):
+            value = getattr(self, key)
+            if value is not None:
+                entry[key] = jsonable(value)
+        return entry

@@ -32,7 +32,7 @@ import numpy as np
 from .convex import (FarkasCertificate, farkas_decompose, interior_point,
                      minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
-                   AffineVectorField, ModelSpec, Polyhedron,
+                   AffineVectorField, Check, ModelSpec, Polyhedron,
                    _cholesky_rows, _coefficient_residual, _coefficient_scale,
                    _minimal, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
@@ -46,20 +46,8 @@ from .tolerances import TOL
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FacetCheck:
-    index: int
-    diffusion_ok: bool
-    coupling_row: np.ndarray | None       # B_i with gamma_i theta(.) = B_i u_i(.)
-    diffusion_multiple: float | None      # c_i = B_i gamma_i^T (must be >= 0)
-    drift_ok: bool
-    drift_certificate: FarkasCertificate | None
-    witness: np.ndarray | None
-    message: str = ""
-
-
-@dataclass(frozen=True)
 class AdmissibilityReport:
-    facets: list[FacetCheck]
+    checks: list[Check]  # facet-i-diffusion and facet-i-drift, facet by facet
     polyhedron: Polyhedron
     # (a_bar, b_bar) with gamma mu(x) = a_bar u(x) + b_bar, None unless every
     # facet has a drift certificate
@@ -67,7 +55,7 @@ class AdmissibilityReport:
 
     @property
     def admissible(self) -> bool:
-        return all(f.diffusion_ok and f.drift_ok for f in self.facets)
+        return all(c.passed for c in self.checks)
 
 
 def _require_polyhedron(model: ModelSpec) -> Polyhedron:
@@ -169,46 +157,39 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     """
     poly = _interior_polyhedron(model)
     B, c, ok, root = _diffusion_condition(model.diffusion, poly)
-    checks = []
+    checks, certs = [], []
     for i in range(poly.n_facets):
-        B_i = c_i = None
-        msg = ""
-        if ok[i] or root[i]:  # gamma_i theta(.) = B_i u_i(.)
-            B_i, c_i = B[i], float(c[i])
-            if not ok[i]:
-                msg = "nonpositive diffusion multiple on square-root facet"
-        else:
-            msg = "diffusion row does not vanish on facet segment"
+        vanishes = ok[i] or root[i]  # gamma_i theta(.) = B_i u_i(.)
+        msg = "" if ok[i] else \
+            "nonpositive diffusion multiple on square-root facet" if vanishes \
+            else "diffusion row does not vanish on facet segment"
         cert, witness = farkas_decompose(
             model.drift.row_functional(poly.gamma[i]), poly, i)
         if cert is None:
             msg = (msg + "; " if msg else "") + "drift points outward on facet"
-        checks.append(FacetCheck(i, bool(ok[i]), B_i, c_i, cert is not None,
-                                 cert, witness, msg))
-    lifted = None
-    if all(fc.drift_ok for fc in checks):
-        lifted = _lift(model.drift, poly, [fc.drift_certificate for fc in checks])
+        checks += [Check(f"facet-{i}-diffusion", bool(ok[i]),
+                         margin=float(c[i]) if vanishes else None,
+                         certificate=B[i] if vanishes else None,
+                         info=msg or None),
+                   Check(f"facet-{i}-drift", cert is not None,
+                         certificate=cert, witness=witness)]
+        certs.append(cert)
+    lifted = None if any(cert is None for cert in certs) else \
+        _lift(model.drift, poly, certs)
     return AdmissibilityReport(checks, poly, lifted)
 
 
-@dataclass(frozen=True)
-class OpenFacetCheck:
-    index: int
-    passed: bool
-    certificate: FarkasCertificate | None  # its constant c is the margin
-    witness: np.ndarray | None
-
-
-def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
+def check_open_facet_invariance(model: ModelSpec) -> list[Check]:
     """Facet-by-facet invariance of the open interior (boundary
     non-attainment): gamma_i mu(.) - c_i/2 >= 0 on the facet segment.
 
     This is the Feller-type condition grad(u_i) (mu - 1/2 sum_k A_k e_k) >= 0:
     the coupling row gives gamma_i A_k = gamma_ik B_i, so the correction is
     c_i/2 with c_i = B_i gamma_i^T (`_coupling_rows`); on theta = diag(x) it
-    reads a_ij >= 0 (j != i) and b_i >= 1/2.  A facet passes with the
-    facet-relative certificate, or fails with a witness point on the facet;
-    one that fails the diffusion condition fails with neither.  A pass with
+    reads a_ij >= 0 (j != i) and b_i >= 1/2.  Facet i's check,
+    ``facet-i-open``, passes with the facet-relative certificate, whose
+    constant is its margin, or fails with a witness point on the facet; one
+    that fails the diffusion condition fails with neither.  A pass with
     c_i = 0 is a proof too: gamma_i sigma = 0 there, and the certificate
     gives u_i(t) >= u_i(0) exp(lam_i t) > 0.
     """
@@ -221,7 +202,9 @@ def check_open_facet_invariance(model: ModelSpec) -> list[OpenFacetCheck]:
             d = model.drift.row_functional(poly.gamma[i])
             cert, witness = farkas_decompose(
                 AffineScalar(d.gamma, d.delta - 0.5 * c[i]), poly, i)
-        checks.append(OpenFacetCheck(i, cert is not None, cert, witness))
+        checks.append(Check(f"facet-{i}-open", cert is not None,
+                            margin=None if cert is None else cert.c,
+                            certificate=cert, witness=witness))
     return checks
 
 
@@ -462,9 +445,9 @@ def lift_drift(model: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
     raises NotAdmissibleError when one fails.
     """
     adm = check_polyhedral_admissibility(model)
-    for fc in adm.facets:
-        if not fc.drift_ok:
-            raise NotAdmissibleError(f"drift condition fails on facet {fc.index}")
+    if adm.lifted_drift is None:
+        i = next(i for i, c in enumerate(adm.checks[1::2]) if not c.passed)
+        raise NotAdmissibleError(f"drift condition fails on facet {i}")
     return adm.lifted_drift
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineMap, AffineMatrixField, AffineVectorField,
+from .core import (AffineMap, AffineMatrixField, AffineVectorField, Check,
                    ModelSpec, QuadraticForm, QuadraticSpace,
                    _coefficient_residual, _coefficient_scale, _coldot,
                    psd_factor)
@@ -101,6 +101,11 @@ class QuadricClassification:
     def canonical_form(self) -> QuadraticForm:
         """The canonical polynomial in p = T.shape[0] variables."""
         return _canonical_form(self.kind, self.T.shape[0], self.q, self.d)
+
+    def to_dict(self) -> dict:
+        return {"kind": self.kind, "q": self.q, "d": self.d, "sign": self.sign,
+                "admissible": self.admissible, "T": self.T.tolist(),
+                "t": self.t.tolist()}
 
 
 def _sorted_eig(A: np.ndarray):
@@ -234,7 +239,7 @@ class QuadricFrame:
     """A quadric model in the coordinates y = L x + ell of its canonical
     quadric, the ``map``, with the verdict of its one structure fit: the
     decomposition of theta, or None and the ``refutation`` with its
-    ``margin``, if any."""
+    ``margin``, if any.  Only a quadric of an admissible kind is fitted."""
 
     classification: QuadricClassification
     model: ModelSpec
@@ -242,29 +247,77 @@ class QuadricFrame:
     refutation: AffinvarError | None
     map: AffineMap
 
-    def fitted(self) -> ParabolicDecomposition | ConicalDecomposition:
-        """The structure, or raise the error that refutes it; a quadric that
-        bounds no diffusion raises NotAdmissibleQuadricError."""
-        if self.refutation is not None:
-            raise self.refutation
-        cls = self.classification
+    def gates(self, closed_forms: bool = True):
+        """The frame's refusals in their one order, up to the first gate that
+        fails, as (check, error) pairs: the check that `validate` reports
+        and the error that `fitted` and `normalized` raise instead, None for
+        a pass.  The kind and the structure fit are reported when they pass
+        too, the other gates only when they fail.  Without ``closed_forms``
+        the list ends at the structure fit: `fitted` reads no more."""
+        cls, dec = self.classification, self.structure
+        kind = Check("quadric-admissible-kind", cls.admissible,
+                     info=f"{cls.kind}(q={cls.q}, d={cls.d})")
         if not cls.admissible:
-            raise NotAdmissibleQuadricError(
-                f"a {cls.kind} quadric with d = {cls.d} bounds no diffusion")
+            yield kind, NotAdmissibleError(
+                "ellipsoid-type quadrics carry no affine diffusion") \
+                if cls.kind == "ellipsoid" else NotAdmissibleQuadricError(
+                    f"a {cls.kind} quadric with d = {cls.d} bounds no diffusion")
+            return
+        yield kind, None
+        if self.model.state_space.component != "positive":
+            yield (Check("state-space-side", False,
+                         info="state space is the outside of the quadric"),
+                   PreconditionFailedError(
+                       "the state space is the outside of the quadric"))
+            return
+        parabolic = cls.kind == "parabolic"
+        if not parabolic and cls.q != self.model.dimension:
+            # the refutation is the conical fit's own precondition
+            yield (Check("cone-full-dimension", False,
+                         info="only p = q conical models are supported"),
+                   self.refutation)
+            return
+        name = "parabolic-structure" if parabolic else "conical-structure"
+        if dec is None:
+            exc = self.refutation
+            yield (Check(name, False, margin=getattr(exc, "margin", None),
+                         info=str(exc)), exc)
+            return
+        yield Check(name, True, margin=dec.c) if parabolic else Check(
+            name, True, certificate={"zeta": dec.coeff_zeta,
+                                     "rho": dec.coeff_rho.tolist()}), None
+        if not closed_forms:
+            return
+        if parabolic and not dec.carries_root:
+            yield (Check("square-root-block-present", False,
+                         info="c = 0; diffusion degenerate on the parabola"),
+                   PreconditionFailedError(
+                       "c = 0: the parabola does not carry the square-root block"))
+        elif not parabolic and not dec.normalized:
+            yield (Check("cone-zeta-form", False,
+                         info="strong-solution route needs theta = zeta"),
+                   PreconditionFailedError(
+                       "the conical closed forms need theta = zeta"))
+
+    def _refuse(self, closed_forms: bool) -> None:
+        for _, error in self.gates(closed_forms):
+            if error is not None:
+                raise error
+
+    def fitted(self) -> ParabolicDecomposition | ConicalDecomposition:
+        """The structure, or the error of the first gate up to its fit that
+        fails (`gates`)."""
+        self._refuse(closed_forms=False)
         return self.structure
 
     def normalized(self) -> QuadricFrame:
         """The frame of the paper's closed forms on the inside of the quadric:
         x_1 >= |y|^2 with theta's upper block zeta, one congruence and one
-        verifying fit away, or the cone iff theta = zeta already."""
-        dec = self.fitted()
-        if self.model.state_space.component != "positive":
-            raise PreconditionFailedError(
-                "the state space is the outside of the quadric")
+        verifying fit away, or the cone iff theta = zeta already; the error
+        of the first gate that fails (`gates`) when there is none."""
+        self._refuse(closed_forms=True)
+        dec = self.structure
         if self.classification.kind == "cone":
-            if not dec.normalized:
-                raise PreconditionFailedError(
-                    "the conical closed forms need theta = zeta")
             return self
         S = AffineMap(_normalizing_map(dec), np.zeros(dec.p))
         model = self.model.pushed(S, self.model.state_space)
@@ -276,8 +329,9 @@ class QuadricFrame:
 def canonical_quadric_model(model: ModelSpec) -> QuadricFrame:
     """The one decider of the quadric frame: the model in the canonical
     coordinates y = T x + t, on its side of the quadric ("negative" for the
-    outside), and theta's structure fitted once; only here does a failed fit
-    become a value, the frame's ``refutation``."""
+    outside), and theta's structure fitted once, for an admissible kind;
+    only here does a failed fit become a value, the frame's
+    ``refutation``."""
     space = model.state_space
     cls = classify_quadric(space.form)
     flipped = (space.component == "positive") != (cls.sign == 1)
@@ -286,16 +340,13 @@ def canonical_quadric_model(model: ModelSpec) -> QuadricFrame:
                                space.closed)
     canon = model.pushed(cls.map, new_space)
     structure, refutation = None, None
-    try:
-        if cls.kind == "parabolic":
-            structure = parabolic_theta_decompose(canon.diffusion, cls.q)
-        elif cls.kind == "cone":
-            structure = conical_theta_decompose(canon.diffusion, cls.q)
-        else:
-            refutation = NotAdmissibleError(
-                "ellipsoid-type quadrics carry no affine diffusion")
-    except (NotAdmissibleError, PreconditionFailedError) as exc:
-        refutation = exc
+    if cls.admissible:
+        fit = parabolic_theta_decompose if cls.kind == "parabolic" else \
+            conical_theta_decompose
+        try:
+            structure = fit(canon.diffusion, cls.q)
+        except (NotAdmissibleError, PreconditionFailedError) as exc:
+            refutation = exc
     return QuadricFrame(cls, canon, structure, refutation, cls.map)
 
 
@@ -552,35 +603,15 @@ def parabolic_square_root(dec: ParabolicDecomposition):
     return sigma
 
 
-@dataclass(frozen=True)
-class ParabolicDriftReport:
-    structure_ok: bool
-    psd_ok: bool
-    q2_ok: bool
-    closed_ok: bool
-    closed_margin: float
-    open_ok: bool
-    open_margin: float
-    d: np.ndarray
-
-    @property
-    def admissible(self) -> bool:
-        return bool(self.structure_ok and self.psd_ok and self.q2_ok
-                    and self.closed_ok)
-
-    @property
-    def open_invariant(self) -> bool:
-        return bool(self.admissible and self.open_ok)
-
-
-def check_parabolic_drift(drift: AffineVectorField, q: int) -> ParabolicDriftReport:
+def check_parabolic_drift(drift: AffineVectorField, q: int) -> list[Check]:
     """Drift admissibility on the parabola in canonical coordinates (c = 1).
 
-    Verifies the zero pattern of the first q drift rows, positive
+    Checks the zero pattern of the first q drift rows, positive
     semidefiniteness of a_11 Id - 2 a_QQ, the matching condition on the
-    degenerate directions, and the closed- and open-state-space lower bounds
-    on b_1 (the open bound is the stochastic-invariance-of-the-interior
-    strengthening)."""
+    degenerate directions and the closed-state-space lower bound on b_1,
+    then the open verdict, ``open-invariance``: every closed condition and
+    the open bound on b_1, the stochastic-invariance-of-the-interior
+    strengthening, whose margin it carries."""
     a, b = drift.a, drift.b
     p = drift.dim
     scale = _coefficient_scale(a, b)
@@ -602,9 +633,13 @@ def check_parabolic_drift(drift: AffineVectorField, q: int) -> ParabolicDriftRep
     penalty = float(np.sum(r[q1] ** 2 / (4.0 * d[q1]))) if q1.any() else 0.0
     closed_margin = float(b[0] - (q - 1) - penalty)
     open_margin = float(b[0] - (q + 1) - penalty)
-    return ParabolicDriftReport(bool(structure_ok), psd_ok, q2_ok,
-                                closed_margin >= -tol, closed_margin,
-                                open_margin >= -tol, open_margin, d)
+    checks = [Check("parabolic-drift-structure", bool(structure_ok)),
+              Check("parabolic-drift-psd", psd_ok),
+              Check("parabolic-drift-degenerate-match", q2_ok),
+              Check("parabolic-drift-lower-bound", closed_margin >= -tol,
+                    margin=closed_margin)]
+    return checks + [Check("open-invariance", all(c.passed for c in checks)
+                           and open_margin >= -tol, margin=open_margin)]
 
 
 # ---------------------------------------------------------------------------
@@ -726,20 +761,8 @@ def cone_square_root(q: int):
     return sigma
 
 
-@dataclass(frozen=True)
-class ConeAdmissibilityReport:
-    symmetry_ok: bool
-    psd_ok: bool
-    drift_margin: float
-    drift_ok: bool
-
-    @property
-    def admissible(self) -> bool:
-        return bool(self.symmetry_ok and self.psd_ok and self.drift_ok)
-
-
 def check_cone_admissibility(drift: AffineVectorField, p: int,
-                             q: int) -> ConeAdmissibilityReport:
+                             q: int) -> list[Check]:
     """Conditions for a strong solution on the open cone with theta = zeta:
     a_1Q = a_Q1^T, a_11 Id - a_QQ PSD, and b_1 - p/2 - |b_Q| >= 0."""
     a, b = drift.a, drift.b
@@ -750,22 +773,17 @@ def check_cone_admissibility(drift: AffineVectorField, p: int,
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     psd_ok = bool(w.min(initial=0.0) >= -TOL.psd * scale)
     margin = float(b[0] - 0.5 * p - np.linalg.norm(b[1:q]))
-    return ConeAdmissibilityReport(sym_ok, psd_ok, margin, margin >= -tol)
+    return [Check("cone-drift-symmetry", sym_ok), Check("cone-drift-psd", psd_ok),
+            Check("cone-drift-lower-bound", margin >= -tol, margin=margin)]
 
 
 # ---------------------------------------------------------------------------
 # open-set invariance
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OpenInvarianceReport:
-    v: np.ndarray
-    phiv2_ok: bool
-    min_value: float
-
-
-def check_open_invariance_general(model: ModelSpec) -> OpenInvarianceReport:
-    """Invariance of the open inside of a quadric model's state space.
+def check_open_invariance_general(model: ModelSpec) -> Check:
+    """Invariance of the open inside of a quadric model's state space, the
+    check ``open-invariance`` with v as its certificate.
 
     First verifies at coefficient level that grad(Phi) theta = Phi v^T for a
     constant vector v (raising PhiVMismatchError otherwise); then decides
@@ -792,11 +810,12 @@ def check_open_invariance_general(model: ModelSpec) -> OpenInvarianceReport:
 
     frame = canonical_quadric_model(model).normalized()
     q, drift = frame.classification.q, frame.model.drift
-    if frame.classification.kind == "parabolic":
-        rep = check_parabolic_drift(drift, q)
-        return OpenInvarianceReport(v, rep.open_invariant, rep.open_margin)
-    rep = check_cone_admissibility(drift, q, q)
-    return OpenInvarianceReport(v, rep.admissible, rep.drift_margin)
+    checks = check_parabolic_drift(drift, q) \
+        if frame.classification.kind == "parabolic" \
+        else check_cone_admissibility(drift, q, q)
+    # the last check is the open bound, which holds with every other one
+    return Check("open-invariance", all(c.passed for c in checks),
+                 margin=checks[-1].margin, certificate=v)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,11 @@ checks and random-model generators used by property and acceptance tests."""
 
 from __future__ import annotations
 
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -214,3 +219,29 @@ def frame_calls(monkeypatch):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240808)
+
+
+def load_module(path: Path):
+    """The module in the Python file at path, which need not be in a
+    package (``tools/`` and ``perfbench/`` are not)."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def cli_digest_runs(tmp_path_factory):
+    """(label, argv, exit code, stdout, stderr) of each call that
+    ``tools/cli_digests.py`` digests, run once per session in process."""
+    import affinvar.cli
+
+    tool = load_module(Path(__file__).resolve().parents[1] / "tools" /
+                       "cli_digests.py")
+    runs = []
+    for label, argv in tool.calls(tmp_path_factory.mktemp("digests")):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = affinvar.cli.main(argv)
+        runs.append((label, argv, code, out.getvalue(), err.getvalue()))
+    return runs

@@ -609,7 +609,7 @@ def test_parabolic_open_invariance_needs_the_closed_conditions(tmp_path,
     assert not check["passed"]
     assert rep["open_invariance"] == {"passed": False,
                                       "margin": pytest.approx(1.0)}
-    assert not check_open_invariance_general(load_model(path)).phiv2_ok
+    assert not check_open_invariance_general(load_model(path)).passed
 
 
 def test_out_writes_the_stdout_bytes(tmp_path, capsys):

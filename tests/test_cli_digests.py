@@ -17,7 +17,8 @@ FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 COMMANDS = ("validate", "canonicalize", "decompose", "classify")
 EDGE_MODELS = ("sqrt-facet-zero-multiple", "parabola-open-only",
                "theta-leaves-psd-cone", "empty-polyhedron", "ellipsoid",
-               "parabola-outside", "cone-unnormalized",
+               "parabola-outside", "parabola-outside-broken",
+               "cone-unnormalized",
                "parabola-broken-structure", "parabola-c-zero", "parabola-c-two",
                "cone-hyperboloid", "closed-string", "dimension-float",
                "interval-outward-drift", "cir-overflow")
@@ -86,4 +87,4 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     assert {argv[1] for argv in argvs if argv[0] == "simulate"} - \
         set(fixtures) - edge_paths == image_sims
     assert len(calls) == len(expected) + len(EDGE_MODELS) + len(simulate) + \
-        len(image_sims) + 1 == 595
+        len(image_sims) + 1 == 600

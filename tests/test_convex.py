@@ -585,10 +585,13 @@ def test_detect_facet_multiple_examples():
     # A_1 = 3 e_1 e_1^T: gamma_0 theta(x) = (3 x_1, 0) = (3, 0) u_0(x)
     A = np.zeros((2, 2, 2))
     A[0, 0, 0] = 3.0
-    facets = check_polyhedral_admissibility(_model(UNIT_SQUARE, A)).facets
-    assert facets[0].coupling_row == pytest.approx([3.0, 0.0])
+    checks = {c.name: c for c in
+              check_polyhedral_admissibility(_model(UNIT_SQUARE, A)).checks}
+    # the coupling row is the diffusion check's certificate
+    assert checks["facet-0-diffusion"].certificate == pytest.approx([3.0, 0.0])
     # the row -3 x_1 of facet 2 is not a multiple of u_2 = 1 - x_1
-    assert facets[2].coupling_row is None and not facets[2].diffusion_ok
+    fc = checks["facet-2-diffusion"]
+    assert fc.certificate is None and not fc.passed
 
 
 def test_detect_facet_multiple_scaled_coordinate():
@@ -597,8 +600,9 @@ def test_detect_facet_multiple_scaled_coordinate():
     for c in (0.5, 2.0, 7.25):
         A = np.zeros((2, 2, 2))
         A[0, 0, 0] = c
-        facets = check_polyhedral_admissibility(_model(orthant, A)).facets
-        assert facets[0].coupling_row == pytest.approx([c, 0.0])
+        fc = check_polyhedral_admissibility(_model(orthant, A)).checks[0]
+        assert fc.name == "facet-0-diffusion"
+        assert fc.certificate == pytest.approx([c, 0.0])
 
 
 def test_detect_facet_multiple_interior_empty():

@@ -32,17 +32,18 @@ from conftest import random_affine_image, random_canonical_model
 def test_cir_admissible():
     rep = check_polyhedral_admissibility(load_fixture("cir"))
     assert rep.admissible
-    fc = rep.facets[0]
-    assert fc.diffusion_multiple == pytest.approx(1.0)
-    assert fc.drift_certificate is not None
+    diffusion, drift = rep.checks
+    assert diffusion.name == "facet-0-diffusion"
+    assert diffusion.margin == pytest.approx(1.0)   # c_0
+    assert drift.name == "facet-0-drift" and drift.certificate is not None
 
 
 def test_triangle_channel_admissible():
     rep = check_polyhedral_admissibility(load_fixture("triangle_channel"))
     assert rep.admissible
     # diffusion rows vanish identically: all coupling rows zero
-    for fc in rep.facets:
-        assert np.abs(fc.coupling_row).max() <= 1e-10
+    for fc in rep.checks[::2]:
+        assert np.abs(fc.certificate).max() <= 1e-10
 
 
 def test_cir_outward_drift_inadmissible():
@@ -51,9 +52,9 @@ def test_cir_outward_drift_inadmissible():
                     m.diffusion, m.state_space)
     rep = check_polyhedral_admissibility(bad)
     assert not rep.admissible
-    fc = rep.facets[0]
-    assert fc.diffusion_ok and not fc.drift_ok
-    assert abs(fc.witness[0]) <= 1e-6  # witness x = 0 with gamma mu(0) = -1
+    diffusion, drift = rep.checks
+    assert diffusion.passed and not drift.passed
+    assert abs(drift.witness[0]) <= 1e-6  # witness x = 0 with gamma mu(0) = -1
 
 
 def test_minimal_is_not_a_constructor_argument():
@@ -762,16 +763,17 @@ def test_open_facet_invariance_orthant_examples(theta, facets, a, b, flags):
                       theta, Polyhedron(np.eye(2)[:facets], np.zeros(facets)))
     checks = check_open_facet_invariance(model)
     assert [fc.passed for fc in checks] == flags
-    for fc in checks:
-        half = 0.5 * theta.A[fc.index][fc.index, fc.index]   # c_i / 2
+    for i, fc in enumerate(checks):
+        half = 0.5 * theta.A[i][i, i]   # c_i / 2
+        assert fc.name == f"facet-{i}-open"
         assert (fc.certificate is not None) is fc.passed
         assert (fc.witness is not None) is not fc.passed
-        if fc.passed:   # the certificate's constant is b_i - c_i/2
-            assert fc.certificate.c == pytest.approx(b[fc.index] - half)
+        if fc.passed:   # the certificate's constant is b_i - c_i/2, the margin
+            assert fc.certificate.c == fc.margin == pytest.approx(b[i] - half)
         else:           # and the witness a facet point where it is negative
             x = fc.witness
-            assert x[fc.index] == 0.0
-            assert model.drift(x)[fc.index] - half < 0.0
+            assert x[i] == 0.0
+            assert model.drift(x)[i] - half < 0.0
 
 
 def test_brownian_half_line_is_not_admissible(tmp_path, capsys):
@@ -780,8 +782,8 @@ def test_brownian_half_line_is_not_admissible(tmp_path, capsys):
     model = ModelSpec(1, AffineVectorField([[-1.0]], [1.5]),
                       AffineMatrixField([[1.0]], [[[0.0]]]),
                       Polyhedron([[1.0]], [0.0]))
-    (fc,) = check_polyhedral_admissibility(model).facets
-    assert not fc.diffusion_ok and fc.drift_ok
+    diffusion, drift = check_polyhedral_admissibility(model).checks
+    assert not diffusion.passed and drift.passed
     path = tmp_path / "brownian.json"
     save_model(model, path)
     assert main(["validate", str(path)]) == 1
@@ -833,12 +835,12 @@ def test_open_facet_invariance_is_the_canonical_rule_in_every_frame(p, data,
     for frame in (model, random_affine_image(rng, model)):
         checks = check_open_facet_invariance(frame)
         assert [fc.passed for fc in checks] == expected
-        for fc in checks:
+        for i, fc in enumerate(checks):
             if fc.witness is not None:  # a facet point where the drift is low
-                x, g = fc.witness, frame.state_space.gamma[fc.index]
-                assert frame.state_space.facet(fc.index)(x) == pytest.approx(
+                x, g = fc.witness, frame.state_space.gamma[i]
+                assert frame.state_space.facet(i)(x) == pytest.approx(
                     0.0, abs=1e-9 * (1 + np.abs(x).max()))
-                c = 1.0 if fc.index < m_cnt else 0.0
+                c = 1.0 if i < m_cnt else 0.0
                 assert g @ frame.drift(x) - c / 2 < 0
 
 
@@ -850,7 +852,7 @@ def test_open_facet_invariance_needs_the_diffusion_condition(fixture, sign):
     m = load_fixture(fixture)
     m = ModelSpec(m.dimension, m.drift, AffineMatrixField(
         sign * m.diffusion.A0, sign * m.diffusion.A), m.state_space)
-    assert not any(fc.diffusion_ok
-                   for fc in check_polyhedral_admissibility(m).facets)
+    assert not any(fc.passed
+                   for fc in check_polyhedral_admissibility(m).checks[::2])
     for fc in check_open_facet_invariance(m):
         assert not fc.passed and fc.certificate is None and fc.witness is None

@@ -454,27 +454,41 @@ def test_normalize_parabolic_matches_three_fit_reference(pq, c, seed):
 # parabolic drift admissibility
 # ---------------------------------------------------------------------------
 
+def _checks(checks) -> dict:
+    return {c.name: c for c in checks}
+
+
 def test_parabolic_drift_zero_a():
-    rep = check_parabolic_drift(
-        AffineVectorField(np.zeros((2, 2)), np.array([1.0, 0.0])), 2)
-    assert rep.structure_ok and rep.psd_ok and rep.q2_ok
-    assert rep.closed_ok and rep.closed_margin == pytest.approx(0.0)
-    assert not rep.open_ok and rep.open_margin == pytest.approx(-2.0)
+    rep = _checks(check_parabolic_drift(
+        AffineVectorField(np.zeros((2, 2)), np.array([1.0, 0.0])), 2))
+    assert rep["parabolic-drift-structure"].passed
+    assert rep["parabolic-drift-psd"].passed
+    assert rep["parabolic-drift-degenerate-match"].passed
+    closed = rep["parabolic-drift-lower-bound"]
+    assert closed.passed and closed.margin == pytest.approx(0.0)
+    # every closed condition holds, so the open bound alone fails the verdict
+    open_ = rep["open-invariance"]
+    assert not open_.passed and open_.margin == pytest.approx(-2.0)
 
 
 def test_parabolic_drift_penalty_formula():
     a = np.array([[2.0, 0.0], [0.0, 0.5]])
     b = np.array([2.0, 1.0])
-    rep = check_parabolic_drift(AffineVectorField(a, b), 2)
+    closed = _checks(check_parabolic_drift(AffineVectorField(a, b), 2))[
+        "parabolic-drift-lower-bound"]
     # d = 2 - 2*0.5 = 1, penalty = (0 - 2*1)^2 / (4*1) = 1, bound = 1 + 1 = 2
-    assert rep.closed_ok and rep.closed_margin == pytest.approx(0.0)
+    assert closed.passed and closed.margin == pytest.approx(0.0)
 
 
 def test_parabolic_drift_structure_violation():
     a = np.zeros((3, 3))
     a[1, 0] = 1.0  # a_Q1 must vanish
-    rep = check_parabolic_drift(AffineVectorField(a, np.array([5.0, 0, 0])), 2)
-    assert not rep.structure_ok
+    rep = _checks(check_parabolic_drift(
+        AffineVectorField(a, np.array([5.0, 0, 0])), 2))
+    assert not rep["parabolic-drift-structure"].passed
+    # the open verdict needs every closed condition: b_1 = 5 clears its bound
+    assert rep["open-invariance"].margin > 0
+    assert not rep["open-invariance"].passed
 
 
 # ---------------------------------------------------------------------------
@@ -554,16 +568,18 @@ def test_cone_square_root_matches_eigendecomposition(rng):
 def test_check_cone_admissibility_examples():
     ok = check_cone_admissibility(
         AffineVectorField(np.zeros((3, 3)), np.array([2.0, 0, 0])), 3, 3)
-    assert ok.admissible and ok.drift_margin == pytest.approx(0.5)
-    bad = check_cone_admissibility(
-        AffineVectorField(np.zeros((3, 3)), np.array([1.4, 0, 0])), 3, 3)
-    assert not bad.drift_ok
+    assert [c.name for c in ok] == ["cone-drift-symmetry", "cone-drift-psd",
+                                    "cone-drift-lower-bound"]
+    assert all(c.passed for c in ok) and ok[-1].margin == pytest.approx(0.5)
+    bad = _checks(check_cone_admissibility(
+        AffineVectorField(np.zeros((3, 3)), np.array([1.4, 0, 0])), 3, 3))
+    assert not bad["cone-drift-lower-bound"].passed
     a = np.zeros((3, 3))
     a[0, 1:] = [1.0, 0.0]
     a[1:, 0] = [0.0, 1.0]
-    asym = check_cone_admissibility(AffineVectorField(a, np.array([2.0, 0, 0])),
-                                    3, 3)
-    assert not asym.symmetry_ok
+    asym = _checks(check_cone_admissibility(
+        AffineVectorField(a, np.array([2.0, 0, 0])), 3, 3))
+    assert not asym["cone-drift-symmetry"].passed
 
 
 def test_conical_rejects_extra_coordinates():
@@ -579,16 +595,18 @@ def test_conical_rejects_extra_coordinates():
 def test_open_invariance_cone():
     m = load_fixture("cone3")
     rep = check_open_invariance_general(m)
-    assert np.allclose(rep.v, [2.0, 0.0, 0.0], atol=1e-9)
-    assert rep.phiv2_ok
-    assert rep.min_value == pytest.approx(0.5)
+    assert rep.name == "open-invariance"
+    # v, with grad(Phi) theta = Phi v^T, is the certificate
+    assert np.allclose(rep.certificate, [2.0, 0.0, 0.0], atol=1e-9)
+    assert rep.passed
+    assert rep.margin == pytest.approx(0.5)
 
 
 def test_open_invariance_parabolic():
     m = load_fixture("parabola3")
     rep = check_open_invariance_general(m)
     # b_1 = 2.5 < q + 1 = 4: closed-admissible but the open bound fails
-    assert not rep.phiv2_ok
+    assert not rep.passed
 
 
 def _scaled(name: str, theta_scale: float, b1: float | None = None) -> ModelSpec:
@@ -612,8 +630,8 @@ def test_open_invariance_parabola_in_the_normalized_frame(theta_scale, b1,
     # the closed forms hold where theta's upper block is exactly zeta: the
     # verdict is validate's, read after the normalization c = 1
     rep = check_open_invariance_general(_scaled("parabola3", theta_scale, b1))
-    assert rep.phiv2_ok is passed
-    assert rep.min_value == pytest.approx(margin)
+    assert rep.passed is passed
+    assert rep.margin == pytest.approx(margin)
 
 
 def test_open_invariance_refuses_a_cone_off_zeta():
@@ -628,7 +646,7 @@ def test_open_invariance_needs_the_canonical_frame():
     m, f = load_fixture("cone3"), AffineMap(2.0 * np.eye(3), np.zeros(3))
     img = m.pushed(f, m.state_space.transformed(f))
     rep = check_open_invariance_general(img)
-    assert rep.phiv2_ok and rep.min_value == pytest.approx(0.5)
+    assert rep.passed and rep.margin == pytest.approx(0.5)
 
 
 def _open_invariance_images():
@@ -649,8 +667,8 @@ def _open_invariance_images():
 @pytest.mark.parametrize("model,margin", _open_invariance_images())
 def test_open_invariance_is_affine_invariant(model, margin):
     rep = check_open_invariance_general(model)
-    assert rep.phiv2_ok is (margin > 0)
-    assert rep.min_value == pytest.approx(margin, abs=1e-8)
+    assert rep.passed is (margin > 0)
+    assert rep.margin == pytest.approx(margin, abs=1e-8)
 
 
 def test_open_invariance_phi_v_mismatch():

@@ -80,6 +80,10 @@ def _edge_models() -> dict[str, dict]:
     parabola["drift"]["b"][0] = 5.0     # clears the open-interior bound
     outside = _fixture("parabola3")
     outside["state_space"]["component"] = "negative"
+    outside_broken = _fixture("parabola3")  # theta_12 = 0.7: no structure
+    outside_broken["state_space"]["component"] = "negative"
+    outside_broken["diffusion"]["A0"][0][1] += 0.7
+    outside_broken["diffusion"]["A0"][1][0] += 0.7
     cone = _fixture("cone3")
     cone["diffusion"]["A"] = (2.0 * np.array(cone["diffusion"]["A"])).tolist()
     hyperboloid = _fixture("cone3")
@@ -119,6 +123,8 @@ def _edge_models() -> dict[str, dict]:
             [[0.0]], [0.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [-1.0, 0.0]),
         "ellipsoid": ellipsoid,
         "parabola-outside": outside,
+        # refused on the side of the quadric, before its structure fit
+        "parabola-outside-broken": outside_broken,
         "cone-unnormalized": cone,
         "parabola-broken-structure": broken,
         "parabola-c-zero": c_zero,
