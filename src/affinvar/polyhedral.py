@@ -77,14 +77,16 @@ def _interior_polyhedron(model: ModelSpec) -> Polyhedron:
 def _coupling_rows(theta: AffineMatrixField, poly: Polyhedron
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coupling rows B (q, p) with gamma_i theta(.) = B_i u_i(.)
-    coefficientwise, the diffusion multiples c_i = B_i gamma_i^T, and the
-    mask of facets where that identity holds.
+    coefficientwise, the diffusion multiples c_i = B_i gamma_i^T, and each
+    facet's residual of that identity, which holds where the residual is at
+    most TOL.feasibility.
 
     Callers have already established a nonempty interior of the minimal
     polyhedron, so facet i spans {u_i = 0} and vanishing there is exactly
     being a coefficient multiple of u_i.  Each component's (linear, constant)
-    coefficients are projected onto U_i = (gamma_i, delta_i) and accepted
-    under the residual test of `_coefficient_multiple`.
+    coefficients are projected onto U_i = (gamma_i, delta_i); the residual
+    is the largest of the components' projection residuals, each relative to
+    1 + the component's largest coefficient.
     """
     g = poly.gamma
     # V[i, j] = coefficients of component j of x -> gamma_i theta(x)
@@ -95,18 +97,19 @@ def _coupling_rows(theta: AffineMatrixField, poly: Polyhedron
     nonzero = denom > 0
     B = np.einsum("ijk,ik->ij", V, U) / np.where(nonzero, denom, 1.0)[:, None]
     resid = np.abs(V - B[:, :, None] * U[:, None, :]).max(axis=2, initial=0.0)
-    scale = 1.0 + np.abs(V).max(axis=2, initial=0.0)
-    ok = nonzero & np.all(resid <= TOL.feasibility * scale, axis=1)
-    return B, np.einsum("ij,ij->i", B, g), ok
+    resid = (resid / (1.0 + np.abs(V).max(axis=2, initial=0.0))).max(
+        axis=1, initial=0.0)
+    return B, np.einsum("ij,ij->i", B, g), np.where(nonzero, resid, np.inf)
 
 
 def _diffusion_condition(theta: AffineMatrixField, poly: Polyhedron
                          ) -> tuple[np.ndarray, ...]:
     """`_coupling_rows`' B and c, the mask ok of facets that meet the
-    diffusion condition, and the mask root of square-root facets: those with
+    diffusion condition, the mask root of square-root facets: those with
     gamma_i theta(.) = B_i u_i(.) and |B_i| > TOL.zero_row times theta's
-    scale.  The condition is that identity and, on a square-root facet,
-    c_i > 0; with c_i <= 0 theta is not PSD on the interior.
+    scale, and the residual of that identity.  The condition is that
+    identity and, on a square-root facet, c_i > 0; with c_i <= 0 theta is
+    not PSD on the interior.
 
     The result is decided once per (theta, poly) pair of objects and
     memoized on poly, as `convex.interior_point` is, keyed by theta and the
@@ -117,10 +120,11 @@ def _diffusion_condition(theta: AffineMatrixField, poly: Polyhedron
     memo = getattr(poly, "_condition", None)
     if memo is not None and memo[0][0] is theta and memo[0][1:] == key[1:]:
         return memo[1]
-    B, c, vanishes = _coupling_rows(theta, poly)
+    B, c, resid = _coupling_rows(theta, poly)
+    vanishes = resid <= TOL.feasibility
     root = vanishes & (np.linalg.norm(B, axis=1) >
                        TOL.zero_row * _coefficient_scale(theta.A0, theta.A))
-    result = (B, c, vanishes & (~root | (c > 0)), root)
+    result = (B, c, vanishes & (~root | (c > 0)), root, resid)
     for arr in result:
         arr.setflags(write=False)
     object.__setattr__(poly, "_condition", (key, result))
@@ -149,14 +153,17 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     For each facet: (a) the row gamma_i theta(.) vanishes on the facet segment
     (every component is a multiple of u_i, and on a square-root facet the
     quadratic multiple c_i = B_i gamma_i^T is positive,
-    `_diffusion_condition`); (b) gamma_i mu(.) is nonnegative on
-    the facet segment, certified by a facet-relative Farkas decomposition.
+    `_diffusion_condition`), the check ``facet-i-diffusion`` with B_i as its
+    certificate and c_i as its margin, or the negated residual of the
+    identity where the row does not vanish; (b) gamma_i mu(.) is nonnegative
+    on the facet segment, ``facet-i-drift``, certified by a facet-relative
+    Farkas decomposition or refuted by a witness point.
     When every facet has a drift certificate the report also carries the
     lifted drift (a_bar, b_bar); raises NotAdmissibleError if those fail to
     reconstruct gamma mu(.).
     """
     poly = _interior_polyhedron(model)
-    B, c, ok, root = _diffusion_condition(model.diffusion, poly)
+    B, c, ok, root, resid = _diffusion_condition(model.diffusion, poly)
     checks, certs = [], []
     for i in range(poly.n_facets):
         vanishes = ok[i] or root[i]  # gamma_i theta(.) = B_i u_i(.)
@@ -168,7 +175,7 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
         if cert is None:
             msg = (msg + "; " if msg else "") + "drift points outward on facet"
         checks += [Check(f"facet-{i}-diffusion", bool(ok[i]),
-                         margin=float(c[i]) if vanishes else None,
+                         margin=float(c[i] if vanishes else -resid[i]),
                          certificate=B[i] if vanishes else None,
                          info=msg or None),
                    Check(f"facet-{i}-drift", cert is not None,
@@ -194,7 +201,7 @@ def check_open_facet_invariance(model: ModelSpec) -> list[Check]:
     gives u_i(t) >= u_i(0) exp(lam_i t) > 0.
     """
     poly = _interior_polyhedron(model)
-    _, c, ok, _ = _diffusion_condition(model.diffusion, poly)
+    _, c, ok, _, _ = _diffusion_condition(model.diffusion, poly)
     checks = []
     for i in range(poly.n_facets):
         cert = witness = None
@@ -294,7 +301,7 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     poly = _interior_polyhedron(model)
     p, q = model.dimension, poly.n_facets
 
-    B, c, ok, root = _diffusion_condition(model.diffusion, poly)
+    B, c, ok, root, _ = _diffusion_condition(model.diffusion, poly)
     if not (ok | root).all():
         raise NotAdmissibleError(
             f"diffusion condition fails on facet {np.argmin(ok | root)}: "

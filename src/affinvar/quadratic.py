@@ -611,31 +611,34 @@ def check_parabolic_drift(drift: AffineVectorField, q: int) -> list[Check]:
     degenerate directions and the closed-state-space lower bound on b_1,
     then the open verdict, ``open-invariance``: every closed condition and
     the open bound on b_1, the stochastic-invariance-of-the-interior
-    strengthening, whose margin it carries."""
+    strengthening, whose margin it carries.  A margin is the negated
+    largest residual of a zero condition, the least eigenvalue, or the
+    slack of a bound; each check passes iff its margin is at least minus
+    its tolerance."""
     a, b = drift.a, drift.b
-    p = drift.dim
     scale = _coefficient_scale(a, b)
     tol = TOL.feasibility * scale
-    structure_ok = True
-    if p > q:
-        structure_ok &= float(np.abs(a[0, q:]).max(initial=0.0)) <= tol
-        structure_ok &= float(np.abs(a[1:q, q:]).max(initial=0.0)) <= tol
-    structure_ok &= float(np.abs(a[1:q, 0]).max(initial=0.0)) <= tol
+    # the zero pattern: a_1R, a_QR and a_Q1 vanish
+    pattern = -float(max(np.abs(a[:q, q:]).max(initial=0.0),
+                         np.abs(a[1:q, 0]).max(initial=0.0)))
 
     M = a[0, 0] * np.eye(q - 1) - 2.0 * a[1:q, 1:q]
     Msym = 0.5 * (M + M.T)
     d, O = np.linalg.eigh(Msym)
-    psd_ok = bool(d.min(initial=0.0) >= -TOL.psd * scale)
+    least = float(d.min(initial=np.inf))
     lin = a[0, 1:q] - 2.0 * b[1:q]
     r = O.T @ lin
     q1 = d > TOL.psd * scale
-    q2_ok = bool(np.abs(r[~q1]).max(initial=0.0) <= tol)
+    match = -float(np.abs(r[~q1]).max(initial=0.0))
     penalty = float(np.sum(r[q1] ** 2 / (4.0 * d[q1]))) if q1.any() else 0.0
     closed_margin = float(b[0] - (q - 1) - penalty)
     open_margin = float(b[0] - (q + 1) - penalty)
-    checks = [Check("parabolic-drift-structure", bool(structure_ok)),
-              Check("parabolic-drift-psd", psd_ok),
-              Check("parabolic-drift-degenerate-match", q2_ok),
+    checks = [Check("parabolic-drift-structure", pattern >= -tol,
+                    margin=pattern),
+              Check("parabolic-drift-psd", least >= -TOL.psd * scale,
+                    margin=least),
+              Check("parabolic-drift-degenerate-match", match >= -tol,
+                    margin=match),
               Check("parabolic-drift-lower-bound", closed_margin >= -tol,
                     margin=closed_margin)]
     return checks + [Check("open-invariance", all(c.passed for c in checks)
@@ -764,16 +767,17 @@ def cone_square_root(q: int):
 def check_cone_admissibility(drift: AffineVectorField, p: int,
                              q: int) -> list[Check]:
     """Conditions for a strong solution on the open cone with theta = zeta:
-    a_1Q = a_Q1^T, a_11 Id - a_QQ PSD, and b_1 - p/2 - |b_Q| >= 0."""
+    a_1Q = a_Q1^T, a_11 Id - a_QQ PSD, and b_1 - p/2 - |b_Q| >= 0, with the
+    margins of `check_parabolic_drift`."""
     a, b = drift.a, drift.b
     scale = _coefficient_scale(a, b)
     tol = TOL.feasibility * scale
-    sym_ok = bool(np.abs(a[0, 1:q] - a[1:q, 0]).max(initial=0.0) <= tol)
+    sym = -float(np.abs(a[0, 1:q] - a[1:q, 0]).max(initial=0.0))
     M = a[0, 0] * np.eye(q - 1) - a[1:q, 1:q]
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    psd_ok = bool(w.min(initial=0.0) >= -TOL.psd * scale)
+    least = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min(initial=np.inf))
     margin = float(b[0] - 0.5 * p - np.linalg.norm(b[1:q]))
-    return [Check("cone-drift-symmetry", sym_ok), Check("cone-drift-psd", psd_ok),
+    return [Check("cone-drift-symmetry", sym >= -tol, margin=sym),
+            Check("cone-drift-psd", least >= -TOL.psd * scale, margin=least),
             Check("cone-drift-lower-bound", margin >= -tol, margin=margin)]
 
 

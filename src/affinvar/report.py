@@ -75,7 +75,8 @@ def _validate_polyhedral(model: ModelSpec) -> Report:
     poly = _require_polyhedron(model)
     minimal = ModelSpec(model.dimension, model.drift, model.diffusion, poly)
     x0 = interior_point(poly)
-    checks = [Check("interior-nonempty", x0 is not None, witness=x0)]
+    checks = [Check("interior-nonempty", x0 is not None, witness=x0,
+                    info=None if x0 is not None else "empty interior")]
     if x0 is None:
         return Report("validate", model, tuple(checks))
     rng = np.random.default_rng(5)

@@ -572,7 +572,8 @@ def test_validate_empty_polyhedron(tmp_path, capsys):
         [0.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [-1.0, 0.0])))
     code, rep = _run(capsys, "validate", str(path))
     assert code == 1 and not rep["passed"]
-    assert rep["checks"] == [{"name": "interior-nonempty", "passed": False}]
+    assert rep["checks"] == [{"name": "interior-nonempty", "passed": False,
+                              "info": "empty interior"}]
 
 
 def test_validate_reports_a_square_root_facet_with_zero_multiple(tmp_path,

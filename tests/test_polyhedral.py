@@ -236,7 +236,8 @@ def test_coupling_rows_match_the_per_component_oracle(p, data, seed, perturb):
         D = (np.outer(g, h) + np.outer(h, g)) / gg - (g @ h) * np.outer(g, g) / gg ** 2
         theta = AffineMatrixField(theta.A0 + w[p] * D,
                                   theta.A + w[:p, None, None] * D)
-    B, c, ok = _coupling_rows(theta, poly)
+    B, c, resid = _coupling_rows(theta, poly)
+    ok = resid <= TOL.feasibility
     for i in range(q):
         g = poly.gamma[i]
         oracle = [_coefficient_multiple(
@@ -784,6 +785,8 @@ def test_brownian_half_line_is_not_admissible(tmp_path, capsys):
                       Polyhedron([[1.0]], [0.0]))
     diffusion, drift = check_polyhedral_admissibility(model).checks
     assert not diffusion.passed and drift.passed
+    # the row (1) is no multiple of u_0 = x: its relative residual is 1/2
+    assert diffusion.margin == pytest.approx(-0.5)
     path = tmp_path / "brownian.json"
     save_model(model, path)
     assert main(["validate", str(path)]) == 1

@@ -485,7 +485,9 @@ def test_parabolic_drift_structure_violation():
     a[1, 0] = 1.0  # a_Q1 must vanish
     rep = _checks(check_parabolic_drift(
         AffineVectorField(a, np.array([5.0, 0, 0])), 2))
+    # the margin is the negated largest entry off the zero pattern
     assert not rep["parabolic-drift-structure"].passed
+    assert rep["parabolic-drift-structure"].margin == -1.0
     # the open verdict needs every closed condition: b_1 = 5 clears its bound
     assert rep["open-invariance"].margin > 0
     assert not rep["open-invariance"].passed
@@ -580,6 +582,7 @@ def test_check_cone_admissibility_examples():
     asym = _checks(check_cone_admissibility(
         AffineVectorField(a, np.array([2.0, 0, 0])), 3, 3))
     assert not asym["cone-drift-symmetry"].passed
+    assert asym["cone-drift-symmetry"].margin == -1.0   # -|a_12 - a_21|
 
 
 def test_conical_rejects_extra_coordinates():

@@ -97,3 +97,38 @@ def test_commands_refuse_a_quadric_on_its_first_failed_gate(tmp_path, capsys,
         assert code == 1 and json.loads(err) == refused
     else:
         assert code == 0 and json.loads(out)["decomposition"]["status"] == "ok"
+
+
+def _validate_reports(runs):
+    for label, argv, code, out, _ in runs:
+        if argv[0] == "validate" and out.strip():
+            yield label, json.loads(out)
+
+
+def test_every_failed_check_carries_a_margin_a_witness_or_info(
+        cli_digest_runs):
+    bare = [(label, c["name"])
+            for label, report in _validate_reports(cli_digest_runs)
+            for c in report["checks"] if not c["passed"]
+            and not {"margin", "witness", "info"} & set(c)]
+    assert bare == []
+
+
+# the checks whose margin is a negated residual or a least eigenvalue:
+# each passes iff its margin clears minus its tolerance
+SIGNED = ("parabolic-drift-structure", "parabolic-drift-psd",
+          "parabolic-drift-degenerate-match", "cone-drift-symmetry",
+          "cone-drift-psd")
+
+
+def test_signed_margins_have_the_sign_of_their_verdict(cli_digest_runs):
+    seen = set()
+    for label, report in _validate_reports(cli_digest_runs):
+        for c in report["checks"]:
+            if c["name"] in SIGNED or (c["name"].endswith("-diffusion")
+                                       and c.get("certificate") is None):
+                seen.add((c["name"].split("-")[0], c["passed"]))
+                assert (c["margin"] >= -1e-6) is c["passed"], (label, c)
+    # passing and failing drift checks, and facets whose row does not vanish
+    assert {("parabolic", True), ("parabolic", False), ("cone", True),
+            ("facet", False)} <= seen
