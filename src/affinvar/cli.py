@@ -67,13 +67,13 @@ def cmd_canonicalize(args) -> tuple[Report, int]:
 
 def cmd_decompose(args) -> tuple[Report, int]:
     model = load_model(args.model)
-    report = Report("decompose", model)
-    blocks = report.blocks
+    blocks = {}
     if isinstance(model.state_space, Polyhedron):
         dec, blocks["decomposition"] = decomposition_status(model)
         if dec is None:
-            return report, EXIT_CHECKS if blocks["decomposition"]["status"] \
-                == "not-representable" else EXIT_INTERNAL
+            code = EXIT_CHECKS if blocks["decomposition"]["status"] == \
+                "not-representable" else EXIT_INTERNAL
+            return Report("decompose", model, blocks=blocks), code
         blocks["decomposition"].update(B0=dec.B0.tolist(),
                                        Bi=[M.tolist() for M in dec.Bi])
     else:
@@ -93,7 +93,7 @@ def cmd_decompose(args) -> tuple[Report, int]:
                 "coeff_zeta": dec.coeff_zeta,
                 "coeff_rho": dec.coeff_rho.tolist(),
             }
-    return report, EXIT_OK
+    return Report("decompose", model, blocks=blocks), EXIT_OK
 
 
 def cmd_classify(args) -> tuple[Report, int]:

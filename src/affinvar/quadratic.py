@@ -817,7 +817,7 @@ def check_open_invariance_general(model: ModelSpec) -> Check:
     checks = check_parabolic_drift(drift, q) \
         if frame.classification.kind == "parabolic" \
         else check_cone_admissibility(drift, q, q)
-    # the last check is the open bound, which holds with every other one
+    # the open verdict needs every check; the last carries the open bound
     return Check("open-invariance", all(c.passed for c in checks),
                  margin=checks[-1].margin, certificate=v)
 
