@@ -1,37 +1,33 @@
-"""Reports of schema 1, which the CLI prints as JSON, and the verdict of
-`validate`: the checks of a model's polyhedral or quadric route, each a
-`core.Check` from its decider, and the blocks of the report around them.
+"""The report (schema 1) and the verdict of every subcommand.
+
+Each of `validate`, `canonicalize`, `decompose`, `classify` and `simulate`
+runs the deciders of `convex`, `polyhedral`, `quadratic` and `simulate` on
+a model and returns a `Report`: its checks, each a `core.Check` from its
+decider, and the blocks around them, the JSON that the CLI prints.  The
+`Report` alone decides whether the outcome passed or is inconclusive; the
+CLI (`cli.py`) parses the arguments, loads the model, writes the files and
+maps the report to its exit code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
 from .convex import interior_point
-from .core import Check, ModelSpec, Polyhedron, spot_check_psd
-from .errors import NotRepresentableError, NumericalFailureError
-from .modelio import model_hash
+from .core import Check, ModelSpec, Polyhedron, QuadraticSpace, spot_check_psd
+from .errors import (NotRepresentableError, NumericalFailureError,
+                     PreconditionFailedError)
+from .modelio import model_hash, model_to_dict
 from .polyhedral import (_require_polyhedron, canonical_transform,
                          check_polyhedral_admissibility, psd_decompose)
 from .quadratic import (canonical_quadric_model, check_cone_admissibility,
-                        check_parabolic_drift, check_parabolic_psd_condition)
-
-
-def decomposition_status(model: ModelSpec):
-    """``psd_decompose``'s outcome: the decomposition (None when there is
-    none) and a report entry whose status is "ok", with the least eigenvalue
-    of its blocks, "not-representable" (no PSD decomposition exists) or
-    "inconclusive" (the search failed)."""
-    try:
-        dec = psd_decompose(model)
-        return dec, {"status": "ok", "min_eigenvalue": dec.min_eigenvalue()}
-    except NotRepresentableError as exc:
-        return None, {"status": "not-representable", "detail": str(exc)}
-    except NumericalFailureError as exc:
-        return None, {"status": "inconclusive", "detail": str(exc)}
+                        check_parabolic_drift, check_parabolic_psd_condition,
+                        classify_quadric)
+from .simulate import (PathEnsemble, Scheme, SimConfig, mean_ode,
+                       simulate_paths, simulate_summary, simulation_frame)
 
 
 @dataclass(frozen=True)
@@ -40,16 +36,29 @@ class Report:
     order, and the blocks of its output, as JSON values.  On an admissible
     polyhedral model `validate` adds the blocks ``lifted_drift``,
     ``canonical`` and ``decompose``, on a quadric ``classification`` and,
-    on a parabola that passes every gate, ``open_invariance``."""
+    on a parabola that passes every gate, ``open_invariance``.  A
+    `simulate` report that keeps its paths holds them, in the model's
+    coordinates, as ``ensemble``, which the JSON leaves out."""
 
     command: str
     model: ModelSpec
     checks: tuple[Check, ...] = ()
     blocks: dict = field(default_factory=dict)
+    ensemble: PathEnsemble | None = None
+
+    @property
+    def _status(self) -> str:
+        return self.blocks.get("decomposition", {}).get("status", "ok")
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """Every check passed, and a decomposition asked for was found."""
+        return self._status == "ok" and all(c.passed for c in self.checks)
+
+    @property
+    def inconclusive(self) -> bool:
+        """The decomposition search failed without refuting one."""
+        return self._status == "inconclusive"
 
     def to_dict(self) -> dict:
         """The report as the CLI prints it."""
@@ -93,7 +102,9 @@ def _validate_polyhedral(model: ModelSpec) -> Report:
     return Report("validate", model, tuple(checks), {
         "lifted_drift": {"a_bar": a_bar.tolist(), "b_bar": b_bar.tolist()},
         "canonical": {"m": ct.m, "n": ct.n},
-        "decompose": decomposition_status(minimal)[1]})
+        "decompose": {key: value for key, value in
+                      decompose(minimal).blocks["decomposition"].items()
+                      if key not in ("B0", "Bi")}})
 
 
 def _validate_quadric(model: ModelSpec) -> Report:
@@ -119,3 +130,107 @@ def _validate_quadric(model: ModelSpec) -> Report:
     *drift, open_ = check_parabolic_drift(normal.model.drift, q)
     blocks["open_invariance"] = {"passed": open_.passed, "margin": open_.margin}
     return Report("validate", model, tuple(checks + drift), blocks)
+
+
+def canonicalize(model: ModelSpec) -> Report:
+    """The canonical transform of a polyhedral model and the model in its
+    coordinates (`polyhedral.canonical_transform`)."""
+    if not isinstance(model.state_space, Polyhedron):
+        raise PreconditionFailedError("canonicalize applies to polyhedral models")
+    ct = canonical_transform(model)
+    transform = {
+        "L": ct.map.L.tolist(), "ell": ct.map.ell.tolist(), "m": ct.m,
+        "n": ct.n,
+        "M": ct.facet_order[:ct.m].tolist(),
+        "N": ct.facet_order[ct.m:ct.m + ct.n].tolist(),
+        "facet_order": ct.facet_order.tolist(),
+        "facet_scale": ct.facet_scale.tolist(),
+        "psi": {"A0": ct.psi.A0.tolist(), "A": [M.tolist() for M in ct.psi.A]},
+        "B": ct.B.tolist(),
+    }
+    return Report("canonicalize", model,
+                  (Check("block-identity", True, margin=ct.block_residual),),
+                  {"transform": transform,
+                   "transformed_model": model_to_dict(ct.model)})
+
+
+def decompose(model: ModelSpec) -> Report:
+    """The PSD facet decomposition of a polyhedral model's diffusion, or the
+    parabolic or conical decomposition of a quadric's.  The polyhedral
+    block's status is "ok", with the least eigenvalue of the blocks,
+    "not-representable" (no PSD decomposition exists: the report fails) or
+    "inconclusive" (the search failed)."""
+    if isinstance(model.state_space, Polyhedron):
+        try:
+            dec = psd_decompose(model)
+        except NotRepresentableError as exc:
+            block = {"status": "not-representable", "detail": str(exc)}
+        except NumericalFailureError as exc:
+            block = {"status": "inconclusive", "detail": str(exc)}
+        else:
+            block = {"status": "ok", "min_eigenvalue": dec.min_eigenvalue(),
+                     "B0": dec.B0.tolist(), "Bi": [M.tolist() for M in dec.Bi]}
+        return Report("decompose", model, blocks={"decomposition": block})
+    frame = canonical_quadric_model(model)
+    blocks = {"classification": frame.classification.to_dict()}
+    dec = frame.fitted()
+    if frame.classification.kind == "parabolic":
+        blocks["decomposition"] = {
+            "status": "ok", "kind": "parabolic", "c": dec.c,
+            "A1": dec.A1.tolist(), "A2": dec.A2.tolist(),
+            "B": {"A0": dec.B.A0.tolist(), "A": [M.tolist() for M in dec.B.A]},
+        }
+    else:
+        blocks["decomposition"] = {
+            "status": "ok", "kind": "conical", "coeff_zeta": dec.coeff_zeta,
+            "coeff_rho": dec.coeff_rho.tolist(),
+        }
+    return Report("decompose", model, blocks=blocks)
+
+
+def classify(model: ModelSpec) -> Report:
+    """The canonical form of a quadratic model's boundary quadric."""
+    if not isinstance(model.state_space, QuadraticSpace):
+        raise PreconditionFailedError("classify applies to quadratic models")
+    return Report("classify", model, blocks={
+        "classification": classify_quadric(model.state_space.form).to_dict()})
+
+
+def simulate(model: ModelSpec, t: float = 1.0, steps: int = 0,
+             paths: int = 1000, seed: int = 0, x0=None,
+             scheme: str = "full-truncation", csv: bool = False) -> Report:
+    """Monte Carlo paths of the model to time ``t``, with the options and
+    defaults of `affinvar simulate`: ``steps`` Euler steps (0: 1000 per unit
+    time) of ``scheme``, "full-truncation" or "plain", from ``x0`` (None:
+    the default start of `simulation_frame`).  The paths run in the
+    canonical frame and are mapped back to the model's coordinates.  With
+    ``csv`` the report keeps them as ``ensemble``; otherwise they are
+    streamed and never stored, and the report is the same."""
+    canon, sigma, f, default_x0 = simulation_frame(model)
+    start = default_x0 if x0 is None else np.asarray(x0, dtype=float)
+    steps = steps or max(1, int(round(1000 * t)))
+    cfg = SimConfig(f.apply(start), t, steps, paths, seed, Scheme(scheme))
+    ens = None
+    if csv:
+        ens = simulate_paths(canon, sigma, cfg)
+        final, exit_steps, nonfinite = ens.states[:, -1], ens.exit_flags, \
+            ens.nonfinite
+        ens = replace(ens, states=f.preimage(
+            ens.states.reshape(-1, model.dimension)).reshape(ens.states.shape))
+    else:
+        summ = simulate_summary(canon, sigma, cfg)
+        final, exit_steps, nonfinite = summ.final_states, \
+            summ.exit_stats.exit_steps, summ.nonfinite
+    final = f.preimage(final)
+    _, means_m = mean_ode(model, start, t, n_steps=1)  # only t is reported
+    simulation = {
+        "t": t, "steps": steps, "paths": paths, "seed": seed,
+        "scheme": cfg.scheme.value, "x0": start.tolist(),
+        "exit_fraction": float(np.count_nonzero(exit_steps >= 0)) / paths,
+        "nonfinite_paths": int(np.count_nonzero(nonfinite)),
+        "final_mean": final.mean(axis=0).tolist(),
+        "final_std": final.std(axis=0).tolist(),
+        "mean_ode_final": means_m[-1].tolist(),
+    }
+    return Report("simulate", model, blocks={"simulation": simulation},
+                  ensemble=ens)

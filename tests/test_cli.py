@@ -558,7 +558,7 @@ def test_every_error_class_has_a_pinned_exit_code(monkeypatch, capsys):
         def handler(args, exc=exc):
             raise exc
 
-        monkeypatch.setattr(affinvar.cli, "_command", lambda name: handler)
+        monkeypatch.setattr(affinvar.cli, "_report", handler)
         code = main(["validate", str(fixture_path("cir"))])
         err = json.loads(capsys.readouterr().err)
         assert code == _EXIT_CODES[name], name
@@ -721,13 +721,13 @@ def test_decompose_refuses_a_hyperboloid(tmp_path, capsys):
 
 def test_tol_flag(capsys, monkeypatch):
     seen = []
-    validate = affinvar.cli.cmd_validate
+    run = affinvar.cli._report
 
     def spy(args):
         seen.append(TOL.feasibility)
-        return validate(args)
+        return run(args)
 
-    monkeypatch.setattr(affinvar.cli, "cmd_validate", spy)
+    monkeypatch.setattr(affinvar.cli, "_report", spy)
     code, _ = _run(capsys, "validate", str(fixture_path("cir")),
                    "--tol", "1e-7")
     assert code == 0
@@ -741,19 +741,19 @@ def test_tol_scoped_per_thread(capsys, monkeypatch):
     # neither has returned before the other has read
     barrier = threading.Barrier(2, timeout=60)
     seen, after = {}, {}
-    validate = affinvar.cli.cmd_validate
+    run = affinvar.cli._report
 
     def spy(args):
         barrier.wait()
         seen[args.tol] = TOL.feasibility
         barrier.wait()
-        return validate(args)
+        return run(args)
 
     def call(tol):
         after[tol] = (main(["validate", str(fixture_path("cir")),
                             "--tol", str(tol)]), current())
 
-    monkeypatch.setattr(affinvar.cli, "cmd_validate", spy)
+    monkeypatch.setattr(affinvar.cli, "_report", spy)
     threads = [threading.Thread(target=call, args=(tol,))
                for tol in (1e-6, 1e-7)]
     for t in threads:
