@@ -139,20 +139,18 @@ def main(argv=None) -> int:
             raise ParseError(f"--tol must be finite and positive, got {args.tol!r}")
         with tolerances(feasibility=args.tol):
             return _run(args)
-    except ParseError as exc:
-        print(json.dumps({"schema": 1, "error": "parse", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_PARSE
-    except AffinvarError as exc:
-        print(json.dumps({"schema": 1, "error": type(exc).__name__,
-                          "detail": str(exc)}), file=sys.stderr)
-        return EXIT_CHECKS if isinstance(
-            exc, (NotAdmissibleError, NotRepresentableError,
-                  PreconditionFailedError)) else EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001
-        print(json.dumps({"schema": 1, "error": "internal", "detail": str(exc)}),
+        if isinstance(exc, ParseError):
+            error, code = "parse", EXIT_PARSE
+        elif isinstance(exc, AffinvarError):
+            error, code = type(exc).__name__, EXIT_CHECKS if isinstance(
+                exc, (NotAdmissibleError, NotRepresentableError,
+                      PreconditionFailedError)) else EXIT_INTERNAL
+        else:
+            error, code = "internal", EXIT_INTERNAL
+        print(json.dumps({"schema": 1, "error": error, "detail": str(exc)}),
               file=sys.stderr)
-        return EXIT_INTERNAL
+        return code
 
 
 if __name__ == "__main__":

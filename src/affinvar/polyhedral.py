@@ -154,10 +154,11 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     (every component is a multiple of u_i, and on a square-root facet the
     quadratic multiple c_i = B_i gamma_i^T is positive,
     `_diffusion_condition`), the check ``facet-i-diffusion`` with B_i as its
-    certificate and c_i as its margin, or the negated residual of the
-    identity where the row does not vanish; (b) gamma_i mu(.) is nonnegative
-    on the facet segment, ``facet-i-drift``, certified by a facet-relative
-    Farkas decomposition or refuted by a witness point.
+    certificate and c_i as its margin (none when c_i = 0 fails), or the
+    negated residual of the identity where the row does not vanish; (b)
+    gamma_i mu(.) is nonnegative on the facet segment, ``facet-i-drift``,
+    certified by a facet-relative Farkas decomposition, whose constant is
+    its margin, or refuted by a witness point.
     When every facet has a drift certificate the report also carries the
     lifted drift (a_bar, b_bar); raises NotAdmissibleError if those fail to
     reconstruct gamma mu(.).
@@ -167,19 +168,20 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     checks, certs = [], []
     for i in range(poly.n_facets):
         vanishes = ok[i] or root[i]  # gamma_i theta(.) = B_i u_i(.)
-        msg = "" if ok[i] else \
+        msg = None if ok[i] else \
             "nonpositive diffusion multiple on square-root facet" if vanishes \
             else "diffusion row does not vanish on facet segment"
+        margin = float(c[i] if vanishes else -resid[i])
         cert, witness = farkas_decompose(
             model.drift.row_functional(poly.gamma[i]), poly, i)
-        if cert is None:
-            msg = (msg + "; " if msg else "") + "drift points outward on facet"
+        # a failed c_i = 0 has no margin: the condition is c_i > 0
         checks += [Check(f"facet-{i}-diffusion", bool(ok[i]),
-                         margin=float(c[i] if vanishes else -resid[i]),
-                         certificate=B[i] if vanishes else None,
-                         info=msg or None),
+                         margin=None if msg and margin >= 0 else margin,
+                         certificate=B[i] if vanishes else None, info=msg),
                    Check(f"facet-{i}-drift", cert is not None,
-                         certificate=cert, witness=witness)]
+                         margin=None if cert is None else cert.c,
+                         certificate=cert, witness=witness,
+                         info=None if cert else "drift points outward on facet")]
         certs.append(cert)
     lifted = None if any(cert is None for cert in certs) else \
         _lift(model.drift, poly, certs)

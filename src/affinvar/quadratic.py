@@ -477,7 +477,7 @@ def parabolic_theta_decompose(theta: AffineMatrixField,
     if resid > TOL.fit_residual * scale:
         exc = NotAdmissibleError(f"theta violates the necessary parabolic "
                                  f"structure (residual {resid:.3e})")
-        exc.margin = resid
+        exc.margin = -resid
         raise exc
     B = AffineMatrixField(theta.A0[q:, q:], theta.A[:, q:, q:])
     return ParabolicDecomposition(c, A1, A2, B, q, p)

@@ -47,18 +47,16 @@ class Report:
     ensemble: PathEnsemble | None = None
 
     @property
-    def _status(self) -> str:
-        return self.blocks.get("decomposition", {}).get("status", "ok")
-
-    @property
     def passed(self) -> bool:
-        """Every check passed, and a decomposition asked for was found."""
-        return self._status == "ok" and all(c.passed for c in self.checks)
+        """Every check passed, and a decomposition asked for exists."""
+        return all(c.passed for c in self.checks) and \
+            self.blocks.get("decomposition", {}).get("status", "ok") == "ok"
 
     @property
     def inconclusive(self) -> bool:
         """The decomposition search failed without refuting one."""
-        return self._status == "inconclusive"
+        return self.blocks.get("decomposition", {}).get("status") == \
+            "inconclusive"
 
     def to_dict(self) -> dict:
         """The report as the CLI prints it."""
@@ -172,20 +170,17 @@ def decompose(model: ModelSpec) -> Report:
                      "B0": dec.B0.tolist(), "Bi": [M.tolist() for M in dec.Bi]}
         return Report("decompose", model, blocks={"decomposition": block})
     frame = canonical_quadric_model(model)
-    blocks = {"classification": frame.classification.to_dict()}
-    dec = frame.fitted()
-    if frame.classification.kind == "parabolic":
-        blocks["decomposition"] = {
-            "status": "ok", "kind": "parabolic", "c": dec.c,
-            "A1": dec.A1.tolist(), "A2": dec.A2.tolist(),
-            "B": {"A0": dec.B.A0.tolist(), "A": [M.tolist() for M in dec.B.A]},
-        }
+    cls, dec = frame.classification, frame.fitted()
+    if cls.kind == "parabolic":
+        block = {"kind": "parabolic", "c": dec.c, "A1": dec.A1.tolist(),
+                 "A2": dec.A2.tolist(),
+                 "B": {"A0": dec.B.A0.tolist(), "A": dec.B.A.tolist()}}
     else:
-        blocks["decomposition"] = {
-            "status": "ok", "kind": "conical", "coeff_zeta": dec.coeff_zeta,
-            "coeff_rho": dec.coeff_rho.tolist(),
-        }
-    return Report("decompose", model, blocks=blocks)
+        block = {"kind": "conical", "coeff_zeta": dec.coeff_zeta,
+                 "coeff_rho": dec.coeff_rho.tolist()}
+    return Report("decompose", model, blocks={
+        "classification": cls.to_dict(),
+        "decomposition": {"status": "ok", **block}})
 
 
 def classify(model: ModelSpec) -> Report:
@@ -199,18 +194,16 @@ def classify(model: ModelSpec) -> Report:
 def simulate(model: ModelSpec, t: float = 1.0, steps: int = 0,
              paths: int = 1000, seed: int = 0, x0=None,
              scheme: str = "full-truncation", csv: bool = False) -> Report:
-    """Monte Carlo paths of the model to time ``t``, with the options and
-    defaults of `affinvar simulate`: ``steps`` Euler steps (0: 1000 per unit
-    time) of ``scheme``, "full-truncation" or "plain", from ``x0`` (None:
-    the default start of `simulation_frame`).  The paths run in the
-    canonical frame and are mapped back to the model's coordinates.  With
-    ``csv`` the report keeps them as ``ensemble``; otherwise they are
-    streamed and never stored, and the report is the same."""
+    """Monte Carlo paths to time ``t``, with the options and defaults of
+    `affinvar simulate` (``steps=0``: 1000 per unit time; ``x0=None``: the
+    start of `simulation_frame`), run in the canonical frame.  With ``csv``
+    the report keeps them, in the model's coordinates, as ``ensemble``;
+    otherwise they are streamed and never stored, and the report is the
+    same."""
     canon, sigma, f, default_x0 = simulation_frame(model)
     start = default_x0 if x0 is None else np.asarray(x0, dtype=float)
     steps = steps or max(1, int(round(1000 * t)))
     cfg = SimConfig(f.apply(start), t, steps, paths, seed, Scheme(scheme))
-    ens = None
     if csv:
         ens = simulate_paths(canon, sigma, cfg)
         final, exit_steps, nonfinite = ens.states[:, -1], ens.exit_flags, \
@@ -218,7 +211,7 @@ def simulate(model: ModelSpec, t: float = 1.0, steps: int = 0,
         ens = replace(ens, states=f.preimage(
             ens.states.reshape(-1, model.dimension)).reshape(ens.states.shape))
     else:
-        summ = simulate_summary(canon, sigma, cfg)
+        ens, summ = None, simulate_summary(canon, sigma, cfg)
         final, exit_steps, nonfinite = summ.final_states, \
             summ.exit_stats.exit_steps, summ.nonfinite
     final = f.preimage(final)

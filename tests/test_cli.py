@@ -1,4 +1,5 @@
 import json
+import sys
 import threading
 
 import numpy as np
@@ -158,24 +159,52 @@ def test_lp_budget(capsys, lp_calls, tmp_path, rng):
         assert lp_calls == [], (model, command)
 
 
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """A list that grows by one on each call of module.name, patched at
+    every binding of it across the package."""
+    real, calls = getattr(module, name), []
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("affinvar") and \
+                getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
 def test_coupling_rows_solved_once_per_command(capsys, monkeypatch):
-    """validate reads the coupling rows once: its admissibility check and
-    its canonical transform share them (memoized on the polyhedron)."""
+    """Each subcommand decides each fact at most once: validate's
+    admissibility check and canonical transform share the coupling rows
+    (memoized on the polyhedron), and the interior point and the quadric
+    classification are found once per call.  So a cache of the facts per
+    model would save no call."""
+    import affinvar.convex as convex
     import affinvar.polyhedral as polyhedral
-    calls = []
-    real = polyhedral._coupling_rows
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(polyhedral, "_coupling_rows", spy)
+    import affinvar.quadratic as quadratic
+    facts = [_count_calls(monkeypatch, module, name) for module, name in (
+        (convex, "_chebyshev_center"), (polyhedral, "_coupling_rows"),
+        (polyhedral, "canonical_transform"), (polyhedral, "psd_decompose"))]
+    sim = ("--paths", "10", "--steps", "10")
     # decompose exits 1: triangle_channel's theta has no PSD decomposition
-    for command, code, expected in (("validate", 0, 1), ("canonicalize", 0, 1),
-                                    ("decompose", 1, 0)):
-        calls.clear()
-        got, _ = _run(capsys, command, str(fixture_path("triangle_channel")))
-        assert (got, len(calls)) == (code, expected), command
+    for argv, code, expected in ((("validate",), 0, [1, 1, 1, 1]),
+                                 (("canonicalize",), 0, [1, 1, 1, 0]),
+                                 (("decompose",), 1, [1, 0, 0, 1]),
+                                 (("simulate", *sim), 0, [1, 1, 1, 0])):
+        for calls in facts:
+            calls.clear()
+        got, _ = _run(capsys, argv[0], str(fixture_path("triangle_channel")),
+                      *argv[1:])
+        assert (got, [len(c) for c in facts]) == (code, expected), argv
+    classified = _count_calls(monkeypatch, quadratic, "classify_quadric")
+    for fx in ("parabola3", "cone3"):
+        for argv in (("validate",), ("classify",), ("decompose",),
+                     ("simulate", *sim)):
+            classified.clear()
+            got, _ = _run(capsys, argv[0], str(fixture_path(fx)), *argv[1:])
+            assert (got, len(classified)) == (0, 1), (fx, argv)
 
 
 def _plane_model(tmp_path):
@@ -480,11 +509,12 @@ def test_inadmissible_quadric_models_exit_1(tmp_path, capsys, model, command):
     assert json.loads(captured.err)["error"] == error
 
 
-@pytest.mark.parametrize("model,margin", [("broken-structure", 1.0),
+@pytest.mark.parametrize("model,margin", [("broken-structure", -1.0),
                                           ("negative-c", -1.0)])
 def test_validate_reports_a_refuted_parabolic_structure(tmp_path, capsys,
                                                         model, margin):
-    # the fit's residual, or its negative c, is the failed check's margin
+    # the fit's negated residual, or its negative c, is the failed check's
+    # margin
     path = tmp_path / "model.json"
     path.write_text(json.dumps(_INADMISSIBLE[model][0]))
     code, rep = _run(capsys, "validate", str(path))
@@ -590,7 +620,9 @@ def test_validate_reports_a_square_root_facet_with_zero_multiple(tmp_path,
     code, rep = _run(capsys, "validate", str(path))
     assert code == 1 and not rep["passed"]
     (check,) = [c for c in rep["checks"] if c["name"] == "facet-0-diffusion"]
-    assert not check["passed"] and check["margin"] == 0.0
+    # no margin: c_1 = 0 fails the strict condition c_1 > 0
+    assert not check["passed"] and "margin" not in check
+    assert check["info"] == "nonpositive diffusion multiple on square-root facet"
     assert "canonical" not in rep
 
 

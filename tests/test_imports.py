@@ -52,6 +52,36 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str, package: str = "affinvar") -> set[str]:
+    """The absolute names of the modules that source imports from; for
+    ``from M import n`` both M and M.n, since n may be a submodule."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, [package if node.level else None,
+                                          node.module]))
+            found |= {base} | {f"{base}.{a.name}" for a in node.names}
+    return found
+
+
+# the deciders; cli.py reaches them only through report.py
+DECIDERS = {f"affinvar.{name}"
+            for name in ("polyhedral", "quadratic", "simulate", "convex")}
+
+
+def test_imported_modules_detects_every_form():
+    source = ("from .simulate import Scheme\nfrom . import convex, report\n"
+              "import affinvar.quadratic\nfrom affinvar.polyhedral import x\n")
+    assert imported_modules(source) & DECIDERS == DECIDERS
+
+
+def test_cli_imports_no_decider():
+    assert imported_modules((PACKAGE / "cli.py").read_text()) & DECIDERS \
+        == set()
+
+
 def test_readme_library_runs():
     # the python blocks in order, in one namespace, as a reader would run them
     readme = (ROOT / "README.md").read_text()

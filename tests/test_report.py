@@ -1,6 +1,7 @@
-"""The verdict in the library: `affinvar.validate` is the report the CLI
-prints, and the quadric gates refuse a model at one gate, the same one for
-`validate`, `decompose` and `simulate`."""
+"""The verdict in the library: each function of `affinvar.report` is the
+report that the CLI command of its name prints, and the quadric gates refuse
+a model at one gate, the same one for `validate`, `decompose` and
+`simulate`."""
 
 import json
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 import affinvar
 from affinvar.cli import main
+from affinvar.errors import AffinvarError, NumericalFailureError
 from affinvar.modelio import fixture_path, load_fixture, load_model
 from affinvar.quadratic import canonical_quadric_model
 from conftest import load_module, random_affine_image
@@ -49,6 +51,52 @@ def test_library_validate_is_the_cli_report(tmp_path, capsys, model):
     assert report.to_dict() == json.loads(out)
     assert code == (0 if report.passed else 1)
     assert all(isinstance(c, affinvar.Check) for c in report.checks)
+
+
+# the other commands, with the flags of the CLI call as keyword arguments
+LIBRARY_CALLS = {"canonicalize": {}, "decompose": {}, "classify": {},
+                 "simulate": {"steps": 10, "paths": 10, "seed": 3}}
+
+
+@pytest.mark.parametrize("model", _models())
+@pytest.mark.parametrize("command", LIBRARY_CALLS)
+def test_library_report_is_the_cli_report(tmp_path, capsys, command, model):
+    path = tmp_path / "model.json"
+    affinvar.save_model(model, path)
+    kwargs = LIBRARY_CALLS[command]
+    code, out, err = _cli(capsys, command, str(path), *(
+        arg for key, value in kwargs.items() for arg in (f"--{key}", str(value))))
+    try:
+        rep = getattr(affinvar.report, command)(load_model(path), **kwargs)
+    except AffinvarError as exc:   # a model outside the command's domain
+        assert code in (1, 3) and not out
+        assert json.loads(err) == {"schema": 1, "error": type(exc).__name__,
+                                   "detail": str(exc)}
+        return
+    assert rep.to_dict() == json.loads(out)
+    assert code == (0 if rep.passed else 3 if rep.inconclusive else 1)
+
+
+def test_a_missing_decomposition_fails_and_a_failed_search_is_inconclusive(
+        capsys, monkeypatch):
+    path = str(fixture_path("triangle_channel"))
+    rep = affinvar.report.decompose(load_fixture("triangle_channel"))
+    assert rep.blocks["decomposition"]["status"] == "not-representable"
+    assert not rep.passed and not rep.inconclusive and rep.checks == ()
+    code, out, _ = _cli(capsys, "decompose", path)
+    assert code == 1 and json.loads(out) == rep.to_dict()
+    assert json.loads(out)["passed"] is False
+
+    def search_fails(model):
+        raise NumericalFailureError("no step decreases the objective")
+
+    monkeypatch.setattr(affinvar.report, "psd_decompose", search_fails)
+    rep = affinvar.report.decompose(load_fixture("triangle_channel"))
+    assert not rep.passed and rep.inconclusive
+    code, out, _ = _cli(capsys, "decompose", path)
+    assert code == 3 and json.loads(out) == rep.to_dict()
+    assert json.loads(out)["decomposition"] == {
+        "status": "inconclusive", "detail": "no step decreases the objective"}
 
 
 def _edge_model(tmp_path, name: str) -> str:
@@ -112,6 +160,24 @@ def test_every_failed_check_carries_a_margin_a_witness_or_info(
             for c in report["checks"] if not c["passed"]
             and not {"margin", "witness", "info"} & set(c)]
     assert bare == []
+
+
+def test_drift_checks_carry_their_own_margin_and_message(cli_digest_runs):
+    # a certified drift check's margin is its certificate's constant; a
+    # refuted one names the outward drift, which its diffusion check does not
+    seen = set()
+    for label, report in _validate_reports(cli_digest_runs):
+        for c in report["checks"]:
+            if c["name"].endswith("-drift") and c["name"].startswith("facet"):
+                seen.add(c["passed"])
+                if c["passed"]:
+                    assert c["margin"] == c["certificate"]["c"] >= 0, label
+                else:
+                    assert "margin" not in c and "witness" in c, label
+                    assert c["info"] == "drift points outward on facet", label
+            elif c["name"].endswith("-diffusion"):
+                assert "drift" not in c.get("info", ""), (label, c)
+    assert seen == {True, False}
 
 
 # the checks whose margin is a negated residual or a least eigenvalue:

@@ -42,6 +42,16 @@ def test_every_printed_object_is_schema_1(cli_digest_runs, capsys):
     assert printed == len(runs)
 
 
+def test_no_failed_check_has_a_nonnegative_margin(cli_digest_runs):
+    # a check passes exactly when its margin is at least minus its
+    # tolerance, so a failed check's margin, when it has one, is negative
+    found = [(label, c["name"], c["margin"])
+             for label, _, _, out, _ in cli_digest_runs if out.strip()
+             for c in json.loads(out)["checks"]
+             if not c["passed"] and c.get("margin", -1.0) >= 0]
+    assert found == []
+
+
 @pytest.fixture(scope="module")
 def cir_report():
     import affinvar
