@@ -1,32 +1,24 @@
-"""Convex-analysis oracles for polyhedra, backed by linear algebra and LPs.
+"""Convex-analysis oracles for polyhedra, each decided by one NNLS.
 
-Farkas-type certificates express an affine functional that is nonnegative on a
-polyhedron as a nonnegative combination of the facet functionals plus a
-constant.  All certificates returned here are re-verified by substitution at
-coefficient level, so the LP backend only has to find feasible points, never
-to be trusted blindly.
+A Farkas certificate writes an affine functional d that is nonnegative on a
+polyhedron, or on one of its facet segments, as d = lam . u + c with
+lam >= 0 (the facet's own multiplier free) and c >= 0.  By the affine Farkas
+lemma such a certificate exists exactly when d is nonnegative there, and one
+NNLS over (lam, c) decides it: a residual above tolerance proves that none
+exists (Dax, SIAM Rev. 39, 1997).  When the facet rows gamma are linearly
+independent (the orthant R^m_+ x R^n, every simplicial cone) the equations
+have at most one solution, read off a pseudo-inverse memoized on the
+Polyhedron instead.  A refuted functional gets a witness, the least-distance
+point of {u >= 0, u_facet = 0, d <= -eps}, and a facet is redundant exactly
+when it has a certificate over the facets still kept.  The interior point
+is the least-distance point at unit normalized slack.  Every least-distance
+point is one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974,
+ch. 23), and every result is checked by substitution: certificates at
+coefficient level, points in the set.
 
-An LP runs only where linear algebra does not settle the question.  When the
-facet rows gamma are linearly independent (full row rank, as for the orthant
-R^m_+ x R^n and every simplicial cone), the certificate equations have at
-most one solution, read off a pseudo-inverse memoized on the Polyhedron.
-Otherwise one NNLS solves them over the sign constraints.  Either solution
-is returned when it clearly passes the sign, box and residual tests the LP
-result would face; when it does not, the certificate LP runs, so every
-failure is the LP's verdict.  The interior point is the least-distance point
-at unit normalized slack, one NNLS; the Chebyshev-center LP runs only when
-that point does not exist or leaves the box.
-
-Each polyhedral fact is computed once per call.  The interior point of a
-Polyhedron is memoized on that object, keyed by the tolerances it reads, so
-the admissibility checks, the canonical transform and the PSD decomposition
-share one solve.  `minimalize` keeps every facet of a full-row-rank gamma
-without an LP, and otherwise proves most facets irredundant by substituting
-one point just outside each facet, found by the same least-distance NNLS;
-only the rest take an LP.
-
-The NNLS is the package's own (`_nnls`), on numpy and Python floats.  scipy
-is imported only when an LP runs: `linprog` is loaded on first use.
+The NNLS is the package's own (`_nnls`), on numpy and Python floats.  The
+one LP left is the Chebyshev center, for a polyhedron with no point at unit
+slack in the box; scipy's `linprog` is imported on its first use.
 """
 
 from __future__ import annotations
@@ -34,14 +26,11 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AffineScalar, Polyhedron, _coefficient_residual,
-                   _coefficient_scale, _minimal)
-from .errors import ToleranceWarning
+from .core import AffineScalar, Polyhedron, _coefficient_scale, _minimal
 from .tolerances import TOL
 
 _this = sys.modules[__name__]
@@ -50,7 +39,7 @@ _this = sys.modules[__name__]
 def __getattr__(name: str):
     """`linprog`, imported from scipy on first use and then kept in the
     module globals.  A round that needs no LP loads no scipy; the LP call
-    sites read it as `_this.linprog`, so a patched binding sees every LP."""
+    site reads it as `_this.linprog`, so a patched binding sees every LP."""
     if name == "linprog":
         from scipy.optimize import linprog
         globals()["linprog"] = linprog
@@ -86,11 +75,14 @@ def _clamp(lam: np.ndarray, free: int | None) -> np.ndarray:
     return out
 
 
-def _certificate_system(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray | None]:
-    """The matrix of the certificate equations gamma^T lam = d.gamma,
-    delta . lam + c = d.delta in the unknowns (lam, c), and its pseudo-inverse
-    when it has full column rank (gamma of full row rank), else None.  Both
-    depend on the rows alone and are memoized on the polyhedron."""
+def _certificate_system(poly: Polyhedron
+                        ) -> tuple[np.ndarray, np.ndarray | None, float]:
+    """The certificate equations gamma^T lam = d.gamma,
+    (delta . lam + c) / s = d.delta / s in the unknowns (lam, c), with the
+    delta row in units of its largest entry s: (their matrix, its
+    pseudo-inverse when it has full column rank (gamma of full row rank),
+    else None, and s).  They depend on the rows alone and are memoized on
+    the polyhedron."""
     memo = getattr(poly, "_certificate_system", None)
     if memo is None:
         q, p = poly.gamma.shape
@@ -98,96 +90,105 @@ def _certificate_system(poly: Polyhedron) -> tuple[np.ndarray, np.ndarray | None
         A_eq[:p, :q] = poly.gamma.T
         A_eq[p, :q] = poly.delta
         A_eq[p, q] = 1.0
+        s = float(np.abs(A_eq[p]).max())
+        A_eq[p] /= s
         unique = np.linalg.matrix_rank(A_eq) == q + 1
-        memo = (A_eq, np.linalg.pinv(A_eq) if unique else None)
+        memo = (A_eq, np.linalg.pinv(A_eq) if unique else None, s)
         object.__setattr__(poly, "_certificate_system", memo)
     return memo
 
 
-def _certificate_lp(d: AffineScalar, poly: Polyhedron,
-                    free: int | None = None) -> FarkasCertificate | None:
-    """Certificate d = lam.u + c with lam >= 0 (lam_free unconstrained), c >= 0.
+def _certificate(d: AffineScalar, poly: Polyhedron,
+                 free: int | None = None) -> FarkasCertificate | None:
+    """Certificate d = lam.u + c with lam >= 0 (lam_free unconstrained),
+    c >= 0, or None when there is none.
 
     When gamma has full row rank the equations have at most one solution,
-    taken from the memoized pseudo-inverse.  Otherwise one NNLS solves them
+    taken from the memoized pseudo-inverse and refined once, as `_nnls`
+    refines its own, which wins back the digits that an ill-conditioned
+    system costs the pseudo-inverse.  Otherwise one NNLS solves them
     over (lam, c) >= 0, the free multiplier split into two nonnegative
-    columns.  Either solution is returned if, after `_clamp`, its bounded
-    entries are >= 0, it lies well inside the LP box and it passes the
-    residual test.  Otherwise the feasibility LP runs, so a missing
-    certificate is always the LP's verdict."""
+    columns.  Either solution is the certificate if, after `_clamp`, its
+    bounded entries are >= 0 and it passes the residual test; if not, none
+    exists (or `_nnls` gave up)."""
     q = poly.n_facets
-    box = TOL.box
-    A_eq, pinv = _certificate_system(poly)
-    b_eq = np.concatenate([d.gamma, [d.delta]])
-    tol = TOL.feasibility * _coefficient_scale(b_eq)
-    z = pinv @ b_eq if pinv is not None else _nonnegative_solution(A_eq, b_eq,
-                                                                   free)
-    if z is not None:
-        zc = _clamp(z, free)
-        signs = np.delete(zc, free) if free is not None else zc
-        if np.all(signs >= 0) and np.abs(z).max() < 0.999 * box:
-            cert = FarkasCertificate(zc[:q], float(zc[q]))
-            if cert.residual(d, poly) <= tol:
-                return cert
-    bounds = [(0.0, box)] * q + [(0.0, box)]
-    if free is not None:
-        bounds[free] = (-box, box)
-    res = _this.linprog(np.zeros(q + 1), A_eq=A_eq, b_eq=b_eq,
-                        bounds=bounds, method="highs")
-    if res.status != 0:
+    A_eq, pinv, s = _certificate_system(poly)
+    b_eq = np.concatenate([d.gamma, [d.delta / s]])
+    if pinv is not None:  # with one refinement step against the equations
+        z = pinv @ b_eq
+        z += pinv @ (b_eq - A_eq @ z)
+    else:
+        z = _nonnegative_solution(A_eq, b_eq, free)
+    if z is None:
         return None
-    lam = _clamp(res.x[:q], free)
-    c = max(res.x[q], 0.0)
-    if np.any(np.abs(res.x) > 0.999 * box):
-        warnings.warn("certificate multiplier at the LP box bound",
-                      ToleranceWarning, stacklevel=3)
-    cert = FarkasCertificate(lam, float(c))
-    if cert.residual(d, poly) > tol:
+    z = _clamp(z, free)
+    bounded = np.delete(z, free) if free is not None else z
+    if np.any(bounded < 0):
         return None
-    return cert
+    cert = FarkasCertificate(z[:q], float(z[q]))
+    tol = TOL.feasibility * _coefficient_scale(d.coefficients())
+    return cert if cert.residual(d, poly) <= tol else None
 
 
 def _nnls(A: np.ndarray, b: np.ndarray,
           maxiter: int | None = None) -> np.ndarray | None:
     """argmin |A x - b| over x >= 0, or None when the active-set iteration
-    needs more than maxiter (default 3n) passive-set solves or meets a
-    passive set whose normal equations are not positive definite.
+    needs more than maxiter (default 3n) passive-set solves.
 
     Lawson & Hanson's active-set method (Solving Least Squares Problems,
     1974, ch. 23) in the Gram-matrix form of Bro & De Jong (J. Chemometrics
-    11, 1997): each step solves the normal equations of the passive columns,
-    read off A^T A and A^T b.  The passive set never outgrows the rank of
-    A, at most p + 1 here, so the steps run on Python floats, where a
-    numpy call would cost more than its arithmetic.  The columns are scaled to unit norm
-    first, so that the Gram matrix squares only the conditioning that the
-    column directions bring.  A column enters only when its dual
-    w_t = A_t^T (b - A x) exceeds the rounding level of w, so a zero column,
-    or a copy of a passive one, never enters.  A matrix with no columns
+    11, 1997), on the columns scaled to unit norm.  The passive set never
+    outgrows the rank of A, at most p + 1 here, so the steps run on Python
+    floats, where a numpy call would cost more than its arithmetic.  The
+    passive Gram matrix is held as one Cholesky factor L, which gains a row
+    when a column enters; when columns leave, the rows from the first of
+    them on are recomputed, and a column whose pivot rounding has taken to
+    zero leaves too.  A column enters only when its dual
+    w_t = A_t^T (b - A x) exceeds the rounding level of w and its new pivot
+    is clearly positive (Lawson and Hanson's independence test): a zero
+    column, or one in the span of the passive ones, is refused and the next
+    candidate is tried.  The solution ends with one refinement step against
+    the columns themselves, the corrected semi-normal equations (Bjorck,
+    Numerical Methods for Least Squares Problems, 1996, 6.6.5), which win
+    back the digits the Gram matrix squares away.  A matrix with no columns
     gives the empty x.
     """
     n = A.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->j", A, A))
     unit = np.divide(1.0, norms, out=np.ones(n), where=norms > 0.0)
-    A = A * unit  # unit columns: A^T A is conditioned no worse than needed
+    A = A * unit
     G, g = (A.T @ A).tolist(), (A.T @ b).tolist()
     eps = 10.0 * max(A.shape) * sys.float_info.epsilon
     g_max = max(map(abs, g), default=0.0)
     steps = 3 * n if maxiter is None else maxiter
-    x, passive = [0.0] * n, []
+    x, passive, L = [0.0] * n, [], []
     while True:
         w = {j: g[j] - sum(map(operator.mul, G[j], x))
              for j in range(n) if j not in passive}
-        t = max(w, key=w.get, default=None)
-        if t is None or w[t] <= eps * (g_max + sum(x)):
+        level = eps * (g_max + sum(x))
+        t = row = None
+        for j in sorted(w, key=w.get, reverse=True):  # the largest dual first
+            if w[j] <= level:
+                break
+            row = _factor_row(G, L, passive, j, eps)
+            if row is not None:
+                t = j
+                break
+        if t is None:  # optimal: x_P += (L L^T)^-1 A_P^T (b - A_P x_P)
+            if passive:
+                AP = A[:, passive]
+                r = b - AP @ [x[i] for i in passive]
+                dx = _factor_solve(L, (r @ AP).tolist())
+                for i, v in zip(passive, dx):
+                    x[i] = max(x[i] + v, 0.0)
             return unit * x
         passive.append(t)
+        L.append(row)
         while True:  # solve on the passive set, stepping back while s <= 0
             steps -= 1
-            s = None if steps < 0 else _cholesky_solve(
-                [[G[i][j] for j in passive] for i in passive],
-                [g[i] for i in passive])
-            if s is None:  # the iteration limit, or a singular system
+            if steps < 0:
                 return None
+            s = _factor_solve(L, [g[i] for i in passive])
             if min(s) > 0.0:
                 for i, v in zip(passive, s):
                     x[i] = v
@@ -197,23 +198,33 @@ def _nnls(A: np.ndarray, b: np.ndarray,
             for i, v in zip(passive, s):
                 x[i] += alpha * (v - x[i])
             x[k] = 0.0
-            passive = [i for i in passive if x[i] > 0.0]
+            cut = next(m for m, i in enumerate(passive) if x[i] <= 0.0)
+            kept, L = passive[:cut], L[:cut]
+            for i in passive[cut:]:  # the factor rows after the first leaver
+                row = _factor_row(G, L, kept, i, 0.0) if x[i] > 0.0 else None
+                if row is not None:
+                    kept.append(i)
+                    L.append(row)
+            passive = kept
             x = [v if i in passive else 0.0 for i, v in enumerate(x)]
 
 
-def _cholesky_solve(M: list, v: list) -> list | None:
-    """The y with M y = v for M symmetric positive definite (nested lists),
-    by Cholesky, M = L L^T, or None when a pivot is not positive."""
-    L = []
-    for i, row in enumerate(M):
-        Li = []
-        for j in range(i):
-            Li.append((row[j] - sum(map(operator.mul, Li, L[j]))) / L[j][j])
-        pivot = row[i] - sum(map(operator.mul, Li, Li))
-        if pivot <= 0.0:
-            return None
-        Li.append(math.sqrt(pivot))
-        L.append(Li)
+def _factor_row(G: list, L: list, passive: list, t: int,
+                floor: float) -> list | None:
+    """The row that extends the Cholesky factor L of G[passive, passive] by
+    column t, or None when its squared pivot is at most floor."""
+    row = []
+    for Li, i in zip(L, passive):
+        row.append((G[t][i] - sum(map(operator.mul, Li, row))) / Li[-1])
+    pivot = G[t][t] - sum(map(operator.mul, row, row))
+    if pivot <= floor:
+        return None
+    row.append(math.sqrt(pivot))
+    return row
+
+
+def _factor_solve(L: list, v: list) -> list:
+    """The y with L L^T y = v, for L lower triangular by rows."""
     y = []
     for Li, vi in zip(L, v):  # L z = v
         y.append((vi - sum(map(operator.mul, Li, y))) / Li[-1])
@@ -239,67 +250,48 @@ def _nonnegative_solution(A: np.ndarray, b: np.ndarray,
     return z
 
 
-def _minimize_affine(d: AffineScalar, poly: Polyhedron,
-                     facet: int | None = None) -> np.ndarray | None:
-    """Witness search: minimize d over the polyhedron (restricted to facet if given),
-    inside the |x|_inf <= box safety box since the set may be unbounded."""
-    box = TOL.box
-    A_ub, b_ub = -poly.gamma, poly.delta
-    A_eq = b_eq = None
+def _witness(d: AffineScalar, poly: Polyhedron,
+             facet: int | None) -> np.ndarray | None:
+    """The least-distance point of {u >= 0, u_facet = 0, d <= -eps}, eps the
+    residual tolerance of a certificate of d, by one `_least_distance`
+    solve with u_facet = 0 written as two inequalities; or None when the
+    solve fails or substitution puts the point off the set, off the facet
+    or at d >= 0."""
+    rest = np.arange(poly.n_facets) != facet
+    eps = TOL.feasibility * _coefficient_scale(d.coefficients())
+    G = [poly.gamma[rest], -d.gamma[None]]
+    h = [-poly.delta[rest], [d.delta + eps]]
     if facet is not None:
-        A_eq = poly.gamma[facet][None, :]
-        b_eq = np.array([-poly.delta[facet]])
-    res = _this.linprog(d.gamma, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                        bounds=[(-box, box)] * poly.dim, method="highs")
-    return res.x if res.status == 0 else None
-
-
-def _facet_point(poly: Polyhedron, i: int) -> np.ndarray | None:
-    """The least-distance point of facet segment i, {u_i = 0, u_j >= 0}:
-    one `_least_distance` solve, u_i = 0 written as two inequalities.  None
-    when the solve fails or substitution puts the point off the segment or
-    outside the |x|_inf < box box."""
-    rest = np.arange(poly.n_facets) != i
-    G = np.vstack([poly.gamma[i], -poly.gamma[i], poly.gamma[rest]])
-    h = np.concatenate([[-poly.delta[i], poly.delta[i]], -poly.delta[rest]])
-    x = _least_distance(G, h)
+        G.append(np.outer([1.0, -1.0], poly.gamma[facet]))
+        h.append([-poly.delta[facet], poly.delta[facet]])
+    x = _least_distance(np.vstack(G), np.concatenate(h))
     if x is None:
         return None
-    u = poly.evaluate(x)
-    tol = TOL.feasibility * max(float(np.abs(h).max()), 1.0)
-    ok = abs(u[i]) <= tol and np.all(u >= -tol) and np.abs(x).max() < TOL.box
-    return x if ok else None
+    norms = np.linalg.norm(poly.gamma, axis=1)
+    slack = poly.evaluate(x) / np.where(norms > 0, norms, 1.0)
+    tol = TOL.feasibility * max(1.0, float(np.abs(x).max(initial=0.0)))
+    on_facet = facet is None or abs(slack[facet]) <= tol
+    return x if on_facet and np.all(slack >= -tol) and d(x) < 0 else None
 
 
 def farkas_decompose(d: AffineScalar, poly: Polyhedron,
                      facet: int | None = None
                      ) -> tuple[FarkasCertificate | None, np.ndarray | None]:
     """(certificate, None) when d >= 0 on the polyhedron, or on the given
-    facet segment (`_certificate_lp`, its multiplier free), else
-    (None, witness): the minimum of d there, by LP (None when that LP fails
-    too).  When d.gamma is a multiple of the facet row, d is constant on the
-    segment, and the witness is the segment's least-distance point
-    (`_facet_point`), found without an LP; the LP's minimum would be any
-    point of the segment, a box corner included."""
-    cert = _certificate_lp(d, poly, free=facet)
+    facet segment (`_certificate`, its multiplier free), else
+    (None, witness): the least-distance point of that set where d < 0
+    (`_witness`; None when it cannot be verified)."""
+    cert = _certificate(d, poly, free=facet)
     if cert is not None:
         return cert, None
-    witness = None
-    if facet is not None and _coefficient_multiple(
-            AffineScalar(d.gamma, 0.0),
-            AffineScalar(poly.gamma[facet], 0.0)) is not None:
-        witness = _facet_point(poly, facet)
-    if witness is None:
-        witness = _minimize_affine(d, poly, facet=facet)
-    return None, witness
+    return None, _witness(d, poly, facet)
 
 
 def interior_point(poly: Polyhedron) -> np.ndarray | None:
     """Least-distance point at unit slack: the minimum-Euclidean-norm point
     with every normalized slack (gamma_i x + delta_i) / |gamma_i| >= 1.
 
-    It is one least-distance NNLS (`_least_distance`), solved in units of
-    its largest requirement |norm_i - delta_i|, and accepted when it
+    It is one least-distance NNLS (`_least_distance`), accepted when it
     lies in the |x|_inf <= box box with every normalized slack at least
     1 - TOL.interior_slack.  Otherwise (no point at unit slack, or that
     point outside the box) one LP solves for the Chebyshev center, the point
@@ -326,14 +318,18 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
 
     Lawson & Hanson's least-distance program (Solving Least Squares
     Problems, 1974, ch. 23): one NNLS on the (p+1) x q matrix
-    E = [G^T; h^T / s] against f = e_{p+1}, in units of the largest
-    requirement s = max|h| (1 when h = 0): an offset far above the others
+    E = [G^T; h^T / s] against f = e_{p+1}, its nonzero rows (G_i, h_i)
+    first scaled to unit |G_i|, and in units of the largest requirement
+    s = max|h| (1 when h = 0): a row or an offset far above the others
     would otherwise cost the point its last digits.  With the residual
     r = E u - f the point is -s r[:p] / r[p], and r[p] = 0 means the system
     is infeasible.  The result is a floating-point solve; callers verify it
     by substitution.
     """
     p = G.shape[1]
+    norms = np.linalg.norm(G, axis=1)
+    unit = np.divide(1.0, norms, out=np.ones_like(norms), where=norms > 0.0)
+    G, h = G * unit[:, None], h * unit
     scale = float(np.abs(h).max(initial=0.0)) or 1.0
     E = np.vstack([G.T, h / scale])
     f = np.zeros(p + 1)
@@ -369,91 +365,21 @@ def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
     return res.x[:p]
 
 
-def _facet_witness(poly: Polyhedron, i: int, others: list[int],
-                   x0: np.ndarray, margin: float) -> bool:
-    """Whether substitution proves facet i irredundant against `others`.
-
-    One `_least_distance` solve gives the point y nearest x0 with normalized
-    slack <= -margin on facet i (and u_i(y) <= -4 TOL.feasibility, to clear
-    the test below) and >= margin / 1000 on every other facet with a nonzero
-    row: a facet parallel to facet i and close beyond it leaves only a
-    sliver of room for y, which a full margin of its own would close.  A y
-    with u_i(y) < -2 TOL.feasibility, every other u_j(y) > 0 and
-    |y|_inf < box shows that deleting facet i enlarges the set cut out by
-    any subset of `others`."""
-    rows = [i] + [j for j in others if poly.gamma[j].any()]
-    norms = np.linalg.norm(poly.gamma[rows], axis=1)
-    sign = np.ones(len(rows))
-    sign[0] = -1.0
-    slack = poly.evaluate(x0)[rows] / norms
-    floor = np.full(len(rows), margin / 1000.0)
-    floor[0] = max(margin, 4.0 * TOL.feasibility / norms[0])
-    z = _least_distance(sign[:, None] * poly.gamma[rows] / norms[:, None],
-                        floor - sign * slack)
-    if z is None:
-        return False
-    y = x0 + z
-    u = poly.gamma[rows] @ y + poly.delta[rows]
-    return bool(u[0] < -2.0 * TOL.feasibility and np.all(u[1:] > 0) and
-                np.abs(y).max() < TOL.box)
-
-
 def minimalize(poly: Polyhedron) -> Polyhedron:
     """Remove facets whose deletion leaves the set unchanged.
 
-    Facets are taken in order, each against the facets still kept.  When
-    gamma has full row rank and the interior is nonempty, every facet is
-    irredundant: y = x0 - (u_i(x0) + eps) pinv(gamma) e_i crosses facet i
-    and no other.  Otherwise a facet is kept without an LP when
-    `_facet_witness` proves it irredundant, with the margin r / 1000 for r
-    the minimum normalized slack at the interior point x0; only a facet
-    with no witness (or every facet, when the interior is empty) takes one
-    LP.  The kept rows are those of the LP rule alone, except that a zero
-    row with delta >= 0 (its half-space is R^p) is dropped without an LP
-    even when it is the only facet.  When no facet is removed the result
-    inherits the memoized interior point.
+    Facets are taken in order, and facet i is dropped exactly when u_i has
+    a certificate (`_certificate`) over the facets still kept: then u_i >= 0
+    wherever they hold.  A zero row with delta_i >= 0 has the certificate
+    c = delta_i and goes even when it is the only facet.  When gamma has
+    full row rank no row is a combination of the others, and every facet is
+    kept without a solve.
     """
-    x0 = interior_point(poly)
-    full_rank = x0 is not None and \
-        np.linalg.matrix_rank(poly.gamma) == poly.n_facets
-    if x0 is not None:  # r / 1000, over the facets with a nonzero row
-        rows = poly.gamma.any(axis=1)
-        margin = np.min(poly.evaluate(x0)[rows] /
-                        np.linalg.norm(poly.gamma[rows], axis=1),
-                        initial=np.inf) / 1000.0
     keep = list(range(poly.n_facets))
-    i = 0
-    while i < len(keep):
-        idx = keep[i]
-        if not poly.gamma[idx].any() and poly.delta[idx] >= -TOL.feasibility:
-            keep.pop(i)  # its half-space is all of R^p
-            continue
-        others = [j for j in keep if j != idx]
-        if full_rank or not others or (x0 is not None and _facet_witness(
-                poly, idx, others, x0, margin)):
-            i += 1
-            continue
-        sub = Polyhedron(poly.gamma[others], poly.delta[others])
-        val = _minimize_affine(poly.facet(idx), sub)
-        if val is not None and poly.facet(idx)(val) >= -TOL.feasibility:
-            keep.pop(i)  # facet cannot be violated while the others hold
-            continue
-        i += 1
-    out = _minimal(Polyhedron(poly.gamma[keep], poly.delta[keep]))
-    if len(keep) == poly.n_facets:  # the same rows have the same center
-        object.__setattr__(out, "_interior", poly._interior)
-    return out
-
-
-def _coefficient_multiple(v: AffineScalar, u: AffineScalar) -> float | None:
-    """The lambda with v = lambda * u at coefficient level, or None."""
-    uc, vc = u.coefficients(), v.coefficients()
-    denom = float(uc @ uc)
-    if denom == 0.0:
-        return None
-    lam = float(uc @ vc) / denom
-    if _coefficient_residual((vc,), (lam * uc,)) > \
-            TOL.feasibility * _coefficient_scale(vc):
-        return None
-    return lam
-
+    if np.linalg.matrix_rank(poly.gamma) < poly.n_facets:
+        for i in range(poly.n_facets):
+            others = [j for j in keep if j != i]
+            sub = Polyhedron(poly.gamma[others], poly.delta[others])
+            if _certificate(poly.facet(i), sub) is not None:
+                keep.remove(i)
+    return _minimal(Polyhedron(poly.gamma[keep], poly.delta[keep]))

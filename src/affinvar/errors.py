@@ -80,7 +80,3 @@ class NotAdmissibleQuadricError(NotAdmissibleError):
 
 class SigmaMismatchError(AffinvarError):
     pass
-
-
-class ToleranceWarning(UserWarning):
-    """An LP box bound or tolerance was active; result may be conservative."""

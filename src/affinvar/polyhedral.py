@@ -10,8 +10,8 @@ spans its hyperplane, so the first condition is a coefficient projection onto
 gamma_i theta(.) = B_i u_i(.), off the coefficients of theta at once, for the
 admissibility check and the canonical transform alike, so the transform
 depends on the model alone, not on an interior point.  The second condition
-is certified per facet by `convex.farkas_decompose` (a linear solve, an LP
-only when it fails), once in ``check_polyhedral_admissibility``.  Polynomial
+is certified per facet by `convex.farkas_decompose` (a linear solve or one
+NNLS), once in ``check_polyhedral_admissibility``.  Polynomial
 identities (the canonical block form, the dimension extension) are checked
 on coefficients.
 
@@ -341,7 +341,8 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
         raise RankDeficiencyError(
             f"complement has dimension {eta.shape[0]}, expected {p - m - n}")
     L = np.vstack([gamma_s[M], gamma_s[N], eta]) if (m + n) else eta
-    if abs(np.linalg.det(L)) <= 1e-12 * max(1.0, np.linalg.norm(L) ** p):
+    # Hadamard's ratio |det L| / prod_i |L_i| <= 1 is blind to row scale
+    if abs(np.linalg.det(L)) <= 1e-12 * np.prod(np.linalg.norm(L, axis=1)):
         raise RankDeficiencyError("assembled transform is singular")
     f = AffineMap(L, np.concatenate([delta_s[M], delta_s[N],
                                      np.zeros(p - m - n)]))

@@ -17,11 +17,11 @@ class Tolerances:
     sym_rtol: float = 1e-12      # relative asymmetry absorbed by symmetrization
     membership: float = 1e-10    # polyhedron / quadric membership slack
     psd: float = 1e-9            # relative eigenvalue floor for PSD tests
-    # linear programming / coefficient identities
-    feasibility: float = 1e-8    # LP feasibility and coefficient-match residuals
+    # certificates / coefficient identities
+    feasibility: float = 1e-8    # certificate and coefficient-match residuals
     lam_clip: float = 1e-10      # clamp threshold for tiny negative multipliers
     interior_slack: float = 1e-9 # minimal Chebyshev radius counting as interior
-    box: float = 1e6             # LP box bound for multipliers and witnesses
+    box: float = 1e6             # box bound of the interior point
     # transforms and decompositions
     zero_row: float = 1e-9       # scale-relative zero test for coupling rows
     block_identity: float = 1e-9 # canonical-transform block residual
@@ -40,7 +40,7 @@ def current() -> Tolerances:
 
 @contextmanager
 def tolerances(feasibility: float):
-    """Put the defaults, rescaled so that ``feasibility`` is the LP/coefficient
+    """Put the defaults, rescaled so that ``feasibility`` is the coefficient
     tolerance, in effect for the block: every check tolerance keeps its ratio
     to it; ``sym_rtol`` and ``box`` are not check tolerances and stay."""
     base = Tolerances()

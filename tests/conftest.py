@@ -11,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scipy.optimize
+
 from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
-                           AffineVectorField, ModelSpec, Polyhedron)
-from affinvar.tolerances import Tolerances, current, tolerances
+                           AffineVectorField, ModelSpec, Polyhedron,
+                           _coefficient_residual, _coefficient_scale)
+from affinvar.tolerances import TOL, Tolerances, current, tolerances
 
 
 def grid_min(d: AffineScalar, poly: Polyhedron, lo: float = -10.0,
@@ -70,6 +73,64 @@ def grid_min_bruteforce(d: AffineScalar, poly: Polyhedron, lo=-10.0, hi=10.0,
     if not feas.any():
         return None
     return float(np.min(d(pts[feas])))
+
+
+def lp_minimum(d: AffineScalar, poly: Polyhedron, facet: int | None = None,
+               box: float = 1e6) -> np.ndarray | None:
+    """A point of the polyhedron (of its facet segment, if given) in the box
+    |x|_inf <= box where d is least, by one scipy LP; None when that set is
+    empty.  An oracle, independent of the package's solvers."""
+    A_eq = b_eq = None
+    if facet is not None:
+        A_eq, b_eq = poly.gamma[facet][None, :], [-poly.delta[facet]]
+    res = scipy.optimize.linprog(d.gamma, A_ub=-poly.gamma, b_ub=poly.delta,
+                                 A_eq=A_eq, b_eq=b_eq,
+                                 bounds=[(-box, box)] * poly.dim,
+                                 method="highs")
+    return res.x if res.status == 0 else None
+
+
+def lp_certificate_exists(d: AffineScalar, poly: Polyhedron,
+                          free: int | None = None) -> bool:
+    """Whether d = lam . u + c has a solution with lam >= 0 (lam_free
+    unconstrained) and c >= 0, by one scipy feasibility LP with no bound on
+    the multipliers."""
+    q, p = poly.gamma.shape
+    A_eq = np.zeros((p + 1, q + 1))
+    A_eq[:p, :q] = poly.gamma.T
+    A_eq[p, :q] = poly.delta
+    A_eq[p, q] = 1.0
+    bounds = [(0.0, None)] * (q + 1)
+    if free is not None:
+        bounds[free] = (None, None)
+    res = scipy.optimize.linprog(np.zeros(q + 1), A_eq=A_eq,
+                                 b_eq=np.r_[d.gamma, d.delta], bounds=bounds,
+                                 method="highs")
+    return res.status == 0
+
+
+def assert_witness(x: np.ndarray, d: AffineScalar, poly: Polyhedron,
+                   facet: int | None):
+    """x lies in the polyhedron, on the facet if one is given, to a
+    normalized tolerance, and d(x) < 0."""
+    slack = poly.evaluate(x) / np.linalg.norm(poly.gamma, axis=1)
+    tol = 1e-8 * max(1.0, float(np.abs(x).max()))
+    assert slack.min() >= -tol
+    assert facet is None or abs(slack[facet]) <= tol
+    assert d(x) < 0
+
+
+def coefficient_multiple(v: AffineScalar, u: AffineScalar) -> float | None:
+    """The lambda with v = lambda * u at coefficient level, or None."""
+    uc, vc = u.coefficients(), v.coefficients()
+    denom = float(uc @ uc)
+    if denom == 0.0:
+        return None
+    lam = float(uc @ vc) / denom
+    if _coefficient_residual((vc,), (lam * uc,)) > \
+            TOL.feasibility * _coefficient_scale(vc):
+        return None
+    return lam
 
 
 def random_grid_simplex(rng: np.random.Generator, p: int,

@@ -1,6 +1,8 @@
+import copy
 import json
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
 from affinvar.modelio import fixture_path, load_model, save_model
 from affinvar.quadratic import check_open_invariance_general
 from affinvar.tolerances import TOL, Tolerances, current
-from conftest import random_affine_image, random_canonical_model
+from conftest import load_module, random_affine_image, random_canonical_model
 
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 
@@ -135,28 +137,80 @@ def test_seed_only_on_simulate(capsys):
     assert exc.value.code == 2
 
 
+def _edge_model(tmp_path, name: str) -> Path:
+    """The edge model `name` of the digest list, written to tmp_path."""
+    tool = load_module(Path(__file__).resolve().parents[1] / "tools" /
+                       "cli_digests.py")
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(tool._edge_models()[name]))
+    return path
+
+
 def test_lp_budget(capsys, lp_calls, tmp_path, rng):
     """The facet diffusion checks and Psi are LP-free, the drift certificates
     and the interior point are solved once.  The interior point is one NNLS.
     When gamma has full row rank (cir, simplicial cones) the drift
     certificates come from a pseudo-inverse and minimalize keeps every
     facet; when it is rank-deficient (triangle_channel, hyperbola_wedge) one
-    NNLS solves each certificate and one least-distance NNLS proves each
-    facet irredundant.  So none of these calls takes an LP."""
+    NNLS solves each certificate, and minimalize tests each facet for a
+    certificate over the others.  A refuted drift condition gets its witness
+    from one least-distance NNLS.  So none of these calls takes an LP."""
     cone = tmp_path / "simplicial_cone.json"
     save_model(random_affine_image(rng, random_canonical_model(rng, 3, 1, 1)),
                cone)
+    outward = _edge_model(tmp_path, "triangle-outward-drift")
+    scaled = _edge_model(tmp_path, "triangle-scaled-facet")
     for model, command, expected in (
             (fixture_path("triangle_channel"), "validate", 0),
             (fixture_path("triangle_channel"), "canonicalize", 0),
             (fixture_path("cir"), "validate", 0),
             (fixture_path("cir"), "canonicalize", 0),
             (fixture_path("hyperbola_wedge"), "validate", 1),
-            (cone, "validate", 0)):
+            (cone, "validate", 0),
+            (_edge_model(tmp_path, "cir-overflow"), "validate", 0),
+            (outward, "validate", 1),
+            (scaled, "validate", 0),
+            (scaled, "canonicalize", 0)):
         lp_calls.clear()
         code, _ = _run(capsys, command, str(model))
         assert code == expected, (model, command)
         assert lp_calls == [], (model, command)
+
+
+def test_cir_overflow_drift_is_certified(capsys, tmp_path):
+    # a = 1e20 on the half-line: gamma mu(x) = 1e20 x + 1 is 1 > 0 on the
+    # facet {x = 0}, and its certificate has lambda = 1e20, c = 1; no bound
+    # on the multipliers refuses it
+    code, rep = _run(capsys, "validate",
+                     str(_edge_model(tmp_path, "cir-overflow")))
+    assert code == 0
+    drift = {c["name"]: c for c in rep["checks"]}["facet-0-drift"]
+    assert drift["passed"]
+    assert drift["certificate"] == {"lambda": [1e20], "c": 1.0}
+
+
+@pytest.mark.parametrize("fixture", ["cir", "triangle_channel",
+                                     "hyperbola_wedge"])
+def test_validate_is_blind_to_the_scale_of_a_facet_row(capsys, tmp_path,
+                                                       fixture):
+    # a positive multiple of a facet row (gamma_i, delta_i) leaves the set
+    # unchanged, and so validate's exit code and each check's verdict
+    def verdicts(obj):
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(obj))
+        code, rep = _run(capsys, "validate", str(path))
+        return code, [(c["name"], c["passed"]) for c in rep["checks"]]
+
+    base = json.loads(fixture_path(fixture).read_text())
+    expected = verdicts(base)
+    space = base["state_space"]
+    for i in range(len(space["delta"])):
+        for scale in (1e-7, 1e7):
+            obj = copy.deepcopy(base)
+            obj["state_space"]["gamma"][i] = [scale * v for v in
+                                              space["gamma"][i]]
+            obj["state_space"]["delta"][i] = scale * space["delta"][i]
+            assert verdicts(obj) == expected, (i, scale)
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:

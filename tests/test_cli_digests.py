@@ -21,7 +21,8 @@ EDGE_MODELS = ("sqrt-facet-zero-multiple", "parabola-open-only",
                "cone-unnormalized",
                "parabola-broken-structure", "parabola-c-zero", "parabola-c-two",
                "cone-hyperboloid", "closed-string", "dimension-float",
-               "interval-outward-drift", "cir-overflow")
+               "interval-outward-drift", "cir-overflow",
+               "triangle-outward-drift", "triangle-scaled-facet")
 
 
 def _module(path: Path):
@@ -87,4 +88,4 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     assert {argv[1] for argv in argvs if argv[0] == "simulate"} - \
         set(fixtures) - edge_paths == image_sims
     assert len(calls) == len(expected) + len(EDGE_MODELS) + len(simulate) + \
-        len(image_sims) + 1 == 600
+        len(image_sims) + 1 == 610

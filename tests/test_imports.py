@@ -4,10 +4,13 @@ on this tree, and a deletion can leave a dead import or a stale example
 behind; the import checks read the source with the stdlib ``ast`` module
 only.
 
-The package loads scipy only where a call needs it: ``linprog``, the LP
-fallback.  The PSD decomposition search is the package's own L-BFGS and
+The package loads scipy only where a call needs it: ``linprog``, for the
+Chebyshev center of a polyhedron with no point at unit slack.  Farkas
+certificates, their witnesses and redundant facets are each decided by one
+NNLS of the package's own, the PSD decomposition search is its own L-BFGS and
 ``mean_ode``'s ``expm`` its own Pade approximant.  A fresh interpreter checks
-that importing the package, the certify calls on every fixture and a
+that importing the package, the certify calls on every fixture, ``validate``
+on the edge models that reach the witness path or scale a facet row, and a
 ``simulate`` call load no scipy module; the ``ast`` check names the
 statement that would."""
 
@@ -22,6 +25,7 @@ from pathlib import Path
 import pytest
 
 import affinvar
+from conftest import load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "affinvar"
@@ -144,11 +148,12 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m.startswith("scipy"))
 
 steps = [["import", 0, scipy_modules()]]
-for op, fixture, *rest in json.loads(sys.argv[1]):
+for op, model, *rest in json.loads(sys.argv[1]):
+    path = model if model.endswith(".json") else str(fixture_path(model))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
-        code = affinvar.cli.main([op, str(fixture_path(fixture)), *rest])
-    steps.append([op + " " + fixture, code, scipy_modules()])
+        code = affinvar.cli.main([op, path, *rest])
+    steps.append([op + " " + model, code, scipy_modules()])
 print(json.dumps(steps))
 """
 
@@ -164,20 +169,43 @@ _CERTIFY_CALLS = {
 }
 
 
-def test_certify_path_loads_no_scipy():
-    # the import, every certify call on the fixtures (the L-BFGS search of
-    # triangle_channel and hyperbola_wedge among them) and a simulate call
-    # (the mean's expm) run on numpy alone
-    calls = [[op, fx] for op, fx in _CERTIFY_CALLS]
-    calls.append(["simulate", "cir", "--paths", "10", "--steps", "10"])
-    # the package under test, wherever it was imported from
+def _probe(calls: list[list[str]]) -> list:
+    """The steps that _SCIPY_PROBE prints for calls, in a fresh interpreter
+    on the package under test, wherever it was imported from."""
     src = os.path.dirname(os.path.dirname(affinvar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
                           json.dumps(calls)], capture_output=True, text=True,
                          check=True, env=env, timeout=300)
+    return json.loads(out.stdout)
+
+
+def test_certify_path_loads_no_scipy():
+    # the import, every certify call on the fixtures (the L-BFGS search of
+    # triangle_channel and hyperbola_wedge among them) and a simulate call
+    # (the mean's expm) run on numpy alone
+    calls = [[op, fx] for op, fx in _CERTIFY_CALLS]
+    calls.append(["simulate", "cir", "--paths", "10", "--steps", "10"])
     codes = [0, *_CERTIFY_CALLS.values(), 0]
     names = ["import"] + [" ".join(call[:2]) for call in calls]
-    assert json.loads(out.stdout) == [[name, code, []]
-                                      for name, code in zip(names, codes)]
+    assert _probe(calls) == [[name, code, []]
+                             for name, code in zip(names, codes)]
+
+
+def test_witness_path_loads_no_scipy(tmp_path):
+    # validate on the edge models whose drift certificate needs a
+    # multiplier of 1e20, whose drift checks fail with a witness, and whose
+    # facet row is scaled by 1e7: certificates, witnesses and redundancy
+    # are NNLS solves
+    tool = load_module(ROOT / "tools" / "cli_digests.py")
+    codes = {"cir-overflow": 0, "triangle-outward-drift": 1,
+             "triangle-scaled-facet": 0}
+    calls = []
+    for name in codes:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tool._edge_models()[name]))
+        calls.append(["validate", str(path)])
+    assert _probe(calls) == [["import", 0, []]] + [
+        ["validate " + path, code, []]
+        for (_, path), code in zip(calls, codes.values())]

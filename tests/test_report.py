@@ -11,10 +11,11 @@ import pytest
 
 import affinvar
 from affinvar.cli import main
+from affinvar.convex import minimalize
 from affinvar.errors import AffinvarError, NumericalFailureError
 from affinvar.modelio import fixture_path, load_fixture, load_model
 from affinvar.quadratic import canonical_quadric_model
-from conftest import load_module, random_affine_image
+from conftest import assert_witness, load_module, random_affine_image
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
@@ -178,6 +179,28 @@ def test_drift_checks_carry_their_own_margin_and_message(cli_digest_runs):
             elif c["name"].endswith("-diffusion"):
                 assert "drift" not in c.get("info", ""), (label, c)
     assert seen == {True, False}
+
+
+def test_every_failed_drift_check_has_a_verified_witness(cli_digest_runs):
+    # the witness of a failed facet-i-drift check lies in the minimal
+    # polyhedron and on facet i, to a normalized tolerance, and the drift
+    # gamma_i mu is negative there
+    refuted = set()
+    for label, argv, _, out, _ in cli_digest_runs:
+        if argv[0] != "validate" or not out.strip():
+            continue
+        for c in json.loads(out)["checks"]:
+            name = c["name"].split("-")
+            if name[0] != "facet" or name[2] != "drift" or c["passed"]:
+                continue
+            model = load_model(argv[1])
+            poly = minimalize(model.state_space)
+            i = int(name[1])
+            assert_witness(np.array(c["witness"]),
+                           model.drift.row_functional(poly.gamma[i]), poly, i)
+            refuted.add(label)
+    assert {"validate interval-outward-drift",
+            "validate triangle-outward-drift"} <= refuted
 
 
 # the checks whose margin is a negated residual or a least eigenvalue:

@@ -104,6 +104,10 @@ def _edge_models() -> dict[str, dict]:
     dimension_float["dimension"] = 1.7  # no JSON integer
     overflow = _fixture("cir")
     overflow["drift"]["a"] = [[1e20]]  # every path overflows within SIM_ARGS
+    varying = _fixture("triangle_channel")
+    varying["drift"]["a"][0][1] = -1.0  # gamma_0 mu = 1 - x_2 on facet 0
+    scaled = _fixture("triangle_channel")
+    scaled["state_space"]["gamma"][0] = [1e7, 0.0, 0.0, 0.0]  # u_0 = 1e7 x_1
     ellipsoid = _polyhedral(zero2, [0.0, 0.0], zero2, [zero2, zero2], [], [])
     ellipsoid["state_space"] = {  # |x|^2 >= 1, the positive side
         "kind": "quadratic", "A": np.eye(2).tolist(), "b": [0.0, 0.0],
@@ -137,6 +141,11 @@ def _edge_models() -> dict[str, dict]:
         "interval-outward-drift": _polyhedral(
             [[0.0]], [4.0], [[0.0]], [[[0.0]]], [[1.0], [-1.0]], [0.0, 1.0]),
         "cir-overflow": overflow,
+        # the facet-0 and facet-2 drifts fall along their facets, so each
+        # witness is the least-distance point where the drift is negative
+        "triangle-outward-drift": varying,
+        # the same set as triangle_channel, one facet row scaled by 1e7
+        "triangle-scaled-facet": scaled,
     }
 
 
