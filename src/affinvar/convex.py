@@ -11,14 +11,16 @@ have at most one solution, read off a pseudo-inverse memoized on the
 Polyhedron instead.  A refuted functional gets a witness, the least-distance
 point of {u >= 0, u_facet = 0, d <= -eps}, and a facet is redundant exactly
 when it has a certificate over the facets still kept.  The interior point
-is the least-distance point at unit normalized slack.  Every least-distance
-point is one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974,
-ch. 23), and every result is checked by substitution: certificates at
-coefficient level, points in the set.
+is the least-distance point at normalized slack t, for the first t of
+1, 1/2, 1/4, ... down to TOL.interior_slack at which there is one.  Every
+least-distance point is one NNLS (Lawson & Hanson, Solving Least Squares
+Problems, 1974, ch. 23), and every result is checked by substitution:
+certificates at coefficient level, points in the set.
 
-The NNLS is the package's own (`_nnls`), on numpy and Python floats.  The
-one LP left is the Chebyshev center, for a polyhedron with no point at unit
-slack in the box; scipy's `linprog` is imported on its first use.
+The NNLS is the package's own (`_nnls`), on numpy and Python floats, and no
+LP runs.  An NNLS that cannot finish raises NumericalFailureError (the CLI
+exits 3, inconclusive), so a None from any oracle here is a proof: no
+certificate, no witness, an empty interior.
 """
 
 from __future__ import annotations
@@ -31,15 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AffineScalar, Polyhedron, _coefficient_scale, _minimal
+from .errors import NumericalFailureError
 from .tolerances import TOL
-
-_this = sys.modules[__name__]
 
 
 def __getattr__(name: str):
-    """`linprog`, imported from scipy on first use and then kept in the
-    module globals.  A round that needs no LP loads no scipy; the LP call
-    site reads it as `_this.linprog`, so a patched binding sees every LP."""
+    """scipy's `linprog`, imported on first use.  No code here calls it: it
+    resolves only for the benchmark tracer (`perfbench/bench_trace`) and
+    the `lp_calls` test fixture, which patch it to count LPs (none)."""
     if name == "linprog":
         from scipy.optimize import linprog
         globals()["linprog"] = linprog
@@ -110,7 +111,7 @@ def _certificate(d: AffineScalar, poly: Polyhedron,
     over (lam, c) >= 0, the free multiplier split into two nonnegative
     columns.  Either solution is the certificate if, after `_clamp`, its
     bounded entries are >= 0 and it passes the residual test; if not, none
-    exists (or `_nnls` gave up)."""
+    exists."""
     q = poly.n_facets
     A_eq, pinv, s = _certificate_system(poly)
     b_eq = np.concatenate([d.gamma, [d.delta / s]])
@@ -119,8 +120,6 @@ def _certificate(d: AffineScalar, poly: Polyhedron,
         z += pinv @ (b_eq - A_eq @ z)
     else:
         z = _nonnegative_solution(A_eq, b_eq, free)
-    if z is None:
-        return None
     z = _clamp(z, free)
     bounded = np.delete(z, free) if free is not None else z
     if np.any(bounded < 0):
@@ -131,9 +130,10 @@ def _certificate(d: AffineScalar, poly: Polyhedron,
 
 
 def _nnls(A: np.ndarray, b: np.ndarray,
-          maxiter: int | None = None) -> np.ndarray | None:
-    """argmin |A x - b| over x >= 0, or None when the active-set iteration
-    needs more than maxiter (default 3n) passive-set solves.
+          maxiter: int | None = None) -> np.ndarray:
+    """argmin |A x - b| over x >= 0; NumericalFailureError when the
+    active-set iteration needs more than maxiter (default 3n) passive-set
+    solves or ends off a KKT point.
 
     Lawson & Hanson's active-set method (Solving Least Squares Problems,
     1974, ch. 23) in the Gram-matrix form of Bro & De Jong (J. Chemometrics
@@ -150,8 +150,9 @@ def _nnls(A: np.ndarray, b: np.ndarray,
     candidate is tried.  The solution ends with one refinement step against
     the columns themselves, the corrected semi-normal equations (Bjorck,
     Numerical Methods for Least Squares Problems, 1996, 6.6.5), which win
-    back the digits the Gram matrix squares away.  A matrix with no columns
-    gives the empty x.
+    back the digits the Gram matrix squares away; then every zero entry must
+    have its dual, against the columns, at the rounding level.  A matrix
+    with no columns gives the empty x.
     """
     n = A.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->j", A, A))
@@ -170,7 +171,7 @@ def _nnls(A: np.ndarray, b: np.ndarray,
         for j in sorted(w, key=w.get, reverse=True):  # the largest dual first
             if w[j] <= level:
                 break
-            row = _factor_row(G, L, passive, j, eps)
+            row = _factor_row(G, L, passive, j, eps, A)
             if row is not None:
                 t = j
                 break
@@ -181,13 +182,16 @@ def _nnls(A: np.ndarray, b: np.ndarray,
                 dx = _factor_solve(L, (r @ AP).tolist())
                 for i, v in zip(passive, dx):
                     x[i] = max(x[i] + v, 0.0)
+            x = np.array(x)
+            if np.any(((b - A @ x) @ A)[x == 0.0] > eps * (g_max + x.sum())):
+                raise NumericalFailureError("NNLS ended off its optimum")
             return unit * x
         passive.append(t)
         L.append(row)
         while True:  # solve on the passive set, stepping back while s <= 0
             steps -= 1
             if steps < 0:
-                return None
+                raise NumericalFailureError("NNLS ran out of iterations")
             s = _factor_solve(L, [g[i] for i in passive])
             if min(s) > 0.0:
                 for i, v in zip(passive, s):
@@ -209,18 +213,24 @@ def _nnls(A: np.ndarray, b: np.ndarray,
             x = [v if i in passive else 0.0 for i, v in enumerate(x)]
 
 
-def _factor_row(G: list, L: list, passive: list, t: int,
-                floor: float) -> list | None:
+def _factor_row(G: list, L: list, passive: list, t: int, floor: float,
+                A: np.ndarray | None = None) -> list | None:
     """The row that extends the Cholesky factor L of G[passive, passive] by
-    column t, or None when its squared pivot is at most floor."""
+    column t, or None when its squared pivot is at most floor.  G squares a
+    pivot of 1e-8 into its rounding, so with the columns A given such a
+    pivot is read again off them: the distance of A_t from A_P y, its
+    least-squares fit, if above its rounding level floor (1 + |y|_1)."""
     row = []
     for Li, i in zip(L, passive):
         row.append((G[t][i] - sum(map(operator.mul, Li, row))) / Li[-1])
     pivot = G[t][t] - sum(map(operator.mul, row, row))
-    if pivot <= floor:
+    if pivot > floor:
+        return row + [math.sqrt(pivot)]
+    if A is None or not passive:
         return None
-    row.append(math.sqrt(pivot))
-    return row
+    y = np.linalg.lstsq(A[:, passive], A[:, t], rcond=None)[0]
+    pivot = float(np.linalg.norm(A[:, t] - A[:, passive] @ y))
+    return row + [pivot] if pivot > floor * (1.0 + np.abs(y).sum()) else None
 
 
 def _factor_solve(L: list, v: list) -> list:
@@ -236,14 +246,12 @@ def _factor_solve(L: list, v: list) -> list:
 
 
 def _nonnegative_solution(A: np.ndarray, b: np.ndarray,
-                          free: int | None) -> np.ndarray | None:
+                          free: int | None) -> np.ndarray:
     """The NNLS solution z >= 0 of A z = b, column `free` unconstrained (as
-    the difference of two nonnegative columns), or None when `_nnls` gives
-    up.  Its residual is the caller's to test."""
+    the difference of two nonnegative columns).  Its residual is the
+    caller's to test."""
     cols = A if free is None else np.hstack([A, -A[:, free:free + 1]])
     z = _nnls(cols, b)
-    if z is None:
-        return None
     if free is not None:
         z[free] -= z[-1]
         z = z[:-1]
@@ -254,9 +262,9 @@ def _witness(d: AffineScalar, poly: Polyhedron,
              facet: int | None) -> np.ndarray | None:
     """The least-distance point of {u >= 0, u_facet = 0, d <= -eps}, eps the
     residual tolerance of a certificate of d, by one `_least_distance`
-    solve with u_facet = 0 written as two inequalities; or None when the
-    solve fails or substitution puts the point off the set, off the facet
-    or at d >= 0."""
+    solve with u_facet = 0 written as two inequalities; or None when that
+    set is empty or substitution puts the point off the set, off the facet
+    or at d > -eps/2."""
     rest = np.arange(poly.n_facets) != facet
     eps = TOL.feasibility * _coefficient_scale(d.coefficients())
     G = [poly.gamma[rest], -d.gamma[None]]
@@ -271,7 +279,8 @@ def _witness(d: AffineScalar, poly: Polyhedron,
     slack = poly.evaluate(x) / np.where(norms > 0, norms, 1.0)
     tol = TOL.feasibility * max(1.0, float(np.abs(x).max(initial=0.0)))
     on_facet = facet is None or abs(slack[facet]) <= tol
-    return x if on_facet and np.all(slack >= -tol) and d(x) < 0 else None
+    return x if on_facet and np.all(slack >= -tol) and d(x) <= -eps / 2 \
+        else None
 
 
 def farkas_decompose(d: AffineScalar, poly: Polyhedron,
@@ -288,25 +297,22 @@ def farkas_decompose(d: AffineScalar, poly: Polyhedron,
 
 
 def interior_point(poly: Polyhedron) -> np.ndarray | None:
-    """Least-distance point at unit slack: the minimum-Euclidean-norm point
-    with every normalized slack (gamma_i x + delta_i) / |gamma_i| >= 1.
+    """The least-distance point at normalized slack t: the minimum-norm
+    point with every (gamma_i x + delta_i) / |gamma_i| >= t, for the first
+    target t of 1, 1/2, 1/4, ... down to TOL.interior_slack that has one,
+    and substitution must give it slack t/2.  Each target is one
+    `_least_distance` NNLS; None, the interior empty, is that NNLS's proof
+    at the last target, and a last point that fails substitution raises
+    NumericalFailureError.  No bound on x is involved: a translate of the
+    polyhedron gets the same verdict.
 
-    It is one least-distance NNLS (`_least_distance`), accepted when it
-    lies in the |x|_inf <= box box with every normalized slack at least
-    1 - TOL.interior_slack.  Otherwise (no point at unit slack, or that
-    point outside the box) one LP solves for the Chebyshev center, the point
-    of the box maximizing the minimum normalized slack.  Returns None when
-    the interior is empty (best slack below TOL.interior_slack).
-
-    The point is solved once per Polyhedron object and memoized on it,
-    keyed by the tolerances it reads (TOL.box, TOL.interior_slack): a call
-    under other tolerances solves again.  Callers get a copy, never the
-    memoized array.
+    Solved once per Polyhedron object and memoized on it, keyed by
+    TOL.interior_slack; callers get a copy, never the memoized array.
     """
-    key = (TOL.box, TOL.interior_slack)
+    key = (TOL.interior_slack,)
     memo = getattr(poly, "_interior", None)
     if memo is None or memo[0] != key:
-        memo = (key, _chebyshev_center(poly))
+        memo = (key, _interior_point(poly))
         object.__setattr__(poly, "_interior", memo)
     x = memo[1]
     return None if x is None else x.copy()
@@ -314,17 +320,15 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
 
 def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """The minimum-Euclidean-norm x with G x >= h, or None when there is
-    none (or `_nnls` gives up).
-
-    Lawson & Hanson's least-distance program (Solving Least Squares
+    none.  Lawson & Hanson's least-distance program (Solving Least Squares
     Problems, 1974, ch. 23): one NNLS on the (p+1) x q matrix
     E = [G^T; h^T / s] against f = e_{p+1}, its nonzero rows (G_i, h_i)
     first scaled to unit |G_i|, and in units of the largest requirement
     s = max|h| (1 when h = 0): a row or an offset far above the others
     would otherwise cost the point its last digits.  With the residual
-    r = E u - f the point is -s r[:p] / r[p], and r[p] = 0 means the system
-    is infeasible.  The result is a floating-point solve; callers verify it
-    by substitution.
+    r = E u - f the point is -s r[:p] / r[p]; r[p] = -|r|^2 at rounding
+    level makes u a Farkas vector (G^T u = 0, h . u = s), a proof that
+    there is none.  Callers verify the point by substitution.
     """
     p = G.shape[1]
     norms = np.linalg.norm(G, axis=1)
@@ -335,34 +339,30 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     f = np.zeros(p + 1)
     f[p] = 1.0
     u = _nnls(E, f)
-    if u is None:
-        return None
     r = E @ u - f
-    return scale * (-r[:p] / r[p]) if r[p] < 0 else None
+    level = 10.0 * max(E.shape) * sys.float_info.epsilon * (1.0 + u.sum())
+    return scale * (-r[:p] / r[p]) if r[p] < -level else None
 
 
-def _chebyshev_center(poly: Polyhedron) -> np.ndarray | None:
-    p = poly.dim
-    box = TOL.box
+def _interior_point(poly: Polyhedron) -> np.ndarray | None:
+    """`interior_point`'s search, unmemoized."""
     norms = np.linalg.norm(poly.gamma, axis=1)
     if np.any((norms == 0) & (poly.delta < 0)):
         return None
     keep = norms > 0
     g, delta, norms = poly.gamma[keep], poly.delta[keep], norms[keep]
-    x = _least_distance(g, norms - delta)
-    if x is not None and np.abs(x).max(initial=0.0) <= box and \
-            np.min((g @ x + delta) / norms, initial=np.inf) >= \
-            1.0 - TOL.interior_slack:
-        return x
-    cost = np.zeros(p + 1)
-    cost[p] = -1.0
-    A_ub = np.hstack([-g, norms[:, None]])
-    bounds = [(-box, box)] * p + [(-box, box)]
-    res = _this.linprog(cost, A_ub=A_ub, b_ub=delta, bounds=bounds,
-                        method="highs")
-    if res.status != 0 or res.x[p] <= TOL.interior_slack:
-        return None
-    return res.x[:p]
+    t = 1.0
+    while True:
+        t = max(t, TOL.interior_slack)
+        x = _least_distance(g, t * norms - delta)
+        if x is not None and \
+                np.min((g @ x + delta) / norms, initial=np.inf) >= t / 2:
+            return x
+        if t == TOL.interior_slack:
+            if x is None:
+                return None
+            raise NumericalFailureError("interior point fails substitution")
+        t /= 2
 
 
 def minimalize(poly: Polyhedron) -> Polyhedron:

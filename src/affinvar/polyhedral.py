@@ -356,7 +356,7 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     canon = model_y.diffusion
     scale = _coefficient_scale(canon.A0, canon.A)
     resid = float(np.abs(canon.A[k:, k:, k:]).max(initial=0.0))
-    if resid > TOL.fit_residual * scale:
+    if resid > TOL.feasibility * scale:
         raise ModelInconsistencyError(
             f"lower-right block is not a function of the facet values "
             f"(residual {resid:.3e}); the state space is not contained in the "

@@ -126,14 +126,14 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     Returns the canonical kind with the affine transform y = T x + t such that
     sign * Phi(x) equals the canonical polynomial at y; the substituted
     coefficients are checked against ``canonical_form`` to
-    ``TOL.fit_residual`` times Phi's coefficient scale.
+    ``TOL.feasibility`` times Phi's coefficient scale.
     """
     p = phi.dim
     lam, V = _sorted_eig(phi.A)
     scale_eig = float(np.abs(lam).max())
     if scale_eig <= 1e-14 * _coefficient_scale(phi.b):
         raise ZeroQuadraticPartError("quadratic part vanishes")
-    nonzero = np.abs(lam) > TOL.eig_zero * scale_eig
+    nonzero = np.abs(lam) > TOL.psd * scale_eig
     idx_nz = np.nonzero(nonzero)[0]
     idx_z = np.nonzero(~nonzero)[0]
     btil = V.T @ phi.b
@@ -142,7 +142,7 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
     chat = phi.c - float(np.sum(btil[idx_nz] ** 2 / (4.0 * lam[idx_nz])))
     beta = V[:, idx_z] @ btil[idx_z] if idx_z.size else np.zeros(p)
     lin_scale = _coefficient_scale(phi.b, scale_eig)
-    has_linear = float(np.linalg.norm(beta)) > TOL.eig_zero * lin_scale
+    has_linear = float(np.linalg.norm(beta)) > TOL.psd * lin_scale
 
     def _square_rows(indices):
         s = np.sqrt(np.abs(lam[indices]))
@@ -189,7 +189,7 @@ def classify_quadric(phi: QuadraticForm) -> QuadricClassification:
         T = np.vstack([rows, V[:, idx_z].T])
         t = np.concatenate([offs, np.zeros(idx_z.size)])
         d = sign * chat
-        admissible = kind == "cone" and abs(d) <= TOL.eig_zero * (1 + abs(chat))
+        admissible = kind == "cone" and abs(d) <= TOL.psd * (1 + abs(chat))
         if admissible:
             d = 0.0
         cls = QuadricClassification(kind, q, float(d), AffineMap(T, t), sign,
@@ -223,13 +223,13 @@ def _canonical_kind(phi: QuadraticForm) -> tuple[str, int] | None:
 
 def _verify_classification(cls: QuadricClassification, phi: QuadraticForm) -> None:
     """sign * Phi(T^-1 (y - t)) must equal the canonical form coefficient by
-    coefficient, to TOL.fit_residual times Phi's coefficient scale."""
+    coefficient, to TOL.feasibility times Phi's coefficient scale."""
     image = QuadraticSpace(phi).transformed(cls.map).form
     form = cls.canonical_form()
     resid = _coefficient_residual(
         (cls.sign * image.A, cls.sign * image.b, cls.sign * image.c),
         (form.A, form.b, form.c))
-    if resid > TOL.fit_residual * _coefficient_scale(phi.c, phi.b, phi.A):
+    if resid > TOL.feasibility * _coefficient_scale(phi.c, phi.b, phi.A):
         raise NumericalFailureError(
             f"canonical transform residual {resid:.3e} out of tolerance")
 
@@ -474,7 +474,7 @@ def parabolic_theta_decompose(theta: AffineMatrixField,
         resid = max(resid, float(np.abs(design @ coef - col_vec).max()))
         A1[:, l] = coef[:q]
         A2[:, l] = coef[q:]
-    if resid > TOL.fit_residual * scale:
+    if resid > TOL.feasibility * scale:
         exc = NotAdmissibleError(f"theta violates the necessary parabolic "
                                  f"structure (residual {resid:.3e})")
         exc.margin = -resid
@@ -697,7 +697,7 @@ def conical_theta_decompose(theta: AffineMatrixField, q: int) -> ConicalDecompos
     target = np.concatenate([theta.A0.reshape(-1), theta.A.reshape(-1)])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = float(np.abs(design @ coef - target).max())
-    if resid > TOL.fit_residual * _coefficient_scale(target):
+    if resid > TOL.feasibility * _coefficient_scale(target):
         raise NotInSpanError(
             f"theta is not in the span of the conical basis (residual {resid:.3e})")
     return ConicalDecomposition(float(coef[0]), coef[1:])
@@ -827,7 +827,7 @@ def check_open_invariance_general(model: ModelSpec) -> Check:
 # ---------------------------------------------------------------------------
 
 def _nullity(M: np.ndarray) -> int:
-    return M.shape[1] - int(np.linalg.matrix_rank(M, tol=TOL.fit_residual))
+    return M.shape[1] - int(np.linalg.matrix_rank(M, tol=TOL.feasibility))
 
 
 def _field_coefficient_matrix(c: np.ndarray, L: np.ndarray, F0: np.ndarray,

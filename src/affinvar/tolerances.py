@@ -16,17 +16,14 @@ class Tolerances:
     # value-type hygiene
     sym_rtol: float = 1e-12      # relative asymmetry absorbed by symmetrization
     membership: float = 1e-10    # polyhedron / quadric membership slack
-    psd: float = 1e-9            # relative eigenvalue floor for PSD tests
+    psd: float = 1e-9            # relative eigenvalue floor and zero test
     # certificates / coefficient identities
-    feasibility: float = 1e-8    # certificate and coefficient-match residuals
+    feasibility: float = 1e-8    # certificate, coefficient-match and fit residuals
     lam_clip: float = 1e-10      # clamp threshold for tiny negative multipliers
-    interior_slack: float = 1e-9 # minimal Chebyshev radius counting as interior
-    box: float = 1e6             # box bound of the interior point
+    interior_slack: float = 1e-9 # least normalized slack counting as interior
     # transforms and decompositions
     zero_row: float = 1e-9       # scale-relative zero test for coupling rows
     block_identity: float = 1e-9 # canonical-transform block residual
-    fit_residual: float = 1e-8   # least-squares fit residuals (psi, bases)
-    eig_zero: float = 1e-9       # relative eigenvalue-zero threshold (quadrics)
     sampled_min: float = 1e-7    # grid-minimum slack for sampled inequality checks
 
 
@@ -42,12 +39,13 @@ def current() -> Tolerances:
 def tolerances(feasibility: float):
     """Put the defaults, rescaled so that ``feasibility`` is the coefficient
     tolerance, in effect for the block: every check tolerance keeps its ratio
-    to it; ``sym_rtol`` and ``box`` are not check tolerances and stay."""
+    to it; ``sym_rtol`` is not a check tolerance and stays.  No tolerance
+    bounds where a point may lie: a model and its translate by any vector
+    are checked alike."""
     base = Tolerances()
     factor = feasibility / base.feasibility
     scaled = replace(base, **{f.name: getattr(base, f.name) * factor
-                              for f in fields(base)
-                              if f.name not in ("sym_rtol", "box")})
+                              for f in fields(base) if f.name != "sym_rtol"})
     token = _CURRENT.set(scaled)
     try:
         yield scaled

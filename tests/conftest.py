@@ -213,6 +213,13 @@ def random_affine_image(rng: np.random.Generator, model: ModelSpec,
     return model.pushed(f, model.state_space.transformed(f))
 
 
+def translated(model: ModelSpec, shift: float) -> ModelSpec:
+    """The model of X = Y + shift (1, ..., 1), where Y follows the given
+    model: the same state space, moved."""
+    f = AffineMap(np.eye(model.dimension), np.full(model.dimension, shift))
+    return model.pushed(f, model.state_space.transformed(f))
+
+
 @pytest.fixture(autouse=True)
 def tolerance_leak_guard():
     """Fails the test that leaves other tolerances than the defaults in

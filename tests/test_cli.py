@@ -16,7 +16,8 @@ from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
 from affinvar.modelio import fixture_path, load_model, save_model
 from affinvar.quadratic import check_open_invariance_general
 from affinvar.tolerances import TOL, Tolerances, current
-from conftest import load_module, random_affine_image, random_canonical_model
+from conftest import (load_module, random_affine_image, random_canonical_model,
+                      translated)
 
 FIXTURES = ("cir", "triangle_channel", "hyperbola_wedge", "parabola3", "cone3")
 
@@ -213,6 +214,30 @@ def test_validate_is_blind_to_the_scale_of_a_facet_row(capsys, tmp_path,
             assert verdicts(obj) == expected, (i, scale)
 
 
+# the exit codes of validate, canonicalize and decompose on each polyhedral
+# fixture
+POLYHEDRAL_CODES = {"cir": (0, 0, 0), "triangle_channel": (0, 0, 1),
+                    "hyperbola_wedge": (1, 1, 0)}
+
+
+@pytest.mark.parametrize("fixture", list(POLYHEDRAL_CODES))
+@pytest.mark.parametrize("shift", [2e6, -2e6, 1e7, -1e7])
+def test_verdicts_do_not_depend_on_where_the_state_space_lies(
+        capsys, tmp_path, fixture, shift):
+    # the model of x + shift (1, ..., 1): no tolerance bounds where a point
+    # may lie, so validate and canonicalize keep the fixture's exit codes,
+    # and decompose does at |shift| = 2e6 (at 1e7 its PSD search on
+    # triangle_channel is inconclusive, a scale problem of its own)
+    path = tmp_path / "translated.json"
+    save_model(translated(load_model(fixture_path(fixture)), shift), path)
+    commands = ("validate", "canonicalize", "decompose")
+    if abs(shift) > 2e6:
+        commands = commands[:2]
+    for command, expected in zip(commands, POLYHEDRAL_CODES[fixture]):
+        code, _ = _run(capsys, command, str(path))
+        assert code == expected, command
+
+
 def _count_calls(monkeypatch, module, name: str) -> list:
     """A list that grows by one on each call of module.name, patched at
     every binding of it across the package."""
@@ -239,7 +264,7 @@ def test_coupling_rows_solved_once_per_command(capsys, monkeypatch):
     import affinvar.polyhedral as polyhedral
     import affinvar.quadratic as quadratic
     facts = [_count_calls(monkeypatch, module, name) for module, name in (
-        (convex, "_chebyshev_center"), (polyhedral, "_coupling_rows"),
+        (convex, "_interior_point"), (polyhedral, "_coupling_rows"),
         (polyhedral, "canonical_transform"), (polyhedral, "psd_decompose"))]
     sim = ("--paths", "10", "--steps", "10")
     # decompose exits 1: triangle_channel's theta has no PSD decomposition

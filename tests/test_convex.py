@@ -1,16 +1,22 @@
+import contextlib
+import io
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import affinvar.cli
 import affinvar.convex
 from affinvar.convex import (FarkasCertificate, _certificate,
                              _least_distance, _nnls, _nonnegative_solution,
                              farkas_decompose, interior_point, minimalize)
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron, _coefficient_scale)
-from affinvar.errors import InteriorEmptyError
+from affinvar.errors import InteriorEmptyError, NumericalFailureError
+from affinvar.modelio import fixture_path
 from affinvar.polyhedral import check_polyhedral_admissibility
 from affinvar.tolerances import TOL, tolerances
 from conftest import (assert_witness, grid_min, grid_min_bruteforce,
@@ -85,10 +91,10 @@ def test_facet_relative_failure_witness():
     assert d(witness) < 0
 
 
-@pytest.mark.parametrize("lam", [TOL.box, 1e20])
+@pytest.mark.parametrize("lam", [1e6, 1e20])
 def test_large_multipliers_are_certified_without_a_warning(lam, recwarn):
     # d = lam * u on the half-line: the certificate has no bound on its
-    # multipliers, so lam = TOL.box and far beyond it are certified as given
+    # multipliers, so lam = 1e6 and far beyond it are certified as given
     d = AffineScalar(np.array([lam]), 0.0)
     cert, witness = farkas_decompose(d, HALFLINE)
     _assert_valid(cert, d, HALFLINE)
@@ -258,25 +264,54 @@ def test_nnls_refuses_a_dependent_column_and_refines_its_solution():
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
-def test_nnls_iteration_limit_gives_none_and_the_lp_runs(monkeypatch,
-                                                         lp_calls):
-    # x >= 1 needs one passive-set solve: none allowed gives None, from
-    # _nnls and from both of its callers, and the Chebyshev LP answers
-    # for the interior point
+def test_nnls_iteration_limit_raises_and_validate_exits_3(monkeypatch,
+                                                          lp_calls):
+    # x >= 1 needs one passive-set solve: none allowed is a numerical
+    # failure, from _nnls and from every oracle on it, never a None that
+    # reads as a proof; validate reports it as inconclusive (exit 3)
     G, h = np.array([[1.0]]), np.array([1.0])
     E = np.vstack([G.T, h])
     f = np.array([0.0, 1.0])
-    assert _nnls(E, f, maxiter=0) is None
+    with pytest.raises(NumericalFailureError):
+        _nnls(E, f, maxiter=0)
     assert _nnls(E, f) is not None
     real = affinvar.convex._nnls
     monkeypatch.setattr(affinvar.convex, "_nnls",
                         lambda A, b: real(A, b, maxiter=0))
-    assert _least_distance(G, h) is None
-    assert _nonnegative_solution(E, f, None) is None
-    assert _nonnegative_solution(E, f, 0) is None
-    poly = Polyhedron(np.array([[1.0], [1.0]]), np.array([-1.0, 0.0]))
-    x = interior_point(poly)  # the Chebyshev-center LP
-    assert len(lp_calls) == 1 and poly.contains(x)
+    # x >= 1, x >= 0, x >= -1: each facet's redundancy is one NNLS
+    poly = Polyhedron(np.ones((3, 1)), np.array([-1.0, 0.0, 1.0]))
+    for call in (lambda: _least_distance(G, h),
+                 lambda: _nonnegative_solution(E, f, None),
+                 lambda: _nonnegative_solution(E, f, 0),
+                 lambda: interior_point(poly),
+                 lambda: minimalize(poly)):
+        with pytest.raises(NumericalFailureError):
+            call()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        assert affinvar.cli.main(["validate", str(fixture_path("cir"))]) == 3
+    assert json.loads(err.getvalue())["error"] == "NumericalFailureError"
+    assert lp_calls == []
+
+
+def test_nnls_takes_a_nearly_dependent_column_and_ends_at_kkt():
+    # the least-distance matrix of a facet witness in an affine image of a
+    # random canonical model: column 1 is at distance 2.6e-8 from the span of
+    # columns 0 and 2, a pivot the Gram matrix squares into its rounding, and
+    # its dual is 1.9e-8.  Refusing it left the residual 1.4e-8 above the
+    # optimum, where passive set {1, 2} reaches scipy's
+    A = np.array([
+        [-0.9910176023568357, -0.769447791884578, -0.09059948920854699,
+         0.09059948920854699],
+        [-0.0543317409938067, -0.554537478072954, 0.9170256722178042,
+         -0.9170256722178042],
+        [-0.12219727386276057, -0.316919991443322, 0.3884014019653313,
+         -0.3884014019653313],
+        [1.0, 0.3340530026253338, 0.88747509157125, -0.88747509157125]])
+    b = np.array([0.0, 0.0, 0.0, 1.0])
+    _assert_nnls_solves(A, b)
+    x = _nnls(A, b)
+    assert x[0] == 0.0 and x[1] > 0.0 and x[2] > 0.0
 
 
 def _max_slack(poly: Polyhedron) -> float:
@@ -318,23 +353,23 @@ def _random_polyhedron(rng, p: int, data) -> Polyhedron:
 @given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_interior_point_least_distance_kkt(p, data, seed):
     # when some point has every normalized slack >= 1, interior_point is the
-    # least-distance one, found without an LP: its slacks are >= 1 and
-    # (KKT) it is a nonnegative combination of the unit normals of the
-    # facets at slack 1.  Otherwise it is the Chebyshev center.
+    # least-distance one: its slacks are >= 1 and (KKT) it is a nonnegative
+    # combination of the unit normals of the facets at slack 1.  Otherwise
+    # it is the least-distance point at the first halved target that has
+    # one, so its least slack is in [radius/2, radius].  No LP runs.
     poly = _random_polyhedron(np.random.default_rng(seed), p, data)
     radius = _max_slack(poly)
     assume(abs(radius - 1.0) > 1e-6)
     with pytest.MonkeyPatch.context() as mp:
         costs = _lp_costs(mp)
         x = interior_point(poly)
+    assert costs == []
     unit = poly.gamma / np.linalg.norm(poly.gamma, axis=1)[:, None]
     slack = unit @ x + poly.delta / np.linalg.norm(poly.gamma, axis=1)
-    if radius < 1.0:
-        assert len(costs) == 1
-        assert slack.min() == pytest.approx(radius, rel=1e-7, abs=1e-9)
-        return
     scale = max(1.0, float(np.abs(x).max()))
-    assert costs == []
+    if radius < 1.0:
+        assert radius / 2 - 1e-9 * scale <= slack.min() <= radius + 1e-9
+        return
     assert slack.min() >= 1.0 - 1e-9
     active = slack <= 1.0 + 1e-8 * scale
     # nnls aborts the interpreter on a matrix with no columns
@@ -345,10 +380,14 @@ def test_interior_point_least_distance_kkt(p, data, seed):
 
 def test_interior_point_chebyshev_fallback(lp_calls):
     # the unit square's Chebyshev radius is 1/2: no point has unit slack,
-    # and the one LP gives the center (a copy: UNIT_SQUARE's is memoized)
+    # and the target 1/2 leaves the Chebyshev center alone, found without an
+    # LP (a copy: UNIT_SQUARE's is memoized).  The interval [0, 1/3] has no
+    # point at slack 1/4 either; at 1/8 the least-distance point is 1/8
     square = Polyhedron(UNIT_SQUARE.gamma, UNIT_SQUARE.delta)
-    assert np.allclose(interior_point(square), [0.5, 0.5])
-    assert len(lp_calls) == 1
+    assert np.allclose(interior_point(square), [0.5, 0.5], atol=1e-12)
+    third = Polyhedron(np.array([[1.0], [-1.0]]), np.array([0.0, 1.0 / 3.0]))
+    assert interior_point(third) == pytest.approx([0.125], abs=1e-12)
+    assert lp_calls == []
 
 
 def test_interior_point_large_offset(lp_calls):

@@ -4,17 +4,20 @@ on this tree, and a deletion can leave a dead import or a stale example
 behind; the import checks read the source with the stdlib ``ast`` module
 only.
 
-The package loads scipy only where a call needs it: ``linprog``, for the
-Chebyshev center of a polyhedron with no point at unit slack.  Farkas
-certificates, their witnesses and redundant facets are each decided by one
-NNLS of the package's own, the PSD decomposition search is its own L-BFGS and
-``mean_ode``'s ``expm`` its own Pade approximant.  A fresh interpreter checks
-that importing the package, the certify calls on every fixture, ``validate``
-on the edge models that reach the witness path or scale a facet row, and a
-``simulate`` call load no scipy module; the ``ast`` check names the
-statement that would."""
+The package runs on numpy alone; scipy is a test and benchmark dependency.
+Farkas certificates, their witnesses, redundant facets and the interior point
+are each decided by NNLS solves of the package's own, the PSD decomposition
+search is its own L-BFGS and ``mean_ode``'s ``expm`` its own Pade
+approximant.  A fresh interpreter checks that importing the package, the
+certify calls on every fixture, ``validate`` on the edge models that reach
+the witness path or scale a facet row, and a ``simulate`` call load no scipy
+module; another, where importing scipy fails, checks that every subcommand
+exits as usual.  The ``ast`` check names the statement that would import
+scipy with the package."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import re
@@ -25,7 +28,9 @@ from pathlib import Path
 import pytest
 
 import affinvar
-from conftest import load_module
+import affinvar.cli
+from affinvar.modelio import fixture_path, load_fixture, save_model
+from conftest import load_module, translated
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "affinvar"
@@ -145,7 +150,8 @@ import affinvar, affinvar.cli
 from affinvar.modelio import fixture_path
 
 def scipy_modules():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+    return sorted(name for name, module in sys.modules.items()
+                  if name.startswith("scipy") and module is not None)
 
 steps = [["import", 0, scipy_modules()]]
 for op, model, *rest in json.loads(sys.argv[1]):
@@ -169,15 +175,18 @@ _CERTIFY_CALLS = {
 }
 
 
-def _probe(calls: list[list[str]]) -> list:
+def _probe(calls: list[list[str]], block_scipy: bool = False) -> list:
     """The steps that _SCIPY_PROBE prints for calls, in a fresh interpreter
-    on the package under test, wherever it was imported from."""
+    on the package under test, wherever it was imported from; with
+    block_scipy, one where every scipy import raises ImportError."""
     src = os.path.dirname(os.path.dirname(affinvar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
-                          json.dumps(calls)], capture_output=True, text=True,
-                         check=True, env=env, timeout=300)
+    probe = ('import sys; sys.modules["scipy"] = None\n' if block_scipy
+             else "") + _SCIPY_PROBE
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)],
+                         capture_output=True, text=True, check=True, env=env,
+                         timeout=300)
     return json.loads(out.stdout)
 
 
@@ -209,3 +218,32 @@ def test_witness_path_loads_no_scipy(tmp_path):
     assert _probe(calls) == [["import", 0, []]] + [
         ["validate " + path, code, []]
         for (_, path), code in zip(calls, codes.values())]
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    # with scipy unimportable, every subcommand on the fixtures, on the two
+    # edge models whose interior point once took an LP (an empty interval
+    # and one narrower than 2), on cir moved by 2e6 and a simulate call
+    # exit as they do in this process, where scipy is importable
+    tool = load_module(ROOT / "tools" / "cli_digests.py")
+    models = ["cir", "triangle_channel", "hyperbola_wedge", "parabola3",
+              "cone3"]
+    for name in ("empty-polyhedron", "interval-outward-drift"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(tool._edge_models()[name]))
+        models.append(str(path))
+    moved = tmp_path / "cir-moved.json"
+    save_model(translated(load_fixture("cir"), 2e6), moved)
+    models.append(str(moved))
+    sim = ["--paths", "10", "--steps", "10"]
+    calls = [[op, model] for model in models
+             for op in ("validate", "canonicalize", "decompose", "classify")]
+    calls += [["simulate", model, *sim] for model in models]
+    expected = []
+    for op, model, *rest in calls:
+        path = model if model.endswith(".json") else str(fixture_path(model))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = affinvar.cli.main([op, path, *rest])
+        expected.append([f"{op} {model}", code, []])
+    assert _probe(calls, block_scipy=True) == [["import", 0, []]] + expected

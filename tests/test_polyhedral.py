@@ -820,12 +820,25 @@ def test_open_facet_invariance_cir_margin():
 @given(p=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
 def test_open_facet_invariance_is_the_canonical_rule_in_every_frame(p, data,
                                                                     seed):
+    q = data.draw(st.integers(1, p))
+    _assert_open_facet_rule(p, q, data.draw(st.integers(0, q)), seed)
+
+
+@pytest.mark.parametrize("p,q,m_cnt,seed", [
+    (3, 2, 0, 6584), (2, 2, 2, 3800683083), (3, 2, 2, 731542325),
+    (4, 3, 3, 237449204)])
+def test_open_facet_invariance_recorded_witness_draws(p, q, m_cnt, seed):
+    # draws whose facet witness in the affine image missed its own row
+    # d <= -eps by eps, where the least-distance NNLS had refused a nearly
+    # dependent column and stopped off its optimum
+    _assert_open_facet_rule(p, q, m_cnt, seed)
+
+
+def _assert_open_facet_rule(p: int, q: int, m_cnt: int, seed: int):
     # in canonical coordinates facet i is open-invariant iff a_ij >= 0 for
     # the other facet coordinates j and b_i >= c_i/2, with c_i = 1 on the
     # square-root facets and 0 on the others; an affine image keeps every
     # verdict.  Quarter-integer facet drifts put some b_i exactly on the bound
-    q = data.draw(st.integers(1, p))
-    m_cnt = data.draw(st.integers(0, q))
     rng = np.random.default_rng(seed)
     base = random_canonical_model(rng, p, m_cnt, q - m_cnt)
     a, b = base.drift.a.copy(), base.drift.b.copy()

@@ -11,7 +11,7 @@ def test_scope_rescales_check_tolerances():
         assert current() is scoped
         assert TOL.feasibility == pytest.approx(1e-6, rel=1e-12)
         for f in dataclasses.fields(Tolerances):
-            ratio = 1.0 if f.name in ("sym_rtol", "box") else 100.0
+            ratio = 1.0 if f.name == "sym_rtol" else 100.0
             assert getattr(TOL, f.name) == pytest.approx(
                 getattr(base, f.name) * ratio, rel=1e-12)
     assert current() == base
