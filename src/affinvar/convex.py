@@ -150,9 +150,11 @@ def _nnls(A: np.ndarray, b: np.ndarray,
     candidate is tried.  The solution ends with one refinement step against
     the columns themselves, the corrected semi-normal equations (Bjorck,
     Numerical Methods for Least Squares Problems, 1996, 6.6.5), which win
-    back the digits the Gram matrix squares away; then every zero entry must
-    have its dual, against the columns, at the rounding level.  A matrix
-    with no columns gives the empty x.
+    back the digits the Gram matrix squares away.  When the loop ends by
+    refusing every candidate left, every zero entry must then have its
+    dual, against the columns, at the rounding level; otherwise it ends
+    with every such dual there already.  A matrix with no columns gives the
+    empty x.
     """
     n = A.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->j", A, A))
@@ -183,7 +185,9 @@ def _nnls(A: np.ndarray, b: np.ndarray,
                 for i, v in zip(passive, dx):
                     x[i] = max(x[i] + v, 0.0)
             x = np.array(x)
-            if np.any(((b - A @ x) @ A)[x == 0.0] > eps * (g_max + x.sum())):
+            refused = max(w.values(), default=0.0) > level
+            if refused and np.any(((b - A @ x) @ A)[x == 0.0]
+                                  > eps * (g_max + x.sum())):
                 raise NumericalFailureError("NNLS ended off its optimum")
             return unit * x
         passive.append(t)
@@ -326,9 +330,12 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     first scaled to unit |G_i|, and in units of the largest requirement
     s = max|h| (1 when h = 0): a row or an offset far above the others
     would otherwise cost the point its last digits.  With the residual
-    r = E u - f the point is -s r[:p] / r[p]; r[p] = -|r|^2 at rounding
-    level makes u a Farkas vector (G^T u = 0, h . u = s), a proof that
-    there is none.  Callers verify the point by substitution.
+    r = E u - f the point is -s r[:p] / r[p], for r[p] < 0 however small:
+    r[p] = -1 / (1 + |x / s|^2), so a far point has a tiny r[p].  None
+    needs u to be a Farkas vector, checked by substitution: G^T u = r[:p]
+    at the rounding level of |u|_1 and h . u / s = 1 + r[p] at least 1/2,
+    a proof that there is none.  A residual that is neither raises
+    NumericalFailureError.  Callers verify the point by substitution.
     """
     p = G.shape[1]
     norms = np.linalg.norm(G, axis=1)
@@ -340,8 +347,13 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     f[p] = 1.0
     u = _nnls(E, f)
     r = E @ u - f
-    level = 10.0 * max(E.shape) * sys.float_info.epsilon * (1.0 + u.sum())
-    return scale * (-r[:p] / r[p]) if r[p] < -level else None
+    level = 10.0 * max(E.shape) * sys.float_info.epsilon * u.sum()
+    if np.abs(r[:p]).max(initial=0.0) <= level and r[p] >= -0.5:
+        return None
+    if r[p] < 0.0:
+        return scale * (-r[:p] / r[p])
+    raise NumericalFailureError("least-distance NNLS gives neither a point "
+                                "nor a Farkas vector")
 
 
 def _interior_point(poly: Polyhedron) -> np.ndarray | None:

@@ -238,6 +238,24 @@ def test_verdicts_do_not_depend_on_where_the_state_space_lies(
         assert code == expected, command
 
 
+def test_thin_wedge_has_an_interior(capsys, tmp_path):
+    # the zero model on {1e-7 x_1 >= |x_2|}, the orthant's image by a map of
+    # condition 1e7: every least-distance point lies near x_1 = 1e7 t, where
+    # the least-distance residual's last entry is -1e-14, and it is a point,
+    # not a proof that the interior is empty
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    path = tmp_path / "wedge.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "drift": {"a": zero, "b": [0.0, 0.0]},
+        "diffusion": {"A0": zero, "A": [zero, zero]},
+        "state_space": {"kind": "polyhedral",
+                        "gamma": [[1e-7, 1.0], [1e-7, -1.0]],
+                        "delta": [0.0, 0.0]}}))
+    for command in ("validate", "canonicalize", "decompose"):
+        code, _ = _run(capsys, command, str(path))
+        assert code == 0, command
+
+
 def _count_calls(monkeypatch, module, name: str) -> list:
     """A list that grows by one on each call of module.name, patched at
     every binding of it across the package."""

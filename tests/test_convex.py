@@ -294,6 +294,20 @@ def test_nnls_iteration_limit_raises_and_validate_exits_3(monkeypatch,
     assert lp_calls == []
 
 
+def test_least_distance_is_a_point_a_proof_or_a_failure(monkeypatch):
+    # x >= 1: the NNLS u = 1/2 gives the residual (1/2, -1/2), the point 1;
+    # the empty x >= 1, -x >= 0 gives u = (1, 1), a Farkas vector.  An NNLS
+    # result that is neither, here u = 10 with residual (10, 9), raises
+    G, h = np.array([[1.0]]), np.array([1.0])
+    assert _least_distance(G, h) == pytest.approx([1.0], abs=1e-12)
+    assert _least_distance(np.array([[1.0], [-1.0]]),
+                           np.array([1.0, 0.0])) is None
+    monkeypatch.setattr(affinvar.convex, "_nnls",
+                        lambda A, b: np.full(A.shape[1], 10.0))
+    with pytest.raises(NumericalFailureError):
+        _least_distance(G, h)
+
+
 def test_nnls_takes_a_nearly_dependent_column_and_ends_at_kkt():
     # the least-distance matrix of a facet witness in an affine image of a
     # random canonical model: column 1 is at distance 2.6e-8 from the span of
@@ -404,6 +418,21 @@ def test_interior_point_large_offset(lp_calls):
                                  1.0, rel=1e-12)
     assert slack.min() >= 1.0 - 1e-12
     assert lp_calls == []
+
+
+def test_interior_point_thin_wedge():
+    # {1e-7 x_1 >= |x_2|}: at every target t the least-distance point is
+    # near (1e7 t, 0), so the least-distance residual's last entry is about
+    # -1e-14, below the NNLS's rounding level, and yet no Farkas vector
+    # exists.  The point is returned and passes substitution
+    poly = Polyhedron(np.array([[1e-7, 1.0], [1e-7, -1.0]]), np.zeros(2))
+    x = interior_point(poly)
+    slack = poly.evaluate(x) / np.linalg.norm(poly.gamma, axis=1)
+    assert x[0] == pytest.approx(1e7, rel=0.05)
+    assert slack.min() >= 0.5
+    # the empty interval x >= 1, -x >= 0 still gets its proof
+    empty = Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, 0.0]))
+    assert interior_point(empty) is None
 
 
 def test_interior_point_no_facet_rows():
