@@ -5,17 +5,16 @@ polyhedron, or on one of its facet segments, as d = lam . u + c with
 lam >= 0 (the facet's own multiplier free) and c >= 0.  By the affine Farkas
 lemma such a certificate exists exactly when d is nonnegative there, and one
 NNLS over (lam, c) decides it: a residual above tolerance proves that none
-exists (Dax, SIAM Rev. 39, 1997).  When the facet rows gamma are linearly
-independent (the orthant R^m_+ x R^n, every simplicial cone) the equations
-have at most one solution, read off a pseudo-inverse memoized on the
-Polyhedron instead.  A refuted functional gets a witness, the least-distance
-point of {u >= 0, u_facet = 0, d <= -eps}, and a facet is redundant exactly
-when it has a certificate over the facets still kept.  The interior point
-is the least-distance point at normalized slack t, for the first t of
-1, 1/2, 1/4, ... down to TOL.interior_slack at which there is one.  Every
-least-distance point is one NNLS (Lawson & Hanson, Solving Least Squares
-Problems, 1974, ch. 23), and every result is checked by substitution:
-certificates at coefficient level, points in the set.
+exists (Dax, SIAM Rev. 39, 1997); with linearly independent facet rows
+gamma (the orthant R^m_+ x R^n, every simplicial cone) it is read off a
+pseudo-inverse memoized on the Polyhedron instead.  A refuted functional
+gets a witness, the least-distance point of {u >= 0, u_facet = 0,
+d <= -eps}; a facet is redundant exactly when it has a certificate over the
+facets still kept; the interior point is the least-distance point at
+normalized slack t, for the first t of 1, 1/2, 1/4, ... down to
+TOL.interior_slack at which there is one.  Every least-distance point is
+one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23),
+and every result is checked by substitution.
 
 The NNLS is the package's own (`_nnls`), on numpy and Python floats, and no
 LP runs.  An NNLS that cannot finish raises NumericalFailureError (the CLI
@@ -105,13 +104,12 @@ def _certificate(d: AffineScalar, poly: Polyhedron,
     c >= 0, or None when there is none.
 
     When gamma has full row rank the equations have at most one solution,
-    taken from the memoized pseudo-inverse and refined once, as `_nnls`
-    refines its own, which wins back the digits that an ill-conditioned
-    system costs the pseudo-inverse.  Otherwise one NNLS solves them
-    over (lam, c) >= 0, the free multiplier split into two nonnegative
-    columns.  Either solution is the certificate if, after `_clamp`, its
-    bounded entries are >= 0 and it passes the residual test; if not, none
-    exists."""
+    read off the memoized pseudo-inverse and refined once against them,
+    which wins back the digits an ill-conditioned system costs.  Otherwise
+    one NNLS solves them over (lam, c) >= 0, the free multiplier split in
+    two nonnegative columns.  Either solution, after `_clamp`, is the
+    certificate if its bounded entries are >= 0 and it passes the residual
+    test; if not, none exists."""
     q = poly.n_facets
     A_eq, pinv, s = _certificate_system(poly)
     b_eq = np.concatenate([d.gamma, [d.delta / s]])
@@ -150,11 +148,10 @@ def _nnls(A: np.ndarray, b: np.ndarray,
     candidate is tried.  The solution ends with one refinement step against
     the columns themselves, the corrected semi-normal equations (Bjorck,
     Numerical Methods for Least Squares Problems, 1996, 6.6.5), which win
-    back the digits the Gram matrix squares away.  When the loop ends by
-    refusing every candidate left, every zero entry must then have its
-    dual, against the columns, at the rounding level; otherwise it ends
-    with every such dual there already.  A matrix with no columns gives the
-    empty x.
+    back the digits the Gram matrix squares away; then every zero entry must
+    have its dual, against the columns, at the rounding level, which also
+    catches a refinement step that an ill-conditioned factor sent astray.
+    No columns give the empty x.
     """
     n = A.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->j", A, A))
@@ -185,9 +182,7 @@ def _nnls(A: np.ndarray, b: np.ndarray,
                 for i, v in zip(passive, dx):
                     x[i] = max(x[i] + v, 0.0)
             x = np.array(x)
-            refused = max(w.values(), default=0.0) > level
-            if refused and np.any(((b - A @ x) @ A)[x == 0.0]
-                                  > eps * (g_max + x.sum())):
+            if np.any(((b - A @ x) @ A)[x == 0.0] > eps * (g_max + x.sum())):
                 raise NumericalFailureError("NNLS ended off its optimum")
             return unit * x
         passive.append(t)
@@ -305,37 +300,31 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     point with every (gamma_i x + delta_i) / |gamma_i| >= t, for the first
     target t of 1, 1/2, 1/4, ... down to TOL.interior_slack that has one,
     and substitution must give it slack t/2.  Each target is one
-    `_least_distance` NNLS; None, the interior empty, is that NNLS's proof
-    at the last target, and a last point that fails substitution raises
-    NumericalFailureError.  No bound on x is involved: a translate of the
-    polyhedron gets the same verdict.
-
-    Solved once per Polyhedron object and memoized on it, keyed by
-    TOL.interior_slack; callers get a copy, never the memoized array.
+    `_least_distance` NNLS; None, the interior empty, is its proof at the
+    last target, and a last point that fails substitution raises
+    NumericalFailureError.  No bound on x is involved, so a translate of
+    the polyhedron gets the same verdict.  Memoized on the Polyhedron,
+    keyed by TOL.interior_slack; callers get a copy.
     """
     key = (TOL.interior_slack,)
     memo = getattr(poly, "_interior", None)
     if memo is None or memo[0] != key:
         memo = (key, _interior_point(poly))
         object.__setattr__(poly, "_interior", memo)
-    x = memo[1]
-    return None if x is None else x.copy()
+    return None if memo[1] is None else memo[1].copy()
 
 
 def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     """The minimum-Euclidean-norm x with G x >= h, or None when there is
-    none.  Lawson & Hanson's least-distance program (Solving Least Squares
-    Problems, 1974, ch. 23): one NNLS on the (p+1) x q matrix
-    E = [G^T; h^T / s] against f = e_{p+1}, its nonzero rows (G_i, h_i)
-    first scaled to unit |G_i|, and in units of the largest requirement
-    s = max|h| (1 when h = 0): a row or an offset far above the others
-    would otherwise cost the point its last digits.  With the residual
-    r = E u - f the point is -s r[:p] / r[p], for r[p] < 0 however small:
-    r[p] = -1 / (1 + |x / s|^2), so a far point has a tiny r[p].  None
-    needs u to be a Farkas vector, checked by substitution: G^T u = r[:p]
-    at the rounding level of |u|_1 and h . u / s = 1 + r[p] at least 1/2,
-    a proof that there is none.  A residual that is neither raises
-    NumericalFailureError.  Callers verify the point by substitution.
+    none: Lawson & Hanson's least-distance program (Solving Least Squares
+    Problems, 1974, ch. 23), one NNLS of E = [G^T; h^T / s] against
+    f = e_{p+1}, its nonzero rows (G_i, h_i) first scaled to unit |G_i| and
+    s = max|h| (1 when h = 0), so that no row or offset costs the point its
+    last digits.  With r = E u - f the point is -s r[:p] / r[p] for any
+    r[p] < 0, tiny for a far point (r[p] = -1 / (1 + |x / s|^2)); callers
+    verify it by substitution.  None needs a Farkas vector: r[:p] = G^T u
+    at the rounding level of |u|_1 and h . u / s = 1 + r[p] >= 1/2.  A
+    residual that is neither raises NumericalFailureError.
     """
     p = G.shape[1]
     norms = np.linalg.norm(G, axis=1)
@@ -347,13 +336,13 @@ def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
     f[p] = 1.0
     u = _nnls(E, f)
     r = E @ u - f
-    level = 10.0 * max(E.shape) * sys.float_info.epsilon * u.sum()
-    if np.abs(r[:p]).max(initial=0.0) <= level and r[p] >= -0.5:
+    rp, level = float(r[p]), 10.0 * max(E.shape) * sys.float_info.epsilon
+    if rp >= -0.5 and max(map(abs, r[:p].tolist()), default=0.0) \
+            <= level * sum(u.tolist()):
         return None
-    if r[p] < 0.0:
-        return scale * (-r[:p] / r[p])
-    raise NumericalFailureError("least-distance NNLS gives neither a point "
-                                "nor a Farkas vector")
+    if rp < 0.0:
+        return scale * (-r[:p] / rp)
+    raise NumericalFailureError("least-distance NNLS: neither point nor proof")
 
 
 def _interior_point(poly: Polyhedron) -> np.ndarray | None:

@@ -328,6 +328,39 @@ def test_nnls_takes_a_nearly_dependent_column_and_ends_at_kkt():
     assert x[0] == 0.0 and x[1] > 0.0 and x[2] > 0.0
 
 
+def test_nnls_checks_its_duals_on_every_exit():
+    # columns 0, 1, 2 and 4 have condition 1.5e8 (scipy's solution is near
+    # 5e7): the Gram-matrix loop ends, no candidate refused, with entries
+    # near 1e31, and its refinement step clamps them all to zero, 0.108 |b|
+    # above scipy's residual, where column 4's dual against the columns is
+    # 0.41.  The dual check on every exit, not only after a refusal, turns
+    # that into a failure
+    A = np.array([
+        [1.5325724315775813, -0.46238749742736934, 1.6887832083234515,
+         2.012911497453958, 0.28023714280372225],
+        [-0.11845312455525245, -1.6344762461038416, 0.16975411904658064,
+         0.21996885326639223, 2.096579410800107],
+        [0.048411604416180094, 0.5321412592409024, -1.1477096737489054,
+         -1.4385209613613936, -0.6845566892507657],
+        [0.07804060568959602, -0.8987330603346175, 1.0491118304520621,
+         1.3070264022040265, 1.1242213546322173],
+        [1.1819098799240375, -0.2947223617081179, -0.7266087462037215,
+         -0.985217892527313, 0.13765360845901825],
+        [0.40360617097850743, -0.9882018997905326, 0.03606663252436142,
+         0.01898953330305303, 1.1726470252901635],
+        [0.7943460791899414, 1.0786231439305458, 0.09419236698022729,
+         0.06639995735535438, -1.5266544931719452]])
+    b = np.array([0.6421291123563363, 0.7184112810243017, 0.7045544566266321,
+                  -0.9494110246755553, -0.3995165355887438,
+                  -0.4236435568008148, -1.1247853752300496])
+    try:
+        x = _nnls(A, b)
+    except NumericalFailureError:
+        return
+    ref = scipy.optimize.nnls(A, b)[1]
+    assert np.linalg.norm(A @ x - b) - ref <= 1e-10 * np.linalg.norm(b)
+
+
 def _max_slack(poly: Polyhedron) -> float:
     """The Chebyshev radius: the largest minimum normalized slack, by LP."""
     p = poly.dim
