@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, report
-from .core import jsonable
+from .core import to_json
 from .errors import (AffinvarError, NotAdmissibleError, NotRepresentableError,
                      ParseError, PreconditionFailedError)
 from .modelio import load_model
@@ -44,8 +44,10 @@ def _start_point(text: str | None, dimension: int) -> np.ndarray | None:
 
 
 def _dump(obj, path: str | None = None) -> None:
-    """obj as indented JSON, to the file at path or to stdout."""
-    text = json.dumps(obj, indent=2, sort_keys=True, default=jsonable)
+    """obj as indented JSON, to the file at path or to stdout: `to_json`,
+    the text of ``json.dumps(obj, indent=2, sort_keys=True,
+    default=jsonable)``."""
+    text = to_json(obj)
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")

@@ -14,7 +14,9 @@ facets still kept; the interior point is the least-distance point at
 normalized slack t, for the first t of 1, 1/2, 1/4, ... down to
 TOL.interior_slack at which there is one.  Every least-distance point is
 one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23),
-and every result is checked by substitution.
+and every result is checked by substitution.  The rank of gamma is kept on
+the Polyhedron too (`facet_rank`): rows of full rank have a nonempty
+interior and no redundant facet without a solve.
 
 The NNLS is the package's own (`_nnls`), on numpy and Python floats, and no
 LP runs.  An NNLS that cannot finish raises NumericalFailureError (the CLI
@@ -366,6 +368,19 @@ def _interior_point(poly: Polyhedron) -> np.ndarray | None:
         t /= 2
 
 
+def facet_rank(poly: Polyhedron) -> int:
+    """np.linalg.matrix_rank(gamma), memoized on the polyhedron.  Rows of
+    rank q, the facet count, are linearly independent: then the interior is
+    nonempty (gamma x = 1 - delta has a solution), no facet is redundant,
+    and so is every subset of the rows (their singular values interlace
+    those of gamma, Horn & Johnson, Matrix Analysis, 7.3)."""
+    rank = getattr(poly, "_rank", None)
+    if rank is None:
+        rank = int(np.linalg.matrix_rank(poly.gamma))
+        object.__setattr__(poly, "_rank", rank)
+    return rank
+
+
 def minimalize(poly: Polyhedron) -> Polyhedron:
     """Remove facets whose deletion leaves the set unchanged.
 
@@ -373,14 +388,17 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     a certificate (`_certificate`) over the facets still kept: then u_i >= 0
     wherever they hold.  A zero row with delta_i >= 0 has the certificate
     c = delta_i and goes even when it is the only facet.  When gamma has
-    full row rank no row is a combination of the others, and every facet is
-    kept without a solve.
+    full row rank (`facet_rank`) every facet is kept without a solve.  A
+    result that keeps every facet inherits the rank.
     """
     keep = list(range(poly.n_facets))
-    if np.linalg.matrix_rank(poly.gamma) < poly.n_facets:
+    if facet_rank(poly) < poly.n_facets:
         for i in range(poly.n_facets):
             others = [j for j in keep if j != i]
             sub = Polyhedron(poly.gamma[others], poly.delta[others])
             if _certificate(poly.facet(i), sub) is not None:
                 keep.remove(i)
-    return _minimal(Polyhedron(poly.gamma[keep], poly.delta[keep]))
+    out = _minimal(Polyhedron(poly.gamma[keep], poly.delta[keep]))
+    if len(keep) == poly.n_facets:
+        object.__setattr__(out, "_rank", facet_rank(poly))
+    return out

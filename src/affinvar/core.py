@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Union
 
 import numpy as np
@@ -533,6 +534,56 @@ def jsonable(x):
     if hasattr(x, "to_dict"):
         return x.to_dict()
     return x.tolist() if isinstance(x, (np.ndarray, np.generic)) else x
+
+
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def to_json(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=jsonable)``, the
+    same string, without the pure-Python encoder that ``indent`` selects.
+    A list of floats is joined through ``float.__repr__`` in one call, NaN
+    and +-inf are spelled NaN, Infinity and -Infinity, strings go through
+    ``encode_basestring_ascii``, tuples are lists, and anything else is
+    written as its `jsonable` value.  ``nl`` is the newline and indent of
+    obj's own level.  Unlike json, dict keys must be strings (a TypeError
+    otherwise), and there is no check for circular references."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _float(obj)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:
+            text = sep.join(map(float.__repr__, obj))
+            if "n" in text:  # only nan and inf spell an n
+                text = sep.join(map(_float, obj))
+        except TypeError:  # not all floats
+            text = sep.join([to_json(v, inner) for v in obj])
+        return "[" + inner + text + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + sep.join([
+            encode_basestring_ascii(k) + ": " + to_json(v, inner)
+            for k, v in sorted(obj.items())]) + nl + "}"
+    value = jsonable(obj)
+    if value is obj:
+        raise TypeError(f"Object of type {type(obj).__name__} "
+                        "is not JSON serializable")
+    return to_json(value, nl)
 
 
 @dataclass(frozen=True)

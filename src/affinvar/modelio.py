@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import (AffineMatrixField, AffineVectorField, ModelSpec, Polyhedron,
-                   QuadraticForm, QuadraticSpace)
+                   QuadraticForm, QuadraticSpace, to_json)
 from .errors import ParseError
 
 
@@ -103,9 +103,11 @@ def load_model(path: str | Path) -> ModelSpec:
 
 
 def save_model(model: ModelSpec, path: str | Path) -> None:
+    """The model file of model, written by `core.to_json`: the text of
+    ``json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)`` and a
+    newline."""
     with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(to_json(model_to_dict(model)) + "\n")
 
 
 def model_hash(model: ModelSpec) -> str:

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (FarkasCertificate, farkas_decompose, interior_point,
-                     minimalize)
+from .convex import (FarkasCertificate, facet_rank, farkas_decompose,
+                     interior_point, minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
                    AffineVectorField, Check, ModelSpec, Polyhedron,
                    _cholesky_rows, _coefficient_residual, _coefficient_scale,
@@ -67,9 +67,11 @@ def _require_polyhedron(model: ModelSpec) -> Polyhedron:
 
 def _interior_polyhedron(model: ModelSpec) -> Polyhedron:
     """The model's minimal polyhedron; raises InteriorEmptyError when its
-    interior is empty."""
+    interior is empty.  Linearly independent facet rows (`facet_rank`) have
+    a nonempty interior, so only dependent rows take the interior point's
+    NNLS here; the callers that read the point itself solve it."""
     poly = _require_polyhedron(model)
-    if interior_point(poly) is None:
+    if facet_rank(poly) < poly.n_facets and interior_point(poly) is None:
         raise InteriorEmptyError("polyhedron has empty interior")
     return poly
 
@@ -291,8 +293,12 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     construction follows the coupling rows B_i with gamma_i theta(.) =
     B_i u_i(.), read off the coefficients of theta (`_coupling_rows`), so the
     transform depends on the model alone.  It rescales the square-root
-    facets so that B_i gamma_i^T = 1 and completes the facet rows to a
-    nonsingular matrix L.  The model is pushed to y once, as ``model``.
+    facets M so that B_i gamma_i^T = 1 and completes the facet rows to a
+    nonsingular matrix L, with the rows of the facets N first: every other
+    facet, in order, when gamma has full row rank (`facet_rank`), since
+    every subset of independent rows is independent; otherwise each facet,
+    in order, whose row adds rank to those taken so far.  The model is
+    pushed to y once, as ``model``.
     Psi is read off the lower-right block of its diffusion, the
     coefficient-exact congruence L theta L^T; raises ModelInconsistencyError
     when that block depends on the completing coordinates, i.e. is not a
@@ -319,20 +325,18 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
     gamma_s = poly.gamma * facet_scale[:, None]
     delta_s = poly.delta * facet_scale
 
-    target = _rank(gamma_s)
-    N: list[int] = []
-    current = gamma_s[M]
-    rank = _rank(current)
-    for i in range(q):
-        if i in M:
-            continue
-        trial = np.vstack([current, gamma_s[i]]) if current.size else gamma_s[i][None]
-        trial_rank = _rank(trial)
-        if trial_rank > rank:
-            N.append(i)
-            current, rank = trial, trial_rank
-        if rank == target:
-            break
+    N = [i for i in range(q) if i not in M]
+    if facet_rank(poly) < q:  # greedy: a facet joins N when it adds rank
+        target, rank, N = _rank(gamma_s), _rank(gamma_s[M]), []
+        for i in range(q):
+            if i in M:
+                continue
+            trial_rank = _rank(gamma_s[M + N + [i]])
+            if trial_rank > rank:
+                N.append(i)
+                rank = trial_rank
+            if rank == target:
+                break
     m, n = len(M), len(N)
 
     eta = _null_space_rows(np.vstack([B[M], gamma_s[N]]) if (m + n) else

@@ -272,12 +272,14 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     return calls
 
 
-def test_coupling_rows_solved_once_per_command(capsys, monkeypatch):
+def test_coupling_rows_solved_once_per_command(capsys, monkeypatch, tmp_path):
     """Each subcommand decides each fact at most once: validate's
     admissibility check and canonical transform share the coupling rows
     (memoized on the polyhedron), and the interior point and the quadric
     classification are found once per call.  So a cache of the facts per
-    model would save no call."""
+    model would save no call.  Independent facet rows (cir, an orthant
+    image) have an interior without a solve, so only validate's witness
+    and simulate's start solve for the point."""
     import affinvar.convex as convex
     import affinvar.polyhedral as polyhedral
     import affinvar.quadratic as quadratic
@@ -295,6 +297,17 @@ def test_coupling_rows_solved_once_per_command(capsys, monkeypatch):
         got, _ = _run(capsys, argv[0], str(fixture_path("triangle_channel")),
                       *argv[1:])
         assert (got, [len(c) for c in facts]) == (code, expected), argv
+    bench_models = load_module(
+        Path(__file__).resolve().parents[1] / "perfbench" / "bench_models.py")
+    _, image, _ = bench_models.generated_models(7919)[5]   # p 4, m 1, n 2
+    orthant = tmp_path / "orthant.json"
+    orthant.write_text(json.dumps(image))
+    for path in (fixture_path("cir"), orthant):
+        for argv, solves in ((("validate",), 1), (("canonicalize",), 0),
+                             (("decompose",), 0), (("simulate", *sim), 1)):
+            facts[0].clear()
+            got, _ = _run(capsys, argv[0], str(path), *argv[1:])
+            assert (got, len(facts[0])) == (0, solves), (path, argv)
     classified = _count_calls(monkeypatch, quadratic, "classify_quadric")
     for fx in ("parabola3", "cone3"):
         for argv in (("validate",), ("classify",), ("decompose",),

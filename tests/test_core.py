@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 import affinvar.core
 from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
-                           AffineVectorField, ModelSpec, Polyhedron,
+                           AffineVectorField, Check, ModelSpec, Polyhedron,
                            QuadraticForm, QuadraticSpace, _contract_first,
-                           change_model_coordinates, psd_factor,
-                           psd_square_root, spot_check_psd, symmetrize)
+                           change_model_coordinates, jsonable, psd_factor,
+                           psd_square_root, spot_check_psd, symmetrize,
+                           to_json)
 from affinvar.errors import (DimensionMismatchError, NotSymmetricError,
                              ParseError, PreconditionFailedError)
 from affinvar.modelio import load_fixture, model_from_dict, model_to_dict
@@ -412,3 +415,43 @@ def test_value_types_copy_instead_of_freezing_the_callers_arrays():
     for arr in (poly.gamma, poly.delta, phi.b):
         with pytest.raises(ValueError):
             arr[0] = 7.0
+
+
+_SPECIAL_FLOATS = (float("nan"), float("inf"), -float("inf"), -0.0, 5e-324,
+                   1e16, 1e-05)
+_FLOATS = st.floats() | st.sampled_from(_SPECIAL_FLOATS)
+_SCALARS = (_FLOATS | st.integers(-2 ** 70, 2 ** 70) | st.booleans()
+            | st.none() | st.text())
+_NUMPY = (_FLOATS.map(np.float64) | st.floats(width=32).map(np.float32)
+          | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+          | st.booleans().map(np.bool_)
+          | st.lists(_FLOATS, max_size=4).map(np.array)
+          | st.lists(st.lists(_FLOATS, min_size=2, max_size=2),
+                     max_size=3).map(lambda rows: np.array(rows).reshape(-1, 2)))
+_JSON = st.recursive(
+    _SCALARS | _NUMPY | st.lists(_FLOATS, max_size=5),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(obj=_JSON)
+def test_to_json_is_json_dumps(obj):
+    # NaN, +-inf, -0.0, subnormals, large and small exponents, ints past
+    # 2^53, non-ASCII and control characters, empty containers, tuples and
+    # numpy values, at any depth
+    assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True,
+                                      default=jsonable)
+
+
+def test_to_json_writes_checks_and_refuses_what_json_cannot_write():
+    obj = {"\x00\xe9\u2028\U0001f600": [(), {}, None, np.bool_(True)],
+           "check": Check("c", True, margin=np.float32(0.1),
+                          witness=np.array([np.nan, 1.0]))}
+    assert to_json(obj) == json.dumps(obj, indent=2, sort_keys=True,
+                                      default=jsonable)
+    for bad in ({"x": object()}, {1: 2.0}):
+        with pytest.raises(TypeError):
+            to_json(bad)

@@ -9,12 +9,13 @@ import affinvar.polyhedral
 from affinvar.cli import main
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
                            ModelSpec, Polyhedron)
-from affinvar.convex import interior_point
+from affinvar.convex import interior_point, minimalize
 from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
                              NotRepresentableError, NumericalFailureError,
                              PreconditionFailedError)
 from affinvar.modelio import load_fixture, save_model
 from affinvar.polyhedral import (ExtendedModel, _coupling_rows,
+                                 _diffusion_condition,
                                  _verify_extension, build_square_root,
                                  canonical_transform,
                                  check_open_facet_invariance,
@@ -210,6 +211,70 @@ def test_canonical_transform_does_not_depend_on_the_interior_point(
             assert np.array_equal(getattr(other, name), getattr(ct, name)), name
         assert np.array_equal(other.psi.A0, ct.psi.A0)
         assert np.array_equal(other.psi.A, ct.psi.A)
+
+
+def _greedy_facet_order(model: ModelSpec) -> tuple[int, int, list[int]]:
+    """(m, n, facet order) of the canonical transform by the greedy rank
+    rule on the minimal polyhedron: M the square-root facets, rescaled to
+    c_i = 1, and a facet that is not one joins N, in order, when its row
+    adds rank to the rows of M and N taken so far."""
+    poly = minimalize(model.state_space)
+    _, c, _, root, _ = _diffusion_condition(model.diffusion, poly)
+    M = np.flatnonzero(root).tolist()
+    scale = np.ones(poly.n_facets)
+    scale[M] = 1.0 / c[M]
+    rows = poly.gamma * scale[:, None]
+
+    def rank(facets):
+        return int(np.linalg.matrix_rank(rows[facets])) if facets else 0
+
+    N = []
+    for i in range(poly.n_facets):
+        if i not in M and rank(M + N + [i]) > rank(M + N):
+            N.append(i)
+    rest = [i for i in range(poly.n_facets) if i not in M + N]
+    return len(M), len(N), M + N + rest
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.integers(2, 5), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_canonical_facets_match_the_greedy_rank_rule(p, data, seed):
+    # diffusion diag(x_1, ..., x_m, 0, ...) on {x_M >= 0} cut by k facets of
+    # the other r = p - m coordinates, some of them duplicated or combined
+    # from others, around an interior point x*, seen through an affine
+    # image with its rows rescaled and shuffled: with k <= r and no copies
+    # the rows are independent and every non-root facet is in N, else the
+    # greedy rank rule picks N on the minimal polyhedron
+    m = data.draw(st.integers(0, p - 1))
+    r = p - m
+    k = data.draw(st.integers(1, r + 1))
+    copies = data.draw(st.integers(0, 2))
+    rng = np.random.default_rng(seed)
+    rows = [np.concatenate([np.zeros(m), g])
+            for g in rng.standard_normal((k, r))]
+    for _ in range(copies):  # a duplicate or a combination of two rows
+        i, j = rng.integers(0, len(rows), 2)
+        rows.append(rows[i] if rng.random() < 0.5 else
+                    rng.uniform(-1.0, 1.0) * rows[i] + rng.uniform(0.1, 1.0) * rows[j])
+    gamma = np.vstack([np.eye(p)[:m]] + [np.array(rows)])
+    x_star = np.concatenate([np.ones(m), rng.standard_normal(r)])
+    delta = rng.uniform(0.1, 1.0, gamma.shape[0]) - gamma @ x_star
+    delta[:m] = 0.0
+    assume(np.all(np.linalg.norm(gamma, axis=1) > 1e-3))
+    A = np.zeros((p, p, p))
+    A[np.arange(m), np.arange(m), np.arange(m)] = 1.0
+    model = random_affine_image(rng, ModelSpec(
+        p, AffineVectorField(np.zeros((p, p)), np.zeros(p)),
+        AffineMatrixField(np.zeros((p, p)), A), Polyhedron(gamma, delta)))
+    order = rng.permutation(gamma.shape[0])
+    scale = rng.uniform(0.5, 2.0, gamma.shape[0])
+    poly = model.state_space
+    model = ModelSpec(p, model.drift, model.diffusion,
+                      Polyhedron(poly.gamma[order] * scale[order, None],
+                                 poly.delta[order] * scale[order]))
+    ct = canonical_transform(model)
+    assert (ct.m, ct.n, ct.facet_order.tolist()) == \
+        _greedy_facet_order(model)
 
 
 @settings(max_examples=40, deadline=None)

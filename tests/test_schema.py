@@ -2,15 +2,20 @@
 and every error object that the CLI prints validates against it, and a
 misspelled key does not."""
 
+import contextlib
 import copy
+import io
 import json
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import affinvar.cli
 from affinvar.cli import main
+from affinvar.core import jsonable, to_json
 from affinvar.modelio import fixture_path
+from conftest import load_module
 
 SCHEMA = json.loads((Path(__file__).parent / "report_schema_1.json").read_text())
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
@@ -50,6 +55,28 @@ def test_no_failed_check_has_a_nonnegative_margin(cli_digest_runs):
              for c in json.loads(out)["checks"]
              if not c["passed"] and c.get("margin", -1.0) >= 0]
     assert found == []
+
+
+def test_every_report_is_written_as_json_dumps_writes_it(monkeypatch, tmp_path):
+    # every object the CLI writes for the calls of the digest list, through
+    # the one writer, has json.dumps's text, so no report moved a byte
+    tool = load_module(Path(__file__).resolve().parents[1] / "tools" /
+                       "cli_digests.py")
+    differ, written = [], []
+
+    def compared(obj):
+        text = to_json(obj)
+        written.append(label)
+        if text != json.dumps(obj, indent=2, sort_keys=True, default=jsonable):
+            differ.append(label)
+        return text
+
+    monkeypatch.setattr(affinvar.cli, "to_json", compared)
+    for label, argv in tool.calls(tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+    assert len(written) > 500 and differ == []
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Byte-identity digests of a fixed list of `affinvar` CLI calls.
 
 Prints one line per call: the sha256 of the call's (exit code, stdout,
-stderr), then the call.  Run it on two checkouts and diff the outputs; a
-line that differs names a call whose output moved:
+stderr), the exit code, then the call.  Run it on two checkouts and diff
+the outputs; a line that differs names a call whose output moved, and a
+changed exit code in it shows a verdict that moved:
 
     PYTHONPATH=src python tools/cli_digests.py > after.txt
     PYTHONPATH=../parent/src python tools/cli_digests.py > before.txt
@@ -223,19 +224,21 @@ def calls(workdir: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
-def digest(argv: list[str]) -> str:
-    """sha256 of the (exit code, stdout, stderr) of one in-process call."""
+def digest(argv: list[str]) -> tuple[str, int]:
+    """The sha256 of the (exit code, stdout, stderr) of one in-process call,
+    and its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = affinvar.cli.main(argv)
     text = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
-    return hashlib.sha256(text.encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest(), code
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         for label, argv in calls(Path(tmp)):
-            print(f"{digest(argv)}  {label}")
+            sha, code = digest(argv)
+            print(f"{sha}  {code}  {label}")
     return 0
 
 
