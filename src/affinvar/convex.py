@@ -7,7 +7,11 @@ lemma such a certificate exists exactly when d is nonnegative there, and one
 NNLS over (lam, c) decides it: a residual above tolerance proves that none
 exists (Dax, SIAM Rev. 39, 1997); with linearly independent facet rows
 gamma (the orthant R^m_+ x R^n, every simplicial cone) it is read off a
-pseudo-inverse memoized on the Polyhedron instead.  A refuted functional
+pseudo-inverse memoized on the Polyhedron instead.  One solver,
+`_certificates`, takes a stack of functionals, each with its own free
+facet or none: the pseudo-inverse solve, its refinement and the residual
+test run on the whole stack in stacked products, which keep each
+functional's bits as if it were solved alone.  A refuted functional
 gets a witness, the least-distance point of {u >= 0, u_facet = 0,
 d <= -eps}; a facet is redundant exactly when it has a certificate over the
 facets still kept; the interior point is the least-distance point at
@@ -68,23 +72,14 @@ class FarkasCertificate:
         return {"lambda": self.lam.tolist(), "c": self.c}
 
 
-def _clamp(lam: np.ndarray, free: int | None) -> np.ndarray:
-    out = lam.copy()
-    mask = (out < 0) & (out >= -TOL.lam_clip)
-    if free is not None:
-        mask[free] = False
-    out[mask] = 0.0
-    return out
-
-
 def _certificate_system(poly: Polyhedron
                         ) -> tuple[np.ndarray, np.ndarray | None, float]:
     """The certificate equations gamma^T lam = d.gamma,
     (delta . lam + c) / s = d.delta / s in the unknowns (lam, c), with the
     delta row in units of its largest entry s: (their matrix, its
-    pseudo-inverse when it has full column rank (gamma of full row rank),
-    else None, and s).  They depend on the rows alone and are memoized on
-    the polyhedron."""
+    pseudo-inverse when it has full column rank, which is when gamma has
+    full row rank (`facet_rank`), else None, and s).  They depend on the
+    rows alone and are memoized on the polyhedron."""
     memo = getattr(poly, "_certificate_system", None)
     if memo is None:
         q, p = poly.gamma.shape
@@ -94,39 +89,70 @@ def _certificate_system(poly: Polyhedron
         A_eq[p, q] = 1.0
         s = float(np.abs(A_eq[p]).max())
         A_eq[p] /= s
-        unique = np.linalg.matrix_rank(A_eq) == q + 1
+        unique = facet_rank(poly) == q
         memo = (A_eq, np.linalg.pinv(A_eq) if unique else None, s)
         object.__setattr__(poly, "_certificate_system", memo)
     return memo
 
 
-def _certificate(d: AffineScalar, poly: Polyhedron,
-                 free: int | None = None) -> FarkasCertificate | None:
-    """Certificate d = lam.u + c with lam >= 0 (lam_free unconstrained),
-    c >= 0, or None when there is none.
+def _certificates(F: np.ndarray, poly: Polyhedron, free
+                  ) -> list[FarkasCertificate | None]:
+    """For each row d = (d.gamma, d.delta) of the (k, p + 1) coefficients
+    F, and the facet free[j] whose multiplier is unconstrained (or None),
+    the certificate d = lam.u + c with the other lam >= 0 and c >= 0, or
+    None when there is none.
 
     When gamma has full row rank the equations have at most one solution,
     read off the memoized pseudo-inverse and refined once against them,
     which wins back the digits an ill-conditioned system costs.  Otherwise
-    one NNLS solves them over (lam, c) >= 0, the free multiplier split in
-    two nonnegative columns.  Either solution, after `_clamp`, is the
-    certificate if its bounded entries are >= 0 and it passes the residual
-    test; if not, none exists."""
+    one NNLS per row solves them over (lam, c) >= 0, the free multiplier
+    split in two nonnegative columns.  Either solution, with the bounded
+    entries in [-TOL.lam_clip, 0) set to 0, is the certificate if those
+    entries are >= 0 and it passes the residual test; if not, none exists.
+    The rows share every product as a stack of per-row products (pinv @
+    b_j, lam_j @ gamma, lam_j . delta), each summed as the one-row product
+    is, so a row's bits do not depend on the rows beside it."""
+    free = list(free)
     q = poly.n_facets
     A_eq, pinv, s = _certificate_system(poly)
-    b_eq = np.concatenate([d.gamma, [d.delta / s]])
+    b = F.copy()
+    b[:, -1] /= s
+    b = b[:, :, None]
     if pinv is not None:  # with one refinement step against the equations
-        z = pinv @ b_eq
-        z += pinv @ (b_eq - A_eq @ z)
+        z = pinv @ b
+        z += pinv @ (b - A_eq @ z)
+        Z = z[:, :, 0]
     else:
-        z = _nonnegative_solution(A_eq, b_eq, free)
-    z = _clamp(z, free)
-    bounded = np.delete(z, free) if free is not None else z
-    if np.any(bounded < 0):
-        return None
-    cert = FarkasCertificate(z[:q], float(z[q]))
-    tol = TOL.feasibility * _coefficient_scale(d.coefficients())
-    return cert if cert.residual(d, poly) <= tol else None
+        Z = np.array([_nonnegative_solution(A_eq, bj[:, 0], f)
+                      for bj, f in zip(b, free)]).reshape(len(free), q + 1)
+    bounded = np.ones(Z.shape, dtype=bool)
+    for j, f in enumerate(free):
+        if f is not None:
+            bounded[j, f] = False
+    # a bounded entry below floor refuses its row; those in [floor, 0) are 0
+    floor = -TOL.lam_clip
+    rows = np.flatnonzero(~(bounded & (Z < floor)).any(axis=1))
+    certs = [None] * len(free)
+    if not rows.size:
+        return certs
+    Z[bounded & (Z < 0) & (Z >= floor)] = 0.0
+    lam, c, d = Z[rows, :q], Z[rows, q], F[rows]
+    rec = np.concatenate([lam[:, None, :] @ poly.gamma,
+                          lam[:, None, :] @ poly.delta[:, None]
+                          + c[:, None, None]], axis=2)[:, 0]
+    tol = TOL.feasibility * (1.0 + np.abs(d).max(axis=1, initial=0.0))
+    passed = (np.abs(rec - d).max(axis=1, initial=0.0) <= tol).tolist()
+    for row, lam_j, c_j, ok in zip(rows.tolist(), lam, c.tolist(), passed):
+        if ok:
+            certs[row] = FarkasCertificate(lam_j, c_j)
+    return certs
+
+
+def _certificate(d: AffineScalar, poly: Polyhedron,
+                 free: int | None = None) -> FarkasCertificate | None:
+    """`_certificates` of the one functional d, facet `free`'s multiplier
+    unconstrained."""
+    return _certificates(d.coefficients()[None], poly, [free])[0]
 
 
 def _nnls(A: np.ndarray, b: np.ndarray,

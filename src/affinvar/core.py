@@ -32,13 +32,28 @@ def _asarray(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _symmetric_part(S: np.ndarray) -> np.ndarray:
+    """0.5 S + 0.5 S^T of a stack (..., k, k): the bits of (S + S^T)/2 for
+    every entry outside the subnormal range, and finite up to the largest
+    double, where S + S^T overflows."""
+    half = 0.5 * S
+    return half + np.swapaxes(half, -1, -2)
+
+
 def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """(S + S^T)/2 of a float stack of square matrices (..., k, k), read-only,
-    after checking each matrix's asymmetry against ``TOL.sym_rtol`` times its
-    own scale max(1, max|S_ij|); the first matrix out of tolerance is the one
-    reported."""
-    swapped = np.swapaxes(S, -1, -2)
-    asym = np.abs(S - swapped).max(axis=(-2, -1), initial=0.0)
+    """The symmetric part of a float stack of square matrices (..., k, k),
+    read-only, after checking each matrix's asymmetry against
+    ``TOL.sym_rtol`` times its own scale max(1, max|S_ij|); the first matrix
+    out of tolerance is the one reported.  A bitwise-symmetric stack, the
+    common case, comes back as a copy of itself, which its symmetric part
+    is; bits are compared as int64, since a mirrored 0.0/-0.0 pair compares
+    equal as floats but has the symmetric part +0.0."""
+    bits = S.view(np.int64)
+    if np.array_equal(bits, np.swapaxes(bits, -1, -2)):
+        out = S.copy()
+        out.setflags(write=False)
+        return out
+    asym = np.abs(S - np.swapaxes(S, -1, -2)).max(axis=(-2, -1), initial=0.0)
     rtol = TOL.sym_rtol
     # a scale is at least 1, so only an asymmetry above rtol can fail
     if (asym > rtol).any():
@@ -48,13 +63,14 @@ def _symmetrized(S: np.ndarray) -> np.ndarray:
             raise NotSymmetricError(
                 f"matrix asymmetry {asym[bad].flat[0]:.3e} exceeds "
                 f"{rtol:.1e} relative")
-    out = 0.5 * (S + swapped)
+    out = _symmetric_part(S)
     out.setflags(write=False)
     return out
 
 
 def symmetrize(S) -> np.ndarray:
-    """Return (S + S^T)/2 after checking the asymmetry is within tolerance.
+    """Return the symmetric part (S + S^T)/2 after checking the asymmetry
+    is within tolerance.
 
     Small asymmetry (I/O rounding) is absorbed; anything larger is rejected so
     that modeling errors do not pass silently.
@@ -75,7 +91,7 @@ def psd_square_root(S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim == 2:
         symmetrize(S)  # reject non-symmetric input
-    lam, V = np.linalg.eigh(0.5 * (S + np.swapaxes(S, -1, -2)))
+    lam, V = np.linalg.eigh(_symmetric_part(S))
     root = np.sqrt(np.abs(lam))
     return (V * root[..., None, :]) @ np.swapaxes(V, -1, -2)
 
@@ -335,8 +351,8 @@ class AffineMatrixField:
         newA0 = L @ base @ L.T
         newA = np.einsum("kj,kab->jab", Minv, self.A)
         newA = np.einsum("ia,jab,kb->jik", L, newA, L)
-        return AffineMatrixField(0.5 * (newA0 + newA0.T),
-                                 0.5 * (newA + np.swapaxes(newA, -1, -2)))
+        return AffineMatrixField(_symmetric_part(newA0),
+                                 _symmetric_part(newA))
 
 
 @dataclass(frozen=True)
@@ -514,14 +530,22 @@ def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:
     """Check theta(x) is PSD at each sample point (the X in D containment).
 
     Returns (all_pass, worst relative min-eigenvalue margin).  theta is
-    evaluated point by point (a batched evaluation sums in another order);
-    the eigenvalues of all samples come from one stacked ``eigvalsh``.
+    evaluated at all points in one stacked product, a (1, k) x (k, p^2)
+    product per point: the bits of the point-by-point evaluation, which the
+    2-D product of the points with the coefficients does not keep (it sums
+    in another order).  The eigenvalues come from one stacked ``eigvalsh``.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.ascontiguousarray(np.atleast_2d(np.asarray(points, dtype=float)))
     if not pts.shape[0]:
         return True, np.inf
-    S = np.stack([model.diffusion(x) for x in pts])
-    w = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))
+    theta = model.diffusion
+    k, p = theta.nvars, theta.size
+    if pts.shape[1] != k:
+        raise DimensionMismatchError(
+            f"points have dimension {pts.shape[1]}, field has {k} variables")
+    S = theta.A0 + (pts[:, None, :] @ theta.A.reshape(k, p * p)).reshape(
+        -1, p, p)
+    w = np.linalg.eigvalsh(_symmetric_part(S))
     scale = 1.0 + np.abs(w[:, -1]) + np.abs(w[:, 0])
     # a running Python min from inf: NaN margins are skipped, ties keep the first
     worst = min([np.inf] + (w[:, 0] / scale).tolist())

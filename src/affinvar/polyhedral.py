@@ -10,8 +10,10 @@ spans its hyperplane, so the first condition is a coefficient projection onto
 gamma_i theta(.) = B_i u_i(.), off the coefficients of theta at once, for the
 admissibility check and the canonical transform alike, so the transform
 depends on the model alone, not on an interior point.  The second condition
-is certified per facet by `convex.farkas_decompose` (a linear solve or one
-NNLS), once in ``check_polyhedral_admissibility``.  Polynomial
+is certified for every facet in one call of `convex._certificates` (one
+stacked linear solve, or one NNLS per facet), once in
+``check_polyhedral_admissibility``; `convex._witness` refutes a facet
+without a certificate.  Polynomial
 identities (the canonical block form, the dimension extension) are checked
 on coefficients.
 
@@ -29,12 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex import (FarkasCertificate, facet_rank, farkas_decompose,
+from .convex import (FarkasCertificate, _certificates, _witness, facet_rank,
                      interior_point, minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
                    AffineVectorField, Check, ModelSpec, Polyhedron,
                    _cholesky_rows, _coefficient_residual, _coefficient_scale,
-                   _minimal, psd_factor, psd_square_root)
+                   _minimal, _symmetric_part, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, PreconditionFailedError,
@@ -149,6 +151,14 @@ def _lift(drift: AffineVectorField, poly: Polyhedron,
     return a_bar, b_bar
 
 
+def _drift_rows(drift: AffineVectorField, poly: Polyhedron) -> np.ndarray:
+    """The coefficients (gamma_i a, gamma_i . b) of every facet's drift
+    functional gamma_i mu(.), one row per facet: stacked per-facet
+    products, the bits of ``drift.row_functional(gamma_i)``."""
+    g = poly.gamma[:, None, :]
+    return np.concatenate([g @ drift.a, g @ drift.b[:, None]], axis=2)[:, 0]
+
+
 def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     """Facet-by-facet invariance conditions for a polyhedral state space.
 
@@ -167,15 +177,17 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
     """
     poly = _interior_polyhedron(model)
     B, c, ok, root, resid = _diffusion_condition(model.diffusion, poly)
-    checks, certs = [], []
-    for i in range(poly.n_facets):
+    F = _drift_rows(model.drift, poly)
+    certs = _certificates(F, poly, range(poly.n_facets))
+    checks = []
+    for i, cert in enumerate(certs):
         vanishes = ok[i] or root[i]  # gamma_i theta(.) = B_i u_i(.)
         msg = None if ok[i] else \
             "nonpositive diffusion multiple on square-root facet" if vanishes \
             else "diffusion row does not vanish on facet segment"
         margin = float(c[i] if vanishes else -resid[i])
-        cert, witness = farkas_decompose(
-            model.drift.row_functional(poly.gamma[i]), poly, i)
+        witness = None if cert else \
+            _witness(AffineScalar(F[i, :-1], F[i, -1]), poly, i)
         # a failed c_i = 0 has no margin: the condition is c_i > 0
         checks += [Check(f"facet-{i}-diffusion", bool(ok[i]),
                          margin=None if msg and margin >= 0 else margin,
@@ -184,7 +196,6 @@ def check_polyhedral_admissibility(model: ModelSpec) -> AdmissibilityReport:
                          margin=None if cert is None else cert.c,
                          certificate=cert, witness=witness,
                          info=None if cert else "drift points outward on facet")]
-        certs.append(cert)
     lifted = None if any(cert is None for cert in certs) else \
         _lift(model.drift, poly, certs)
     return AdmissibilityReport(checks, poly, lifted)
@@ -206,13 +217,15 @@ def check_open_facet_invariance(model: ModelSpec) -> list[Check]:
     """
     poly = _interior_polyhedron(model)
     _, c, ok, _, _ = _diffusion_condition(model.diffusion, poly)
+    F = _drift_rows(model.drift, poly)
+    F[:, -1] -= 0.5 * c
+    facets = np.flatnonzero(ok).tolist()
+    certs = dict(zip(facets, _certificates(F[facets], poly, facets)))
     checks = []
     for i in range(poly.n_facets):
-        cert = witness = None
-        if ok[i]:
-            d = model.drift.row_functional(poly.gamma[i])
-            cert, witness = farkas_decompose(
-                AffineScalar(d.gamma, d.delta - 0.5 * c[i]), poly, i)
+        cert = certs.get(i)
+        witness = _witness(AffineScalar(F[i, :-1], F[i, -1]), poly, i) \
+            if i in certs and cert is None else None
         checks.append(Check(f"facet-{i}-open", cert is not None,
                             margin=None if cert is None else cert.c,
                             certificate=cert, witness=witness))
@@ -479,7 +492,7 @@ class PsdFacetDecomposition:
     def reconstruct(self, poly: Polyhedron) -> AffineMatrixField:
         A0 = self.B0 + np.tensordot(poly.delta, self.Bi, axes=(0, 0))
         A = np.einsum("ik,iab->kab", poly.gamma, self.Bi)
-        return AffineMatrixField(0.5 * (A0 + A0.T), 0.5 * (A + np.swapaxes(A, 1, 2)))
+        return AffineMatrixField(_symmetric_part(A0), _symmetric_part(A))
 
     def min_eigenvalue(self) -> float:
         Bs = np.concatenate([self.B0[None], self.Bi])

@@ -16,7 +16,7 @@ import numpy as np
 from .core import (AffineMap, AffineMatrixField, AffineVectorField, Check,
                    ModelSpec, QuadraticForm, QuadraticSpace,
                    _coefficient_residual, _coefficient_scale, _coldot,
-                   psd_factor)
+                   _symmetric_part, psd_factor)
 from .errors import (AffinvarError, NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
@@ -546,7 +546,7 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
     x = np.atleast_2d(np.asarray(samples, dtype=float))
     eta = eta_matrix(x[:, :q], q)
     R = dec.B(x) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta, dec.A2)
-    w = np.linalg.eigvalsh(0.5 * (R + np.swapaxes(R, -1, -2)))
+    w = np.linalg.eigvalsh(_symmetric_part(R))
     return bool(np.all(w[:, 0] >= -TOL.psd * (1.0 + np.abs(w[:, -1])))), False
 
 
@@ -623,8 +623,7 @@ def check_parabolic_drift(drift: AffineVectorField, q: int) -> list[Check]:
                          np.abs(a[1:q, 0]).max(initial=0.0)))
 
     M = a[0, 0] * np.eye(q - 1) - 2.0 * a[1:q, 1:q]
-    Msym = 0.5 * (M + M.T)
-    d, O = np.linalg.eigh(Msym)
+    d, O = np.linalg.eigh(_symmetric_part(M))
     least = float(d.min(initial=np.inf))
     lin = a[0, 1:q] - 2.0 * b[1:q]
     r = O.T @ lin
@@ -774,7 +773,8 @@ def check_cone_admissibility(drift: AffineVectorField, p: int,
     tol = TOL.feasibility * scale
     sym = -float(np.abs(a[0, 1:q] - a[1:q, 0]).max(initial=0.0))
     M = a[0, 0] * np.eye(q - 1) - a[1:q, 1:q]
-    least = float(np.linalg.eigvalsh(0.5 * (M + M.T)).min(initial=np.inf))
+    least = float(np.linalg.eigvalsh(_symmetric_part(M)).min(
+        initial=np.inf))
     margin = float(b[0] - 0.5 * p - np.linalg.norm(b[1:q]))
     return [Check("cone-drift-symmetry", sym >= -tol, margin=sym),
             Check("cone-drift-psd", least >= -TOL.psd * scale, margin=least),

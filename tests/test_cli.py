@@ -317,6 +317,41 @@ def test_coupling_rows_solved_once_per_command(capsys, monkeypatch, tmp_path):
             assert (got, len(classified)) == (0, 1), (fx, argv)
 
 
+def test_facet_rank_decided_once_per_polyhedron(capsys, monkeypatch,
+                                                tmp_path):
+    """A polyhedral validate ranks each polyhedron's facet rows once, in
+    `convex.facet_rank`: the certificate system reads that rank instead of
+    the rank of its own matrix.  The only other rank taken is that of row
+    subsets in `canonical_transform`'s greedy loop.  Rank-deficient rows
+    (triangle_channel, hyperbola_wedge) rank the subsets `minimalize`
+    tries too; rows of full rank (cir, the generated orthant images) take
+    one rank in all."""
+    real, calls = np.linalg.matrix_rank, []
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        calls.append((frame.f_code.co_name, frame.f_locals.get("poly")))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", spy)
+    bench_models = load_module(
+        Path(__file__).resolve().parents[1] / "perfbench" / "bench_models.py")
+    paths = [fixture_path(fx) for fx in
+             ("cir", "triangle_channel", "hyperbola_wedge")]
+    for i, (_, image, _) in enumerate(bench_models.generated_models(7919)):
+        paths.append(tmp_path / f"gen{i}.json")
+        paths[-1].write_text(json.dumps(image))
+    for path in paths:
+        calls.clear()
+        got, _ = _run(capsys, "validate", str(path))
+        ranked = [id(poly) for name, poly in calls if name == "facet_rank"]
+        others = [name for name, _ in calls if name != "facet_rank"]
+        assert got in (0, 1) and len(set(ranked)) == len(ranked) >= 1, path
+        assert set(others) <= {"_rank"}, path
+        if path.stem not in ("triangle_channel", "hyperbola_wedge"):
+            assert (len(ranked), others) == (1, []), path
+
+
 def _plane_model(tmp_path):
     """The only facet is 0 x + 1 >= 0, so the state space is R^2: a
     well-formed model with no facet row, whose interior point is the origin."""

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import affinvar.cli
 import affinvar.convex
-from affinvar.convex import (FarkasCertificate, _certificate,
+from affinvar.convex import (FarkasCertificate, _certificate, _certificates,
                              _least_distance, _nnls, _nonnegative_solution,
                              farkas_decompose, interior_point, minimalize)
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
@@ -618,6 +618,67 @@ def test_minimalize_rank_deficient_matches_lp_oracle(kind, p, scale, data,
     assert (cert is not None) == lp_certificate_exists(d, poly, free)
     if cert is not None:
         _assert_valid(cert, d, poly, free)
+
+
+def _one_certificate(row: np.ndarray, poly: Polyhedron, free):
+    """(lam, c) of the functional with coefficients row, or None, solved
+    alone: pinv @ b refined once (the NNLS for rank-deficient gamma), the
+    clamp, np.delete of the free entry and the residual test."""
+    q = poly.n_facets
+    A_eq, pinv, s = affinvar.convex._certificate_system(poly)
+    b_eq = np.concatenate([row[:-1], [row[-1] / s]])
+    if pinv is not None:
+        z = pinv @ b_eq
+        z += pinv @ (b_eq - A_eq @ z)
+    else:
+        z = _nonnegative_solution(A_eq, b_eq, free)
+    mask = (z < 0) & (z >= -TOL.lam_clip)
+    if free is not None:
+        mask[free] = False
+    z[mask] = 0.0
+    if np.any((np.delete(z, free) if free is not None else z) < 0):
+        return None
+    lam, c = z[:q], float(z[q])
+    rec = np.concatenate([lam @ poly.gamma, [float(lam @ poly.delta + c)]])
+    tol = TOL.feasibility * _coefficient_scale(row)
+    return (lam, c) if float(np.abs(rec - row).max()) <= tol else None
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["full", "tangent", "low-rank", "orthant"]),
+       p=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificates_match_the_one_functional_solve(kind, p, seed):
+    # each row of one stacked solve has the verdict and the bits of lam and
+    # c of its functional solved alone, with facet i free in row i and with
+    # no free facet, on full-row-rank gamma (the pseudo-inverse) and
+    # rank-deficient gamma (the NNLS).  Most rows are nonnegative
+    # combinations of the facets plus a constant, so they have a
+    # certificate; a shifted constant or a random row may have none.
+    rng = np.random.default_rng(seed)
+    if kind == "full":
+        q = int(rng.integers(1, p + 1))
+        poly = Polyhedron(rng.standard_normal((q, p)), rng.standard_normal(q))
+        assume(np.linalg.matrix_rank(poly.gamma) == q)
+    else:
+        poly = _rank_deficient_polyhedron(rng, kind, p, 1.0)
+    q = poly.n_facets
+    assert (affinvar.convex._certificate_system(poly)[1] is not None) == \
+        (kind == "full")
+    lam = rng.uniform(0.0, 2.0, (q, q)) * (rng.random((q, q)) < 0.7)
+    lam[np.arange(q), np.arange(q)] = rng.uniform(-1.0, 2.0, q)
+    F = lam @ np.column_stack([poly.gamma, poly.delta])
+    F[:, -1] += rng.uniform(-0.2, 1.0, q)
+    noise = rng.random(q) < 0.2
+    F[noise] = rng.standard_normal((int(noise.sum()), p + 1))
+    for free in (list(range(q)), [None] * q):
+        got = _certificates(F, poly, free)
+        assert len(got) == q
+        for row, f, cert in zip(F, free, got):
+            want = _one_certificate(row.copy(), poly, f)
+            assert (cert is None) == (want is None)
+            if cert is not None:
+                assert cert.lam.tobytes() == want[0].tobytes()
+                assert cert.c == want[1]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

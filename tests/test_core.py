@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import affinvar.core
 from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
                            AffineVectorField, Check, ModelSpec, Polyhedron,
                            QuadraticForm, QuadraticSpace, _contract_first,
+                           _symmetric_part, _symmetrized,
                            change_model_coordinates, jsonable, psd_factor,
                            psd_square_root, spot_check_psd, symmetrize,
                            to_json)
 from affinvar.errors import (DimensionMismatchError, NotSymmetricError,
                              ParseError, PreconditionFailedError)
 from affinvar.modelio import load_fixture, model_from_dict, model_to_dict
+from conftest import random_affine_image
 
 
 def test_evaluate_theta_paper_example():
@@ -252,6 +255,101 @@ def test_contract_first_is_tensordot_bit_for_bit(k, size, seed):
     A = rng.standard_normal((k, size, size))
     assert _contract_first(v, A).tobytes() == \
         np.tensordot(v, A, axes=(0, 0)).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(k=st.integers(1, 12), m=st.integers(1, 8), n=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_products_keep_each_items_bits(k, m, n, seed):
+    # a stacked product sends each item through the product of that item
+    # alone, so each keeps its bits: the rule the certificates, the drift
+    # rows and the theta samples are batched by.  (The 2-D product of all
+    # items at once sums in another order and does not keep them.)  All
+    # operands are C-contiguous, entries at scales 1e-3 .. 1e3.
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+
+    P, X, B, v = draw(m, n), draw(k, m), draw(k, n), draw(m)
+    # matrix @ vector, P @ B[:, :, None]: pinv @ b and A_eq @ z
+    stacked = (P @ B[:, :, None])[:, :, 0]
+    assert stacked.tobytes() == np.stack([P @ b for b in B]).tobytes()
+    # vector @ matrix, X[:, None, :] @ P: lam @ gamma and gamma_i @ a
+    stacked = (X[:, None, :] @ P)[:, 0]
+    assert stacked.tobytes() == np.stack([x @ P for x in X]).tobytes()
+    # (1, m) @ (m, 1), X[:, None, :] @ v[:, None]: lam . delta, gamma_i . b
+    stacked = (X[:, None, :] @ v[:, None])[:, 0, 0]
+    assert stacked.tobytes() == np.array([x @ v for x in X]).tobytes()
+    # theta at k points, (1, m) @ (m, n) each: `_contract_first` per point
+    A = draw(m, 2, 2)
+    stacked = (X[:, None, :] @ A.reshape(m, 4)).reshape(k, 2, 2)
+    assert stacked.tobytes() == \
+        np.stack([_contract_first(x, A) for x in X]).tobytes()
+
+
+def test_spot_check_psd_evaluates_theta_point_by_point(monkeypatch):
+    # the stack of theta samples spot_check_psd hands to eigvalsh has the
+    # bits of the field evaluated at one point at a time
+    rng = np.random.default_rng(31)
+    seen, real = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda S: seen.append(S.copy()) or real(S))
+    for name in ("cir", "triangle_channel", "hyperbola_wedge", "cone3",
+                 "parabola3"):
+        m = load_fixture(name)
+        for model in (m, random_affine_image(rng, m)):
+            pts = rng.standard_normal((33, model.dimension)) * 3.0
+            seen.clear()
+            spot_check_psd(model, pts)
+            want = np.stack([model.diffusion(x) for x in pts])
+            assert seen[0].tobytes() == want.tobytes(), name
+
+
+def test_symmetric_part_is_finite_at_the_largest_doubles():
+    # (S + S^T)/2 overflows above ~9e307 with a RuntimeWarning; the
+    # symmetric part stays finite and silent up to the largest double
+    S = np.array([[1e308, 0.0], [0.0, 1.0]])
+    big = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert symmetrize(S).tobytes() == S.tobytes()
+        root = psd_square_root(S)
+        assert np.isfinite(root).all() and root[0, 0] == np.sqrt(1e308)
+        assert _symmetric_part(big).tobytes() == big.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(1, 1), (3, 3), (2, 4, 4), (5, 2, 2)]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_symmetric_part_has_the_bits_of_the_halved_sum(shape, seed):
+    # outside the subnormal range 0.5 S + 0.5 S^T and (S + S^T)/2 agree
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    want = 0.5 * (S + np.swapaxes(S, -1, -2))
+    assert _symmetric_part(S).tobytes() == want.tobytes()
+
+
+def test_symmetrized_copies_symmetric_input_and_symmetrizes_the_rest():
+    S = np.array([[[2.0, -0.0, 1e-300], [-0.0, 1.0, 3.0],
+                   [1e-300, 3.0, -0.0]]] * 2)
+    out = _symmetrized(S)
+    # bitwise symmetric: a read-only copy, the signs of its zeros kept
+    assert out.tobytes() == S.tobytes() and out is not S
+    assert not out.flags.writeable and S.flags.writeable
+    # a mirrored 0.0/-0.0 pair is equal as floats, not as bits: both +0.0
+    S[1, 0, 1] = 0.0
+    out = _symmetrized(S)
+    assert not np.signbit(out[1, [0, 1], [1, 0]]).any()
+    assert np.signbit(out[0, [0, 1], [1, 0]]).all()
+    # an asymmetry below TOL.sym_rtol is absorbed, one above it rejected
+    S[0, 1, 2] += 1e-13
+    out = _symmetrized(S)
+    assert out.tobytes() == (0.5 * (S + np.swapaxes(S, 1, 2))).tobytes()
+    assert out[0, 1, 2] == out[0, 2, 1] != 3.0
+    S[0, 1, 2] += 1e-10
+    with pytest.raises(NotSymmetricError):
+        _symmetrized(S)
 
 
 def test_spot_check_psd_matches_per_sample_eigvalsh():

@@ -15,7 +15,7 @@ from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
                              PreconditionFailedError)
 from affinvar.modelio import load_fixture, save_model
 from affinvar.polyhedral import (ExtendedModel, _coupling_rows,
-                                 _diffusion_condition,
+                                 _diffusion_condition, _drift_rows,
                                  _verify_extension, build_square_root,
                                  canonical_transform,
                                  check_open_facet_invariance,
@@ -38,6 +38,21 @@ def test_cir_admissible():
     assert diffusion.name == "facet-0-diffusion"
     assert diffusion.margin == pytest.approx(1.0)   # c_0
     assert drift.name == "facet-0-drift" and drift.certificate is not None
+
+
+def test_drift_rows_are_the_row_functionals_bit_for_bit():
+    # every facet's drift functional from one stacked product has the bits
+    # of drift.row_functional(gamma_i), which the certificates were solved
+    # from facet by facet
+    rng = np.random.default_rng(17)
+    for name in ("cir", "triangle_channel", "hyperbola_wedge"):
+        fixture = load_fixture(name)
+        for model in [fixture] + [random_affine_image(rng, fixture, 1e3)
+                                  for _ in range(5)]:
+            poly = model.state_space
+            want = np.stack([model.drift.row_functional(g).coefficients()
+                             for g in poly.gamma])
+            assert _drift_rows(model.drift, poly).tobytes() == want.tobytes()
 
 
 def test_triangle_channel_admissible():
