@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,8 +96,8 @@ def _certificate_system(poly: Polyhedron
     return memo
 
 
-def _certificates(F: np.ndarray, poly: Polyhedron, free
-                  ) -> list[FarkasCertificate | None]:
+def _certificates(F: np.ndarray, poly: Polyhedron,
+                  free: Sequence[int | None]) -> list[FarkasCertificate | None]:
     """For each row d = (d.gamma, d.delta) of the (k, p + 1) coefficients
     F, and the facet free[j] whose multiplier is unconstrained (or None),
     the certificate d = lam.u + c with the other lam >= 0 and c >= 0, or
@@ -112,7 +113,6 @@ def _certificates(F: np.ndarray, poly: Polyhedron, free
     The rows share every product as a stack of per-row products (pinv @
     b_j, lam_j @ gamma, lam_j . delta), each summed as the one-row product
     is, so a row's bits do not depend on the rows beside it."""
-    free = list(free)
     q = poly.n_facets
     A_eq, pinv, s = _certificate_system(poly)
     b = F.copy()
