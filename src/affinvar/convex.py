@@ -78,9 +78,12 @@ def _certificate_system(poly: Polyhedron
     """The certificate equations gamma^T lam = d.gamma,
     (delta . lam + c) / s = d.delta / s in the unknowns (lam, c), with the
     delta row in units of its largest entry s: (their matrix, its
-    pseudo-inverse when it has full column rank, which is when gamma has
-    full row rank (`facet_rank`), else None, and s).  They depend on the
-    rows alone and are memoized on the polyhedron."""
+    pseudo-inverse when it has full column rank, else None, and s), the
+    rank and the pseudo-inverse those of `np.linalg.matrix_rank` and
+    `np.linalg.pinv`, off one SVD.  The rank is not `facet_rank`'s: once
+    |delta| / |gamma| nears 1/eps the column of c, (0, ..., 0, 1/s), falls
+    below the tolerance, and a pseudo-inverse would drop c.  They depend on
+    the rows alone and are memoized on the polyhedron."""
     memo = getattr(poly, "_certificate_system", None)
     if memo is None:
         q, p = poly.gamma.shape
@@ -90,8 +93,13 @@ def _certificate_system(poly: Polyhedron
         A_eq[p, q] = 1.0
         s = float(np.abs(A_eq[p]).max())
         A_eq[p] /= s
-        unique = facet_rank(poly) == q
-        memo = (A_eq, np.linalg.pinv(A_eq) if unique else None, s)
+        u, sv, vt = np.linalg.svd(A_eq, full_matrices=False)
+        top, pinv = sv.max(initial=0.0), None
+        if np.count_nonzero(sv > top * (p + 1) * np.finfo(float).eps) == q + 1:
+            inv = np.divide(1.0, sv, where=sv > 1e-15 * top,
+                            out=np.zeros_like(sv))
+            pinv = vt.T @ (inv[:, None] * u.T)
+        memo = (A_eq, pinv, s)
         object.__setattr__(poly, "_certificate_system", memo)
     return memo
 
@@ -103,9 +111,10 @@ def _certificates(F: np.ndarray, poly: Polyhedron,
     the certificate d = lam.u + c with the other lam >= 0 and c >= 0, or
     None when there is none.
 
-    When gamma has full row rank the equations have at most one solution,
-    read off the memoized pseudo-inverse and refined once against them,
-    which wins back the digits an ill-conditioned system costs.  Otherwise
+    When their matrix has full column rank (`_certificate_system`; gamma
+    has full row rank) the equations have at most one solution, read off
+    the memoized pseudo-inverse and refined once against them, which wins
+    back the digits an ill-conditioned system costs.  Otherwise
     one NNLS per row solves them over (lam, c) >= 0, the free multiplier
     split in two nonnegative columns.  Either solution, with the bounded
     entries in [-TOL.lam_clip, 0) set to 0, is the certificate if those

@@ -41,19 +41,12 @@ def _symmetric_part(S: np.ndarray) -> np.ndarray:
 
 
 def _symmetrized(S: np.ndarray) -> np.ndarray:
-    """The symmetric part of a float stack of square matrices (..., k, k),
-    read-only, after checking each matrix's asymmetry against
-    ``TOL.sym_rtol`` times its own scale max(1, max|S_ij|); the first matrix
-    out of tolerance is the one reported.  A bitwise-symmetric stack, the
-    common case, comes back as a copy of itself, which its symmetric part
-    is; bits are compared as int64, since a mirrored 0.0/-0.0 pair compares
-    equal as floats but has the symmetric part +0.0."""
-    bits = S.view(np.int64)
-    if np.array_equal(bits, np.swapaxes(bits, -1, -2)):
-        out = S.copy()
-        out.setflags(write=False)
-        return out
-    asym = np.abs(S - np.swapaxes(S, -1, -2)).max(axis=(-2, -1), initial=0.0)
+    """(S + S^T)/2 of a float stack of square matrices (..., k, k), read-only,
+    after checking each matrix's asymmetry against ``TOL.sym_rtol`` times its
+    own scale max(1, max|S_ij|); the first matrix out of tolerance is the one
+    reported."""
+    swapped = np.swapaxes(S, -1, -2)
+    asym = np.abs(S - swapped).max(axis=(-2, -1), initial=0.0)
     rtol = TOL.sym_rtol
     # a scale is at least 1, so only an asymmetry above rtol can fail
     if (asym > rtol).any():

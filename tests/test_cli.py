@@ -320,12 +320,12 @@ def test_coupling_rows_solved_once_per_command(capsys, monkeypatch, tmp_path):
 def test_facet_rank_decided_once_per_polyhedron(capsys, monkeypatch,
                                                 tmp_path):
     """A polyhedral validate ranks each polyhedron's facet rows once, in
-    `convex.facet_rank`: the certificate system reads that rank instead of
-    the rank of its own matrix.  The only other rank taken is that of row
-    subsets in `canonical_transform`'s greedy loop.  Rank-deficient rows
-    (triangle_channel, hyperbola_wedge) rank the subsets `minimalize`
-    tries too; rows of full rank (cir, the generated orthant images) take
-    one rank in all."""
+    `convex.facet_rank`: the certificate system reads the rank of its own
+    matrix off the SVD its pseudo-inverse is built from.  The only other
+    rank taken is that of row subsets in `canonical_transform`'s greedy
+    loop.  Rank-deficient rows (triangle_channel, hyperbola_wedge) rank the
+    subsets `minimalize` tries too; rows of full rank (cir, the generated
+    orthant images) take one rank in all."""
     real, calls = np.linalg.matrix_rank, []
 
     def spy(*args, **kwargs):

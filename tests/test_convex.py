@@ -681,6 +681,41 @@ def test_certificates_match_the_one_functional_solve(kind, p, seed):
                 assert cert.c == want[1]
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1))
+def test_certificate_system_is_matrix_rank_and_pinv_of_one_svd(p, seed):
+    # the rank of the certificate matrix at matrix_rank's tolerance decides
+    # the pseudo-inverse, and that has the bits of np.linalg.pinv
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(1, p + 2))
+    gamma = rng.standard_normal((q, p)) * 10.0 ** rng.uniform(-3, 3)
+    if q > 1 and rng.random() < 0.3:
+        gamma[-1] = 2.0 * gamma[0]
+    delta = rng.standard_normal(q) * 10.0 ** rng.uniform(-3, 17)
+    A_eq, pinv, _ = affinvar.convex._certificate_system(
+        Polyhedron(gamma, delta))
+    assert (pinv is not None) == (np.linalg.matrix_rank(A_eq) == q + 1)
+    if pinv is not None:
+        assert pinv.tobytes() == np.linalg.pinv(A_eq).tobytes()
+
+
+def test_certificates_at_a_constant_far_above_the_rows():
+    # gamma has full row rank, but at |delta| / |gamma| = 1e16 the column of
+    # c, (0, 1e-16), is below the rank tolerance of the certificate matrix:
+    # the NNLS finds the certificates a pseudo-inverse would drop c from
+    poly = Polyhedron(np.array([[1.0]]), np.array([1e16]))
+    assert affinvar.convex._certificate_system(poly)[1] is None
+    cert = _certificate(AffineScalar(np.array([1.0]), 2e16), poly)
+    assert cert is not None and abs(cert.c - 1e16) <= 1e-15 * 1e16
+    assert abs(cert.lam[0] - 1.0) <= 1e-15
+    cert = _certificate(AffineScalar(np.array([0.0]), 1.0), poly)
+    assert cert is not None and (cert.lam.tolist(), cert.c) == ([0.0], 1.0)
+    assert _certificate(AffineScalar(np.array([1.0]), 0.0), poly) is None
+    got = _certificates(np.array([[1.0, 2e16], [0.0, 1.0], [1.0, 0.0]]),
+                        poly, [None] * 3)
+    assert [c is not None for c in got] == [True, True, False]
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(kind=st.sampled_from(["tangent", "low-rank", "orthant"]),
        p=st.integers(1, 4),

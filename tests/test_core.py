@@ -330,11 +330,11 @@ def test_symmetric_part_has_the_bits_of_the_halved_sum(shape, seed):
     assert _symmetric_part(S).tobytes() == want.tobytes()
 
 
-def test_symmetrized_copies_symmetric_input_and_symmetrizes_the_rest():
+def test_symmetrized_keeps_symmetric_input_and_symmetrizes_the_rest():
     S = np.array([[[2.0, -0.0, 1e-300], [-0.0, 1.0, 3.0],
                    [1e-300, 3.0, -0.0]]] * 2)
     out = _symmetrized(S)
-    # bitwise symmetric: a read-only copy, the signs of its zeros kept
+    # bitwise symmetric: a read-only array of its bits, zeros' signs kept
     assert out.tobytes() == S.tobytes() and out is not S
     assert not out.flags.writeable and S.flags.writeable
     # a mirrored 0.0/-0.0 pair is equal as floats, not as bits: both +0.0
