@@ -7,7 +7,7 @@ lemma such a certificate exists exactly when d is nonnegative there, and one
 NNLS over (lam, c) decides it: a residual above tolerance proves that none
 exists (Dax, SIAM Rev. 39, 1997); with linearly independent facet rows
 gamma (the orthant R^m_+ x R^n, every simplicial cone) it is read off a
-pseudo-inverse memoized on the Polyhedron instead.  One solver,
+pseudo-inverse of the system's matrix instead.  One solver,
 `_certificates`, takes a stack of functionals, each with its own free
 facet or none: the pseudo-inverse solve, its refinement and the residual
 test run on the whole stack in stacked products, which keep each
@@ -18,9 +18,9 @@ facets still kept; the interior point is the least-distance point at
 normalized slack t, for the first t of 1, 1/2, 1/4, ... down to
 TOL.interior_slack at which there is one.  Every least-distance point is
 one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974, ch. 23),
-and every result is checked by substitution.  The rank of gamma is kept on
-the Polyhedron too (`facet_rank`): rows of full rank have a nonempty
-interior and no redundant facet without a solve.
+and every result is checked by substitution.  The interior point and the
+rank of gamma (`facet_rank`) are kept on the Polyhedron: rows of full rank
+have a nonempty interior and no redundant facet without a solve.
 
 The NNLS is the package's own (`_nnls`), on numpy and Python floats, and no
 LP runs.  An NNLS that cannot finish raises NumericalFailureError (the CLI
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AffineScalar, Polyhedron, _coefficient_scale, _minimal
+from .core import (AffineScalar, Polyhedron, _cached, _coefficient_scale,
+                   _minimal)
 from .errors import NumericalFailureError
 from .tolerances import TOL
 
@@ -82,26 +83,22 @@ def _certificate_system(poly: Polyhedron
     rank and the pseudo-inverse those of `np.linalg.matrix_rank` and
     `np.linalg.pinv`, off one SVD.  The rank is not `facet_rank`'s: once
     |delta| / |gamma| nears 1/eps the column of c, (0, ..., 0, 1/s), falls
-    below the tolerance, and a pseudo-inverse would drop c.  They depend on
-    the rows alone and are memoized on the polyhedron."""
-    memo = getattr(poly, "_certificate_system", None)
-    if memo is None:
-        q, p = poly.gamma.shape
-        A_eq = np.zeros((p + 1, q + 1))
-        A_eq[:p, :q] = poly.gamma.T
-        A_eq[p, :q] = poly.delta
-        A_eq[p, q] = 1.0
-        s = float(np.abs(A_eq[p]).max())
-        A_eq[p] /= s
-        u, sv, vt = np.linalg.svd(A_eq, full_matrices=False)
-        top, pinv = sv.max(initial=0.0), None
-        if np.count_nonzero(sv > top * (p + 1) * np.finfo(float).eps) == q + 1:
-            inv = np.divide(1.0, sv, where=sv > 1e-15 * top,
-                            out=np.zeros_like(sv))
-            pinv = vt.T @ (inv[:, None] * u.T)
-        memo = (A_eq, pinv, s)
-        object.__setattr__(poly, "_certificate_system", memo)
-    return memo
+    below the tolerance, and a pseudo-inverse would drop c.  No caller
+    reads one polyhedron's system twice, so it is not kept."""
+    q, p = poly.gamma.shape
+    A_eq = np.zeros((p + 1, q + 1))
+    A_eq[:p, :q] = poly.gamma.T
+    A_eq[p, :q] = poly.delta
+    A_eq[p, q] = 1.0
+    s = float(np.abs(A_eq[p]).max())
+    A_eq[p] /= s
+    u, sv, vt = np.linalg.svd(A_eq, full_matrices=False)
+    top, pinv = sv.max(initial=0.0), None
+    if np.count_nonzero(sv > top * (p + 1) * np.finfo(float).eps) == q + 1:
+        inv = np.divide(1.0, sv, where=sv > 1e-15 * top,
+                        out=np.zeros_like(sv))
+        pinv = vt.T @ (inv[:, None] * u.T)
+    return A_eq, pinv, s
 
 
 def _certificates(F: np.ndarray, poly: Polyhedron,
@@ -113,7 +110,7 @@ def _certificates(F: np.ndarray, poly: Polyhedron,
 
     When their matrix has full column rank (`_certificate_system`; gamma
     has full row rank) the equations have at most one solution, read off
-    the memoized pseudo-inverse and refined once against them, which wins
+    its pseudo-inverse and refined once against them, which wins
     back the digits an ill-conditioned system costs.  Otherwise
     one NNLS per row solves them over (lam, c) >= 0, the free multiplier
     split in two nonnegative columns.  Either solution, with the bounded
@@ -340,15 +337,12 @@ def interior_point(poly: Polyhedron) -> np.ndarray | None:
     `_least_distance` NNLS; None, the interior empty, is its proof at the
     last target, and a last point that fails substitution raises
     NumericalFailureError.  No bound on x is involved, so a translate of
-    the polyhedron gets the same verdict.  Memoized on the Polyhedron,
-    keyed by TOL.interior_slack; callers get a copy.
+    the polyhedron gets the same verdict.  Kept on the Polyhedron per
+    TOL.interior_slack (`core._cached`); callers get a copy.
     """
-    key = (TOL.interior_slack,)
-    memo = getattr(poly, "_interior", None)
-    if memo is None or memo[0] != key:
-        memo = (key, _interior_point(poly))
-        object.__setattr__(poly, "_interior", memo)
-    return None if memo[1] is None else memo[1].copy()
+    x = _cached(poly, "_interior", (TOL.interior_slack,),
+                lambda: _interior_point(poly))
+    return None if x is None else x.copy()
 
 
 def _least_distance(G: np.ndarray, h: np.ndarray) -> np.ndarray | None:
@@ -404,16 +398,13 @@ def _interior_point(poly: Polyhedron) -> np.ndarray | None:
 
 
 def facet_rank(poly: Polyhedron) -> int:
-    """np.linalg.matrix_rank(gamma), memoized on the polyhedron.  Rows of
-    rank q, the facet count, are linearly independent: then the interior is
+    """np.linalg.matrix_rank(gamma), kept on the polyhedron.  Rows of rank
+    q, the facet count, are linearly independent: then the interior is
     nonempty (gamma x = 1 - delta has a solution), no facet is redundant,
     and so is every subset of the rows (their singular values interlace
     those of gamma, Horn & Johnson, Matrix Analysis, 7.3)."""
-    rank = getattr(poly, "_rank", None)
-    if rank is None:
-        rank = int(np.linalg.matrix_rank(poly.gamma))
-        object.__setattr__(poly, "_rank", rank)
-    return rank
+    return _cached(poly, "_rank", (),
+                   lambda: int(np.linalg.matrix_rank(poly.gamma)))
 
 
 def minimalize(poly: Polyhedron) -> Polyhedron:
@@ -426,8 +417,8 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
     full row rank (`facet_rank`) every facet is kept without a solve.  A
     result that keeps every facet inherits the rank.
     """
-    keep = list(range(poly.n_facets))
-    if facet_rank(poly) < poly.n_facets:
+    keep, rank = list(range(poly.n_facets)), facet_rank(poly)
+    if rank < poly.n_facets:
         for i in range(poly.n_facets):
             others = [j for j in keep if j != i]
             sub = Polyhedron(poly.gamma[others], poly.delta[others])
@@ -435,5 +426,5 @@ def minimalize(poly: Polyhedron) -> Polyhedron:
                 keep.remove(i)
     out = _minimal(Polyhedron(poly.gamma[keep], poly.delta[keep]))
     if len(keep) == poly.n_facets:
-        object.__setattr__(out, "_rank", facet_rank(poly))
+        _cached(out, "_rank", (), lambda: rank)
     return out

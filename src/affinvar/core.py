@@ -32,6 +32,16 @@ def _asarray(a, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
+def _cached(obj, name: str, key: tuple, compute):
+    """compute(), kept in the frozen ``obj``'s ``__dict__`` under ``name``
+    for as long as every item of ``key`` (what else it reads: tolerances,
+    another value) is the same object it was computed with."""
+    memo = obj.__dict__.get(name)
+    if memo is None or any(a is not b for a, b in zip(memo[0], key)):
+        memo = obj.__dict__[name] = (key, compute())
+    return memo[1]
+
+
 def _symmetric_part(S: np.ndarray) -> np.ndarray:
     """0.5 S + 0.5 S^T of a stack (..., k, k): the bits of (S + S^T)/2 for
     every entry outside the subnormal range, and finite up to the largest
@@ -183,6 +193,20 @@ def psd_factor(S) -> np.ndarray:
         batch_first[~ok] = psd_square_root(
             np.moveaxis(S, (0, 1), (-2, -1))[~ok])
     return R
+
+
+def _evaluator(rows, apply):
+    """The square-root evaluator of ``rows``, which maps points (N, p) to
+    their roots (N, p, p): ``sigma(x)`` takes a point (p,) or a stack
+    (..., p) of them, and ``sigma.apply`` is ``apply``, the product
+    sigma(x) z for columns x and z (p, N), one path per column."""
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        out = rows(x.reshape(-1, x.shape[-1]))
+        return out.reshape(x.shape[:-1] + out.shape[1:])
+
+    sigma.apply = apply
+    return sigma
 
 
 @dataclass(frozen=True)
@@ -519,6 +543,16 @@ def change_model_coordinates(model: ModelSpec, L: np.ndarray, ell: np.ndarray,
     return model.pushed(AffineMap(L, ell), new_space)
 
 
+def _psd_margins(w: np.ndarray) -> np.ndarray:
+    """Each row's least over 1 + |max| + |least| of ascending eigenvalues w
+    (..., k), the margin a PSD test passes at >= -TOL.psd, as 0.5 w_min /
+    (0.5 + |0.5 w_max| + |0.5 w_min|): the plain quotient's bits outside the
+    subnormal range (halving is exact), and finite up to the largest double."""
+    half = 0.5 * w
+    least = half[..., 0]
+    return least / (0.5 + np.abs(half[..., -1]) + np.abs(least))
+
+
 def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:
     """Check theta(x) is PSD at each sample point (the X in D containment).
 
@@ -539,9 +573,8 @@ def spot_check_psd(model: ModelSpec, points: np.ndarray) -> tuple[bool, float]:
     S = theta.A0 + (pts[:, None, :] @ theta.A.reshape(k, p * p)).reshape(
         -1, p, p)
     w = np.linalg.eigvalsh(_symmetric_part(S))
-    scale = 1.0 + np.abs(w[:, -1]) + np.abs(w[:, 0])
     # a running Python min from inf: NaN margins are skipped, ties keep the first
-    worst = min([np.inf] + (w[:, 0] / scale).tolist())
+    worst = min([np.inf] + _psd_margins(w).tolist())
     return worst >= -TOL.psd, worst
 
 

@@ -34,9 +34,10 @@ import numpy as np
 from .convex import (FarkasCertificate, _certificates, _witness, facet_rank,
                      interior_point, minimalize)
 from .core import (AffineMap, AffineMatrixField, AffineScalar,
-                   AffineVectorField, Check, ModelSpec, Polyhedron,
+                   AffineVectorField, Check, ModelSpec, Polyhedron, _cached,
                    _cholesky_rows, _coefficient_residual, _coefficient_scale,
-                   _minimal, _symmetric_part, psd_factor, psd_square_root)
+                   _evaluator, _minimal, _psd_margins, _symmetric_part,
+                   psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, PreconditionFailedError,
@@ -115,24 +116,22 @@ def _diffusion_condition(theta: AffineMatrixField, poly: Polyhedron
     identity and, on a square-root facet, c_i > 0; with c_i <= 0 theta is
     not PSD on the interior.
 
-    The result is decided once per (theta, poly) pair of objects and
-    memoized on poly, as `convex.interior_point` is, keyed by theta and the
-    tolerances it reads: the admissibility check and the canonical transform
+    The result is kept on poly per theta and the tolerances it reads
+    (`core._cached`): the admissibility check and the canonical transform
     of one model share it.  Its arrays are read-only.
     """
-    key = (theta, TOL.feasibility, TOL.zero_row)
-    memo = getattr(poly, "_condition", None)
-    if memo is not None and memo[0][0] is theta and memo[0][1:] == key[1:]:
-        return memo[1]
-    B, c, resid = _coupling_rows(theta, poly)
-    vanishes = resid <= TOL.feasibility
-    root = vanishes & (np.linalg.norm(B, axis=1) >
-                       TOL.zero_row * _coefficient_scale(theta.A0, theta.A))
-    result = (B, c, vanishes & (~root | (c > 0)), root, resid)
-    for arr in result:
-        arr.setflags(write=False)
-    object.__setattr__(poly, "_condition", (key, result))
-    return result
+    def decide():
+        B, c, resid = _coupling_rows(theta, poly)
+        vanishes = resid <= TOL.feasibility
+        root = vanishes & (np.linalg.norm(B, axis=1) > TOL.zero_row *
+                           _coefficient_scale(theta.A0, theta.A))
+        result = (B, c, vanishes & (~root | (c > 0)), root, resid)
+        for arr in result:
+            arr.setflags(write=False)
+        return result
+
+    return _cached(poly, "_condition", (theta, TOL.feasibility, TOL.zero_row),
+                   decide)
 
 
 def _lift(drift: AffineVectorField, poly: Polyhedron,
@@ -352,12 +351,11 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
                 break
     m, n = len(M), len(N)
 
-    eta = _null_space_rows(np.vstack([B[M], gamma_s[N]]) if (m + n) else
-                           np.zeros((0, p)), p)
+    eta = _null_space_rows(np.vstack([B[M], gamma_s[N]]), p)
     if eta.shape[0] != p - m - n:
         raise RankDeficiencyError(
             f"complement has dimension {eta.shape[0]}, expected {p - m - n}")
-    L = np.vstack([gamma_s[M], gamma_s[N], eta]) if (m + n) else eta
+    L = np.vstack([gamma_s[M], gamma_s[N], eta])
     # Hadamard's ratio |det L| / prod_i |L_i| <= 1 is blind to row scale
     if abs(np.linalg.det(L)) <= 1e-12 * np.prod(np.linalg.norm(L, axis=1)):
         raise RankDeficiencyError("assembled transform is singular")
@@ -401,16 +399,16 @@ def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
 
 
 def build_square_root(ct: CanonicalTransform):
-    """Evaluator y -> sigma(y) in canonical coordinates.
+    """Evaluator y -> sigma(y) in canonical coordinates (`core._evaluator`).
 
     Upper-left block diag(sqrt(|y_M|), 0_N), lower-right block a root of
     Psi(y_{M u N}) (``psd_factor``: Cholesky, the symmetric root where a
-    pivot fails).  Accepts a single point (p,) or a batch (N, p) and returns
-    (p, p) or (N, p, p).  ``sigma.apply(y, z)`` is sigma(y) z for columns:
-    y and z are (p, N), one path per column, and so is the result, computed
-    block by block without forming sigma(y); it reads the factor of Psi row
-    by row (``core._cholesky_rows``), with no (s, s, N) array and no
-    error-state scope unless a pivot fails.
+    pivot fails).  Accepts a single point (p,) or a stack (..., p) and
+    returns (p, p) or (..., p, p).  ``sigma.apply(y, z)`` is sigma(y) z for
+    columns: y and z are (p, N), one path per column, and so is the result,
+    computed block by block without forming sigma(y); it reads the factor
+    of Psi row by row (``core._cholesky_rows``), with no (s, s, N) array
+    and no error-state scope unless a pivot fails.
     """
     m, k, p = ct.m, ct.m + ct.n, ct.dim
     s = p - k
@@ -421,16 +419,13 @@ def build_square_root(ct: CanonicalTransform):
         """Psi at the columns y (p, N), batch-last (s, s, N)."""
         return (psi_A0 + psi_A @ y[:k]).reshape(s, s, -1)
 
-    def sigma(y):
-        y = np.asarray(y, dtype=float)
-        single = y.ndim == 1
-        ybatch = y[None] if single else y
-        out = np.zeros(ybatch.shape[:-1] + (p, p))
+    def rows(y):
+        out = np.zeros((y.shape[0], p, p))
         idx = np.arange(m)
-        out[..., idx, idx] = np.sqrt(np.abs(ybatch[..., :m]))
+        out[:, idx, idx] = np.sqrt(np.abs(y[:, :m]))
         if s:
-            out[..., k:, k:] = np.moveaxis(psd_factor(psi(ybatch.T)), -1, 0)
-        return out[0] if single else out
+            out[:, k:, k:] = np.moveaxis(psd_factor(psi(y.T)), -1, 0)
+        return out
 
     def apply(y, z):
         out = np.zeros(z.shape)
@@ -455,8 +450,7 @@ def build_square_root(ct: CanonicalTransform):
                     acc += (row[j] if j < len(row) else 0.0) * zs[j]
         return out
 
-    sigma.apply = apply
-    return sigma
+    return _evaluator(rows, apply)
 
 
 # ---------------------------------------------------------------------------
@@ -526,15 +520,10 @@ def check_triangle_condition(poly: Polyhedron) -> bool:
 
 def _negative_part(Bs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Blockwise B - P(B), P the projection onto the PSD cone, and whether
-    every block is PSD to the relative floor TOL.psd."""
+    every block is PSD: its margin (`core._psd_margins`) >= -TOL.psd."""
     lam, V = np.linalg.eigh(Bs)
     gap = (V * np.minimum(lam, 0.0)[..., None, :]) @ np.swapaxes(V, -1, -2)
-    return gap, _psd_floor(lam)
-
-
-def _psd_floor(lam: np.ndarray) -> bool:
-    """Each block's ascending eigenvalues lam[k] clear -TOL.psd (1 + |max|)."""
-    return bool(np.all(lam[:, 0] >= -TOL.psd * (1.0 + np.abs(lam[:, -1]))))
+    return gap, bool(np.all(_psd_margins(lam) >= -TOL.psd))
 
 
 def _minimize(fun, x0: np.ndarray) -> np.ndarray:
@@ -621,8 +610,8 @@ def psd_decompose(model: ModelSpec) -> PsdFacetDecomposition:
         """Bs reconstructs theta and every block is PSD."""
         rec = PsdFacetDecomposition(Bs[0], Bs[1:]).reconstruct(poly)
         resid = _coefficient_residual((rec.A0, rec.A), (theta.A0, theta.A))
-        return bool(resid <= TOL.feasibility * scale
-                    and _psd_floor(np.linalg.eigvalsh(Bs)))
+        return bool(resid <= TOL.feasibility * scale and np.all(
+            _psd_margins(np.linalg.eigvalsh(Bs)) >= -TOL.psd))
 
     def blocks(z):
         return (X + N @ z.reshape(N.shape[1], p * p)).reshape(q + 1, p, p)
@@ -676,12 +665,8 @@ class ExtendedModel:
 
 def _check_canonical_poly(poly: Polyhedron) -> None:
     q, p = poly.gamma.shape
-    if q > p:
-        raise PreconditionFailedError(
-            "model is not in canonical coordinates (facets must be u_i(x) = x_i)")
-    expected = np.zeros((q, p))
-    expected[:, :q] = np.eye(q)
-    if float(np.abs(poly.gamma - expected).max()) > TOL.feasibility or \
+    if q > p or \
+            float(np.abs(poly.gamma - np.eye(q, p)).max()) > TOL.feasibility or \
             float(np.abs(poly.delta).max(initial=0.0)) > TOL.feasibility:
         raise PreconditionFailedError(
             "model is not in canonical coordinates (facets must be u_i(x) = x_i)")
@@ -742,7 +727,6 @@ def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> Extend
     b_ext[:q] = model.drift.b[:q]
     if r:
         # T^-1 = [[0, I_wlen], [I_r, -Lhalf]] maps (x_rest, aux) to the new frame
-        a_ext[q:q + wlen] = 0.0
         a_ext[q + wlen:] = a_comp[q:]
         b_ext[q + wlen:] = model.drift.b[q:]
     drift_ext = AffineVectorField(a_ext, b_ext)

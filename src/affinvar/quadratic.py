@@ -16,7 +16,7 @@ import numpy as np
 from .core import (AffineMap, AffineMatrixField, AffineVectorField, Check,
                    ModelSpec, QuadraticForm, QuadraticSpace,
                    _coefficient_residual, _coefficient_scale, _coldot,
-                   _symmetric_part, psd_factor)
+                   _evaluator, _psd_margins, _symmetric_part, psd_factor)
 from .errors import (AffinvarError, NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
@@ -526,7 +526,7 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
     Returns (passed, structural): structural means B matches the closed form
     (q-2) x_1 A2^T A2 at coefficient level, which implies the condition on the
     whole parabola; otherwise the condition is checked pointwise at the given
-    state-space samples.
+    state-space samples (`core._psd_margins`).
     """
     if not dec.normalized:
         raise NotNormalizedError("decomposition must have c = 1 and A1 = 0")
@@ -547,7 +547,7 @@ def check_parabolic_psd_condition(dec: ParabolicDecomposition,
     eta = eta_matrix(x[:, :q], q)
     R = dec.B(x) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta, dec.A2)
     w = np.linalg.eigvalsh(_symmetric_part(R))
-    return bool(np.all(w[:, 0] >= -TOL.psd * (1.0 + np.abs(w[:, -1])))), False
+    return bool(np.all(_psd_margins(w) >= -TOL.psd)), False
 
 
 def parabolic_square_root(dec: ParabolicDecomposition):
@@ -567,12 +567,8 @@ def parabolic_square_root(dec: ParabolicDecomposition):
                                       dec.A2)
         return psd_factor(np.moveaxis(resid, 0, -1))
 
-    def sigma(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None] if single else x
-        nb = xb.shape[0]
-        out = np.zeros((nb, p, p))
+    def rows(xb):
+        out = np.zeros((xb.shape[0], p, p))
         y = xb[:, 1:q]
         out[:, 0, 0] = 2.0 * np.sqrt(np.abs(xb[:, 0] - np.sum(y * y, axis=1)))
         out[:, 0, 1:q] = 2.0 * y
@@ -582,7 +578,7 @@ def parabolic_square_root(dec: ParabolicDecomposition):
             eta = eta_matrix(xb[:, :q], q)
             out[:, q:, :q] = np.einsum("nqe,er->nrq", eta, dec.A2)
             out[:, q:, q:] = np.moveaxis(residual_root(xb, eta), -1, 0)
-        return out[0] if single else out
+        return out
 
     def apply(x, z):
         y, zy = x[1:q], z[1:q]
@@ -599,8 +595,7 @@ def parabolic_square_root(dec: ParabolicDecomposition):
                 np.einsum("rsn,sn->rn", residual_root(x.T, eta), z[q:])
         return out
 
-    sigma.apply = apply
-    return sigma
+    return _evaluator(rows, apply)
 
 
 def check_parabolic_drift(drift: AffineVectorField, q: int) -> list[Check]:
@@ -726,10 +721,7 @@ def cone_square_root(q: int):
         u = y / np.where(r > 0, r, 1.0)
         return (sqrt_abs(x1 + r), sqrt_abs(x1 - r), np.sqrt(np.abs(x1))), u
 
-    def sigma(x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        xb = x[None] if single else x
+    def rows(xb):
         (sp, sm, s0), u = roots(xb.T)
         avg = 0.5 * (sp + sm)
         dif = 0.5 * (sp - sm)
@@ -741,7 +733,7 @@ def cone_square_root(q: int):
         eye = np.eye(q - 1)
         out[:, 1:, 1:] = avg[:, None, None] * uu + \
             s0[:, None, None] * (eye[None] - uu)
-        return out[0] if single else out
+        return out
 
     def apply(x, z):
         # u = 0 where y = 0, and there s+- = s0: the result is s0 z
@@ -759,8 +751,7 @@ def cone_square_root(q: int):
         out[1:] += (cp - cm) * u
         return out
 
-    sigma.apply = apply
-    return sigma
+    return _evaluator(rows, apply)
 
 
 def check_cone_admissibility(drift: AffineVectorField, p: int,

@@ -424,9 +424,10 @@ def make_projector(space) -> callable:
     its ``clamp(x)`` projects columns x in place, with the same operations.
     Polyhedral spaces must be in canonical coordinates (facets u_i(x) = x_i):
     the projection clamps the facet coordinates at zero.  Parabolic spaces
-    clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially.  A cone
-    needs q >= 2: the q = 1 form x_1^2 bounds all of R^p, where a clamp
-    would move members.  General state spaces must be canonicalized first.
+    clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially.  Only the
+    inside of a quadric is clamped, and of a cone only with q >= 2: the
+    outside, and the R^p that the q = 1 form x_1^2 bounds, have members a
+    clamp would move.  General state spaces must be canonicalized first.
     """
     if isinstance(space, Polyhedron):
         # coordinate facets u_i(x) = x_j are clamped at zero; any remaining
@@ -454,15 +455,14 @@ def make_projector(space) -> callable:
                 x[idx] = np.maximum(x[idx], 0.0)
     elif isinstance(space, QuadraticSpace):
         kind, q = _canonical_kind(space.form) or (None, 0)
+        if space.component != "positive" or kind == "cone" and q < 2:
+            raise PreconditionFailedError(
+                "full-truncation projection needs the inside of a parabola "
+                "or of a cone with q >= 2, where a clamp moves no member")
         if kind == "parabolic":
             def clamp(x):
                 np.maximum(x[0], _coldot(x[1:q], x[1:q]), out=x[0])
         elif kind == "cone":
-            if q < 2:
-                raise PreconditionFailedError(
-                    "full-truncation projection needs a cone with q >= 2; "
-                    "the q = 1 form bounds all of R^p")
-
             def clamp(x):
                 r = np.sqrt(_coldot(x[1:q], x[1:q]))
                 r *= 1.0 + 1e-12

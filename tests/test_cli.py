@@ -11,10 +11,10 @@ import affinvar.cli
 from affinvar import errors
 from affinvar.cli import main
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
-                           QuadraticForm, QuadraticSpace,
+                           Polyhedron, QuadraticForm, QuadraticSpace,
                            change_model_coordinates)
 from affinvar.modelio import fixture_path, load_model, save_model
-from affinvar.quadratic import check_open_invariance_general
+from affinvar.quadratic import check_open_invariance_general, classify_quadric
 from affinvar.tolerances import TOL, Tolerances, current
 from conftest import (load_module, random_affine_image, random_canonical_model,
                       translated)
@@ -190,6 +190,51 @@ def test_cir_overflow_drift_is_certified(capsys, tmp_path):
     assert drift["certificate"] == {"lambda": [1e20], "c": 1.0}
 
 
+@pytest.mark.filterwarnings("error")
+def test_psd_margin_of_the_largest_doubles(capsys, tmp_path):
+    # theta(x) = 1e308 + x on x >= 0: 1 + |w_max| + |w_min| overflows, the
+    # relative least eigenvalue is 1/2, and the diffusion row, which does
+    # not vanish on {x = 0}, still fails its facet
+    obj = json.loads(fixture_path("cir").read_text())
+    obj["diffusion"]["A0"] = [[1e308]]
+    path = tmp_path / "cir-huge.json"
+    path.write_text(json.dumps(obj))
+    code, rep = _run(capsys, "validate", str(path))
+    checks = {c["name"]: c for c in rep["checks"]}
+    psd = checks["theta-psd-on-interior-samples"]
+    assert code == 1 and not checks["facet-0-diffusion"]["passed"]
+    assert psd["passed"] and psd["margin"] == 0.5
+
+
+@pytest.mark.parametrize("fixture", ["parabola3", "cone3"])
+def test_negated_quadric_keeps_its_verdicts(capsys, tmp_path, fixture):
+    # -Phi < 0 is the set Phi > 0: the classification keeps kind and q with
+    # sign -1, and every command its exit code; simulate runs in the same
+    # canonical frame, so its statistics keep their bits
+    obj = json.loads(fixture_path(fixture).read_text())
+    space = obj["state_space"]
+    cls = classify_quadric(QuadraticForm(np.array(space["A"]),
+                                         np.array(space["b"]), space["c"]))
+    for key in ("A", "b", "c"):
+        space[key] = (-np.array(space[key])).tolist()
+    space["component"] = "negative"
+    path = tmp_path / "negated.json"
+    path.write_text(json.dumps(obj))
+    flipped = classify_quadric(QuadraticForm(np.array(space["A"]),
+                                             np.array(space["b"]), space["c"]))
+    assert (flipped.kind, flipped.q, flipped.sign) == (cls.kind, cls.q, -1)
+    assert cls.sign == 1
+    sim = ("--paths", "20", "--steps", "10", "--seed", "3")
+    for argv in (("validate",), ("classify",), ("decompose",),
+                 ("simulate", *sim), ("simulate", *sim, "--scheme", "plain")):
+        code, rep = _run(capsys, argv[0], str(fixture_path(fixture)),
+                         *argv[1:])
+        got, flipped_rep = _run(capsys, argv[0], str(path), *argv[1:])
+        assert got == code, argv
+        if argv[0] == "simulate":
+            assert flipped_rep["simulation"] == rep["simulation"], argv
+
+
 @pytest.mark.parametrize("fixture", ["cir", "triangle_channel",
                                      "hyperbola_wedge"])
 def test_validate_is_blind_to_the_scale_of_a_facet_row(capsys, tmp_path,
@@ -325,14 +370,25 @@ def test_facet_rank_decided_once_per_polyhedron(capsys, monkeypatch,
     rank taken is that of row subsets in `canonical_transform`'s greedy
     loop.  Rank-deficient rows (triangle_channel, hyperbola_wedge) rank the
     subsets `minimalize` tries too; rows of full rank (cir, the generated
-    orthant images) take one rank in all."""
-    real, calls = np.linalg.matrix_rank, []
+    orthant images) take one rank in all.  A rank is the polyhedron's when
+    its argument is that polyhedron's own gamma; any other rank is
+    attributed to the function that takes it."""
+    real, calls, polyhedra = np.linalg.matrix_rank, [], {}
+    post_init = Polyhedron.__post_init__
+
+    def record(poly):
+        post_init(poly)
+        polyhedra[id(poly.gamma)] = poly    # kept alive: ids stay unique
 
     def spy(*args, **kwargs):
-        frame = sys._getframe(1)
-        calls.append((frame.f_code.co_name, frame.f_locals.get("poly")))
+        poly = polyhedra.get(id(args[0]))
+        if poly is None or poly.gamma is not args[0]:
+            calls.append((sys._getframe(1).f_code.co_name, None))
+        else:
+            calls.append(("facet_rank", poly))
         return real(*args, **kwargs)
 
+    monkeypatch.setattr(Polyhedron, "__post_init__", record)
     monkeypatch.setattr(np.linalg, "matrix_rank", spy)
     bench_models = load_module(
         Path(__file__).resolve().parents[1] / "perfbench" / "bench_models.py")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import affinvar.core
 from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
                            AffineVectorField, Check, ModelSpec, Polyhedron,
-                           QuadraticForm, QuadraticSpace, _contract_first,
+                           QuadraticForm, QuadraticSpace, _cached,
+                           _contract_first, _psd_margins,
                            _symmetric_part, _symmetrized,
                            change_model_coordinates, jsonable, psd_factor,
                            psd_square_root, spot_check_psd, symmetrize,
@@ -317,6 +318,45 @@ def test_symmetric_part_is_finite_at_the_largest_doubles():
         root = psd_square_root(S)
         assert np.isfinite(root).all() and root[0, 0] == np.sqrt(1e308)
         assert _symmetric_part(big).tobytes() == big.tobytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shape=st.sampled_from([(3, 1), (4, 3), (2, 5, 4)]),
+       exponent=st.integers(-300, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_psd_margins_have_the_bits_of_the_plain_quotient(shape, exponent,
+                                                         seed):
+    # outside the subnormal range halving is exact, so the halved quotient
+    # is w_min / (1 + |w_max| + |w_min|) to the bit
+    w = np.sort(np.random.default_rng(seed).standard_normal(shape), axis=-1)
+    w *= 10.0 ** exponent
+    plain = w[..., 0] / (1.0 + np.abs(w[..., -1]) + np.abs(w[..., 0]))
+    assert _psd_margins(w).tobytes() == plain.tobytes()
+
+
+def test_psd_margins_are_finite_at_the_largest_doubles():
+    # 1 + |w_max| + |w_min| overflows above ~9e307; the margin does not
+    w = np.array([[1e308, 1e308], [-1.7e308, 1.7e308], [-1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _psd_margins(w)
+    assert got.tolist() == [0.5, -0.5, -0.5]
+
+
+def test_cached_is_keyed_by_the_identity_of_its_key_items():
+    poly = Polyhedron(np.eye(2), np.zeros(2))
+    computed = []
+
+    def compute():
+        computed.append(1)
+        return len(computed)
+
+    tol, equal = 1e-9, float("1e-9")
+    assert equal == tol and equal is not tol
+    assert _cached(poly, "_fact", (tol,), compute) == 1
+    assert _cached(poly, "_fact", (tol,), compute) == 1    # the same object
+    assert _cached(poly, "_fact", (equal,), compute) == 2  # equal, distinct
+    assert _cached(poly, "_fact", (equal,), compute) == 2
+    assert poly.__dict__["_fact"] == ((equal,), 2)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
