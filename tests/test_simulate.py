@@ -320,25 +320,28 @@ def test_q1_cone_projector_rejected():
         make_projector(space)
 
 
-def _outside_parabola(b):
-    """{x_1 - x_2^2 < 0}, the outside of a parabola, with drift b, no
-    diffusion and the start (-1, 0), a member."""
+def _outside_parabola(b=(0.0, 0.0), scale=0.0):
+    """A model on {x_1 - x_2^2 < 0}, the outside of a parabola, with drift
+    b and diffusion scale^2 I, its root sigma and the start (-1, 0)."""
     form = QuadraticForm(np.diag([0.0, -1.0]), np.array([1.0, 0.0]), 0.0)
-    space = QuadraticSpace(form, "negative")
     model = ModelSpec(2, AffineVectorField(np.zeros((2, 2)), np.array(b)),
-                      AffineMatrixField(np.zeros((2, 2)), np.zeros((2, 2, 2))),
-                      space)
-    return model, np.array([-1.0, 0.0])
+                      AffineMatrixField(scale ** 2 * np.eye(2),
+                                        np.zeros((2, 2, 2))),
+                      QuadraticSpace(form, "negative"))
+
+    def sigma(x):
+        return np.broadcast_to(scale * np.eye(2), np.shape(x)[:-1] + (2, 2))
+
+    return model, sigma, np.array([-1.0, 0.0])
 
 
 def test_outside_of_a_quadric_projector_rejected():
     # a clamp of x_1 at x_2^2 would move the member (-1, 0) to (0, 0): full
     # truncation refuses, and the plain scheme keeps the state where it is
-    model, x0 = _outside_parabola([0.0, 0.0])
+    model, sigma, x0 = _outside_parabola()
     assert model.state_space.contains(x0)
     with pytest.raises(PreconditionFailedError):
         make_projector(model.state_space)
-    sigma = lambda x: np.zeros(np.shape(x)[:-1] + (2, 2))  # noqa: E731
     with pytest.raises(PreconditionFailedError):
         simulate_paths(model, sigma, SimConfig(x0, 1.0, 4, 3, seed=0))
     ens = simulate_paths(model, sigma, SimConfig(
@@ -347,18 +350,16 @@ def test_outside_of_a_quadric_projector_rejected():
 
 
 def test_exits_outside_a_quadric_match_the_states():
-    # the drift carries every path across x_1 = x_2^2 into the parabola:
-    # the exit tracker negates Phi on the outside, and its exit steps and
-    # worst value are those of the stored states, evaluated one by one
-    model, x0 = _outside_parabola([1.0, 0.3])
-    rng = np.random.default_rng(5)
-    states = x0 + np.cumsum(rng.uniform(-0.2, 0.6, (7, 12, 2)), axis=1)
-    ens = PathEnsemble(np.arange(12.0), states, None, None)
+    # the drift carries the paths across x_1 = x_2^2 into the parabola: the
+    # exit tracker negates Phi on the outside, and its exit steps and worst
+    # value are those of the stored states, evaluated one by one
+    model, sigma, x0 = _outside_parabola(b=(1.0, 0.0), scale=0.3)
+    ens = simulate_paths(model, sigma, SimConfig(
+        x0, 2.0, 20, 16, seed=5, scheme=Scheme.PLAIN_EULER))
     tol = 1e-3
     stats = invariance_monte_carlo(ens, model.state_space, tol)
-    space = model.state_space
-    values = np.array([[space.signed_value(x) for x in path]
-                       for path in states])
+    values = np.array([[model.state_space.signed_value(x) for x in path]
+                       for path in ens.states])
     exits = [int(np.argmax(v < -tol)) if (v < -tol).any() else -1
              for v in values]
     assert 0 < stats.exit_fraction and stats.exit_steps.tolist() == exits
