@@ -6,28 +6,27 @@ a model and returns a `Report`: its checks, each a `core.Check` from its
 decider, and the blocks around them, the JSON that the CLI prints.  The
 `Report` alone decides whether the outcome passed or is inconclusive; the
 CLI (`cli.py`) parses the arguments, loads the model, writes the files and
-maps the report to its exit code.
+maps the report to its exit code.  Each function imports the deciders it
+calls when it runs, so a subcommand loads only the modules it reaches: a
+polyhedral model never loads `quadratic`, a quadric never `convex` or
+`polyhedral`, and only `simulate` loads `simulate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .convex import interior_point
 from .core import Check, ModelSpec, Polyhedron, QuadraticSpace, spot_check_psd
 from .errors import (NotRepresentableError, NumericalFailureError,
                      PreconditionFailedError)
 from .modelio import model_hash, model_to_dict
-from .polyhedral import (_require_polyhedron, canonical_transform,
-                         check_polyhedral_admissibility, psd_decompose)
-from .quadratic import (canonical_quadric_model, check_cone_admissibility,
-                        check_parabolic_drift, check_parabolic_psd_condition,
-                        classify_quadric)
-from .simulate import (PathEnsemble, Scheme, SimConfig, mean_ode,
-                       simulate_paths, simulate_summary, simulation_frame)
+
+if TYPE_CHECKING:
+    from .simulate import PathEnsemble
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,9 @@ def validate(model: ModelSpec) -> Report:
 
 
 def _validate_polyhedral(model: ModelSpec) -> Report:
+    from .convex import interior_point
+    from .polyhedral import (_require_polyhedron, canonical_transform,
+                             check_polyhedral_admissibility)
     poly = _require_polyhedron(model)
     minimal = ModelSpec(model.dimension, model.drift, model.diffusion, poly)
     x0 = interior_point(poly)
@@ -106,6 +108,9 @@ def _validate_polyhedral(model: ModelSpec) -> Report:
 
 
 def _validate_quadric(model: ModelSpec) -> Report:
+    from .quadratic import (canonical_quadric_model, check_cone_admissibility,
+                            check_parabolic_drift,
+                            check_parabolic_psd_condition)
     frame = canonical_quadric_model(model)
     cls = frame.classification
     blocks = {"classification": cls.to_dict()}
@@ -135,6 +140,7 @@ def canonicalize(model: ModelSpec) -> Report:
     coordinates (`polyhedral.canonical_transform`)."""
     if not isinstance(model.state_space, Polyhedron):
         raise PreconditionFailedError("canonicalize applies to polyhedral models")
+    from .polyhedral import canonical_transform
     ct = canonical_transform(model)
     transform = {
         "L": ct.map.L.tolist(), "ell": ct.map.ell.tolist(), "m": ct.m,
@@ -159,6 +165,7 @@ def decompose(model: ModelSpec) -> Report:
     "not-representable" (no PSD decomposition exists: the report fails) or
     "inconclusive" (the search failed)."""
     if isinstance(model.state_space, Polyhedron):
+        from .polyhedral import psd_decompose
         try:
             dec = psd_decompose(model)
         except NotRepresentableError as exc:
@@ -169,6 +176,7 @@ def decompose(model: ModelSpec) -> Report:
             block = {"status": "ok", "min_eigenvalue": dec.min_eigenvalue(),
                      "B0": dec.B0.tolist(), "Bi": [M.tolist() for M in dec.Bi]}
         return Report("decompose", model, blocks={"decomposition": block})
+    from .quadratic import canonical_quadric_model
     frame = canonical_quadric_model(model)
     cls, dec = frame.classification, frame.fitted()
     if cls.kind == "parabolic":
@@ -187,6 +195,7 @@ def classify(model: ModelSpec) -> Report:
     """The canonical form of a quadratic model's boundary quadric."""
     if not isinstance(model.state_space, QuadraticSpace):
         raise PreconditionFailedError("classify applies to quadratic models")
+    from .quadratic import classify_quadric
     return Report("classify", model, blocks={
         "classification": classify_quadric(model.state_space.form).to_dict()})
 
@@ -200,6 +209,8 @@ def simulate(model: ModelSpec, t: float = 1.0, steps: int = 0,
     the report keeps them, in the model's coordinates, as ``ensemble``;
     otherwise they are streamed and never stored, and the report is the
     same."""
+    from .simulate import (Scheme, SimConfig, mean_ode, simulate_paths,
+                           simulate_summary, simulation_frame)
     canon, sigma, f, default_x0 = simulation_frame(model)
     start = default_x0 if x0 is None else np.asarray(x0, dtype=float)
     steps = steps or max(1, int(round(1000 * t)))

@@ -13,10 +13,16 @@ certify calls on every fixture, ``validate`` on the edge models that reach
 the witness path or scale a facet row, and a ``simulate`` call load no scipy
 module; another, where importing scipy fails, checks that every subcommand
 exits as usual.  The ``ast`` check names the statement that would import
-scipy with the package."""
+scipy with the package.
+
+The submodules load on first use: fresh interpreters check that importing
+the package and its CLI loads no decider, that each subcommand loads only
+the deciders it reaches, and that every public name of the package still
+resolves to the object its defining module binds."""
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -143,23 +149,24 @@ def test_no_module_level_scipy_import(path):
 
 
 # Runs CLI calls in process after the package import, and prints, after the
-# import and after each call, the exit code and the scipy modules loaded.
-_SCIPY_PROBE = """
+# import and after each call, the exit code and the loaded modules whose
+# names start with the prefix in sys.argv[2].
+_PROBE = """
 import contextlib, io, json, sys
 import affinvar, affinvar.cli
 from affinvar.modelio import fixture_path
 
-def scipy_modules():
+def loaded():
     return sorted(name for name, module in sys.modules.items()
-                  if name.startswith("scipy") and module is not None)
+                  if name.startswith(sys.argv[2]) and module is not None)
 
-steps = [["import", 0, scipy_modules()]]
+steps = [["import", 0, loaded()]]
 for op, model, *rest in json.loads(sys.argv[1]):
     path = model if model.endswith(".json") else str(fixture_path(model))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         code = affinvar.cli.main([op, path, *rest])
-    steps.append([op + " " + model, code, scipy_modules()])
+    steps.append([op + " " + model, code, loaded()])
 print(json.dumps(steps))
 """
 
@@ -175,19 +182,25 @@ _CERTIFY_CALLS = {
 }
 
 
-def _probe(calls: list[list[str]], block_scipy: bool = False) -> list:
-    """The steps that _SCIPY_PROBE prints for calls, in a fresh interpreter
-    on the package under test, wherever it was imported from; with
-    block_scipy, one where every scipy import raises ImportError."""
+def _fresh_python(code: str, *args: str) -> str:
+    """The stdout of code run in a fresh interpreter on the package under
+    test, wherever it was imported from."""
     src = os.path.dirname(os.path.dirname(affinvar.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          capture_output=True, text=True, check=True,
+                          env=env, timeout=300).stdout
+
+
+def _probe(calls: list[list[str]], block_scipy: bool = False,
+           prefix: str = "scipy") -> list:
+    """The steps that _PROBE prints for calls and the modules under prefix,
+    in a fresh interpreter; with block_scipy, one where every scipy import
+    raises ImportError."""
     probe = ('import sys; sys.modules["scipy"] = None\n' if block_scipy
-             else "") + _SCIPY_PROBE
-    out = subprocess.run([sys.executable, "-c", probe, json.dumps(calls)],
-                         capture_output=True, text=True, check=True, env=env,
-                         timeout=300)
-    return json.loads(out.stdout)
+             else "") + _PROBE
+    return json.loads(_fresh_python(probe, json.dumps(calls), prefix))
 
 
 def test_certify_path_loads_no_scipy():
@@ -247,3 +260,83 @@ def test_every_subcommand_runs_without_scipy(tmp_path):
             code = affinvar.cli.main([op, path, *rest])
         expected.append([f"{op} {model}", code, []])
     assert _probe(calls, block_scipy=True) == [["import", 0, []]] + expected
+
+
+def test_each_entry_point_loads_only_the_deciders_it_reaches():
+    # the package and its CLI load core, model I/O, the report and the CLI;
+    # a quadric call loads quadratic alone, a polyhedral one convex and
+    # polyhedral, and simulate, which needs every decider, still runs
+    def deciders(calls):
+        return [[step, code, [m for m in mods if m in DECIDERS]]
+                for step, code, mods in _probe(calls, prefix="affinvar")]
+
+    (_, _, imported), = _probe([], prefix="affinvar")
+    assert imported == [f"affinvar{name}" for name in (
+        "", ".cli", ".core", ".errors", ".modelio", ".report", ".tolerances")]
+    for call in (["classify", "cone3"], ["validate", "parabola3"]):
+        assert deciders([call]) == [["import", 0, []],
+                                    [" ".join(call), 0, ["affinvar.quadratic"]]]
+    ops = ("validate", "canonicalize", "decompose")
+    assert deciders([[op, "cir"] for op in ops]) == [["import", 0, []]] + [
+        [f"{op} cir", 0, ["affinvar.convex", "affinvar.polyhedral"]]
+        for op in ops]
+    assert deciders([["simulate", "cir", "--paths", "10", "--steps", "10"]])[
+        -1] == ["simulate cir", 0, sorted(DECIDERS)]
+
+
+# the package's public names, by defining module
+PUBLIC_API = {
+    "convex": ("FarkasCertificate", "farkas_decompose", "interior_point",
+               "minimalize"),
+    "core": ("AffineMap", "AffineMatrixField", "AffineScalar",
+             "AffineVectorField", "Check", "ModelSpec", "Polyhedron",
+             "QuadraticForm", "QuadraticSpace", "psd_square_root"),
+    "modelio": ("load_fixture", "load_model", "save_model"),
+    "polyhedral": ("CanonicalTransform", "PsdFacetDecomposition",
+                   "build_square_root", "canonical_transform",
+                   "check_open_facet_invariance",
+                   "check_polyhedral_admissibility",
+                   "check_triangle_condition", "diagonalize_extended",
+                   "lift_drift", "psd_decompose", "transform_model"),
+    "quadratic": ("ConicalDecomposition", "ParabolicDecomposition",
+                  "QuadricClassification", "check_cone_admissibility",
+                  "check_open_invariance_general", "check_parabolic_drift",
+                  "check_parabolic_psd_condition", "classify_quadric",
+                  "cone_square_root", "conical_basis",
+                  "conical_theta_decompose", "normalize_parabolic",
+                  "parabolic_basis", "parabolic_square_root",
+                  "parabolic_theta_decompose"),
+    "report": ("Report", "validate"),
+    "simulate": ("PathEnsemble", "Scheme", "SimConfig", "boundary_attainment",
+                 "invariance_monte_carlo", "mean_ode", "simulate_paths",
+                 "simulate_summary", "simulation_frame"),
+}
+
+
+def test_public_api_is_unchanged():
+    names = {name for names in PUBLIC_API.values() for name in names}
+    assert len(names) == 54
+    for module, module_names in PUBLIC_API.items():
+        defining = importlib.import_module(f"affinvar.{module}")
+        for name in module_names:
+            assert getattr(affinvar, name) is getattr(defining, name), name
+    assert sorted(dir(affinvar)) == sorted(names | {"__version__"})
+    namespace: dict = {}
+    exec("from affinvar import *", namespace)
+    assert set(namespace) - {"__builtins__"} == names | {"__version__"}
+    assert namespace["__version__"] == affinvar.__version__
+    with pytest.raises(AttributeError, match=r"^module 'affinvar' has no "
+                       r"attribute 'no_such_name'$"):
+        affinvar.no_such_name
+
+
+def test_submodules_resolve_before_any_subcommand():
+    # as the benchmark reads them, from the bare package import
+    assert _fresh_python(
+        "import sys, affinvar\n"
+        "assert affinvar.simulate.make_projector is \\\n"
+        "    sys.modules['affinvar.simulate'].make_projector\n"
+        "assert callable(affinvar.core.change_model_coordinates)\n"
+        "from affinvar import errors, tolerances\n"
+        "print(errors.AffinvarError.__name__, tolerances.TOL is not None)"
+    ) == "AffinvarError True\n"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import affinvar
+import affinvar.polyhedral
 from affinvar.cli import main
 from affinvar.convex import minimalize
 from affinvar.errors import AffinvarError, NumericalFailureError
@@ -91,7 +92,8 @@ def test_a_missing_decomposition_fails_and_a_failed_search_is_inconclusive(
     def search_fails(model):
         raise NumericalFailureError("no step decreases the objective")
 
-    monkeypatch.setattr(affinvar.report, "psd_decompose", search_fails)
+    # decompose imports the search from its defining module when it runs
+    monkeypatch.setattr(affinvar.polyhedral, "psd_decompose", search_fails)
     rep = affinvar.report.decompose(load_fixture("triangle_channel"))
     assert not rep.passed and rep.inconclusive
     code, out, _ = _cli(capsys, "decompose", path)
