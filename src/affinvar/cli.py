@@ -70,15 +70,21 @@ def _report(args) -> report.Report:
                           _start_point(args.x0, model.dimension), args.scheme,
                           csv=bool(args.csv))
     if args.csv:
-        ens = rep.ensemble
-        with open(args.csv, "w") as fh:
-            fh.write("t,path," + ",".join(f"x{i+1}" for i in range(model.dimension))
-                     + "\n")
-            for ipath in range(ens.states.shape[0]):
-                for it, t in enumerate(ens.times):
-                    row = ",".join(repr(float(v)) for v in ens.states[ipath, it])
-                    fh.write(f"{float(t)!r},{ipath},{row}\n")
+        _write_csv(args.csv, rep.ensemble)
     return rep
+
+
+def _write_csv(path: str, ens) -> None:
+    """The paths of ``ens`` as CSV rows t,path,x1,...,xp, each number the
+    repr of its float: one block per path, filled into a template of the
+    whole path in which the times are formatted once."""
+    n, k, p = ens.states.shape      # paths, grid times, coordinates
+    row = ",".join(["%r"] * p) + "\n"
+    template = "".join(f"{t!r},{{path}}," + row for t in ens.times.tolist())
+    with open(path, "w") as fh:
+        fh.write("t,path," + ",".join(f"x{i+1}" for i in range(p)) + "\n")
+        for ipath, values in enumerate(ens.states.reshape(n, k * p).tolist()):
+            fh.write(template.replace("{path}", str(ipath)) % tuple(values))
 
 
 @functools.cache

@@ -195,15 +195,20 @@ def psd_factor(S) -> np.ndarray:
     return R
 
 
-def _evaluator(rows, apply):
-    """The square-root evaluator of ``rows``, which maps points (N, p) to
-    their roots (N, p, p): ``sigma(x)`` takes a point (p,) or a stack
-    (..., p) of them, and ``sigma.apply`` is ``apply``, the product
-    sigma(x) z for columns x and z (p, N), one path per column."""
+def _evaluator(apply):
+    """The square-root evaluator of ``apply``, the product sigma(x) z for
+    columns x and z (p, N), one path per column, which ``sigma.apply`` is.
+    ``sigma(x)`` takes a point (p,) or a stack (..., p) of them and returns
+    (p, p) or (..., p, p), read off one ``apply`` call on the unit columns:
+    each point repeated p times against the stacked identities, so a matrix
+    is p products and has the bits the kernel takes."""
     def sigma(x):
         x = np.asarray(x, dtype=float)
-        out = rows(x.reshape(-1, x.shape[-1]))
-        return out.reshape(x.shape[:-1] + out.shape[1:])
+        points = x.reshape(-1, x.shape[-1])
+        n, p = points.shape
+        out = apply(np.repeat(points.T, p, axis=1), np.tile(np.eye(p), n))
+        # out[:, i p + j] is column j of the root at point i
+        return out.reshape(p, n, p).swapaxes(0, 1).reshape(x.shape + (p,))
 
     sigma.apply = apply
     return sigma

@@ -403,29 +403,17 @@ def build_square_root(ct: CanonicalTransform):
 
     Upper-left block diag(sqrt(|y_M|), 0_N), lower-right block a root of
     Psi(y_{M u N}) (``psd_factor``: Cholesky, the symmetric root where a
-    pivot fails).  Accepts a single point (p,) or a stack (..., p) and
-    returns (p, p) or (..., p, p).  ``sigma.apply(y, z)`` is sigma(y) z for
-    columns: y and z are (p, N), one path per column, and so is the result,
-    computed block by block without forming sigma(y); it reads the factor
-    of Psi row by row (``core._cholesky_rows``), with no (s, s, N) array
-    and no error-state scope unless a pivot fails.
+    pivot fails).  ``sigma.apply(y, z)`` is sigma(y) z for columns: y and
+    z are (p, N), one path per column, and so is the result, computed block
+    by block without forming sigma(y); it reads the factor of Psi row by
+    row (``core._cholesky_rows``), with no (s, s, N) array and no
+    error-state scope unless a pivot fails.  sigma(y), at a point (p,) or a
+    stack (..., p), is read off it.
     """
     m, k, p = ct.m, ct.m + ct.n, ct.dim
     s = p - k
     psi_A0 = ct.psi.A0.reshape(-1, 1)
     psi_A = ct.psi.A.reshape(k, s * s).T
-
-    def psi(y):
-        """Psi at the columns y (p, N), batch-last (s, s, N)."""
-        return (psi_A0 + psi_A @ y[:k]).reshape(s, s, -1)
-
-    def rows(y):
-        out = np.zeros((y.shape[0], p, p))
-        idx = np.arange(m)
-        out[:, idx, idx] = np.sqrt(np.abs(y[:, :m]))
-        if s:
-            out[:, k:, k:] = np.moveaxis(psd_factor(psi(y.T)), -1, 0)
-        return out
 
     def apply(y, z):
         out = np.zeros(z.shape)
@@ -433,7 +421,7 @@ def build_square_root(ct: CanonicalTransform):
             root = np.sqrt(np.abs(y[:m], out=out[:m]), out=out[:m])
             root *= z[:m]
         if s:
-            S = psi(y)
+            S = (psi_A0 + psi_A @ y[:k]).reshape(s, s, -1)   # Psi, batch-last
             # the rows of the Cholesky factor; a failing pivot takes the
             # whole factor, with symmetric roots where pivots fail
             R = _cholesky_rows(S, stop=True)
@@ -450,7 +438,7 @@ def build_square_root(ct: CanonicalTransform):
                     acc += (row[j] if j < len(row) else 0.0) * zs[j]
         return out
 
-    return _evaluator(rows, apply)
+    return _evaluator(apply)
 
 
 # ---------------------------------------------------------------------------

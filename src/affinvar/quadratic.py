@@ -555,30 +555,12 @@ def parabolic_square_root(dec: ParabolicDecomposition):
     xi = [[2 sqrt|x_1 - y.y|, 2 y^T], [0, Id]] and rho a root of the residual
     block (``psd_factor``); sigma sigma^T = theta on the parabola.
     ``sigma.apply(x, z)`` is sigma(x) z for columns: x and z are (p, N), one
-    path per column, and so is the result; sigma(x) is not formed."""
+    path per column, and so is the result; sigma(x) is not formed there,
+    and is read off it (``core._evaluator``)."""
     if not dec.normalized:
         raise NotNormalizedError("decomposition must have c = 1 and A1 = 0")
     q, p = dec.q, dec.p
     r = p - q
-
-    def residual_root(xb, eta):
-        """Roots of the residual block at the rows xb, batch-last (r, r, N)."""
-        resid = dec.B(xb) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta, eta,
-                                      dec.A2)
-        return psd_factor(np.moveaxis(resid, 0, -1))
-
-    def rows(xb):
-        out = np.zeros((xb.shape[0], p, p))
-        y = xb[:, 1:q]
-        out[:, 0, 0] = 2.0 * np.sqrt(np.abs(xb[:, 0] - np.sum(y * y, axis=1)))
-        out[:, 0, 1:q] = 2.0 * y
-        idx = np.arange(1, q)
-        out[:, idx, idx] = 1.0
-        if r:
-            eta = eta_matrix(xb[:, :q], q)
-            out[:, q:, :q] = np.einsum("nqe,er->nrq", eta, dec.A2)
-            out[:, q:, q:] = np.moveaxis(residual_root(xb, eta), -1, 0)
-        return out
 
     def apply(x, z):
         y, zy = x[1:q], z[1:q]
@@ -591,11 +573,14 @@ def parabolic_square_root(dec: ParabolicDecomposition):
         np.multiply(t, 2.0, out=out[0])
         if r:
             eta = eta_matrix(x[:q].T, q)
+            resid = dec.B(x.T) - np.einsum("er,nqe,nqf,fs->nrs", dec.A2, eta,
+                                           eta, dec.A2)
+            rho = psd_factor(np.moveaxis(resid, 0, -1))   # (r, r, N)
             out[q:] = dec.A2.T @ np.einsum("nqe,qn->en", eta, z[:q]) + \
-                np.einsum("rsn,sn->rn", residual_root(x.T, eta), z[q:])
+                np.einsum("rsn,sn->rn", rho, z[q:])
         return out
 
-    return _evaluator(rows, apply)
+    return _evaluator(apply)
 
 
 def check_parabolic_drift(drift: AffineVectorField, q: int) -> list[Check]:
@@ -706,38 +691,20 @@ def cone_square_root(q: int):
     assembled from rank-one projectors without a per-point eigendecomposition.
     ``sigma.apply(x, z)`` is s0 z + (s+- - s0)(v+- . z) v+- with
     s = sqrt|eigenvalue|, for columns: x and z are (q, N), one path per
-    column, and so is the result; no q x q arrays are formed.
+    column, and so is the result; no q x q arrays are formed, and sigma(x)
+    is read off it (``core._evaluator``).
     """
 
     def sqrt_abs(v):
         return np.sqrt(np.abs(v, out=v), out=v)
 
-    def roots(x):
-        """The roots s+, s-, s0 (N,) and the unit y-direction u (q-1, N) at
-        the columns x."""
-        x1 = x[0]
-        y = x[1:q]
-        r = np.sqrt(_coldot(y, y))
-        u = y / np.where(r > 0, r, 1.0)
-        return (sqrt_abs(x1 + r), sqrt_abs(x1 - r), np.sqrt(np.abs(x1))), u
-
-    def rows(xb):
-        (sp, sm, s0), u = roots(xb.T)
-        avg = 0.5 * (sp + sm)
-        dif = 0.5 * (sp - sm)
-        out = np.zeros((xb.shape[0], q, q))
-        out[:, 0, 0] = avg
-        out[:, 0, 1:] = (dif * u).T
-        out[:, 1:, 0] = out[:, 0, 1:]
-        uu = np.einsum("in,jn->nij", u, u)
-        eye = np.eye(q - 1)
-        out[:, 1:, 1:] = avg[:, None, None] * uu + \
-            s0[:, None, None] * (eye[None] - uu)
-        return out
-
     def apply(x, z):
-        # u = 0 where y = 0, and there s+- = s0: the result is s0 z
-        (sp, sm, s0), u = roots(x)
+        x1, y = x[0], x[1:q]
+        r = np.sqrt(_coldot(y, y))
+        # the unit y-direction u; u = 0 where y = 0, and there s+- = s0: the
+        # result is s0 z
+        u = y / np.where(r > 0, r, 1.0)
+        sp, sm, s0 = sqrt_abs(x1 + r), sqrt_abs(x1 - r), np.sqrt(np.abs(x1))
         w = _coldot(u, z[1:])
         # cp, cm = (s+- - s0) / 2 * (z_1 +- w)
         cp = np.subtract(sp, s0, out=sp)
@@ -751,7 +718,7 @@ def cone_square_root(q: int):
         out[1:] += (cp - cm) * u
         return out
 
-    return _evaluator(rows, apply)
+    return _evaluator(apply)
 
 
 def check_cone_admissibility(drift: AffineVectorField, p: int,

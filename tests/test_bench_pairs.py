@@ -84,3 +84,66 @@ def test_results_file_is_summarized_into_a_bench_file(tmp_path, capsys):
     assert doc["summary"]["certify"]["call_ms_p90"]["change_better_pairs"] == 3
     # the pairs of a BENCH file are read back under the workload's name
     assert tool.main(["--workload", "certify", "--results", str(out)]) == 0
+
+
+def test_no_regression_verdict_reads_the_bound():
+    # lower is better; the bound is a share of the parent's median
+    entry = {"parent_median": 10.0, "change_median": 12.4, "parent_iqr": 1.0,
+             "every_change_run_better": False}
+    assert tool.verdict(entry, "lower", 0.25) == "within bound"
+    assert tool.verdict(dict(entry, change_median=12.6), "lower",
+                        0.25) == "worse"
+    assert tool.verdict(entry, "lower", 0.2) == "worse"
+    # a parent spread wider than the bound cannot tell, unless every change
+    # run beats every parent run
+    wide = dict(entry, change_median=9.0, parent_iqr=2.6)
+    assert tool.verdict(wide, "lower", 0.25) == "unresolved"
+    assert tool.verdict(dict(wide, every_change_run_better=True), "lower",
+                        0.25) == "within bound"
+    # higher is better: 26% fewer calls is worse, 24% fewer is not
+    rate = {"parent_median": 100.0, "change_median": 74.0, "parent_iqr": 0.0,
+            "every_change_run_better": False}
+    assert tool.verdict(rate, "higher", 0.25) == "worse"
+    assert tool.verdict(dict(rate, change_median=76.0), "higher",
+                        0.25) == "within bound"
+    assert tool.verdict(dict(rate, change_median=130.0), "lower",
+                        0.25) == "worse"
+
+
+def test_every_run_better_compares_the_extremes():
+    parent = [(100.0, float(v)) for v in (4, 5, 6)]
+    summary = tool.summarize(_pairs(parent, [(101.0, 3.9)] * 3),
+                             tool.directions())
+    assert summary["call_ms_p90"]["every_change_run_better"]
+    assert summary["calls_per_s"]["every_change_run_better"]
+    # the change's worst run (4.5 ms) loses to the parent's best (4 ms)
+    summary = tool.summarize(_pairs(parent, [(100.0, 1.0), (100.0, 1.0),
+                                             (100.0, 4.5)]),
+                             tool.directions())
+    assert not summary["call_ms_p90"]["every_change_run_better"]
+    assert not summary["calls_per_s"]["every_change_run_better"]
+
+
+def test_verdicts_are_printed_and_stored(tmp_path, capsys):
+    # p90 over 1..10 ms has an IQR of 4.5 ms, 82% of its median: the 0.5 ms
+    # faster change is unresolved; 30% fewer calls per second is worse
+    parent = [(100.0, float(v)) for v in range(1, 11)]
+    change = [(70.0, v - 0.5) for _, v in parent]
+    results = tmp_path / "pairs.json"
+    results.write_text(json.dumps(_pairs(parent, change)))
+    out = tmp_path / "BENCH_x.json"
+    assert tool.main(["--workload", "mc-stream", "--results", str(results),
+                      "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    p90 = next(line for line in lines if "call_ms_p90" in line)
+    rate = next(line for line in lines if "calls_per_s" in line)
+    assert p90.endswith("claim fails; unresolved")
+    assert rate.endswith("claim fails; worse")
+    summary = json.loads(out.read_text())["summary"]["mc-stream"]
+    assert summary["call_ms_p90"]["verdict"] == "unresolved"
+    assert summary["calls_per_s"]["verdict"] == "worse"
+    # a traced run gets neither rule
+    assert tool.main(["--workload", "mc-stream", "--results", str(results),
+                      "--", "--trace", "1"]) == 0
+    text = capsys.readouterr().out
+    assert "claim" not in text and "worse" not in text

@@ -3,12 +3,13 @@ import json
 import sys
 import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import affinvar.cli
-from affinvar import errors
+from affinvar import errors, report
 from affinvar.cli import main
 from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
                            Polyhedron, QuadraticForm, QuadraticSpace,
@@ -541,6 +542,42 @@ def test_simulate_cir_with_csv(tmp_path, capsys):
     assert len(lines) == 1 + 20 * 51
     t0, path0, x0 = lines[1].split(",")
     assert float(t0) == 0.0 and int(path0) == 0 and float(x0) == 0.3
+
+
+def _csv_rows(ens, p: int) -> str:
+    """The --csv text written row by row: the reference of the writer."""
+    text = "t,path," + ",".join(f"x{i+1}" for i in range(p)) + "\n"
+    for ipath in range(ens.states.shape[0]):
+        for it, t in enumerate(ens.times):
+            row = ",".join(repr(float(v)) for v in ens.states[ipath, it])
+            text += f"{float(t)!r},{ipath},{row}\n"
+    return text
+
+
+@pytest.mark.parametrize("fx", ["cir", "triangle_channel", "parabola3",
+                                "cone3"])
+def test_simulate_csv_bytes_match_the_row_formatter(tmp_path, capsys, fx):
+    csv = tmp_path / "paths.csv"
+    code, _ = _run(capsys, "simulate", str(fixture_path(fx)), "--t", "0.3",
+                   "--steps", "12", "--paths", "11", "--seed", "3",
+                   "--csv", str(csv))
+    assert code == 0
+    model = load_model(fixture_path(fx))
+    ens = report.simulate(model, 0.3, 12, 11, 3, csv=True).ensemble
+    assert csv.read_bytes() == _csv_rows(ens, model.dimension).encode()
+
+
+def test_csv_writer_keeps_every_float_repr(tmp_path):
+    # signed zeros, subnormals, the largest double, non-finite values and
+    # times that are not multiples of a round step
+    values = [0.0, -0.0, 5e-324, -2.2250738585072014e-308,
+              1.7976931348623157e308, float("nan"), float("inf"),
+              -float("inf"), 0.1 + 0.2, -1e16, 123.0]
+    states = np.array(values * 4)[:3 * 7 * 2].reshape(3, 7, 2)
+    ens = SimpleNamespace(states=states, times=np.linspace(0.0, 0.7, 7) / 3)
+    out = tmp_path / "paths.csv"
+    affinvar.cli._write_csv(str(out), ens)
+    assert out.read_bytes() == _csv_rows(ens, 2).encode()
 
 
 @pytest.mark.parametrize("fx,x0,scheme", [

@@ -19,9 +19,10 @@ from affinvar.errors import PreconditionFailedError, SigmaMismatchError
 from affinvar.modelio import load_fixture
 from affinvar.polyhedral import (build_square_root, canonical_transform,
                                  transform_model)
-from affinvar.quadratic import (ParabolicDecomposition, cone_square_root,
+from affinvar.quadratic import (ParabolicDecomposition, conical_basis,
+                                cone_square_root, eta_matrix,
                                 parabolic_square_root,
-                                parabolic_theta_decompose)
+                                parabolic_theta_decompose, zeta_parabolic)
 from affinvar.simulate import (PathEnsemble, Scheme, SimConfig, _expm,
                                _noise_stream,
                                boundary_attainment, invariance_monte_carlo,
@@ -211,7 +212,8 @@ def test_noise_stream_is_keyed_philox():
 
 def _parabolic_random_sigma(rng, q, r):
     """A normalized parabolic decomposition with residual block, as in the
-    sigma reconstruction criterion, and its square root."""
+    sigma reconstruction criterion: its square root and its theta,
+    [[zeta, eta A2], [A2^T eta^T, B]] at the rows x."""
     p = q + r
     A2 = rng.standard_normal(((q - 1) * (q - 2) // 2, r))
     G = rng.standard_normal((r, r))
@@ -219,38 +221,54 @@ def _parabolic_random_sigma(rng, q, r):
     B_A[0] = (q - 2) * A2.T @ A2
     dec = ParabolicDecomposition(1.0, np.zeros((q, r)), A2,
                                  AffineMatrixField(G @ G.T, B_A), q, p)
-    return parabolic_square_root(dec)
+    zeta = zeta_parabolic(p, q)
+
+    def theta(x):
+        off = eta_matrix(x[:, :q], q) @ A2
+        return np.block([[zeta(x), off], [off.swapaxes(1, 2), dec.B(x)]])
+
+    return parabolic_square_root(dec), theta
 
 
 def _sigma_cases():
+    """(sigma, points (N, p), theta, inside) per canonical root: theta(x)
+    is the diffusion that sigma is a root of at the rows x, on the rows
+    where inside(x), the state space, holds."""
     rng = np.random.default_rng(31)
     cir_ct = canonical_transform(load_fixture("cir"))
     tri_ct = canonical_transform(load_fixture("triangle_channel"))
     tri = rng.uniform(0.0, 3.0, (60, 4))
     tri[:, 2:] = rng.standard_normal((60, 2))
     tri[:20, 0] = 0.0                      # on a facet
-    yield pytest.param(build_square_root(cir_ct),
-                       rng.uniform(0.0, 3.0, (60, 1)), id="cir")
-    yield pytest.param(build_square_root(tri_ct), tri_ct.to_canonical(tri),
-                       id="triangle_channel")
+    for name, ct, x in (
+            ("cir", cir_ct, rng.uniform(0.0, 3.0, (60, 1))),
+            ("triangle_channel", tri_ct, tri_ct.to_canonical(tri))):
+        yield pytest.param(build_square_root(ct), x, ct.model.diffusion,
+                           ct.model.state_space.contains, id=name)
     for q in (2, 3, 4):
         x = rng.standard_normal((60, q))
         x[:, 0] = np.abs(x[:, 0]) + np.linalg.norm(x[:, 1:], axis=1)
         x[:10, 1:] = 0.0                   # on the axis, y = 0
         x[10:20, 0] = np.linalg.norm(x[10:20, 1:], axis=1)  # on the cone
-        yield pytest.param(cone_square_root(q), x, id=f"cone{q}")
-    dec = parabolic_theta_decompose(load_fixture("parabola3").diffusion, 3)
-    for name, sigma, q, r in (("parabola3", parabolic_square_root(dec), 3, 0),
-                              ("parabola4+2", _parabolic_random_sigma(rng, 4, 2),
-                               4, 2)):
+        yield pytest.param(
+            cone_square_root(q), x, conical_basis(q)[0],
+            lambda x: x[:, 0] >= np.linalg.norm(x[:, 1:], axis=1),
+            id=f"cone{q}")
+    parabola3 = load_fixture("parabola3").diffusion
+    dec = parabolic_theta_decompose(parabola3, 3)
+    for name, (sigma, theta), q, r in (
+            ("parabola3", (parabolic_square_root(dec), parabola3), 3, 0),
+            ("parabola4+2", _parabolic_random_sigma(rng, 4, 2), 4, 2)):
         y = rng.standard_normal((60, q - 1))
         x = np.hstack([(np.sum(y * y, axis=1) + rng.uniform(0, 2, 60))[:, None],
                        y, rng.standard_normal((60, r))])
-        yield pytest.param(sigma, x, id=name)
+        yield pytest.param(
+            sigma, x, theta,
+            lambda x, q=q: x[:, 0] >= np.sum(x[:, 1:q] ** 2, axis=1), id=name)
 
 
-@pytest.mark.parametrize("sigma,x", _sigma_cases())
-def test_apply_matches_matrix(sigma, x):
+@pytest.mark.parametrize("sigma,x,theta,inside", _sigma_cases())
+def test_apply_matches_matrix(sigma, x, theta, inside):
     # apply takes and returns columns (p, N); the matrices are row-batched
     z = np.random.default_rng(7).standard_normal(x.shape)
     S = sigma(x)
@@ -258,6 +276,27 @@ def test_apply_matches_matrix(sigma, x):
     got = sigma.apply(np.ascontiguousarray(x.T), np.ascontiguousarray(z.T))
     assert got.shape == want.T.shape
     assert np.abs(got - want.T).max() <= 1e-12 * (1 + np.abs(S).max())
+    # the matrices are read off apply, so check them against theta too:
+    # sigma sigma^T = theta on the state space
+    member = inside(x)
+    assert member.sum() >= 40
+    S, th = S[member], theta(x[member])
+    assert np.abs(S @ S.swapaxes(1, 2) - th).max() <= \
+        1e-12 * (1 + np.abs(th).max())
+
+
+@pytest.mark.parametrize("sigma,x,theta,inside", _sigma_cases())
+def test_matrix_is_apply_on_the_unit_columns(sigma, x, theta, inside):
+    # column j of sigma(x) is sigma.apply(x, e_j), bit for bit, at a point,
+    # on a stack of any shape and on no point at all
+    p = x.shape[1]
+    cols = np.stack([sigma.apply(np.repeat(xi[:, None], p, axis=1), np.eye(p))
+                     for xi in x])
+    for i in (0, 15, 59):
+        assert np.array_equal(sigma(x[i]), cols[i])
+    assert np.array_equal(sigma(x[:48].reshape(6, 8, p)),
+                          cols[:48].reshape(6, 8, p, p))
+    assert sigma(np.zeros((0, p))).shape == (0, p, p)
 
 
 def test_apply_mismatch_rejected():

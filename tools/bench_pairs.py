@@ -1,4 +1,5 @@
-"""Alternating parent/change pairs of the benchmark, and the claim rule.
+"""Alternating parent/change pairs of the benchmark, the claim rule and the
+no-regression rule.
 
     python tools/bench_pairs.py --parent HEAD --workload certify --pairs 10 \\
         --seed 7919 --seconds 25 --out BENCH_name.json
@@ -12,14 +13,23 @@ Extra arguments after `--` go to `run.py` unchanged (`-- --trace 1`).
 For each metric of the workload it prints the medians and quartiles
 (inclusive method) of both sides, the parent's interquartile range, the
 change in percent and the pairs the change won (ties count for neither),
-and, for end-to-end metrics, whether the claim rule holds: the change wins
+and, for end-to-end metrics, whether the claim rule holds (the change wins
 at least 9 of every 10 pairs, and its median beats the parent's by more
-than the parent's interquartile range.  With --out the pairs and that
-summary go into the `workloads` and `summary` blocks of a `BENCH_*.json`,
-under the workload's name (`<workload>-trace` for a traced run); a file
-that exists keeps its other keys and workloads.  --results summarizes the
-pairs of an earlier --out file (or a JSON list of pairs) instead of
-running anything.
+than the parent's interquartile range) and the no-regression verdict
+against the metric's `bound` in BENCHMARK.json (`verdict`):
+
+- `worse`: the change's median is worse than the parent's by more than
+  bound times the parent's median;
+- `unresolved`: the parent's interquartile range exceeds bound times its
+  median, and not every change run beats every parent run;
+- `within bound` otherwise.
+
+With --out the pairs and that summary go into the `workloads` and
+`summary` blocks of a `BENCH_*.json`, under the workload's name
+(`<workload>-trace` for a traced run, which gets neither rule); a file that
+exists keeps its other keys and workloads.  --results summarizes the pairs
+of an earlier --out file (or a JSON list of pairs) instead of running
+anything.
 """
 
 from __future__ import annotations
@@ -45,9 +55,11 @@ def directions(root: Path = ROOT) -> dict[str, str]:
             for m in bench["end_to_end"] + bench.get("per_layer", [])}
 
 
-def end_to_end(root: Path = ROOT) -> list[str]:
+def end_to_end(root: Path = ROOT) -> dict[str, float]:
+    """end-to-end metric name -> its relative bound, as BENCHMARK.json
+    declares them."""
     bench = json.loads((root / "BENCHMARK.json").read_text())
-    return [m["name"] for m in bench["end_to_end"]]
+    return {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
 
 def result_of(stdout: str) -> dict:
@@ -75,7 +87,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric of the pairs (each {"parent": result, "change": result}):
     both sides' medians and quartiles, the parent's IQR, the change in
-    percent of the parent's median and the pairs the change won."""
+    percent of the parent's median, the pairs the change won and whether
+    every change run beats every parent run."""
     names = [k for k in pairs[0]["parent"] if k not in RESULT_KEYS]
     summary = {}
     for name in names:
@@ -91,6 +104,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
                 100.0 * (cm - pm) / pm if pm else float("nan"),
             "change_better_pairs": sum(sign * (c - p) > 0
                                        for p, c in zip(par, chg)),
+            "every_change_run_better": min(sign * c for c in chg) >
+                max(sign * p for p in par),
             "pairs": len(pairs)}
     return summary
 
@@ -106,6 +121,20 @@ def claim_holds(entry: dict, better: str) -> bool:
         gain > entry["parent_iqr"]
 
 
+def verdict(entry: dict, better: str, bound: float) -> str:
+    """The no-regression rule on one metric's summary with its relative
+    bound: "worse", "unresolved" or "within bound"."""
+    loss = entry["change_median"] - entry["parent_median"]
+    if better == "higher":
+        loss = -loss
+    scale = bound * abs(entry["parent_median"])
+    if loss > scale:
+        return "worse"
+    if entry["parent_iqr"] > scale and not entry["every_change_run_better"]:
+        return "unresolved"
+    return "within bound"
+
+
 def report(name: str, summary: dict, better: dict[str, str],
            claimable: list[str]) -> str:
     lines = [f"{name}: {next(iter(summary.values()))['pairs']} pairs"]
@@ -114,6 +143,7 @@ def report(name: str, summary: dict, better: dict[str, str],
         if metric in claimable:
             rule = "  claim holds" if claim_holds(e, better[metric]) \
                 else "  claim fails"
+            rule += f"; {e['verdict']}"
         lines.append(
             f"  {metric}: parent {e['parent_median']:.6g} "
             f"[{e['parent_quartiles'][0]:.6g}, "
@@ -172,7 +202,12 @@ def main(argv=None) -> int:
             "--seconds", str(args.seconds), *extra])
     better = directions()
     summary = summarize(pairs, better)
-    print(report(name, summary, better, [] if traced else end_to_end()))
+    bounds = {} if traced else end_to_end()
+    for metric, bound in bounds.items():
+        if metric in summary:
+            summary[metric]["verdict"] = verdict(summary[metric],
+                                                 better[metric], bound)
+    print(report(name, summary, better, list(bounds)))
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc.setdefault("workloads", {})[name] = pairs
