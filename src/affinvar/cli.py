@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="steps (default 1000 per unit time)")
     sp.add_argument("--paths", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0, help="random seed")
-    sp.add_argument("--x0", help="comma-separated start point")
+    sp.add_argument("--x0", help="comma-separated start point; write "
+                    "--x0=-2,0.5,0 when the first coordinate is negative")
     sp.add_argument("--scheme", choices=["full-truncation", "plain"],
                     default="full-truncation")
     sp.add_argument("--csv", help="dump paths to CSV (t,path,x1,...)")

@@ -265,16 +265,6 @@ class CanonicalTransform:
     def to_canonical(self, x) -> np.ndarray:
         return self.map.apply(x)
 
-    def block_matrix(self, y) -> np.ndarray:
-        """The claimed block form [[diag(y_M, 0_N), 0], [0, Psi(y_{M u N})]]."""
-        y = np.asarray(y, dtype=float)
-        p, m, n = self.dim, self.m, self.n
-        out = np.zeros((p, p))
-        out[np.arange(m), np.arange(m)] = y[:m]
-        if p > m + n:
-            out[m + n:, m + n:] = self.psi(y[:m + n])
-        return out
-
 
 def _rank(mat: np.ndarray) -> int:
     if mat.size == 0:

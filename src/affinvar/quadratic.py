@@ -55,18 +55,6 @@ def _row_field_coefficients(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
                            quad[..., iu, ju] + quad[..., ju, iu]], axis=-1)
 
 
-def _symmetric_field_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """The unit symmetric affine fields of size p in p variables, one per
-    coefficient slot (k, i <= j) with k = 0 the constant term: stacks F0 of
-    shape (n, p, p) and F of shape (n, p, p, p)."""
-    i, j = np.triu_indices(p)
-    k, s = np.arange(p + 1)[:, None], np.arange(i.size)
-    G = np.zeros((p + 1, i.size, p + 1, p, p))
-    G[k, s, k, i, j] = G[k, s, k, j, i] = 1.0
-    G = G.reshape(-1, p + 1, p, p)
-    return G[:, 0], G[:, 1:]
-
-
 # ---------------------------------------------------------------------------
 # quadric classification
 # ---------------------------------------------------------------------------
@@ -779,66 +767,3 @@ def check_open_invariance_general(model: ModelSpec) -> Check:
     return Check("open-invariance", all(c.passed for c in checks),
                  margin=checks[-1].margin, certificate=v)
 
-
-# ---------------------------------------------------------------------------
-# kernel-dimension diagnostics (the basis lemmas, checked numerically)
-# ---------------------------------------------------------------------------
-
-def _nullity(M: np.ndarray) -> int:
-    return M.shape[1] - int(np.linalg.matrix_rank(M, tol=TOL.feasibility))
-
-
-def _field_coefficient_matrix(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
-                              F: np.ndarray,
-                              modulo: QuadraticForm | None = None) -> np.ndarray:
-    """One column per field of the stack: the coefficients of r(x)^T M(x),
-    column after column of M, each projected orthogonally to ``modulo``."""
-    coeffs = _row_field_coefficients(c, L, F0, F)
-    if modulo is not None:
-        g = _quad_vector(modulo)
-        g = g / np.linalg.norm(g)
-        coeffs = coeffs - (coeffs @ g)[..., None] * g
-    return coeffs.reshape(coeffs.shape[0], -1).T
-
-
-def parabolic_kernel_dimension(p: int, q: int) -> int:
-    """Numeric dimension of {a affine : (1, -2y^T) a(x) = 0 on the parabola},
-    computed as the nullity of the coefficient operator modulo the parabola
-    polynomial."""
-    # the unit affine maps x -> F0 + F x into R^q, as q x 1 fields
-    E = np.eye(q * (p + 1)).reshape(-1, p + 1, q, 1)
-    L = np.zeros((q, p))
-    L[np.arange(1, q), np.arange(1, q)] = -2.0
-    return _nullity(_field_coefficient_matrix(
-        np.eye(q)[0], L, E[:, 0], E[:, 1:], _canonical_form("parabolic", p, q)))
-
-
-def conical_space_dimension(q: int) -> int:
-    """Numeric dimension of the space of symmetric affine matrix fields whose
-    columns are annihilated by (x_1, -y^T) on the cone."""
-    L = -np.eye(q)
-    L[0, 0] = 1.0
-    return _nullity(_field_coefficient_matrix(
-        np.zeros(q), L, *_symmetric_field_basis(q), _canonical_form("cone", q, q)))
-
-
-def _cancellation_matrix(p: int) -> np.ndarray:
-    """Coefficients of x^T theta(x), one column per unit symmetric field."""
-    return _field_coefficient_matrix(np.zeros(p), np.eye(p),
-                                     *_symmetric_field_basis(p))
-
-
-def theta_cancellation_nullspace_dimension(p: int) -> int:
-    """Numeric nullspace dimension of {coefficients of x^T theta(x)} = 0 over
-    symmetric affine theta; the cancellation lemma says it is zero."""
-    return _nullity(_cancellation_matrix(p))
-
-
-def excluded_quadric_forces_zero(p: int, d: float) -> bool:
-    """For Phi = sum x_i^2 + d with d != 0: the only symmetric affine theta
-    with x^T theta(x) = Phi(x) c^T for some constant vector c is theta = 0.
-    Returns True when the numeric nullspace of the combined linear system is
-    trivial."""
-    phi_vec = _quad_vector(_canonical_form("ellipsoid", p, p, d))
-    M = np.hstack([_cancellation_matrix(p), np.kron(np.eye(p), -phi_vec[:, None])])
-    return _nullity(M) == 0

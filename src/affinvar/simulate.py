@@ -44,7 +44,7 @@ import numpy as np
 
 from .convex import interior_point
 from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
-                   QuadraticSpace, _coefficient_scale, _coldot,
+                   QuadraticSpace, _coefficient_scale, _coldot, _psd_margins,
                    psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
 from .polyhedral import build_square_root, canonical_transform
@@ -424,7 +424,9 @@ def make_projector(space) -> callable:
     its ``clamp(x)`` projects columns x in place, with the same operations.
     Polyhedral spaces must be in canonical coordinates (facets u_i(x) = x_i):
     the projection clamps the facet coordinates at zero.  Parabolic spaces
-    clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially.  Only the
+    clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially, onto the
+    forward nappe {x_1 >= |y|}, where zeta is PSD and where every run starts
+    (``_check_start``); a backward-nappe member is moved to it.  Only the
     inside of a quadric is clamped, and of a cone only with q >= 2: the
     outside, and the R^p that the q = 1 form x_1^2 bounds, have members a
     clamp would move.  General state spaces must be canonicalized first.
@@ -597,8 +599,14 @@ def _check_start(model: ModelSpec, sigma, cfg: SimConfig) -> None:
             f"x0 has shape {cfg.x0.shape}, expected ({model.dimension},)")
     if not bool(model.state_space.contains(cfg.x0)):
         raise PreconditionFailedError("x0 is outside the state space")
-    S = np.asarray(sigma(cfg.x0[None]))[0]
     theta0 = model.diffusion(cfg.x0)
+    # a member where theta is not PSD (the backward nappe of a cone, say)
+    # has no sigma to start from
+    margin = float(_psd_margins(np.linalg.eigvalsh(theta0)))
+    if margin < -TOL.psd:
+        raise PreconditionFailedError(
+            f"theta is not PSD at x0 (relative margin {margin:.3e})")
+    S = np.asarray(sigma(cfg.x0[None]))[0]
     resid = float(np.abs(S @ S.T - theta0).max())
     if resid > TOL.feasibility * _coefficient_scale(theta0):
         raise SigmaMismatchError(

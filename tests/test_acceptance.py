@@ -17,14 +17,13 @@ from affinvar.polyhedral import (PsdFacetDecomposition, canonical_transform,
                                  check_open_facet_invariance, psd_decompose,
                                  transform_model, build_square_root)
 from affinvar.quadratic import (ParabolicDecomposition, cone_square_root,
-                                conical_space_dimension, eta_matrix,
-                                parabolic_kernel_dimension,
-                                parabolic_square_root,
-                                theta_cancellation_nullspace_dimension,
+                                eta_matrix, parabolic_square_root,
                                 zeta_parabolic)
 from affinvar.simulate import Scheme, SimConfig, simulate_summary
-from conftest import (grid_min, random_affine_image, random_canonical_model,
-                      random_grid_simplex)
+from conftest import (block_matrix, conical_space_dimension, grid_min,
+                      parabolic_kernel_dimension, random_affine_image,
+                      random_canonical_model, random_grid_simplex,
+                      theta_cancellation_nullspace_dimension)
 
 
 def _report(num, passed, detail, elapsed, budget):
@@ -128,7 +127,7 @@ def test_acceptance_04_canonical_transform_soundness():
         y0 = ct.to_canonical(interior_point(ct.polyhedron))
         for _ in range(100):
             y = y0 + rng.standard_normal(p)
-            worst = max(worst, float(np.abs(canon(y) - ct.block_matrix(y)).max()))
+            worst = max(worst, float(np.abs(canon(y) - block_matrix(ct, y)).max()))
     elapsed = time.time() - t0
     _report(4, worst <= 1e-9,
             f"{n_models} models, worst block residual {worst:.2e}",

@@ -627,6 +627,37 @@ def test_simulate_rejects_malformed_input(capsys, args, expected):
     assert err == ("parse" if expected == 2 else "PreconditionFailedError")
 
 
+@pytest.mark.parametrize("fixture,cut,x0,expected", [
+    ("cone3", None, "-2,0.5,0", 1), ("triangle_channel", -1.4, "0,1.4,0,0", 1),
+    ("cir", None, "0", 0), ("triangle_channel", None, "0,1.5,0,0", 0),
+    ("cone3", None, "0,0,0", 0), ("parabola3", None, "0,0,0", 0)],
+    ids=["cone3-backward-nappe", "channel-vertex", "cir-origin",
+         "channel-vertex-singular", "cone3-apex", "parabola3-vertex"])
+def test_simulate_start_needs_psd_theta(tmp_path, capsys, fixture, cut, x0,
+                                        expected):
+    # a member of the state space where theta is not PSD fails its
+    # precondition (exit 1): the cone's backward nappe, and the vertex of
+    # triangle_channel cut at x_1 + x_2 >= 1.4; where theta is PSD but
+    # singular, the run starts
+    obj = json.loads(fixture_path(fixture).read_text())
+    if cut is not None:
+        obj["state_space"]["delta"][2] = cut
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(obj))
+    code = main(["simulate", str(path), f"--x0={x0}", "--paths", "10",
+                 "--steps", "10"])
+    captured = capsys.readouterr()
+    assert code == expected
+    if expected:
+        assert not captured.out
+        err = json.loads(captured.err)
+        assert err["error"] == "PreconditionFailedError"
+        assert "theta is not PSD at x0" in err["detail"]
+    else:
+        start = json.loads(captured.out)["simulation"]["x0"]
+        assert start == [float(v) for v in x0.split(",")]
+
+
 def test_simulate_deterministic_reports(capsys):
     args = ["simulate", str(fixture_path("cir")), "--t", "0.2", "--steps", "20",
             "--paths", "10", "--seed", "9"]

@@ -38,6 +38,20 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     labels = [label for label, _ in calls]
     argvs = [tuple(argv) for _, argv in calls]
     assert len(set(labels)) == len(labels) == len(set(argvs))
+    assert len(calls) == 616
+
+    # the last calls come after the 610 others, so that those keep their
+    # lines: every command on triangle_channel cut at x_1 + x_2 >= 1.4, then
+    # simulate from its vertex (0, 1.4) and from cone3's backward nappe
+    argvs, appended = argvs[:610], argvs[610:]
+    vertex = tmp_path / "theta-not-psd-vertex.json"
+    model = json.loads(fixture_path("triangle_channel").read_text())
+    model["state_space"]["delta"][2] = -1.4
+    assert json.loads(vertex.read_text()) == model
+    sim = ("--t", "0.25", "--steps", "25", "--paths", "40", "--seed", "11")
+    assert appended == [(cmd, str(vertex)) for cmd in COMMANDS] + [
+        ("simulate", str(vertex), *sim, "--x0=0,1.4,0,0"),
+        ("simulate", str(fixture_path("cone3")), *sim, "--x0=-2,0.5,0")]
 
     expected = set()
     for tol in ((), ("--tol", "1e-6")):
@@ -87,5 +101,5 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     edge_paths = {str(tmp_path / f"{name}.json") for name in EDGE_MODELS}
     assert {argv[1] for argv in argvs if argv[0] == "simulate"} - \
         set(fixtures) - edge_paths == image_sims
-    assert len(calls) == len(expected) + len(EDGE_MODELS) + len(simulate) + \
+    assert len(argvs) == len(expected) + len(EDGE_MODELS) + len(simulate) + \
         len(image_sims) + 1 == 610

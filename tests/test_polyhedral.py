@@ -23,7 +23,7 @@ from affinvar.polyhedral import (ExtendedModel, _coupling_rows,
                                  check_triangle_condition, diagonalize_extended,
                                  lift_drift, psd_decompose, transform_model)
 from affinvar.tolerances import TOL
-from conftest import (coefficient_multiple, random_affine_image,
+from conftest import (block_matrix, coefficient_multiple, random_affine_image,
                       random_canonical_model)
 
 
@@ -140,7 +140,7 @@ def test_canonical_transform_block_identity_and_facet_images():
     worst = 0.0
     for _ in range(100):
         y = y0 + rng.standard_normal(4)
-        worst = max(worst, np.abs(canon.diffusion(y) - ct.block_matrix(y)).max())
+        worst = max(worst, np.abs(canon.diffusion(y) - block_matrix(ct, y)).max())
     assert worst <= 1e-9
     # facet hyperplanes map onto the coordinate hyperplanes: the point
     # -delta_i gamma_i / |gamma_i|^2 has u_i = 0
@@ -199,7 +199,7 @@ def test_canonical_transform_round_trip_on_canonical_model(rng):
     worst = 0.0
     for _ in range(50):
         y = y0 + rng.standard_normal(3)
-        worst = max(worst, np.abs(canon(y) - ct.block_matrix(y)).max())
+        worst = max(worst, np.abs(canon(y) - block_matrix(ct, y)).max())
     assert worst <= 1e-12 * (1 + np.abs(model.diffusion.A0).max() * 10)
 
 

@@ -20,14 +20,13 @@ from affinvar.quadratic import (_row_field_coefficients,
                                 check_parabolic_drift,
                                 check_parabolic_psd_condition, classify_quadric,
                                 cone_square_root, conical_basis,
-                                conical_space_dimension,
                                 conical_theta_decompose, eta_matrix,
-                                excluded_quadric_forces_zero,
                                 normalize_parabolic, parabolic_basis,
-                                parabolic_kernel_dimension,
                                 parabolic_square_root,
                                 parabolic_theta_decompose, zeta_parabolic)
-from conftest import random_affine_image, random_affine_map
+from conftest import (conical_space_dimension, excluded_quadric_forces_zero,
+                      parabolic_kernel_dimension, random_affine_image,
+                      random_affine_map)
 
 
 # ---------------------------------------------------------------------------

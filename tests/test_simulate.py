@@ -27,7 +27,7 @@ from affinvar.simulate import (PathEnsemble, Scheme, SimConfig, _expm,
                                _noise_stream,
                                boundary_attainment, invariance_monte_carlo,
                                make_projector, mean_ode, simulate_paths,
-                               simulate_summary)
+                               simulate_summary, simulation_frame)
 
 
 def _cir_setup(b=1.0):
@@ -723,6 +723,44 @@ def test_x0_outside_state_space_rejected():
     with pytest.raises(PreconditionFailedError):
         simulate_paths(model, sigma,
                        SimConfig(np.array([-1.0]), 1.0, 10, 5, seed=0))
+
+
+def _vertex_channel():
+    """triangle_channel cut at x_1 + x_2 >= 1.4 instead of 1.5: at the
+    vertex (0, 1.4) its theta block [[0.5 + x_1, 1], [1, 0.5 + x_2]] has
+    determinant -0.05."""
+    m = load_fixture("triangle_channel")
+    space = Polyhedron(m.state_space.gamma, np.array([0.0, 0.0, -1.4]))
+    return ModelSpec(4, m.drift, m.diffusion, space)
+
+
+@pytest.mark.parametrize("model,x0", [
+    (load_fixture("cone3"), [-2.0, 0.5, 0.0]),
+    (_vertex_channel(), [0.0, 1.4, 0.0, 0.0])],
+    ids=["cone3-backward-nappe", "channel-vertex"])
+def test_start_where_theta_is_not_psd_rejected(model, x0):
+    # a member of the state space where theta is not PSD: (-2, 0.5, 0) is
+    # on the backward nappe of {x_1^2 >= |y|^2}, where zeta is negative
+    # definite; no sigma has sigma sigma^T = theta there
+    x0 = np.array(x0)
+    assert model.state_space.contains(x0)
+    canon, sigma, f, _ = simulation_frame(model)
+    for scheme in Scheme:
+        with pytest.raises(PreconditionFailedError, match="not PSD at x0"):
+            simulate_paths(canon, sigma, SimConfig(
+                f.apply(x0), 1.0, 10, 5, seed=0, scheme=scheme))
+
+
+@pytest.mark.parametrize("fixture,x0", [
+    ("cir", [0.0]), ("triangle_channel", [0.0, 1.5, 0.0, 0.0]),
+    ("cone3", [0.0, 0.0, 0.0]), ("parabola3", [0.0, 0.0, 0.0])])
+def test_start_where_theta_is_singular_runs(fixture, x0):
+    # theta is PSD but singular at these boundary points: the run starts
+    canon, sigma, f, _ = simulation_frame(load_fixture(fixture))
+    for scheme in Scheme:
+        ens = simulate_paths(canon, sigma, SimConfig(
+            f.apply(np.array(x0)), 1.0, 10, 5, seed=0, scheme=scheme))
+        assert np.isfinite(ens.states).all()
 
 
 def test_sigma_mismatch_rejected():

@@ -28,6 +28,9 @@ call on both sides.  They are:
   decided off the canonical coordinates;
 - simulate on the first SIM_IMAGES of those images of parabola3, whose
   normalization S is not the identity;
+- every command on `_theta_not_psd_vertex`, then simulate from starts
+  in the state space where theta is not PSD: its vertex (0, 1.4) and the
+  backward nappe of cone3;
 
 each of the first two groups with and without --tol 1e-6.
 """
@@ -150,6 +153,14 @@ def _edge_models() -> dict[str, dict]:
     }
 
 
+def _theta_not_psd_vertex() -> dict:
+    """triangle_channel cut at x_1 + x_2 >= 1.4: validate passes it, but at
+    the vertex (0, 1.4) det theta_34 = -0.05."""
+    vertex = _fixture("triangle_channel")
+    vertex["state_space"]["delta"][2] = -1.4
+    return vertex
+
+
 def _affine_images(name: str) -> list[dict]:
     """The first IMAGES models of X = A Y + s, Y the fixture, for maps drawn
     one after another from one generator seeded IMAGE_SEED: A has singular
@@ -221,6 +232,16 @@ def calls(workdir: Path) -> list[tuple[str, list[str]]]:
             if fx == "parabola3" and i < SIM_IMAGES:
                 out.append((f"simulate {fx} image {i}",
                             ["simulate", path, *SIM_ARGS]))
+    vertex = write("theta-not-psd-vertex", _theta_not_psd_vertex())
+    for cmd in CERTIFY:
+        out.append((f"{cmd} theta-not-psd-vertex", [cmd, vertex]))
+    # starts in the state space where theta is not PSD: that vertex, and a
+    # point of the cone's backward nappe x_1 <= -|y|
+    for name, path, x0 in (
+            ("theta-not-psd-vertex", vertex, "0,1.4,0,0"),
+            ("cone3", str(fixture_path("cone3")), "-2,0.5,0")):
+        out.append((f"simulate {name} --x0={x0}",
+                    ["simulate", path, *SIM_ARGS, f"--x0={x0}"]))
     return out
 
 
