@@ -36,7 +36,7 @@ _PUBLIC = {
                   "parabolic_basis", "parabolic_square_root",
                   "parabolic_theta_decompose"),
     "report": ("Report", "validate"),
-    "simulate": ("PathEnsemble", "Scheme", "SimConfig", "boundary_attainment",
+    "simulate": ("PathEnsemble", "Scheme", "SimConfig",
                  "invariance_monte_carlo", "mean_ode", "simulate_paths",
                  "simulate_summary", "simulation_frame"),
 }

@@ -161,11 +161,10 @@ def _certificate(d: AffineScalar, poly: Polyhedron,
     return _certificates(d.coefficients()[None], poly, [free])[0]
 
 
-def _nnls(A: np.ndarray, b: np.ndarray,
-          maxiter: int | None = None) -> np.ndarray:
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """argmin |A x - b| over x >= 0; NumericalFailureError when the
-    active-set iteration needs more than maxiter (default 3n) passive-set
-    solves or ends off a KKT point.
+    active-set iteration needs more than 3n passive-set solves or ends off
+    a KKT point.
 
     Lawson & Hanson's active-set method (Solving Least Squares Problems,
     1974, ch. 23) in the Gram-matrix form of Bro & De Jong (J. Chemometrics
@@ -184,8 +183,11 @@ def _nnls(A: np.ndarray, b: np.ndarray,
     Numerical Methods for Least Squares Problems, 1996, 6.6.5), which win
     back the digits the Gram matrix squares away; then every zero entry must
     have its dual, against the columns, at the rounding level, which also
-    catches a refinement step that an ill-conditioned factor sent astray.
-    No columns give the empty x.
+    catches a refinement step that an ill-conditioned factor sent astray;
+    a zero entry whose column lies in the passive span to rounding,
+    A_j = A_P y, keeps the dual y^T A_P^T r of that combination and passes
+    at the level times 1 + |y|_1.  An empty passive set after a step back
+    ends the passive solve.  No columns give the empty x.
     """
     n = A.shape[1]
     norms = np.sqrt(np.einsum("ij,ij->j", A, A))
@@ -194,7 +196,7 @@ def _nnls(A: np.ndarray, b: np.ndarray,
     G, g = (A.T @ A).tolist(), (A.T @ b).tolist()
     eps = 10.0 * max(A.shape) * sys.float_info.epsilon
     g_max = max(map(abs, g), default=0.0)
-    steps = 3 * n if maxiter is None else maxiter
+    steps = 3 * n
     x, passive, L = [0.0] * n, [], []
     while True:
         w = {j: g[j] - sum(map(operator.mul, G[j], x))
@@ -216,12 +218,16 @@ def _nnls(A: np.ndarray, b: np.ndarray,
                 for i, v in zip(passive, dx):
                     x[i] = max(x[i] + v, 0.0)
             x = np.array(x)
-            if np.any(((b - A @ x) @ A)[x == 0.0] > eps * (g_max + x.sum())):
-                raise NumericalFailureError("NNLS ended off its optimum")
+            w = (b - A @ x) @ A
+            level = eps * (g_max + x.sum())
+            for j in np.flatnonzero((x == 0.0) & (w > level)).tolist():
+                dist, size = _span_fit(A, passive, j)
+                if dist > eps * (1.0 + size) or w[j] > level * (1.0 + size):
+                    raise NumericalFailureError("NNLS ended off its optimum")
             return unit * x
         passive.append(t)
         L.append(row)
-        while True:  # solve on the passive set, stepping back while s <= 0
+        while passive:  # solve on the passive set, stepping back while s <= 0
             steps -= 1
             if steps < 0:
                 raise NumericalFailureError("NNLS ran out of iterations")
@@ -261,9 +267,16 @@ def _factor_row(G: list, L: list, passive: list, t: int, floor: float,
         return row + [math.sqrt(pivot)]
     if A is None or not passive:
         return None
+    pivot, size = _span_fit(A, passive, t)
+    return row + [pivot] if pivot > floor * (1.0 + size) else None
+
+
+def _span_fit(A: np.ndarray, passive: list, t: int) -> tuple[float, float]:
+    """The distance of column A_t from A_P y, its least-squares fit on the
+    passive columns, and |y|_1."""
     y = np.linalg.lstsq(A[:, passive], A[:, t], rcond=None)[0]
-    pivot = float(np.linalg.norm(A[:, t] - A[:, passive] @ y))
-    return row + [pivot] if pivot > floor * (1.0 + np.abs(y).sum()) else None
+    return (float(np.linalg.norm(A[:, t] - A[:, passive] @ y)),
+            float(np.abs(y).sum()))
 
 
 def _factor_solve(L: list, v: list) -> list:

@@ -43,9 +43,8 @@ from enum import Enum
 import numpy as np
 
 from .convex import interior_point
-from .core import (AffineScalar, ModelSpec, Polyhedron, QuadraticForm,
-                   QuadraticSpace, _coefficient_scale, _coldot, _psd_margins,
-                   psd_square_root)
+from .core import (ModelSpec, Polyhedron, QuadraticSpace, _coefficient_scale,
+                   _coldot, _psd_margins, psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
 from .polyhedral import build_square_root, canonical_transform
 from .quadratic import (_canonical_kind, canonical_quadric_model,
@@ -488,95 +487,70 @@ class _ExitTracker:
     """Running first-exit and worst-violation statistics over all paths,
     given as columns (p, N) one step at a time (``update(step, x)``).
 
-    While no path is out, a step costs one reduction: the least facet (or
-    Phi) value of the step gates the per-path exit bookkeeping.  The worst
-    value of each facet is an elementwise running minimum over the steps,
-    reduced over the paths only when ``worst`` is read; the worst Phi value
-    is the running minimum of the gate values.  Both minima skip NaN values,
-    so a path that is NaN hides no other path's violation.
-    ``_exit_tracker`` picks the subclass of the state space's kind.
+    A step's values are rows (k, N) that are >= 0 in the state space: the
+    q facet values of a polyhedron, or the one signed Phi row of a quadric,
+    each formed in a buffer that every step reuses.  While no path is out,
+    a step costs one reduction: the least value of the step gates the
+    per-path exit bookkeeping.  The worst value of each row is an
+    elementwise running minimum over the steps, reduced over the paths only
+    when ``worst`` is read.  The minima skip NaN values, so a path that is
+    NaN hides no other path's violation.
     """
 
     def __init__(self, space, n_paths: int, tol: float):
-        self.space = space
         self.tol = tol
         self.exit_step = np.full(n_paths, -1, dtype=int)
+        if isinstance(space, Polyhedron):
+            gamma, k = space.gamma, space.n_facets
+            buf = np.empty((k, n_paths))
+            # delta spread over the paths once: a broadcast add is slower
+            delta = np.repeat(space.delta[:, None], n_paths, axis=1)
 
-    def _mark(self, step: int, low: np.ndarray) -> None:
-        """Record step as the first exit of the paths whose least value is
-        below -tol."""
-        self.exit_step[(low < -self.tol) & (self.exit_step < 0)] = step
+            def values(x):
+                vals = np.matmul(gamma, x, out=buf)
+                vals += delta
+                return vals
+        else:
+            form, k = space.form, 1
+            flip = space.component != "positive"
+            buf = np.empty((form.A.shape[0], n_paths))
+            bx = np.empty(n_paths)
+            phi = buf[:1]
 
+            def values(x):
+                # Phi = (A x).x + b.x + c per column, in the first row of
+                # buf, the dot summed left to right over the rows as
+                # _coldot sums it
+                np.multiply(np.matmul(form.A, x, out=buf), x, out=buf)
+                vals = buf[0]
+                for row in buf[1:]:
+                    vals += row
+                vals += np.matmul(form.b, x, out=bx)
+                vals += form.c
+                # the sign makes the state space {value >= 0}
+                if flip:
+                    np.negative(vals, out=vals)
+                return phi
 
-class _FacetExits(_ExitTracker):
-    """Exits of a polyhedron; the facet values of a step are written into
-    one (q, N) buffer that every step reuses."""
-
-    def __init__(self, space, n_paths: int, tol: float):
-        super().__init__(space, n_paths, tol)
-        self._low = np.full((space.n_facets, n_paths), np.inf)
-        self._vals = np.empty((space.n_facets, n_paths))
-        # delta spread over the paths once: a broadcast add is slower
-        self._delta = np.repeat(space.delta[:, None], n_paths, axis=1)
+        self._values = values
+        self._low = np.full((k, n_paths), np.inf)
 
     @property
     def worst(self) -> np.ndarray:
-        """Worst value per facet; inf before any state was seen."""
+        """Worst value per row, (q,) or (1,); inf before any state was
+        seen."""
         return self._low.min(axis=1, initial=np.inf)
 
     def update(self, step: int, x: np.ndarray) -> None:
-        vals = np.matmul(self.space.gamma, x, out=self._vals)     # (q, N)
-        vals += self._delta
+        vals = self._values(x)
         # fmin keeps the new value on ties, as minimum(low, vals) does
         np.fmin(vals, self._low, out=self._low)
         least = np.minimum.reduce(vals, axis=None, initial=np.inf)
         # written so that a NaN value (which the minimum propagates) still
         # lets an exit of another path through
         if not least >= -self.tol:
-            self._mark(step, vals.min(axis=0))
-
-
-class _PhiExits(_ExitTracker):
-    """Exits of a quadric, by the sign of its form Phi; Phi is evaluated in
-    a (p, N) and an (N,) buffer that every step reuses."""
-
-    def __init__(self, space, n_paths: int, tol: float):
-        super().__init__(space, n_paths, tol)
-        self._worst = np.inf
-        self._ax = np.empty((space.form.A.shape[0], n_paths))
-        self._bx = np.empty(n_paths)
-
-    @property
-    def worst(self) -> np.ndarray:
-        """The worst value of Phi; inf before any state was seen."""
-        return np.array([self._worst])
-
-    def update(self, step: int, x: np.ndarray) -> None:
-        # Phi = (A x).x + b.x + c per column, the dot summed left to right
-        # over the rows as _coldot sums it
-        form = self.space.form
-        prod = np.multiply(np.matmul(form.A, x, out=self._ax), x,
-                           out=self._ax)
-        vals = prod[0]
-        for row in prod[1:]:
-            vals += row
-        vals += np.matmul(form.b, x, out=self._bx)
-        vals += form.c
-        # the sign makes the state space {value >= 0}
-        if self.space.component != "positive":
-            np.negative(vals, out=vals)
-        least = np.minimum.reduce(vals, initial=np.inf)
-        # the least is NaN when some path is: the worst skips that path
-        self._worst = min(self._worst,
-                          np.fmin.reduce(vals) if least != least else least)
-        if not least >= -self.tol:
-            self._mark(step, vals)
-
-
-def _exit_tracker(space, n_paths: int, tol: float) -> _ExitTracker:
-    """The exit tracker of a polyhedron or a quadric state space."""
-    cls = _FacetExits if isinstance(space, Polyhedron) else _PhiExits
-    return cls(space, n_paths, tol)
+            low = vals.min(axis=0)
+            self.exit_step[(low < -self.tol) & (self.exit_step < 0)] = step
 
 
 @dataclass
@@ -701,7 +675,7 @@ def simulate_paths(model: ModelSpec, sigma, cfg: SimConfig,
     the square-root guards in sigma handle excursions.
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    tracker = _exit_tracker(model.state_space, cfg.n_paths, _EXIT_TOL)
+    tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
     states = np.empty((cfg.n_paths, cfg.steps + 1, model.dimension))
 
     def on_step(step, x):
@@ -733,7 +707,7 @@ def simulate_summary(model: ModelSpec, sigma, cfg: SimConfig, projector=None,
     reducing a stored ensemble (same noise keying).
     """
     times = np.linspace(0.0, cfg.horizon, cfg.steps + 1)
-    tracker = _exit_tracker(model.state_space, cfg.n_paths, _EXIT_TOL)
+    tracker = _ExitTracker(model.state_space, cfg.n_paths, _EXIT_TOL)
     minima = np.full((len(functionals), cfg.n_paths), np.inf)
 
     def on_step(step, x):
@@ -815,20 +789,7 @@ def invariance_monte_carlo(ens: PathEnsemble, space, tol: float) -> ExitStats:
     """Empirical invariance statistics of a stored ensemble: fraction of paths
     leaving the state space by more than tol, worst violations, and each
     path's first exit step."""
-    tracker = _exit_tracker(space, ens.n_paths, tol)
+    tracker = _ExitTracker(space, ens.n_paths, tol)
     for step in range(ens.states.shape[1]):
         tracker.update(step, ens.states[:, step].T)
     return _stats_from_tracker(tracker)
-
-
-def boundary_attainment(ens: PathEnsemble, functional, eps: float) -> float:
-    """Fraction of paths whose functional value drops below eps at any grid time."""
-    if ens.n_paths == 0:
-        return 0.0
-    if isinstance(functional, (AffineScalar, QuadraticForm)):
-        vals = functional(ens.states.reshape(-1, ens.states.shape[-1]))
-        vals = np.asarray(vals).reshape(ens.states.shape[:2])
-    else:
-        vals = np.asarray(functional(ens.states))
-    hit = np.any(vals < eps, axis=1)
-    return float(np.count_nonzero(hit)) / ens.n_paths

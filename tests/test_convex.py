@@ -266,18 +266,37 @@ def test_nnls_refuses_a_dependent_column_and_refines_its_solution():
 
 def test_nnls_iteration_limit_raises_and_validate_exits_3(monkeypatch,
                                                           lp_calls):
-    # x >= 1 needs one passive-set solve: none allowed is a numerical
-    # failure, from _nnls and from every oracle on it, never a None that
-    # reads as a proof; validate reports it as inconclusive (exit 3)
+    # nearly dependent columns (problem 1212 of tools/sweep.py's nnls
+    # sweep): a step back empties the passive set, which ends the passive
+    # solve, and the iteration runs into its limit of 3n solves.  A failing
+    # NNLS is a numerical failure, from _nnls and from every oracle on it,
+    # never a None that reads as a proof; validate reports it as
+    # inconclusive (exit 3)
+    A = np.array([
+        [-0.05599368172012328, -0.9577833000242851, -0.08930706867208003,
+         -1.1112096414222492, -2.0024987744511438, 1.101539701296981,
+         -1.760048772834087, 0.009405969350970112],
+        [0.7049254285301938, 0.5718020715504288, 0.3685282084766266,
+         -0.5596907303832854, -0.13678210118138756, -0.530379802329056,
+         0.30978087665607884, -0.649632531705987],
+        [-0.7436892084996801, 1.0683968855452015, -0.27879843669449583,
+         -1.0072007553557552, -0.2135641202600685, -0.995012785565819,
+         2.219737999877891, 0.7626657553303455],
+        [-0.3962013674204602, -0.6333479340039677, -0.22765795357594373,
+         -1.1260141325774686, -1.7503187144860943, 0.769109037534128,
+         -0.9456835763090025, 0.3506949675170682]])
+    b = np.array([-1.0164404085666805, -0.22672097202190514,
+                  0.785987318084702, 0.38669227404977063])
+    with pytest.raises(NumericalFailureError, match="ran out of iterations"):
+        _nnls(A, b)
+
+    def failing(A, b):
+        raise NumericalFailureError("NNLS ran out of iterations")
+
+    monkeypatch.setattr(affinvar.convex, "_nnls", failing)
     G, h = np.array([[1.0]]), np.array([1.0])
     E = np.vstack([G.T, h])
     f = np.array([0.0, 1.0])
-    with pytest.raises(NumericalFailureError):
-        _nnls(E, f, maxiter=0)
-    assert _nnls(E, f) is not None
-    real = affinvar.convex._nnls
-    monkeypatch.setattr(affinvar.convex, "_nnls",
-                        lambda A, b: real(A, b, maxiter=0))
     # x >= 1, x >= 0, x >= -1: each facet's redundancy is one NNLS
     poly = Polyhedron(np.ones((3, 1)), np.array([-1.0, 0.0, 1.0]))
     for call in (lambda: _least_distance(G, h),
@@ -618,6 +637,19 @@ def test_minimalize_rank_deficient_matches_lp_oracle(kind, p, scale, data,
     assert (cert is not None) == lp_certificate_exists(d, poly, free)
     if cert is not None:
         _assert_valid(cert, d, poly, free)
+
+
+def test_certificate_refused_column_at_the_optimum_is_none():
+    # a low-rank gamma (5 x 2, rank 1) and a functional with no
+    # certificate: the NNLS ends at its optimum with passive columns whose
+    # gamma parts are parallel, and the column of c, refused as dependent
+    # on them, keeps a dual of 2.6e-14 against a level of 8.8e-15.  That
+    # is the rounding of its combination, so the exit stands
+    rng = np.random.default_rng(120660)
+    poly = _rank_deficient_polyhedron(rng, "low-rank", 2, 0.01)
+    d = _functional(rng, poly, 0.01, False)
+    assert not lp_certificate_exists(d, poly, None)
+    assert _certificate(d, poly, None) is None
 
 
 def _one_certificate(row: np.ndarray, poly: Polyhedron, free):

@@ -1,0 +1,183 @@
+"""Falsification sweeps: the generators of the oracle property tests, run
+over a fixed seed range against each property's independent oracle.
+
+Tier-1's property tests draw fresh examples each run, so a rare defect
+shows up there as a flake.  These sweeps draw a fixed set and count what
+fails:
+
+- `certificates`: `convex._certificate` against `lp_certificate_exists`
+  (scipy's LP) on the draws of
+  `test_convex.py::test_minimalize_rank_deficient_matches_lp_oracle`:
+  3 kinds x p 1-4 x 7 scales x SEEDS x a certified functional or not x
+  `free` None or 0, each draw `default_rng(seed)` as the test makes it;
+- `nnls`: `convex._nnls` against `scipy.optimize.nnls` on N_NNLS problems
+  drawn from `default_rng(1)` (`_dependent_columns`), whose columns from the
+  third on are, with probability 1/2, combinations of two earlier ones plus
+  noise of 1e-12 to 1e-5.  A result counts as `above_reference` when its
+  residual is more than ABOVE |b| above scipy's.
+
+The generators are imported from `tests/`, not copied, so the package,
+scipy, pytest and hypothesis must import (the `dev` extra).  Prints one JSON
+object: per sweep the calls, the raises by message, the disagreements with
+the oracle, and each failure's draw, so that a failing draw becomes a fixed
+test in one step; the seconds each sweep took go to stderr.  A call that
+raises anything but `NumericalFailureError` is a finding, recorded with its
+draw, and the sweep carries on.  Run it on two checkouts and diff:
+
+    PYTHONPATH=src python tools/sweep.py > after.json
+    PYTHONPATH=../parent/src python tools/sweep.py > before.json
+    diff before.json after.json
+
+The `certificates` sweep makes 50,400 calls, 2 to 2.5 minutes on a 2-core
+machine; `nnls` about 1 s.
+"""
+
+from __future__ import annotations
+
+import collections
+import json
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy.optimize
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+
+from affinvar.convex import _certificate, _nnls  # noqa: E402
+from affinvar.errors import NumericalFailureError  # noqa: E402
+from conftest import lp_certificate_exists  # noqa: E402
+from test_convex import _functional, _rank_deficient_polyhedron  # noqa: E402
+
+KINDS = ("tangent", "low-rank", "orthant")
+DIMENSIONS = (1, 2, 3, 4)
+SCALES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
+SEEDS = range(150)
+N_NNLS = 3000
+ABOVE = 1e-6
+
+
+class _Tally:
+    """Calls, raises by message, disagreements and the failing draws of
+    one sweep."""
+
+    def __init__(self):
+        self.calls = self.disagreements = 0
+        self.raises = collections.Counter()
+        self.failures = []
+
+    def run(self, draw: dict, call) -> tuple[bool, object]:
+        """(True, call()), or (False, None) after a raise, which is
+        recorded with the draw."""
+        self.calls += 1
+        try:
+            return True, call()
+        except NumericalFailureError as exc:
+            self.raises[str(exc)] += 1
+            self.failures.append({**draw, "raised": str(exc)})
+        except Exception as exc:  # a finding: the contract is the error above
+            self.raises[f"{type(exc).__name__}: {exc}"] += 1
+            self.failures.append({**draw, "finding": repr(exc)})
+        return False, None
+
+    def disagree(self, draw: dict, what: str):
+        self.disagreements += 1
+        self.failures.append({**draw, "disagrees": what})
+
+    def report(self, **extra) -> dict:
+        return {"calls": self.calls, "raises": dict(sorted(self.raises.items())),
+                "disagreements": self.disagreements, **extra,
+                "failures": self.failures}
+
+
+def sweep_certificates() -> dict:
+    tally = _Tally()
+    for kind in KINDS:
+        for p in DIMENSIONS:
+            for scale in SCALES:
+                for seed in SEEDS:
+                    for certified in (False, True):
+                        for free in (None, 0):
+                            rng = np.random.default_rng(seed)
+                            poly = _rank_deficient_polyhedron(rng, kind, p,
+                                                              scale)
+                            d = _functional(rng, poly, scale, certified)
+                            draw = {"kind": kind, "p": p, "scale": scale,
+                                    "seed": seed, "certified": certified,
+                                    "free": free}
+                            ok, cert = tally.run(
+                                draw, lambda: _certificate(d, poly, free))
+                            found = cert is not None
+                            if ok and found != lp_certificate_exists(
+                                    d, poly, free):
+                                tally.disagree(draw, f"certificate {found}, "
+                                                     f"LP {not found}")
+    return tally.report()
+
+
+def _dependent_columns(rng) -> tuple[np.ndarray, np.ndarray]:
+    """An m x n matrix, m in [3, 8] and n in [3, 10], whose columns from
+    the third on are each, with probability 1/2, a random combination of
+    two earlier columns plus noise 10^U(-12, -5); and b = A |z| or z for a
+    normal z, with probability 1/2 each."""
+    m, n = int(rng.integers(3, 9)), int(rng.integers(3, 11))
+    A = rng.standard_normal((m, n))
+    for j in range(2, n):
+        if rng.random() < 0.5:
+            i, k = rng.choice(j, 2, replace=False)
+            A[:, j] = rng.standard_normal() * A[:, i] \
+                + rng.standard_normal() * A[:, k] \
+                + 10.0 ** rng.uniform(-12, -5) * rng.standard_normal(m)
+    if rng.random() < 0.5:
+        return A, A @ np.abs(rng.standard_normal(n))
+    return A, rng.standard_normal(m)
+
+
+def sweep_nnls() -> dict:
+    tally = _Tally()
+    above = []
+    rng = np.random.default_rng(1)
+    for index in range(N_NNLS):
+        A, b = _dependent_columns(rng)
+        draw = {"index": index}
+        ok, x = tally.run(draw, lambda: _nnls(A, b))
+        if not ok:
+            continue
+        if not np.all(x >= 0.0):
+            tally.disagree(draw, "negative entry")
+        gap = np.linalg.norm(A @ x - b) - scipy.optimize.nnls(A, b)[1]
+        if gap > ABOVE * np.linalg.norm(b):
+            above.append(index)
+    return tally.report(above_reference=len(above),
+                        above_reference_indices=above)
+
+
+def _dumps(out: dict) -> str:
+    """out as JSON with one failure per line, so that a diff of two runs
+    names each draw that moved."""
+    sweeps = []
+    for name, report in out.items():
+        items = [f"  {json.dumps(key)}: {json.dumps(value)}"
+                 for key, value in report.items() if key != "failures"]
+        failures = "".join(f"\n   {json.dumps(f)}," for f in
+                           report["failures"]).rstrip(",")
+        items.append(f'  "failures": [{failures}\n  ]')
+        sweeps.append(f" {json.dumps(name)}: {{\n" + ",\n".join(items)
+                      + "\n }")
+    return "{\n" + ",\n".join(sweeps) + "\n}"
+
+
+def main() -> int:
+    out = {}
+    for name, sweep in (("certificates", sweep_certificates),
+                        ("nnls", sweep_nnls)):
+        start = time.perf_counter()
+        out[name] = sweep()
+        print(f"{name}: {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    print(_dumps(out))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
