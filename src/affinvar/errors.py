@@ -57,10 +57,6 @@ class NegativeCError(NotAdmissibleError):
     """The parabolic upper-left block is a negative multiple of zeta."""
 
 
-class PhiVMismatchError(AffinvarError):
-    pass
-
-
 class PreconditionFailedError(AffinvarError):
     pass
 

@@ -37,7 +37,7 @@ from .core import (AffineMap, AffineMatrixField, AffineScalar,
                    AffineVectorField, Check, ModelSpec, Polyhedron, _cached,
                    _cholesky_rows, _coefficient_residual, _coefficient_scale,
                    _evaluator, _minimal, _psd_margins, _symmetric_part,
-                   psd_factor, psd_square_root)
+                   _symmetrized, psd_factor, psd_square_root)
 from .errors import (InteriorEmptyError, ModelInconsistencyError,
                      NotAdmissibleError, NotRepresentableError,
                      NumericalFailureError, PreconditionFailedError,
@@ -661,60 +661,40 @@ def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> Extend
     """
     poly = _require_polyhedron(model)
     _check_canonical_poly(poly)
-    p = model.dimension
-    q = poly.n_facets
+    q, p = poly.gamma.shape
     r = p - q
-    theta = model.diffusion
-
-    # which canonical coordinates carry sqrt diffusion
-    diag_coeff = np.array([theta.A[k][k, k] for k in range(q)])
-    m_mask = diag_coeff > 0.5
-
-    Lam = np.concatenate([dec.B0[None, q:, q:], dec.Bi[:, q:, q:]], axis=0)
-    Lhalf = np.concatenate([psd_square_root(Lam[i]) for i in range(q + 1)],
-                           axis=1) if r else np.zeros((0, 0))
-
     wlen = (q + 1) * r
     ext = q + wlen + r
+    # the square-root facets: the canonical coordinates carrying x_k
+    m_idx = np.flatnonzero(_diffusion_condition(model.diffusion, poly)[3])
+    Lam = _symmetrized(np.concatenate([dec.B0[None, q:, q:], dec.Bi[:, q:, q:]]))
+    # [Lam_0^(1/2), ..., Lam_q^(1/2)], side by side
+    Lhalf = np.swapaxes(psd_square_root(Lam), 0, 1).reshape(r, wlen)
+    kept = np.r_[:q, q + wlen:ext]  # the original coordinates among the new
     recovery = np.zeros((p, ext))
-    recovery[:q, :q] = np.eye(q)
-    if r:
-        recovery[q:, q:q + wlen] = Lhalf
-        recovery[q:, q + wlen:] = np.eye(r)
+    recovery[:, kept] = np.eye(p)
+    recovery[q:, q:q + wlen] = Lhalf
 
-    # diagonal diffusion: entries x_k (k in M), 0 (k in N), then the w blocks
+    # diagonal diffusion: entries x_k (k in M), 0 (k in N), then the w
+    # blocks: 1 on the first, x_i on block i + 1
     A0_ext = np.zeros((ext, ext))
     A_ext = np.zeros((ext, ext, ext))
-    for k in range(q):
-        if m_mask[k]:
-            A_ext[k][k, k] = 1.0
-    for j in range(r):
-        A0_ext[q + j, q + j] = 1.0  # constant block of w
-    for i in range(q):
-        for j in range(r):
-            pos = q + (i + 1) * r + j
-            A_ext[i][pos, pos] = 1.0
-    diffusion_ext = AffineMatrixField(A0_ext, A_ext)
+    A_ext[m_idx, m_idx, m_idx] = 1.0
+    w = np.arange(q, q + wlen)
+    A0_ext[w[:r], w[:r]] = 1.0
+    A_ext[np.repeat(np.arange(q), r), w[r:], w[r:]] = 1.0
 
-    # drift: original drift on the first p recovered coordinates, zero on the
+    # drift: the original drift on the recovered coordinates, zero on the
     # auxiliaries, pushed through the diagonalizing change of variables
-    a_ext = np.zeros((ext, ext))
-    b_ext = np.zeros(ext)
-    a_comp = model.drift.a @ recovery  # drift of the recovered coordinates
-    a_ext[:q] = a_comp[:q]
-    b_ext[:q] = model.drift.b[:q]
-    if r:
-        # T^-1 = [[0, I_wlen], [I_r, -Lhalf]] maps (x_rest, aux) to the new frame
-        a_ext[q + wlen:] = a_comp[q:]
-        b_ext[q + wlen:] = model.drift.b[q:]
-    drift_ext = AffineVectorField(a_ext, b_ext)
+    # T^-1 = [[0, I_wlen], [I_r, -Lhalf]]
+    a_ext, b_ext = np.zeros((ext, ext)), np.zeros(ext)
+    a_ext[kept] = model.drift.a @ recovery
+    b_ext[kept] = model.drift.b
 
-    gamma_ext = np.zeros((q, ext))
-    gamma_ext[:, :q] = np.eye(q)
-    space_ext = _minimal(Polyhedron(gamma_ext, np.zeros(q)))
-    ext_model = ModelSpec(ext, drift_ext, diffusion_ext, space_ext)
-
-    out = ExtendedModel(ext_model, recovery)
+    space_ext = _minimal(Polyhedron(np.eye(q, ext), np.zeros(q)))
+    out = ExtendedModel(ModelSpec(ext, AffineVectorField(a_ext, b_ext),
+                                  AffineMatrixField(A0_ext, A_ext), space_ext),
+                        recovery)
     _verify_extension(out, model)
     return out
 

@@ -20,39 +20,8 @@ from .core import (AffineMap, AffineMatrixField, AffineVectorField, Check,
 from .errors import (AffinvarError, NegativeCError, NotAdmissibleError,
                      NotAdmissibleQuadricError, NotInSpanError,
                      NotNormalizedError, NumericalFailureError,
-                     PhiVMismatchError, PreconditionFailedError,
-                     ZeroQuadraticPartError)
+                     PreconditionFailedError, ZeroQuadraticPartError)
 from .tolerances import TOL
-
-
-# ---------------------------------------------------------------------------
-# quadratic polynomials at coefficient level
-# ---------------------------------------------------------------------------
-
-def _quad_vector(form: QuadraticForm) -> np.ndarray:
-    """Monomial coefficient vector [1, x_k, x_k^2, x_k x_l (k<l)] of a form."""
-    iu, ju = np.triu_indices(form.dim, k=1)
-    return np.concatenate([[form.c], form.b, np.diagonal(form.A),
-                           2.0 * form.A[iu, ju]])
-
-
-def _row_field_coefficients(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
-                            F: np.ndarray) -> np.ndarray:
-    """Monomial coefficients of r(x)^T M(x) for the affine row r(x) = c + L x
-    and the affine matrix field M(x) = F0 + sum_k x_k F_k.
-
-    c is (m,), L is (m, p), F0 is (..., m, n) and F is (..., p, m, n); the
-    result is (..., n, 1 + p + p(p+1)/2), one vector per column of M in
-    ``_quad_vector``'s order, batched over the leading axes of the field.
-    """
-    p = L.shape[1]
-    const = np.einsum("i,...ij->...j", c, F0)
-    lin = np.einsum("ik,...ij->...jk", L, F0) + np.einsum("i,...kij->...jk", c, F)
-    quad = np.einsum("ik,...lij->...jkl", L, F)  # x_k x_l, not yet symmetric
-    iu, ju = np.triu_indices(p, k=1)
-    diag = np.arange(p)
-    return np.concatenate([const[..., None], lin, quad[..., diag, diag],
-                           quad[..., iu, ju] + quad[..., ju, iu]], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -735,35 +704,24 @@ def check_open_invariance_general(model: ModelSpec) -> Check:
     """Invariance of the open inside of a quadric model's state space, the
     check ``open-invariance`` with v as its certificate.
 
-    First verifies at coefficient level that grad(Phi) theta = Phi v^T for a
-    constant vector v (raising PhiVMismatchError otherwise); then decides
-    grad(Phi) (mu - half column-sum correction) >= 0 by the closed-form
-    parabolic or conical reduction in the model's normalized frame
-    (``QuadricFrame.normalized``, which raises when there is none).  The
-    polyhedral counterpart is ``polyhedral.check_open_facet_invariance``.
+    Decides grad(Phi) (mu - half column-sum correction) >= 0 by the
+    closed-form parabolic or conical reduction in the model's normalized
+    frame (``QuadricFrame.normalized``, which raises when there is none).
+    That frame's structure fit gives grad(Phi) theta = Phi v^T in closed
+    form: v = 4 c e_1 on the parabola, where the eta columns are annihilated
+    and normalization leaves A1 = 0, and v = 2 e_1 on the cone, whose frame
+    admits only theta = zeta.  The identity is covariant, so the model's v
+    is L^-1 times the frame's, L the frame's map.  The polyhedral
+    counterpart is ``polyhedral.check_open_facet_invariance``.
     """
     if not isinstance(model.state_space, QuadraticSpace):
         raise PreconditionFailedError("the state space must be a quadric")
-    phi, theta = model.state_space.form, model.diffusion
-
-    # fit grad(Phi) theta = Phi v^T at coefficient level, all columns at once
-    phi_vec = _quad_vector(phi)
-    comp = _row_field_coefficients(phi.b, 2.0 * phi.A, theta.A0, theta.A)
-    v = comp @ phi_vec / float(phi_vec @ phi_vec)
-    resid = np.abs(comp - v[:, None] * phi_vec).max(axis=1)
-    scale = _coefficient_scale(theta.A0, theta.A) * _coefficient_scale(phi.A, phi.b)
-    bad = np.nonzero(resid > TOL.psd * scale)[0]
-    if bad.size:
-        raise PhiVMismatchError(
-            f"grad(Phi) theta is not a constant multiple of Phi in "
-            f"component {bad[0]} (residual {resid[bad[0]]:.3e})")
-
     frame = canonical_quadric_model(model).normalized()
     q, drift = frame.classification.q, frame.model.drift
-    checks = check_parabolic_drift(drift, q) \
-        if frame.classification.kind == "parabolic" \
+    parabolic = frame.classification.kind == "parabolic"
+    checks = check_parabolic_drift(drift, q) if parabolic \
         else check_cone_admissibility(drift, q, q)
+    v = frame.map.Linv[:, 0] * (4.0 * frame.structure.c if parabolic else 2.0)
     # the open verdict needs every check; the last carries the open bound
     return Check("open-invariance", all(c.passed for c in checks),
                  margin=checks[-1].margin, certificate=v)
-

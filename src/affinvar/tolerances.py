@@ -24,7 +24,7 @@ class Tolerances:
     # transforms and decompositions
     zero_row: float = 1e-9       # scale-relative zero test for coupling rows
     block_identity: float = 1e-9 # canonical-transform block residual
-    sampled_min: float = 1e-7    # grid-minimum slack for sampled inequality checks
+    sampled_min: float = 1e-7    # least separator gap of psd_decompose's refusal
 
 
 _CURRENT: ContextVar[Tolerances] = ContextVar("tolerances", default=Tolerances())

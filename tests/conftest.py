@@ -1,7 +1,7 @@
 """Shared test utilities: the independent grid-minimum oracle for Farkas
 checks, random-model generators used by property and acceptance tests, and
-the oracles for the canonical block form and the paper's basis and
-cancellation lemmas."""
+the oracles for the canonical block form, the paper's basis and
+cancellation lemmas and the open-invariance certificate."""
 
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ from affinvar.core import (AffineMap, AffineMatrixField, AffineScalar,
                            QuadraticForm, _coefficient_residual,
                            _coefficient_scale)
 from affinvar.polyhedral import CanonicalTransform
-from affinvar.quadratic import (_canonical_form, _quad_vector,
-                                _row_field_coefficients)
+from affinvar.quadratic import _canonical_form
 from affinvar.tolerances import TOL, Tolerances, current, tolerances
 
 
@@ -239,8 +238,8 @@ def block_matrix(ct: CanonicalTransform, y) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel-dimension oracles: the paper's basis and cancellation lemmas,
-# checked numerically at coefficient level
+# kernel-dimension oracles: the paper's basis and cancellation lemmas, and
+# the open-invariance certificate, checked numerically at coefficient level
 # ---------------------------------------------------------------------------
 
 def _nullity(M: np.ndarray) -> int:
@@ -259,6 +258,32 @@ def _symmetric_field_basis(p: int) -> tuple[np.ndarray, np.ndarray]:
     return G[:, 0], G[:, 1:]
 
 
+def _quad_vector(form: QuadraticForm) -> np.ndarray:
+    """Monomial coefficient vector [1, x_k, x_k^2, x_k x_l (k<l)] of a form."""
+    iu, ju = np.triu_indices(form.dim, k=1)
+    return np.concatenate([[form.c], form.b, np.diagonal(form.A),
+                           2.0 * form.A[iu, ju]])
+
+
+def _row_field_coefficients(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
+                            F: np.ndarray) -> np.ndarray:
+    """Monomial coefficients of r(x)^T M(x) for the affine row r(x) = c + L x
+    and the affine matrix field M(x) = F0 + sum_k x_k F_k.
+
+    c is (m,), L is (m, p), F0 is (..., m, n) and F is (..., p, m, n); the
+    result is (..., n, 1 + p + p(p+1)/2), one vector per column of M in
+    ``_quad_vector``'s order, batched over the leading axes of the field.
+    """
+    p = L.shape[1]
+    const = np.einsum("i,...ij->...j", c, F0)
+    lin = np.einsum("ik,...ij->...jk", L, F0) + np.einsum("i,...kij->...jk", c, F)
+    quad = np.einsum("ik,...lij->...jkl", L, F)  # x_k x_l, not yet symmetric
+    iu, ju = np.triu_indices(p, k=1)
+    diag = np.arange(p)
+    return np.concatenate([const[..., None], lin, quad[..., diag, diag],
+                           quad[..., iu, ju] + quad[..., ju, iu]], axis=-1)
+
+
 def _field_coefficient_matrix(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
                               F: np.ndarray,
                               modulo: QuadraticForm | None = None) -> np.ndarray:
@@ -270,6 +295,20 @@ def _field_coefficient_matrix(c: np.ndarray, L: np.ndarray, F0: np.ndarray,
         g = g / np.linalg.norm(g)
         coeffs = coeffs - (coeffs @ g)[..., None] * g
     return coeffs.reshape(coeffs.shape[0], -1).T
+
+
+def phi_v_fit(model: ModelSpec) -> tuple[np.ndarray, float]:
+    """The v of grad(Phi) theta = Phi v^T on a quadric model, fitted on
+    monomial coefficients, all columns at once, and the fit's largest
+    residual relative to the coefficient scales of theta and Phi: the
+    independent oracle of the open-invariance certificate."""
+    phi, theta = model.state_space.form, model.diffusion
+    phi_vec = _quad_vector(phi)
+    comp = _row_field_coefficients(phi.b, 2.0 * phi.A, theta.A0, theta.A)
+    v = comp @ phi_vec / float(phi_vec @ phi_vec)
+    resid = float(np.abs(comp - v[:, None] * phi_vec).max(initial=0.0))
+    return v, resid / (_coefficient_scale(theta.A0, theta.A) *
+                       _coefficient_scale(phi.A, phi.b))
 
 
 def parabolic_kernel_dimension(p: int, q: int) -> int:

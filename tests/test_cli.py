@@ -840,7 +840,7 @@ _EXIT_CODES = {
     "ParseError": 2, "NotAdmissibleError": 1, "RankDeficiencyError": 3,
     "ModelInconsistencyError": 1, "NotRepresentableError": 1,
     "NumericalFailureError": 3, "NotInSpanError": 1, "NotNormalizedError": 3,
-    "NegativeCError": 1, "PhiVMismatchError": 3, "PreconditionFailedError": 1,
+    "NegativeCError": 1, "PreconditionFailedError": 1,
     "InteriorEmptyError": 1, "ZeroQuadraticPartError": 1,
     "NotAdmissibleQuadricError": 1, "SigmaMismatchError": 3,
 }

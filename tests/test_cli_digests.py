@@ -7,8 +7,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from affinvar.modelio import fixture_path, load_fixture, model_to_dict
+from affinvar.modelio import (fixture_path, load_fixture, load_model,
+                              model_to_dict)
 from affinvar.simulate import _RING_BYTES
 from conftest import random_affine_image
 
@@ -23,6 +25,9 @@ EDGE_MODELS = ("sqrt-facet-zero-multiple", "parabola-open-only",
                "cone-hyperboloid", "closed-string", "dimension-float",
                "interval-outward-drift", "cir-overflow",
                "triangle-outward-drift", "triangle-scaled-facet")
+LATE_EDGE_MODELS = ("parabola-residual-free-slope",
+                    "parabola-residual-boundary-dip", "parabola-eta-column",
+                    "cir-redundant-facet")
 
 
 def _module(path: Path):
@@ -32,18 +37,41 @@ def _module(path: Path):
     return module
 
 
+def _late_edge_models_are_as_documented(tmp_path):
+    """The parabolas reach the residual block off its closed form, the
+    eta column and the free coordinates; cir gains a redundant facet."""
+    models = {name: load_model(tmp_path / f"{name}.json")
+              for name in LATE_EDGE_MODELS}
+    x = np.array([[0.0, 0.0, -2000.0], [1.1025, 1.05, 0.0]])
+    for name, point, B in (("parabola-residual-free-slope", x[0], -1.0),
+                           ("parabola-residual-boundary-dip", x[1], -0.1025)):
+        model = models[name]
+        assert model.state_space.contains(point)
+        theta = model.diffusion(point)
+        assert theta[2, 2] == pytest.approx(B)
+        assert np.array_equal(model.drift.b, [2.0, 0.0, 0.0])
+    eta = models["parabola-eta-column"]
+    point = np.array([3.0, 0.5, -1.0, 7.0])
+    assert eta.diffusion(point)[:3, 3] == pytest.approx([0.0, -0.7, -0.35])
+    assert eta.diffusion(point)[3, 3] == pytest.approx(1.0 + 0.49 * 3.0)
+    cir = models["cir-redundant-facet"]
+    assert np.array_equal(cir.state_space.gamma, [[1.0], [2.0]])
+    assert np.array_equal(cir.state_space.delta, [0.0, 1.0])
+
+
 def test_cli_digest_calls_cover_the_list(tmp_path):
     calls = _module(ROOT / "tools" / "cli_digests.py").calls(tmp_path)
     generated = _module(ROOT / "perfbench" / "bench_models.py").generated_models
     labels = [label for label, _ in calls]
     argvs = [tuple(argv) for _, argv in calls]
     assert len(set(labels)) == len(labels) == len(set(argvs))
-    assert len(calls) == 616
+    assert len(calls) == 636
 
     # the last calls come after the 610 others, so that those keep their
     # lines: every command on triangle_channel cut at x_1 + x_2 >= 1.4, then
-    # simulate from its vertex (0, 1.4) and from cone3's backward nappe
-    argvs, appended = argvs[:610], argvs[610:]
+    # simulate from its vertex (0, 1.4) and from cone3's backward nappe,
+    # then every command on each of the late edge models
+    argvs, appended, late = argvs[:610], argvs[610:616], argvs[616:]
     vertex = tmp_path / "theta-not-psd-vertex.json"
     model = json.loads(fixture_path("triangle_channel").read_text())
     model["state_space"]["delta"][2] = -1.4
@@ -52,6 +80,11 @@ def test_cli_digest_calls_cover_the_list(tmp_path):
     assert appended == [(cmd, str(vertex)) for cmd in COMMANDS] + [
         ("simulate", str(vertex), *sim, "--x0=0,1.4,0,0"),
         ("simulate", str(fixture_path("cone3")), *sim, "--x0=-2,0.5,0")]
+    assert late == [argv for name in LATE_EDGE_MODELS
+                    for argv in [(cmd, str(tmp_path / f"{name}.json"))
+                                 for cmd in COMMANDS] +
+                    [("simulate", str(tmp_path / f"{name}.json"), *sim)]]
+    _late_edge_models_are_as_documented(tmp_path)
 
     expected = set()
     for tol in ((), ("--tol", "1e-6")):

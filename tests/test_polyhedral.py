@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 import affinvar.polyhedral
 from affinvar.cli import main
 from affinvar.core import (AffineMatrixField, AffineScalar, AffineVectorField,
-                           ModelSpec, Polyhedron)
+                           ModelSpec, Polyhedron, psd_square_root)
 from affinvar.convex import interior_point, minimalize
 from affinvar.errors import (ModelInconsistencyError, NotAdmissibleError,
-                             NotRepresentableError, NumericalFailureError,
-                             PreconditionFailedError)
+                             NotRepresentableError, NotSymmetricError,
+                             NumericalFailureError, PreconditionFailedError)
 from affinvar.modelio import load_fixture, save_model
-from affinvar.polyhedral import (ExtendedModel, _coupling_rows,
+from affinvar.polyhedral import (ExtendedModel, PsdFacetDecomposition,
+                                 _coupling_rows,
                                  _diffusion_condition, _drift_rows,
                                  _verify_extension, build_square_root,
                                  canonical_transform,
@@ -798,6 +799,51 @@ def test_extension_with_a_wrong_drift_is_a_failed_precondition(rng):
                           ext.recovery)
     with pytest.raises(PreconditionFailedError, match="drift"):
         _verify_extension(wrong, model)
+
+
+@pytest.mark.parametrize("pmn", [(2, 1, 0), (2, 1, 1), (4, 1, 2), (5, 3, 1),
+                                 (6, 3, 2)])
+def test_diagonalize_extended_matches_the_entrywise_construction(pmn):
+    # the stacked root and assignments give the per-matrix, per-entry
+    # construction bit for bit, with M the coordinates whose diagonal
+    # entry of theta is x_k
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        model = random_canonical_model(rng, *pmn)
+        dec = psd_decompose(model)
+        ext = diagonalize_extended(model, dec)
+        q, p = model.state_space.gamma.shape
+        r = p - q
+        Lam = [dec.B0[q:, q:]] + [B[q:, q:] for B in dec.Bi]
+        recovery = np.zeros((p, ext.model.dimension))
+        recovery[:q, :q] = np.eye(q)
+        if r:
+            recovery[q:, q:-r] = np.concatenate(
+                [psd_square_root(L) for L in Lam], axis=1)
+            recovery[q:, -r:] = np.eye(r)
+        A0, A = np.zeros_like(ext.model.diffusion.A0), \
+            np.zeros_like(ext.model.diffusion.A)
+        for k in range(q):
+            if model.diffusion.A[k][k, k] == 1.0:
+                A[k][k, k] = 1.0
+            for j in range(r):
+                A[k][q + (k + 1) * r + j, q + (k + 1) * r + j] = 1.0
+        for j in range(r):
+            A0[q + j, q + j] = 1.0
+        assert np.array_equal(ext.recovery, recovery)
+        assert np.array_equal(ext.model.diffusion.A0, A0)
+        assert np.array_equal(ext.model.diffusion.A, A)
+
+
+def test_diagonalize_extended_refuses_an_asymmetric_block(rng):
+    # the Lam blocks of a supplied decomposition are checked for symmetry
+    # before their square roots are taken
+    model = random_canonical_model(rng, 4, 1, 1)
+    dec = psd_decompose(model)
+    Bi = dec.Bi.copy()
+    Bi[0, 2, 3] += 1e-3
+    with pytest.raises(NotSymmetricError):
+        diagonalize_extended(model, PsdFacetDecomposition(dec.B0, Bi))
 
 
 def test_diagonalize_extended_requires_canonical_coordinates():

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from affinvar.core import (AffineMap, AffineMatrixField, AffineVectorField,
                            ModelSpec, Polyhedron, QuadraticForm,
                            QuadraticSpace)
-from affinvar.errors import (NotAdmissibleQuadricError, NotInSpanError,
-                             NotNormalizedError, NumericalFailureError,
-                             PhiVMismatchError, PreconditionFailedError,
+from affinvar.errors import (NotAdmissibleError, NotAdmissibleQuadricError,
+                             NotInSpanError, NotNormalizedError,
+                             NumericalFailureError, PreconditionFailedError,
                              ZeroQuadraticPartError)
 from affinvar.modelio import load_fixture
-from affinvar.quadratic import (_row_field_coefficients,
-                                _verify_classification,
+from affinvar.quadratic import (_verify_classification,
+                                canonical_quadric_model,
                                 check_cone_admissibility,
                                 check_open_invariance_general,
                                 check_parabolic_drift,
@@ -24,9 +24,9 @@ from affinvar.quadratic import (_row_field_coefficients,
                                 normalize_parabolic, parabolic_basis,
                                 parabolic_square_root,
                                 parabolic_theta_decompose, zeta_parabolic)
-from conftest import (conical_space_dimension, excluded_quadric_forces_zero,
-                      parabolic_kernel_dimension, random_affine_image,
-                      random_affine_map)
+from conftest import (_row_field_coefficients, conical_space_dimension,
+                      excluded_quadric_forces_zero, parabolic_kernel_dimension,
+                      phi_v_fit, random_affine_image, random_affine_map)
 
 
 # ---------------------------------------------------------------------------
@@ -666,17 +666,80 @@ def _open_invariance_images():
         yield pytest.param(image, 0.5, id=f"cone3-dilation{lam}")
 
 
+def _assert_certificate_is_the_fit(rep, model):
+    # v = L^-1 times the frame's v is the coefficient fit of
+    # grad(Phi) theta = Phi v^T, and that identity holds to rounding
+    v, resid = phi_v_fit(model)
+    assert resid <= 1e-12
+    assert np.linalg.norm(rep.certificate - v) <= 1e-12 * np.linalg.norm(v)
+
+
 @pytest.mark.parametrize("model,margin", _open_invariance_images())
 def test_open_invariance_is_affine_invariant(model, margin):
     rep = check_open_invariance_general(model)
     assert rep.passed is (margin > 0)
     assert rep.margin == pytest.approx(margin, abs=1e-8)
+    _assert_certificate_is_the_fit(rep, model)
+
+
+def _free_parabola(rng, q: int, r: int, c: float, open_slack: float):
+    """A parabola {x_1 >= y^T y} with r free coordinates, built in its
+    normalized frame: theta = [[zeta, eta A2], [., B0 + x_1 K]] with
+    B0 > 0 and K >= (q-2) A2^T A2, so the residual block is PSD on the
+    parabola, and b_1 = q + 1 + open_slack, the open bound plus the slack;
+    then moved off that frame by the inverse of the normalizing map of c
+    and a random A1."""
+    p = q + r
+    z = zeta_parabolic(p, q)
+    E = np.stack([eta_matrix(np.eye(q)[k], q) for k in range(q)])
+    A2 = rng.standard_normal((E.shape[-1], r))
+    G, H = rng.standard_normal((2, r, r))
+    A0, A = np.zeros((p, p)), np.zeros((p, p, p))
+    A0[:q, :q], A[:, :q, :q] = z.A0, z.A
+    A[:q, :q, q:] = E @ A2
+    A[:, q:, :q] = np.swapaxes(A[:, :q, q:], 1, 2)
+    A0[q:, q:] = G @ G.T + 0.1 * np.eye(r)
+    A[0, q:, q:] = (q - 2) * A2.T @ A2 + H @ H.T
+    a = np.zeros((p, p))
+    a[q:] = rng.standard_normal((r, p))
+    b = np.concatenate([[q + 1 + open_slack], np.zeros(q - 1),
+                        rng.standard_normal(r)])
+    space = QuadraticSpace(QuadraticForm(np.diag([0.0] + [-1.0] * (q - 1) +
+                                                 [0.0] * r),
+                                         np.eye(p)[0], 0.0))
+    normal = ModelSpec(p, AffineVectorField(a, b), AffineMatrixField(A0, A),
+                       space)
+    S = np.eye(p)
+    S[0, 0] = 1.0 / c
+    S[np.arange(1, q), np.arange(1, q)] = 1.0 / np.sqrt(c)
+    S[q:, :q] = -rng.standard_normal((q, r)).T / c
+    return normal.pushed(AffineMap(np.linalg.inv(S), np.zeros(p)), space)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(q=st.integers(2, 4), r=st.integers(1, 2), c=st.floats(0.2, 5.0),
+       slack=st.floats(0.05, 1.0), side=st.sampled_from([-1.0, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_open_invariance_with_free_coordinates(q, r, c, slack, side, seed):
+    # p > q: the frame's normalizing shear mixes the free coordinates in,
+    # and its verdict, margin and certificate survive an affine image
+    rng = np.random.default_rng(seed)
+    model = random_affine_image(rng, _free_parabola(rng, q, r, c, side * slack))
+    rep = check_open_invariance_general(model)
+    frame = canonical_quadric_model(model).normalized()
+    expected = check_parabolic_drift(frame.model.drift, q)[-1]
+    assert rep.passed is expected.passed is (side > 0)
+    assert rep.margin == expected.margin
+    assert rep.margin == pytest.approx(side * slack, abs=1e-8)
+    _assert_certificate_is_the_fit(rep, model)
 
 
 def test_open_invariance_phi_v_mismatch():
+    # theta = Id on the disk has no v with grad(Phi) theta = Phi v^T; the
+    # ellipsoid has no normalized frame, whose first gate refuses it
     theta = AffineMatrixField(np.eye(2), np.zeros((2, 2, 2)))
     model = ModelSpec(2, AffineVectorField(np.zeros((2, 2)), np.zeros(2)),
                       theta,
                       QuadraticSpace(QuadraticForm(np.eye(2), np.zeros(2), -1.0)))
-    with pytest.raises(PhiVMismatchError):
+    with pytest.raises(NotAdmissibleError, match="ellipsoid-type quadrics"):
         check_open_invariance_general(model)

@@ -31,6 +31,8 @@ call on both sides.  They are:
 - every command on `_theta_not_psd_vertex`, then simulate from starts
   in the state space where theta is not PSD: its vertex (0, 1.4) and the
   backward nappe of cone3;
+- every command on each model of `_late_edge_models`, after all the calls
+  above, so that those keep their lines;
 
 each of the first two groups with and without --tol 1e-6.
 """
@@ -161,6 +163,53 @@ def _theta_not_psd_vertex() -> dict:
     return vertex
 
 
+def _late_edge_models() -> dict[str, dict]:
+    """Models that reach the parabolic residual block and a facet removal:
+    two parabolas {x_1 >= x_2^2} with x_3 free, theta = blockdiag(zeta, B)
+    and b = (2, 0, 0), whose B leaves the PSD cone on the state space where
+    the sampled residual check does not look; a parabola with q = 3, x_4
+    free and the eta column in its (Q, R) block; cir with a redundant
+    facet, which `minimalize` removes."""
+    def free_parabola(B0: float, B: list[float]) -> dict:
+        A = np.zeros((3, 3, 3))
+        A[0, 0, 0], A[1, 0, 1], A[1, 1, 0] = 4.0, 2.0, 2.0
+        A[:, 2, 2] = B
+        return {"dimension": 3,
+                "drift": {"a": np.zeros((3, 3)).tolist(), "b": [2.0, 0.0, 0.0]},
+                "diffusion": {"A0": np.diag([0.0, 1.0, B0]).tolist(),
+                              "A": A.tolist()},
+                "state_space": {"kind": "quadratic",
+                                "A": np.diag([0.0, -1.0, 0.0]).tolist(),
+                                "b": [1.0, 0.0, 0.0], "c": 0.0,
+                                "component": "positive", "closed": True}}
+
+    # p = 4, q = 3: the (Q, R) block eta(y) A2 = 0.7 (0, x_3, -x_2) and
+    # B = 1 + x_1 A2^T A2, whose residual 1 + 0.49 (x_1 - |y|^2) is positive
+    eta = _fixture("parabola3")
+    A = np.zeros((4, 4, 4))
+    A[:3, :3, :3] = eta["diffusion"]["A"]
+    A[2, 1, 3] = A[2, 3, 1] = 0.7
+    A[1, 2, 3] = A[1, 3, 2] = -0.7
+    A[0, 3, 3] = 0.49
+    eta["dimension"] = 4
+    eta["drift"] = {"a": np.zeros((4, 4)).tolist(), "b": [5.0, 0.0, 0.0, 0.0]}
+    eta["diffusion"] = {"A0": np.diag([0.0, 1.0, 1.0, 1.0]).tolist(),
+                        "A": A.tolist()}
+    eta["state_space"]["A"] = np.diag([0.0, -1.0, -1.0, 0.0]).tolist()
+    eta["state_space"]["b"] = [1.0, 0.0, 0.0, 0.0]
+    redundant = _fixture("cir")
+    redundant["state_space"] = {"kind": "polyhedral", "gamma": [[1.0], [2.0]],
+                                "delta": [0.0, 1.0]}  # x >= 0, 2x + 1 >= 0
+    return {
+        # B = 1 + 0.001 x_3 is -1 at (0, 0, -2000)
+        "parabola-residual-free-slope": free_parabola(1.0, [0.0, 0.0, 0.001]),
+        # B = 1 + x_1 - 2.1 x_2 is -0.1025 at (1.1025, 1.05, 0)
+        "parabola-residual-boundary-dip": free_parabola(1.0, [1.0, -2.1, 0.0]),
+        "parabola-eta-column": eta,
+        "cir-redundant-facet": redundant,
+    }
+
+
 def _affine_images(name: str) -> list[dict]:
     """The first IMAGES models of X = A Y + s, Y the fixture, for maps drawn
     one after another from one generator seeded IMAGE_SEED: A has singular
@@ -242,6 +291,11 @@ def calls(workdir: Path) -> list[tuple[str, list[str]]]:
             ("cone3", str(fixture_path("cone3")), "-2,0.5,0")):
         out.append((f"simulate {name} --x0={x0}",
                     ["simulate", path, *SIM_ARGS, f"--x0={x0}"]))
+    for name, model in _late_edge_models().items():
+        path = write(name, model)
+        for cmd in CERTIFY:
+            out.append((f"{cmd} {name}", [cmd, path]))
+        out.append((f"simulate {name}", ["simulate", path, *SIM_ARGS]))
     return out
 
 

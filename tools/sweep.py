@@ -10,6 +10,10 @@ fails:
   `test_convex.py::test_minimalize_rank_deficient_matches_lp_oracle`:
   3 kinds x p 1-4 x 7 scales x SEEDS x a certified functional or not x
   `free` None or 0, each draw `default_rng(seed)` as the test makes it;
+- `minimalize`: `convex.minimalize` against `_minimalize_by_lp`, the
+  LP-only sequential rule of `test_convex.py`, on the polyhedra of the
+  `certificates` sweep for MINIMALIZE_SEEDS: 3 kinds x p 1-4 x 7 scales x
+  seeds, a disagreement when the rows kept differ;
 - `nnls`: `convex._nnls` against `scipy.optimize.nnls` on N_NNLS problems
   drawn from `default_rng(1)` (`_dependent_columns`), whose columns from the
   third on are, with probability 1/2, combinations of two earlier ones plus
@@ -29,7 +33,7 @@ draw, and the sweep carries on.  Run it on two checkouts and diff:
     diff before.json after.json
 
 The `certificates` sweep makes 50,400 calls, 2 to 2.5 minutes on a 2-core
-machine; `nnls` about 1 s.
+machine; `minimalize` 4,200, about a minute; `nnls` about 1 s.
 """
 
 from __future__ import annotations
@@ -45,15 +49,17 @@ import scipy.optimize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from affinvar.convex import _certificate, _nnls  # noqa: E402
+from affinvar.convex import _certificate, _nnls, minimalize  # noqa: E402
 from affinvar.errors import NumericalFailureError  # noqa: E402
 from conftest import lp_certificate_exists  # noqa: E402
-from test_convex import _functional, _rank_deficient_polyhedron  # noqa: E402
+from test_convex import (_functional, _minimalize_by_lp,  # noqa: E402
+                         _rank_deficient_polyhedron)
 
 KINDS = ("tangent", "low-rank", "orthant")
 DIMENSIONS = (1, 2, 3, 4)
 SCALES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
 SEEDS = range(150)
+MINIMALIZE_SEEDS = range(50)
 N_NNLS = 3000
 ABOVE = 1e-6
 
@@ -116,6 +122,25 @@ def sweep_certificates() -> dict:
     return tally.report()
 
 
+def sweep_minimalize() -> dict:
+    tally = _Tally()
+    for kind in KINDS:
+        for p in DIMENSIONS:
+            for scale in SCALES:
+                for seed in MINIMALIZE_SEEDS:
+                    poly = _rank_deficient_polyhedron(
+                        np.random.default_rng(seed), kind, p, scale)
+                    draw = {"kind": kind, "p": p, "scale": scale, "seed": seed}
+                    ok, red = tally.run(draw, lambda: minimalize(poly))
+                    keep = _minimalize_by_lp(poly)
+                    if ok and not (red.minimal and np.array_equal(
+                            red.gamma, poly.gamma[keep]) and np.array_equal(
+                            red.delta, poly.delta[keep])):
+                        tally.disagree(draw, f"kept {red.n_facets} facets, "
+                                             f"LP rule {keep}")
+    return tally.report()
+
+
 def _dependent_columns(rng) -> tuple[np.ndarray, np.ndarray]:
     """An m x n matrix, m in [3, 8] and n in [3, 10], whose columns from
     the third on are each, with probability 1/2, a random combination of
@@ -171,6 +196,7 @@ def _dumps(out: dict) -> str:
 def main() -> int:
     out = {}
     for name, sweep in (("certificates", sweep_certificates),
+                        ("minimalize", sweep_minimalize),
                         ("nnls", sweep_nnls)):
         start = time.perf_counter()
         out[name] = sweep()
