@@ -383,6 +383,21 @@ def canonical_transform(model: ModelSpec) -> CanonicalTransform:
                               poly, block_residual)
 
 
+def _canonical_facets(poly: Polyhedron) -> int | None:
+    """k = m + n when poly has ``canonical_transform``'s layout
+    R^m_+ x C x R^r, None otherwise: the first k facets are u_i(x) = x_i,
+    i < k, and every later facet, a cut of C, has no coefficient beyond the
+    first k coordinates.  Entries are compared within TOL.feasibility."""
+    gamma, tol = poly.gamma, TOL.feasibility
+    lead = min(gamma.shape)
+    unit = (np.abs(gamma[:lead] - np.eye(lead, gamma.shape[1])).max(
+        axis=1, initial=0.0) <= tol) & (np.abs(poly.delta[:lead]) <= tol)
+    k = int(np.argmin(np.append(unit, False)))   # the leading unit facets
+    if np.abs(gamma[k:, k:]).max(initial=0.0) > tol:
+        return None
+    return k
+
+
 def transform_model(model: ModelSpec, ct: CanonicalTransform) -> ModelSpec:
     """``ct.model``, the model in canonical coordinates y = L x + ell."""
     return ct.model
@@ -641,15 +656,6 @@ class ExtendedModel:
     recovery: np.ndarray  # (p, p_ext) with R theta_ext(y) R^T = theta(R y)
 
 
-def _check_canonical_poly(poly: Polyhedron) -> None:
-    q, p = poly.gamma.shape
-    if q > p or \
-            float(np.abs(poly.gamma - np.eye(q, p)).max()) > TOL.feasibility or \
-            float(np.abs(poly.delta).max(initial=0.0)) > TOL.feasibility:
-        raise PreconditionFailedError(
-            "model is not in canonical coordinates (facets must be u_i(x) = x_i)")
-
-
 def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> ExtendedModel:
     """Extend the dimension so the diffusion matrix becomes diagonal.
 
@@ -660,8 +666,10 @@ def diagonalize_extended(model: ModelSpec, dec: PsdFacetDecomposition) -> Extend
     congruence with [[Id, 0], [0, (Lam^(1/2) Id)]].
     """
     poly = _require_polyhedron(model)
-    _check_canonical_poly(poly)
     q, p = poly.gamma.shape
+    if _canonical_facets(poly) != q:
+        raise PreconditionFailedError(
+            "model is not in canonical coordinates (facets must be u_i(x) = x_i)")
     r = p - q
     wlen = (q + 1) * r
     ext = q + wlen + r

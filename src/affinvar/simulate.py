@@ -46,7 +46,8 @@ from .convex import interior_point
 from .core import (ModelSpec, Polyhedron, QuadraticSpace, _coefficient_scale,
                    _coldot, _psd_margins, psd_square_root)
 from .errors import PreconditionFailedError, SigmaMismatchError
-from .polyhedral import build_square_root, canonical_transform
+from .polyhedral import (_canonical_facets, build_square_root,
+                         canonical_transform)
 from .quadratic import (_canonical_kind, canonical_quadric_model,
                         cone_square_root, parabolic_square_root)
 from .tolerances import TOL
@@ -267,39 +268,25 @@ class _NoiseHelper:
             os.write(self.free_w, b"\0" * self.owed)
             self.owed = 0
 
-    def alive(self) -> bool:
-        """False once the helper has exited; this reaps it."""
-        try:
-            return os.waitpid(self.pid, os.WNOHANG) == (0, 0)
-        except ChildProcessError:     # reaped by someone else
-            return False
-
     def close_pipes(self) -> None:
         for fd in (self.job_w, self.full_r, self.free_w):
             os.close(fd)
 
-    def end(self, kill: bool) -> None:
-        """Kill the helper, or let it leave by closing its pipes; reap it."""
-        if kill:
-            import signal
-            with contextlib.suppress(ProcessLookupError):
-                os.kill(self.pid, signal.SIGKILL)
+    def end(self) -> None:
+        """Kill the helper, whatever its job, and reap it."""
+        import signal
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(self.pid, signal.SIGKILL)
         self.close_pipes()
         with contextlib.suppress(ChildProcessError):
             os.waitpid(self.pid, 0)
 
 
-def _discard_helper(kill: bool) -> None:
+def _discard_helper() -> None:
     global _helper
     helper, _helper = _helper, None
     if helper is not None:
-        helper.end(kill)
-
-
-def _end_helper_at_exit() -> None:
-    # a helper that a run of another thread still holds is killed
-    if _helper is not None:
-        _discard_helper(kill=_helper_lock.locked())
+        helper.end()
 
 
 def _forget_helper() -> None:
@@ -313,7 +300,7 @@ def _forget_helper() -> None:
         _helper = None
 
 
-atexit.register(_end_helper_at_exit)
+atexit.register(_discard_helper)
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helper)
 
@@ -342,17 +329,14 @@ class _Noise:
                 _helper_lock.acquire(blocking=False):
             self.lock = _helper_lock
             try:
-                if _helper is not None and not _helper.alive():
-                    _helper.close_pipes()
-                    _helper = None
                 if _helper is None:
                     _helper = _NoiseHelper()
                 _helper.start(cfg.seed, cfg.steps, cfg.n_paths, self.p)
                 self.helper = _helper
             except OSError:
-                _discard_helper(kill=True)
+                _discard_helper()
             except BaseException:       # no __exit__ follows
-                _discard_helper(kill=True)
+                _discard_helper()
                 self.lock.release()
                 raise
         return self
@@ -362,7 +346,7 @@ class _Noise:
             if self.helper.take(step, self.cols):
                 return self.cols
             self.helper = None
-            _discard_helper(kill=True)
+            _discard_helper()
         # drawn as (N, p), one row per path: the draw order fixes the paths
         np.copyto(self.cols, self.normals(step, self.cfg.n_paths, self.p).T)
         return self.cols
@@ -370,7 +354,7 @@ class _Noise:
     def __exit__(self, exc_type, exc, tb):
         if self.lock is not None:
             if exc_type is not None and self.helper is not None:
-                _discard_helper(kill=True)
+                _discard_helper()
             self.lock.release()
 
 
@@ -421,8 +405,10 @@ def make_projector(space) -> callable:
 
     The projector maps columns (p, N), one point per column, to new columns;
     its ``clamp(x)`` projects columns x in place, with the same operations.
-    Polyhedral spaces must be in canonical coordinates (facets u_i(x) = x_i):
-    the projection clamps the facet coordinates at zero.  Parabolic spaces
+    Polyhedral spaces must have ``canonical_transform``'s layout
+    R^m_+ x C x R^r (`polyhedral._canonical_facets`); any other is refused.
+    It clamps the k = m + n leading facet coordinates at zero through one
+    slice; the admissible drift keeps the cuts of C.  Parabolic spaces
     clamp x_1 at y^T y; conical spaces clamp x_1 at |y| radially, onto the
     forward nappe {x_1 >= |y|}, where zeta is PSD and where every run starts
     (``_check_start``); a backward-nappe member is moved to it.  Only the
@@ -431,29 +417,15 @@ def make_projector(space) -> callable:
     clamp would move.  General state spaces must be canonicalized first.
     """
     if isinstance(space, Polyhedron):
-        # coordinate facets u_i(x) = x_j are clamped at zero; any remaining
-        # facets are the extra cuts of the canonical polyhedron C, which the
-        # (admissible) drift keeps nonnegative without projection
-        gamma = space.gamma
-        j = np.argmax(np.abs(gamma), axis=1)
-        unit = np.eye(gamma.shape[1])[j]
-        coord = (np.abs(space.delta) <= TOL.feasibility) & \
-            (np.abs(gamma - unit).max(axis=1, initial=0.0) <= TOL.feasibility)
-        if coord.size and not coord.any():
+        k = _canonical_facets(space)
+        if k is None:
             raise PreconditionFailedError(
-                "full-truncation projection needs canonical facets u_i(x) = x_i; "
+                "full-truncation projection needs the canonical layout: the "
+                "facets u_i(x) = x_i first, then cuts on those coordinates; "
                 "canonicalize the model first")
-        idx = np.unique(j[coord])
-        if idx.size and idx[-1] - idx[0] + 1 == idx.size:
-            # canonical coordinates put the facets first: a contiguous block
-            # is clamped through a slice, with no gather and scatter
-            sel = slice(int(idx[0]), int(idx[-1]) + 1)
 
-            def clamp(x):
-                np.maximum(x[sel], 0.0, out=x[sel])
-        else:
-            def clamp(x):
-                x[idx] = np.maximum(x[idx], 0.0)
+        def clamp(x):
+            np.maximum(x[:k], 0.0, out=x[:k])
     elif isinstance(space, QuadraticSpace):
         kind, q = _canonical_kind(space.form) or (None, 0)
         if space.component != "positive" or kind == "cone" and q < 2:

@@ -392,27 +392,70 @@ def _max_slack(poly: Polyhedron) -> float:
     return float(res.x[p])
 
 
-def _random_polyhedron(rng, p: int, data) -> Polyhedron:
-    """Full-row-rank gamma, rank-deficient gamma around a point with random
-    facet distances, or a random grid simplex scaled so that its Chebyshev
-    radius falls below or above 1."""
-    kind = data.draw(st.sampled_from(["full", "deficient", "simplex"]))
+POLYHEDRON_KINDS = ("full", "deficient", "simplex")
+SIMPLEX_SCALES = (0.01, 0.1, 1.0, 10.0)
+
+
+def _random_polyhedron(rng, p: int, kind: str, q: int = 1, k: int = 1,
+                       scale: float = 1.0) -> Polyhedron | None:
+    """Full-row-rank gamma with q facets (None unless its condition number
+    is below 100), rank-k gamma with q facets around a point with random
+    facet distances, or a random grid simplex scaled by `scale`, so that
+    its Chebyshev radius falls below or above 1."""
     if kind == "full":
-        q = data.draw(st.integers(1, p))
         gamma = rng.standard_normal((q, p))
-        assume(np.linalg.cond(gamma) < 100)
+        if not np.linalg.cond(gamma) < 100:
+            return None
         return Polyhedron(gamma, 3.0 * rng.standard_normal(q))
     if kind == "deficient":
-        q = data.draw(st.integers(2, p + 2))
-        k = data.draw(st.integers(1, min(q - 1, p)))
         gamma = rng.standard_normal((q, k)) @ rng.standard_normal((k, p))
         centre = 3.0 * rng.standard_normal(p)
         dist = rng.uniform(0.1, 3.0, size=q)
         return Polyhedron(gamma, np.linalg.norm(gamma, axis=1) * dist -
                           gamma @ centre)
     simplex = random_grid_simplex(rng, p)
-    scale = data.draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
     return Polyhedron(simplex.gamma, scale * simplex.delta)
+
+
+def _polyhedron_choices(p: int, data) -> dict:
+    """The choices of `_random_polyhedron` in R^p, drawn from data: q in
+    [1, p] for "full", q in [2, p + 2] and k in [1, min(q - 1, p)] for
+    "deficient", a scale of SIMPLEX_SCALES for "simplex"."""
+    kind = data.draw(st.sampled_from(POLYHEDRON_KINDS))
+    if kind == "full":
+        return {"kind": kind, "q": data.draw(st.integers(1, p))}
+    if kind == "deficient":
+        q = data.draw(st.integers(2, p + 2))
+        return {"kind": kind, "q": q,
+                "k": data.draw(st.integers(1, min(q - 1, p)))}
+    return {"kind": kind, "scale": data.draw(st.sampled_from(SIMPLEX_SCALES))}
+
+
+def _least_distance_failure(poly: Polyhedron, x: np.ndarray,
+                            radius: float) -> str | None:
+    """What is wrong with x as `interior_point(poly)`, None when nothing is.
+
+    With Chebyshev radius at least 1, x must have every normalized slack
+    >= 1 and (KKT) be a nonnegative combination of the unit normals of the
+    facets at slack 1; below 1, its least slack must lie in
+    [radius/2, radius]."""
+    norms = np.linalg.norm(poly.gamma, axis=1)
+    unit = poly.gamma / norms[:, None]
+    slack = unit @ x + poly.delta / norms
+    scale = max(1.0, float(np.abs(x).max()))
+    if radius < 1.0:
+        if not radius / 2 - 1e-9 * scale <= slack.min() <= radius + 1e-9:
+            return f"least slack {slack.min():.3e} at radius {radius:.3e}"
+        return None
+    if not slack.min() >= 1.0 - 1e-9:
+        return f"least slack short of 1 by {1.0 - slack.min():.3e}"
+    active = slack <= 1.0 + 1e-8 * scale
+    # nnls aborts the interpreter on a matrix with no columns
+    residual = scipy.optimize.nnls(unit[active].T, x)[1] if active.any() \
+        else np.linalg.norm(x)
+    if not residual <= 1e-9 * scale:
+        return f"KKT residual {residual:.3e}"
+    return None
 
 
 @settings(max_examples=60, deadline=None)
@@ -423,25 +466,16 @@ def test_interior_point_least_distance_kkt(p, data, seed):
     # combination of the unit normals of the facets at slack 1.  Otherwise
     # it is the least-distance point at the first halved target that has
     # one, so its least slack is in [radius/2, radius].  No LP runs.
-    poly = _random_polyhedron(np.random.default_rng(seed), p, data)
+    poly = _random_polyhedron(np.random.default_rng(seed), p,
+                              **_polyhedron_choices(p, data))
+    assume(poly is not None)
     radius = _max_slack(poly)
     assume(abs(radius - 1.0) > 1e-6)
     with pytest.MonkeyPatch.context() as mp:
         costs = _lp_costs(mp)
         x = interior_point(poly)
     assert costs == []
-    unit = poly.gamma / np.linalg.norm(poly.gamma, axis=1)[:, None]
-    slack = unit @ x + poly.delta / np.linalg.norm(poly.gamma, axis=1)
-    scale = max(1.0, float(np.abs(x).max()))
-    if radius < 1.0:
-        assert radius / 2 - 1e-9 * scale <= slack.min() <= radius + 1e-9
-        return
-    assert slack.min() >= 1.0 - 1e-9
-    active = slack <= 1.0 + 1e-8 * scale
-    # nnls aborts the interpreter on a matrix with no columns
-    residual = scipy.optimize.nnls(unit[active].T, x)[1] if active.any() \
-        else np.linalg.norm(x)
-    assert residual <= 1e-9 * scale
+    assert _least_distance_failure(poly, x, radius) is None
 
 
 def test_interior_point_chebyshev_fallback(lp_calls):

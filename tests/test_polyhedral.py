@@ -846,6 +846,18 @@ def test_diagonalize_extended_refuses_an_asymmetric_block(rng):
         diagonalize_extended(model, PsdFacetDecomposition(dec.B0, Bi))
 
 
+def test_diagonalize_extended_without_facets():
+    # R^2 has no facets, so k = q = 0: the extension is the constant
+    # theta's root beside the two original coordinates
+    theta = AffineMatrixField(np.array([[2.0, 1.0], [1.0, 1.0]]),
+                              np.zeros((2, 2, 2)))
+    model = ModelSpec(2, AffineVectorField(-np.eye(2), np.zeros(2)), theta,
+                      Polyhedron(np.zeros((0, 2)), np.zeros(0)))
+    ext = diagonalize_extended(model, psd_decompose(model))
+    assert ext.model.dimension == 4 and ext.recovery.shape == (2, 4)
+    _verify_extension(ext, model)
+
+
 def test_diagonalize_extended_requires_canonical_coordinates():
     m = load_fixture("hyperbola_wedge")
     dec = psd_decompose(m)

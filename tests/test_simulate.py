@@ -16,8 +16,8 @@ from affinvar.core import (AffineMatrixField, AffineVectorField, ModelSpec,
 from affinvar import simulate
 from affinvar.errors import PreconditionFailedError, SigmaMismatchError
 from affinvar.modelio import load_fixture
-from affinvar.polyhedral import (build_square_root, canonical_transform,
-                                 transform_model)
+from affinvar.polyhedral import (_canonical_facets, build_square_root,
+                                 canonical_transform, transform_model)
 from affinvar.quadratic import (ParabolicDecomposition, conical_basis,
                                 cone_square_root, eta_matrix,
                                 parabolic_square_root,
@@ -26,6 +26,7 @@ from affinvar.simulate import (PathEnsemble, Scheme, SimConfig, _expm,
                                _noise_stream, invariance_monte_carlo,
                                make_projector, mean_ode, simulate_paths,
                                simulate_summary, simulation_frame)
+from conftest import random_affine_image, random_canonical_model
 
 
 def _cir_setup(b=1.0):
@@ -335,10 +336,10 @@ def test_row_contract_apply_rejected(fixture):
         simulate_paths(model, bad, SimConfig(x0, 1.0, 10, 5, seed=0))
 
 
-@pytest.mark.parametrize("coords", [(0, 1), (1, 2), (0, 2), (2,), ()])
+@pytest.mark.parametrize("coords", [(0, 1), ()])
 def test_polyhedral_projector_clamps_facet_coordinates(coords):
-    # contiguous facet coordinates take a slice, others a gather; both clamp
-    # exactly those coordinates at zero and leave the input as it was
+    # the leading facet coordinates are clamped at zero, through one slice,
+    # and the input is left as it was
     space = Polyhedron(np.eye(3)[list(coords)], np.zeros(len(coords)))
     x = np.random.default_rng(4).standard_normal((3, 50))
     before = x.copy()
@@ -347,6 +348,47 @@ def test_polyhedral_projector_clamps_facet_coordinates(coords):
         want[j] = np.maximum(want[j], 0.0)
     assert np.array_equal(make_projector(space)(x), want)
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("gamma,delta", [
+    ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0]),
+    ([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], [0.0, 0.0]),
+    ([[0.0, 0.0, 1.0]], [0.0]),
+    ([[1.0, 0.0, 0.0], [-1.0, -1.0, 0.0]], [0.0, 1.0])],
+    ids=["coords12", "coords02", "coords2", "cut-past-k"])
+def test_polyhedral_projector_refuses_other_layouts(gamma, delta):
+    # coordinate facets that are not the leading coordinates, or a cut with
+    # a coefficient beyond them, are not the layout R^m_+ x C x R^r of a
+    # canonical model: full truncation refuses them instead of clamping by
+    # position
+    space = Polyhedron(np.array(gamma), np.array(delta))
+    assert _canonical_facets(space) is None
+    with pytest.raises(PreconditionFailedError, match="canonical layout"):
+        make_projector(space)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(source=st.sampled_from(["cir", "triangle_channel", "random"]),
+       p=st.integers(1, 5), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
+def test_projector_clamps_the_canonical_facet_coordinates(source, p, data,
+                                                          seed):
+    # the canonical frame of an affine image lays its facets out as
+    # R^m_+ x C x R^r: k = m + n leading coordinate facets, which the
+    # projector clamps, and the cuts of C (triangle_channel's) after them
+    rng = np.random.default_rng(seed)
+    if source == "random":
+        m = data.draw(st.integers(0, p), label="m")
+        n = data.draw(st.integers(0, p - m), label="n")
+        model = random_canonical_model(rng, p, m, n)
+    else:
+        model = load_fixture(source)
+    ct = canonical_transform(random_affine_image(rng, model))
+    k = _canonical_facets(ct.model.state_space)
+    assert k == ct.m + ct.n
+    x = rng.standard_normal((ct.dim, 40))
+    want = x.copy()
+    want[:k] = np.maximum(want[:k], 0.0)
+    assert np.array_equal(make_projector(ct.model.state_space)(x), want)
 
 
 def test_q1_cone_projector_rejected():
@@ -894,6 +936,29 @@ def test_helper_killed_mid_job_changes_no_path(monkeypatch):
     assert simulate._helper is None and _gone(killed[0])
 
 
+def test_helper_killed_between_runs_changes_no_path(monkeypatch):
+    # a helper killed while it waits for a job is found dead by the next
+    # run, whose job write or first read fails: that run has the paths
+    # drawn in process and reaps the dead helper, and a live helper serves
+    # one of the two runs after it
+    model, sigma, x0 = _canonical_case("triangle_channel")
+    cfg = SimConfig(x0, 1.0, 30, 200, seed=13)
+    _in_process(monkeypatch)
+    expected = simulate_summary(model, sigma, cfg)
+    served = _helper_runs(monkeypatch)
+    assert _same_summary(simulate_summary(model, sigma, cfg), expected)
+    dead = simulate._helper.pid
+    os.kill(dead, signal.SIGKILL)
+    assert _same_summary(simulate_summary(model, sigma, cfg), expected)
+    assert _gone(dead)
+    whole = []
+    for _ in range(2):
+        served.clear()
+        assert _same_summary(simulate_summary(model, sigma, cfg), expected)
+        whole.append(served == [True] * cfg.steps)
+    assert True in whole and simulate._helper.pid != dead
+
+
 def test_threads_take_turns_at_the_helper(monkeypatch):
     # a run that finds the helper held draws in process; every path is the
     # same whichever run the helper serves
@@ -938,7 +1003,7 @@ def test_forked_child_leaves_the_parents_helper_alone(monkeypatch):
             dropped = simulate._helper is None
             got = simulate_summary(model, sigma, cfg)
             own = simulate._helper.pid not in (None, parent_helper)
-            simulate._end_helper_at_exit()
+            simulate._discard_helper()
             code = 0 if dropped and own and _same_summary(got, expected) else 1
         finally:
             os._exit(code)

@@ -14,6 +14,18 @@ fails:
   LP-only sequential rule of `test_convex.py`, on the polyhedra of the
   `certificates` sweep for MINIMALIZE_SEEDS: 3 kinds x p 1-4 x 7 scales x
   seeds, a disagreement when the rows kept differ;
+- `classify`: `quadratic.classify_quadric` against the kind, q and
+  admissibility of the draws of
+  `test_quadratic.py::test_classification_invariant_under_affine_images`:
+  3 kinds x p 2-5 x q 2..p x through the origin or not x CLASSIFY_SEEDS,
+  each `_random_canonical_quadric` and its image by `random_affine_map`;
+- `interior`: `convex.interior_point` against the Chebyshev radius of
+  `_max_slack` (scipy's LP) and the KKT residual of
+  `_least_distance_failure` on the draws of
+  `test_convex.py::test_interior_point_least_distance_kkt`: p 1-4 x every
+  choice of `_random_polyhedron` x INTERIOR_SEEDS; the draws the test
+  assumes away (gamma ill-conditioned, radius within 1e-6 of 1) are counted
+  as `skipped`;
 - `nnls`: `convex._nnls` against `scipy.optimize.nnls` on N_NNLS problems
   drawn from `default_rng(1)` (`_dependent_columns`), whose columns from the
   third on are, with probability 1/2, combinations of two earlier ones plus
@@ -33,7 +45,8 @@ draw, and the sweep carries on.  Run it on two checkouts and diff:
     diff before.json after.json
 
 The `certificates` sweep makes 50,400 calls, 2 to 2.5 minutes on a 2-core
-machine; `minimalize` 4,200, about a minute; `nnls` about 1 s.
+machine; `minimalize` 4,200, about a minute; `classify` 18,000, about
+7 s; `interior` 8,380 (and 20 skipped), about 30 s; `nnls` about 1 s.
 """
 
 from __future__ import annotations
@@ -49,17 +62,26 @@ import scipy.optimize
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
-from affinvar.convex import _certificate, _nnls, minimalize  # noqa: E402
+from affinvar.convex import (_certificate, _nnls,  # noqa: E402
+                             interior_point, minimalize)
+from affinvar.core import QuadraticForm  # noqa: E402
 from affinvar.errors import NumericalFailureError  # noqa: E402
-from conftest import lp_certificate_exists  # noqa: E402
-from test_convex import (_functional, _minimalize_by_lp,  # noqa: E402
+from affinvar.quadratic import classify_quadric  # noqa: E402
+from conftest import lp_certificate_exists, random_affine_map  # noqa: E402
+from test_convex import (SIMPLEX_SCALES, _functional,  # noqa: E402
+                         _least_distance_failure, _max_slack,
+                         _minimalize_by_lp, _random_polyhedron,
                          _rank_deficient_polyhedron)
+from test_quadratic import KINDS as QUADRIC_KINDS  # noqa: E402
+from test_quadratic import _push_forward, _random_canonical_quadric  # noqa: E402
 
 KINDS = ("tangent", "low-rank", "orthant")
 DIMENSIONS = (1, 2, 3, 4)
 SCALES = (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)
 SEEDS = range(150)
 MINIMALIZE_SEEDS = range(50)
+CLASSIFY_SEEDS = range(150)
+INTERIOR_SEEDS = range(150)
 N_NNLS = 3000
 ABOVE = 1e-6
 
@@ -141,6 +163,68 @@ def sweep_minimalize() -> dict:
     return tally.report()
 
 
+def sweep_classify() -> dict:
+    tally = _Tally()
+    for kind in QUADRIC_KINDS:
+        for p in range(2, 6):
+            for q in range(2, p + 1):
+                for apex in (False, True):
+                    admissible = kind == "parabolic" or (kind == "cone"
+                                                         and apex)
+                    for seed in CLASSIFY_SEEDS:
+                        rng = np.random.default_rng(seed)
+                        phi0 = _random_canonical_quadric(rng, kind, p, q)
+                        if apex:
+                            phi0 = QuadraticForm(phi0.A, phi0.b, 0.0)
+                        image = _push_forward(phi0, *random_affine_map(rng, p))
+                        for frame, phi in (("canonical", phi0),
+                                           ("image", image)):
+                            draw = {"kind": kind, "p": p, "q": q,
+                                    "apex": apex, "seed": seed,
+                                    "frame": frame}
+                            ok, cls = tally.run(
+                                draw, lambda: classify_quadric(phi))
+                            if ok and (cls.kind, cls.q, cls.admissible) != (
+                                    kind, q, admissible):
+                                tally.disagree(draw, f"classified {cls.kind}, "
+                                               f"q {cls.q}, admissible "
+                                               f"{cls.admissible}")
+    return tally.report()
+
+
+def _every_polyhedron_choice(p: int):
+    """Every choice of `_random_polyhedron` in R^p that the interior-point
+    test can draw."""
+    for q in range(1, p + 1):
+        yield {"kind": "full", "q": q}
+    for q in range(2, p + 3):
+        for k in range(1, min(q - 1, p) + 1):
+            yield {"kind": "deficient", "q": q, "k": k}
+    for scale in SIMPLEX_SCALES:
+        yield {"kind": "simplex", "scale": scale}
+
+
+def sweep_interior() -> dict:
+    tally = _Tally()
+    skipped = 0
+    for p in range(1, 5):
+        for choice in _every_polyhedron_choice(p):
+            for seed in INTERIOR_SEEDS:
+                poly = _random_polyhedron(np.random.default_rng(seed), p,
+                                          **choice)
+                radius = None if poly is None else _max_slack(poly)
+                if radius is None or abs(radius - 1.0) <= 1e-6:
+                    skipped += 1        # the draws the test assumes away
+                    continue
+                draw = {"p": p, **choice, "seed": seed}
+                ok, x = tally.run(draw, lambda: interior_point(poly))
+                failure = _least_distance_failure(poly, x, radius) if ok \
+                    else None
+                if failure is not None:
+                    tally.disagree(draw, failure)
+    return tally.report(skipped=skipped)
+
+
 def _dependent_columns(rng) -> tuple[np.ndarray, np.ndarray]:
     """An m x n matrix, m in [3, 8] and n in [3, 10], whose columns from
     the third on are each, with probability 1/2, a random combination of
@@ -197,6 +281,8 @@ def main() -> int:
     out = {}
     for name, sweep in (("certificates", sweep_certificates),
                         ("minimalize", sweep_minimalize),
+                        ("classify", sweep_classify),
+                        ("interior", sweep_interior),
                         ("nnls", sweep_nnls)):
         start = time.perf_counter()
         out[name] = sweep()
