@@ -336,7 +336,7 @@ def test_row_contract_apply_rejected(fixture):
         simulate_paths(model, bad, SimConfig(x0, 1.0, 10, 5, seed=0))
 
 
-@pytest.mark.parametrize("coords", [(0, 1), ()])
+@pytest.mark.parametrize("coords", [(0, 1), ()], ids=["coords0", "coords4"])
 def test_polyhedral_projector_clamps_facet_coordinates(coords):
     # the leading facet coordinates are clamped at zero, through one slice,
     # and the input is left as it was
